@@ -118,7 +118,7 @@ def bench_dataset(name: str, n_base: int) -> dict:
         for i in range(N_PARITY):
             sc = multi_cta_search(
                 ds.base, graph, queries[i], K, L_TOTAL, N_CTAS,
-                metric=ds.metric, entries=entries[i], backend="scalar",
+                metric=ds.metric, entries=entries[i],
                 codec=codec, rerank_mult=RERANK_MULT,
             )
             assert np.array_equal(sc.ids, traced[i].ids), (name, prec, i)

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CI test entry point: lint, tier-1 suite, perf smoke, chaos smoke.
+# CI test entry point: lint, tier-1 suite, perf smoke, chaos smoke, e2e smoke.
 #
 #   scripts/test.sh            # everything
 #   scripts/test.sh --tier1    # lint + unit/integration/property tests
 #   scripts/test.sh --perf     # perf smoke only: search gate (~2 s; fails
-#                              # if the vectorized backend loses to the
-#                              # scalar one on wall clock) + build gate
+#                              # if the lockstep engine loses to the
+#                              # scalar oracle on wall clock) + build gate
 #                              # (~40 s; vectorized NSW build must beat
 #                              # scalar by >=3x at n=20k and hold recall@10
 #                              # within 0.01) + quantized gate (~15 s; int8
@@ -35,6 +35,13 @@
 #                              # recall@16 within 0.02 of the frozen-graph
 #                              # oracle, and zero tombstoned or duplicated
 #                              # answers (docs/robustness.md)
+#   scripts/test.sh --e2e      # end-to-end benchmark smoke only (< 60 s):
+#                              # benchmarks/e2e/run.py at --scale smoke, all
+#                              # five BENCHMARK.json workloads with their
+#                              # self-checks, plus the runner's own smoke
+#                              # test — an API change that breaks the
+#                              # benchmark's frozen call surface fails here
+#                              # instead of in the pipeline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -42,10 +49,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 run_tier1=1
 run_perf=1
 run_chaos=1
+run_e2e=1
 case "${1:-}" in
-  --tier1) run_perf=0; run_chaos=0 ;;
-  --perf) run_tier1=0; run_chaos=0 ;;
-  --chaos) run_tier1=0; run_perf=0 ;;
+  --tier1) run_perf=0; run_chaos=0; run_e2e=0 ;;
+  --perf) run_tier1=0; run_chaos=0; run_e2e=0 ;;
+  --chaos) run_tier1=0; run_perf=0; run_e2e=0 ;;
+  --e2e) run_tier1=0; run_perf=0; run_chaos=0 ;;
 esac
 
 # Per-test watchdog: the resilience suite exercises hang/deadlock recovery,
@@ -83,21 +92,6 @@ if [ "$run_tier1" = 1 ]; then
     echo "pytest-xdist not installed; running tier-1 serially"
     python -m pytest -x -q ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
   fi
-  # Optional extra: the compiled-backend job.  numba is an optional
-  # dependency the container image does not ship (resolve_backend degrades
-  # "compiled" requests to "vectorized" with a warning).  The jit-tier
-  # tests guard themselves with pytest.importorskip("numba"), so in the
-  # sweep above they skip *silently* on bare images — probe for numba and,
-  # when it imports, run the jit tier as its own visible job so a broken
-  # JIT path fails CI instead of hiding behind a skip (-rs surfaces any
-  # skip that still happens, e.g. a numba/llvmlite version mismatch).
-  if python -c "import numba" >/dev/null 2>&1; then
-    echo "numba available: exercising the compiled-backend jit tier"
-    python -m pytest tests/test_compiled_backend.py -q -rs -k "jitted" \
-      ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
-  else
-    echo "numba not installed; compiled-backend suite covers fallback only"
-  fi
 fi
 if [ "$run_perf" = 1 ]; then
   python -m pytest benchmarks/perf -m perf_smoke -q \
@@ -117,4 +111,9 @@ if [ "$run_chaos" = 1 ]; then
     --n 6000 --queries 96 --events 256 --workload poisson:3000 \
     --insert-qps 3000 --delete-qps 1000 --k 16 --seed 1 \
     --min-answered 0.99 --max-recall-drop 0.02
+fi
+if [ "$run_e2e" = 1 ]; then
+  python3 benchmarks/e2e/run.py --scale smoke
+  python -m pytest benchmarks/e2e/test_e2e_smoke.py -q \
+    ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
 fi

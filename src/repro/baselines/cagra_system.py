@@ -37,6 +37,5 @@ class CAGRASystem(BaseGraphSystem):
             merge_on_gpu=True,
             mem_per_block=self.mem_per_block(),
             reserved_cache_per_block=self.tuning.reserved_cache_per_block,
-            search_backend=self.backend,
         )
         return StaticBatchEngine(self.device, self.cost_model, cfg, telemetry=telemetry)

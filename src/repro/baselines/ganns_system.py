@@ -39,6 +39,5 @@ class GANNSSystem(BaseGraphSystem):
             merge_on_gpu=False,  # nothing to merge; host copies results
             mem_per_block=self.mem_per_block(),
             reserved_cache_per_block=self.tuning.reserved_cache_per_block,
-            search_backend=self.backend,
         )
         return StaticBatchEngine(self.device, self.cost_model, cfg, telemetry=telemetry)

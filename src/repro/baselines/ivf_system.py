@@ -40,16 +40,9 @@ class IVFSystem:
         cost_params: CostParams | None = None,
         mem_per_block: int = 8192,
         seed: int = 0,
-        backend: str = "vectorized",
     ):
         if k <= 0:
             raise ValueError("k must be positive")
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(f"unknown backend {backend!r}")
-        # The IVF scan is a dense matrix sweep and is already vectorized
-        # in both cases; the knob is accepted for a uniform system API and
-        # recorded as serve-report provenance.
-        self.backend = backend
         self.index = IVFFlatIndex(base, nlist=nlist, metric=metric, seed=seed)
         self.nprobe = int(nprobe)
         self.device = device
@@ -91,7 +84,6 @@ class IVFSystem:
             k=self.k,
             merge_on_gpu=False,
             mem_per_block=self.mem_per_block,
-            search_backend=self.backend,
         )
         return StaticBatchEngine(self.device, self.cost_model, cfg, telemetry=telemetry)
 
@@ -159,15 +151,11 @@ class IVFPQSystem(IVFSystem):
         cost_params: CostParams | None = None,
         mem_per_block: int = 8192,
         seed: int = 0,
-        backend: str = "vectorized",
     ):
         from ..search.quantization import IVFPQIndex
 
         if k <= 0:
             raise ValueError("k must be positive")
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.index = IVFPQIndex(base, nlist=nlist, m=m, ks=ks, metric=metric, seed=seed)
         self.nprobe = int(nprobe)
         self.rerank = int(rerank)

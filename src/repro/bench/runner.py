@@ -121,7 +121,6 @@ def _search_key(system: BaseGraphSystem, dataset: str, graph_kind: str) -> tuple
         (b.offset_beam, b.beam_width) if b else None,
         system.entries_per_cta,
         system.seed,
-        system.backend,
         system.precision,
         system.rerank_mult,
     )

@@ -105,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rerank-mult", type=int, default=2,
                    help="exact re-rank pool multiplier: re-score "
                         "rerank_mult*k survivors (quantized precisions)")
-    s.add_argument("--backend", choices=("scalar", "vectorized", "compiled"),
-                   default="vectorized",
-                   help="search backend: 'vectorized' lockstep engine "
-                        "(default), 'compiled' its numba inner-round "
-                        "variant (falls back to vectorized without numba), "
-                        "'scalar' the per-step oracle — all bit-identical")
     s.add_argument("--profile", action="store_true",
                    help="run the serve under cProfile and print the top-20 "
                         "cumulative wall-clock hotspots")
@@ -199,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dynamic-graph search/link ef")
     st.add_argument("--k", type=int, default=16)
     st.add_argument("--slots", type=int, default=8)
-    st.add_argument("--backend", choices=("vectorized", "compiled"),
-                    default="vectorized",
-                    help="lockstep search backend (traces price the jobs)")
     st.add_argument("--precision", choices=("float32", "int8", "pq"),
                     default="float32")
     st.add_argument("--workload", default="poisson:2000", metavar="PROC",
@@ -378,8 +369,7 @@ def _cmd_serve(args) -> int:
         }
         common = dict(metric=ds.metric, k=args.k, l_total=args.l_total,
                       batch_size=args.batch, seed=args.seed,
-                      precision=args.precision, rerank_mult=args.rerank_mult,
-                      backend=args.backend)
+                      precision=args.precision, rerank_mult=args.rerank_mult)
         if args.system == "algas":
             ht = args.host_threads
             algas_kw = dict(
@@ -630,7 +620,7 @@ def _cmd_stream(args) -> int:
     report = serve_while_update(
         dyn, ds.queries, stream,
         workload=workload, n_queries=args.events, k=args.k,
-        slots=args.slots, backend=args.backend, precision=args.precision,
+        slots=args.slots, precision=args.precision,
         faults=faults, slo=slo, compact_threshold=args.compact_threshold,
     )
     print(f"dataset={args.dataset} n={args.n} plan={args.plan or 'none'}")

@@ -47,6 +47,7 @@ count, including ``parallelism=0``.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import uuid
@@ -76,6 +77,8 @@ from .serving import (
 )
 
 __all__ = ["ReplicatedServer", "ShardedServer"]
+
+_log = logging.getLogger(__name__)
 
 
 def _scaled_jobs(jobs: list[QueryJob], factor: float) -> list[QueryJob]:
@@ -156,8 +159,10 @@ def _merged_report(
 # The fan-out tasks live at module level (picklable by reference) and take
 # one payload dict.  Sequential and thread pools pass live objects in the
 # payload; process pools pass ArrayRefs plus constructor kwargs and the
-# worker rebuilds each shard system once, caching it for the pool's
-# lifetime (pool workers are reused across serves).
+# worker rebuilds each shard system it is handed, caching it for the
+# worker's lifetime.  ``serve()`` creates and closes a pool per call, so
+# today every serve rebuilds; the cache pays only once pools outlive a
+# serve (ROADMAP item 2).
 
 #: process-worker cache: arena token + shard id -> rebuilt system.
 _WORKER_SYSTEMS: dict[str, ALGASSystem] = {}
@@ -208,9 +213,7 @@ def _shard_serve_task(payload: dict):
     """
     system = _payload_system(payload)
     queries = _payload_queries(payload)
-    s_ids, s_dists, traces = system.search_all(
-        queries, backend=payload["backend"], seed=payload["seed"]
-    )
+    s_ids, s_dists, traces = system.search_all(queries, seed=payload["seed"])
     jobs = system.jobs_from_traces(traces, payload["ordered"])
     if payload["slow_factor"] is not None:
         jobs = _scaled_jobs(jobs, payload["slow_factor"])
@@ -274,9 +277,7 @@ class ReplicatedServer:
         # limits) applies per replica: each replica runs its own
         # admission queue over the round-robin slice it was dealt.
         evs, spec = resolve_workload(cfg.workload, queries.shape[0])
-        ids, dists, traces = self.system.search_all(
-            queries, backend=cfg.backend, seed=cfg.seed
-        )
+        ids, dists, traces = self.system.search_all(queries, seed=cfg.seed)
         jobs = self.system.jobs_from_traces(
             traces, sorted(evs, key=lambda e: e.query_id)
         )
@@ -549,9 +550,15 @@ class ShardedServer:
             if mode == "process":
                 try:
                     pickle.dumps(graph_builder)
-                except Exception:
+                except (pickle.PicklingError, AttributeError, TypeError) as exc:
                     # Lambdas/closures can't cross a process boundary;
                     # threads still overlap the numpy-heavy build phases.
+                    _log.warning(
+                        "graph_builder %s cannot be pickled (%s); building "
+                        "shards on a thread pool instead of processes",
+                        getattr(graph_builder, "__qualname__", graph_builder),
+                        exc,
+                    )
                     mode = "thread"
             with make_pool(n, mode) as pool, \
                     SharedArena(enabled=pool.is_process) as arena:
@@ -644,7 +651,6 @@ class ShardedServer:
                     cstats.note_fault("shard_slow")
                     tel.fault_injected("shard_slow")
                 p = {
-                    "backend": cfg.backend,
                     "seed": cfg.seed,
                     "ordered": ordered,
                     "slots": cfg.slots,

@@ -63,10 +63,6 @@ from .state_sync import StateChannel
 
 __all__ = ["DynamicBatchConfig", "DynamicBatchEngine"]
 
-#: valid search-backend provenance tags (mirrors repro.search backends).
-_SEARCH_BACKENDS = ("scalar", "vectorized", "compiled")
-
-
 @dataclass(frozen=True)
 class DynamicBatchConfig:
     """Knobs of the dynamic batching engine."""
@@ -89,11 +85,6 @@ class DynamicBatchConfig:
     #: CPU time to enqueue an async transfer on a stream (§V-B: dispatches
     #: are asynchronous; the host does not block on the copy itself).
     host_submit_us: float = 0.3
-    #: which search backend produced the traces this engine replays
-    #: ("scalar" oracle, the "vectorized" lockstep engine, or its
-    #: "compiled" numba variant) — provenance recorded in the serve
-    #: report; all are trace-equivalent.
-    search_backend: str = "scalar"
     #: slot-maintenance sweep: "soa" (vectorized mask scan over the slot
     #: bank, the default) or "loop" (per-slot Python reference scan).
     #: Bit-identical outputs; kept switchable for the parity suite.
@@ -106,8 +97,6 @@ class DynamicBatchConfig:
             raise ValueError("host_threads must be positive")
         if self.host_poll_period_us <= 0:
             raise ValueError("host_poll_period_us must be positive")
-        if self.search_backend not in _SEARCH_BACKENDS:
-            raise ValueError(f"unknown search backend {self.search_backend!r}")
         if self.tick_mode not in ("soa", "loop"):
             raise ValueError(f"unknown tick_mode {self.tick_mode!r}")
 
@@ -578,7 +567,6 @@ class DynamicBatchEngine:
         meta = {
             "mode": "dynamic",
             "config": cfg,
-            "search_backend": cfg.search_backend,
             "dropped": len(dropped_ids),
             "dropped_ids": sorted(dropped_ids),
         }

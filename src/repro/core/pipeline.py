@@ -27,8 +27,9 @@ from ..gpusim.occupancy import SearchMemoryLayout
 from ..gpusim.trace import QueryTrace
 from ..graphs.base import GraphIndex
 from ..graphs.utils import medoid
-from ..search.intra_cta import BeamConfig, intra_cta_search
-from ..search.multi_cta import make_entries, multi_cta_search
+from ..search.batched import batched_intra_cta_search, batched_multi_cta_search
+from ..search.intra_cta import BeamConfig
+from ..search.multi_cta import make_entries
 from ..search.precision import PRECISIONS, make_codec
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from .host import host_meta
@@ -78,7 +79,6 @@ class BaseGraphSystem:
         cost_params: CostParams | None = None,
         entries_per_cta: int = 2,
         seed: int = 0,
-        backend: str = "vectorized",
         build_info: dict | None = None,
         precision: str = "float32",
         rerank_mult: int = 2,
@@ -89,15 +89,12 @@ class BaseGraphSystem:
             raise ValueError("need 0 < k <= l_total")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if backend not in ("scalar", "vectorized", "compiled"):
-            raise ValueError(f"unknown backend {backend!r}")
         if precision not in PRECISIONS:
             raise ValueError(
                 f"unknown precision {precision!r}; expected one of {PRECISIONS}"
             )
         if rerank_mult < 1:
             raise ValueError("rerank_mult must be >= 1")
-        self.backend = backend
         #: traversal distance substrate + exact re-rank pool multiplier
         #: (repro.search.precision); ServeConfig can override per serve.
         self.precision = precision
@@ -107,7 +104,7 @@ class BaseGraphSystem:
         self._codec_cache: dict[str, object] = {}
         #: graph-construction provenance (e.g. ``{"build_backend": ...,
         #: "build_seconds": ...}``) merged into ``ServeReport.meta["build"]``
-        #: on every serve — mirrors the ``search_backend`` meta key.
+        #: on every serve.
         self.build_info = dict(build_info) if build_info else None
         self.base = np.asarray(base, dtype=np.float32)
         self.graph = graph
@@ -168,55 +165,42 @@ class BaseGraphSystem:
             )
         return self._codec_cache[p]
 
-    def search_one(self, query: np.ndarray, rng: np.random.Generator,
-                   backend: str | None = None, precision: str | None = None,
-                   rerank_mult: int | None = None):
-        """Run the system's search for one query; returns a SearchResult."""
-        backend = backend or self.backend
-        codec = self.traversal_codec(precision)
-        rm = rerank_mult or self.rerank_mult
-        if self.n_parallel == 1:
-            return intra_cta_search(
-                self.base, self.graph, query, self.k,
-                self.tuning.per_cta_cand_len, self._single_cta_entries(rng),
-                metric=self.metric, beam=self.beam, backend=backend,
-                codec=codec, rerank_mult=rm,
-            )
-        return multi_cta_search(
-            self.base, self.graph, query, self.k, self.l_total, self.n_parallel,
-            metric=self.metric, beam=self.beam,
-            entries_per_cta=self.entries_per_cta, rng=rng, backend=backend,
-            codec=codec, rerank_mult=rm,
-        )
-
-    def search_all(self, queries: np.ndarray, backend: str | None = None,
-                   seed: int | None = None, precision: str | None = None,
+    def search_all(self, queries: np.ndarray, seed: int | None = None,
+                   precision: str | None = None,
                    rerank_mult: int | None = None):
         """Search every query; returns padded ids/dists and traces.
 
-        With the vectorized backend the whole query set advances in one
-        lockstep SoA batch (all queries × all CTAs); entry points are drawn
-        from the rng in the same per-query order as the scalar loop, so the
-        two backends return byte-identical results and traces.
-        ``backend``/``seed``/``precision``/``rerank_mult`` override the
-        system's configured values for this call (the
+        The whole query set advances in one lockstep SoA batch (all
+        queries × all CTAs); entry points are drawn from the rng per query
+        in order — the draw order of a query-by-query loop over the scalar
+        reference functions, which therefore return byte-identical results
+        and traces (``tests/oracles.py``).
+        ``seed``/``precision``/``rerank_mult`` override the system's
+        configured values for this call (the
         :class:`~repro.core.serving.ServeConfig` knobs).
         """
-        backend = backend or self.backend
         rng = np.random.default_rng(self.seed if seed is None else seed)
+        codec = self.traversal_codec(precision)
+        rm = rerank_mult or self.rerank_mult
         nq = queries.shape[0]
-        if backend in ("vectorized", "compiled"):
-            from ..search.compiled import resolve_backend
-
-            results = self._search_all_vectorized(
-                queries, rng, precision=precision, rerank_mult=rerank_mult,
-                compiled=resolve_backend(backend) == "compiled",
+        if self.n_parallel == 1:
+            entries = [self._single_cta_entries(rng) for _ in range(nq)]
+            results = batched_intra_cta_search(
+                self.base, self.graph, queries, self.k,
+                self.tuning.per_cta_cand_len, entries,
+                metric=self.metric, beam=self.beam,
+                codec=codec, rerank_mult=rm,
             )
         else:
-            results = (
-                self.search_one(queries[i], rng, backend,
-                                precision=precision, rerank_mult=rerank_mult)
-                for i in range(nq)
+            entries = [
+                make_entries(self.base.shape[0], self.n_parallel,
+                             self.entries_per_cta, rng)
+                for _ in range(nq)
+            ]
+            results = batched_multi_cta_search(
+                self.base, self.graph, queries, self.k, self.l_total,
+                self.n_parallel, metric=self.metric, beam=self.beam,
+                entries=entries, codec=codec, rerank_mult=rm,
             )
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
@@ -230,36 +214,6 @@ class BaseGraphSystem:
                 tr = QueryTrace(ctas=[tr], dim=int(self.base.shape[1]), k=self.k)
             traces.append(tr)
         return ids, dists, traces
-
-    def _search_all_vectorized(self, queries: np.ndarray, rng: np.random.Generator,
-                               precision: str | None = None,
-                               rerank_mult: int | None = None,
-                               compiled: bool = False):
-        from ..search.batched import (
-            batched_intra_cta_search,
-            batched_multi_cta_search,
-        )
-
-        codec = self.traversal_codec(precision)
-        rm = rerank_mult or self.rerank_mult
-        nq = queries.shape[0]
-        if self.n_parallel == 1:
-            entries = [self._single_cta_entries(rng) for _ in range(nq)]
-            return batched_intra_cta_search(
-                self.base, self.graph, queries, self.k,
-                self.tuning.per_cta_cand_len, entries,
-                metric=self.metric, beam=self.beam,
-                codec=codec, rerank_mult=rm, compiled=compiled,
-            )
-        entries = [
-            make_entries(self.base.shape[0], self.n_parallel, self.entries_per_cta, rng)
-            for _ in range(nq)
-        ]
-        return batched_multi_cta_search(
-            self.base, self.graph, queries, self.k, self.l_total, self.n_parallel,
-            metric=self.metric, beam=self.beam, entries=entries,
-            codec=codec, rerank_mult=rm, compiled=compiled,
-        )
 
     # -------------------------------------------------------------- pricing
     def jobs_from_traces(
@@ -369,7 +323,7 @@ class BaseGraphSystem:
         precision = cfg.precision or self.precision
         rerank_mult = cfg.rerank_mult or self.rerank_mult
         ids, dists, traces = self.search_all(
-            queries, backend=cfg.backend, seed=cfg.seed,
+            queries, seed=cfg.seed,
             precision=precision, rerank_mult=rerank_mult,
         )
         ordered = sorted(evs, key=lambda e: e.query_id)
@@ -417,7 +371,6 @@ class ALGASSystem(BaseGraphSystem):
         cost_params: CostParams | None = None,
         entries_per_cta: int = 2,
         seed: int = 0,
-        backend: str = "vectorized",
         build_info: dict | None = None,
         precision: str = "float32",
         rerank_mult: int = 2,
@@ -435,7 +388,7 @@ class ALGASSystem(BaseGraphSystem):
         super().__init__(
             base, graph, device, metric, k, l_total, batch_size,
             n_parallel, max_parallel, beam, cost_params, entries_per_cta, seed,
-            backend, build_info, precision=precision, rerank_mult=rerank_mult,
+            build_info, precision=precision, rerank_mult=rerank_mult,
             pq_m=pq_m, pq_ks=pq_ks,
         )
         if host_threads == "auto":
@@ -463,7 +416,6 @@ class ALGASSystem(BaseGraphSystem):
             host_threads=self.host_threads,
             state_mode=self.state_mode,
             merge_on_cpu=self.merge_on_cpu,
-            search_backend=self.backend,
         )
 
     def make_engine(self, slots: int | None = None, telemetry=None,

@@ -128,8 +128,6 @@ class ServeConfig:
       control), or a materialized ``list[QueryEvent]``
       (None → closed loop over the queries);
     * ``slots`` — overrides the engine's slot count / batch size;
-    * ``backend`` — overrides the search backend
-      ("scalar"/"vectorized"/"compiled");
     * ``seed`` — overrides the entry-point RNG seed;
     * ``telemetry`` — a :class:`~repro.telemetry.Telemetry` to instrument
       the run (None → the no-op default; the hot path is unaffected);
@@ -161,7 +159,6 @@ class ServeConfig:
 
     workload: "TrafficSpec | ArrivalProcess | list[QueryEvent] | None" = None
     slots: int | None = None
-    backend: str | None = None
     seed: int | None = None
     telemetry: "Telemetry | None" = None
     faults: "FaultPlan | None" = None
@@ -196,10 +193,6 @@ class ServeConfig:
                 f"resilience must be a ResiliencePolicy, "
                 f"got {type(self.resilience).__name__}"
             )
-        if self.backend is not None and self.backend not in (
-            "scalar", "vectorized", "compiled"
-        ):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.tier is not None and self.tier not in ("gpu", "hybrid"):
             raise ValueError(
                 f"unknown tier {self.tier!r}; expected 'gpu' or 'hybrid'"

@@ -47,18 +47,12 @@ class StaticBatchConfig:
     #: n's merge/download (a stronger static baseline than the synchronous
     #: loop; per-query latency is still gated by the batch barrier).
     pipelined: bool = False
-    #: which search backend produced the traces this engine replays
-    #: ("scalar" oracle or the "vectorized" lockstep engine) — provenance
-    #: recorded in the serve report; the two are trace-equivalent.
-    search_backend: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.n_parallel <= 0 or self.k <= 0:
             raise ValueError("batch_size, n_parallel, k must be positive")
         if self.host_threads <= 0:
             raise ValueError("host_threads must be positive")
-        if self.search_backend not in ("scalar", "vectorized", "compiled"):
-            raise ValueError(f"unknown search backend {self.search_backend!r}")
 
 
 class StaticBatchEngine:
@@ -167,7 +161,7 @@ class StaticBatchEngine:
             n_cta_slots=cfg.batch_size * cfg.n_parallel,
             pcie=link.stats,
             host_busy_us=host_busy,
-            meta={"mode": "static", "config": cfg, "search_backend": cfg.search_backend},
+            meta={"mode": "static", "config": cfg},
         )
         tel.observe_report(report, mode="static")
         return report

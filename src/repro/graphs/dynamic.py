@@ -14,7 +14,7 @@ machinery instead of the original scalar per-point loop:
 * **delete waves** — :meth:`delete_batch` tombstones in O(wave): dead
   vertices are masked *at expansion* (the engine's ``alive_mask``), so a
   deleted point can never enter a candidate list — "no tombstone in top-k"
-  holds by construction in every backend, not by a post-hoc filter;
+  holds by construction, not by a post-hoc filter;
 * **compaction** — :meth:`compact` runs the deferred FreshDiskANN repair
   in bulk: every live in-neighbour of a tombstone drops the dead edge and
   inherits the tombstone's live out-neighbours (dedup, distance-trim),
@@ -23,12 +23,12 @@ machinery instead of the original scalar per-point loop:
   neighbour matrices cannot be served.  Recall sags between a delete wave
   and its compaction — that sag is exactly what the serve-while-update
   degradation SLOs (:mod:`repro.streaming`) measure;
-* **search** — :meth:`search` / :meth:`search_batch` accept ``backend=``
-  and ``precision=`` like the static path: the scalar greedy loop is the
-  oracle, ``"vectorized"``/``"compiled"`` run the lockstep engine directly
-  on the live padded arrays (no freeze needed), and quantized precisions
-  traverse on cached codecs that are *extended* on insert waves and
-  re-trained when codebook drift is detected (:meth:`codec_status`).
+* **search** — :meth:`search` / :meth:`search_batch` run the lockstep
+  engine directly on the live padded arrays (no freeze needed) and accept
+  ``precision=`` like the static path: quantized precisions traverse on
+  cached codecs that are *extended* on insert waves and re-trained when
+  codebook drift is detected (:meth:`codec_status`).  The scalar greedy
+  loop (:meth:`_search_scalar`) is the parity oracle.
 
 Vertex ids are stable for the lifetime of the structure (tombstoned ids
 are never reused); only :meth:`freeze` remaps to a dense snapshot.  Every
@@ -149,19 +149,13 @@ class DynamicGraph:
         query: np.ndarray,
         k: int,
         l: int | None = None,
-        backend: str = "scalar",
         precision: str = "float32",
         rerank_mult: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Greedy search; tombstones are masked at expansion (never routed,
-        never returned).  ``backend``/``precision`` mirror the static path."""
-        if backend == "scalar" and precision == "float32":
-            if self._n_alive == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float32)
-            return self._search_scalar(np.asarray(query, np.float32), k, l)
+        never returned).  A one-row :meth:`search_batch`."""
         ids, dists, _ = self.search_batch(
-            np.asarray(query, np.float32)[None, :], k, l=l, backend=backend,
-            precision=precision, rerank_mult=rerank_mult, record_trace=False,
+            query, k, l=l, precision=precision, rerank_mult=rerank_mult
         )
         m = int((ids[0] >= 0).sum())
         return ids[0, :m].copy(), dists[0, :m].copy()
@@ -171,7 +165,6 @@ class DynamicGraph:
         queries: np.ndarray,
         k: int,
         l: int | None = None,
-        backend: str = "vectorized",
         precision: str = "float32",
         rerank_mult: int | None = None,
         record_trace: bool = False,
@@ -183,13 +176,8 @@ class DynamicGraph:
         :class:`~repro.gpusim.trace.CTATrace` objects (``None`` entries
         when ``record_trace`` is off) for cost-model pricing.
         """
-        from ..search.batched import _engine_cls
-        from ..search.compiled import resolve_backend
-        from ..search.precision import (
-            DEFAULT_RERANK_MULT,
-            exact_rerank,
-            rerank_step_record,
-        )
+        from ..search.batched import LockstepEngine
+        from ..search.precision import DEFAULT_RERANK_MULT, rerank_into_trace
 
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -200,22 +188,11 @@ class DynamicGraph:
         traces: list = [None] * B
         if self._n_alive == 0 or B == 0:
             return out_ids, out_d, traces
-        if backend == "scalar":
-            if precision != "float32":
-                raise ValueError(
-                    "scalar dynamic search supports precision='float32' only"
-                )
-            for i in range(B):
-                ids, dists = self._search_scalar(queries[i], k, l)
-                out_ids[i, : ids.size] = ids
-                out_d[i, : dists.size] = dists
-            return out_ids, out_d, traces
-        backend = resolve_backend(backend)
         codec = self.traversal_codec(precision)
         rerank_mult = DEFAULT_RERANK_MULT if rerank_mult is None else rerank_mult
         cand_capacity = max(l or max(self.ef, k), k)
         n = self._n_total
-        eng = _engine_cls(backend == "compiled")(
+        eng = LockstepEngine(
             self._pts[:n],
             (self._adj[:n], self._counts[:n]),
             queries,
@@ -232,21 +209,12 @@ class DynamicGraph:
             if codec is None:
                 ids, dists = eng.results_row(r, k)
             else:
-                rcap = max(k, rerank_mult * k)
-                approx_ids, _ = eng.results_row(r, rcap)
-                qnorm = None if eng._qnorm is None else eng._qnorm[r]
-                ids, dists = exact_rerank(
-                    eng.points, queries[r], self.metric, approx_ids, k, qnorm=qnorm
+                approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
+                ids, dists = rerank_into_trace(
+                    eng.points, queries[r], self.metric, approx_ids, k,
+                    None if eng._qnorm is None else eng._qnorm[r],
+                    eng.trace_row(r), set_result_len=True,
                 )
-                trace = eng.trace_row(r)
-                if trace is not None:
-                    trace.steps.append(
-                        rerank_step_record(
-                            int(approx_ids.size), int(self._pts.shape[1]),
-                            float(dists[0]) if dists.size else float("nan"),
-                        )
-                    )
-                    trace.result_len = int(ids.size)
             out_ids[r, : ids.size] = ids
             out_d[r, : dists.size] = dists
             traces[r] = eng.trace_row(r)
@@ -256,7 +224,7 @@ class DynamicGraph:
         self, query: np.ndarray, k: int, l: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Scalar oracle (Alg. 1 semantics) with expansion-time tombstone
-        masking — the reference for both lockstep backends."""
+        masking — the reference the lockstep path is tested against."""
         lcap = l or max(self.ef, k)
         entry = self._live_entry()
         visited = {entry}

@@ -107,14 +107,12 @@ class HybridSystem(ALGASSystem):
             merge_on_cpu=self.merge_on_cpu,
             entries_per_cta=self.entries_per_cta,
             seed=self.seed,
-            backend=self.backend,
         )
 
     # ---------------------------------------------------------- stage 1+3
     def hybrid_search_all(
         self,
         queries: np.ndarray,
-        backend: str | None = None,
         seed: int | None = None,
         precision: str | None = None,
         rerank_mult: int | None = None,
@@ -132,8 +130,7 @@ class HybridSystem(ALGASSystem):
             queries = queries[None, :]
         q_red = self.pilot.project(queries)
         p_ids, _, traces = self._pilot_system.search_all(
-            q_red, backend=backend, seed=seed,
-            precision=precision, rerank_mult=rerank_mult,
+            q_red, seed=seed, precision=precision, rerank_mult=rerank_mult,
         )
         entries_full = self.pilot.to_full(p_ids)
         refine = bounded_refine(
@@ -158,7 +155,6 @@ class HybridSystem(ALGASSystem):
             host_threads=self.host_threads,
             state_mode=self.state_mode,
             merge_on_cpu=self.merge_on_cpu,
-            search_backend=self.backend,
         )
         return DynamicBatchEngine(
             self.device, self.cost_model, dcfg,
@@ -175,7 +171,7 @@ class HybridSystem(ALGASSystem):
         precision = cfg.precision or self.precision
         rerank_mult = cfg.rerank_mult or self.rerank_mult
         ids, dists, traces, refine = self.hybrid_search_all(
-            queries, backend=cfg.backend, seed=cfg.seed,
+            queries, seed=cfg.seed,
             precision=precision, rerank_mult=rerank_mult,
         )
         full_dim = int(self.base.shape[1])

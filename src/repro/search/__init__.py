@@ -10,7 +10,6 @@ from .batched import (
 from .beam_extend import beam_extend_search, default_beam_config, greedy_extend_search
 from .bruteforce import FlatIndex
 from .candidates import CandidateList
-from .compiled import HAVE_NUMBA, CompiledLockstepEngine, resolve_backend
 from .filtered import FilterStats, filtered_search
 from .greedy import ef_search, greedy_search
 from .intra_cta import BeamConfig, CTASearcher, SearchResult, intra_cta_search
@@ -39,9 +38,6 @@ __all__ = [
     "default_beam_config",
     "greedy_extend_search",
     "FlatIndex",
-    "HAVE_NUMBA",
-    "CompiledLockstepEngine",
-    "resolve_backend",
     "CandidateList",
     "FilterStats",
     "filtered_search",

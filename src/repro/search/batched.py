@@ -37,7 +37,7 @@ from ..gpusim.trace import CTATrace, QueryTrace, StepRecord
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, SearchResult
 from .multi_cta import make_entries, per_cta_capacity
-from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
+from .precision import DEFAULT_RERANK_MULT, rerank_into_trace
 from .topk import heap_merge
 
 __all__ = [
@@ -197,7 +197,7 @@ class LockstepEngine:
         self.cand_checked = np.zeros((R, L), dtype=bool)
         self.sizes = np.zeros(R, dtype=np.int64)
         self.active = np.zeros(R, dtype=bool)
-        self.visited = self._make_visited(queries.shape[0], self.points.shape[0])
+        self.visited = BatchedVisited(queries.shape[0], self.points.shape[0])
         self.traces: list[CTATrace] | None = (
             [CTATrace() for _ in range(R)] if record_trace else None
         )
@@ -211,10 +211,6 @@ class LockstepEngine:
         )
         self._col = np.arange(L)
         self._seed(row_entries)
-
-    def _make_visited(self, n_rows: int, n_points: int) -> BatchedVisited:
-        """Visited-set factory; the compiled backend swaps in its own."""
-        return BatchedVisited(n_rows, n_points)
 
     # ------------------------------------------------------------- seeding
     def _seed(self, row_entries: list[np.ndarray] | np.ndarray) -> None:
@@ -313,12 +309,8 @@ class LockstepEngine:
         dists: np.ndarray,
         counts: np.ndarray,
     ) -> None:
-        """Fold scored (row, id, dist) pairs into their candidate lists.
-
-        Overridden by the compiled backend with an njit row-merge; this
-        vectorized form is the reference (both produce the sorted,
-        truncated lists with old-before-new / fetch-order tie resolution).
-        """
+        """Fold scored (row, id, dist) pairs into their candidate lists
+        (sorted, truncated, old-before-new / fetch-order tie resolution)."""
         mrows = np.flatnonzero(counts)
         maxc = int(counts[mrows].max())
         # Scatter the ragged per-row pairs into an inf-padded (Bm, maxc)
@@ -493,15 +485,6 @@ class LockstepEngine:
         return self.traces[r] if self.traces is not None else None
 
 
-def _engine_cls(compiled: bool) -> type[LockstepEngine]:
-    """Engine class for the flag (late import avoids a module cycle)."""
-    if not compiled:
-        return LockstepEngine
-    from .compiled import CompiledLockstepEngine
-
-    return CompiledLockstepEngine
-
-
 def batched_intra_cta_search(
     points: np.ndarray,
     graph: GraphIndex,
@@ -514,7 +497,6 @@ def batched_intra_cta_search(
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
-    compiled: bool = False,
 ) -> list[SearchResult]:
     """Single-CTA search of ``B`` queries in lockstep.
 
@@ -525,17 +507,13 @@ def batched_intra_cta_search(
     top ``rerank_mult × k`` survivors of each row are re-scored exactly
     (:func:`~repro.search.precision.exact_rerank`); the re-rank pass is
     appended to the trace as a float32 step so the cost model prices it.
-
-    ``compiled=True`` swaps in the njit inner-round kernels
-    (:class:`~repro.search.compiled.CompiledLockstepEngine`) —
-    bit-identical output, numba required.
     """
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries[None, :]
     B = queries.shape[0]
     row_entries = [np.atleast_1d(np.asarray(e, dtype=np.int64)) for e in entries]
-    eng = _engine_cls(compiled)(
+    eng = LockstepEngine(
         points, graph, queries, np.arange(B), row_entries, cand_capacity,
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
@@ -546,21 +524,13 @@ def batched_intra_cta_search(
             ids, dists = eng.results_row(r, k)
             out.append(SearchResult(ids=ids, dists=dists, trace=eng.trace_row(r)))
             continue
-        rcap = max(k, rerank_mult * k)
-        approx_ids, _ = eng.results_row(r, rcap)
-        qnorm = None if eng._qnorm is None else eng._qnorm[r]
-        ids, dists = exact_rerank(
-            eng.points, queries[r], metric, approx_ids, k, qnorm=qnorm
-        )
+        approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
         trace = eng.trace_row(r)
-        if trace is not None:
-            trace.steps.append(
-                rerank_step_record(
-                    int(approx_ids.size), eng.dim,
-                    float(dists[0]) if dists.size else float("nan"),
-                )
-            )
-            trace.result_len = int(ids.size)
+        ids, dists = rerank_into_trace(
+            eng.points, queries[r], metric, approx_ids, k,
+            None if eng._qnorm is None else eng._qnorm[r], trace,
+            set_result_len=True,
+        )
         out.append(SearchResult(ids=ids, dists=dists, trace=trace))
     return out
 
@@ -580,7 +550,6 @@ def batched_multi_cta_search(
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
-    compiled: bool = False,
 ) -> list[SearchResult]:
     """Multi-CTA search of ``B`` queries, all CTA rows in one lockstep batch.
 
@@ -609,7 +578,7 @@ def batched_multi_cta_search(
         if len(e) != n_ctas:
             raise ValueError("need one entry array per CTA")
         row_entries.extend(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in e)
-    eng = _engine_cls(compiled)(
+    eng = LockstepEngine(
         points, graph, queries, row_query, row_entries, l_cta,
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
@@ -621,19 +590,11 @@ def batched_multi_cta_search(
         lists = [eng.results_row(r, rcap) for r in rows]
         ids, dists = heap_merge(lists, rcap)
         if codec is not None:
-            pool = ids
-            qnorm = None if eng._qnorm is None else eng._qnorm[q]
-            ids, dists = exact_rerank(
-                eng.points, queries[q], metric, pool, k, qnorm=qnorm
+            ids, dists = rerank_into_trace(
+                eng.points, queries[q], metric, ids, k,
+                None if eng._qnorm is None else eng._qnorm[q],
+                eng.trace_row(q * n_ctas), set_result_len=False,
             )
-            t0 = eng.trace_row(q * n_ctas)
-            if t0 is not None:
-                t0.steps.append(
-                    rerank_step_record(
-                        int(pool.size), eng.dim,
-                        float(dists[0]) if dists.size else float("nan"),
-                    )
-                )
         trace = None
         if record_trace:
             trace = QueryTrace(

@@ -246,43 +246,26 @@ def intra_cta_search(
     metric: str = "l2",
     beam: BeamConfig | None = None,
     record_trace: bool = True,
-    backend: str = "scalar",
     codec=None,
     rerank_mult: int | None = None,
 ) -> SearchResult:
     """Single-CTA search of one query (greedy or beam-extend).
 
     ``entries`` may be a single vertex id or an array of ids (multiple
-    random entries are how CAGRA-style searches seed the list).
-    ``backend`` selects the stepping engine: ``"scalar"`` is the one-step-
-    per-Python-iteration oracle, ``"vectorized"`` the SoA lockstep engine
-    (:mod:`repro.search.batched`), ``"compiled"`` its njit inner-round
-    variant (:mod:`repro.search.compiled`; needs numba, falls back to
-    vectorized); all produce bit-identical results.
+    random entries are how CAGRA-style searches seed the list).  This is
+    the one-step-per-Python-iteration reference; the serving path runs the
+    SoA lockstep engine (:mod:`repro.search.batched`), which is held
+    bit-identical to it (results and traces) by the parity tests.
 
     A ``codec`` (:func:`~repro.search.precision.make_codec`) runs the
     traversal on compressed distances and re-scores the ``rerank_mult × k``
-    best survivors exactly — again bit-identical across backends.
+    best survivors exactly.
     """
-    if backend not in ("scalar", "vectorized", "compiled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
+    from .precision import DEFAULT_RERANK_MULT, rerank_into_trace
 
     if rerank_mult is None:
         rerank_mult = DEFAULT_RERANK_MULT
     entries = np.atleast_1d(np.asarray(entries, dtype=np.int64))
-    if backend != "scalar":
-        from .batched import batched_intra_cta_search
-        from .compiled import resolve_backend
-
-        backend = resolve_backend(backend)
-        query = np.asarray(query, dtype=np.float32)
-        return batched_intra_cta_search(
-            points, graph, query[None, :], k, cand_capacity, [entries],
-            metric=metric, beam=beam, record_trace=record_trace,
-            codec=codec, rerank_mult=rerank_mult,
-            compiled=backend == "compiled",
-        )[0]
     visited = VisitedBitmap(points.shape[0])
     s = CTASearcher(
         points, graph, query, cand_capacity, entries, visited,
@@ -292,18 +275,9 @@ def intra_cta_search(
     if codec is None:
         ids, dists = s.results(k)
         return SearchResult(ids=ids, dists=dists, trace=s.trace)
-    rcap = max(k, rerank_mult * k)
-    approx_ids, _ = s.results(rcap)
-    ids, dists = exact_rerank(
+    approx_ids, _ = s.results(max(k, rerank_mult * k))
+    ids, dists = rerank_into_trace(
         np.asarray(points, dtype=np.float32), s.query, metric, approx_ids, k,
-        qnorm=s._qnorm,
+        s._qnorm, s.trace, set_result_len=True,
     )
-    if s.trace is not None:
-        s.trace.steps.append(
-            rerank_step_record(
-                int(approx_ids.size), s.dim,
-                float(dists[0]) if dists.size else float("nan"),
-            )
-        )
-        s.trace.result_len = int(ids.size)
     return SearchResult(ids=ids, dists=dists, trace=s.trace)

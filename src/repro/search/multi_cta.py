@@ -23,6 +23,7 @@ import numpy as np
 from ..gpusim.trace import QueryTrace
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, CTASearcher, SearchResult
+from .precision import DEFAULT_RERANK_MULT, rerank_into_trace
 from .topk import heap_merge
 from .visited import VisitedBitmap
 
@@ -64,7 +65,6 @@ def multi_cta_search(
     entries_per_cta: int = 2,
     rng: np.random.Generator | None = None,
     record_trace: bool = True,
-    backend: str = "scalar",
     codec=None,
     rerank_mult: int | None = None,
 ) -> SearchResult:
@@ -75,36 +75,20 @@ def multi_cta_search(
     the per-CTA lists (property-tested), so swapping the merge location
     (CPU vs GPU) cannot change recall — only latency.
 
-    ``backend="vectorized"`` steps all CTAs in one lockstep SoA batch
-    (:mod:`repro.search.batched`) with bit-identical results and traces.
+    This is the round-robin reference; the serving path steps all CTAs in
+    one lockstep SoA batch (:mod:`repro.search.batched`), held bit-identical
+    to it (results and traces) by the parity tests.
 
     A ``codec`` (:func:`~repro.search.precision.make_codec`) runs every
     CTA on compressed distances (one shared per-query dispatch state),
     merges the per-CTA lists at ``rerank_mult × k`` width and re-scores
-    the merged pool exactly — bit-identical across backends.
+    the merged pool exactly.
     """
     if n_ctas <= 0:
         raise ValueError("n_ctas must be positive")
-    if backend not in ("scalar", "vectorized", "compiled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
-
     if rerank_mult is None:
         rerank_mult = DEFAULT_RERANK_MULT
     rng = rng or np.random.default_rng(0)
-    if backend != "scalar":
-        from .batched import batched_multi_cta_search
-        from .compiled import resolve_backend
-
-        backend = resolve_backend(backend)
-        return batched_multi_cta_search(
-            points, graph, np.asarray(query, dtype=np.float32)[None, :],
-            k, l_total, n_ctas, metric=metric, beam=beam,
-            entries=[entries] if entries is not None else None,
-            entries_per_cta=entries_per_cta, rng=rng,
-            record_trace=record_trace, codec=codec, rerank_mult=rerank_mult,
-            compiled=backend == "compiled",
-        )[0]
     l_cta = per_cta_capacity(l_total, n_ctas, k)
     if entries is None:
         entries = make_entries(points.shape[0], n_ctas, entries_per_cta, rng)
@@ -141,18 +125,11 @@ def multi_cta_search(
     lists = [s.results(rcap) for s in searchers]
     ids, dists = heap_merge(lists, rcap)
     if codec is not None:
-        pool = ids
-        ids, dists = exact_rerank(
+        ids, dists = rerank_into_trace(
             np.asarray(points, dtype=np.float32), searchers[0].query, metric,
-            pool, k, qnorm=searchers[0]._qnorm,
+            ids, k, searchers[0]._qnorm, searchers[0].trace,
+            set_result_len=False,
         )
-        if searchers[0].trace is not None:
-            searchers[0].trace.steps.append(
-                rerank_step_record(
-                    int(pool.size), searchers[0].dim,
-                    float(dists[0]) if dists.size else float("nan"),
-                )
-            )
     trace = None
     if record_trace:
         trace = QueryTrace(

@@ -544,3 +544,34 @@ def rerank_step_record(n_scored: int, dim: int, best_dist: float) -> StepRecord:
         best_dist=best_dist,
         precision="float32",
     )
+
+
+def rerank_into_trace(
+    points: np.ndarray,
+    query: np.ndarray,
+    metric: str,
+    pool: np.ndarray,
+    k: int,
+    qnorm: np.ndarray | None,
+    trace,
+    set_result_len: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quantized-search epilogue: exact re-rank plus its priced step.
+
+    Re-scores ``pool`` with :func:`exact_rerank` and, when ``trace`` (a
+    :class:`~repro.gpusim.trace.CTATrace`) is recording, appends the
+    re-rank pass to it.  Single-CTA searches also own the trace's
+    ``result_len`` (``set_result_len``); multi-CTA searches record the step
+    on CTA 0 and leave each CTA's own result length alone.
+    """
+    ids, dists = exact_rerank(points, query, metric, pool, k, qnorm=qnorm)
+    if trace is not None:
+        trace.steps.append(
+            rerank_step_record(
+                int(pool.size), int(points.shape[1]),
+                float(dists[0]) if dists.size else float("nan"),
+            )
+        )
+        if set_result_len:
+            trace.result_len = int(ids.size)
+    return ids, dists

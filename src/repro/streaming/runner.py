@@ -238,7 +238,6 @@ def serve_while_update(
     k: int = 16,
     l: int | None = None,
     slots: int = 8,
-    backend: str = "vectorized",
     precision: str = "float32",
     rerank_mult: int | None = None,
     insert_pool: np.ndarray | None = None,
@@ -263,17 +262,7 @@ def serve_while_update(
     ``factor``, ``codebook_drift`` shifts insert vectors arriving after
     ``at_us`` by ``magnitude`` per-dimension spreads.  The plan's
     slot/PCIe faults are also armed on every epoch engine.
-
-    The search runs on the live graph, so ``backend`` must be one of the
-    lockstep backends (``"vectorized"``/``"compiled"``) — they record the
-    traces the cost model prices.
     """
-    if backend not in ("vectorized", "compiled"):
-        raise ValueError(
-            "serve_while_update needs a trace-recording backend "
-            "('vectorized' or 'compiled'); the scalar oracle records no "
-            "traces to price"
-        )
     if not isinstance(stream, UpdateStream):
         raise TypeError(f"stream must be an UpdateStream, got {type(stream).__name__}")
     queries = np.asarray(queries, dtype=np.float32)
@@ -319,9 +308,7 @@ def serve_while_update(
         return pts
 
     cm = CostModel(device, cost_params)
-    cfg = DynamicBatchConfig(
-        n_slots=slots, n_parallel=1, k=k, search_backend=backend
-    )
+    cfg = DynamicBatchConfig(n_slots=slots, n_parallel=1, k=k)
     compactions0 = dyn.compactions
     retrains0 = dyn.codec_retrains
 
@@ -333,8 +320,7 @@ def serve_while_update(
     )
     if events:
         oracle_ids, _, _ = dyn.search_batch(
-            all_qvecs, k, l=l, backend=backend, precision=precision,
-            rerank_mult=rerank_mult,
+            all_qvecs, k, l=l, precision=precision, rerank_mult=rerank_mult,
         )
         oracle_recall = float(_epoch_recall(dyn, all_qvecs, oracle_ids, k).mean())
     else:
@@ -365,8 +351,8 @@ def serve_while_update(
             lost_ids.extend(ev.query_id for ev in epoch_events)
             return
         ids, _, traces = dyn.search_batch(
-            qv, k, l=l, backend=backend, precision=precision,
-            rerank_mult=rerank_mult, record_trace=True,
+            qv, k, l=l, precision=precision, rerank_mult=rerank_mult,
+            record_trace=True,
         )
         # Compaction-boundary invariants, checked on every answer set:
         # a tombstone must never be returned, a row must never repeat an id.

@@ -1,6 +1,6 @@
 """Bit-exact parity: the vectorized lockstep engine vs the scalar oracle.
 
-The vectorized backend must be a pure performance change: identical result
+The lockstep engine must be a pure performance change: identical result
 ids, byte-identical distances, and step-for-step equal traces (the cost
 model prices traces, so trace equality implies identical serving numbers).
 Covered here: all four mini corpora x both graph families x greedy and
@@ -24,6 +24,8 @@ from repro.search import (
     make_entries,
     multi_cta_search,
 )
+
+from .oracles import assert_same_search_all, scalar_search_all
 
 DATASETS = ["sift1m-mini", "gist1m-mini", "glove200-mini", "nytimes-mini"]
 BEAMS = {"greedy": None, "beam": BeamConfig(offset_beam=8, beam_width=4)}
@@ -109,58 +111,36 @@ def test_batch_of_one_matches_scalar(pds, pgraph):
     assert_same_result(scalar, batch[0])
 
 
-def test_backend_switch_delegates(pds, pgraph):
-    """``backend="vectorized"`` on the scalar entry points returns the
-    lockstep engine's (identical) result."""
-    entries = np.array([5])
-    a = intra_cta_search(
-        pds.base, pgraph, pds.queries[1], 8, 32, entries, metric=pds.metric,
-        backend="scalar",
-    )
-    b = intra_cta_search(
-        pds.base, pgraph, pds.queries[1], 8, 32, entries, metric=pds.metric,
-        backend="vectorized",
-    )
-    assert_same_result(a, b)
-    with pytest.raises(ValueError, match="backend"):
-        intra_cta_search(
-            pds.base, pgraph, pds.queries[1], 8, 32, entries,
-            metric=pds.metric, backend="simd",
-        )
-    with pytest.raises(ValueError, match="backend"):
-        multi_cta_search(
-            pds.base, pgraph, pds.queries[1], 8, 64, 4,
-            metric=pds.metric, backend="simd",
-        )
-
-
 def test_system_search_all_parity(pds, pgraph):
     """ALGAS system level: B=17 queries through batch_size=8 slots
-    (B > slots), scalar vs vectorized backends, traces included."""
-    kw = dict(k=8, l_total=64, batch_size=8, metric=pds.metric, seed=3)
-    s_vec = ALGASSystem(pds.base, pgraph, backend="vectorized", **kw)
-    s_sca = ALGASSystem(pds.base, pgraph, backend="scalar", **kw)
-    iv, dv, tv = s_vec.search_all(pds.queries)
-    is_, ds_, ts_ = s_sca.search_all(pds.queries)
-    assert np.array_equal(iv, is_)
-    assert dv.tobytes() == ds_.tobytes()
-    for a, b in zip(tv, ts_):
-        assert len(a.ctas) == len(b.ctas)
-        for ca, cb in zip(a.ctas, b.ctas):
-            assert ca.steps == cb.steps
-            assert ca.result_len == cb.result_len
-
-
-def test_serve_report_records_backend(pds):
-    graph = build_cagra(pds.base, graph_degree=10, metric=pds.metric)
-    sys_ = ALGASSystem(
-        pds.base, graph, k=8, l_total=64, batch_size=4, metric=pds.metric
+    (B > slots), lockstep engine vs the scalar oracle, traces included."""
+    system = ALGASSystem(pds.base, pgraph, k=8, l_total=64, batch_size=8,
+                         metric=pds.metric, seed=3)
+    assert system.n_parallel > 1
+    assert_same_search_all(
+        system.search_all(pds.queries), scalar_search_all(system, pds.queries)
     )
-    rep = sys_.serve(pds.queries[:6])
-    assert rep.serve.meta["search_backend"] == "vectorized"
 
 
-def test_system_rejects_unknown_backend(pds):
-    graph = build_cagra(pds.base, graph_degree=10, metric=pds.metric)
-    with pytest.raises(ValueError, match="backend"):
-        ALGASSystem(pds.base, graph, k=8, l_total=64, backend="gpu")
+@pytest.mark.parametrize("entries_per_cta", [1, 3])
+def test_system_search_all_parity_single_cta(pds, pgraph, entries_per_cta):
+    """The single-CTA ``search_all`` path (``n_parallel=1``): medoid entry
+    (``entries_per_cta=1``) and rng-drawn entries (``entries_per_cta=3``)."""
+    system = ALGASSystem(pds.base, pgraph, k=8, l_total=64, batch_size=8,
+                         metric=pds.metric, seed=3, n_parallel=1,
+                         entries_per_cta=entries_per_cta)
+    assert system.n_parallel == 1
+    assert_same_search_all(
+        system.search_all(pds.queries), scalar_search_all(system, pds.queries)
+    )
+
+
+def test_backend_knob_is_gone():
+    """One engine on the serve path: no entry point takes ``backend=``
+    (argument binding fails before any placeholder is touched)."""
+    with pytest.raises(TypeError, match="backend"):
+        ALGASSystem(None, None, backend="scalar")
+    with pytest.raises(TypeError, match="backend"):
+        intra_cta_search(None, None, None, 8, 32, 5, backend="scalar")
+    with pytest.raises(TypeError, match="backend"):
+        multi_cta_search(None, None, None, 8, 64, 4, backend="scalar")

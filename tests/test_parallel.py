@@ -302,13 +302,32 @@ def test_parallel_shard_build_matches_sequential(ds):
         np.testing.assert_array_equal(a.system.graph.indices, b.system.graph.indices)
 
 
-def test_lambda_builder_falls_back_to_threads(ds):
-    # Lambdas can't pickle; the build must silently take the thread pool.
-    server = ShardedServer(
-        ds.base, lambda p: build_cagra(p, graph_degree=12), n_gpus=2,
-        parallelism=2, metric=ds.metric, k=10, l_total=64,
-    )
+def test_lambda_builder_falls_back_to_threads(ds, caplog):
+    # Lambdas can't pickle; the build takes the thread pool and says so.
+    with caplog.at_level("WARNING", logger="repro.core.cluster"):
+        server = ShardedServer(
+            ds.base, lambda p: build_cagra(p, graph_degree=12), n_gpus=2,
+            parallelism=2, metric=ds.metric, k=10, l_total=64,
+        )
     assert len(server.shards) == 2
+    downgrades = [r for r in caplog.records if "thread pool" in r.getMessage()]
+    assert len(downgrades) == 1
+    assert "<lambda>" in downgrades[0].getMessage()
+
+
+def test_builder_pickling_bug_is_not_swallowed(ds):
+    # Only pickling errors downgrade the pool; a builder whose __reduce__
+    # raises anything else is a bug and must surface.
+    class Exploding:
+        def __call__(self, pts):
+            return build_cagra(pts, graph_degree=12)
+
+        def __reduce__(self):
+            raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        ShardedServer(ds.base, Exploding(), n_gpus=2, parallelism=2,
+                      metric=ds.metric, k=10, l_total=64)
 
 
 # -------------------------------------------------------------- build parity

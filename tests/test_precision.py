@@ -144,7 +144,7 @@ def test_intra_cta_parity(corpus, precision):
     for i, q in enumerate(ds.queries):
         sc = intra_cta_search(
             ds.base, g, q, 8, 48, entries[i], metric=ds.metric,
-            backend="scalar", codec=codec,
+            codec=codec,
         )
         _assert_same_result(sc, vec[i])
         _assert_same_trace(sc.trace, vec[i].trace)
@@ -164,7 +164,7 @@ def test_multi_cta_parity(corpus, cos_corpus, precision, which):
     for i, q in enumerate(ds.queries):
         sc = multi_cta_search(
             ds.base, g, q, 8, 64, 4, metric=ds.metric, entries=entries[i],
-            backend="scalar", codec=codec,
+            codec=codec,
         )
         _assert_same_result(sc, vec[i])
         _assert_same_trace(sc.trace, vec[i].trace)
@@ -194,7 +194,7 @@ def test_quantized_dists_are_exact_and_sorted(corpus):
     codec = _codec("int8", ds.base, ds.metric)
     res = intra_cta_search(
         ds.base, g, ds.queries[0], 8, 48, np.arange(4), metric=ds.metric,
-        backend="scalar", codec=codec,
+        codec=codec,
     )
     exact = pair_distances(
         np.broadcast_to(ds.queries[0], (res.ids.size, ds.dim)),
@@ -222,7 +222,7 @@ def test_rerank_trace_step_recorded(corpus):
     res = multi_cta_search(
         ds.base, g, ds.queries[0], 8, 64, 4, metric=ds.metric,
         entries=make_entries(ds.n, 4, 2, np.random.default_rng(8)),
-        backend="scalar", codec=codec, rerank_mult=3,
+        codec=codec, rerank_mult=3,
     )
     # traversal steps are priced as PQ lookups (dim = m) ...
     trav = res.trace.ctas[1].steps

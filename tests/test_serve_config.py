@@ -12,6 +12,8 @@ from repro.data import load_dataset, poisson_arrivals
 from repro.data.workload import Poisson, TrafficSpec
 from repro.graphs import build_cagra
 
+from .oracles import assert_same_search_all, scalar_search_all
+
 
 @pytest.fixture(scope="module")
 def mini():
@@ -164,18 +166,23 @@ def test_backend_and_seed_overrides(mini):
     ds, g = mini
     system = ALGASSystem(ds.base, g, metric=ds.metric, k=8, l_total=64,
                          batch_size=8, seed=0)
-    a = system.serve(ds.queries, ServeConfig(backend="scalar", seed=3))
-    b = system.serve(ds.queries, ServeConfig(backend="vectorized", seed=3))
-    # Exact search: identical neighbour sets on both backends.
-    assert np.array_equal(a.ids, b.ids)
+    # The search-backend knob is gone (one engine on the serve path) ...
+    with pytest.raises(TypeError, match="backend"):
+        ServeConfig(backend="scalar")
+    # ... and the seed override reaches the entry-point rng: the serve
+    # matches the scalar oracle run at the overriding seed, bit for bit.
+    rep = system.serve(ds.queries, ServeConfig(seed=3))
+    assert_same_search_all(
+        (rep.ids, rep.dists, rep.traces),
+        scalar_search_all(system, ds.queries, seed=3),
+    )
+    assert rep.traces != system.serve(ds.queries).traces
 
 
 # --------------------------------------------------------------- validation
 def test_serve_config_validation():
     with pytest.raises(ValueError):
         ServeConfig(slots=0)
-    with pytest.raises(ValueError):
-        ServeConfig(backend="cuda")
     with pytest.raises(TypeError):
         ServeConfig(workload=[1, 2, 3])
 

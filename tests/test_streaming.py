@@ -200,11 +200,6 @@ def test_wave_barrier_lands_in_e2e_not_service():
     assert rep.serve.gpu_cta_busy_us < upd["update_busy_us"] + rep.serve.gpu_cta_busy_us
 
 
-def test_runner_rejects_scalar_backend():
-    with pytest.raises(ValueError, match="trace-recording"):
-        run_stream(backend="scalar")
-
-
 def test_runner_admission_spec_dropped_not_lost():
     dyn = fresh_graph()
     stream = UpdateStream(insert_qps=2000.0, wave_us=5_000.0, seed=3)
@@ -247,18 +242,17 @@ def test_merge_serve_reports_accounting():
         merge_serve_reports([])
 
 
-# --------------------------------------------- dynamic search backends (sat 1)
+# ------------------------------------- dynamic search vs its scalar oracle
 def test_dynamic_search_backend_parity_and_freeze_invalidation():
     dyn = fresh_graph(ef=64)
     q = QUERIES[0]
-    ids_s, _ = dyn.search(q, 8, backend="scalar")
-    ids_v, _ = dyn.search(q, 8, backend="vectorized")
+    ids_s, _ = dyn._search_scalar(q, 8, None)
+    ids_v, _ = dyn.search(q, 8)
     assert set(ids_s.tolist()) == set(ids_v.tolist())
-    ids_q, _ = dyn.search(q, 8, backend="vectorized", precision="int8",
-                          rerank_mult=4)
+    ids_q, _ = dyn.search(q, 8, precision="int8", rerank_mult=4)
     assert len(set(ids_q.tolist())) == len(ids_q)
-    with pytest.raises(ValueError):
-        dyn.search(q, 8, backend="scalar", precision="int8")
+    with pytest.raises(TypeError, match="backend"):
+        dyn.search(q, 8, backend="scalar")
     # freeze() caches until a mutation invalidates it.
     f1 = dyn.freeze()
     assert dyn.freeze() is f1
