@@ -35,13 +35,39 @@
 #                              # recall@16 within 0.02 of the frozen-graph
 #                              # oracle, and zero tombstoned or duplicated
 #                              # answers (docs/robustness.md)
-#   scripts/test.sh --e2e      # end-to-end benchmark smoke only (< 60 s):
+#   scripts/test.sh --e2e      # end-to-end benchmark smoke only (~3 min):
 #                              # benchmarks/e2e/run.py at --scale smoke, all
 #                              # five BENCHMARK.json workloads with their
 #                              # self-checks, plus the runner's own smoke
 #                              # test — an API change that breaks the
 #                              # benchmark's frozen call surface fails here
-#                              # instead of in the pipeline
+#                              # instead of in the pipeline — plus a
+#                              # same-seed determinism step: two untraced
+#                              # smoke runs at --seed 0 fed to
+#                              # benchmarks/e2e/compare.py must report
+#                              # "deterministic metrics that differ 0"
+#                              # (every simulated statistic, recall and
+#                              # exact count repeats bit for bit)
+#
+# Claiming a host-wall gain in a PR description: measure parent and change
+# with identical benchmark files, ten untraced runs a side, alternating
+# which side goes first, seeds including one not used during development
+# (A = a checkout of the parent commit, B = the change, R = a scratch dir):
+#
+#   for i in 1 2 ... 10; do       # on even i run B first
+#     (cd A && python3 benchmarks/e2e/run.py --workload online_small_batch \
+#        --seed $i --trace 0 --out R/A$i.json)
+#     (cd B && python3 benchmarks/e2e/run.py --workload online_small_batch \
+#        --seed $i --trace 0 --out R/B$i.json)
+#   done
+#   python3 benchmarks/e2e/compare.py R/A1.json,...,R/A10.json \
+#                                     R/B1.json,...,R/B10.json
+#
+# Report both medians and quartiles, the pair wins (>= 9 of 10), and the
+# "deterministic metrics that differ" count (must be 0 at equal seeds);
+# one full run a side (no --trace) places the saving in the per-layer
+# busy_s rows, and the other four workloads get the same treatment to show
+# nothing else moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -116,4 +142,19 @@ if [ "$run_e2e" = 1 ]; then
   python3 benchmarks/e2e/run.py --scale smoke
   python -m pytest benchmarks/e2e/test_e2e_smoke.py -q \
     ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
+  # Same-seed determinism: host timings may wander (compare.py's exit code
+  # judges those and is ignored here), deterministic metrics may not.
+  det=benchmarks/e2e/out/determinism
+  for side in a b; do
+    python3 benchmarks/e2e/run.py --scale smoke --seed 0 --trace 0 \
+      --seconds 1 --out "$det.$side.json" > /dev/null
+  done
+  verdict="$(python3 benchmarks/e2e/compare.py "$det.a.json" "$det.b.json" || true)"
+  rm -f "$det.a.json" "$det.b.json"
+  if ! grep -q "deterministic metrics that differ 0$" <<< "$verdict"; then
+    echo "$verdict"
+    echo "same-seed smoke runs disagree on a deterministic metric" >&2
+    exit 1
+  fi
+  tail -n 1 <<< "$verdict"
 fi

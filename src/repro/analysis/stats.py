@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.serving import QueryRecord
 from ..gpusim.costmodel import CostModel
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import QueryTrace, TraceBlock
 
 __all__ = [
     "StepStats",
@@ -42,14 +42,15 @@ class StepStats:
         return self.max / self.mean if self.mean else 0.0
 
 
-def step_counts(traces: list[QueryTrace]) -> np.ndarray:
+def step_counts(traces: TraceBlock | list[QueryTrace]) -> np.ndarray:
     """Per-query step counts (max over the query's CTAs, seed step excluded)."""
-    return np.array([max(c.n_steps - 1 for c in t.ctas) for t in traces])
+    block = TraceBlock.from_traces(traces)
+    return block.lens.reshape(len(block), block.n_ctas).max(axis=1) - 1
 
 
-def step_statistics(traces: list[QueryTrace]) -> StepStats:
+def step_statistics(traces: TraceBlock | list[QueryTrace]) -> StepStats:
     """Summarize the step-count distribution of a query set (Fig. 1)."""
-    if not traces:
+    if not len(traces):
         raise ValueError("need at least one trace")
     s = step_counts(traces)
     return StepStats(
@@ -62,7 +63,7 @@ def step_statistics(traces: list[QueryTrace]) -> StepStats:
 
 
 def batch_step_spread(
-    traces: list[QueryTrace], batch_size: int
+    traces: TraceBlock | list[QueryTrace], batch_size: int
 ) -> list[tuple[int, int, float]]:
     """Per-batch (min_steps, max_steps, slowest/fastest ratio) — Fig. 2.
 
@@ -99,13 +100,14 @@ def bubble_waste_rate(records: list[QueryRecord]) -> float:
 
 
 def sort_time_fraction(
-    traces: list[QueryTrace], cost_model: CostModel
+    traces: TraceBlock | list[QueryTrace], cost_model: CostModel
 ) -> float:
     """Mean share of search time spent in candidate-list sorting (Fig. 3)."""
-    if not traces:
+    if not len(traces):
         raise ValueError("need at least one trace")
-    fracs = [cost_model.query_cost_summary(t).sort_fraction for t in traces]
-    return float(np.mean(fracs))
+    block = TraceBlock.from_traces(traces)
+    per_query = cost_model.block_cost(block).per_query(block.n_ctas)
+    return float(np.mean(per_query.sort_fraction))
 
 
 def latency_percentiles(

@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pipeline import SystemReport
-from ..core.serving import QueryJob, ServeConfig, as_serve_config
+from ..core.serving import ServeConfig, as_serve_config, price_jobs
 from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
 from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import TraceBlock
 from ..search.ivf import IVFFlatIndex
 
 __all__ = ["IVFSystem"]
@@ -56,20 +56,28 @@ class IVFSystem:
     def n_parallel(self) -> int:
         return 1
 
+    def _search_one(self, query: np.ndarray):
+        return self.index.search(query, self.k, self.nprobe)
+
     def search_all(self, queries: np.ndarray):
+        """Search query by query (the scalar IVF searchers emit 1–3-step
+        ``CTATrace`` objects); the traces are converted to one
+        :class:`TraceBlock` per call."""
         queries = np.asarray(queries, dtype=np.float32)
         nq = queries.shape[0]
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
-        dim = int(queries.shape[1])
+        traces = []
         for i in range(nq):
-            r = self.index.search(queries[i], self.k, self.nprobe)
+            r = self._search_one(queries[i])
             m = min(self.k, len(r.ids))
             ids[i, :m] = r.ids[:m]
             dists[i, :m] = r.dists[:m]
-            traces.append(QueryTrace(ctas=[r.trace], dim=dim, k=self.k))
-        return ids, dists, traces
+            traces.append(r.trace)
+        block = TraceBlock.from_traces(
+            traces, dim=int(queries.shape[1]), k=self.k
+        )
+        return ids, dists, block
 
     def make_engine(self, slots: int | None = None, telemetry=None,
                     faults=None, resilience=None) -> StaticBatchEngine:
@@ -110,16 +118,9 @@ class IVFSystem:
                 "statically with no admission queue"
             )
         ids, dists, traces = self.search_all(queries)
-        jobs = [
-            QueryJob(
-                query_id=ev.query_id,
-                arrival_us=ev.arrival_us,
-                cta_durations_us=(self.cost_model.cta_duration_us(tr.ctas[0]),),
-                dim=tr.dim,
-                k=self.k,
-            )
-            for ev, tr in zip(sorted(evs, key=lambda e: e.query_id), traces)
-        ]
+        jobs = price_jobs(
+            self.cost_model, traces, sorted(evs, key=lambda e: e.query_id), self.k
+        )
         engine = self.make_engine(slots=cfg.slots, telemetry=cfg.telemetry,
                                   faults=cfg.faults, resilience=cfg.resilience)
         report = engine.serve(jobs)
@@ -166,17 +167,5 @@ class IVFPQSystem(IVFSystem):
         self.mem_per_block = mem_per_block
         self.cost_model = CostModel(device, cost_params)
 
-    def search_all(self, queries: np.ndarray):
-        queries = np.asarray(queries, dtype=np.float32)
-        nq = queries.shape[0]
-        ids = np.full((nq, self.k), -1, dtype=np.int64)
-        dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
-        dim = int(queries.shape[1])
-        for i in range(nq):
-            r = self.index.search(queries[i], self.k, self.nprobe, rerank=self.rerank)
-            m_ = min(self.k, len(r.ids))
-            ids[i, :m_] = r.ids[:m_]
-            dists[i, :m_] = r.dists[:m_]
-            traces.append(QueryTrace(ctas=[r.trace], dim=dim, k=self.k))
-        return ids, dists, traces
+    def _search_one(self, query: np.ndarray):
+        return self.index.search(query, self.k, self.nprobe, rerank=self.rerank)

@@ -14,6 +14,7 @@ from ..analysis.stats import bubble_waste_rate, sort_time_fraction
 from ..core.persistent_kernel import PersistentKernel
 from ..core.serving import QueryJob
 from ..data import recall as recall_of
+from ..gpusim.trace import TraceBlock
 from .runner import (
     BENCH_DATASETS,
     cached_search,
@@ -340,9 +341,11 @@ def ablation_persistent_kernel(
     _, _, traces = cached_search(system, dataset, "cagra")
     pk = PersistentKernel(system.device, system.tuning)
     # One slot's worth of CTAs at a time (the persistent kernel's unit).
-    sample = traces[: system.batch_size]
+    sample = TraceBlock.from_traces(traces)[: system.batch_size]
+    # per-CTA step-duration lists: the flat step column split at row bounds
     per_block = [
-        system.cost_model.step_durations_us(c) for t in sample for c in t.ctas
+        row.tolist() for row in np.split(
+            system.cost_model.block_step_us(sample), sample.starts[1:-1])
     ]
     persistent = pk.persistent_makespan(per_block)
     rows = [("persistent", "-", persistent, 0.0)]

@@ -16,6 +16,7 @@ from ..analysis.stats import (
     sort_time_fraction,
     step_statistics,
 )
+from ..gpusim.trace import TraceBlock
 from .runner import BENCH_DATASETS, SCALE, cached_search, get_dataset, get_graph, make_system
 
 __all__ = [
@@ -109,11 +110,12 @@ def fig07_data(dataset: str = "sift1m-mini", l_total: int = 128):
     positions — the paper's "sharp early drop, late convergence" curve.
     """
     _, traces = _greedy_traces(dataset, l_total)
+    block = TraceBlock.from_traces(traces)
     positions = np.linspace(0.0, 1.0, 11)
     curves = []
-    for t in traces:
-        steps = t.ctas[0].steps[1:]  # skip the seed step
-        d = np.array([s.best_dist for s in steps], dtype=np.float64)
+    for row in range(0, block.n_rows, block.n_ctas):  # each query's CTA 0
+        # skip the seed step
+        d = block.best_dist[block.starts[row] + 1:block.starts[row + 1]]
         if d.size < 4 or not np.isfinite(d).all():
             continue
         final = d[-1] if d[-1] > 0 else d[d > 0].min(initial=1.0)
@@ -178,7 +180,9 @@ def precision_frontier_data(
             )
             ids = np.stack([r.ids for r in res])
             rec = recall(ids, gt)
-            lat = float(np.mean([cm.query_gpu_time_us(r.trace) for r in res]))
+            # a query's GPU time is its slowest CTA's
+            cta_us = cm.cta_durations_us(res.traces).reshape(len(res), n_ctas)
+            lat = float(np.mean(cta_us.max(axis=1)))
             rows.append((prec, l_total, rec, lat))
             data[prec].append(
                 {"l_total": l_total, "recall": rec, "sim_latency_us": lat}

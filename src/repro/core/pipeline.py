@@ -24,7 +24,7 @@ from ..data.workload import QueryEvent, resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.occupancy import SearchMemoryLayout
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import TraceBlock
 from ..graphs.base import GraphIndex
 from ..graphs.utils import medoid
 from ..search.batched import batched_intra_cta_search, batched_multi_cta_search
@@ -33,7 +33,7 @@ from ..search.multi_cta import make_entries
 from ..search.precision import PRECISIONS, make_codec
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from .host import host_meta
-from .serving import QueryJob, ServeConfig, ServeReport, as_serve_config
+from .serving import QueryJob, ServeConfig, ServeReport, as_serve_config, price_jobs
 from .static_batcher import StaticBatchConfig, StaticBatchEngine
 from .tuning import TuningResult, tune
 
@@ -47,7 +47,10 @@ class SystemReport:
     ids: np.ndarray  # (n_queries, k) result ids, -1 padded
     dists: np.ndarray  # (n_queries, k) result distances
     serve: ServeReport
-    traces: list[QueryTrace] = field(repr=False, default_factory=list)
+    #: op traces of the search stage — a :class:`TraceBlock` (``traces[i]``
+    #: / iteration give ``QueryTrace`` views); empty where a server does
+    #: not keep them (cluster fan-out)
+    traces: TraceBlock | list = field(repr=False, default_factory=list)
 
     @property
     def mean_latency_us(self) -> float:
@@ -168,13 +171,15 @@ class BaseGraphSystem:
     def search_all(self, queries: np.ndarray, seed: int | None = None,
                    precision: str | None = None,
                    rerank_mult: int | None = None):
-        """Search every query; returns padded ids/dists and traces.
+        """Search every query; returns padded ids/dists and the batch's
+        :class:`~repro.gpusim.trace.TraceBlock` (``len(traces) == nq``).
 
         The whole query set advances in one lockstep SoA batch (all
         queries × all CTAs); entry points are drawn from the rng per query
         in order — the draw order of a query-by-query loop over the scalar
         reference functions, which therefore return byte-identical results
-        and traces (``tests/oracles.py``).
+        and, through ``TraceBlock.from_traces``, an equal block
+        (``tests/oracles.py``).
         ``seed``/``precision``/``rerank_mult`` override the system's
         configured values for this call (the
         :class:`~repro.core.serving.ServeConfig` knobs).
@@ -204,37 +209,18 @@ class BaseGraphSystem:
             )
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
-        for i, r in enumerate(results):
-            m = min(self.k, len(r.ids))
-            ids[i, :m] = r.ids[:m]
-            dists[i, :m] = r.dists[:m]
-            tr = r.trace
-            if not isinstance(tr, QueryTrace):  # single-CTA returns CTATrace
-                tr = QueryTrace(ctas=[tr], dim=int(self.base.shape[1]), k=self.k)
-            traces.append(tr)
-        return ids, dists, traces
+        for i, (r_ids, r_dists) in enumerate(zip(results.ids, results.dists)):
+            m = min(self.k, len(r_ids))
+            ids[i, :m] = r_ids[:m]
+            dists[i, :m] = r_dists[:m]
+        return ids, dists, results.traces
 
     # -------------------------------------------------------------- pricing
     def jobs_from_traces(
-        self, traces: list[QueryTrace], events: list[QueryEvent]
+        self, traces: TraceBlock | list, events: list[QueryEvent]
     ) -> list[QueryJob]:
         """Price traces into engine jobs, one per query event."""
-        if len(traces) != len(events):
-            raise ValueError("one trace per event required")
-        jobs = []
-        for ev, tr in zip(events, traces):
-            durs = tuple(self.cost_model.cta_duration_us(c) for c in tr.ctas)
-            jobs.append(
-                QueryJob(
-                    query_id=ev.query_id,
-                    arrival_us=ev.arrival_us,
-                    cta_durations_us=durs,
-                    dim=tr.dim,
-                    k=self.k,
-                )
-            )
-        return jobs
+        return price_jobs(self.cost_model, traces, events, self.k)
 
     def mem_per_block(self) -> int:
         return self.tuning.block_shared_mem_bytes

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..data.workload import ArrivalProcess, QueryEvent, TrafficSpec
 from ..gpusim.pcie import PCIeStats
+from ..gpusim.trace import TraceBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience import FaultPlan, ResiliencePolicy
@@ -38,6 +39,7 @@ __all__ = [
     "ServeReport",
     "as_serve_config",
     "merge_serve_reports",
+    "price_jobs",
 ]
 
 
@@ -79,6 +81,53 @@ class QueryJob:
     def gpu_time_us(self) -> float:
         """Slot-occupancy time: CTAs run concurrently, so the max."""
         return max(self.cta_durations_us)
+
+
+def price_jobs(
+    cost_model,
+    traces,
+    events: list[QueryEvent],
+    k: int,
+    *,
+    host_us=None,
+    result_entries: int | None = None,
+    arrival_floor_us: float | None = None,
+) -> list[QueryJob]:
+    """Price search traces into engine jobs, one per query event.
+
+    The one trace → :class:`QueryJob` step every serving system shares:
+    ``traces`` (a :class:`~repro.gpusim.trace.TraceBlock`, or a trace list
+    converted through ``TraceBlock.from_traces``) is priced in one
+    :meth:`~repro.gpusim.costmodel.CostModel.cta_durations_us` call and
+    query ``i``'s CTA durations go to ``events[i]``.  ``host_us`` (indexed
+    by ``query_id``) and ``result_entries`` are the hybrid tier's refine
+    stage; ``arrival_floor_us`` holds arrivals behind a barrier (a
+    streaming update wave in flight).
+    """
+    block = TraceBlock.from_traces(traces)
+    if len(block) != len(events):
+        raise ValueError(
+            f"one trace per event required: got {len(block)} traces "
+            f"for {len(events)} events"
+        )
+    durations = cost_model.cta_durations_us(block).reshape(len(block), -1).tolist()
+    jobs = []
+    for ev, durs in zip(events, durations):
+        arrival = ev.arrival_us
+        if arrival_floor_us is not None:
+            arrival = max(arrival, arrival_floor_us)
+        jobs.append(
+            QueryJob(
+                query_id=ev.query_id,
+                arrival_us=arrival,
+                cta_durations_us=tuple(durs),
+                dim=block.dim,
+                k=k,
+                host_us=0.0 if host_us is None else host_us[ev.query_id],
+                result_entries=result_entries,
+            )
+        )
+    return jobs
 
 
 @dataclass

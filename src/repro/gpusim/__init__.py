@@ -1,7 +1,14 @@
 """Simulated-GPU substrate: device model, cost model, event engine, PCIe."""
 
 from .calibrate import CalibrationResult, calibrate_cost_params, op_count_features
-from .costmodel import CostModel, CostParams, CTACost, StepCost, bitonic_stage_count
+from .costmodel import (
+    BlockCost,
+    CostModel,
+    CostParams,
+    CTACost,
+    StepCost,
+    bitonic_stage_count,
+)
 from .device import A100_SXM, DEVICE_PRESETS, RTX_3080, RTX_A6000, DeviceProperties
 from .engine import BlockSchedule, Simulator, list_schedule
 from .kernel import KernelLaunch, launch_blocks, partitioned_launch_makespan
@@ -13,12 +20,13 @@ from .occupancy import (
     max_resident_blocks,
 )
 from .pcie import PCIeLink, PCIeStats
-from .trace import CTATrace, QueryTrace, StepRecord
+from .trace import CTATrace, QueryTrace, StepRecord, TraceBlock
 
 __all__ = [
     "CalibrationResult",
     "calibrate_cost_params",
     "op_count_features",
+    "BlockCost",
     "CostModel",
     "CostParams",
     "CTACost",
@@ -47,4 +55,5 @@ __all__ = [
     "CTATrace",
     "QueryTrace",
     "StepRecord",
+    "TraceBlock",
 ]

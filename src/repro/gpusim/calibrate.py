@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import CostModel, CostParams
+from .costmodel import CostModel, CostParams, step_op_groups
 from .device import DeviceProperties
-from .trace import CTATrace
+from .trace import CTATrace, TraceBlock
 
 __all__ = ["CalibrationResult", "op_count_features", "calibrate_cost_params"]
 
@@ -35,35 +35,33 @@ _FIELDS = (
 )
 
 
-def op_count_features(trace: CTATrace, threads: int = 32) -> np.ndarray:
-    """Per-op *counts* (warp-wide groups) for one CTA trace.
+def op_count_features(
+    trace, threads: int = 32, params: CostParams | None = None
+) -> np.ndarray:
+    """Per-op *counts* (warp-wide groups) summed over each CTA row.
 
-    Columns follow ``_FIELDS``; multiplying by the matching cycle constants
-    and the cycle time reproduces the deterministic part of
-    :meth:`CostModel.cta_cost` (memory terms are excluded — they are device
-    properties, not fitted constants).
+    ``trace`` is one :class:`CTATrace` (→ a ``(5,)`` vector) or a
+    :class:`TraceBlock` / trace list (→ ``(rows, 5)``).  Columns follow
+    ``_FIELDS``; multiplying by the matching cycle constants and the cycle
+    time reproduces the part of :meth:`CostModel.cta_cost` those constants
+    price.  The counts are :func:`~repro.gpusim.costmodel.step_op_groups`
+    — the pricer's own — so int8 steps pack ``params.int8_mac_pack`` MACs
+    per FMA group, and PQ steps add no FMA groups (their table lookups are
+    priced by ``lut_lookup_cycles``, which, like the memory terms, is not
+    a fitted constant).
     """
-    import math
-
-    from .costmodel import bitonic_merge_stage_count, bitonic_stage_count
-
-    fma = shfl = cmpex = scan = bitmap = 0.0
-    for s in trace.steps:
-        if s.n_new_points:
-            fma += -(-s.n_new_points * s.dim // threads)
-            shfl += s.n_new_points * max(1, int(math.log2(threads)))
-        if s.did_sort:
-            expand_n = max(s.sort_size - s.cand_list_len, 0)
-            if expand_n > 1:
-                n = 1 << max(1, math.ceil(math.log2(expand_n)))
-                cmpex += bitonic_stage_count(expand_n) * -(-(n // 2) // threads)
-            if s.sort_size > 1:
-                n = 1 << max(1, math.ceil(math.log2(s.sort_size)))
-                cmpex += bitonic_merge_stage_count(s.sort_size) * -(-(n // 2) // threads)
-        scan += -(-max(s.cand_list_len, 1) // threads) * s.n_expanded
-        if s.n_visited_checks:
-            bitmap += -(-s.n_visited_checks // threads)
-    return np.array([fma, shfl, cmpex, scan, bitmap], dtype=np.float64)
+    single = isinstance(trace, CTATrace)
+    block = TraceBlock.from_traces([trace] if single else trace)
+    pack = (params or CostParams()).int8_mac_pack
+    g = step_op_groups(block, threads, pack)
+    per_step = (
+        g["fma"], g["shuffle"], g["cmpex_sort"] + g["cmpex_merge"],
+        g["scan_iters"] * block.n_expanded, g["bitmap"],
+    )
+    feats = np.stack(
+        [block.row_sums(col) for col in per_step], axis=1
+    ).astype(np.float64)
+    return feats[0] if single else feats
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,8 @@ def calibrate_cost_params(
         raise ValueError(f"need at least {len(_FIELDS)} measurements")
     base = base_params or CostParams()
     thr = threads or device.warp_size
-    X = np.stack([op_count_features(t, thr) for t in traces])
+    block = TraceBlock.from_traces(traces)
+    X = op_count_features(block, thr, base)
     # fixed (non-fitted) component: memory + per-step overheads
     zeroed = replace(
         base,
@@ -103,7 +102,7 @@ def calibrate_cost_params(
         scan_cycles=0.0, bitmap_cycles=0.0,
     )
     fixed_model = CostModel(device, zeroed, threads_per_cta=thr)
-    fixed = np.array([fixed_model.cta_duration_us(t) for t in traces])
+    fixed = fixed_model.cta_durations_us(block)
     y = np.asarray(measured_us, dtype=np.float64) - fixed
     cycle_us = 1.0 / (device.clock_ghz * 1e3)
     A = X * cycle_us

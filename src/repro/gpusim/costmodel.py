@@ -11,6 +11,15 @@ components (matching the kernel phases in §IV-B of the paper):
 ``sort``     bitonic sort of the expand list + bitonic merge into the
              candidate list (the maintenance the paper measures in Fig. 3)
 
+Two implementations of the same formulas live here.  :meth:`CostModel.step_cost`
+prices one :class:`~repro.gpusim.trace.StepRecord` in plain Python — the
+readable reference.  :meth:`CostModel.block_cost` prices a whole
+:class:`~repro.gpusim.trace.TraceBlock` in array expressions — the only
+trace → CTA-duration path ``serve()`` reaches; the single-trace methods
+(``cta_cost``, ``cta_duration_us``, …) are one-row blocks through it.  The
+two agree to the bit (docs/costmodel.md says how; ``tests/test_trace_block.py``
+proves it).
+
 Latencies are expressed in SM cycles and converted to microseconds with the
 device clock.  The default constants are calibrated so that, at the paper's
 operating points, sorting accounts for roughly 20–34 % of search time on the
@@ -22,15 +31,37 @@ scope per DESIGN.md); only the *composition* and *scaling* of the time are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .device import DeviceProperties
-from .trace import CTATrace, QueryTrace, StepRecord
+from .trace import (
+    PRECISION_TAGS,
+    CTATrace,
+    QueryTrace,
+    StepRecord,
+    TraceBlock,
+    precision_code,
+)
 
-__all__ = ["CostParams", "StepCost", "CTACost", "CostModel", "bitonic_stage_count"]
+__all__ = [
+    "CostParams",
+    "StepCost",
+    "CTACost",
+    "BlockCost",
+    "CostModel",
+    "bitonic_stage_count",
+    "step_op_groups",
+]
+
+_FLOAT32 = PRECISION_TAGS.index("float32")
+_INT8 = PRECISION_TAGS.index("int8")
+_PQ = PRECISION_TAGS.index("pq")
 
 
-def _ceil_div(a: int, b: int) -> int:
+def _ceil_div(a, b):
+    """Ceiling division of non-negative ints (scalars or int arrays)."""
     return -(-a // b)
 
 
@@ -51,6 +82,75 @@ def bitonic_merge_stage_count(n: int) -> int:
     if n <= 1:
         return 0
     return max(1, math.ceil(math.log2(n)))
+
+
+def _padded_half(n: int) -> int:
+    """Compare-exchange pairs per stage: half of ``n`` padded to 2^k."""
+    return (1 << max(1, math.ceil(math.log2(n)))) // 2
+
+
+def bitonic_sort_groups(n: int, threads: int) -> int:
+    """Warp-wide compare-exchange groups of a bitonic sort of ``n`` items."""
+    if n <= 1:
+        return 0
+    return bitonic_stage_count(n) * _ceil_div(_padded_half(n), threads)
+
+
+def bitonic_merge_groups(n: int, threads: int) -> int:
+    """Warp-wide compare-exchange groups of a bitonic merge of ``n`` items."""
+    if n <= 1:
+        return 0
+    return bitonic_merge_stage_count(n) * _ceil_div(_padded_half(n), threads)
+
+
+def _per_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` over an int column via a table of its distinct values.
+
+    The block pricer takes bitonic stage counts from the scalar functions
+    above this way instead of ``np.log2``, whose rounding need not match
+    ``math.log2`` at every input.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table = np.array([fn(int(v)) for v in distinct], dtype=np.int64)
+    return table[inverse]
+
+
+def step_op_groups(
+    block: TraceBlock, threads: int, int8_mac_pack: float
+) -> dict[str, np.ndarray]:
+    """Warp-wide op-group counts of every step of ``block`` (int64).
+
+    The one copy of the counting formulas: :meth:`CostModel.block_step_costs`
+    turns these into time, :func:`~repro.gpusim.calibrate.op_count_features`
+    sums them per row.  ``fma`` / ``lut`` are distance-kernel lane
+    iterations (int8 packs ``int8_mac_pack`` MACs per lane-cycle; PQ does
+    table lookups instead of FMAs), ``shuffle`` the reduction steps,
+    ``cmpex_sort`` / ``cmpex_merge`` the bitonic network's compare-exchange
+    groups (0 where the step skipped the sort), ``scan_iters`` the
+    selection scan *per expanded candidate*, ``bitmap`` the visited-probe
+    groups.
+    """
+    t = threads
+    n_new = block.n_new_points.astype(np.int64)
+    pack = max(int(int8_mac_pack), 1)
+    iters = _ceil_div(
+        n_new * block.step_dim, np.where(block.precision == _INT8, t * pack, t)
+    )
+    is_pq = block.precision == _PQ
+    checks = block.n_visited_checks.astype(np.int64)
+    expand_n = np.maximum(block.sort_size - block.cand_list_len, 0)
+    return {
+        "fma": np.where(is_pq, 0, iters),
+        "lut": np.where(is_pq, iters, 0),
+        "shuffle": n_new * max(1, int(math.log2(t))),
+        "cmpex_sort": block.did_sort * _per_distinct(
+            lambda n: bitonic_sort_groups(n, t), expand_n),
+        "cmpex_merge": block.did_sort * _per_distinct(
+            lambda n: bitonic_merge_groups(n, t), block.sort_size),
+        "scan_iters": _ceil_div(
+            np.maximum(block.cand_list_len, 1).astype(np.int64), t),
+        "bitmap": np.where(checks > 0, _ceil_div(checks, t), 0),
+    }
 
 
 @dataclass(frozen=True)
@@ -144,6 +244,57 @@ class CTACost:
         return self.sort_us / t if t > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class BlockCost:
+    """Per-row cost components of a priced block, ``(rows,)`` µs arrays.
+
+    The column twin of :class:`CTACost`: same fields, same operator order
+    in the derived totals, so ``block_cost(b).row(r)`` is bit-equal to the
+    scalar accumulation over row ``r``.
+    """
+
+    select_us: np.ndarray
+    fetch_us: np.ndarray
+    filter_us: np.ndarray
+    distance_us: np.ndarray
+    sort_us: np.ndarray
+    result_write_us: np.ndarray
+    n_steps: np.ndarray
+
+    @property
+    def compute_us(self) -> np.ndarray:
+        return (
+            self.select_us
+            + self.fetch_us
+            + self.filter_us
+            + self.distance_us
+            + self.result_write_us
+        )
+
+    @property
+    def total_us(self) -> np.ndarray:
+        """CTA busy time per row — what a :class:`QueryJob` is built from."""
+        return self.compute_us + self.sort_us
+
+    @property
+    def sort_fraction(self) -> np.ndarray:
+        t = self.total_us
+        return np.divide(self.sort_us, t, out=np.zeros_like(t), where=t > 0)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def row(self, r: int) -> CTACost:
+        return CTACost(*(col[r].item() for col in self._columns()))
+
+    def per_query(self, n_ctas: int) -> "BlockCost":
+        """Components summed over each query's CTAs, first CTA first."""
+        return BlockCost(*(
+            np.cumsum(col.reshape(-1, n_ctas), axis=1)[:, -1]
+            for col in self._columns()
+        ))
+
+
 class CostModel:
     """Prices traces on a given device with given per-op constants."""
 
@@ -179,8 +330,9 @@ class CostModel:
             _ceil_div(max(step.n_visited_checks, 1), t) * p.bitmap_cycles
         ) if step.n_visited_checks else 0.0
         distance = 0.0
+        precision = step.precision
+        precision_code(precision)  # an unknown tag fails; it is not float32
         if step.n_new_points:
-            precision = getattr(step, "precision", "float32")
             reduce_steps = step.n_new_points * max(1, int(math.log2(t)))
             if precision == "int8":
                 # DP4A packs int8_mac_pack MACs per lane-cycle and streams
@@ -212,33 +364,71 @@ class CostModel:
         expand_n = max(step.sort_size - step.cand_list_len, 0)
         cycles = 0.0
         if expand_n > 1:
-            n = 1 << max(1, math.ceil(math.log2(expand_n)))
-            cycles += bitonic_stage_count(expand_n) * _ceil_div(n // 2, t) * p.cmpex_cycles
+            cycles += bitonic_sort_groups(expand_n, t) * p.cmpex_cycles
         if step.sort_size > 1:
-            n = 1 << max(1, math.ceil(math.log2(step.sort_size)))
-            cycles += (
-                bitonic_merge_stage_count(step.sort_size)
-                * _ceil_div(n // 2, t)
-                * p.cmpex_cycles
-            )
+            cycles += bitonic_merge_groups(step.sort_size, t) * p.cmpex_cycles
         return self._us(cycles)
 
+    # ---------------------------------------------------------------- blocks
+    def block_step_costs(self, block: TraceBlock) -> np.ndarray:
+        """``(5, n_steps)`` µs: select, fetch, filter, distance, sort rows.
+
+        :meth:`step_cost` transcribed operator for operator over columns
+        (every product and quotient in the same order, in float64), so each
+        entry is bit-equal to the scalar term.
+        """
+        p, dev, us = self.params, self.device, self._us
+        g = step_op_groups(block, self.threads, p.int8_mac_pack)
+        bw = dev.global_mem_bw_gbps * 1e3
+        n_exp = block.n_expanded
+        select = (us(g["scan_iters"] * p.scan_cycles * n_exp)
+                  + us(p.step_fixed_cycles))
+        fetch = (n_exp * us(dev.global_mem_latency_cycles)
+                 + block.n_neighbors_fetched.astype(np.int64) * 4 / bw)
+        filter_ = us(g["bitmap"] * p.bitmap_cycles)
+        # One of fma/lut is zero on every step; x + 0.0 == x exactly.
+        lane_cycles = g["fma"] * p.fma_iter_cycles + g["lut"] * p.lut_lookup_cycles
+        vec_bytes = (block.n_new_points.astype(np.int64) * block.step_dim
+                     * np.where(block.precision == _FLOAT32, 4, 1))
+        distance = us(lane_cycles + g["shuffle"] * p.shuffle_cycles) + vec_bytes / bw
+        sort = us(g["cmpex_sort"] * p.cmpex_cycles + g["cmpex_merge"] * p.cmpex_cycles)
+        return np.stack([select, fetch, filter_, distance, sort])
+
+    def block_step_us(self, block: TraceBlock) -> np.ndarray:
+        """Duration of every step of ``block`` (:attr:`StepCost.total_us`)."""
+        select, fetch, filter_, distance, sort = self.block_step_costs(block)
+        return select + fetch + filter_ + distance + sort
+
+    def block_cost(self, block: TraceBlock) -> BlockCost:
+        """Price every CTA row of ``block``.
+
+        Per-row sums run left to right along the step axis — the scalar
+        ``acc += step`` order.  ``ndarray.sum`` / ``np.add.reduce`` are
+        pairwise and differ from it in the last ulp, so the loop below is
+        over step *positions* (≤ the longest row), all rows at once.
+        """
+        steps = self.block_step_costs(block)
+        acc = np.zeros((steps.shape[0], block.n_rows))
+        for j in range(int(block.lens.max(initial=0))):
+            live = np.flatnonzero(block.lens > j)
+            acc[:, live] += steps[:, block.starts[live] + j]
+        dev = self.device
+        write = np.where(
+            block.result_len > 0,
+            self._us(dev.global_mem_latency_cycles)
+            + block.result_len.astype(np.int64) * 8 / (dev.global_mem_bw_gbps * 1e3),
+            0.0,
+        )
+        return BlockCost(*acc, write, block.lens.astype(np.int64))
+
+    def cta_durations_us(self, block: TraceBlock) -> np.ndarray:
+        """``(rows,)`` busy time of every CTA row of ``block``."""
+        return self.block_cost(block).total_us
+
+    # ------------------------------------------------- single traces (views)
     def cta_cost(self, trace: CTATrace) -> CTACost:
         """Aggregate cost of everything a CTA did for one query."""
-        sel = fet = fil = dis = srt = 0.0
-        for s in trace.steps:
-            c = self.step_cost(s)
-            sel += c.select_us
-            fet += c.fetch_us
-            fil += c.filter_us
-            dis += c.distance_us
-            srt += c.sort_us
-        write = 0.0
-        if trace.result_len:
-            write = self._us(self.device.global_mem_latency_cycles) + (
-                trace.result_len * 8 / (self.device.global_mem_bw_gbps * 1e3)
-            )
-        return CTACost(sel, fet, fil, dis, srt, write, trace.n_steps)
+        return self.block_cost(TraceBlock.from_traces([trace])).row(0)
 
     def cta_duration_us(self, trace: CTATrace) -> float:
         """Wall-clock a CTA is busy serving its share of one query."""
@@ -246,7 +436,7 @@ class CostModel:
 
     def step_durations_us(self, trace: CTATrace) -> list[float]:
         """Per-step durations (used by the partitioned-kernel ablation)."""
-        return [self.step_cost(s).total_us for s in trace.steps]
+        return self.block_step_us(TraceBlock.from_traces([trace])).tolist()
 
     # ------------------------------------------------------------------ CPU
     def cpu_merge_us(self, n_lists: int, k: int) -> float:
@@ -309,17 +499,13 @@ class CostModel:
     def query_gpu_time_us(self, qt: QueryTrace) -> float:
         """GPU time for one query = the slowest of its CTAs (they run
         concurrently on distinct blocks)."""
-        return max((self.cta_duration_us(c) for c in qt.ctas), default=0.0)
+        if not qt.ctas:
+            return 0.0
+        return float(self.cta_durations_us(TraceBlock.from_traces([qt])).max())
 
     def query_cost_summary(self, qt: QueryTrace) -> CTACost:
         """Summed breakdown over all CTAs of a query (for Fig. 3/17)."""
-        costs = [self.cta_cost(c) for c in qt.ctas]
-        return CTACost(
-            sum(c.select_us for c in costs),
-            sum(c.fetch_us for c in costs),
-            sum(c.filter_us for c in costs),
-            sum(c.distance_us for c in costs),
-            sum(c.sort_us for c in costs),
-            sum(c.result_write_us for c in costs),
-            sum(c.n_steps for c in costs),
-        )
+        if not qt.ctas:
+            return CTACost(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        block = TraceBlock.from_traces([qt])
+        return self.block_cost(block).per_query(block.n_ctas).row(0)

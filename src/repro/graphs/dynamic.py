@@ -172,12 +172,13 @@ class DynamicGraph:
         """Lockstep batch search over the *live* structure (no freeze).
 
         Returns ``(ids, dists, traces)``: ``(B, k)`` arrays padded with
-        -1 / inf past each row's result count, and per-query
-        :class:`~repro.gpusim.trace.CTATrace` objects (``None`` entries
-        when ``record_trace`` is off) for cost-model pricing.
+        -1 / inf past each row's result count, and the batch's one-CTA
+        :class:`~repro.gpusim.trace.TraceBlock` for cost-model pricing
+        (``None`` when ``record_trace`` is off).
         """
+        from ..gpusim.trace import TraceBuilder
         from ..search.batched import LockstepEngine
-        from ..search.precision import DEFAULT_RERANK_MULT, rerank_into_trace
+        from ..search.precision import DEFAULT_RERANK_MULT
 
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -185,9 +186,10 @@ class DynamicGraph:
         B = queries.shape[0]
         out_ids = np.full((B, k), -1, dtype=np.int64)
         out_d = np.full((B, k), np.inf, dtype=np.float32)
-        traces: list = [None] * B
+        dim = int(queries.shape[1])
         if self._n_alive == 0 or B == 0:
-            return out_ids, out_d, traces
+            empty = TraceBuilder(B).build(1, dim, k, np.zeros(B, dtype=np.int32))
+            return out_ids, out_d, empty if record_trace else None
         codec = self.traversal_codec(precision)
         rerank_mult = DEFAULT_RERANK_MULT if rerank_mult is None else rerank_mult
         cand_capacity = max(l or max(self.ef, k), k)
@@ -210,15 +212,10 @@ class DynamicGraph:
                 ids, dists = eng.results_row(r, k)
             else:
                 approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
-                ids, dists = rerank_into_trace(
-                    eng.points, queries[r], self.metric, approx_ids, k,
-                    None if eng._qnorm is None else eng._qnorm[r],
-                    eng.trace_row(r), set_result_len=True,
-                )
+                ids, dists = eng.rerank_row(r, approx_ids, k, set_result_len=True)
             out_ids[r, : ids.size] = ids
             out_d[r, : dists.size] = dists
-            traces[r] = eng.trace_row(r)
-        return out_ids, out_d, traces
+        return out_ids, out_d, eng.trace_block(1, dim, k)
 
     def _search_scalar(
         self, query: np.ndarray, k: int, l: int | None

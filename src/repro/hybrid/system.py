@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pipeline import ALGASSystem, SystemReport
-from ..core.serving import QueryJob, as_serve_config
+from ..core.serving import as_serve_config, price_jobs
 from ..data.workload import resolve_workload
 from ..gpusim.device import DeviceProperties, RTX_A6000
 from ..graphs.base import GraphIndex
@@ -181,21 +181,10 @@ class HybridSystem(ALGASSystem):
             )
             for nd in refine.n_distances
         ]
-        ordered = sorted(evs, key=lambda e: e.query_id)
-        jobs = []
-        for ev, tr in zip(ordered, traces):
-            durs = tuple(self.cost_model.cta_duration_us(c) for c in tr.ctas)
-            jobs.append(
-                QueryJob(
-                    query_id=ev.query_id,
-                    arrival_us=ev.arrival_us,
-                    cta_durations_us=durs,
-                    dim=tr.dim,
-                    k=self.k,
-                    host_us=host_us[ev.query_id],
-                    result_entries=self.n_candidates,
-                )
-            )
+        jobs = price_jobs(
+            self.cost_model, traces, sorted(evs, key=lambda e: e.query_id),
+            self.k, host_us=host_us, result_entries=self.n_candidates,
+        )
         engine = self._make_hybrid_engine(cfg)
         report = self._run_engine(engine, jobs, spec)
         plan = self.pilot.plan

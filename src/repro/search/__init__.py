@@ -3,6 +3,7 @@ and the vectorized lockstep batch engine), IVF baseline."""
 
 from .batched import (
     BatchedVisited,
+    BatchResults,
     LockstepEngine,
     batched_intra_cta_search,
     batched_multi_cta_search,
@@ -31,6 +32,7 @@ from .visited import VisitedBitmap
 
 __all__ = [
     "BatchedVisited",
+    "BatchResults",
     "LockstepEngine",
     "batched_intra_cta_search",
     "batched_multi_cta_search",

@@ -24,24 +24,33 @@ neighbour fetch order, visited test-and-set, tie-breaking in the merge)
 matches the scalar searcher, and the shared ``pair_distances`` kernel makes
 every distance bit identical.  Multi-CTA queries share a visited row; the
 row order within a query reproduces the scalar round-robin schedule, so
-cross-CTA work partitioning — and therefore results *and* per-step
-:class:`~repro.gpusim.trace.StepRecord` traces — are identical too.
+cross-CTA work partitioning — and therefore results *and* op traces —
+are identical too.
+
+Traces leave the engine columnar: each lockstep round appends the count
+arrays it already holds to a :class:`~repro.gpusim.trace.TraceBuilder`, and
+:meth:`LockstepEngine.trace_block` assembles one
+:class:`~repro.gpusim.trace.TraceBlock` for the whole batch — no per-row,
+per-step Python object exists on this path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..data.metrics import pair_distances
-from ..gpusim.trace import CTATrace, QueryTrace, StepRecord
+from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, SearchResult
 from .multi_cta import make_entries, per_cta_capacity
-from .precision import DEFAULT_RERANK_MULT, rerank_into_trace
+from .precision import DEFAULT_RERANK_MULT, exact_rerank
 from .topk import heap_merge
 
 __all__ = [
     "BatchedVisited",
+    "BatchResults",
     "LockstepEngine",
     "batched_intra_cta_search",
     "batched_multi_cta_search",
@@ -186,21 +195,23 @@ class LockstepEngine:
             # codec.distances — see repro.search.precision.
             self._ckernel = codec.make_kernel(self._cstate)
             self._trace_dim = int(codec.trace_dim)
-            self._precision = codec.precision
+            self._precision = precision_code(codec.precision)
         else:
             self._cstate = None
             self._ckernel = None
             self._trace_dim = self.dim
-            self._precision = "float32"
+            self._precision = precision_code("float32")
         self.cand_ids = np.full((R, L), -1, dtype=np.int64)
         self.cand_d = np.full((R, L), np.inf, dtype=np.float32)
         self.cand_checked = np.zeros((R, L), dtype=bool)
         self.sizes = np.zeros(R, dtype=np.int64)
         self.active = np.zeros(R, dtype=bool)
         self.visited = BatchedVisited(queries.shape[0], self.points.shape[0])
-        self.traces: list[CTATrace] | None = (
-            [CTATrace() for _ in range(R)] if record_trace else None
-        )
+        # Op trace, columnar: one chunk of count arrays per lockstep round,
+        # the exact re-rank epilogue logged per row and added as one chunk.
+        self._trace = TraceBuilder(R) if record_trace else None
+        self._result_len = np.zeros(R, dtype=np.int32)
+        self._reranks: list[tuple[int, int, float]] = []
         # Optional expansion log: per step, the (row, id, dist) triples of
         # the vertices expanded that cycle.  NSG construction consumes this
         # — its per-vertex candidate pool is the *search path* (everything
@@ -241,26 +252,17 @@ class LockstepEngine:
         fresh = self.visited.test_and_set(self.row_query[rows], ids)
         new_counts = self._score_and_merge(rows[fresh], ids[fresh])
         self.active[:] = self.sizes > 0
-        if self.traces is not None:
-            sizes = self.sizes
-            best = self.cand_d[:, 0]
-            for r in range(R):
-                n_new = int(new_counts[r])
-                self.traces[r].steps.append(
-                    StepRecord(
-                        select_offset=0,
-                        n_expanded=0,
-                        n_neighbors_fetched=0,
-                        n_visited_checks=int(counts[r]),
-                        n_new_points=n_new,
-                        dim=self._trace_dim,
-                        sort_size=n_new,
-                        cand_list_len=0,
-                        did_sort=n_new > 1,
-                        best_dist=float(best[r]) if sizes[r] else float("nan"),
-                        precision=self._precision,
-                    )
-                )
+        if self._trace is not None:
+            self._trace.add(
+                np.arange(R, dtype=np.int64),
+                n_visited_checks=counts,
+                n_new_points=new_counts,
+                step_dim=self._trace_dim,
+                sort_size=new_counts,
+                did_sort=new_counts > 1,
+                best_dist=np.where(self.sizes > 0, self.cand_d[:, 0], np.nan),
+                precision=self._precision,
+            )
 
     # ------------------------------------------------------------- merging
     def _score_and_merge(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -284,7 +286,7 @@ class LockstepEngine:
                 a_norms=None if self._qnorm is None else self._qnorm[qrows],
                 b_norms=None if self._pnorm is None else self._pnorm[ids],
             )
-        if self.traces is None:
+        if self._trace is None:
             # Bound filter: a pair at or beyond its row's current worst slot
             # can never survive the stable merge truncation (old entries win
             # ties), so dropping it up front is bit-identical while shrinking
@@ -399,24 +401,24 @@ class LockstepEngine:
         sizes_before = self.sizes.copy()
         new_counts = self._score_and_merge(pair_rows[fresh], nbr_flat[fresh])
 
-        if self.traces is not None:
-            for i, r in enumerate(act.tolist()):
-                n_new = int(new_counts[r])
-                self.traces[r].steps.append(
-                    StepRecord(
-                        select_offset=int(off[i]),
-                        n_expanded=int(n_exp[i]),
-                        n_neighbors_fetched=int(nfetch[r]),
-                        n_visited_checks=int(nfetch[r]),
-                        n_new_points=n_new,
-                        dim=self._trace_dim,
-                        sort_size=int(sizes_before[r]) + n_new if n_new else 0,
-                        cand_list_len=int(sizes_before[r]),
-                        did_sort=n_new > 0,
-                        best_dist=float(selected_dist[i]),
-                        precision=self._precision,
-                    )
-                )
+        if self._trace is not None:
+            n_new = new_counts[act]
+            fetched = nfetch[act]
+            before = sizes_before[act]
+            self._trace.add(
+                act,
+                select_offset=off,
+                n_expanded=n_exp,
+                n_neighbors_fetched=fetched,
+                n_visited_checks=fetched,
+                n_new_points=n_new,
+                step_dim=self._trace_dim,
+                sort_size=np.where(n_new > 0, before + n_new, 0),
+                cand_list_len=before,
+                did_sort=n_new > 0,
+                best_dist=selected_dist,
+                precision=self._precision,
+            )
         return True
 
     def run(self, max_rounds: int, what: str = "search") -> None:
@@ -477,12 +479,97 @@ class LockstepEngine:
         m = int(min(k, self.sizes[r]))
         ids = self.cand_ids[r, :m].copy()
         dists = self.cand_d[r, :m].copy()
-        if self.traces is not None:
-            self.traces[r].result_len = m
+        if self._trace is not None:
+            self._result_len[r] = m
         return ids, dists
 
-    def trace_row(self, r: int) -> CTATrace | None:
-        return self.traces[r] if self.traces is not None else None
+    def rerank_row(
+        self, r: int, pool: np.ndarray, k: int, set_result_len: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The quantized-search epilogue on row ``r``: exact re-rank of
+        ``pool`` plus its priced float32 step (the engine twin of
+        :func:`~repro.search.precision.rerank_into_trace`).
+
+        Single-CTA searches also own the row's ``result_len``
+        (``set_result_len``); multi-CTA searches record the step on the
+        query's CTA 0 and leave each CTA's own result length alone.
+        """
+        q = int(self.row_query[r])
+        ids, dists = exact_rerank(
+            self.points, self.queries[q], self.metric, pool, k,
+            qnorm=None if self._qnorm is None else self._qnorm[q],
+        )
+        if self._trace is not None:
+            best = float(dists[0]) if dists.size else float("nan")
+            self._reranks.append((r, int(pool.size), best))
+            if set_result_len:
+                self._result_len[r] = ids.size
+        return ids, dists
+
+    def trace_block(self, n_ctas: int, dim: int, k: int) -> TraceBlock | None:
+        """The batch's op trace (``None`` when built without
+        ``record_trace``): rows grouped ``n_ctas`` to a query, each row's
+        steps in execution order — seed, rounds, re-rank."""
+        if self._trace is None:
+            return None
+        if self._reranks:
+            rows, scored, best = zip(*self._reranks)
+            scored = np.array(scored, dtype=np.int64)
+            # Same accounting as the IVF-PQ baseline's re-rank scan: full-
+            # width exact distances plus one sort of the pool.
+            self._trace.add(
+                np.array(rows, dtype=np.int64),
+                n_new_points=scored,
+                step_dim=self.dim,
+                sort_size=scored,
+                did_sort=scored > 1,
+                best_dist=np.array(best),
+                precision=precision_code("float32"),
+            )
+            self._reranks.clear()
+        return self._trace.build(n_ctas, dim, k, self._result_len)
+
+
+class BatchResults(Sequence):
+    """Per-query results of one lockstep batch plus the batch's op trace.
+
+    ``traces`` is the batch's :class:`~repro.gpusim.trace.TraceBlock`
+    (``None`` when tracing was off) — what the serve path prices.
+    Indexing gives a :class:`SearchResult` whose ``trace`` is the row-object
+    view of that query (a ``CTATrace`` for single-CTA searches, a
+    ``QueryTrace`` for multi-CTA ones), materialized on access, so callers
+    written against the scalar searchers' return shape keep working.
+    """
+
+    def __init__(self, ids: list[np.ndarray], dists: list[np.ndarray],
+                 traces: TraceBlock | None, per_cta: list | None = None):
+        self.ids = ids
+        self.dists = dists
+        self.traces = traces
+        self._per_cta = per_cta
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        trace = None if self.traces is None else self.traces[i]
+        if self._per_cta is None:  # single-CTA search: the CTA's own trace
+            return SearchResult(self.ids[i], self.dists[i],
+                                trace and trace.ctas[0])
+        return SearchResult(self.ids[i], self.dists[i], trace,
+                            {"per_cta": self._per_cta[i]})
+
+
+def _entry_rows(entries) -> np.ndarray | list[np.ndarray]:
+    """Per-row entry arrays, stacked into an ``(R, width)`` matrix when every
+    row has the same width (the engine then seeds with one row-wise sort
+    instead of one ``np.unique`` per row); the ragged case stays a list."""
+    rows = [np.atleast_1d(np.asarray(e, dtype=np.int64)) for e in entries]
+    if rows and rows[0].size and all(e.size == rows[0].size for e in rows):
+        return np.stack(rows)
+    return rows
 
 
 def batched_intra_cta_search(
@@ -497,11 +584,11 @@ def batched_intra_cta_search(
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
-) -> list[SearchResult]:
+) -> BatchResults:
     """Single-CTA search of ``B`` queries in lockstep.
 
-    ``entries[i]`` seeds query ``i``.  Per-query results and traces are
-    bit-identical to ``intra_cta_search`` run query-by-query.
+    ``entries[i]`` seeds query ``i``.  Per-query results and the trace
+    block are bit-identical to ``intra_cta_search`` run query-by-query.
 
     With a ``codec`` the traversal runs on compressed distances and the
     top ``rerank_mult × k`` survivors of each row are re-scored exactly
@@ -512,27 +599,24 @@ def batched_intra_cta_search(
     if queries.ndim == 1:
         queries = queries[None, :]
     B = queries.shape[0]
-    row_entries = [np.atleast_1d(np.asarray(e, dtype=np.int64)) for e in entries]
     eng = LockstepEngine(
-        points, graph, queries, np.arange(B), row_entries, cand_capacity,
+        points, graph, queries, np.arange(B), _entry_rows(entries),
+        cand_capacity,
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
     eng.run(100 * cand_capacity)
-    out = []
+    out_ids, out_d = [], []
     for r in range(B):
         if codec is None:
             ids, dists = eng.results_row(r, k)
-            out.append(SearchResult(ids=ids, dists=dists, trace=eng.trace_row(r)))
-            continue
-        approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
-        trace = eng.trace_row(r)
-        ids, dists = rerank_into_trace(
-            eng.points, queries[r], metric, approx_ids, k,
-            None if eng._qnorm is None else eng._qnorm[r], trace,
-            set_result_len=True,
-        )
-        out.append(SearchResult(ids=ids, dists=dists, trace=trace))
-    return out
+        else:
+            approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
+            ids, dists = eng.rerank_row(r, approx_ids, k, set_result_len=True)
+        out_ids.append(ids)
+        out_d.append(dists)
+    return BatchResults(
+        out_ids, out_d, eng.trace_block(1, int(eng.points.shape[1]), k)
+    )
 
 
 def batched_multi_cta_search(
@@ -550,7 +634,7 @@ def batched_multi_cta_search(
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
-) -> list[SearchResult]:
+) -> BatchResults:
     """Multi-CTA search of ``B`` queries, all CTA rows in one lockstep batch.
 
     ``entries[q][c]`` seeds CTA ``c`` of query ``q``; when omitted they are
@@ -577,32 +661,24 @@ def batched_multi_cta_search(
         )
         if len(e) != n_ctas:
             raise ValueError("need one entry array per CTA")
-        row_entries.extend(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in e)
+        row_entries.extend(e)
     eng = LockstepEngine(
-        points, graph, queries, row_query, row_entries, l_cta,
+        points, graph, queries, row_query, _entry_rows(row_entries), l_cta,
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
     eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
     rcap = max(k, rerank_mult * k) if codec is not None else k
-    out = []
+    out_ids, out_d, per_cta = [], [], []
     for q in range(B):
-        rows = range(q * n_ctas, (q + 1) * n_ctas)
-        lists = [eng.results_row(r, rcap) for r in rows]
+        lists = [eng.results_row(r, rcap)
+                 for r in range(q * n_ctas, (q + 1) * n_ctas)]
         ids, dists = heap_merge(lists, rcap)
         if codec is not None:
-            ids, dists = rerank_into_trace(
-                eng.points, queries[q], metric, ids, k,
-                None if eng._qnorm is None else eng._qnorm[q],
-                eng.trace_row(q * n_ctas), set_result_len=False,
-            )
-        trace = None
-        if record_trace:
-            trace = QueryTrace(
-                ctas=[eng.trace_row(r) for r in rows],
-                dim=int(points.shape[1]),
-                k=k,
-            )
-        out.append(
-            SearchResult(ids=ids, dists=dists, trace=trace, extra={"per_cta": lists})
-        )
-    return out
+            ids, dists = eng.rerank_row(q * n_ctas, ids, k, set_result_len=False)
+        out_ids.append(ids)
+        out_d.append(dists)
+        per_cta.append(lists)
+    return BatchResults(
+        out_ids, out_d, eng.trace_block(n_ctas, int(eng.points.shape[1]), k),
+        per_cta,
+    )

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from ..core.pipeline import BaseGraphSystem
-from ..core.serving import QueryJob, ServeReport, merge_serve_reports
+from ..core.serving import ServeReport, merge_serve_reports, price_jobs
 from ..data.groundtruth import exact_knn, recall_per_query
 from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
@@ -365,18 +365,9 @@ def serve_while_update(
             if row.size != np.unique(row).size:
                 dup_rows += 1
         recalls.append(_epoch_recall(dyn, qv, ids, k))
-        jobs = [
-            QueryJob(
-                query_id=ev.query_id,
-                # A wave in flight holds the serve barrier: arrivals during
-                # it queue until it finishes.
-                arrival_us=max(ev.arrival_us, start_us),
-                cta_durations_us=(cm.cta_duration_us(tr),),
-                dim=int(qv.shape[1]),
-                k=k,
-            )
-            for ev, tr in zip(epoch_events, traces)
-        ]
+        # A wave in flight holds the serve barrier: arrivals during it
+        # queue until it finishes.
+        jobs = price_jobs(cm, traces, epoch_events, k, arrival_floor_us=start_us)
         engine = DynamicBatchEngine(
             device, cm, cfg, telemetry=telemetry, faults=faults
         )

@@ -1,18 +1,21 @@
-"""Scalar search oracles for the parity tests.
+"""Scalar search and pricing oracles for the parity tests.
 
 ``src/`` has one search engine on the serve path (the lockstep
 :class:`~repro.search.LockstepEngine`); the one-step-per-iteration
 reference functions (``intra_cta_search`` / ``multi_cta_search``) are
 plain functions the tests call directly.  This module composes them into
 the system-level shape so ``system.search_all`` can be checked against
-them bit for bit.
+them bit for bit.  :func:`scalar_cta_cost` is the matching pricing
+oracle: the step-by-step accumulation of ``CostModel.step_cost`` the block
+pricer must equal exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpusim.trace import QueryTrace
+from repro.gpusim.costmodel import CTACost
+from repro.gpusim.trace import QueryTrace, TraceBlock
 from repro.search import intra_cta_search, multi_cta_search
 
 
@@ -59,13 +62,30 @@ def scalar_search_all(system, queries, seed=None, precision=None,
 
 
 def assert_same_search_all(got, want):
-    """``(ids, dists, traces)`` triples must match bit for bit."""
+    """``(ids, dists, traces)`` triples must match bit for bit; the engine's
+    trace block equals the oracle's traces column for column."""
     (gi, gd, gt), (wi, wd, wt) = got, want
     assert np.array_equal(gi, wi)
     assert gd.tobytes() == wd.tobytes()
-    assert len(gt) == len(wt)
-    for a, b in zip(gt, wt):
-        assert len(a.ctas) == len(b.ctas)
-        for ca, cb in zip(a.ctas, b.ctas):
-            assert ca.steps == cb.steps
-            assert ca.result_len == cb.result_len
+    assert isinstance(gt, TraceBlock)
+    assert gt == TraceBlock.from_traces(wt)
+
+
+def scalar_cta_cost(cost_model, trace) -> CTACost:
+    """Price one ``CTATrace`` step by step, accumulating left to right —
+    the pre-block ``CostModel.cta_cost`` kept as the reference."""
+    sel = fet = fil = dis = srt = 0.0
+    for s in trace.steps:
+        c = cost_model.step_cost(s)
+        sel += c.select_us
+        fet += c.fetch_us
+        fil += c.filter_us
+        dis += c.distance_us
+        srt += c.sort_us
+    dev = cost_model.device
+    write = 0.0
+    if trace.result_len:
+        write = dev.cycles_to_us(dev.global_mem_latency_cycles) + (
+            trace.result_len * 8 / (dev.global_mem_bw_gbps * 1e3)
+        )
+    return CTACost(sel, fet, fil, dis, srt, write, trace.n_steps)

@@ -1,8 +1,9 @@
 """Bit-exact parity: the vectorized lockstep engine vs the scalar oracle.
 
 The lockstep engine must be a pure performance change: identical result
-ids, byte-identical distances, and step-for-step equal traces (the cost
-model prices traces, so trace equality implies identical serving numbers).
+ids, byte-identical distances, and a trace block column-equal to the
+oracle's traces through ``TraceBlock.from_traces`` (the cost model prices
+blocks, so block equality implies identical serving numbers).
 Covered here: all four mini corpora x both graph families x greedy and
 beam-extend maintenance, plus ragged batch sizes (B=1, B=17, B > slots)
 and the system-level ``search_all`` entry points.
@@ -16,6 +17,7 @@ import pytest
 from repro.core.pipeline import ALGASSystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw_fast
+from repro.gpusim.trace import TraceBlock
 from repro.search import (
     BeamConfig,
     batched_intra_cta_search,
@@ -43,17 +45,15 @@ def pgraph(request, pds):
     return build_nsw_fast(pds.base, m=6, metric=pds.metric)
 
 
-def assert_same_result(a, b):
-    """a (scalar) and b (vectorized) must match bit-for-bit."""
-    assert np.array_equal(a.ids, b.ids)
-    assert np.asarray(a.dists).tobytes() == np.asarray(b.dists).tobytes()
-    ta, tb = a.trace, b.trace
-    ctas_a = ta.ctas if hasattr(ta, "ctas") else [ta]
-    ctas_b = tb.ctas if hasattr(tb, "ctas") else [tb]
-    assert len(ctas_a) == len(ctas_b)
-    for ca, cb in zip(ctas_a, ctas_b):
-        assert ca.result_len == cb.result_len
-        assert ca.steps == cb.steps
+def assert_same_batch(scalars, batch, dim, k):
+    """Per-query oracle results vs one lockstep batch: ids and distances
+    bit for bit, traces as one column-equal block."""
+    assert len(batch) == len(scalars)
+    for s, ids, dists in zip(scalars, batch.ids, batch.dists):
+        assert np.array_equal(s.ids, ids)
+        assert np.asarray(s.dists).tobytes() == np.asarray(dists).tobytes()
+    oracle = TraceBlock.from_traces([s.trace for s in scalars], dim=dim, k=k)
+    assert oracle == batch.traces
 
 
 @pytest.mark.parametrize("beam_key", list(BEAMS))
@@ -66,13 +66,14 @@ def test_intra_cta_parity(pds, pgraph, beam_key):
         pds.base, pgraph, pds.queries, 8, 32, entries,
         metric=pds.metric, beam=beam,
     )
-    assert len(batch) == len(pds.queries)
-    for i, q in enumerate(pds.queries):
-        scalar = intra_cta_search(
+    scalars = [
+        intra_cta_search(
             pds.base, pgraph, q, 8, 32, entries[i],
             metric=pds.metric, beam=beam,
         )
-        assert_same_result(scalar, batch[i])
+        for i, q in enumerate(pds.queries)
+    ]
+    assert_same_batch(scalars, batch, pds.base.shape[1], 8)
 
 
 @pytest.mark.parametrize("beam_key", list(BEAMS))
@@ -86,12 +87,15 @@ def test_multi_cta_parity(pds, pgraph, beam_key):
         pds.base, pgraph, pds.queries, 8, 64, n_ctas,
         metric=pds.metric, beam=beam, entries=entries,
     )
-    for i, q in enumerate(pds.queries):
-        scalar = multi_cta_search(
+    scalars = [
+        multi_cta_search(
             pds.base, pgraph, q, 8, 64, n_ctas,
             metric=pds.metric, beam=beam, entries=entries[i],
         )
-        assert_same_result(scalar, batch[i])
+        for i, q in enumerate(pds.queries)
+    ]
+    assert_same_batch(scalars, batch, pds.base.shape[1], 8)
+    for i, scalar in enumerate(scalars):
         for (ia, da), (ib, db) in zip(
             scalar.extra["per_cta"], batch[i].extra["per_cta"]
         ):
@@ -107,8 +111,9 @@ def test_batch_of_one_matches_scalar(pds, pgraph):
     batch = batched_intra_cta_search(
         pds.base, pgraph, pds.queries[:1], 8, 32, [entries], metric=pds.metric
     )
-    assert len(batch) == 1
-    assert_same_result(scalar, batch[0])
+    assert_same_batch([scalar], batch, pds.base.shape[1], 8)
+    # the row-object view of the block is the oracle's trace
+    assert batch[0].trace == scalar.trace
 
 
 def test_system_search_all_parity(pds, pgraph):

@@ -6,16 +6,18 @@ would follow across datasets.  Synthetic traces give that diversity
 deterministically.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.gpusim.calibrate import calibrate_cost_params, op_count_features
+from repro.gpusim.calibrate import _FIELDS, calibrate_cost_params, op_count_features
 from repro.gpusim.costmodel import CostModel, CostParams
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import CTATrace, StepRecord
+from repro.gpusim.trace import CTATrace, StepRecord, TraceBlock
 
 
-def diverse_traces(n=24, seed=0):
+def diverse_traces(n=24, seed=0, precision="float32"):
     rng = np.random.default_rng(seed)
     traces = []
     for _ in range(n):
@@ -36,6 +38,7 @@ def diverse_traces(n=24, seed=0):
                     sort_size=L + new if new else 0,
                     cand_list_len=L,
                     did_sort=new > 0,
+                    precision=precision,
                 )
             )
         traces.append(CTATrace(steps=steps, result_len=8))
@@ -94,6 +97,31 @@ def test_features_positive(ds, graph, entry):
         f = op_count_features(t)
         assert f.shape == (5,)
         assert (f > 0).all()
+
+
+@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("threads", [32, 64])
+def test_features_times_constants_reproduce_cta_cost(precision, threads):
+    """features · fitted constants + the non-fitted remainder == cta_cost:
+    the features are the pricer's own group counts, for every precision
+    (int8 packs MACs per FMA group; PQ lookups are not a fitted constant)."""
+    params = replace(TRUTH, int8_mac_pack=2.0, lut_lookup_cycles=9.0)
+    traces = diverse_traces(n=10, seed=2, precision=precision)
+    block = TraceBlock.from_traces(traces)
+    feats = op_count_features(block, threads, params)
+    assert feats.shape == (10, 5)
+    assert np.array_equal(feats[3], op_count_features(traces[3], threads, params))
+    constants = np.array([getattr(params, f) for f in _FIELDS])
+    zeroed = replace(params, **dict.fromkeys(_FIELDS, 0.0))
+    rest = CostModel(RTX_A6000, zeroed, threads).cta_durations_us(block)
+    want = CostModel(RTX_A6000, params, threads).cta_durations_us(block)
+    got = RTX_A6000.cycles_to_us(feats @ constants) + rest
+    assert got == pytest.approx(want, rel=1e-12)
+    if precision == "int8":  # int8_mac_pack=2: about half the float32 groups
+        f32 = op_count_features(diverse_traces(10, 2), threads, params)
+        assert feats[:, 0].sum() < 0.6 * f32[:, 0].sum()
+    if precision == "pq":
+        assert not feats[:, 0].any()
 
 
 def test_validates():

@@ -13,7 +13,6 @@ The contract under test (docs/performance.md "Quantized traversal"):
   survives JSON round-trips.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.data.metrics import pair_distances
 from repro.graphs import build_cagra
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import StepRecord
+from repro.gpusim.trace import StepRecord, TraceBlock
 from repro.search import (
     Int8Codec,
     PQCodec,
@@ -118,18 +117,15 @@ def _assert_same_result(a, b):
     assert np.asarray(a.dists).tobytes() == np.asarray(b.dists).tobytes()
 
 
-def _assert_same_trace(ta, tb):
-    # intra-CTA searches return a bare CTATrace; multi-CTA a QueryTrace
-    ctas_a = ta.ctas if hasattr(ta, "ctas") else [ta]
-    ctas_b = tb.ctas if hasattr(tb, "ctas") else [tb]
-    assert len(ctas_a) == len(ctas_b)
-    for ca, cb in zip(ctas_a, ctas_b):
-        assert len(ca.steps) == len(cb.steps)
-        for sa, sb in zip(ca.steps, cb.steps):
-            da, db = dataclasses.asdict(sa), dataclasses.asdict(sb)
-            ba, bb = da.pop("best_dist"), db.pop("best_dist")
-            assert da == db
-            assert np.float32(ba).tobytes() == np.float32(bb).tobytes()
+def _assert_same_batch(scalars, vec, dim, k=8):
+    """Oracle results vs a lockstep batch: ids/dists bit for bit, the
+    oracle's traces column-equal to the batch's trace block (``best_dist``
+    holds ``float(float32)`` values on both sides, NaNs compare equal)."""
+    for sc, ids, dists in zip(scalars, vec.ids, vec.dists):
+        assert np.array_equal(sc.ids, ids)
+        assert np.asarray(sc.dists).tobytes() == np.asarray(dists).tobytes()
+    oracle = TraceBlock.from_traces([sc.trace for sc in scalars], dim=dim, k=k)
+    assert oracle == vec.traces
 
 
 @pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
@@ -141,13 +137,14 @@ def test_intra_cta_parity(corpus, precision):
     vec = batched_intra_cta_search(
         ds.base, g, ds.queries, 8, 48, entries, metric=ds.metric, codec=codec
     )
-    for i, q in enumerate(ds.queries):
-        sc = intra_cta_search(
+    scalars = [
+        intra_cta_search(
             ds.base, g, q, 8, 48, entries[i], metric=ds.metric,
             codec=codec,
         )
-        _assert_same_result(sc, vec[i])
-        _assert_same_trace(sc.trace, vec[i].trace)
+        for i, q in enumerate(ds.queries)
+    ]
+    _assert_same_batch(scalars, vec, ds.dim)
 
 
 @pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
@@ -161,13 +158,14 @@ def test_multi_cta_parity(corpus, cos_corpus, precision, which):
         ds.base, g, ds.queries, 8, 64, 4, metric=ds.metric,
         entries=entries, codec=codec,
     )
-    for i, q in enumerate(ds.queries):
-        sc = multi_cta_search(
+    scalars = [
+        multi_cta_search(
             ds.base, g, q, 8, 64, 4, metric=ds.metric, entries=entries[i],
             codec=codec,
         )
-        _assert_same_result(sc, vec[i])
-        _assert_same_trace(sc.trace, vec[i].trace)
+        for i, q in enumerate(ds.queries)
+    ]
+    _assert_same_batch(scalars, vec, ds.dim)
 
 
 def test_float32_path_byte_identical_to_no_codec(corpus):
@@ -184,7 +182,7 @@ def test_float32_path_byte_identical_to_no_codec(corpus):
     )
     for a, b in zip(plain, via_codec):
         _assert_same_result(a, b)
-        _assert_same_trace(a.trace, b.trace)
+    assert plain.traces == via_codec.traces
 
 
 # ------------------------------------------------------------------- rerank
@@ -252,8 +250,9 @@ def test_cost_model_prices_quantized_steps_cheaper():
     pq = cm.step_cost(_step(120, 32, "pq")).total_us
     assert i8 < f32
     assert pq < f32
-    # unknown precision falls back to float32 pricing
-    assert cm.step_cost(_step(960, 32, "exotic")).total_us == pytest.approx(f32)
+    # an unknown precision tag fails; it does not price as float32
+    with pytest.raises(ValueError, match="exotic"):
+        cm.step_cost(_step(960, 32, "exotic"))
 
 
 def test_rerank_step_record_shape():

@@ -1,6 +1,8 @@
-"""Unit tests for trace containers."""
+"""Unit tests for trace containers: the row objects and, for each of their
+aggregates, the matching column reduction of the ``TraceBlock`` built from
+them (``tests/test_trace_block.py`` covers the block itself)."""
 
-from repro.gpusim.trace import CTATrace, QueryTrace, StepRecord
+from repro.gpusim.trace import CTATrace, QueryTrace, StepRecord, TraceBlock
 
 
 def mkstep(n_new=4, did_sort=True, n_exp=1):
@@ -17,6 +19,11 @@ def test_cta_trace_aggregates():
     assert t.n_sorts == 2
     assert t.n_distances == 4 + 2 + 4
     assert t.n_expanded == 1 + 1 + 3
+    block = TraceBlock.from_traces([t])
+    assert block.lens.tolist() == [t.n_steps]
+    assert block.row_sums("did_sort").tolist() == [t.n_sorts]
+    assert block.row_sums("n_new_points").tolist() == [t.n_distances]
+    assert block.row_sums("n_expanded").tolist() == [t.n_expanded]
 
 
 def test_query_trace_aggregates():
@@ -27,6 +34,11 @@ def test_query_trace_aggregates():
     assert q.max_steps == 2
     assert q.total_distances == a.n_distances + b.n_distances
     assert q.total_sorts == 3
+    block = TraceBlock.from_traces([q])
+    assert (len(block), block.n_ctas, block.dim, block.k) == (1, 2, 32, 5)
+    assert int(block.lens.max()) == q.max_steps
+    assert int(block.row_sums("n_new_points").sum()) == q.total_distances
+    assert int(block.did_sort.sum()) == q.total_sorts
 
 
 def test_empty_traces():
@@ -34,3 +46,7 @@ def test_empty_traces():
     assert t.n_steps == 0 and t.n_sorts == 0 and t.n_distances == 0
     q = QueryTrace()
     assert q.max_steps == 0 and q.n_ctas == 0
+    block = TraceBlock.from_traces([t, t])
+    assert (len(block), block.n_steps) == (2, 0)
+    assert block.row_sums("n_new_points").tolist() == [0, 0]
+    assert len(TraceBlock.from_traces([])) == 0
