@@ -86,7 +86,7 @@ esac
 # Per-test watchdog: the resilience suite exercises hang/deadlock recovery,
 # so a regression there can wedge the whole run.  pytest-timeout is
 # optional (the container image does not ship it) — gate on availability,
-# same pattern as ruff above.
+# same pattern as the ruff and pytest-xdist probes below.
 PYTEST_TIMEOUT_ARGS=()
 if python -c "import pytest_timeout" >/dev/null 2>&1; then
   PYTEST_TIMEOUT_ARGS=(--timeout=300 --timeout-method=thread)

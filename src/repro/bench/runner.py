@@ -158,7 +158,7 @@ def serve_system(
 _ivf_cache: dict[tuple, SystemReport] = {}
 
 
-def run_sweep(fn, configs, parallelism: int = 0, parallel_mode: str = "process"):
+def run_sweep(fn, configs, parallelism: int = 0):
     """Apply ``fn`` to every config, optionally fanned across workers.
 
     The multi-core entry point for benchmark sweeps: each config is an
@@ -171,10 +171,9 @@ def run_sweep(fn, configs, parallelism: int = 0, parallel_mode: str = "process")
     picklable (a module-level function, not a lambda) and the runner's
     per-process caches (:func:`get_dataset`, :func:`cached_search`) warm
     independently per worker — fork-context pools inherit already-warm
-    parent caches copy-on-write.  Use ``parallel_mode="thread"`` to share
-    the parent's caches when ``fn`` is numpy-bound.
+    parent caches copy-on-write.
     """
-    with make_pool(parallelism, parallel_mode) as pool:
+    with make_pool(parallelism) as pool:
         return pool.map(fn, list(configs))
 
 

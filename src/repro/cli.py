@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--parallelism", type=int, default=0,
                    help="worker count for the wave-build searches "
                         "(nsw/hnsw only; 0 = sequential)")
-    b.add_argument("--parallel-mode", choices=("process", "thread"),
-                   default="process",
-                   help="worker pool flavor for --parallelism")
     b.add_argument("-o", "--output", required=True, help="output .npz path")
 
     s = sub.add_parser("serve", help="serve the query set with a system")
@@ -170,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     ld.add_argument("--parallelism", type=int, default=0,
                     help="worker count for the rate sweep "
                          "(0 = sequential; identical curves)")
-    ld.add_argument("--parallel-mode", choices=("process", "thread"),
-                    default="process",
-                    help="worker pool flavor for --parallelism")
     ld.add_argument("--seed", type=int, default=0)
     ld.add_argument("-o", "--output", default=None, metavar="PATH",
                     help="write the sweep as a BENCH_load.json document")
@@ -241,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--parallelism", type=int, default=0,
                    help="worker count for shard/replica fan-out "
                         "(0 = sequential; results are identical)")
-    c.add_argument("--parallel-mode", choices=("process", "thread"),
-                   default="process",
-                   help="worker pool flavor for --parallelism")
     c.add_argument("--watchdog-us", type=float, default=None,
                    help="watchdog no-progress budget (default: policy default)")
     c.add_argument("--min-completion", type=float, default=0.99,
@@ -308,15 +299,13 @@ def _cmd_build(args) -> int:
     elif args.graph == "nsw":
         g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
                       seed=args.seed, build_backend=bb,
-                      parallelism=args.parallelism,
-                      parallel_mode=args.parallel_mode)
+                      parallelism=args.parallelism)
     elif args.graph == "nsw-fast":
         g = build_nsw_fast(ds.base, m=args.degree // 2, metric=ds.metric, seed=args.seed)
     elif args.graph == "hnsw":
         g = build_hnsw(ds.base, m=args.degree // 2, metric=ds.metric,
                        seed=args.seed, build_backend=bb,
-                       parallelism=args.parallelism,
-                       parallel_mode=args.parallel_mode)
+                       parallelism=args.parallelism)
     elif args.graph == "nsg":
         g = build_nsg(ds.base, out_degree=args.degree, metric=ds.metric,
                       seed=args.seed, build_backend=bb)
@@ -549,7 +538,7 @@ def _cmd_load(args) -> int:
     curves[label_fixed] = sweep_load(
         templates, make_process, rates, args.events, fleet,
         seed=args.seed, warmup_frac=args.warmup_frac, progress=progress,
-        parallelism=args.parallelism, parallel_mode=args.parallel_mode,
+        parallelism=args.parallelism,
     )
     if args.autoscale:
         # Floor at the fixed-fleet size: the comparison is "same starting
@@ -564,7 +553,7 @@ def _cmd_load(args) -> int:
             templates, make_process, rates, args.events, fleet,
             autoscaler=policy, seed=args.seed,
             warmup_frac=args.warmup_frac, progress=progress,
-            parallelism=args.parallelism, parallel_mode=args.parallel_mode,
+            parallelism=args.parallelism,
         )
     for label, pts in curves.items():
         mx = max_sustainable_qps(pts, budget, args.min_answered)
@@ -669,7 +658,6 @@ def _cmd_chaos(args) -> int:
         policy=policy,
         telemetry=tel,
         parallelism=args.parallelism,
-        parallel_mode=args.parallel_mode,
     )
     print(f"plan={args.plan} seed={result.plan.seed}")
     print(result.summary())

@@ -32,11 +32,13 @@ With no plan and no policy both servers are bit-identical to the plain
 fan-out (every resilience branch is gated on them).
 
 Multi-core execution (docs/performance.md): each shard/replica leg is an
-independent simulation, so both servers fan their legs over a
-:class:`~repro.parallel.pool.WorkerPool` when ``parallelism`` (the server
-knob or :attr:`~repro.core.serving.ServeConfig.parallelism`) exceeds one.
-Corpora, CSR arrays, and padded neighbour matrices cross to process
-workers as :class:`~repro.parallel.shared.ArrayRef` handles — the vectors
+independent simulation, so both servers fan their legs over the worker
+processes of a :class:`~repro.parallel.pool.WorkerPool` when
+``parallelism`` (the server knob or
+:attr:`~repro.core.serving.ServeConfig.parallelism`) exceeds one, and run
+them inline, in shard order, otherwise.  Corpora, CSR arrays, and padded
+neighbour matrices cross to the workers as
+:class:`~repro.parallel.shared.ArrayRef` handles — the vectors
 are never pickled — and fan-in is deterministic: ``WorkerPool.map``
 returns in submission order, shard-fault bookkeeping runs in the parent,
 and workers record telemetry into fresh per-shard registries the parent
@@ -154,11 +156,38 @@ def _merged_report(
     )
 
 
+def _merge_topk(per_shard, qi: int, k: int, ids, dists) -> None:
+    """Fan-in of query row ``qi``: gather each ``(ids, dists, local→global)``
+    shard list, heap-merge the global top-k into ``ids[qi]`` / ``dists[qi]``."""
+    lists = []
+    for s_ids, s_dists, l2g in per_shard:
+        valid = s_ids[qi] >= 0
+        lists.append((l2g[s_ids[qi][valid]], s_dists[qi][valid]))
+    m_ids, m_d = heap_merge(lists, k)
+    ids[qi, : len(m_ids)] = m_ids
+    dists[qi, : len(m_ids)] = m_d
+
+
+def _fold_record(ev, rs: list[QueryRecord], merge_us: float) -> QueryRecord:
+    """One query's cluster timeline from its per-shard records ``rs``: it
+    starts with the first shard and completes when the *slowest* one has
+    returned and the host has merged."""
+    rec = QueryRecord(ev.query_id, ev.arrival_us)
+    rec.dispatch_us = min(r.dispatch_us for r in rs)
+    rec.gpu_start_us = min(r.gpu_start_us for r in rs)
+    rec.gpu_end_us = max(r.gpu_end_us for r in rs)
+    rec.detected_us = max(r.detected_us for r in rs)
+    rec.complete_us = max(r.complete_us for r in rs) + merge_us
+    rec.retries = max(r.retries for r in rs)
+    rec.degraded = any(r.degraded for r in rs)
+    return rec
+
+
 # ----------------------------------------------------------- worker tasks
 #
 # The fan-out tasks live at module level (picklable by reference) and take
-# one payload dict.  Sequential and thread pools pass live objects in the
-# payload; process pools pass ArrayRefs plus constructor kwargs and the
+# one payload dict.  An inline pool passes live objects in the payload; a
+# process pool passes ArrayRefs plus constructor kwargs and the
 # worker rebuilds each shard system it is handed, caching it for the
 # worker's lifetime.  ``serve()`` creates and closes a pool per call, so
 # today every serve rebuilds; the cache pays only once pools outlive a
@@ -204,7 +233,7 @@ def _worker_telemetry(payload: dict) -> Telemetry | None:
 
 
 def _shard_serve_task(payload: dict):
-    """One shard's serve leg: search → price → schedule, in any pool mode.
+    """One shard's serve leg: search → price → schedule, inline or pooled.
 
     Returns ``(topk ids, topk dists, ServeReport, worker telemetry,
     sum of job GPU times, job count)``.  Fault *bookkeeping* (stats/
@@ -251,13 +280,11 @@ class ReplicatedServer:
     """R identical ALGAS replicas, queries dealt round-robin."""
 
     def __init__(self, base: np.ndarray, graph: GraphIndex, n_gpus: int = 2,
-                 parallelism: int = 0, parallel_mode: str = "process",
-                 **algas_kwargs):
+                 parallelism: int = 0, **algas_kwargs):
         if n_gpus <= 0:
             raise ValueError("n_gpus must be positive")
         self.n_gpus = n_gpus
         self.parallelism = parallelism
-        self.parallel_mode = parallel_mode
         # One system: replicas hold identical indexes, so the search (and
         # its traces) is the same on every replica.
         self.system = ALGASSystem(base, graph, **algas_kwargs)
@@ -318,8 +345,7 @@ class ReplicatedServer:
                                if tel.enabled else None),
             }))
         par = cfg.parallelism if cfg.parallelism is not None else self.parallelism
-        mode = cfg.parallel_mode if cfg.parallel_mode is not None else self.parallel_mode
-        with make_pool(min(par or 0, len(tasks)), mode) as pool:
+        with make_pool(min(par or 0, len(tasks))) as pool:
             results = pool.map(_replica_engine_task, [p for _, p in tasks])
 
         parts: list[ServeReport] = []
@@ -483,7 +509,6 @@ class ShardedServer:
         *,
         graphs: list[GraphIndex] | None = None,
         parallelism: int = 0,
-        parallel_mode: str = "process",
         **algas_kwargs,
     ):
         """``graph_builder(points) -> GraphIndex`` builds each shard's graph.
@@ -492,8 +517,8 @@ class ShardedServer:
         per GPU, built over the point sets that :meth:`shard_assignments`
         yields for the same ``(n_gpus, seed)``).  ``parallelism`` fans the
         shard builds — and, by default, every ``serve()`` — across worker
-        processes; builders that cannot pickle (lambdas, closures) fall
-        back to a thread pool automatically.
+        processes; builders that cannot pickle (lambdas, closures) are
+        run one shard after the other in this process instead.
         """
         if n_gpus <= 0:
             raise ValueError("n_gpus must be positive")
@@ -504,7 +529,6 @@ class ShardedServer:
             raise ValueError("need a graph_builder or prebuilt graphs=")
         self.n_gpus = n_gpus
         self.parallelism = parallelism
-        self.parallel_mode = parallel_mode
         self.k = algas_kwargs.get("k", 16)
         self._algas_kwargs = dict(algas_kwargs)
         # Lazily-built process-worker payloads (shared corpus/graph refs).
@@ -546,28 +570,24 @@ class ShardedServer:
     def _build_graphs(self, base, assignments, graph_builder) -> list[GraphIndex]:
         n = min(self.parallelism or 0, self.n_gpus)
         if n > 1:
-            mode = self.parallel_mode
-            if mode == "process":
-                try:
-                    pickle.dumps(graph_builder)
-                except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                    # Lambdas/closures can't cross a process boundary;
-                    # threads still overlap the numpy-heavy build phases.
-                    _log.warning(
-                        "graph_builder %s cannot be pickled (%s); building "
-                        "shards on a thread pool instead of processes",
-                        getattr(graph_builder, "__qualname__", graph_builder),
-                        exc,
-                    )
-                    mode = "thread"
-            with make_pool(n, mode) as pool, \
-                    SharedArena(enabled=pool.is_process) as arena:
-                ref = arena.share(base)
-                return pool.map(_build_shard_task, [
-                    {"pts": ref, "ids": ids, "builder": graph_builder}
-                    for ids in assignments
-                ])
-        return [graph_builder(base[ids]) for ids in assignments]
+            try:
+                pickle.dumps(graph_builder)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                # Lambdas/closures can't cross a process boundary.
+                _log.warning(
+                    "graph_builder %s cannot be pickled (%s); building "
+                    "shards sequentially instead of on worker processes",
+                    getattr(graph_builder, "__qualname__", graph_builder),
+                    exc,
+                )
+                n = 0
+        with make_pool(n) as pool, \
+                SharedArena(enabled=pool.is_parallel) as arena:
+            ref = arena.share(base)
+            return pool.map(_build_shard_task, [
+                {"pts": ref, "ids": ids, "builder": graph_builder}
+                for ids in assignments
+            ])
 
     # ------------------------------------------------------ serve payloads
     def _shard_payloads(self) -> list[dict]:
@@ -629,11 +649,10 @@ class ShardedServer:
         ordered = sorted(evs, key=lambda e: e.query_id)
 
         par = cfg.parallelism if cfg.parallelism is not None else self.parallelism
-        mode = cfg.parallel_mode if cfg.parallel_mode is not None else self.parallel_mode
-        pool = make_pool(min(par or 0, self.n_gpus), mode)
+        pool = make_pool(min(par or 0, self.n_gpus))
         qarena = None
         try:
-            if pool.is_process:
+            if pool.is_parallel:
                 static = self._shard_payloads()
                 # Queries are per-serve; share them through a transient
                 # arena reclaimed as soon as the fan-out returns.
@@ -661,7 +680,7 @@ class ShardedServer:
                     "tel_labels": ({**tel.labels, "shard": str(g)}
                                    if tel.enabled else None),
                 }
-                if pool.is_process:
+                if pool.is_parallel:
                     p.update(static[g])
                     p["queries"] = q_ref
                 else:
@@ -720,27 +739,15 @@ class ShardedServer:
         ids = np.full((nq, k), -1, dtype=np.int64)
         dists = np.full((nq, k), np.inf, dtype=np.float32)
         for qi in range(nq):
-            lists = []
-            for s_ids, s_dists, l2g in per_shard:
-                valid = s_ids[qi] >= 0
-                lists.append((l2g[s_ids[qi][valid]], s_dists[qi][valid]))
-            m_ids, m_d = heap_merge(lists, k)
-            ids[qi, : len(m_ids)] = m_ids
-            dists[qi, : len(m_ids)] = m_d
+            _merge_topk(per_shard, qi, k, ids, dists)
 
         # A query completes when its *slowest shard* returns + merge cost.
         cm = self.shards[0].system.cost_model
         merge_us = cm.cpu_merge_us(self.n_gpus, k)
-        records = []
-        for ev in ordered:
-            rs = [m[ev.query_id] for m in answered]
-            rec = QueryRecord(ev.query_id, ev.arrival_us)
-            rec.dispatch_us = min(r.dispatch_us for r in rs)
-            rec.gpu_start_us = min(r.gpu_start_us for r in rs)
-            rec.gpu_end_us = max(r.gpu_end_us for r in rs)
-            rec.detected_us = max(r.detected_us for r in rs)
-            rec.complete_us = max(r.complete_us for r in rs) + merge_us
-            records.append(rec)
+        records = [
+            _fold_record(ev, [m[ev.query_id] for m in answered], merge_us)
+            for ev in ordered
+        ]
         makespan = max(r.complete_us for r in records) if records else 0.0
         sys0 = self.shards[0].system
         meta = {"mode": "sharded", "n_gpus": self.n_gpus,
@@ -800,23 +807,8 @@ class ShardedServer:
             inc = sorted(g for _, g in included)
             merge_us = cm.cpu_merge_us(len(inc), k)
             total_merge_us += merge_us
-            lists = []
-            for g in inc:
-                s_ids, s_dists, l2g = per_shard[g]
-                valid = s_ids[qi] >= 0
-                lists.append((l2g[s_ids[qi][valid]], s_dists[qi][valid]))
-            m_ids, m_d = heap_merge(lists, k)
-            ids[qi, : len(m_ids)] = m_ids
-            dists[qi, : len(m_ids)] = m_d
-            rs = [answered[g][qid] for g in inc]
-            rec = QueryRecord(qid, ev.arrival_us)
-            rec.dispatch_us = min(r.dispatch_us for r in rs)
-            rec.gpu_start_us = min(r.gpu_start_us for r in rs)
-            rec.gpu_end_us = max(r.gpu_end_us for r in rs)
-            rec.detected_us = max(r.detected_us for r in rs)
-            rec.complete_us = max(r.complete_us for r in rs) + merge_us
-            rec.retries = max(r.retries for r in rs)
-            rec.degraded = any(r.degraded for r in rs)
+            _merge_topk([per_shard[g] for g in inc], qi, k, ids, dists)
+            rec = _fold_record(ev, [answered[g][qid] for g in inc], merge_us)
             if len(inc) < n:
                 rec.partial = True
                 cstats.partial_answers += 1

@@ -387,9 +387,12 @@ class ALGASSystem(BaseGraphSystem):
         self.state_mode = state_mode
         self.merge_on_cpu = merge_on_cpu
 
-    def engine_config(self, slots: int | None = None) -> DynamicBatchConfig:
+    def engine_config(
+        self, slots: int | None = None, n_parallel: int | None = None
+    ) -> DynamicBatchConfig:
         """The dynamic-engine config for one serve (``slots`` overrides the
-        configured slot count).
+        configured slot count, ``n_parallel`` the CTAs per slot — the hybrid
+        tier's slots run the pilot search's CTA count).
 
         Split from :meth:`make_engine` so the parallel replica fan-out can
         rebuild a byte-identical engine in a worker from picklable parts
@@ -397,7 +400,7 @@ class ALGASSystem(BaseGraphSystem):
         """
         return DynamicBatchConfig(
             n_slots=slots or self.batch_size,
-            n_parallel=self.n_parallel,
+            n_parallel=n_parallel or self.n_parallel,
             k=self.k,
             host_threads=self.host_threads,
             state_mode=self.state_mode,

@@ -197,13 +197,10 @@ class ServeConfig:
     * ``parallelism`` — host worker count for the cluster servers'
       shard/replica fan-out (:mod:`repro.parallel`); ``None``/0/1 run
       sequentially (byte-identical to the pre-parallel path), ``N > 1``
-      fans the per-shard serves across ``N`` workers with deterministic
-      shard-id-ordered fan-in — reports are byte-identical at equal seeds
-      regardless of the worker count, so this knob never appears in
-      ``ServeReport.meta``;
-    * ``parallel_mode`` — worker flavour: ``"process"`` (default; true
-      multi-core over zero-copy shared corpora) or ``"thread"`` (GIL-bound
-      fallback for numpy-heavy workloads).
+      fans the per-shard serves across ``N`` worker processes over
+      zero-copy shared corpora with deterministic shard-id-ordered fan-in
+      — reports are byte-identical at equal seeds regardless of the worker
+      count, so this knob never appears in ``ServeReport.meta``.
     """
 
     workload: "TrafficSpec | ArrivalProcess | list[QueryEvent] | None" = None
@@ -216,7 +213,6 @@ class ServeConfig:
     rerank_mult: int | None = None
     tier: str | None = None
     parallelism: int | None = None
-    parallel_mode: str | None = None
 
     def __post_init__(self) -> None:
         from ..resilience import FaultPlan, ResiliencePolicy
@@ -248,13 +244,6 @@ class ServeConfig:
             )
         if self.parallelism is not None and self.parallelism < 0:
             raise ValueError("parallelism must be non-negative")
-        if self.parallel_mode is not None and self.parallel_mode not in (
-            "process", "thread"
-        ):
-            raise ValueError(
-                f"unknown parallel_mode {self.parallel_mode!r}; "
-                f"expected 'process' or 'thread'"
-            )
         if self.workload is not None and not isinstance(
             self.workload, (TrafficSpec, ArrivalProcess)
         ):

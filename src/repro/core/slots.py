@@ -19,7 +19,12 @@ query id, served count) is one row of a parallel numpy array, so the
 engine's maintenance sweep — "which slots are free / finished / retired" —
 is a handful of vectorized mask reductions over the whole bank instead of
 a Python loop over slots (docs/performance.md, "Wall-clock vs simulated
-speed").  :class:`Slot` remains the per-slot API: a thin view onto one
+speed").  The bank also owns the scheduler's per-slot runtime words — the
+running job, its dispatch and FINISH-visible stamps, and the dispatch
+epoch — so one object answers "what is slot *s* doing";
+:meth:`SlotBank.dispatch`, :meth:`SlotBank.collect` and
+:meth:`SlotBank.force_retire` move a slot's state and its runtime words
+together.  :class:`Slot` remains the per-slot API: a thin view onto one
 bank row with the exact transition checks and observer callbacks of the
 original object, so the telemetry and resilience layers observe identical
 transitions in identical order.
@@ -91,7 +96,10 @@ class SlotBank:
     the pre-bank objects did.
     """
 
-    __slots__ = ("n_slots", "n_ctas", "codes", "query_ids", "queries_served", "_slots")
+    __slots__ = (
+        "n_slots", "n_ctas", "codes", "query_ids", "queries_served", "_slots",
+        "jobs", "dispatched_at", "ready_at", "epochs",
+    )
 
     def __init__(self, n_slots: int, n_ctas: int):
         if n_slots <= 0:
@@ -106,6 +114,18 @@ class SlotBank:
         self.query_ids = np.full(n_slots, -1, dtype=np.int64)
         self.queries_served = np.zeros(n_slots, dtype=np.int64)
         self._slots: list[Slot] | None = None
+        # Scheduler runtime words; time stamps are NaN while the slot is
+        # empty, so comparisons against them are false without a mask.
+        #: the job each slot is running (opaque reference, None = empty).
+        self.jobs: list = [None] * n_slots
+        #: host time the running job was dispatched.
+        self.dispatched_at = np.full(n_slots, np.nan)
+        #: time the slot's FINISH becomes visible to the host (set by the
+        #: scheduler when the last CTA publishes).
+        self.ready_at = np.full(n_slots, np.nan)
+        #: dispatch epoch: bumped when the watchdog revokes a slot, so
+        #: in-flight CTA-end events of the revoked dispatch become no-ops.
+        self.epochs = np.zeros(n_slots, dtype=np.int64)
 
     @property
     def slots(self) -> list["Slot"]:
@@ -122,6 +142,31 @@ class SlotBank:
 
     def __getitem__(self, i: int) -> "Slot":
         return self.slots[i]
+
+    # ------------------------------------------------ scheduler events
+    def dispatch(self, s: int, job, t_us: float) -> None:
+        """Host fills slot ``s`` with ``job`` (anything with a ``query_id``)."""
+        self.slots[s].dispatch(job.query_id)
+        self.jobs[s] = job
+        self.dispatched_at[s] = t_us
+
+    def collect(self, s: int):
+        """Host collects finished slot ``s``; returns the job it ran."""
+        self.slots[s].collect()
+        return self._release(s)
+
+    def force_retire(self, s: int):
+        """Watchdog revokes slot ``s`` (:meth:`Slot.force_retire`) and bumps
+        its epoch; returns the job that was lost with it."""
+        self.epochs[s] += 1
+        self.slots[s].force_retire()
+        return self._release(s)
+
+    def _release(self, s: int):
+        job, self.jobs[s] = self.jobs[s], None
+        self.ready_at[s] = np.nan
+        self.dispatched_at[s] = np.nan
+        return job
 
     # ------------------------------------------------- vectorized sweeps
     def all_finished_mask(self) -> np.ndarray:

@@ -213,9 +213,9 @@ class _BuildShare:
     produces the same pools as the sequential ``_MAX_ROWS`` sweep.
     """
 
-    def __init__(self, points: np.ndarray, parallelism: int, mode: str):
-        self.pool = make_pool(parallelism, mode)
-        self.arena = SharedArena(enabled=self.pool.is_process)
+    def __init__(self, points: np.ndarray, parallelism: int):
+        self.pool = make_pool(parallelism)
+        self.arena = SharedArena()
         self.points_ref = self.arena.share(points)
         self.adj = None
         self.counts = None
@@ -344,7 +344,7 @@ def _prefix_search(
     """
     from ..search.batched import LockstepEngine
 
-    if share is not None and share.pool.is_parallel and not collect_expansions:
+    if share is not None and not collect_expansions:
         assert adj is share.adj and counts is share.counts
         return _prefix_search_parallel(
             share, q_lo, q_hi, visible, entry, ef, metric,
@@ -770,7 +770,6 @@ def build_nsw_batched(
     refine_passes: int = 1,
     refine_frac: float | None = None,
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> GraphIndex:
     """Wave-batched NSW build (vectorized backend of ``build_nsw``).
 
@@ -798,7 +797,7 @@ def build_nsw_batched(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)  # same insertion order as the scalar build
     shuffled = np.ascontiguousarray(points[order])
-    share = (_BuildShare(shuffled, parallelism, parallel_mode)
+    share = (_BuildShare(shuffled, parallelism)
              if parallelism and parallelism > 1 else None)
     try:
         adj, counts = _wave_build(
@@ -831,7 +830,6 @@ def build_hnsw_batched(
     refine_passes: int = 1,
     refine_frac: float | None = None,
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> GraphIndex:
     """Wave-batched flat HNSW layer-0 build (vectorized ``build_hnsw``).
 
@@ -866,7 +864,7 @@ def build_hnsw_batched(
     def entry_fn(lo: int) -> int:
         return int(np.argmax(levels[:lo]))
 
-    share = (_BuildShare(points, parallelism, parallel_mode)
+    share = (_BuildShare(points, parallelism)
              if parallelism and parallelism > 1 else None)
     try:
         adj, counts = _wave_build(

@@ -216,7 +216,6 @@ def build_hnsw(
     seed: int = 0,
     build_backend: str = "scalar",
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> GraphIndex:
     """Build an HNSW index and export its layer-0 graph (GPU-searchable).
 
@@ -239,7 +238,7 @@ def build_hnsw(
 
         return build_hnsw_batched(
             points, m=m, ef_construction=ef_construction, metric=metric,
-            seed=seed, parallelism=parallelism, parallel_mode=parallel_mode,
+            seed=seed, parallelism=parallelism,
         )
     return HNSWIndex(
         points, m=m, ef_construction=ef_construction, metric=metric, seed=seed

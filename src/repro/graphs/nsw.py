@@ -35,7 +35,6 @@ def build_nsw(
     seed: int = 0,
     build_backend: str = "scalar",
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> GraphIndex:
     """Incremental NSW build.
 
@@ -68,7 +67,7 @@ def build_nsw(
 
         return build_nsw_batched(
             points, m, ef_construction, metric, max_degree, seed,
-            parallelism=parallelism, parallel_mode=parallel_mode,
+            parallelism=parallelism,
         )
     cap = max_degree or 2 * m
     rng = np.random.default_rng(seed)

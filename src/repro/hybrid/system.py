@@ -146,15 +146,10 @@ class HybridSystem(ALGASSystem):
     # ------------------------------------------------------------ serving
     def _make_hybrid_engine(self, cfg):
         """Engine for hybrid serves: slot CTAs match the *pilot* search."""
-        from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
+        from ..core.dynamic_batcher import DynamicBatchEngine
 
-        dcfg = DynamicBatchConfig(
-            n_slots=cfg.slots or self.batch_size,
-            n_parallel=self._pilot_system.n_parallel,
-            k=self.k,
-            host_threads=self.host_threads,
-            state_mode=self.state_mode,
-            merge_on_cpu=self.merge_on_cpu,
+        dcfg = self.engine_config(
+            cfg.slots, n_parallel=self._pilot_system.n_parallel
         )
         return DynamicBatchEngine(
             self.device, self.cost_model, dcfg,

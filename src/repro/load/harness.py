@@ -185,7 +185,6 @@ def sweep_load(
     warmup_frac: float = 0.0,
     progress=None,
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> list[LoadPoint]:
     """Sweep offered load: ``make_process(rate_qps) -> ArrivalProcess``.
 
@@ -204,7 +203,7 @@ def sweep_load(
         )
         for rate in rates_qps
     ]
-    with make_pool(parallelism, parallel_mode) as pool:
+    with make_pool(parallelism) as pool:
         points = pool.map(_sweep_point_task, payloads)
     if progress is not None:
         for point in points:

@@ -1,20 +1,19 @@
 """Multi-core parallel execution substrate.
 
-Process/thread worker pools (:mod:`repro.parallel.pool`) over zero-copy
-shared corpora (:mod:`repro.parallel.shared`).  Consumed by the cluster
-servers (``ServeConfig.parallelism``), the wave-batched graph builders
+A process worker pool (:mod:`repro.parallel.pool`) over zero-copy shared
+corpora (:mod:`repro.parallel.shared`).  Consumed by the cluster servers
+(``ServeConfig.parallelism``), the wave-batched graph builders
 (``build_nsw/hnsw(..., parallelism=)``), and the bench runner's config
-sweep (:func:`repro.bench.runner.run_sweep`).  Sequential mode
-(``parallelism <= 1``) is byte-identical to the pre-parallel code paths;
-see docs/performance.md ("Multi-core execution") for when processes beat
-threads and how parity is enforced.
+sweep (:func:`repro.bench.runner.run_sweep`).  ``parallelism <= 1`` runs
+inline, byte-identical to the pre-parallel code paths; see
+docs/performance.md ("Multi-core execution") for the measured speedups
+and how parity is enforced.
 """
 
-from .pool import MODES, WorkerPool, make_pool
+from .pool import WorkerPool, make_pool
 from .shared import ArrayRef, SharedArena, resolve_ref
 
 __all__ = [
-    "MODES",
     "WorkerPool",
     "make_pool",
     "ArrayRef",

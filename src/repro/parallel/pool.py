@@ -1,23 +1,16 @@
-"""Worker-pool execution modes for the parallel substrate.
+"""Worker pool of the parallel substrate.
 
-One abstraction, three modes (docs/performance.md, "Multi-core execution"):
+One abstraction, two behaviours (docs/performance.md, "Multi-core
+execution"):
 
-``"process"``
-    A fork-context :class:`~concurrent.futures.ProcessPoolExecutor` —
-    true multi-core for the Python-bound serving/scheduling loops (the
-    dynamic batcher is pure Python and the GIL serializes it in threads).
-    Inputs cross via pickle, corpora via :mod:`repro.parallel.shared`.
-
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` — the fallback for
-    numpy-bound work (large-dim distance kernels release the GIL) and for
-    tasks that cannot pickle (lambda graph builders).  Zero-copy by
-    construction: workers share the parent's heap.
-
-``"sequential"``
-    Inline execution in the caller, byte-identical to the pre-parallel
-    code path.  ``n_workers <= 1`` always resolves here, so a
-    ``parallelism=0`` default costs nothing.
+* ``n_workers > 1`` — a fork-context
+  :class:`~concurrent.futures.ProcessPoolExecutor`: true multi-core for
+  the Python-bound serving/scheduling loops (the dynamic batcher is pure
+  Python, so threads serialize on the GIL — a thread flavour was measured
+  and lost to processes on every fan-out, see the doc).  Inputs cross via
+  pickle, corpora via :mod:`repro.parallel.shared`.
+* ``n_workers <= 1`` — inline execution in the caller, byte-identical to
+  the pre-parallel code path, so a ``parallelism=0`` default costs nothing.
 
 ``map`` is *ordered* — results come back in submission order regardless
 of completion order, which is what makes the cluster fan-in (merge by
@@ -27,27 +20,22 @@ shard id) deterministic across worker counts.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["MODES", "WorkerPool", "make_pool"]
-
-MODES = ("sequential", "thread", "process")
+__all__ = ["WorkerPool", "make_pool"]
 
 
 class WorkerPool:
     """N workers executing single-argument tasks with ordered results."""
 
-    def __init__(self, n_workers: int = 0, mode: str = "process"):
-        if mode not in MODES:
-            raise ValueError(f"unknown pool mode {mode!r}; expected one of {MODES}")
+    def __init__(self, n_workers: int = 0):
         n = int(n_workers or 0)
         if n < 0:
             raise ValueError("n_workers must be non-negative")
         self.n_workers = max(1, n)
-        self.mode = "sequential" if n <= 1 else mode
         self._exec = None
-        if self.mode == "process":
+        if n > 1:
             # fork shares the parent's pages copy-on-write (warm dataset /
             # graph caches ride along for free); spawn is the portability
             # fallback and relies solely on the shared-memory refs.
@@ -56,17 +44,11 @@ class WorkerPool:
                 "fork" if "fork" in methods else "spawn"
             )
             self._exec = ProcessPoolExecutor(self.n_workers, mp_context=ctx)
-        elif self.mode == "thread":
-            self._exec = ThreadPoolExecutor(self.n_workers)
-
-    # ------------------------------------------------------------- queries
-    @property
-    def is_process(self) -> bool:
-        return self.mode == "process"
 
     @property
     def is_parallel(self) -> bool:
-        return self.mode != "sequential"
+        """True while tasks run in worker processes (not inline)."""
+        return self._exec is not None
 
     # ----------------------------------------------------------- execution
     def map(self, fn, items) -> list:
@@ -98,7 +80,6 @@ class WorkerPool:
         if self._exec is not None:
             self._exec.shutdown(wait=True, cancel_futures=True)
             self._exec = None
-            self.mode = "sequential"
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -107,9 +88,6 @@ class WorkerPool:
         self.close()
 
 
-def make_pool(parallelism: int | None, mode: str | None = None) -> WorkerPool:
-    """Resolve the ``ServeConfig.parallelism`` knobs into a pool.
-
-    ``parallelism`` None/0/1 → sequential; ``mode`` None → ``"process"``.
-    """
-    return WorkerPool(parallelism or 0, mode or "process")
+def make_pool(parallelism: int | None) -> WorkerPool:
+    """Resolve a ``parallelism=`` knob into a pool (None/0/1 → inline)."""
+    return WorkerPool(parallelism or 0)

@@ -11,8 +11,8 @@ process boundary as :class:`ArrayRef` handles instead:
 * ``"mmap"`` — the array is already a file-backed ``np.memmap`` (the
   big-dataset caches of :mod:`repro.data.storage`); workers re-open the
   file read-only and the OS page cache is the shared copy;
-* ``"inline"`` — the array itself, for thread/sequential pools where the
-  "worker" shares the parent's address space and nothing is ever pickled.
+* ``"inline"`` — the array itself, for inline pools where the "worker" is
+  the parent and nothing is ever pickled.
 
 A :class:`SharedArena` owns the segments it creates and is the *only*
 place that unlinks them: workers attach but never own, so a worker crash
@@ -27,6 +27,7 @@ never double-frees or warns.
 from __future__ import annotations
 
 import atexit
+import logging
 import os
 import uuid
 import weakref
@@ -36,6 +37,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 __all__ = ["ArrayRef", "SharedArena", "resolve_ref"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class SharedArena:
     the same pages (the wave builders' barrier pattern: the parent writes
     adjacency rows between waves, workers only read during a wave).
 
-    With ``enabled=False`` (sequential/thread pools) nothing is shared:
+    With ``enabled=False`` (an inline pool) nothing is shared:
     refs are inline and carry the array itself.  ``close()`` unlinks every
     owned segment; it also runs via a GC finalizer and at interpreter
     exit, and is pid-guarded so a forked child inheriting the object can
@@ -199,8 +202,11 @@ def _close_attachments() -> None:  # pragma: no cover - exit path
     for seg, _ in _ATTACHED.values():
         try:
             seg.close()
-        except Exception:
-            pass
+        except BufferError:
+            pass  # a cached ndarray view still pins the mapping; exit unmaps it
+        except Exception as exc:
+            _log.debug("closing attachment %s failed: %r", seg.name, exc,
+                       exc_info=True)
     _ATTACHED.clear()
 
 
@@ -220,8 +226,11 @@ def _attach(ref: ArrayRef) -> np.ndarray:
                 from multiprocessing import resource_tracker
 
                 resource_tracker.unregister(seg._name, "shared_memory")
-            except Exception:
-                pass
+            except (AttributeError, OSError):
+                pass  # no private ``_name`` on this Python / tracker pipe gone
+            except Exception as exc:
+                _log.debug("unregistering %s from the resource tracker "
+                           "failed: %r", ref.name, exc, exc_info=True)
         arr = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf)
         if not ref.writable:
             arr.setflags(write=False)

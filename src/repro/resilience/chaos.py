@@ -111,7 +111,6 @@ def run_chaos(
     policy: ResiliencePolicy | None = None,
     telemetry=None,
     parallelism: int = 0,
-    parallel_mode: str = "process",
 ) -> ChaosResult:
     """Serve ``n_queries`` under ``plan`` and grade the outcome.
 
@@ -133,18 +132,18 @@ def run_chaos(
                       seed=seed)
     cfg = ServeConfig(faults=plan, resilience=policy, telemetry=telemetry)
     common = dict(metric=ds.metric, k=k, batch_size=batch_size, seed=seed)
-    par = dict(parallelism=parallelism, parallel_mode=parallel_mode)
     if mode == "sharded":
         server = ShardedServer(
             ds.base,
             functools.partial(_cagra_builder, degree=degree, metric=ds.metric),
-            n_gpus=n_gpus, **par, **common,
+            n_gpus=n_gpus, parallelism=parallelism, **common,
         )
         rep = server.serve(ds.queries, cfg)
         server.close()
     elif mode == "replicated":
         graph = build_cagra(ds.base, graph_degree=degree, metric=ds.metric)
-        server = ReplicatedServer(ds.base, graph, n_gpus=n_gpus, **par, **common)
+        server = ReplicatedServer(ds.base, graph, n_gpus=n_gpus,
+                                  parallelism=parallelism, **common)
         rep = server.serve(ds.queries, cfg)
     else:
         graph = build_cagra(ds.base, graph_degree=degree, metric=ds.metric)

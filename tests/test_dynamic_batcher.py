@@ -1,8 +1,12 @@
 """Unit tests for the dynamic batching engine."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core import dynamic_batcher
 from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from repro.core.serving import QueryJob
 from repro.gpusim.costmodel import CostModel
@@ -146,3 +150,36 @@ def test_deadline_dropped_queries_excluded():
     served = {r.query_id for r in rep.records}
     assert served == {0, 2}
     assert rep.meta["dropped"] == 1 and rep.meta["dropped_ids"] == [1]
+
+
+def _function_nesting(tree):
+    """``(name, lineno, depth)`` per ``def``; depth = enclosing functions."""
+    found = []
+
+    def walk(node, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((child.name, child.lineno, depth))
+                walk(child, depth + 1)
+            else:
+                walk(child, depth)
+
+    walk(tree, 0)
+    return found
+
+
+def test_scheduler_handlers_are_flat():
+    """Every scheduler event is a named method: no ``def`` sits more than
+    one level inside a method or module-level function, and ``serve`` is a
+    short validate -> run -> report."""
+    tree = ast.parse(inspect.getsource(dynamic_batcher))
+    defs = _function_nesting(tree)
+    assert [d for d in defs if d[2] > 1] == []
+    serve = next(
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "serve"
+    )
+    assert serve.end_lineno - serve.lineno + 1 <= 60
+    names = {d[0] for d in defs}
+    assert {"dispatch", "cta_end", "publish_merged", "collect", "watchdog",
+            "reap", "update_degrade", "host_pass", "report"} <= names

@@ -48,28 +48,30 @@ def _shm_leftovers() -> list[str]:
 
 
 def test_pool_mode_resolution():
-    assert make_pool(0).mode == "sequential"
-    assert make_pool(1, "process").mode == "sequential"
-    assert make_pool(2, "thread").mode == "thread"
-    p = make_pool(2, "process")
-    assert p.mode in ("process", "thread")  # thread when fork unsupported
+    # one worker or none runs inline; more is a process pool until closed
+    assert not make_pool(None).is_parallel
+    assert not make_pool(0).is_parallel
+    assert not make_pool(1).is_parallel
+    p = make_pool(2)
+    assert p.is_parallel and p.n_workers == 2
     p.close()
+    assert not p.is_parallel
     with pytest.raises(ValueError):
-        WorkerPool(2, mode="fiber")
+        WorkerPool(-1)
+    with pytest.raises(TypeError):
+        WorkerPool(2, mode="thread")
 
 
 def test_pool_map_is_ordered():
     xs = list(range(17))
     want = [_square(x) for x in xs]
-    for mode in ("sequential", "thread", "process"):
-        with make_pool(4 if mode != "sequential" else 0, mode) as pool:
+    for n_workers in (0, 4):
+        with make_pool(n_workers) as pool:
             assert pool.map(_square, xs) == want
 
 
 def test_pool_worker_crash_raises():
-    with make_pool(2, "process") as pool:
-        if not pool.is_process:  # pragma: no cover - fork-less platform
-            pytest.skip("no process pool on this platform")
+    with make_pool(2) as pool:
         with pytest.raises(RuntimeError):
             pool.map(_crash, [0, 1])
 
@@ -147,10 +149,9 @@ def test_no_segment_leak_after_worker_crash():
     before = set(_shm_leftovers())
     arena = SharedArena()
     ref = arena.share(np.arange(64, dtype=np.float32))
-    with make_pool(2, "process") as pool:
-        if pool.is_process:
-            with pytest.raises(RuntimeError):
-                pool.map(_crash, [ref, ref])
+    with make_pool(2) as pool:
+        with pytest.raises(RuntimeError):
+            pool.map(_crash, [ref, ref])
     arena.close()
     leaked = {p for p in _shm_leftovers()} - before
     assert not any(ref.name in p for p in leaked)
@@ -158,7 +159,7 @@ def test_no_segment_leak_after_worker_crash():
 
 # ----------------------------------------------------------- serving parity
 
-PAR_LEVELS = ((0, "process"), (2, "process"), (2, "thread"))
+PAR_LEVELS = (0, 2)
 
 
 def _sharded(ds, **kw):
@@ -199,9 +200,8 @@ def test_sharded_parity_across_parallelism(ds, scenario):
             )
         )
     outs = [
-        _serve_json(_sharded(ds, parallelism=par, parallel_mode=mode),
-                    ds.queries[:24], cfg)
-        for par, mode in PAR_LEVELS
+        _serve_json(_sharded(ds, parallelism=par), ds.queries[:24], cfg)
+        for par in PAR_LEVELS
     ]
     base_json, base_ids, base_dists = outs[0]
     for js, ids, dists in outs[1:]:
@@ -216,9 +216,9 @@ def test_replicated_parity_with_hedging(ds, graph):
         resilience=ResiliencePolicy(hedge_delay_us=500.0),
     )
     outs = []
-    for par, mode in PAR_LEVELS:
+    for par in PAR_LEVELS:
         server = ReplicatedServer(
-            ds.base, graph, n_gpus=2, parallelism=par, parallel_mode=mode,
+            ds.base, graph, n_gpus=2, parallelism=par,
             metric=ds.metric, k=10, l_total=64, batch_size=8,
         )
         rep = server.serve(ds.queries[:24], cfg)
@@ -229,9 +229,9 @@ def test_replicated_parity_with_hedging(ds, graph):
 
 def test_telemetry_parity_across_parallelism(ds):
     texts = []
-    for par, mode in ((0, "process"), (2, "process")):
+    for par in PAR_LEVELS:
         tel = Telemetry()
-        server = _sharded(ds, parallelism=par, parallel_mode=mode)
+        server = _sharded(ds, parallelism=par)
         try:
             server.serve(ds.queries[:16], ServeConfig(telemetry=tel))
         finally:
@@ -303,20 +303,26 @@ def test_parallel_shard_build_matches_sequential(ds):
 
 
 def test_lambda_builder_falls_back_to_threads(ds, caplog):
-    # Lambdas can't pickle; the build takes the thread pool and says so.
+    # Lambdas can't pickle (the name predates the thread pool's removal):
+    # the shards are built one after the other, and the server says so once.
+    kw = dict(n_gpus=2, metric=ds.metric, k=10, l_total=64)
     with caplog.at_level("WARNING", logger="repro.core.cluster"):
         server = ShardedServer(
-            ds.base, lambda p: build_cagra(p, graph_degree=12), n_gpus=2,
-            parallelism=2, metric=ds.metric, k=10, l_total=64,
+            ds.base, lambda p: build_cagra(p, graph_degree=12),
+            parallelism=2, **kw,
         )
-    assert len(server.shards) == 2
-    downgrades = [r for r in caplog.records if "thread pool" in r.getMessage()]
+    downgrades = [r for r in caplog.records if "sequentially" in r.getMessage()]
     assert len(downgrades) == 1
     assert "<lambda>" in downgrades[0].getMessage()
+    assert server.parallelism == 2  # serves still fan out
+    sequential = ShardedServer(ds.base, _builder12, **kw)
+    for a, b in zip(server.shards, sequential.shards):
+        np.testing.assert_array_equal(a.system.graph.indptr, b.system.graph.indptr)
+        np.testing.assert_array_equal(a.system.graph.indices, b.system.graph.indices)
 
 
 def test_builder_pickling_bug_is_not_swallowed(ds):
-    # Only pickling errors downgrade the pool; a builder whose __reduce__
+    # Only pickling errors downgrade the build; a builder whose __reduce__
     # raises anything else is a bug and must surface.
     class Exploding:
         def __call__(self, pts):
@@ -337,10 +343,8 @@ def test_nsw_build_parity(rng):
     pts = rng.standard_normal((600, 16)).astype(np.float32)
     g0 = build_nsw(pts, m=4, seed=9)
     g2 = build_nsw(pts, m=4, seed=9, parallelism=2)
-    gt = build_nsw(pts, m=4, seed=9, parallelism=2, parallel_mode="thread")
-    for g in (g2, gt):
-        np.testing.assert_array_equal(g.indptr, g0.indptr)
-        np.testing.assert_array_equal(g.indices, g0.indices)
+    np.testing.assert_array_equal(g2.indptr, g0.indptr)
+    np.testing.assert_array_equal(g2.indices, g0.indices)
 
 
 def test_build_leaves_no_segments(rng):
@@ -359,8 +363,7 @@ def test_run_sweep_parity():
     configs = list(range(8))
     seq = run_sweep(_square, configs)
     par = run_sweep(_square, configs, parallelism=2)
-    thr = run_sweep(_square, configs, parallelism=2, parallel_mode="thread")
-    assert seq == par == thr == [x * x for x in configs]
+    assert seq == par == [x * x for x in configs]
 
 
 def test_sweep_load_parity():

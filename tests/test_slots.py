@@ -1,8 +1,11 @@
 """Unit tests for the slot state machine (Fig. 5)."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.core.slots import Slot, SlotState, StateTransitionError
+from repro.core.slots import Slot, SlotBank, SlotState, StateTransitionError
 
 
 def test_lifecycle():
@@ -161,3 +164,44 @@ def test_random_interleavings_never_corrupt_state():
             # global invariant: the aggregate state is always well-defined
             assert s.state in SlotState
             assert s.queries_served >= pre_served
+
+
+def test_bank_runtime_columns_follow_slot_events():
+    """Dispatch stamps are set on dispatch and cleared on collect and
+    force_retire; the epoch moves only when the watchdog revokes a slot."""
+    bank = SlotBank(3, 2)
+    job = SimpleNamespace(query_id=41)
+
+    def words(s):
+        return (bank.jobs[s], bank.dispatched_at[s], bank.ready_at[s],
+                int(bank.epochs[s]))
+
+    def is_empty(s, epoch):
+        j, d, r, e = words(s)
+        return j is None and np.isnan(d) and np.isnan(r) and e == epoch
+
+    assert all(is_empty(s, 0) for s in range(3))
+
+    bank.dispatch(1, job, 7.5)
+    assert bank[1].state is SlotState.WORK and bank[1].query_id == 41
+    assert bank.jobs[1] is job and bank.dispatched_at[1] == 7.5
+    assert np.isnan(bank.ready_at[1]) and bank.epochs[1] == 0
+    assert is_empty(0, 0) and is_empty(2, 0)  # neighbours untouched
+
+    for cta in range(2):
+        bank[1].advance_cta(cta)
+    bank.ready_at[1] = 9.0  # the scheduler's stamp: FINISH visible
+    assert bank.collect(1) is job
+    assert bank[1].state is SlotState.DONE and bank[1].queries_served == 1
+    assert is_empty(1, 0)
+
+    bank.dispatch(1, job, 11.0)  # slot reuse, same epoch
+    assert bank.epochs[1] == 0
+    assert bank.force_retire(1) is job
+    assert bank[1].state is SlotState.QUIT and bank[1].query_id is None
+    assert is_empty(1, 1)
+    assert bank.epochs.tolist() == [0, 1, 0]
+
+    with pytest.raises(StateTransitionError):
+        bank.collect(0)  # never dispatched: Fig. 5 still guards the bank path
+    assert is_empty(0, 0)

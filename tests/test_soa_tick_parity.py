@@ -1,145 +1,67 @@
-"""Byte-identical parity: SoA engine tick vs the per-slot reference loop.
+"""The slot scheduler against its frozen reference schedules.
 
-``DynamicBatchConfig.tick_mode`` selects how the host-thread pass finds
-collectable / dispatchable / wedged slots: ``"soa"`` (vectorized mask
-reductions over the slot bank — the default) or ``"loop"`` (the original
-per-slot Python scan, kept as the reference).  The two must be *byte*
-identical — same QueryRecords, same telemetry counters and transition
-streams, same resilience meta — across healthy runs, fault plans,
-degradation windows, drops, and multi-thread partitions.  Anything less
-means the SoA sweep changed scheduling, not just its cost.
+``tests/golden/schedules.json`` was written at commit ``a2fd882`` by
+``tests/golden/make_schedules.py`` under ``tick_mode="loop"`` — the
+per-slot reference host pass that commit still carried beside the
+vectorized one.  The reference pass and its selector are gone; the one
+remaining host pass must reproduce those schedules *exactly*: same
+QueryRecords, report scalars, PCIe ledger, resilience meta and telemetry
+rendering, across healthy runs, fault plans, degradation windows, drops and
+multi-thread partitions.  Anything less means a change to the scheduler
+moved scheduling, not just its cost.
 """
 
 from __future__ import annotations
 
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
-from repro.core.query_manager import ManagedQuery
-from repro.core.serving import QueryJob
-from repro.gpusim.costmodel import CostModel
-from repro.gpusim.device import RTX_A6000
-from repro.resilience.faults import FaultPlan, PCIeStall, SlotFault
-from repro.resilience.policy import ResiliencePolicy
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.core.cluster import ShardedServer
+from repro.core.dynamic_batcher import DynamicBatchConfig
+from repro.core.serving import ServeConfig
+from repro.graphs import build_nsw
+from repro.parallel import make_pool
 
-CM = CostModel(RTX_A6000)
+from .golden import make_schedules as golden
 
-
-def mkjobs(n, dur=30.0, n_parallel=2, spread=2.0, jitter=4.0, seed=5):
-    rng = np.random.default_rng(seed)
-    return [
-        QueryJob(
-            i,
-            i * spread,
-            tuple(dur + float(rng.uniform(-jitter, jitter)) for _ in range(n_parallel)),
-            64,
-            8,
-        )
-        for i in range(n)
-    ]
+GOLDEN = json.loads(golden.FIXTURE.read_text())
+DROPS = "deadline-drops"
 
 
-FAULTS = FaultPlan(
-    slot_faults=[
-        SlotFault(slot_id=1, on_dispatch=1, kind="hang"),
-        SlotFault(slot_id=2, on_dispatch=2, kind="corrupt"),
-        SlotFault(slot_id=0, on_dispatch=3, kind="straggle", factor=4.0),
-    ],
-    pcie_stalls=[PCIeStall(start_us=40.0, duration_us=15.0)],
-)
-POLICY = ResiliencePolicy(
-    watchdog_budget_us=200.0,
-    max_retries=2,
-    degrade_queue_depth=4,
-    restore_queue_depth=1,
-    degrade_factor=0.5,
-)
-EXHAUST = ResiliencePolicy(watchdog_budget_us=120.0, max_retries=0)
-
-SCENARIOS = {
-    "healthy": dict(),
-    "healthy-multithread": dict(engine=dict(host_threads=3)),
-    "naive-state-mode": dict(engine=dict(state_mode="naive")),
-    "gpu-merge": dict(engine=dict(merge_on_cpu=False)),
-    "faults+policy": dict(faults=FAULTS, resilience=POLICY),
-    "faults-default-policy": dict(faults=FAULTS),
-    "retry-exhaustion": dict(
-        faults=FaultPlan(
-            slot_faults=[SlotFault(slot_id=0, on_dispatch=1, kind="hang")]
-        ),
-        resilience=EXHAUST,
-    ),
-    "degrade-overload": dict(
-        jobs=dict(n=32, spread=0.5),
-        resilience=ResiliencePolicy(
-            degrade_queue_depth=3, restore_queue_depth=1, degrade_factor=0.4
-        ),
-    ),
-}
+def _check(name):
+    assert golden.freeze(*golden.serve(golden.SCENARIOS[name])) == GOLDEN[name]
 
 
-def _serve(tick_mode, scenario, with_telemetry):
-    kw = dict(n_slots=4, n_parallel=2, k=8, **scenario.get("engine", {}))
-    cfg = DynamicBatchConfig(**kw, tick_mode=tick_mode)
-    tel = Telemetry(MetricsRegistry()) if with_telemetry else None
-    eng = DynamicBatchEngine(
-        RTX_A6000,
-        CM,
-        cfg,
-        telemetry=tel,
-        faults=scenario.get("faults"),
-        resilience=scenario.get("resilience"),
-    )
-    jobs = mkjobs(**{"n": 24, **scenario.get("jobs", {})})
-    rep = eng.serve(jobs)
-    return rep, tel
+def test_fixture_covers_every_scenario():
+    assert sorted(GOLDEN) == sorted(golden.SCENARIOS)
 
 
-def _meta_sans_config(meta):
-    return {k: v for k, v in meta.items() if k != "config"}
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(set(golden.SCENARIOS) - {DROPS}))
 def test_soa_tick_byte_identical(scenario):
-    """Records, report scalars, meta, and telemetry equal across tick modes."""
-    (ra, ta), (rb, tb) = (
-        _serve("loop", SCENARIOS[scenario], True),
-        _serve("soa", SCENARIOS[scenario], True),
-    )
-    assert len(ra.records) == len(rb.records)
-    for x, y in zip(ra.records, rb.records):
-        assert x.__dict__ == y.__dict__
-    assert ra.makespan_us == rb.makespan_us
-    assert ra.gpu_cta_busy_us == rb.gpu_cta_busy_us
-    assert ra.host_busy_us == rb.host_busy_us
-    assert ra.pcie.transactions == rb.pcie.transactions
-    assert ra.pcie.bytes_moved == rb.pcie.bytes_moved
-    assert ra.pcie.by_tag == rb.pcie.by_tag
-    assert _meta_sans_config(ra.meta) == _meta_sans_config(rb.meta)
-    # Telemetry: the full Prometheus rendering (counters, histograms,
-    # transition streams) must match byte-for-byte.
-    assert ta.to_prometheus() == tb.to_prometheus()
+    """Records, report scalars, meta and telemetry equal the frozen run."""
+    assert "telemetry_sha256" in GOLDEN[scenario]
+    _check(scenario)
 
 
 def test_soa_tick_parity_with_drops():
-    """Deadline drops surface identically under both tick modes."""
-    jobs = mkjobs(16, dur=60.0, spread=1.0)
-    reports = []
-    for tm in ("loop", "soa"):
-        cfg = DynamicBatchConfig(n_slots=2, n_parallel=2, k=8, tick_mode=tm)
-        eng = DynamicBatchEngine(RTX_A6000, CM, cfg)
-        managed = [ManagedQuery(j, deadline_us=j.arrival_us + 250.0) for j in jobs]
-        reports.append(eng.serve(jobs, managed=managed))
-    a, b = reports
-    assert _meta_sans_config(a.meta) == _meta_sans_config(b.meta)
-    assert a.meta["dropped"] > 0  # the scenario actually exercises drops
-    for x, y in zip(a.records, b.records):
-        assert x.__dict__ == y.__dict__
+    """Deadline drops surface exactly as in the frozen run."""
+    assert GOLDEN[DROPS]["meta"]["dropped"] > 0  # the scenario exercises drops
+    _check(DROPS)
 
 
-def test_tick_mode_validation_and_default():
-    assert DynamicBatchConfig(n_slots=1, n_parallel=1, k=1).tick_mode == "soa"
-    with pytest.raises(ValueError, match="tick_mode"):
-        DynamicBatchConfig(n_slots=1, n_parallel=1, k=1, tick_mode="turbo")
+def test_removed_selectors_are_type_errors():
+    """``tick_mode`` and ``parallel_mode`` are gone, not ignored."""
+    base = np.zeros((8, 4), dtype=np.float32)
+    with pytest.raises(TypeError):
+        DynamicBatchConfig(n_slots=1, n_parallel=1, k=1, tick_mode="soa")
+    with pytest.raises(TypeError):
+        ServeConfig(parallel_mode="process")
+    with pytest.raises(TypeError):
+        ShardedServer(base, partial(build_nsw, m=2), parallel_mode="process")
+    with pytest.raises(TypeError):
+        build_nsw(base, m=2, parallel_mode="process")
+    with pytest.raises(TypeError):
+        make_pool(2, "thread")
