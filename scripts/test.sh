@@ -63,6 +63,10 @@
 #   python3 benchmarks/e2e/compare.py R/A1.json,...,R/A10.json \
 #                                     R/B1.json,...,R/B10.json
 #
+# scripts/bench_pairs.sh A B online_small_batch 10 is that loop as a script
+# (alternating order, seeds 1..N, --trace 0, compare.py at the end, then
+# host_wall_s per pair and the win count).
+#
 # Report both medians and quartiles, the pair wins (>= 9 of 10), and the
 # "deterministic metrics that differ" count (must be 0 at equal seeds);
 # one full run a side (no --trace) places the saving in the per-layer

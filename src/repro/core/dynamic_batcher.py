@@ -26,11 +26,15 @@ the resilience ledger, and has one method per event: ``dispatch`` and
 ``start_ctas`` (host fills a slot, GPU starts it), ``cta_end`` and
 ``publish_merged`` (GPU side), ``collect``, ``watchdog`` / ``reap``,
 ``update_degrade``, ``host_pass`` (the §V-B thread loop that drives the
-others) and ``report``.  The host pass finds collectable / dispatchable /
-wedged slots with a few vectorized mask reductions over the bank and only
-touches Python objects for slots that actually have work
-(docs/performance.md, "Wall-clock vs simulated speed"); its outputs are
-pinned bit for bit by tests/golden/schedules.json.
+others) and ``report``.  The scheduler is *change-driven*, the paper's own
+GDRCopy rule (§V-A: polling never crosses PCIe, only changes do) applied to
+the simulator: the bank's per-thread counters say in O(1) whether a wake
+has anything to collect or dispatch, a wake that does walks only that
+thread's live slots, and a wake that provably would find nothing is not
+executed at all — ``next_effective_wake`` moves it along the poll grid to
+the first point at which something can have changed
+(docs/performance.md, "Wall-clock vs simulated speed").  The schedule is
+the dense one's, bit for bit: tests/golden/schedules.json.
 
 Resilience (docs/robustness.md): the engine optionally takes a
 :class:`~repro.resilience.FaultPlan` (slot hangs/corruption, stragglers,
@@ -46,10 +50,8 @@ pre-resilience code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from ..gpusim.costmodel import CostModel
 from ..gpusim.device import DeviceProperties
@@ -63,7 +65,7 @@ from .merge import HostMerger
 from .query_manager import ManagedQuery, QueryManager
 from .serving import QueryJob, QueryRecord, ServeReport
 from .slots import SlotBank
-from .state_sync import StateChannel
+from .state_sync import STATE_MODES, StateChannel
 
 __all__ = ["DynamicBatchConfig", "DynamicBatchEngine"]
 
@@ -97,6 +99,14 @@ class DynamicBatchConfig:
             raise ValueError("host_threads must be positive")
         if self.host_poll_period_us <= 0:
             raise ValueError("host_poll_period_us must be positive")
+        if self.gpu_poll_us < 0:
+            raise ValueError("gpu_poll_us must be non-negative")
+        if self.host_submit_us < 0:
+            raise ValueError("host_submit_us must be non-negative")
+        if self.state_mode not in STATE_MODES:
+            raise ValueError(f"state_mode must be one of {STATE_MODES}")
+        if self.result_entry_bytes <= 0:
+            raise ValueError("result_entry_bytes must be positive")
 
 
 class DynamicBatchEngine:
@@ -177,17 +187,23 @@ class _ServeRun:
         if self.injector is not None:
             self.link.stall_windows = self.injector.stall_windows
         self.chan = StateChannel(self.link, cfg.state_mode)
+        #: one CTA's (or the merge kernel's) TopK push, bytes.
+        self.topk_bytes = cfg.k * cfg.result_entry_bytes
         self.merger = HostMerger(self.cm, telemetry=tel)
-        self.bank = SlotBank(cfg.n_slots, cfg.n_parallel)
+        # Slots are dealt to host threads round-robin (§V-B).
+        self.bank = SlotBank(
+            cfg.n_slots, cfg.n_parallel, partition_slots(cfg.n_slots, cfg.host_threads)
+        )
         self.slots = self.bank.slots  # the per-CTA path skips the property
         if tel.enabled:
             for s in self.slots:
                 s.observer = tel.slot_transition
-        # Slots are dealt to host threads round-robin (§V-B).
-        self.owned = [
-            np.array(o, dtype=np.int64)
-            for o in partition_slots(cfg.n_slots, cfg.host_threads)
-        ]
+        # A wake is *pure* when all it can do is look at the bank and the
+        # admission queue: local state mirrors (no poll on the link) and no
+        # policy (no watchdog or degrade check).  Only pure wakes may be
+        # skipped — see next_effective_wake.
+        # (An injected fault plan always comes with a policy.)
+        self.pure_wakes = cfg.state_mode == "gdrcopy" and self.policy is None
         self.passes = [partial(self.host_pass, tid) for tid in range(cfg.host_threads)]
         self.jobs = jobs
         self.records: dict[int, QueryRecord] = {
@@ -284,47 +300,49 @@ class _ServeRun:
         """One wake of host thread ``tid``: collect finished slots, refill
         free ones, then run the watchdog and re-arm (§V-B)."""
         t0 = sim.now
-        bank, chan, manager = self.bank, self.chan, self.manager
-        mine = self.owned[tid]
-        live = mine[~bank.quit_mask()[mine]]
-        if live.size == 0:
+        bank = self.bank
+        live = bank.live[tid]
+        if not live:
             # Every owned slot is retired (watchdog kills): this
             # thread can never dispatch or collect again.  Other
             # threads' slots serve whatever the manager re-queued.
             return
-        n_live, n_parallel = int(live.size), self.cfg.n_parallel
-        ready_at = bank.ready_at
+        chan, manager = self.chan, self.manager
+        n_ready, n_free = bank.n_ready, bank.n_free
+        jobs, ready_at = bank.jobs, bank.ready_at
+        n_parallel = self.cfg.n_parallel
         t = t0
         # The host thread *spins*: it keeps re-scanning its slots as
         # long as it finds work (§V-A: polling mode beats blocking).
         # In naive state mode every scan crosses PCIe; with gdrcopy
-        # mirrors the scans are free.
+        # mirrors the scans are free.  A scan looks at slots only when
+        # the thread's counters say one is collectable or dispatchable.
         progress = True
         while progress:
             progress = False
-            t = chan.poll(t, n_live, n_parallel)
-            pending = live[~np.isnan(ready_at[live])]
-            if pending.size:
-                finished = bank.all_finished_mask()
-                for s in pending.tolist():
+            t = chan.poll(t, len(live), n_parallel)
+            if n_ready[tid]:
+                for s in live:
                     # Merges advance t, so later pending slots may
                     # become collectable within this same scan —
                     # the comparison must stay inside the loop.
-                    if ready_at[s] <= t:
-                        if not finished[s]:
+                    r = ready_at[s]
+                    if r is not None and r <= t:
+                        if not bank.all_finished(s):
                             # Published but not actually finished:
                             # a corrupted state word.  Leave the
                             # slot for the watchdog.
                             continue
                         progress = True
                         t = self.collect(s, t)
-            free = live[bank.free_mask()[live]]
-            for s in free.tolist():
-                if manager.peek_ready(t) is None:
-                    break  # t only advances on dispatch: no later
-                    # slot in this scan can see a ready query
-                progress = True
-                t = self.dispatch(s, t)
+            if n_free[tid]:
+                for s in live:
+                    if jobs[s] is None:
+                        if manager.peek_ready(t) is None:
+                            break  # t only advances on dispatch: no later
+                            # slot in this scan can see a ready query
+                        progress = True
+                        t = self.dispatch(s, t)
         self.end_pass(tid, sim, t0, t)
 
     def end_pass(self, tid: int, sim: Simulator, t0: float, t: float) -> None:
@@ -341,12 +359,67 @@ class _ServeRun:
             self.drops_seen = n_dropped
         if self.outstanding > 0:
             next_wake = max(t, t0 + self.cfg.host_poll_period_us)
-            if np.isnan(self.bank.dispatched_at[self.owned[tid]]).all() and manager:
+            if not self.bank.n_in_flight[tid] and manager:
                 # Idle thread: sleep until the next arrival it could serve.
                 nxt = manager.next_arrival_us()
                 if nxt is not None:
                     next_wake = max(next_wake, nxt)
+            elif self.pure_wakes:
+                next_wake = self.next_effective_wake(tid, sim, next_wake)
             sim.schedule(next_wake, self.passes[tid])
+
+    def next_effective_wake(self, tid: int, sim: Simulator, g: float) -> float:
+        """The first wake of thread ``tid``'s poll chain, from ``g`` on, that
+        could find something; the no-op wakes before it are not executed.
+
+        ``g`` is the wake the pass just ended would arm.  It is advanced by
+        ``g += host_poll_period_us`` — the chain's own float additions,
+        never a multiple — while it is strictly earlier than all of
+
+        * the simulator's next event,
+        * every FINISH-visible stamp of the thread's live slots, and
+        * if the thread has a free slot, the next arrival — provided the
+          ready queue is empty; it does not move at all otherwise.
+
+        Exactness, by induction on the skipped wakes.  Take the wake at
+        ``g`` with ``g`` below those three bounds, and suppose every earlier
+        wake of the chain was skipped rightly, so the state is what this
+        pass left.  Executed densely it is the very next event (nothing
+        else is pending before it), so it sees that state unchanged: no
+        stamp ``<= g`` to collect; with a free slot an empty ready queue
+        and no arrival ``<= g``, so ``peek_ready`` admits, sheds and drops
+        nothing (``QueryManager.quiet_until``); without one the queue is
+        not consulted.  It is pure — gdrcopy mirrors, no policy — so there
+        is no link poll, watchdog or degrade check either: it advances no
+        clock (``t == t0``, ``host_busy += 0.0``), and re-arms itself at
+        ``g + host_poll_period_us`` with a sequence number above everything
+        pending.  That is the state, and the heap, the skip assumes.  The
+        wake that survives is scheduled *now*, also above everything
+        pending, and whatever is scheduled later comes from events at or
+        after the next event's time in both executions: same position in
+        the event order, ties included (hence the strict ``<``: at
+        ``g ==`` the next event's time the dense wake runs after it).
+
+        Impure wakes (``state_mode="naive"``, any resilience policy) are
+        never passed through here.  This is not a parked thread either: the
+        wake stays on the chain's grid, where the dense execution had it.
+        """
+        bank = self.bank
+        bound = sim.next_time()
+        if bank.n_ready[tid]:
+            ready_at = bank.ready_at
+            for s in bank.live[tid]:
+                r = ready_at[s]
+                if r is not None and r < bound:
+                    bound = r
+        if bank.n_free[tid]:
+            bound = min(bound, self.manager.quiet_until())
+        if bound == float("inf"):
+            return g  # nothing pending at all: keep polling, as the chain does
+        period = self.cfg.host_poll_period_us
+        while g < bound:
+            g += period
+        return g
 
     # ----------------------------------------------------------- GPU side
     def start_ctas(
@@ -363,18 +436,17 @@ class _ServeRun:
         gpu_start = state_published_us + self.cfg.gpu_poll_us
         rec.gpu_start_us = gpu_start
         ends = [gpu_start + d for d in durations]
-        # A hung CTA spins without retiring work; its nominal duration
-        # never lands, so only the live CTAs count as busy time.
-        hang_cta = 0 if fault is not None and fault.kind == "hang" else None
-        self.gpu_busy += sum(d for i, d in enumerate(durations) if i != hang_cta)
+        # A hung CTA (CTA 0) spins without retiring work; its nominal
+        # duration never lands, so only the live CTAs count as busy time.
+        hung = fault is not None and fault.kind == "hang"
+        self.gpu_busy += sum(durations[1:] if hung else durations)
         rec.gpu_end_us = max(ends)
         last_idx = ends.index(rec.gpu_end_us)
+        schedule, cta_end = self.sim.schedule, self.cta_end
         for i, e in enumerate(ends):
-            if i == hang_cta:
+            if hung and i == 0:
                 continue  # never finishes; the watchdog will notice
-            self.sim.schedule(
-                e, partial(self.cta_end, s, epoch, job, fault, i, i == last_idx)
-            )
+            schedule(e, partial(cta_end, s, epoch, job, fault, i, i == last_idx))
 
     def cta_end(
         self, s: int, epoch: int, job: QueryJob, fault, cta: int, is_last: bool,
@@ -405,22 +477,17 @@ class _ServeRun:
         # congestion and injected PCIe stalls delay the refine hop.
         if job.result_entries is None:
             link.transfer(
-                now,
-                cfg.k * cfg.result_entry_bytes,
-                tag="result-push",
-                overhead_us=link.MMIO_OVERHEAD_US,
+                now, self.topk_bytes, "result-push", link.MMIO_OVERHEAD_US
             )
             push_gate = 0.0
         else:
             push_gate = link.transfer(
-                now,
-                job.result_entries * cfg.result_entry_bytes,
-                tag="candidates",
+                now, job.result_entries * cfg.result_entry_bytes, "candidates"
             )
         if not is_last:
             self.chan.publish(now)
         elif cfg.merge_on_cpu:
-            self.bank.ready_at[s] = max(self.chan.publish(now), push_gate)
+            self.bank.mark_ready(s, max(self.chan.publish(now), push_gate))
         else:
             # GPU-merge ablation: the persistent kernel must yield to
             # a merge kernel before results are ready (§IV-B); only
@@ -433,12 +500,9 @@ class _ServeRun:
         if self.bank.epochs[s] != epoch:
             return
         self.link.transfer(
-            sim.now,
-            self.cfg.k * self.cfg.result_entry_bytes,
-            tag="result-push",
-            overhead_us=self.link.MMIO_OVERHEAD_US,
+            sim.now, self.topk_bytes, "result-push", self.link.MMIO_OVERHEAD_US
         )
-        self.bank.ready_at[s] = self.chan.publish(sim.now)
+        self.bank.mark_ready(s, self.chan.publish(sim.now))
 
     # ----------------------------------------------------------- defenses
     def update_degrade(self, t: float) -> None:
@@ -458,20 +522,16 @@ class _ServeRun:
             self.tel.degraded_window_exited(self.degraded_since, t)
 
     def watchdog(self, tid: int, t: float) -> None:
-        """Reap no-progress slots past the budget; re-dispatch or fail.
-
-        Candidate selection is one vectorized comparison over the
-        thread's slot rows (NaN dispatch stamps — empty slots — compare
-        false); only genuinely over-budget slots reach Python code.
-        """
+        """Reap no-progress slots past the budget; re-dispatch or fail."""
         bank = self.bank
-        mine = self.owned[tid]
-        over = mine[t - bank.dispatched_at[mine] >= self.policy.watchdog_budget_us]
-        if over.size == 0:
+        if not bank.n_in_flight[tid]:
             return
-        finished = bank.all_finished_mask()
-        for s in over.tolist():
-            if not np.isnan(bank.ready_at[s]) and finished[s]:
+        budget, dispatched_at = self.policy.watchdog_budget_us, bank.dispatched_at
+        for s in list(bank.live[tid]):  # reap() retires slots from the live list
+            d = dispatched_at[s]
+            if d is None or t - d < budget:
+                continue
+            if bank.ready_at[s] is not None and bank.all_finished(s):
                 continue  # finished, just not collected yet
             self.reap(s, t)
 
@@ -497,7 +557,7 @@ class _ServeRun:
         stats.retries += 1
         tel.query_retried(job.query_id, attempt, t)
         self.manager.submit(
-            ManagedQuery(replace(job, arrival_us=t + backoff)),
+            ManagedQuery(job.rescheduled(job.query_id, t + backoff)),
             resubmit=True,
         )
 

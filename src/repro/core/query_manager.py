@@ -193,6 +193,20 @@ class QueryManager:
         candidates.extend(e[1] for e in self._ready)
         return min(candidates) if candidates else None
 
+    def quiet_until(self) -> float:
+        """Clock before which :meth:`peek_ready` finds nothing, O(1).
+
+        With the ready queue empty that is the earliest pending arrival
+        (inf when none is pending): a peek at any earlier clock admits
+        nothing, so it sheds, drops and reports nothing either — all it
+        moves is the admission clock, which only ever selects between two
+        equivalent scans in :meth:`_best_eligible`.  -inf as soon as a
+        query has been admitted: the next peek may hand it out.
+        """
+        if self._ready:
+            return float("-inf")
+        return self._arrivals[0][0] if self._arrivals else float("inf")
+
     @property
     def pending(self) -> int:
         """Queries not yet dispatched or dropped."""

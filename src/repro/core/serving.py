@@ -66,12 +66,23 @@ class QueryJob:
     def __post_init__(self) -> None:
         if not self.cta_durations_us:
             raise ValueError("a job needs at least one CTA duration")
-        if any(d < 0 for d in self.cta_durations_us):
+        if not min(self.cta_durations_us) >= 0:  # one pass; NaN fails too
             raise ValueError("durations must be non-negative")
         if self.host_us < 0:
             raise ValueError("host_us must be non-negative")
         if self.result_entries is not None and self.result_entries <= 0:
             raise ValueError("result_entries must be positive")
+
+    def rescheduled(self, query_id: int, arrival_us: float) -> "QueryJob":
+        """This job's priced work under another id and arrival time.
+
+        Equal to ``dataclasses.replace(self, query_id=..., arrival_us=...)``
+        without its per-call field introspection; the fields
+        ``__post_init__`` checks are carried over, so it is not re-run.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, query_id=query_id, arrival_us=arrival_us)
+        return clone
 
     @property
     def n_ctas(self) -> int:

@@ -14,20 +14,23 @@ States and legal transitions follow Fig. 5:
 ``DONE → QUIT``      slot retires (drain/shutdown)
 ``NONE → QUIT``      unused slot retires immediately
 
-Storage is a :class:`SlotBank`: every per-slot word (CTA states, owned
-query id, served count) is one row of a parallel numpy array, so the
-engine's maintenance sweep — "which slots are free / finished / retired" —
-is a handful of vectorized mask reductions over the whole bank instead of
-a Python loop over slots (docs/performance.md, "Wall-clock vs simulated
-speed").  The bank also owns the scheduler's per-slot runtime words — the
-running job, its dispatch and FINISH-visible stamps, and the dispatch
-epoch — so one object answers "what is slot *s* doing";
-:meth:`SlotBank.dispatch`, :meth:`SlotBank.collect` and
-:meth:`SlotBank.force_retire` move a slot's state and its runtime words
-together.  :class:`Slot` remains the per-slot API: a thin view onto one
-bank row with the exact transition checks and observer callbacks of the
-original object, so the telemetry and resilience layers observe identical
-transitions in identical order.
+Storage is a :class:`SlotBank`, laid out so that one scheduler event costs
+O(1) scalar Python: the CTA state words are one ``bytearray`` (a byte per
+word; the public ``codes`` ndarray is a view of the same memory, not a
+copy), and every per-slot word — owned query id, served count, running
+job, dispatch and FINISH-visible stamps, dispatch epoch — is a plain list
+indexed by slot.  The bank also answers "does host thread *t* have
+anything to do" without looking at a slot: per-thread counters of free,
+in-flight and ready-stamped slots and the list of each thread's live
+(not retired) slots are moved by the four operations that move a slot —
+:meth:`SlotBank.dispatch`, :meth:`SlotBank.mark_ready`,
+:meth:`SlotBank.collect`, :meth:`SlotBank.force_retire` — and by nothing
+else, so the scheduler never polls the bank to find out what changed
+(docs/performance.md, "Wall-clock vs simulated speed").  :class:`Slot`
+remains the per-slot API: a thin view onto one bank row with the exact
+transition checks and observer callbacks of the original object, so the
+telemetry and resilience layers observe identical transitions in
+identical order.
 
 Two escape hatches sit deliberately *outside* Fig. 5, for the resilience
 layer (docs/robustness.md): :meth:`Slot.force_retire` is the watchdog's
@@ -62,7 +65,7 @@ _ALLOWED: dict[SlotState, frozenset[SlotState]] = {
     SlotState.QUIT: frozenset(),
 }
 
-# SoA representation: one int8 code per CTA state word.
+# Bank representation: one byte code per CTA state word.
 _STATES: tuple[SlotState, ...] = (
     SlotState.NONE,
     SlotState.WORK,
@@ -73,12 +76,12 @@ _STATES: tuple[SlotState, ...] = (
 _CODE: dict[SlotState, int] = {s: i for i, s in enumerate(_STATES)}
 _NONE, _WORK, _FINISH, _DONE, _QUIT = range(5)
 
-#: ``_ALLOWED`` as a (current, new) boolean matrix in code space — the
-#: vectorized form of the per-CTA legality check in ``host_set``.
-_ALLOWED_MATRIX = np.zeros((5, 5), dtype=bool)
-for _cur, _news in _ALLOWED.items():
-    for _new in _news:
-        _ALLOWED_MATRIX[_CODE[_cur], _CODE[_new]] = True
+#: ``_ALLOWED`` inverted, in code space: the codes a CTA word may hold when
+#: the host moves it to code ``new`` — ``host_set`` counts these bytes.
+_SOURCES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(_CODE[cur] for cur, news in _ALLOWED.items() if new in news)
+    for new in _STATES
+)
 
 
 class StateTransitionError(RuntimeError):
@@ -86,46 +89,70 @@ class StateTransitionError(RuntimeError):
 
 
 class SlotBank:
-    """Structure-of-arrays state for ``n_slots`` slots of ``n_ctas`` CTAs.
+    """State of ``n_slots`` slots of ``n_ctas`` CTAs, scalar-addressable.
 
-    The engine tick reads whole-bank masks (:meth:`all_finished_mask`,
-    :meth:`free_mask`, :meth:`quit_mask`) — one vectorized reduction over
-    the ``(n_slots, n_ctas)`` code matrix replaces per-slot aggregate
-    recomputation.  Individual slots mutate their rows through
-    :class:`Slot` views (:attr:`slots`), which enforce Fig. 5 exactly as
-    the pre-bank objects did.
+    ``owned`` deals the slots to host threads (one list of slot ids per
+    thread; default: one thread owning every slot).  Per thread the bank
+    keeps :attr:`live` — its slots not yet retired, in slot order — and
+    three counters: :attr:`n_free` (live, no job), :attr:`n_in_flight`
+    (dispatched, not yet collected or revoked) and :attr:`n_ready` (in
+    flight with a FINISH-visible stamp).  They are moved only by
+    :meth:`dispatch`, :meth:`mark_ready`, :meth:`collect` and
+    :meth:`force_retire`: a scheduler drives its bank through these four,
+    and there is exactly one copy of every word.  Individual slots mutate
+    their rows through :class:`Slot` views (:attr:`slots`), which enforce
+    Fig. 5 exactly as the pre-bank objects did.
     """
 
     __slots__ = (
-        "n_slots", "n_ctas", "codes", "query_ids", "queries_served", "_slots",
-        "jobs", "dispatched_at", "ready_at", "epochs",
+        "n_slots", "n_ctas", "_words", "codes", "query_ids", "queries_served",
+        "_slots", "jobs", "dispatched_at", "ready_at", "epochs",
+        "owner", "live", "n_free", "n_in_flight", "n_ready",
     )
 
-    def __init__(self, n_slots: int, n_ctas: int):
+    def __init__(
+        self, n_slots: int, n_ctas: int, owned: list[list[int]] | None = None
+    ):
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
         if n_ctas <= 0:
             raise ValueError("n_ctas must be positive")
+        if owned is None:
+            owned = [list(range(n_slots))]
+        if sorted(s for mine in owned for s in mine) != list(range(n_slots)):
+            raise ValueError("owned must deal every slot to exactly one thread")
         self.n_slots = n_slots
         self.n_ctas = n_ctas
-        #: (n_slots, n_ctas) int8 CTA state words.
-        self.codes = np.full((n_slots, n_ctas), _NONE, dtype=np.int8)
-        #: query id owned by each slot (-1 = empty).
-        self.query_ids = np.full(n_slots, -1, dtype=np.int64)
-        self.queries_served = np.zeros(n_slots, dtype=np.int64)
+        #: the CTA state words, slot-major, one byte each.
+        self._words = bytearray(n_slots * n_ctas)  # zero-filled: _NONE
+        #: (n_slots, n_ctas) int8 view of the same bytes.
+        self.codes = np.frombuffer(self._words, dtype=np.int8).reshape(
+            n_slots, n_ctas
+        )
+        #: query id owned by each slot (None = empty).
+        self.query_ids: list[int | None] = [None] * n_slots
+        self.queries_served = [0] * n_slots
         self._slots: list[Slot] | None = None
-        # Scheduler runtime words; time stamps are NaN while the slot is
-        # empty, so comparisons against them are false without a mask.
-        #: the job each slot is running (opaque reference, None = empty).
+        # Scheduler runtime words; None while the slot is empty.
+        #: the job each slot is running (opaque reference).
         self.jobs: list = [None] * n_slots
         #: host time the running job was dispatched.
-        self.dispatched_at = np.full(n_slots, np.nan)
-        #: time the slot's FINISH becomes visible to the host (set by the
-        #: scheduler when the last CTA publishes).
-        self.ready_at = np.full(n_slots, np.nan)
+        self.dispatched_at: list[float | None] = [None] * n_slots
+        #: time the slot's FINISH becomes visible to the host
+        #: (:meth:`mark_ready`, when the last CTA publishes).
+        self.ready_at: list[float | None] = [None] * n_slots
         #: dispatch epoch: bumped when the watchdog revokes a slot, so
         #: in-flight CTA-end events of the revoked dispatch become no-ops.
-        self.epochs = np.zeros(n_slots, dtype=np.int64)
+        self.epochs = [0] * n_slots
+        #: host thread owning each slot.
+        self.owner = [0] * n_slots
+        for tid, mine in enumerate(owned):
+            for s in mine:
+                self.owner[s] = tid
+        self.live = [sorted(mine) for mine in owned]
+        self.n_free = [len(mine) for mine in owned]
+        self.n_in_flight = [0] * len(owned)
+        self.n_ready = [0] * len(owned)
 
     @property
     def slots(self) -> list["Slot"]:
@@ -143,16 +170,31 @@ class SlotBank:
     def __getitem__(self, i: int) -> "Slot":
         return self.slots[i]
 
+    def all_finished(self, s: int) -> bool:
+        """Every CTA of slot ``s`` is FINISH (the host detection condition)."""
+        n = self.n_ctas
+        return self._words.count(_FINISH, s * n, s * n + n) == n
+
     # ------------------------------------------------ scheduler events
     def dispatch(self, s: int, job, t_us: float) -> None:
         """Host fills slot ``s`` with ``job`` (anything with a ``query_id``)."""
         self.slots[s].dispatch(job.query_id)
         self.jobs[s] = job
         self.dispatched_at[s] = t_us
+        tid = self.owner[s]
+        self.n_free[tid] -= 1
+        self.n_in_flight[tid] += 1
+
+    def mark_ready(self, s: int, t_us: float) -> None:
+        """Slot ``s``'s FINISH becomes visible to the host at ``t_us``."""
+        if self.ready_at[s] is None:
+            self.n_ready[self.owner[s]] += 1
+        self.ready_at[s] = t_us
 
     def collect(self, s: int):
         """Host collects finished slot ``s``; returns the job it ran."""
         self.slots[s].collect()
+        self.n_free[self.owner[s]] += 1
         return self._release(s)
 
     def force_retire(self, s: int):
@@ -160,27 +202,23 @@ class SlotBank:
         its epoch; returns the job that was lost with it."""
         self.epochs[s] += 1
         self.slots[s].force_retire()
+        tid = self.owner[s]
+        if s in self.live[tid]:
+            self.live[tid].remove(s)
+            if self.jobs[s] is None:
+                self.n_free[tid] -= 1
         return self._release(s)
 
     def _release(self, s: int):
         job, self.jobs[s] = self.jobs[s], None
-        self.ready_at[s] = np.nan
-        self.dispatched_at[s] = np.nan
+        tid = self.owner[s]
+        if job is not None:
+            self.n_in_flight[tid] -= 1
+        if self.ready_at[s] is not None:
+            self.n_ready[tid] -= 1
+        self.ready_at[s] = None
+        self.dispatched_at[s] = None
         return job
-
-    # ------------------------------------------------- vectorized sweeps
-    def all_finished_mask(self) -> np.ndarray:
-        """Per-slot "every CTA is FINISH" (the host detection condition)."""
-        return (self.codes == _FINISH).all(axis=1)
-
-    def free_mask(self) -> np.ndarray:
-        """Per-slot "dispatchable": every CTA in NONE or DONE."""
-        c = self.codes
-        return ((c == _NONE) | (c == _DONE)).all(axis=1)
-
-    def quit_mask(self) -> np.ndarray:
-        """Per-slot "retired": every CTA in QUIT (force_retire/retire)."""
-        return (self.codes == _QUIT).all(axis=1)
 
 
 class Slot:
@@ -195,7 +233,7 @@ class Slot:
     instead hands out views of a shared :class:`SlotBank`.
     """
 
-    __slots__ = ("slot_id", "n_ctas", "bank", "_row", "observer")
+    __slots__ = ("slot_id", "n_ctas", "bank", "_row", "_lo", "_hi", "observer")
 
     def __init__(
         self,
@@ -217,6 +255,9 @@ class Slot:
             _row = 0
         self.bank = bank
         self._row = _row
+        #: this slot's byte range in ``bank._words``.
+        self._lo = _row * n_ctas
+        self._hi = self._lo + n_ctas
         #: optional transition observer ``(slot_id, old, new)`` — the
         #: telemetry layer attaches :meth:`Telemetry.slot_transition` here.
         #: Host-side transitions fire once per slot, GPU-side once per CTA
@@ -251,8 +292,9 @@ class Slot:
 
     # ----------------------------------------------------- stored fields
     @property
-    def _codes(self) -> np.ndarray:
-        return self.bank.codes[self._row]
+    def _codes(self) -> bytearray:
+        """A copy of this slot's CTA state bytes."""
+        return self.bank._words[self._lo:self._hi]
 
     @property
     def cta_states(self) -> list[SlotState]:
@@ -262,16 +304,15 @@ class Slot:
     @property
     def query_id(self) -> int | None:
         """Id of the query currently owned by the slot (None when empty)."""
-        qid = int(self.bank.query_ids[self._row])
-        return None if qid < 0 else qid
+        return self.bank.query_ids[self._row]
 
     @query_id.setter
     def query_id(self, qid: int | None) -> None:
-        self.bank.query_ids[self._row] = -1 if qid is None else qid
+        self.bank.query_ids[self._row] = qid
 
     @property
     def queries_served(self) -> int:
-        return int(self.bank.queries_served[self._row])
+        return self.bank.queries_served[self._row]
 
     @queries_served.setter
     def queries_served(self, n: int) -> None:
@@ -287,35 +328,39 @@ class Slot:
         """
         c = self._codes
         first = c[0]
-        if (c == first).all():
+        if c.count(first) == self.n_ctas:
             return _STATES[first]
         for code in (_WORK, _FINISH, _DONE):
-            if (c == code).any():
+            if code in c:
                 return _STATES[code]
         return SlotState.NONE
 
     @property
     def all_finished(self) -> bool:
-        return bool((self._codes == _FINISH).all())
+        return self.bank.all_finished(self._row)
 
     @property
     def is_free(self) -> bool:
-        c = self._codes
-        return bool(((c == _NONE) | (c == _DONE)).all())
+        words, lo, hi = self.bank._words, self._lo, self._hi
+        return words.count(_NONE, lo, hi) + words.count(_DONE, lo, hi) == self.n_ctas
 
     # ---------------------------------------------------------- host side
     def host_set(self, new: SlotState) -> None:
         """Host-side transition applied to every CTA state."""
-        codes = self._codes
+        words, lo, hi = self.bank._words, self._lo, self._hi
         nc = _CODE[new]
-        ok = _ALLOWED_MATRIX[codes, nc]
-        if not ok.all():
-            i = int(np.argmin(ok))
+        sources = _SOURCES[nc]
+        n_legal = 0
+        for c in sources:
+            n_legal += words.count(c, lo, hi)
+        if n_legal != self.n_ctas:
+            i = next(i for i in range(lo, hi) if words[i] not in sources)
             raise StateTransitionError(
-                f"slot {self.slot_id} CTA {i}: {_STATES[codes[i]]} → {new}"
+                f"slot {self.slot_id} CTA {i - lo}: {_STATES[words[i]]} → {new}"
             )
-        old = self.state
-        codes[:] = nc
+        # The aggregate is only ever read by an observer: skip it otherwise.
+        old = self.state if self.observer is not None else None
+        words[lo:hi] = bytes((nc,)) * self.n_ctas
         if self.observer is not None:
             self.observer(self.slot_id, old, new)
 
@@ -348,8 +393,8 @@ class Slot:
         terminal, so the slot's CTA contexts are permanently lost (the
         engine serves on with the survivors).
         """
-        old = self.state
-        self._codes[:] = _QUIT
+        old = self.state if self.observer is not None else None
+        self.bank._words[self._lo:self._hi] = bytes((_QUIT,)) * self.n_ctas
         self.query_id = None
         if self.observer is not None:
             self.observer(self.slot_id, old, SlotState.QUIT)
@@ -359,14 +404,14 @@ class Slot:
         """GPU-side transition WORK → FINISH for one CTA."""
         if not 0 <= cta < self.n_ctas:
             raise IndexError("cta index out of range")
-        codes = self._codes
-        cur = codes[cta]
+        words, i = self.bank._words, self._lo + cta
+        cur = words[i]
         if cur != _WORK:
             raise StateTransitionError(
                 f"slot {self.slot_id} CTA {cta}: GPU may only advance WORK, "
                 f"saw {_STATES[cur]}"
             )
-        codes[cta] = _FINISH
+        words[i] = _FINISH
         if self.observer is not None:
             self.observer(self.slot_id, SlotState.WORK, SlotState.FINISH)
 
@@ -380,8 +425,8 @@ class Slot:
         """
         if not 0 <= cta < self.n_ctas:
             raise IndexError("cta index out of range")
-        codes = self._codes
-        old = _STATES[codes[cta]]
-        codes[cta] = _NONE
+        words, i = self.bank._words, self._lo + cta
+        old = _STATES[words[i]]
+        words[i] = _NONE
         if self.observer is not None:
             self.observer(self.slot_id, old, SlotState.NONE)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 from ..gpusim.pcie import PCIeLink
 
-__all__ = ["StateChannel", "STATE_WORD_BYTES"]
+__all__ = ["StateChannel", "STATE_MODES", "STATE_WORD_BYTES"]
+
+STATE_MODES = ("naive", "gdrcopy")
 
 #: one CTA state word (an aligned 32-bit flag, the unit GDRCopy moves)
 STATE_WORD_BYTES = 4
@@ -39,8 +41,8 @@ class StateChannel:
     mode: str = "gdrcopy"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("naive", "gdrcopy"):
-            raise ValueError("mode must be 'naive' or 'gdrcopy'")
+        if self.mode not in STATE_MODES:
+            raise ValueError(f"mode must be one of {STATE_MODES}")
 
     def poll(self, now: float, n_slots: int, ctas_per_slot: int) -> float:
         """Host polls the states of ``n_slots`` slots; returns finish time.
@@ -70,9 +72,10 @@ class StateChannel:
         remote mirror) — the saving of gdrcopy is entirely on the poll
         path.  Writes are *posted* MMIO stores: tiny bus occupancy.
         """
-        return self.link.transfer(
+        link = self.link
+        return link.transfer(
             now,
-            STATE_WORD_BYTES * max(1, n_words),
-            tag="state-publish",
-            overhead_us=self.link.MMIO_OVERHEAD_US,
+            STATE_WORD_BYTES * (n_words if n_words > 1 else 1),
+            "state-publish",
+            link.MMIO_OVERHEAD_US,
         )

@@ -64,6 +64,10 @@ class Simulator:
     def pending(self) -> int:
         return len(self._heap)
 
+    def next_time(self) -> float:
+        """Timestamp of the earliest pending event (inf with none pending)."""
+        return self._heap[0][0] if self._heap else float("inf")
+
 
 @dataclass(frozen=True)
 class BlockSchedule:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,9 @@ def replay_jobs(
     """
     if not templates:
         raise ValueError("need at least one job template")
+    n = len(templates)
     return [
-        replace(
-            templates[i % len(templates)],
-            query_id=ev.query_id,
-            arrival_us=ev.arrival_us,
-        )
+        templates[i % n].rescheduled(ev.query_id, ev.arrival_us)
         for i, ev in enumerate(events)
     ]
 

@@ -12,6 +12,8 @@ from repro.core.serving import QueryJob
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 
+from .golden import make_schedules as golden
+
 
 def mkengine(**kw):
     cfg = dict(n_slots=4, n_parallel=2, k=8)
@@ -111,6 +113,29 @@ def test_config_validation():
         DynamicBatchConfig(n_slots=1, n_parallel=1, k=1, host_poll_period_us=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("state_mode", "gdr"),  # used to construct, and raise inside serve()
+        ("gpu_poll_us", -5.0),  # used to serve with gpu_start_us < dispatch_us
+        ("host_submit_us", -0.1),
+        ("result_entry_bytes", 0),
+        ("result_entry_bytes", -8),
+    ],
+)
+def test_config_rejects_out_of_range_field_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        DynamicBatchConfig(n_slots=1, n_parallel=1, k=1, **{field: value})
+
+
+def test_config_boundary_values_construct():
+    cfg = DynamicBatchConfig(
+        n_slots=1, n_parallel=1, k=1, state_mode="naive", gpu_poll_us=0.0,
+        host_submit_us=0.0, result_entry_bytes=1,
+    )
+    assert cfg.gpu_poll_us == 0.0 and cfg.state_mode == "naive"
+
+
 def test_gpu_busy_accounting():
     jobs = mkjobs(5, dur=10.0)
     rep = mkengine().serve(jobs)
@@ -150,6 +175,28 @@ def test_deadline_dropped_queries_excluded():
     served = {r.query_id for r in rep.records}
     assert served == {0, 2}
     assert rep.meta["dropped"] == 1 and rep.meta["dropped_ids"] == [1]
+
+
+#: events per query the dense pass (commit c52a86c) ran on the 16 x 8
+#: Poisson replays of tests/golden: sparse 63.83, knee 13.11, overload 12.18.
+@pytest.mark.parametrize(
+    "scenario, max_events_per_query",
+    [
+        # 8 CTA ends + one wake after each + the dispatching and collecting
+        # wakes: 16.80 today.  Executing idle wakes again costs ~60 more.
+        ("poisson-sparse-16x8", 24.0),
+        ("poisson-knee-16x8", 13.11),
+        ("poisson-overload-16x8", 12.18),
+    ],
+)
+def test_events_per_query_gate(scenario, max_events_per_query):
+    """Host cost is per event, so the event count is the deterministic half
+    of the scheduler's speed: it repeats exactly, and fails tier-1 without a
+    timer if polling an idle system comes back."""
+    run = golden.scheduler_run(scenario)
+    run.run()
+    assert run.outstanding == 0
+    assert run.sim._events_run / len(run.jobs) <= max_events_per_query
 
 
 def _function_nesting(tree):

@@ -1,5 +1,7 @@
 """Fleet driver, autoscaler, and load harness unit tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,30 @@ def test_replay_jobs_cycles_templates():
     assert out[4].cta_durations_us == templates[1].cta_durations_us
     with pytest.raises(ValueError):
         replay_jobs([], events)
+
+
+def test_replay_jobs_equals_dataclasses_replace():
+    """The clone is field for field what ``dataclasses.replace`` builds —
+    hybrid-tier fields included — and as frozen."""
+    templates = [
+        QueryJob(90 + i, 0.0, (10.0 + i, 12.5), dim=8, k=4,
+                 host_us=1.5 * i, result_entries=None if i == 1 else 32 + i)
+        for i in range(3)
+    ]
+    events = poisson_arrivals(8, 1_000, seed=3)
+    out = replay_jobs(templates, events)
+    assert out == [
+        dataclasses.replace(
+            templates[i % 3], query_id=ev.query_id, arrival_us=ev.arrival_us
+        )
+        for i, ev in enumerate(events)
+    ]
+    assert hash(out[2]) == hash(dataclasses.replace(out[2]))
+    assert out[3].cta_durations_us is templates[0].cta_durations_us
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out[0].k = 5
+    with pytest.raises(ValueError):
+        QueryJob(0, 0.0, (3.0, -1.0), dim=8, k=4)  # validation still runs
 
 
 def test_run_load_point_and_sweep():

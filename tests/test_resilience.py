@@ -168,6 +168,19 @@ def test_watchdog_recovers_corrupted_slot():
     assert res["watchdog_kills"] == 1 and rep.meta["failed"] == 0
 
 
+def test_corrupted_single_cta_slot_is_reaped_not_refilled():
+    """With one CTA a corrupted slot's only state word reads NONE.  It is
+    still running a job: it must wait for the watchdog, not be handed the
+    next query over the lost one (which used to spin the simulation until
+    the event budget)."""
+    plan = FaultPlan(slot_faults=(SlotFault(0, "corrupt"),))
+    eng = mkengine(n_slots=2, n_parallel=1, faults=plan, resilience=FAST)
+    rep = eng.serve(mkjobs(6, n_parallel=1))
+    assert len(rep.records) == 6 and rep.meta["failed"] == 0
+    res = rep.meta["resilience"]
+    assert res["watchdog_kills"] == 1 and res["retries"] == 1
+
+
 def test_straggler_priced_not_killed():
     plan = FaultPlan(slot_faults=(SlotFault(0, "straggle", factor=10.0),))
     eng = mkengine(n_slots=2, faults=plan)  # defaults arm DEFAULT_POLICY

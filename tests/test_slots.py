@@ -2,7 +2,6 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.slots import Slot, SlotBank, SlotState, StateTransitionError
@@ -168,40 +167,68 @@ def test_random_interleavings_never_corrupt_state():
 
 def test_bank_runtime_columns_follow_slot_events():
     """Dispatch stamps are set on dispatch and cleared on collect and
-    force_retire; the epoch moves only when the watchdog revokes a slot."""
-    bank = SlotBank(3, 2)
+    force_retire; the epoch moves only when the watchdog revokes a slot;
+    the owning thread's counters and live list follow every move."""
+    bank = SlotBank(3, 2, owned=[[0, 2], [1]])
     job = SimpleNamespace(query_id=41)
 
     def words(s):
         return (bank.jobs[s], bank.dispatched_at[s], bank.ready_at[s],
-                int(bank.epochs[s]))
+                bank.epochs[s])
 
     def is_empty(s, epoch):
-        j, d, r, e = words(s)
-        return j is None and np.isnan(d) and np.isnan(r) and e == epoch
+        return words(s) == (None, None, None, epoch)
+
+    def counters():
+        return bank.live, bank.n_free, bank.n_in_flight, bank.n_ready
 
     assert all(is_empty(s, 0) for s in range(3))
+    assert bank.owner == [0, 1, 0]
+    assert counters() == ([[0, 2], [1]], [2, 1], [0, 0], [0, 0])
 
     bank.dispatch(1, job, 7.5)
     assert bank[1].state is SlotState.WORK and bank[1].query_id == 41
     assert bank.jobs[1] is job and bank.dispatched_at[1] == 7.5
-    assert np.isnan(bank.ready_at[1]) and bank.epochs[1] == 0
+    assert bank.ready_at[1] is None and bank.epochs[1] == 0
     assert is_empty(0, 0) and is_empty(2, 0)  # neighbours untouched
+    assert counters() == ([[0, 2], [1]], [2, 0], [0, 1], [0, 0])
 
     for cta in range(2):
+        assert not bank.all_finished(1)
         bank[1].advance_cta(cta)
-    bank.ready_at[1] = 9.0  # the scheduler's stamp: FINISH visible
+    assert bank.all_finished(1) and not bank.all_finished(0)
+    bank.mark_ready(1, 9.0)  # the scheduler's stamp: FINISH visible
+    assert bank.ready_at[1] == 9.0
+    assert counters() == ([[0, 2], [1]], [2, 0], [0, 1], [0, 1])
     assert bank.collect(1) is job
     assert bank[1].state is SlotState.DONE and bank[1].queries_served == 1
     assert is_empty(1, 0)
+    assert counters() == ([[0, 2], [1]], [2, 1], [0, 0], [0, 0])
 
     bank.dispatch(1, job, 11.0)  # slot reuse, same epoch
     assert bank.epochs[1] == 0
     assert bank.force_retire(1) is job
     assert bank[1].state is SlotState.QUIT and bank[1].query_id is None
     assert is_empty(1, 1)
-    assert bank.epochs.tolist() == [0, 1, 0]
+    assert bank.epochs == [0, 1, 0]
+    assert counters() == ([[0, 2], []], [2, 0], [0, 0], [0, 0])
 
     with pytest.raises(StateTransitionError):
         bank.collect(0)  # never dispatched: Fig. 5 still guards the bank path
     assert is_empty(0, 0)
+    assert counters() == ([[0, 2], []], [2, 0], [0, 0], [0, 0])
+
+    assert bank.force_retire(2) is None  # a free slot can be revoked too
+    assert counters() == ([[0], []], [1, 0], [0, 0], [0, 0])
+
+
+def test_bank_codes_view_the_state_bytes():
+    """``codes`` is the bank's storage seen as an array, not a mirror."""
+    bank = SlotBank(2, 3)
+    bank[1].dispatch(5)
+    bank[1].advance_cta(2)
+    assert bank.codes.tolist() == [[0, 0, 0], [1, 1, 2]]
+    bank.codes[0, 1] = 1  # writes through: slot 0 now has a CTA in WORK
+    assert bank[0].cta_states[1] is SlotState.WORK and not bank[0].is_free
+    with pytest.raises(ValueError):
+        SlotBank(3, 2, owned=[[0, 1], [1, 2]])  # slot 1 dealt twice

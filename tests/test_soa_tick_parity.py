@@ -1,12 +1,14 @@
 """The slot scheduler against its frozen reference schedules.
 
-``tests/golden/schedules.json`` was written at commit ``a2fd882`` by
-``tests/golden/make_schedules.py`` under ``tick_mode="loop"`` — the
-per-slot reference host pass that commit still carried beside the
-vectorized one.  The reference pass and its selector are gone; the one
-remaining host pass must reproduce those schedules *exactly*: same
-QueryRecords, report scalars, PCIe ledger, resilience meta and telemetry
-rendering, across healthy runs, fault plans, degradation windows, drops and
+``tests/golden/schedules.json`` was written by
+``tests/golden/make_schedules.py`` on the last commits that still executed
+every host wake: nine schedules at ``a2fd882`` under ``tick_mode="loop"``
+(the per-slot reference pass), nine more at ``c52a86c`` (the dense numpy
+pass) at the paper's 16 x 8 shape and on the admission paths.  Both passes
+are gone; the change-driven pass that replaced them must reproduce those
+schedules *exactly*: same QueryRecords, report scalars, PCIe ledger (float
+sums included), resilience meta and telemetry rendering, across healthy
+runs, fault plans, degradation windows, drops, shedding, priorities and
 multi-thread partitions.  Anything less means a change to the scheduler
 moved scheduling, not just its cost.
 """
@@ -21,7 +23,10 @@ import pytest
 
 from repro.core.cluster import ShardedServer
 from repro.core.dynamic_batcher import DynamicBatchConfig
+from repro.core.host import partition_slots
 from repro.core.serving import ServeConfig
+from repro.core.slots import _CODE as CODE
+from repro.core.slots import SlotState
 from repro.graphs import build_nsw
 from repro.parallel import make_pool
 
@@ -32,7 +37,7 @@ DROPS = "deadline-drops"
 
 
 def _check(name):
-    assert golden.freeze(*golden.serve(golden.SCENARIOS[name])) == GOLDEN[name]
+    assert golden.frozen(name) == GOLDEN[name]
 
 
 def test_fixture_covers_every_scenario():
@@ -50,6 +55,72 @@ def test_soa_tick_parity_with_drops():
     """Deadline drops surface exactly as in the frozen run."""
     assert GOLDEN[DROPS]["meta"]["dropped"] > 0  # the scenario exercises drops
     _check(DROPS)
+
+
+def _bank_reductions(bank, owned):
+    """Per-thread ``(live, n_free, n_in_flight, n_ready)`` recomputed from
+    the bank's words — what the deleted mask reductions read every wake."""
+    codes = bank.codes
+    quit_ = (codes == CODE[SlotState.QUIT]).all(axis=1)
+    free = (
+        (codes == CODE[SlotState.NONE]) | (codes == CODE[SlotState.DONE])
+    ).all(axis=1)
+    live = [[s for s in mine if not quit_[s]] for mine in owned]
+    return (
+        live,
+        [sum(bool(free[s]) for s in mine) for mine in live],
+        [sum(bank.dispatched_at[s] is not None for s in mine) for mine in owned],
+        [sum(bank.ready_at[s] is not None for s in mine) for mine in owned],
+    )
+
+
+@pytest.mark.parametrize("scenario", sorted(golden.SCENARIOS))
+def test_bank_counters_equal_bank_reductions_after_every_event(scenario):
+    """The per-thread counters and live lists the host pass trusts instead
+    of scanning are, after each simulator event (watchdog kills, corrupt
+    CTAs and retry exhaustion included), what a scan would have found."""
+    run = golden.scheduler_run(scenario)
+    bank, cfg = run.bank, run.cfg
+    owned = partition_slots(cfg.n_slots, cfg.host_threads)
+    schedule, checked = run.sim.schedule, []
+
+    def check_after(fn, sim):
+        fn(sim)
+        assert (bank.live, bank.n_free, bank.n_in_flight, bank.n_ready) == (
+            _bank_reductions(bank, owned)
+        )
+        # one copy of every word: a slot runs a job iff it is stamped
+        assert [j is not None for j in bank.jobs] == [
+            d is not None for d in bank.dispatched_at
+        ]
+        checked.append(sim.now)
+
+    run.sim.schedule = lambda when, fn: schedule(when, partial(check_after, fn))
+    run.run()
+    assert len(checked) == run.sim._events_run > 0
+
+
+#: ``Simulator._events_run`` of the scenarios whose wakes are impure, at
+#: ``c52a86c`` — where every wake was executed.
+DENSE_EVENTS = {
+    "naive-state-mode": 83,
+    "faults+policy": 694,
+    "faults-default-policy": 4263,
+    "retry-exhaustion": 610,
+    "degrade-overload": 403,
+    "hybrid-tier-pcie-stall": 435,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DENSE_EVENTS))
+def test_impure_wakes_are_all_executed(scenario):
+    """Under ``state_mode="naive"`` (a wake polls across the link) or a
+    resilience policy (a wake runs the watchdog and the degrade check) no
+    wake is skipped: the event count is the dense pass's."""
+    run = golden.scheduler_run(scenario)
+    assert not run.pure_wakes
+    run.run()
+    assert run.sim._events_run == DENSE_EVENTS[scenario]
 
 
 def test_removed_selectors_are_type_errors():
