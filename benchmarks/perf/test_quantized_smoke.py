@@ -4,15 +4,28 @@ Marker-gated (``-m perf_smoke``) like the search/build gates.  On a small
 dim=960 corpus the int8 substrate must be >= 1.5x faster than float32 on
 the simulated-GPU latency axis (the cost model pricing each run's own
 traces — the quantity the serve stack reports) while holding recall@16
-within 0.02.  Wall clock is a hard gate too: with the fused codec kernels
-(``precision.Int8Kernel``) int8 must not lose to float32 even on the
-host numpy engine (best-of-3, untraced runs) — the same
-``wall_speedup_vs_float32 >= 1.0`` bar BENCH_quantized.json enforces at
-full bench scale.
+within 0.02.  Wall clock is a hard gate too: int8 must not lose to float32
+even on the host numpy engine — the same ``wall_speedup_vs_float32 >= 1.0``
+bar BENCH_quantized.json enforces at full bench scale.
+
+Re-measured after the cache-blocked pair kernels (ISSUE 21; 2-core host,
+30 interleaved runs a side): at this scale (24 queries) float32 16.7 ->
+12.7 ms and int8 16.1 -> 12.5 ms, ratio 1.04x -> 1.01-1.02x; at 512
+queries float32 290 -> 128 ms and int8 213 -> 129 ms, ratio 1.36x ->
+1.00x.  Both paths got faster; int8 lost its *relative* host advantage
+because the float32 kernel no longer streams its gathered operands through
+DRAM: per gathered point row int8 now saves 2 880 B of cache-resident
+copying and pays it back in the uint8 -> float32 cast inside the einsum
+(profile at this scale: take 64 ms + einsum 39 ms float32, take 43 ms +
+einsum 58 ms int8, over 20 runs).  The gate stays at 1.0x.  With a margin
+that thin the reading has to be finer than the old sequential best-of-3
+(+-5 % at either commit): it is the median of 40 interleaved
+float32 / int8 ratios (1.006-1.024 over eight trials, ~1 s of runs).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -32,16 +45,19 @@ pytestmark = pytest.mark.perf_smoke
 MIN_SIM_SPEEDUP = 1.5
 MIN_WALL_SPEEDUP = 1.0
 MAX_RECALL_DELTA = 0.02
-WALL_REPEATS = 3
+WALL_REPEATS = 40
 
 
-def _best_of(fn, repeats=WALL_REPEATS):
-    best = float("inf")
+def _interleaved_walls(fn_a, fn_b, repeats=WALL_REPEATS):
+    """Wall times of the two callables run alternately, so that a slow
+    spell of the host lands on both: ``(times_a, times_b)``."""
+    times = ([], [])
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for fn, out in zip((fn_a, fn_b), times):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return times
 
 
 @pytest.mark.perf_smoke
@@ -65,10 +81,15 @@ def test_int8_traversal_beats_float32_on_simulated_latency():
     run(None, False), run(codec, False)  # warm both paths
 
     # Wall clock on untraced runs (trace recording is Python bookkeeping
-    # that would dilute the ratio equally and add noise), best-of-N
+    # that would dilute the ratio equally and add noise), interleaved
     # against scheduler jitter; the traced runs below feed the sim axis.
-    t_f32 = _best_of(lambda: run(None, False))
-    t_i8 = _best_of(lambda: run(codec, False))
+    walls_f32, walls_i8 = _interleaved_walls(
+        lambda: run(None, False), lambda: run(codec, False)
+    )
+    t_f32, t_i8 = statistics.median(walls_f32), statistics.median(walls_i8)
+    wall_speedup = statistics.median(
+        a / b for a, b in zip(walls_f32, walls_i8)
+    )
     res_f32 = run(None, True)
     res_i8 = run(codec, True)
 
@@ -94,7 +115,7 @@ def test_int8_traversal_beats_float32_on_simulated_latency():
     reg.gauge("algas_quantized_smoke_sim_speedup",
               "float32 / int8 simulated latency").set(sim_f32 / sim_i8)
     reg.gauge("algas_quantized_smoke_wall_speedup",
-              "float32 / int8 wall clock").set(t_f32 / t_i8)
+              "float32 / int8 wall clock").set(wall_speedup)
     print()
     print(to_prometheus_text(reg), end="")
 
@@ -107,7 +128,7 @@ def test_int8_traversal_beats_float32_on_simulated_latency():
         f"int8 recall@16 {rec_i8:.4f} drifts more than {MAX_RECALL_DELTA} "
         f"from float32 {rec_f32:.4f}"
     )
-    assert t_f32 / t_i8 >= MIN_WALL_SPEEDUP, (
-        f"int8 wall-clock speedup {t_f32 / t_i8:.2f}x below the "
-        f"{MIN_WALL_SPEEDUP}x gate ({t_f32:.3f}s -> {t_i8:.3f}s)"
+    assert wall_speedup >= MIN_WALL_SPEEDUP, (
+        f"int8 wall-clock speedup {wall_speedup:.3f}x below the "
+        f"{MIN_WALL_SPEEDUP}x gate ({t_f32:.4f}s -> {t_i8:.4f}s)"
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..data.metrics import require_finite
 from ..data.workload import QueryEvent, resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
@@ -110,6 +111,7 @@ class BaseGraphSystem:
         #: on every serve.
         self.build_info = dict(build_info) if build_info else None
         self.base = np.asarray(base, dtype=np.float32)
+        require_finite(self.base, "base vectors")
         self.graph = graph
         self.device = device
         self.metric = metric
@@ -207,13 +209,7 @@ class BaseGraphSystem:
                 self.n_parallel, metric=self.metric, beam=self.beam,
                 entries=entries, codec=codec, rerank_mult=rm,
             )
-        ids = np.full((nq, self.k), -1, dtype=np.int64)
-        dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        for i, (r_ids, r_dists) in enumerate(zip(results.ids, results.dists)):
-            m = min(self.k, len(r_ids))
-            ids[i, :m] = r_ids[:m]
-            dists[i, :m] = r_dists[:m]
-        return ids, dists, results.traces
+        return results.padded_ids, results.padded_dists, results.traces
 
     # -------------------------------------------------------------- pricing
     def jobs_from_traces(

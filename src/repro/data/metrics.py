@@ -19,8 +19,12 @@ import numpy as np
 __all__ = [
     "METRICS",
     "normalize",
+    "require_finite",
     "pairwise_distances",
     "pair_distances",
+    "PairKernel",
+    "PAIR_SCRATCH_BYTES",
+    "pair_block_rows",
     "query_distances",
     "distance_one",
     "blocked_pairwise",
@@ -29,11 +33,49 @@ __all__ = [
 #: Supported metric names.
 METRICS = ("l2", "cosine")
 
+#: Operand scratch of one blocked pair kernel (:class:`PairKernel` and the
+#: codec kernels of :mod:`repro.search.precision`), in bytes.  A kernel
+#: gathers its operands into blocks of ``pair_block_rows(row_bytes)`` pairs
+#: allocated once from this budget, so the gather -> reduce working set
+#: stays in L2 however many pairs a lockstep round scores.  Not a knob:
+#: every substrate has its optimum here.  One kernel call on 200k
+#: row-sorted pairs (100k for 960-d float32), median of 7, 2-core host, ms:
+#:
+#: =============  ====  =====  =====  =====  =====  =====  =====  ======
+#: scratch (KiB)    32    128    256    512  1 024  2 048  8 192  65 536
+#: 128-d float32  46.3   21.1   17.7   15.3   16.9   20.6   23.7    36.2
+#: 960-d int8      264    122   98.6   87.6   81.7   97.6    105     190
+#: 960-d float32   171   68.4   54.8   48.6   47.7   65.0   74.4     126
+#: =============  ====  =====  =====  =====  =====  =====  =====  ======
+#:
+#: Smaller blocks pay Python dispatch per block, larger ones fall out of
+#: L2 and stream through DRAM again (docs/performance.md).  512 KiB is 512
+#: pairs a block at 128-d float32 (2 x 512 B a pair) and 109 at 960-d int8
+#: (960 B of codes + 3 840 B of scaled query a pair).
+PAIR_SCRATCH_BYTES = 512 * 1024
+
+
+def pair_block_rows(row_bytes: int) -> int:
+    """Pairs per block for a kernel whose operands take ``row_bytes`` of
+    scratch per pair (at least one, so a single very wide row still runs)."""
+    return max(1, PAIR_SCRATCH_BYTES // row_bytes)
+
 
 def _check_metric(metric: str) -> str:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     return metric
+
+
+def require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of the 2-D ``x`` that holds
+    NaN or inf.  The search boundary check: a NaN distance compares false
+    against every bound, so it would silently thin results downstream."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{what} must be finite: row {int(bad[0])} holds NaN or inf"
+        )
 
 
 def normalize(x: np.ndarray, copy: bool = True) -> np.ndarray:
@@ -111,6 +153,11 @@ def pair_distances(
 
     As everywhere in this module, cosine inputs are assumed normalized, so
     the cosine distance is ``1 - dot``.
+
+    This function is the *definition*: the scalar oracle and
+    :func:`~repro.search.precision.exact_rerank` call it, and
+    :class:`PairKernel` — what the lockstep engine runs — must equal it bit
+    for bit on gathered operands (``tests/test_pair_kernel.py``).
     """
     _check_metric(metric)
     a = np.ascontiguousarray(a, dtype=np.float32)
@@ -126,6 +173,77 @@ def pair_distances(
         diff = a - b
         return np.einsum("ij,ij->i", diff, diff).astype(np.float32)
     return (1.0 - np.einsum("ij,ij->i", a, b)).astype(np.float32)
+
+
+class PairKernel:
+    """Cache-blocked :func:`pair_distances` over *indexed* rows.
+
+    ``kernel(ia, ib)[p]`` is the distance between ``a[ia[p]]`` and
+    ``b[ib[p]]`` — bit-identical to ``pair_distances(a[ia], b[ib], metric,
+    a_norms[ia], b_norms[ib])`` (L2 always takes the norms expansion; a side
+    given without norms gets them here, with the same einsum).  Instead of
+    materialising both ``(pairs, dim)`` gathers through DRAM, pairs are
+    scored ``pair_block_rows`` at a time: ``np.take(..., out=)`` into two
+    operand blocks allocated once (:data:`PAIR_SCRATCH_BYTES`), then the
+    per-row einsum.  Row accumulation never sees the block boundary, so no
+    distance bit depends on the blocking.  Indices must be in range
+    (``mode="clip"`` keeps ``take`` on its unbuffered ``out=`` path; the
+    engine range-checks ids in its visited test-and-set).  Returns an owned
+    ``(pairs,)`` float32 array.
+    """
+
+    __slots__ = ("a", "b", "a_norms", "b_norms", "rows", "_ag", "_bg")
+
+    def __init__(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        metric: str = "l2",
+        a_norms: np.ndarray | None = None,
+        b_norms: np.ndarray | None = None,
+    ):
+        _check_metric(metric)
+        self.a = np.ascontiguousarray(a, dtype=np.float32)
+        self.b = np.ascontiguousarray(b, dtype=np.float32)
+        if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[1] != self.b.shape[1]:
+            raise ValueError("a and b must be 2-D arrays of one width")
+        if metric == "l2":
+            if a_norms is None:
+                a_norms = np.einsum("ij,ij->i", self.a, self.a)
+            if b_norms is None:
+                b_norms = np.einsum("ij,ij->i", self.b, self.b)
+            self.a_norms = np.asarray(a_norms, dtype=np.float32)
+            self.b_norms = np.asarray(b_norms, dtype=np.float32)
+        else:
+            self.a_norms = self.b_norms = None
+        dim = self.a.shape[1]
+        self.rows = pair_block_rows(2 * 4 * dim)
+        self._ag = np.empty((self.rows, dim), dtype=np.float32)
+        self._bg = np.empty((self.rows, dim), dtype=np.float32)
+
+    @property
+    def scratch_nbytes(self) -> int:
+        """Bytes of operand scratch held (fixed at construction)."""
+        return self._ag.nbytes + self._bg.nbytes
+
+    def __call__(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        n = ib.shape[0]
+        dot = np.empty(n, dtype=np.float32)
+        for lo in range(0, n, self.rows):
+            hi = min(lo + self.rows, n)
+            ag = self._ag[: hi - lo]
+            bg = self._bg[: hi - lo]
+            self.a.take(ia[lo:hi], axis=0, out=ag, mode="clip")
+            self.b.take(ib[lo:hi], axis=0, out=bg, mode="clip")
+            np.einsum("ij,ij->i", ag, bg, out=dot[lo:hi])
+        if self.a_norms is None:
+            return np.subtract(np.float32(1.0), dot, out=dot)
+        # (an + bn) - 2·dot, then the clamp: pair_distances' evaluation order.
+        d = self.a_norms[ia]
+        d += self.b_norms[ib]
+        np.multiply(dot, np.float32(2.0), out=dot)
+        d -= dot
+        return np.maximum(d, np.float32(0.0), out=d)
 
 
 def pairwise_distances(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.metrics import pair_distances, query_distances
+from ..data.metrics import pair_distances, query_distances, require_finite
 from .base import GraphIndex
 from .build_batched import (
     _add_links,
@@ -75,6 +75,7 @@ class DynamicGraph:
         points = np.asarray(points, dtype=np.float32)
         if points.shape[0] != graph.n_vertices:
             raise ValueError("points and graph size mismatch")
+        require_finite(points, "points")
         if link_select not in ("closest", "occlusion"):
             raise ValueError(
                 f"unknown link_select {link_select!r}; "
@@ -184,10 +185,10 @@ class DynamicGraph:
         if queries.ndim == 1:
             queries = queries[None, :]
         B = queries.shape[0]
-        out_ids = np.full((B, k), -1, dtype=np.int64)
-        out_d = np.full((B, k), np.inf, dtype=np.float32)
         dim = int(queries.shape[1])
         if self._n_alive == 0 or B == 0:
+            out_ids = np.full((B, k), -1, dtype=np.int64)
+            out_d = np.full((B, k), np.inf, dtype=np.float32)
             empty = TraceBuilder(B).build(1, dim, k, np.zeros(B, dtype=np.int32))
             return out_ids, out_d, empty if record_trace else None
         codec = self.traversal_codec(precision)
@@ -207,14 +208,7 @@ class DynamicGraph:
             alive_mask=self._alive[:n],
         )
         eng.run(100 * cand_capacity + 100, what="dynamic batch search")
-        for r in range(B):
-            if codec is None:
-                ids, dists = eng.results_row(r, k)
-            else:
-                approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
-                ids, dists = eng.rerank_row(r, approx_ids, k, set_result_len=True)
-            out_ids[r, : ids.size] = ids
-            out_d[r, : dists.size] = dists
+        out_ids, out_d, _ = eng.row_topk(k, rerank_mult)
         return out_ids, out_d, eng.trace_block(1, dim, k)
 
     def _search_scalar(
@@ -271,6 +265,7 @@ class DynamicGraph:
             return np.empty(0, dtype=np.int64)
         if pts.shape[1] != self._pts.shape[1]:
             raise ValueError("dimension mismatch")
+        require_finite(pts, "inserted points")
         self._mutate()
         start = self._n_total
         ids = np.arange(start, start + W, dtype=np.int64)

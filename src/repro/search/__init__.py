@@ -27,7 +27,7 @@ from .precision import (
     make_codec,
 )
 from .quantization import IVFPQIndex, ProductQuantizer, ScalarQuantizer
-from .topk import heap_merge, merge_sorted_lists, select_topk
+from .topk import heap_merge, merge_sorted_lists, merge_topk_batch, select_topk
 from .visited import VisitedBitmap
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "ScalarQuantizer",
     "heap_merge",
     "merge_sorted_lists",
+    "merge_topk_batch",
     "select_topk",
     "VisitedBitmap",
 ]

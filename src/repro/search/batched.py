@@ -13,16 +13,30 @@ batched kernels (and any serious GPU traversal) do:
 * neighbour expansion is a single fancy-indexed gather from the graph's
   cached padded ``(n, max_degree)`` neighbour matrix
   (:meth:`~repro.graphs.base.GraphIndex.neighbor_matrix`);
-* all freshly admitted points of a step are scored with **one** batched
-  distance computation (:func:`~repro.data.metrics.pair_distances`);
+* all freshly admitted points of a step are scored by **one** cache-blocked
+  pair kernel call (:class:`~repro.data.metrics.PairKernel`, or the
+  codec's :class:`~repro.search.precision.Int8Kernel` /
+  :class:`~repro.search.precision.PQKernel`): operands are gathered a
+  fixed-size block at a time into scratch sized once per kernel, so a
+  round's working set is cache-resident however wide the round is;
+* pairs that cannot survive truncation (``dist >= `` the row's worst kept
+  distance) are dropped before the merge — always, tracing or not: the
+  trace records the pre-filter counts;
 * list maintenance is one stable row-wise argsort over the rows that
-  actually received new candidates.
+  actually received new candidates, in a merge block allocated once per
+  engine;
+* the epilogue is batched too: :meth:`LockstepEngine.topk` hands out the
+  padded ``(R, k)`` pools, and multi-CTA top-k is one
+  :func:`~repro.search.topk.merge_topk_batch` over the contiguous per-CTA
+  lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly).
 
 The engine is a *bit-exact* replacement for the scalar path: per-row
 ordering of every effectful operation (entry seeding, candidate selection,
 neighbour fetch order, visited test-and-set, tie-breaking in the merge)
-matches the scalar searcher, and the shared ``pair_distances`` kernel makes
-every distance bit identical.  Multi-CTA queries share a visited row; the
+matches the scalar searcher, and the pair kernels equal
+:func:`~repro.data.metrics.pair_distances` / ``codec.distances`` — what the
+scalar searcher calls — on every distance bit
+(``tests/test_pair_kernel.py``).  Multi-CTA queries share a visited row; the
 row order within a query reproduces the scalar round-robin schedule, so
 cross-CTA work partitioning — and therefore results *and* op traces —
 are identical too.
@@ -40,13 +54,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..data.metrics import pair_distances
+from ..data.metrics import PairKernel, require_finite
 from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, SearchResult
 from .multi_cta import make_entries, per_cta_capacity
-from .precision import DEFAULT_RERANK_MULT, exact_rerank
-from .topk import heap_merge
+from .precision import DEFAULT_RERANK_MULT
+from .topk import merge_topk_batch
 
 __all__ = [
     "BatchedVisited",
@@ -85,22 +99,32 @@ class BatchedVisited:
         if ids.min() < 0 or ids.max() >= self.n:
             raise IndexError("vertex id out of range")
         self.probes += int(ids.size)
-        byte = ids >> 3
+        bits = self._bits.reshape(-1)
+        rows = rows.astype(np.int64, copy=False)
+        flat = rows * self.words_per_row + (ids >> 3)
         bit = np.uint8(1) << (ids & 7).astype(np.uint8)
-        already = (self._bits[rows, byte] & bit) != 0
-        fresh = ~already
-        if fresh.any():
-            f_idx = np.flatnonzero(fresh)
-            keys = rows[f_idx].astype(np.int64) * self.n + ids[f_idx]
-            # np.unique returns the index of the *first* occurrence of each
-            # key: later duplicates in the sequence lose, first-come wins.
-            _, first = np.unique(keys, return_index=True)
-            dup = np.ones(f_idx.size, dtype=bool)
-            dup[first] = False
-            fresh[f_idx[dup]] = False
+        fresh = (bits.take(flat) & bit) == 0
+        f_idx = np.flatnonzero(fresh)
+        if f_idx.size:
+            # First come, first served over the sequence: pack (pair key,
+            # sequence position) into one int64, sort once, and every key
+            # equal to its predecessor is a later duplicate that loses.
+            pos_bits = int(f_idx.size - 1).bit_length()
+            n_rows = self._bits.shape[0]
+            if (n_rows * self.n - 1).bit_length() + pos_bits > 63:
+                raise OverflowError(
+                    f"visited pair keys do not fit 63 bits: Q={n_rows} rows x "
+                    f"n={self.n} points with {f_idx.size} fresh pairs in one call"
+                )
+            keys = rows.take(f_idx) * self.n + ids.take(f_idx)
+            keys <<= pos_bits
+            keys |= np.arange(f_idx.size, dtype=np.int64)
+            keys.sort()
+            later = keys[1:]
+            dup = (later >> pos_bits) == (keys[:-1] >> pos_bits)
+            fresh[f_idx.take(later[dup] & ((1 << pos_bits) - 1))] = False
             s_idx = np.flatnonzero(fresh)
-            flat = rows[s_idx].astype(np.int64) * self.words_per_row + byte[s_idx]
-            np.bitwise_or.at(self._bits.reshape(-1), flat, bit[s_idx])
+            np.bitwise_or.at(bits, flat.take(s_idx), bit.take(s_idx))
             self.sets += int(s_idx.size)
         return fresh
 
@@ -144,6 +168,9 @@ class LockstepEngine:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        # The bound filter drops what `dist < bound` rejects, NaN included:
+        # a non-finite query must fail here, not thin its own result.
+        require_finite(queries, "queries")
         self.queries = queries
         self.row_query = np.asarray(row_query, dtype=np.int64)
         if len(row_entries) != self.row_query.size:
@@ -181,26 +208,27 @@ class LockstepEngine:
             self._qnorm = np.einsum("ij,ij->i", self.queries, self.queries)
         else:
             self._pnorm = self._qnorm = None
-        # Quantized traversal substrate (repro.search.precision): when set,
-        # per-hop distances come from the codec's compressed kernel and the
-        # per-query dispatch state (scaled queries / ADC tables) is built
-        # once here.  Trace steps then record the codec's per-point work
-        # width and precision tag so the cost model prices them correctly.
+        # One pair kernel for every precision.  Quantized traversal
+        # (repro.search.precision): per-hop distances come from the codec's
+        # compressed kernel, whose per-query dispatch state (scaled queries
+        # / ADC tables) is built once here, and trace steps record the
+        # codec's per-point work width and precision tag so the cost model
+        # prices them correctly.
         self.codec = codec
         if codec is not None:
-            self._cstate = codec.query_state(self.queries)
-            # Fused per-dispatch kernel: codec gathers + distance math into
-            # preallocated scratch, reused across every lockstep round (no
-            # per-step table rebuilds or temporaries).  Bit-identical to
-            # codec.distances — see repro.search.precision.
-            self._ckernel = codec.make_kernel(self._cstate)
+            self._kernel = codec.make_kernel(codec.query_state(self.queries))
             self._trace_dim = int(codec.trace_dim)
             self._precision = precision_code(codec.precision)
         else:
-            self._cstate = None
-            self._ckernel = None
+            self._kernel = PairKernel(
+                self.queries, self.points, metric, self._qnorm, self._pnorm
+            )
             self._trace_dim = self.dim
             self._precision = precision_code("float32")
+        # Exact work counters (beside visited.probes / sets): pairs the
+        # kernel scored, and pairs that passed the bound filter into a merge.
+        self.pairs_scored = 0
+        self.pairs_merged = 0
         self.cand_ids = np.full((R, L), -1, dtype=np.int64)
         self.cand_d = np.full((R, L), np.inf, dtype=np.float32)
         self.cand_checked = np.zeros((R, L), dtype=bool)
@@ -208,10 +236,9 @@ class LockstepEngine:
         self.active = np.zeros(R, dtype=bool)
         self.visited = BatchedVisited(queries.shape[0], self.points.shape[0])
         # Op trace, columnar: one chunk of count arrays per lockstep round,
-        # the exact re-rank epilogue logged per row and added as one chunk.
+        # the exact re-rank epilogue one more chunk.
         self._trace = TraceBuilder(R) if record_trace else None
         self._result_len = np.zeros(R, dtype=np.int32)
-        self._reranks: list[tuple[int, int, float]] = []
         # Optional expansion log: per step, the (row, id, dist) triples of
         # the vertices expanded that cycle.  NSG construction consumes this
         # — its per-vertex candidate pool is the *search path* (everything
@@ -221,6 +248,10 @@ class LockstepEngine:
             [] if record_expansions else None
         )
         self._col = np.arange(L)
+        # Merge block: old lists in columns [0, L), a round's new pairs in
+        # [L, L + W); W grows only when a round's widest row exceeds it.
+        self._merge_w = 0
+        self._merge_d = self._merge_ids = self._merge_checked = None
         self._seed(row_entries)
 
     # ------------------------------------------------------------- seeding
@@ -266,42 +297,32 @@ class LockstepEngine:
 
     # ------------------------------------------------------------- merging
     def _score_and_merge(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Score fresh (row, id) pairs with one batched distance kernel and
-        fold them into their rows' candidate lists; returns per-row counts.
+        """Score fresh (row, id) pairs with one blocked kernel call and fold
+        the ones that can survive into their rows' candidate lists.
 
-        ``rows`` must be sorted ascending with per-row insertion order
-        preserved — that order is the stable-merge tie order.
+        Returns the per-row counts of pairs *scored* — what the op trace
+        records (``n_new_points``, ``sort_size``).  ``rows`` must be sorted
+        ascending with per-row insertion order preserved — that order is
+        the stable-merge tie order.
         """
         counts = np.bincount(rows, minlength=self.R).astype(np.int64)
         if ids.size == 0:
             return counts
-        qrows = self.row_query[rows]
-        if self.codec is not None:
-            # Scratch-view return: consumed (filtered / scattered into the
-            # padded merge block) before the kernel runs again.
-            dists = self._ckernel(qrows, ids)
-        else:
-            dists = pair_distances(
-                self.queries[qrows], self.points[ids], self.metric,
-                a_norms=None if self._qnorm is None else self._qnorm[qrows],
-                b_norms=None if self._pnorm is None else self._pnorm[ids],
-            )
-        if self._trace is None:
-            # Bound filter: a pair at or beyond its row's current worst slot
-            # can never survive the stable merge truncation (old entries win
-            # ties), so dropping it up front is bit-identical while shrinking
-            # the merge width — pools not yet full have an inf sentinel there,
-            # which keeps every pair.  Trace mode skips this so the recorded
-            # sort sizes match the scalar cost model.
-            keep = dists < self.cand_d[rows, self.L - 1]
-            if not keep.all():
-                rows = rows[keep]
-                ids = ids[keep]
-                dists = dists[keep]
-                counts = np.bincount(rows, minlength=self.R).astype(np.int64)
-                if ids.size == 0:
-                    return counts
-        self._merge_pairs(rows, ids, dists, counts)
+        dists = self._kernel(self.row_query.take(rows), ids)
+        self.pairs_scored += int(ids.size)
+        # Bound filter: a pair at or beyond its row's current worst slot can
+        # never survive the stable merge truncation (old entries win ties),
+        # so dropping it up front is bit-identical while shrinking the merge
+        # width.  Pools not yet full have an inf sentinel there, which keeps
+        # every pair; a full pool stays at L — `sizes` never sees the filter.
+        keep = np.flatnonzero(dists < self.cand_d[:, self.L - 1].take(rows))
+        kept = counts
+        if keep.size < ids.size:
+            rows, ids, dists = rows.take(keep), ids.take(keep), dists.take(keep)
+            kept = np.bincount(rows, minlength=self.R).astype(np.int64)
+        if ids.size:
+            self.pairs_merged += int(ids.size)
+            self._merge_pairs(rows, ids, dists, kept)
         return counts
 
     def _merge_pairs(
@@ -313,32 +334,43 @@ class LockstepEngine:
     ) -> None:
         """Fold scored (row, id, dist) pairs into their candidate lists
         (sorted, truncated, old-before-new / fetch-order tie resolution)."""
+        L = self.L
         mrows = np.flatnonzero(counts)
         maxc = int(counts[mrows].max())
-        # Scatter the ragged per-row pairs into an inf-padded (Bm, maxc)
-        # block, preserving insertion order within each row.
+        if maxc > self._merge_w:
+            self._merge_w = maxc
+            cells = self.R * (L + maxc)
+            self._merge_d = np.empty(cells, dtype=np.float32)
+            self._merge_ids = np.empty(cells, dtype=np.int64)
+            self._merge_checked = np.empty(cells, dtype=bool)
+        shape = (mrows.size, L + maxc)
+        cells = shape[0] * shape[1]
+        m_d = self._merge_d[:cells].reshape(shape)
+        m_ids = self._merge_ids[:cells].reshape(shape)
+        m_c = self._merge_checked[:cells].reshape(shape)
+        m_d[:, :L] = self.cand_d[mrows]
+        m_ids[:, :L] = self.cand_ids[mrows]
+        m_c[:, :L] = self.cand_checked[mrows]
+        m_d[:, L:] = np.inf
+        m_ids[:, L:] = -1
+        m_c[:, L:] = False
+        # Scatter the ragged per-row pairs behind the old lists, preserving
+        # insertion order within each row.
         offsets = np.zeros(self.R, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
-        pos_in_row = np.arange(rows.size, dtype=np.int64) - offsets[rows]
-        rc = np.searchsorted(mrows, rows)
-        pad_d = np.full((mrows.size, maxc), np.inf, dtype=np.float32)
-        pad_ids = np.full((mrows.size, maxc), -1, dtype=np.int64)
-        pad_d[rc, pos_in_row] = dists
-        pad_ids[rc, pos_in_row] = ids
+        col = np.arange(L, L + rows.size, dtype=np.int64) - offsets[rows]
+        rc = (np.cumsum(counts > 0) - 1).take(rows)  # row -> merge-block row
+        m_d[rc, col] = dists
+        m_ids[rc, col] = ids
         # One stable row-wise sort: old entries are already sorted and come
         # first, so ties resolve old-before-new and new-in-fetch-order —
         # identical to the scalar merge.
-        concat_d = np.concatenate([self.cand_d[mrows], pad_d], axis=1)
-        concat_ids = np.concatenate([self.cand_ids[mrows], pad_ids], axis=1)
-        concat_c = np.concatenate(
-            [self.cand_checked[mrows], np.zeros((mrows.size, maxc), dtype=bool)],
-            axis=1,
-        )
-        order = np.argsort(concat_d, axis=1, kind="stable")[:, : self.L]
-        self.cand_d[mrows] = np.take_along_axis(concat_d, order, axis=1)
-        self.cand_ids[mrows] = np.take_along_axis(concat_ids, order, axis=1)
-        self.cand_checked[mrows] = np.take_along_axis(concat_c, order, axis=1)
-        self.sizes[mrows] = np.minimum(self.sizes[mrows] + counts[mrows], self.L)
+        order = np.argsort(m_d, axis=1, kind="stable")[:, :L]
+        order += np.arange(0, cells, shape[1])[:, None]  # -> flat cell index
+        self.cand_d[mrows] = self._merge_d.take(order)
+        self.cand_ids[mrows] = self._merge_ids.take(order)
+        self.cand_checked[mrows] = self._merge_checked.take(order)
+        self.sizes[mrows] = np.minimum(self.sizes[mrows] + counts[mrows], L)
 
     # ------------------------------------------------------------ stepping
     def step_all(self) -> bool:
@@ -397,9 +429,13 @@ class LockstepEngine:
         pair_rows = np.repeat(pick_rows, deg)
         nfetch = np.bincount(pick_rows, weights=deg, minlength=self.R).astype(np.int64)
 
-        fresh = self.visited.test_and_set(self.row_query[pair_rows], nbr_flat)
+        fresh = np.flatnonzero(
+            self.visited.test_and_set(self.row_query.take(pair_rows), nbr_flat)
+        )
         sizes_before = self.sizes.copy()
-        new_counts = self._score_and_merge(pair_rows[fresh], nbr_flat[fresh])
+        new_counts = self._score_and_merge(
+            pair_rows.take(fresh), nbr_flat.take(fresh)
+        )
 
         if self._trace is not None:
             n_new = new_counts[act]
@@ -475,36 +511,85 @@ class LockstepEngine:
         out_d[rows, pos] = dists
         return out_ids, out_d
 
-    def results_row(self, r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        m = int(min(k, self.sizes[r]))
-        ids = self.cand_ids[r, :m].copy()
-        dists = self.cand_d[r, :m].copy()
+    def topk(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's best ``k``, straight from the pools: ``(R, k)`` ids
+        and distances (copies, -1 / inf padded past ``counts``) and the
+        per-row ``counts = min(k, size)``, which the trace records as each
+        row's result length."""
+        w = min(k, self.L)
+        ids = np.full((self.R, k), -1, dtype=np.int64)
+        dists = np.full((self.R, k), np.inf, dtype=np.float32)
+        ids[:, :w] = self.cand_ids[:, :w]
+        dists[:, :w] = self.cand_d[:, :w]
+        counts = np.minimum(self.sizes, k)
         if self._trace is not None:
-            self._result_len[r] = m
-        return ids, dists
+            self._result_len[:] = counts
+        return ids, dists, counts
 
-    def rerank_row(
-        self, r: int, pool: np.ndarray, k: int, set_result_len: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The quantized-search epilogue on row ``r``: exact re-rank of
-        ``pool`` plus its priced float32 step (the engine twin of
-        :func:`~repro.search.precision.rerank_into_trace`).
+    def row_topk(
+        self, k: int, rerank_mult: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's final top-``k`` — the single-CTA epilogue: the pool
+        as it stands at float32, the exact re-rank of its best
+        ``rerank_mult × k`` under a codec.  Padded ``(R, k)`` ids /
+        distances and per-row counts."""
+        if self.codec is None:
+            return self.topk(k)
+        pools, _, pool_counts = self.topk(max(k, rerank_mult * k))
+        return self.rerank(
+            np.arange(self.R), pools, pool_counts, k, set_result_len=True
+        )
+
+    def rerank(
+        self,
+        rows: np.ndarray,
+        pools: np.ndarray,
+        pool_counts: np.ndarray,
+        k: int,
+        set_result_len: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The quantized-search epilogue: exact re-rank of ``pools[i,
+        :pool_counts[i]]`` against row ``rows[i]``'s query, plus the priced
+        float32 step on that row's trace (the engine twin of
+        :func:`~repro.search.precision.rerank_into_trace`).  ``pools`` is
+        ``(len(rows), >= k)``, -1 padded; returns padded ``(len(rows), k)``
+        ids / distances and the per-row result counts.
 
         Single-CTA searches also own the row's ``result_len``
         (``set_result_len``); multi-CTA searches record the step on the
         query's CTA 0 and leave each CTA's own result length alone.
         """
-        q = int(self.row_query[r])
-        ids, dists = exact_rerank(
-            self.points, self.queries[q], self.metric, pool, k,
-            qnorm=None if self._qnorm is None else self._qnorm[q],
+        # exact_rerank for every row at once: the float32 pair kernel over
+        # the valid pool cells (its cached-norms expansion is the one
+        # exact_rerank reaches through pair_distances), then one stable
+        # row-wise sort — pads hold inf / -1 and stay at the tail.
+        kernel = PairKernel(
+            self.queries, self.points, self.metric, self._qnorm, self._pnorm
         )
+        valid = np.arange(pools.shape[1]) < pool_counts[:, None]
+        exact = np.full(pools.shape, np.inf, dtype=np.float32)
+        exact[valid] = kernel(
+            np.repeat(self.row_query[rows], pool_counts), pools[valid]
+        )
+        order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        ids = np.take_along_axis(pools, order, axis=1)
+        dists = np.take_along_axis(exact, order, axis=1)
+        counts = np.minimum(pool_counts, k)
         if self._trace is not None:
-            best = float(dists[0]) if dists.size else float("nan")
-            self._reranks.append((r, int(pool.size), best))
+            # Same accounting as the IVF-PQ baseline's re-rank scan: full-
+            # width exact distances plus one sort of the pool.
+            self._trace.add(
+                rows,
+                n_new_points=pool_counts,
+                step_dim=self.dim,
+                sort_size=pool_counts,
+                did_sort=pool_counts > 1,
+                best_dist=np.where(counts > 0, dists[:, 0], np.nan),
+                precision=precision_code("float32"),
+            )
             if set_result_len:
-                self._result_len[r] = ids.size
-        return ids, dists
+                self._result_len[rows] = counts
+        return ids, dists, counts
 
     def trace_block(self, n_ctas: int, dim: int, k: int) -> TraceBlock | None:
         """The batch's op trace (``None`` when built without
@@ -512,54 +597,61 @@ class LockstepEngine:
         steps in execution order — seed, rounds, re-rank."""
         if self._trace is None:
             return None
-        if self._reranks:
-            rows, scored, best = zip(*self._reranks)
-            scored = np.array(scored, dtype=np.int64)
-            # Same accounting as the IVF-PQ baseline's re-rank scan: full-
-            # width exact distances plus one sort of the pool.
-            self._trace.add(
-                np.array(rows, dtype=np.int64),
-                n_new_points=scored,
-                step_dim=self.dim,
-                sort_size=scored,
-                did_sort=scored > 1,
-                best_dist=np.array(best),
-                precision=precision_code("float32"),
-            )
-            self._reranks.clear()
         return self._trace.build(n_ctas, dim, k, self._result_len)
 
 
 class BatchResults(Sequence):
     """Per-query results of one lockstep batch plus the batch's op trace.
 
-    ``traces`` is the batch's :class:`~repro.gpusim.trace.TraceBlock`
-    (``None`` when tracing was off) — what the serve path prices.
-    Indexing gives a :class:`SearchResult` whose ``trace`` is the row-object
-    view of that query (a ``CTATrace`` for single-CTA searches, a
-    ``QueryTrace`` for multi-CTA ones), materialized on access, so callers
-    written against the scalar searchers' return shape keep working.
+    The batch is held as it leaves the engine: ``padded_ids`` /
+    ``padded_dists`` are ``(B, k)``, -1 / inf past ``counts[i]``; ``ids`` /
+    ``dists`` give the per-query trimmed rows.  ``traces`` is the batch's
+    :class:`~repro.gpusim.trace.TraceBlock` (``None`` when tracing was
+    off) — what the serve path prices.  Indexing gives a
+    :class:`SearchResult` whose ``trace`` is the row-object view of that
+    query (a ``CTATrace`` for single-CTA searches, a ``QueryTrace`` for
+    multi-CTA ones), materialized on access, so callers written against
+    the scalar searchers' return shape keep working; multi-CTA results
+    also carry the per-CTA lists the merge consumed
+    (``extra["per_cta"]``), cut from ``cta_lists`` on access.
     """
 
-    def __init__(self, ids: list[np.ndarray], dists: list[np.ndarray],
-                 traces: TraceBlock | None, per_cta: list | None = None):
-        self.ids = ids
-        self.dists = dists
+    def __init__(
+        self,
+        ids: np.ndarray,
+        dists: np.ndarray,
+        counts: np.ndarray,
+        traces: TraceBlock | None,
+        cta_lists: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        self.padded_ids = ids
+        self.padded_dists = dists
+        self.counts = counts
         self.traces = traces
-        self._per_cta = per_cta
+        self._cta_lists = cta_lists
+
+    @property
+    def ids(self) -> list[np.ndarray]:
+        return [row[:m] for row, m in zip(self.padded_ids, self.counts)]
+
+    @property
+    def dists(self) -> list[np.ndarray]:
+        return [row[:m] for row, m in zip(self.padded_dists, self.counts)]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.counts)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
+        m = self.counts[i]
+        ids, dists = self.padded_ids[i, :m], self.padded_dists[i, :m]
         trace = None if self.traces is None else self.traces[i]
-        if self._per_cta is None:  # single-CTA search: the CTA's own trace
-            return SearchResult(self.ids[i], self.dists[i],
-                                trace and trace.ctas[0])
-        return SearchResult(self.ids[i], self.dists[i], trace,
-                            {"per_cta": self._per_cta[i]})
+        if self._cta_lists is None:  # single-CTA search: the CTA's own trace
+            return SearchResult(ids, dists, trace and trace.ctas[0])
+        l_ids, l_d, l_counts = (a[i] for a in self._cta_lists)
+        per_cta = [(l_ids[c, :n], l_d[c, :n]) for c, n in enumerate(l_counts)]
+        return SearchResult(ids, dists, trace, {"per_cta": per_cta})
 
 
 def _entry_rows(entries) -> np.ndarray | list[np.ndarray]:
@@ -605,17 +697,9 @@ def batched_intra_cta_search(
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
     eng.run(100 * cand_capacity)
-    out_ids, out_d = [], []
-    for r in range(B):
-        if codec is None:
-            ids, dists = eng.results_row(r, k)
-        else:
-            approx_ids, _ = eng.results_row(r, max(k, rerank_mult * k))
-            ids, dists = eng.rerank_row(r, approx_ids, k, set_result_len=True)
-        out_ids.append(ids)
-        out_d.append(dists)
     return BatchResults(
-        out_ids, out_d, eng.trace_block(1, int(eng.points.shape[1]), k)
+        *eng.row_topk(k, rerank_mult),
+        eng.trace_block(1, int(eng.points.shape[1]), k),
     )
 
 
@@ -667,18 +751,20 @@ def batched_multi_cta_search(
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
     eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
+    # CPU TopK merge (§IV-B): the per-CTA lists are contiguous in the pools,
+    # so the whole batch is one merge_topk_batch — heap_merge's order.
     rcap = max(k, rerank_mult * k) if codec is not None else k
-    out_ids, out_d, per_cta = [], [], []
-    for q in range(B):
-        lists = [eng.results_row(r, rcap)
-                 for r in range(q * n_ctas, (q + 1) * n_ctas)]
-        ids, dists = heap_merge(lists, rcap)
-        if codec is not None:
-            ids, dists = eng.rerank_row(q * n_ctas, ids, k, set_result_len=False)
-        out_ids.append(ids)
-        out_d.append(dists)
-        per_cta.append(lists)
+    l_ids, l_d, l_counts = (
+        a.reshape(B, n_ctas, *a.shape[1:]) for a in eng.topk(rcap)
+    )
+    ids, dists, counts = merge_topk_batch(l_ids, l_d, rcap)
+    if codec is not None:
+        ids, dists, counts = eng.rerank(
+            np.arange(0, B * n_ctas, n_ctas), ids, counts, k,
+            set_result_len=False,
+        )
     return BatchResults(
-        out_ids, out_d, eng.trace_block(n_ctas, int(eng.points.shape[1]), k),
-        per_cta,
+        ids, dists, counts,
+        eng.trace_block(n_ctas, int(eng.points.shape[1]), k),
+        (l_ids, l_d, l_counts),
     )

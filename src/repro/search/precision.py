@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.metrics import pair_distances
+from ..data.metrics import pair_block_rows, pair_distances
 from ..gpusim.trace import StepRecord
 from .quantization import ProductQuantizer, ScalarQuantizer
 
@@ -153,9 +153,10 @@ class Int8Codec:
     ) -> np.ndarray:
         """Approximate distances for matched (query-row, point-id) pairs.
 
-        Reference (allocating) form of the per-hop kernel; the hot paths
-        dispatch a reusable :class:`Int8Kernel` via :meth:`make_kernel`
-        instead — bit-identical output, zero per-round allocation.
+        Reference form of the per-hop kernel (materialises every gathered
+        operand); the hot paths dispatch a cache-blocked
+        :class:`Int8Kernel` via :meth:`make_kernel` instead —
+        bit-identical output, scratch fixed at construction.
         """
         qs, qoff = state
         c = self.codes[ids].astype(np.float32)
@@ -166,7 +167,7 @@ class Int8Codec:
         return (qoff[qrows] - dot).astype(np.float32)
 
     def make_kernel(self, state: tuple[np.ndarray, np.ndarray]) -> "Int8Kernel":
-        """Fused per-dispatch kernel with preallocated scratch (see below)."""
+        """Cache-blocked per-dispatch kernel (see :class:`Int8Kernel`)."""
         return Int8Kernel(self, state)
 
     def _encode(self, points: np.ndarray) -> np.ndarray:
@@ -303,9 +304,10 @@ class PQCodec:
     ) -> np.ndarray:
         """ADC distances: one flat gather of ``m`` table entries per pair.
 
-        Reference (allocating) form; the hot paths dispatch a reusable
-        :class:`PQKernel` via :meth:`make_kernel` — bit-identical output,
-        zero per-round allocation.
+        Reference form (materialises every gathered operand); the hot
+        paths dispatch a cache-blocked :class:`PQKernel` via
+        :meth:`make_kernel` — bit-identical output, scratch fixed at
+        construction.
         """
         c = self.codes[ids].astype(np.int64)
         width = state.shape[1]
@@ -317,7 +319,7 @@ class PQCodec:
         return d.astype(np.float32)
 
     def make_kernel(self, state: np.ndarray) -> "PQKernel":
-        """Fused per-dispatch kernel with preallocated scratch (see below)."""
+        """Cache-blocked per-dispatch kernel (see :class:`PQKernel`)."""
         return PQKernel(self, state)
 
     def extend(self, points: np.ndarray) -> "PQCodec":
@@ -337,93 +339,84 @@ class PQCodec:
 class Int8Kernel:
     """Reusable SQ8 distance kernel: one dispatch, many lockstep rounds.
 
-    The allocating form (:meth:`Int8Codec.distances`) spends a measurable
-    slice of every round materialising the same temporaries — the gathered
-    code rows, their float32 casts, the gathered query rows, the dot
-    products.  This kernel owns those buffers, grown geometrically on
-    demand and reused across every round of a dispatch, so the per-hop
-    cost collapses to the gathers and the one einsum.
+    Same arithmetic as the allocating form (:meth:`Int8Codec.distances`),
+    cache-blocked like :class:`~repro.data.metrics.PairKernel`: pairs are
+    scored ``pair_block_rows`` at a time through two operand blocks — the
+    gathered uint8 code rows and the gathered scaled query rows — allocated
+    once from :data:`~repro.data.metrics.PAIR_SCRATCH_BYTES`, so the
+    scratch never scales with a round's width (unblocked, the query-row
+    gather alone reached 0.94 GB at 960-d).
 
     Bit parity with the reference is by construction: ``np.take(...,
     out=)`` gathers the same values into contiguous rows, the uint8 →
     float32 conversion is exact whether materialised (reference) or
-    buffered inside the mixed-dtype einsum (here), and the elementwise
-    chain runs the same ops on the same operand layouts.  The returned
-    array is a view into scratch, valid until the next call — callers
-    consume it (merge / filter / copy) before re-invoking, which every
-    search loop does.
+    buffered inside the mixed-dtype einsum (here), per-row accumulation
+    never sees the block boundary, and the elementwise tail runs the same
+    ops in the same order.  Returns an owned ``(pairs,)`` float32 array.
     """
 
-    __slots__ = ("codes", "pnorm_hat", "qs", "qoff", "l2", "_cap",
-                 "_c8", "_qg", "_dot", "_pn", "_acc")
+    __slots__ = ("codes", "pnorm_hat", "qs", "qoff", "l2", "rows", "_c8", "_qg")
 
     def __init__(self, codec: "Int8Codec", state: tuple[np.ndarray, np.ndarray]):
         self.codes = codec.codes
         self.pnorm_hat = codec._pnorm_hat
         self.qs, self.qoff = state
         self.l2 = codec.metric == "l2"
-        self._cap = 0
-
-    def _grow(self, n: int) -> None:
-        cap = max(n, 2 * self._cap, 512)
         dim = self.codes.shape[1]
-        self._c8 = np.empty((cap, dim), dtype=self.codes.dtype)
-        self._qg = np.empty((cap, dim), dtype=np.float32)
-        self._dot = np.empty(cap, dtype=np.float32)
-        self._pn = np.empty(cap, dtype=np.float32)
-        self._acc = np.empty(cap, dtype=np.float32)
-        self._cap = cap
+        self.rows = pair_block_rows((1 + 4) * dim)
+        self._c8 = np.empty((self.rows, dim), dtype=self.codes.dtype)
+        self._qg = np.empty((self.rows, dim), dtype=np.float32)
+
+    @property
+    def scratch_nbytes(self) -> int:
+        """Bytes of operand scratch held (fixed at construction)."""
+        return self._c8.nbytes + self._qg.nbytes
 
     def __call__(self, qrows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         n = ids.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.float32)
-        if n > self._cap:
-            self._grow(n)
-        c8 = self._c8[:n]
-        qg = self._qg[:n]
-        dot = self._dot[:n]
-        acc = self._acc[:n]
-        # mode="clip" keeps np.take on its unbuffered fast path (the
-        # default "raise" mode bounce-buffers when out= is given); ids and
-        # qrows are graph node ids / row indices, always in range, so the
-        # gathered values are identical.
-        np.take(self.codes, ids, axis=0, out=c8, mode="clip")
-        np.take(self.qs, qrows, axis=0, out=qg, mode="clip")
-        # Mixed-dtype einsum: the nditer casts uint8 rows to float32 in
-        # cache-resident buffer chunks, bit-identical to a materialised
-        # cast (exact conversion, same per-row accumulation) while never
-        # writing the 4x-wider float rows back through memory — this is
-        # where SQ8's bandwidth advantage finally shows up on the host.
-        np.einsum("ij,ij->i", qg, c8, out=dot)
-        np.take(self.qoff, qrows, out=acc, mode="clip")
+        dot = np.empty(n, dtype=np.float32)
+        for lo in range(0, n, self.rows):
+            hi = min(lo + self.rows, n)
+            c8 = self._c8[: hi - lo]
+            qg = self._qg[: hi - lo]
+            # mode="clip" keeps np.take on its unbuffered fast path (the
+            # default "raise" mode bounce-buffers when out= is given); ids
+            # and qrows are graph node ids / row indices, always in range,
+            # so the gathered values are identical.
+            self.codes.take(ids[lo:hi], axis=0, out=c8, mode="clip")
+            self.qs.take(qrows[lo:hi], axis=0, out=qg, mode="clip")
+            # Mixed-dtype einsum: the nditer casts uint8 rows to float32 in
+            # buffer chunks, bit-identical to a materialised cast (exact
+            # conversion, same per-row accumulation) while never writing
+            # the 4x-wider float rows back through memory.
+            np.einsum("ij,ij->i", qg, c8, out=dot[lo:hi])
+        acc = self.qoff[qrows]
         if self.l2:
-            # acc = (qoff + pnorm_hat) - 2·dot, the reference's left-to-
-            # right evaluation order, then the same clamp.
-            pn = self._pn[:n]
-            np.take(self.pnorm_hat, ids, out=pn, mode="clip")
-            np.add(acc, pn, out=acc)
+            # (qoff + pnorm_hat) - 2·dot, the reference's left-to-right
+            # evaluation order, then the same clamp.
+            acc += self.pnorm_hat[ids]
             np.multiply(dot, np.float32(2.0), out=dot)
-            np.subtract(acc, dot, out=acc)
-            np.maximum(acc, np.float32(0.0), out=acc)
-            return acc
-        np.subtract(acc, dot, out=acc)
+            acc -= dot
+            return np.maximum(acc, np.float32(0.0), out=acc)
+        acc -= dot
         return acc
 
 
 class PQKernel:
     """Reusable PQ-ADC distance kernel (same contract as :class:`Int8Kernel`).
 
-    Owns the per-dispatch flattened table view plus ``(cap, m)`` code /
-    index / value scratch; a round is one ``np.take`` code gather, an
-    int64 index build, one flat table gather, and a row-wise sum — all
-    into preallocated buffers.  Output is bit-identical to
+    Owns the per-dispatch flattened table view plus three ``(rows, m)``
+    blocks — gathered codes, flat table indices, gathered table values —
+    allocated once from :data:`~repro.data.metrics.PAIR_SCRATCH_BYTES`; a
+    block is one ``np.take`` code gather, an index build, one flat table
+    gather, and a row-wise sum.  Output is bit-identical to
     :meth:`PQCodec.distances` (integer index math is order-exact; the
-    float32 row sum runs over the same contiguous ``(n, m)`` layout).
+    float32 row sum runs over the same contiguous ``(rows, m)`` layout and
+    never sees the block boundary).
     """
 
-    __slots__ = ("codes", "base", "flat", "width", "cosine", "_cap",
-                 "_itype", "_c8", "_idx", "_q64", "_vals", "_acc")
+    __slots__ = ("codes", "base", "flat", "width", "cosine", "rows",
+                 "_c8", "_idx", "_vals")
 
     def __init__(self, codec: "PQCodec", state: np.ndarray):
         self.codes = codec.codes
@@ -431,49 +424,45 @@ class PQKernel:
         self.width = state.shape[1]
         self.cosine = codec.metric == "cosine"
         # Index dtype is half the remaining per-candidate traffic: the
-        # two in-place passes over the (n, m) index buffer move 8·m
+        # two in-place passes over the (rows, m) index block move 8·m
         # bytes each in int64 — at m = dim/8 that is as many bytes as
         # the original float32 vector, cancelling the code compression.
         # Every flat index is < state.size, so when the table fits int32
         # (any realistic dispatch; 2^31 entries is ~70k queries at
         # m=120, ks=256) the narrow type gathers identical values.
-        self._itype = np.int32 if state.size < 2**31 else np.int64
-        self.base = codec._base.astype(self._itype)
-        self._cap = 0
-
-    def _grow(self, n: int) -> None:
-        cap = max(n, 2 * self._cap, 512)
+        itype = np.int32 if state.size < 2**31 else np.int64
+        self.base = codec._base.astype(itype)
         m = self.codes.shape[1]
-        self._c8 = np.empty((cap, m), dtype=self.codes.dtype)
-        self._idx = np.empty((cap, m), dtype=self._itype)
-        self._q64 = np.empty(cap, dtype=self._itype)
-        self._vals = np.empty((cap, m), dtype=np.float32)
-        self._acc = np.empty(cap, dtype=np.float32)
-        self._cap = cap
+        self.rows = pair_block_rows((1 + np.dtype(itype).itemsize + 4) * m)
+        self._c8 = np.empty((self.rows, m), dtype=self.codes.dtype)
+        self._idx = np.empty((self.rows, m), dtype=itype)
+        self._vals = np.empty((self.rows, m), dtype=np.float32)
+
+    @property
+    def scratch_nbytes(self) -> int:
+        """Bytes of operand scratch held (fixed at construction)."""
+        return self._c8.nbytes + self._idx.nbytes + self._vals.nbytes
 
     def __call__(self, qrows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         n = ids.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.float32)
-        if n > self._cap:
-            self._grow(n)
-        c8 = self._c8[:n]
-        idx = self._idx[:n]
-        q64 = self._q64[:n]
-        vals = self._vals[:n]
-        acc = self._acc[:n]
-        # mode="clip" for the unbuffered out= fast path; ids are graph
-        # node ids and idx is built from in-range codes/subspace offsets,
-        # so no index ever actually clips.
-        np.take(self.codes, ids, axis=0, out=c8, mode="clip")
-        np.copyto(idx, c8, casting="unsafe")  # uint8 → int: exact
-        idx += self.base[None, :]
-        np.multiply(qrows, self.width, out=q64, casting="unsafe")
-        idx += q64[:, None]
-        np.take(self.flat, idx, out=vals, mode="clip")
-        np.sum(vals, axis=1, out=acc)
+        acc = np.empty(n, dtype=np.float32)
+        qbase = (qrows * self.width).astype(self._idx.dtype)
+        for lo in range(0, n, self.rows):
+            hi = min(lo + self.rows, n)
+            c8 = self._c8[: hi - lo]
+            idx = self._idx[: hi - lo]
+            vals = self._vals[: hi - lo]
+            # mode="clip" for the unbuffered out= fast path; ids are graph
+            # node ids and idx is built from in-range codes/subspace
+            # offsets, so no index ever actually clips.
+            self.codes.take(ids[lo:hi], axis=0, out=c8, mode="clip")
+            np.copyto(idx, c8, casting="unsafe")  # uint8 → int: exact
+            idx += self.base[None, :]
+            idx += qbase[lo:hi, None]
+            self.flat.take(idx, out=vals, mode="clip")
+            np.sum(vals, axis=1, out=acc[lo:hi])
         if self.cosine:
-            np.add(acc, np.float32(1.0), out=acc)
+            acc += np.float32(1.0)
         return acc
 
 

@@ -10,6 +10,7 @@ from repro.core.static_batcher import StaticBatchConfig, StaticBatchEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.graphs.base import GraphIndex
+from repro.graphs.dynamic import DynamicGraph
 from repro.search import intra_cta_search, multi_cta_search
 
 
@@ -133,3 +134,25 @@ def test_duplicate_query_ids_rejected():
         jobs = [QueryJob(7, 0.0, (1.0,), 16, 4), QueryJob(7, 0.0, (1.0,), 16, 4)]
         with pytest.raises(ValueError):
             engine.serve(jobs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["queries", "base", "dynamic", "insert"])
+def test_non_finite_input_fails_at_the_boundary(ds, graph, where, bad):
+    """A NaN distance compares false against every bound, so the engine's
+    bound filter would drop it silently; non-finite vectors are refused
+    where they enter, naming the first offending row."""
+    poisoned = (ds.queries[:4] if where in ("queries", "insert")
+                else ds.base).copy()
+    poisoned[2, 1] = bad
+    with pytest.raises(ValueError, match=r"must be finite: row 2 holds"):
+        if where == "queries":
+            ALGASSystem(ds.base, graph, k=5, l_total=32, batch_size=4,
+                        metric=ds.metric).search_all(poisoned)
+        elif where == "base":
+            ALGASSystem(poisoned, graph, k=5, l_total=32, batch_size=4,
+                        metric=ds.metric)
+        elif where == "dynamic":
+            DynamicGraph(poisoned, graph, metric=ds.metric)
+        else:
+            DynamicGraph(ds.base, graph, metric=ds.metric).insert_batch(poisoned)
