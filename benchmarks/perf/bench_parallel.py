@@ -99,7 +99,6 @@ def bench_build() -> list[dict]:
     for w in WORKERS:
         t0 = time.perf_counter()
         g = build_nsw(pts, m=BUILD_M, ef_construction=BUILD_EF, seed=7,
-                      build_backend="vectorized",
                       parallelism=0 if w == 1 else w)
         dt = time.perf_counter() - t0
         if baseline_graph is None:

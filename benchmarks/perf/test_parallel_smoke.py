@@ -60,9 +60,8 @@ def test_parallel_serve_parity():
 def test_parallel_build_parity():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((2000, 32)).astype(np.float32)
-    g_seq = build_nsw(pts, m=6, seed=7, build_backend="vectorized")
-    g_par = build_nsw(pts, m=6, seed=7, build_backend="vectorized",
-                      parallelism=2)
+    g_seq = build_nsw(pts, m=6, seed=7)
+    g_par = build_nsw(pts, m=6, seed=7, parallelism=2)
     np.testing.assert_array_equal(g_par.indptr, g_seq.indptr)
     np.testing.assert_array_equal(g_par.indices, g_seq.indices)
 
@@ -102,7 +101,7 @@ def test_parallel_build_speedup_gate():
     _require_cores(BUILD_WORKERS)
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((20_000, 128)).astype(np.float32)
-    kw = dict(m=8, ef_construction=32, seed=7, build_backend="vectorized")
+    kw = dict(m=8, ef_construction=32, seed=7)
     t0 = time.perf_counter()
     g_seq = build_nsw(pts, **kw)
     t_seq = time.perf_counter() - t0

@@ -2,8 +2,8 @@
 
 GANNS's construction claim, priced by the analytic build model at the
 paper's 1M scale, plus empirical sanity anchors: ``build_nsw_fast``
-(seed-batched) and ``build_nsw(build_backend="vectorized")`` (lockstep
-wave builds) must both beat the scalar incremental ``build_nsw`` in real
+(seed-batched) and ``build_nsw`` (lockstep wave builds) must both beat the
+one-point-at-a-time incremental build (``tests/oracles.py``) in real
 wall-clock at test scale.
 """
 
@@ -14,6 +14,7 @@ from repro.data.synthetic import latent_mixture
 from repro.graphs import build_nsw, build_nsw_fast
 from repro.graphs.gpu_build import estimate_build_time
 from repro.gpusim.device import RTX_A6000
+from tests.oracles import scalar_build_nsw
 
 
 def test_ext_build_time(benchmark, show):
@@ -38,15 +39,15 @@ def test_ext_build_time(benchmark, show):
     # scalar incremental one for real.
     pts = latent_mixture(1200, 32, intrinsic_dim=10, seed=0)
     t0 = time.perf_counter()
-    build_nsw(pts, m=6, ef_construction=24, seed=0)
+    scalar_build_nsw(pts, m=6, ef_construction=24, seed=0)
     incremental_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     build_nsw_fast(pts, m=6, seed=0)
     batched_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    build_nsw(pts, m=6, ef_construction=24, seed=0, build_backend="vectorized")
-    vectorized_s = time.perf_counter() - t0
+    build_nsw(pts, m=6, ef_construction=24, seed=0)
+    wave_s = time.perf_counter() - t0
     assert batched_s < incremental_s
-    assert vectorized_s < incremental_s
+    assert wave_s < incremental_s
 
-    benchmark(build_nsw, pts, 6, build_backend="vectorized")
+    benchmark(build_nsw, pts, 6)

@@ -6,9 +6,10 @@
 #   scripts/test.sh --perf     # perf smoke only: search gate (~2 s; fails
 #                              # if the lockstep engine loses to the
 #                              # scalar oracle on wall clock) + build gate
-#                              # (~40 s; vectorized NSW build must beat
-#                              # scalar by >=3x at n=20k and hold recall@10
-#                              # within 0.01) + quantized gate (~15 s; int8
+#                              # (~40 s; build_nsw must beat the per-vertex
+#                              # reference loop, tests/oracles.py, by >=3x
+#                              # at n=20k and hold recall@10 within 0.01)
+#                              # + quantized gate (~15 s; int8
 #                              # traversal must beat float32 by >=1.5x
 #                              # simulated GPU latency AND >=1.0x host wall
 #                              # clock on a dim=960 corpus with recall@16

@@ -40,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("cagra", "nsw", "nsw-fast", "hnsw", "nsg", "knn"),
                    default="cagra")
     b.add_argument("--degree", type=int, default=16)
-    b.add_argument("--build-backend", choices=("scalar", "vectorized"),
-                   default="vectorized",
-                   help="graph construction backend: 'vectorized' batches "
-                        "insertion searches through the lockstep engine "
-                        "(docs/performance.md); 'scalar' is the one-vertex-"
-                        "at-a-time oracle")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--parallelism", type=int, default=0,
                    help="worker count for the wave-build searches "
@@ -58,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queries", type=int, default=64)
     s.add_argument("--graph", choices=("cagra", "nsw"), default="cagra")
     s.add_argument("--degree", type=int, default=16)
-    s.add_argument("--build-backend", choices=("scalar", "vectorized"),
-                   default="vectorized",
-                   help="graph construction backend (recorded with the "
-                        "build wall-time in ServeReport.meta['build'])")
     s.add_argument("--system", choices=("algas", "cagra", "ganns", "ivf"),
                    default="algas")
     s.add_argument("--k", type=int, default=16)
@@ -291,30 +281,25 @@ def _cmd_build(args) -> int:
     )
 
     ds = load_dataset(args.dataset, n=args.n, seed=args.seed)
-    bb = args.build_backend
     t0 = time.perf_counter()
     if args.graph == "cagra":
-        g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric,
-                        build_backend=bb)
+        g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric)
     elif args.graph == "nsw":
         g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
-                      seed=args.seed, build_backend=bb,
-                      parallelism=args.parallelism)
+                      seed=args.seed, parallelism=args.parallelism)
     elif args.graph == "nsw-fast":
         g = build_nsw_fast(ds.base, m=args.degree // 2, metric=ds.metric, seed=args.seed)
     elif args.graph == "hnsw":
         g = build_hnsw(ds.base, m=args.degree // 2, metric=ds.metric,
-                       seed=args.seed, build_backend=bb,
-                       parallelism=args.parallelism)
+                       seed=args.seed, parallelism=args.parallelism)
     elif args.graph == "nsg":
         g = build_nsg(ds.base, out_degree=args.degree, metric=ds.metric,
-                      seed=args.seed, build_backend=bb)
+                      seed=args.seed)
     else:
         g = exact_knn_graph(ds.base, args.degree, metric=ds.metric)
     dt = time.perf_counter() - t0
     g.save(args.output)
-    print(f"saved {g} -> {args.output} "
-          f"(build_backend={bb}, {dt:.2f}s)")
+    print(f"saved {g} -> {args.output} ({dt:.2f}s)")
     return 0
 
 
@@ -343,17 +328,14 @@ def _cmd_serve(args) -> int:
             metric=ds.metric, k=args.k, batch_size=args.batch, seed=args.seed,
         )
     else:
-        bb = args.build_backend
         t0 = time.perf_counter()
         if args.graph == "cagra":
-            g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric,
-                            build_backend=bb)
+            g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric)
         else:
             g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
-                          seed=args.seed, build_backend=bb)
+                          seed=args.seed)
         build_info = {
             "graph": args.graph,
-            "build_backend": bb,
             "build_seconds": round(time.perf_counter() - t0, 4),
         }
         common = dict(metric=ds.metric, k=args.k, l_total=args.l_total,
@@ -414,7 +396,6 @@ def _cmd_serve(args) -> int:
     build_meta = rep.serve.meta.get("build")
     if build_meta:
         print(f"graph build   = {build_meta['graph']} "
-              f"backend={build_meta['build_backend']} "
               f"({build_meta['build_seconds']:.2f}s)")
     tier_meta = rep.serve.meta.get("tier")
     if tier_meta:

@@ -106,7 +106,7 @@ class BaseGraphSystem:
         self.pq_m = pq_m
         self.pq_ks = pq_ks
         self._codec_cache: dict[str, object] = {}
-        #: graph-construction provenance (e.g. ``{"build_backend": ...,
+        #: graph-construction provenance (e.g. ``{"graph": ...,
         #: "build_seconds": ...}``) merged into ``ServeReport.meta["build"]``
         #: on every serve.
         self.build_info = dict(build_info) if build_info else None

@@ -1,13 +1,7 @@
 """Graph index substrates: kNN, NSW (GANNS-style), CAGRA fixed-out-degree."""
 
 from .base import GraphIndex
-from .build_batched import (
-    build_cagra_batched,
-    build_hnsw_batched,
-    build_nsg_batched,
-    build_nsw_batched,
-    occlusion_prune_mask,
-)
+from .build_batched import occlusion_prune_mask
 from .cagra import build_cagra, prune_detours
 from .dynamic import DynamicGraph
 from .gpu_build import BuildEstimate, estimate_build_time
@@ -20,10 +14,6 @@ from .utils import GraphStats, graph_stats, medoid, reachable_fraction
 __all__ = [
     "GraphIndex",
     "build_cagra",
-    "build_cagra_batched",
-    "build_hnsw_batched",
-    "build_nsg_batched",
-    "build_nsw_batched",
     "occlusion_prune_mask",
     "prune_detours",
     "DynamicGraph",

@@ -1,129 +1,76 @@
-"""Vectorized lockstep graph-construction backends.
+"""Shared wave machinery of the graph builders.
 
-Every scalar builder in this package (``build_nsw``, ``build_hnsw``,
-``build_nsg``, ``build_cagra``) advances one vertex at a time in pure
-Python; at tens of thousands of points the numpy dispatch overhead of
-those sub-microsecond kernels dominates build wall-clock the same way it
-dominated search before the lockstep engine (docs/performance.md).  This
-module is the construction-side counterpart: insertion-time beam searches
-run batched through :class:`~repro.search.batched.LockstepEngine` against
-the *growing* graph (a padded adjacency matrix + degree vector, with an
-``n_visible`` prefix mask instead of a per-wave CSR rebuild), and all
-linking, degree-capping, and pruning becomes row-parallel array kernels.
+``build_nsw`` / ``build_hnsw`` insert in doubling waves, ``build_nsg``
+batches its medoid-rooted searches, and ``DynamicGraph`` / the hybrid
+pilot apply the same link-and-trim step to update waves: in all of them
+the insertion-time beam searches run through
+:class:`~repro.search.batched.LockstepEngine` against the *growing*
+graph (a padded adjacency matrix + degree vector, with an ``n_visible``
+prefix mask instead of a per-wave CSR rebuild), and linking,
+degree-capping and pruning are row-parallel array kernels.  A
+one-vertex-at-a-time Python loop spends its time in numpy dispatch
+overhead at tens of thousands of points, the same way search did before
+the lockstep engine (docs/performance.md, "Graph construction").
 
-Construction semantics per family:
+What lives here is what more than one family uses:
 
-``build_nsw_batched``
-    Points insert in doubling waves.  Each wave's insertion searches
-    advance in lockstep against the frozen prefix; links are the top-``m``
-    discoveries, reverse edges are accumulated with a bucketed scatter and
-    trimmed to the degree cap (keep closest) in one padded argsort.  A
-    final *refinement pass* re-searches every point against the finished
-    graph and merges the fresh top-``m`` links in, recovering the
-    candidate quality an incremental build gets from inserting into an
-    ever-denser graph.
+* :func:`_prefix_search` — lockstep beam searches of a row range against
+  the inserted prefix, optionally fanned over a worker pool reading the
+  build state from shared memory (:class:`_BuildShare`);
+* :func:`_select_links` / :func:`_add_links` — per-row link selection and
+  the bulk append-then-degree-cap (keep closest, or the diversifying
+  :func:`occlusion_prune_mask`);
+* :func:`_wave_graph` — the NSW / HNSW driver: exact mutual-kNN seed
+  block, doubling waves, a refinement sweep that re-searches the
+  earliest points against the finished graph, and
+  :func:`_repair_connectivity` around it;
+* :func:`_csr_from_padded` — padded adjacency to :class:`GraphIndex`.
 
-``build_hnsw_batched``
-    Same wave machinery over the flat layer-0 graph (the only layer
-    :func:`~repro.graphs.hnsw.build_hnsw` exports), with HNSW's
-    diversifying neighbour selection replaced by the batched
-    triangle-inequality occlusion prune (:func:`occlusion_prune_mask`) —
-    the parallel form of Algorithm 4's heuristic, as used by CAGRA.
-    Level draws decide wave entry points (the highest-level vertex of the
-    inserted prefix), mirroring the hierarchical descent's role.
-
-``build_nsg_batched``
-    All medoid-rooted candidate searches run through the batched engine
-    over the kNN substrate; the sequential MRNG occlusion test becomes
-    the same chunked triangle-inequality prune; the BFS connectivity
-    repair stays on raw adjacency arrays.
-
-``build_cagra_batched``
-    Bit-identical to the scalar ``build_cagra`` (asserted by the test
-    suite): forward-rank selection, reverse-edge bucketing, and the
-    seen-set dedup assembly are expressed as pure array ops
-    (stable-argsort first-occurrence masks), so the produced CSR matches
-    the scalar oracle byte for byte while the Python per-vertex loops
-    disappear.
-
-Scalar builders remain the auditable oracles; each vectorized builder is
-reached via the ``build_backend="vectorized"`` switch on the public
-``build_*`` functions and is deterministic under a fixed seed.
+The family modules (``nsw.py``, ``hnsw.py``, ``nsg.py``, ``cagra.py``)
+hold validation and the family's own policy; the per-vertex reference
+builders are in ``tests/oracles.py``.  Every build is deterministic under
+a fixed seed and identical at any ``parallelism``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
 from ..data.metrics import pair_distances, pairwise_distances
 from ..parallel import SharedArena, make_pool, resolve_ref
 from .base import GraphIndex
-from .knn import exact_knn_matrix, nn_descent_matrix
-from .utils import medoid
+from .utils import _compact_rows, _first_occurrence_mask
 
-__all__ = [
-    "occlusion_prune_mask",
-    "build_nsw_batched",
-    "build_hnsw_batched",
-    "build_nsg_batched",
-    "build_cagra_batched",
-]
+__all__ = ["occlusion_prune_mask"]
 
 #: Lockstep rows per engine instance: bounds the packed visited bitmap at
 #: ``_MAX_ROWS * ceil(n/8)`` bytes while keeping waves fully batched.
 _MAX_ROWS = 8192
 
+# Budget policy of the wave builders.  Wave searches see at best a
+# half-built graph, so they run at a reduced beam (nsw.py / hnsw.py) and
+# the saved budget funds ONE refinement sweep at the full beam over the
+# earliest-inserted vertices — the ones whose insertion searches saw the
+# sparsest prefix.  Builds of at most ``_MAX_ROWS`` points refine
+# everything (the sweep is one cheap lockstep chunk); past that the sweep
+# covers the share below.  HNSW's share is larger because occlusion-pruned
+# graphs keep far fewer links per insertion.  Nothing ever set these to
+# another value; docs/performance.md has the recall / wall-clock table
+# they were recorded with.
+#: points of the exact mutual-kNN seed block (a beam search cannot serve
+#: them: the graph is still empty)
+_FIRST_WAVE = 256
+#: share of the earliest vertices refined when ``n > _MAX_ROWS``
+_NSW_REFINE_FRAC = 0.5
+_HNSW_REFINE_FRAC = 0.75
+
 
 # --------------------------------------------------------------------------
 # row-parallel primitives
 # --------------------------------------------------------------------------
-
-def _first_occurrence_mask(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Mask of the first occurrence of each valid id per row (order kept).
-
-    The vectorized form of a per-row ``seen``-set walk: a stable argsort
-    groups equal ids, group heads are first occurrences, and a scatter
-    puts the mask back in original column order.
-    """
-    masked = np.where(valid, ids, -1)
-    order = np.argsort(masked, axis=1, kind="stable")
-    s = np.take_along_axis(masked, order, axis=1)
-    first = np.empty(s.shape, dtype=bool)
-    first[:, 0] = True
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    first &= s >= 0
-    keep = np.zeros(s.shape, dtype=bool)
-    np.put_along_axis(keep, order, first, axis=1)
-    return keep
-
-
-def _compact_rows(
-    ids: np.ndarray,
-    keep: np.ndarray,
-    out_k: int,
-    extra: np.ndarray | None = None,
-    extra_fill: float = np.inf,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Left-compact up to ``out_k`` kept entries per row, preserving order.
-
-    Returns ``(compacted_ids, compacted_extra, counts)``; ids are -1
-    padded past each row's count.
-    """
-    rank = np.cumsum(keep, axis=1)
-    sel = keep & (rank <= out_k)
-    rows, cols = np.nonzero(sel)
-    pos = rank[rows, cols] - 1
-    out = np.full((ids.shape[0], out_k), -1, dtype=ids.dtype)
-    out[rows, pos] = ids[rows, cols]
-    out_extra = None
-    if extra is not None:
-        out_extra = np.full((ids.shape[0], out_k), extra_fill, dtype=extra.dtype)
-        out_extra[rows, pos] = extra[rows, cols]
-    counts = sel.sum(axis=1).astype(np.int64)
-    return out, out_extra, counts
-
 
 def occlusion_prune_mask(
     points: np.ndarray,
@@ -593,7 +540,6 @@ def _wave_build(
     metric: str,
     select: str,
     entry_fn,
-    first_wave: int,
     share: _BuildShare | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Doubling-wave batched insertion; returns (adj (n, cap), counts).
@@ -608,7 +554,7 @@ def _wave_build(
     else:
         adj = np.full((n, cap), -1, dtype=np.int64)
         counts = np.zeros(n, dtype=np.int64)
-    w0 = min(max(first_wave, m + 1), n)
+    w0 = min(max(_FIRST_WAVE, m + 1), n)
     _seed_block(points, w0, m, cap, metric, select, adj, counts,
                 entry=entry_fn(w0))
     trim = "occlusion" if select == "occlusion" else "closest"
@@ -731,6 +677,45 @@ def _refine_pass(
     )
 
 
+def _wave_graph(
+    points: np.ndarray,
+    m: int,
+    wave_ef: int,
+    ef: int,
+    cap: int,
+    metric: str,
+    select: str,
+    entry_fn,
+    refine_frac: float,
+    parallelism: int,
+    kind: str,
+    remap: np.ndarray | None = None,
+) -> GraphIndex:
+    """The NSW / HNSW build over ``points`` in insertion order: doubling
+    waves at beam ``wave_ef``, then the refinement sweep at the full beam
+    ``ef`` (over everything up to ``_MAX_ROWS`` points, the earliest
+    ``refine_frac`` past that), connectivity repaired before and after
+    it.  ``entry_fn(lo)`` names the entry vertex of the prefix
+    ``[0, lo)``; ``remap`` maps insertion order back to the caller's ids.
+    ``parallelism > 1`` opens a :class:`_BuildShare` for the build's
+    lifetime (the adjacency lives in its segments, so the CSR is
+    assembled before it closes)."""
+    n = points.shape[0]
+    entry = entry_fn(n)
+    with (_BuildShare(points, parallelism) if parallelism and parallelism > 1
+          else nullcontext()) as share:
+        adj, counts = _wave_build(
+            points, m, wave_ef, cap, metric, select, entry_fn, share=share
+        )
+        _repair_connectivity(points, adj, counts, cap, metric, entry)
+        _refine_pass(
+            points, adj, counts, m, ef, cap, metric, entry, select,
+            frac=1.0 if n <= _MAX_ROWS else refine_frac, share=share,
+        )
+        _repair_connectivity(points, adj, counts, cap, metric, entry)
+        return _csr_from_padded(adj, counts, kind, remap=remap)
+
+
 def _csr_from_padded(
     adj: np.ndarray, counts: np.ndarray, kind: str, remap: np.ndarray | None = None
 ) -> GraphIndex:
@@ -753,323 +738,3 @@ def _csr_from_padded(
     flat = rows[mask]
     indices = (ids_of[flat] if ids_of is not None else flat).astype(np.int32)
     return GraphIndex(indptr, indices, kind=kind)
-
-
-# --------------------------------------------------------------------------
-# NSW
-# --------------------------------------------------------------------------
-
-def build_nsw_batched(
-    points: np.ndarray,
-    m: int = 16,
-    ef_construction: int = 64,
-    metric: str = "l2",
-    max_degree: int | None = None,
-    seed: int = 0,
-    first_wave: int = 256,
-    refine_passes: int = 1,
-    refine_frac: float | None = None,
-    parallelism: int = 0,
-) -> GraphIndex:
-    """Wave-batched NSW build (vectorized backend of ``build_nsw``).
-
-    ``parallelism > 1`` fans each wave's (and each refinement sweep's)
-    insertion searches across worker processes over a shared-memory
-    mirror of the growing graph; the produced CSR is identical at any
-    worker count (rows are search-independent, linking stays serial).
-
-    Budget policy: the per-wave insertion searches run at a reduced beam
-    (``5/8·ef_construction``) and the saved budget funds a refinement
-    sweep at the full ``ef_construction`` over the earliest-inserted
-    ``refine_frac`` of the vertices — the ones whose insertion searches
-    saw the sparsest prefix.  ``refine_frac=None`` resolves adaptively:
-    small builds (``n <= 8192``) refine everything (the sweep is cheap
-    and wave searches saw at best a half-built graph), large builds
-    refine the earliest half.  On the mini corpora this lands above the
-    scalar build's recall at a fraction of its wall-clock.
-    """
-    points = np.asarray(points, dtype=np.float32)
-    n = points.shape[0]
-    cap = max_degree or 2 * m
-    if refine_frac is None:
-        refine_frac = 1.0 if n <= _MAX_ROWS else 0.5
-    wave_ef = max(m + 2, (5 * ef_construction) // 8)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)  # same insertion order as the scalar build
-    shuffled = np.ascontiguousarray(points[order])
-    share = (_BuildShare(shuffled, parallelism)
-             if parallelism and parallelism > 1 else None)
-    try:
-        adj, counts = _wave_build(
-            shuffled, m, wave_ef, cap, metric, "closest",
-            entry_fn=lambda lo: 0, first_wave=first_wave, share=share,
-        )
-        _repair_connectivity(shuffled, adj, counts, cap, metric, 0)
-        for _ in range(max(refine_passes, 0)):
-            _refine_pass(shuffled, adj, counts, m, ef_construction, cap, metric,
-                         0, "closest", frac=refine_frac, share=share)
-        _repair_connectivity(shuffled, adj, counts, cap, metric, 0)
-        return _csr_from_padded(adj, counts, "nsw", remap=order)
-    finally:
-        if share is not None:
-            share.close()
-
-
-# --------------------------------------------------------------------------
-# HNSW (flat layer-0 export)
-# --------------------------------------------------------------------------
-
-def build_hnsw_batched(
-    points: np.ndarray,
-    m: int = 12,
-    ef_construction: int = 64,
-    metric: str = "l2",
-    ml: float | None = None,
-    seed: int = 0,
-    first_wave: int = 256,
-    refine_passes: int = 1,
-    refine_frac: float | None = None,
-    parallelism: int = 0,
-) -> GraphIndex:
-    """Wave-batched flat HNSW layer-0 build (vectorized ``build_hnsw``).
-
-    ``build_hnsw`` exports only layer 0 (every point lives there); the
-    upper layers' sole effect on that export is routing insertion
-    searches.  The batched build reproduces that role with level draws:
-    each wave's searches enter at the highest-level vertex of the
-    inserted prefix.  Neighbour selection and the shrink-on-overflow both
-    use the batched occlusion prune (the parallel Algorithm-4 heuristic).
-    The beam budget is gentler than NSW's: occlusion-pruned graphs keep
-    far fewer links per insertion, so starving the waves (NSW's 5/8 cut)
-    visibly costs recall — HNSW waves run at ``7/8·ef_construction``
-    once the build is large enough to amortize it (``n > 8192``; small
-    builds keep the full beam), and the full-beam refinement sweep
-    covers the earliest ``refine_frac`` (``None`` = everything for small
-    builds, the earliest 3/4 past ``n=8192``).
-    """
-    points = np.asarray(points, dtype=np.float32)
-    n = points.shape[0]
-    cap = 2 * m  # layer-0 degree cap, per the paper
-    if refine_frac is None:
-        refine_frac = 1.0 if n <= _MAX_ROWS else 0.75
-    wave_ef = ef_construction if n <= _MAX_ROWS else max(
-        m + 2, (7 * ef_construction) // 8
-    )
-    ml = ml if ml is not None else 1.0 / math.log(m)
-    rng = np.random.default_rng(seed)
-    levels = np.floor(
-        -np.log(np.maximum(rng.random(n), 1e-12)) * ml
-    ).astype(np.int64)
-
-    def entry_fn(lo: int) -> int:
-        return int(np.argmax(levels[:lo]))
-
-    share = (_BuildShare(points, parallelism)
-             if parallelism and parallelism > 1 else None)
-    try:
-        adj, counts = _wave_build(
-            points, m, wave_ef, cap, metric, "occlusion",
-            entry_fn=entry_fn, first_wave=first_wave, share=share,
-        )
-        _repair_connectivity(points, adj, counts, cap, metric, entry_fn(n))
-        for _ in range(max(refine_passes, 0)):
-            _refine_pass(
-                points, adj, counts, m, ef_construction, cap, metric,
-                entry_fn(n), "occlusion", frac=refine_frac, share=share,
-            )
-        _repair_connectivity(points, adj, counts, cap, metric, entry_fn(n))
-        return _csr_from_padded(adj, counts, "hnsw-l0")
-    finally:
-        if share is not None:
-            share.close()
-
-
-# --------------------------------------------------------------------------
-# NSG
-# --------------------------------------------------------------------------
-
-def build_nsg_batched(
-    points: np.ndarray,
-    out_degree: int = 16,
-    knn_k: int | None = None,
-    search_l: int = 48,
-    metric: str = "l2",
-    seed: int = 0,
-) -> GraphIndex:
-    """Batched NSG build (vectorized backend of ``build_nsg``)."""
-    points = np.asarray(points, dtype=np.float32)
-    n = points.shape[0]
-    knn_k = knn_k or 2 * out_degree
-    knn_ids, knn_d = exact_knn_matrix(points, min(knn_k, n - 1), metric)
-    nav = medoid(points, metric, seed=seed)
-    substrate = GraphIndex.from_matrix(knn_ids, kind="knn")
-    nbr_mat, degs = substrate.neighbor_matrix()
-    nbr_mat = np.ascontiguousarray(nbr_mat)  # writable view not needed; engine reads
-
-    adj = np.full((n, out_degree), -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    rows_all = np.arange(n, dtype=np.int64)
-    for lo in range(0, n, _MAX_ROWS):
-        hi = min(n, lo + _MAX_ROWS)
-        # Pool = kNN row ∪ the search *path* from the navigating node
-        # (every expanded vertex, matching the scalar build) — the path's
-        # long-range vertices are what make NSG navigable from its fixed
-        # entry; the final beam alone is too local and recall collapses.
-        pool_s, pool_sd = _prefix_search(
-            points, lo, hi, n, nbr_mat, degs, nav, search_l, metric,
-            collect_expansions=True,
-        )
-        pool_ids = np.concatenate([knn_ids[lo:hi].astype(np.int64), pool_s], axis=1)
-        pool_d = np.concatenate([knn_d[lo:hi], pool_sd], axis=1)
-        o = np.argsort(pool_d, axis=1, kind="stable")
-        pool_ids = np.take_along_axis(pool_ids, o, axis=1)
-        pool_d = np.take_along_axis(pool_d, o, axis=1)
-        valid = (pool_ids >= 0) & (pool_ids != rows_all[lo:hi, None])
-        valid &= _first_occurrence_mask(pool_ids, valid)
-        cids, cd, _ = _compact_rows(pool_ids, valid, pool_ids.shape[1], extra=pool_d)
-        occ = occlusion_prune_mask(points, cids, cd, metric)
-        links, _, lcnt = _compact_rows(cids, occ, out_degree)
-        adj[lo:hi] = links
-        counts[lo:hi] = lcnt
-
-    _nsg_repair(points, adj, counts, nav, out_degree, metric)
-    return _csr_from_padded(adj, counts, "nsg")
-
-
-def _bfs_seen(adj: np.ndarray, nav: int) -> np.ndarray:
-    """Vectorized BFS over a -1-padded adjacency matrix; returns the
-    reachable-from-``nav`` mask."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[nav] = True
-    frontier = np.array([nav], dtype=np.int64)
-    while frontier.size:
-        nb = adj[frontier]
-        nb = nb[nb >= 0]
-        if nb.size == 0:
-            break
-        nb = np.unique(nb)
-        fresh = nb[~seen[nb]]
-        seen[fresh] = True
-        frontier = fresh
-    return seen
-
-
-def _nsg_repair(
-    points: np.ndarray,
-    adj: np.ndarray,
-    counts: np.ndarray,
-    nav: int,
-    out_degree: int,
-    metric: str,
-) -> None:
-    """BFS connectivity repair from the navigating node, on raw arrays.
-
-    Same semantics as the scalar repair: unreachable vertices attach to
-    their nearest reachable vertex, preferring anchors with spare capacity
-    (append-only attachment cannot disconnect a subtree the way edge
-    replacement can), with the BFS+attach cycle iterated to a fixpoint.
-    """
-    for _ in range(10):
-        seen = _bfs_seen(adj, nav)
-        unreached = np.flatnonzero(~seen)
-        if unreached.size == 0:
-            return
-        reach = np.flatnonzero(seen)
-        for blo in range(0, unreached.size, 1024):
-            bhi = min(unreached.size, blo + 1024)
-            block = unreached[blo:bhi]
-            d = pairwise_distances(points[block], points[reach], metric)
-            order = np.argsort(d, axis=1, kind="stable")
-            for row, v in enumerate(block.tolist()):
-                anchor = None
-                for i in order[row]:
-                    a = int(reach[i])
-                    if counts[a] < out_degree:
-                        anchor = a
-                        break
-                if anchor is not None:
-                    adj[anchor, counts[anchor]] = v
-                    counts[anchor] += 1
-                else:
-                    adj[int(reach[order[row, 0]]), out_degree - 1] = v
-
-
-# --------------------------------------------------------------------------
-# CAGRA (bit-identical to the scalar oracle)
-# --------------------------------------------------------------------------
-
-def build_cagra_batched(
-    points: np.ndarray,
-    graph_degree: int = 32,
-    intermediate_degree: int | None = None,
-    metric: str = "l2",
-    use_nn_descent: bool = False,
-    chunk: int = 256,
-    seed: int = 0,
-) -> GraphIndex:
-    """Array-op CAGRA graph optimization (vectorized ``build_cagra``).
-
-    Produces the *same CSR byte for byte* as the scalar builder: the
-    forward-rank selection, reverse-edge rank ordering, and the seen-set
-    dedup assembly are replayed with stable sorts and first-occurrence
-    masks instead of per-vertex Python loops.
-    """
-    from .cagra import prune_detours
-
-    points = np.asarray(points, dtype=np.float32)
-    n = points.shape[0]
-    inter = intermediate_degree or 2 * graph_degree
-    inter = min(inter, n - 1)
-    if use_nn_descent:
-        cand_ids, cand_d = nn_descent_matrix(
-            points, inter, metric, seed=seed, backend="vectorized"
-        )
-    else:
-        cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
-    cand_ids = cand_ids.astype(np.int64)
-
-    keep_mask = prune_detours(points, cand_ids, cand_d, metric, chunk=chunk)
-
-    # Strong (unpruned) forward edges first, in rank order.
-    d_half = graph_degree // 2
-    t = max(d_half, 1)
-    korder = np.argsort(~keep_mask, axis=1, kind="stable")
-    kept_ids = np.take_along_axis(cand_ids, korder, axis=1)
-    kept_cnt = keep_mask.sum(axis=1).astype(np.int64)
-    tcol = np.arange(t)
-    fwd = np.where(
-        tcol[None, :] < np.minimum(kept_cnt, t)[:, None], kept_ids[:, :t], -1
-    )
-
-    # Reverse edges, bucketed per destination and ordered by (forward
-    # rank, source id) — the scalar ``sorted(rev_lists[u])`` order.
-    src, kcol = np.nonzero(keep_mask)
-    rank = (np.cumsum(keep_mask, axis=1) - 1)[src, kcol]
-    dst = cand_ids[src, kcol]
-    o = np.lexsort((src, rank, dst))
-    dst_s, src_s = dst[o], src[o]
-    cnt_rev = np.bincount(dst_s, minlength=n)
-    maxrev = int(cnt_rev.max()) if dst_s.size else 0
-    rev = np.full((n, maxrev), -1, dtype=np.int64)
-    if dst_s.size:
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(cnt_rev[:-1], out=starts[1:])
-        rev[dst_s, np.arange(dst_s.size) - starts[dst_s]] = src_s
-
-    # Assembly: forward, then reverse, then intermediate-candidate
-    # padding; first occurrence wins (the scalar seen-set), self excluded
-    # exactly where the scalar excludes it.
-    rows_idx = np.arange(n, dtype=np.int64)[:, None]
-    prio = np.concatenate([fwd, rev, cand_ids], axis=1)
-    valid = np.concatenate(
-        [
-            fwd >= 0,
-            (rev >= 0) & (rev != rows_idx),
-            cand_ids != rows_idx,
-        ],
-        axis=1,
-    )
-    keep = _first_occurrence_mask(prio, valid)
-    out, _, _ = _compact_rows(prio, keep, graph_degree)
-    return GraphIndex.from_matrix(out.astype(np.int32), kind="cagra")

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.metrics import query_distances
 from .base import GraphIndex
 from .knn import exact_knn_matrix, nn_descent_matrix
+from .utils import _compact_rows, _first_occurrence_mask, as_points
 
 __all__ = ["build_cagra", "prune_detours"]
 
@@ -31,84 +31,72 @@ def build_cagra(
     use_nn_descent: bool = False,
     chunk: int = 256,
     seed: int = 0,
-    build_backend: str = "scalar",
 ) -> GraphIndex:
     """Build a CAGRA graph with out-degree exactly ``graph_degree``.
 
-    ``build_backend="vectorized"`` replays this function's forward-rank /
-    reverse-edge / dedup loops as pure array ops
-    (:func:`~repro.graphs.build_batched.build_cagra_batched`) and is
-    **bit-identical** to the scalar output (asserted by the parity suite);
-    with ``use_nn_descent=True`` it also switches the substrate to the
-    vectorized NN-descent dedup kernel, which dominates the speedup.
+    Forward-rank selection, reverse-edge bucketing and the first-wins
+    dedup assembly are whole-matrix array ops (stable sorts and
+    first-occurrence masks); the CSR equals the per-vertex loops of
+    ``tests/oracles.py::scalar_build_cagra`` byte for byte.
     """
-    points = np.asarray(points, dtype=np.float32)
+    points = as_points(points)
     n = points.shape[0]
     if graph_degree <= 0:
         raise ValueError("graph_degree must be positive")
     if n <= graph_degree:
         raise ValueError("need more points than graph_degree")
-    if build_backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown build_backend {build_backend!r}")
-    if build_backend == "vectorized":
-        from .build_batched import build_cagra_batched
-
-        return build_cagra_batched(
-            points, graph_degree, intermediate_degree, metric,
-            use_nn_descent, chunk, seed,
-        )
     inter = intermediate_degree or 2 * graph_degree
     inter = min(inter, n - 1)
     if use_nn_descent:
         cand_ids, cand_d = nn_descent_matrix(points, inter, metric, seed=seed)
-        cand_ids = cand_ids.astype(np.int64)
     else:
         cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
-        cand_ids = cand_ids.astype(np.int64)
+    cand_ids = cand_ids.astype(np.int64)
 
     keep_mask = prune_detours(points, cand_ids, cand_d, metric, chunk=chunk)
 
-    d_half = graph_degree // 2
-    forward = np.full((n, graph_degree), -1, dtype=np.int64)
-    fwd_count = np.zeros(n, dtype=np.int64)
     # Strong (unpruned) forward edges first, in rank order.
-    for u in range(n):
-        kept = cand_ids[u][keep_mask[u]]
-        take = kept[: max(d_half, 1)]
-        forward[u, : take.size] = take
-        fwd_count[u] = take.size
+    t = max(graph_degree // 2, 1)
+    korder = np.argsort(~keep_mask, axis=1, kind="stable")
+    kept_ids = np.take_along_axis(cand_ids, korder, axis=1)
+    kept_cnt = keep_mask.sum(axis=1).astype(np.int64)
+    tcol = np.arange(t)
+    fwd = np.where(
+        tcol[None, :] < np.minimum(kept_cnt, t)[:, None], kept_ids[:, :t], -1
+    )
 
     # Reverse edges: rank candidates by how early they appear in the
     # source's kept list (CAGRA's reverse-rank ordering, approximated by
-    # forward rank).
-    rev_lists: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        kept = cand_ids[u][keep_mask[u]]
-        for rank, v in enumerate(kept):
-            rev_lists[int(v)].append((rank, u))
-    out = np.full((n, graph_degree), -1, dtype=np.int64)
-    for u in range(n):
-        chosen: list[int] = []
-        seen = set()
-        for v in forward[u, : fwd_count[u]]:
-            if v not in seen:
-                chosen.append(int(v))
-                seen.add(int(v))
-        for _, src in sorted(rev_lists[u]):
-            if len(chosen) >= graph_degree:
-                break
-            if src not in seen and src != u:
-                chosen.append(int(src))
-                seen.add(int(src))
-        # Pad from remaining intermediate candidates (pruned ones included).
-        if len(chosen) < graph_degree:
-            for v in cand_ids[u]:
-                if len(chosen) >= graph_degree:
-                    break
-                if int(v) not in seen and int(v) != u:
-                    chosen.append(int(v))
-                    seen.add(int(v))
-        out[u, : len(chosen)] = chosen
+    # forward rank), bucketed per destination and ordered by (forward
+    # rank, source id).
+    src, kcol = np.nonzero(keep_mask)
+    rank = (np.cumsum(keep_mask, axis=1) - 1)[src, kcol]
+    dst = cand_ids[src, kcol]
+    o = np.lexsort((src, rank, dst))
+    dst_s, src_s = dst[o], src[o]
+    cnt_rev = np.bincount(dst_s, minlength=n)
+    maxrev = int(cnt_rev.max()) if dst_s.size else 0
+    rev = np.full((n, maxrev), -1, dtype=np.int64)
+    if dst_s.size:
+        starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(cnt_rev[:-1], out=starts[1:])
+        rev[dst_s, np.arange(dst_s.size) - starts[dst_s]] = src_s
+
+    # Assembly: forward, then reverse, then padding from the remaining
+    # intermediate candidates (pruned ones included); first occurrence
+    # wins, self excluded.
+    rows_idx = np.arange(n, dtype=np.int64)[:, None]
+    prio = np.concatenate([fwd, rev, cand_ids], axis=1)
+    valid = np.concatenate(
+        [
+            fwd >= 0,
+            (rev >= 0) & (rev != rows_idx),
+            cand_ids != rows_idx,
+        ],
+        axis=1,
+    )
+    keep = _first_occurrence_mask(prio, valid)
+    out, _, _ = _compact_rows(prio, keep, graph_degree)
     return GraphIndex.from_matrix(out.astype(np.int32), kind="cagra")
 
 

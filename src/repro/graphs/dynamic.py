@@ -2,12 +2,11 @@
 
 Online serving systems (the paper's target deployment) rarely get a frozen
 corpus; this module adds the "built for change" update story on top of any
-:class:`~repro.graphs.base.GraphIndex`, rebuilt around the PR 4 wave
-machinery instead of the original scalar per-point loop:
+:class:`~repro.graphs.base.GraphIndex`, on the builders' wave machinery:
 
 * **insert waves** — :meth:`DynamicGraph.insert_batch` appends a whole wave
   of points, lockstep-searches them against the visible prefix (the same
-  :class:`~repro.search.batched.LockstepEngine` the vectorized builders
+  :class:`~repro.search.batched.LockstepEngine` the builders
   use, with internal doubling sub-waves when the wave dwarfs the index),
   links the nearest survivors bidirectionally and degree-caps in bulk
   (:func:`~repro.graphs.build_batched._add_links`);
@@ -45,12 +44,11 @@ from ..data.metrics import pair_distances, query_distances, require_finite
 from .base import GraphIndex
 from .build_batched import (
     _add_links,
-    _compact_rows,
     _prefix_search,
     _select_links,
     occlusion_prune_mask,
 )
-from .utils import medoid
+from .utils import _compact_rows, medoid
 
 __all__ = ["DynamicGraph"]
 

@@ -2,16 +2,22 @@
 
 GANNS [23] builds HNSW/NSW graphs; the paper's NSW experiments use the
 flat variant, but the hierarchical index is part of the same family and is
-provided for completeness.  The build is the reference incremental
-algorithm: each point draws a level from a geometric distribution, is
-routed greedily through the upper layers, and is linked on every layer at
-or below its level with the *heuristic* neighbour selection (keep a
-candidate only if it is closer to the query than to every already-selected
-neighbour — the diversification rule that keeps the graph navigable).
+provided for completeness.
 
-The ALGAS search kernels consume flat CSR graphs, so :meth:`HNSWIndex.to_graph_index`
-exports layer 0 (where all points live); :meth:`HNSWIndex.search` performs
-the full hierarchical descent for CPU-side use.
+:class:`HNSWIndex` is the reference incremental algorithm: each point
+draws a level from a geometric distribution, is routed greedily through
+the upper layers, and is linked on every layer at or below its level with
+the *heuristic* neighbour selection (keep a candidate only if it is
+closer to the query than to every already-selected neighbour — the
+diversification rule that keeps the graph navigable).
+:meth:`HNSWIndex.search` performs the full hierarchical descent for
+CPU-side use; :meth:`HNSWIndex.to_graph_index` exports layer 0 (where all
+points live).
+
+The ALGAS search kernels consume flat CSR graphs, so :func:`build_hnsw`
+builds that layer-0 graph directly, in doubling waves through the
+lockstep engine (:mod:`~repro.graphs.build_batched`), without
+materializing the hierarchy.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import numpy as np
 
 from ..data.metrics import query_distances
 from .base import GraphIndex
+from .build_batched import _HNSW_REFINE_FRAC, _MAX_ROWS, _wave_graph
+from .utils import as_points
 
 __all__ = ["HNSWIndex", "build_hnsw"]
 
@@ -214,32 +222,52 @@ def build_hnsw(
     ef_construction: int = 64,
     metric: str = "l2",
     seed: int = 0,
-    build_backend: str = "scalar",
     parallelism: int = 0,
 ) -> GraphIndex:
-    """Build an HNSW index and export its layer-0 graph (GPU-searchable).
+    """Wave-batched build of the flat HNSW layer-0 graph (GPU-searchable).
 
-    ``build_backend="vectorized"`` builds the layer-0 export directly in
-    doubling waves through the lockstep engine
-    (:func:`~repro.graphs.build_batched.build_hnsw_batched`), with the
-    heuristic neighbour selection replaced by the batched occlusion
-    prune.  The scalar path (full :class:`HNSWIndex`) stays the oracle;
-    use it when the hierarchical CPU index itself is needed.
+    Layer 0 is where every point lives and the only layer the search
+    kernels consume; the upper layers' sole effect on it is routing
+    insertion searches.  The wave build reproduces that role with level
+    draws: each wave's searches enter at the highest-level vertex of the
+    inserted prefix.  Neighbour selection and the shrink-on-overflow both
+    use the batched occlusion prune
+    (:func:`~repro.graphs.build_batched.occlusion_prune_mask`, the
+    parallel form of Algorithm 4's heuristic, as used by CAGRA).
+    ``parallelism > 1`` fans the insertion searches over worker processes
+    exactly as in :func:`~repro.graphs.nsw.build_nsw`; the CSR is
+    identical at any worker count.  When the hierarchical CPU index
+    itself is needed, build an :class:`HNSWIndex` — its
+    ``to_graph_index()`` is the one-point-at-a-time reference.
+
+    The beam budget is gentler than NSW's: occlusion-pruned graphs keep
+    far fewer links per insertion, so starving the waves (NSW's 5/8 cut)
+    visibly costs recall — HNSW waves run at ``7/8·ef_construction``
+    once the build is large enough to amortize it (``n > 8192``; small
+    builds keep the full beam), and the full-beam refinement sweep
+    covers everything for small builds, the earliest 3/4 past ``n=8192``.
     """
-    if build_backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown build_backend {build_backend!r}")
-    if build_backend == "vectorized":
-        points = np.asarray(points, dtype=np.float32)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a non-empty (n, dim) array")
-        if m <= 0 or ef_construction < m:
-            raise ValueError("need 0 < m <= ef_construction")
-        from .build_batched import build_hnsw_batched
-
-        return build_hnsw_batched(
-            points, m=m, ef_construction=ef_construction, metric=metric,
-            seed=seed, parallelism=parallelism,
-        )
-    return HNSWIndex(
-        points, m=m, ef_construction=ef_construction, metric=metric, seed=seed
-    ).to_graph_index()
+    points = as_points(points)
+    if m <= 0 or ef_construction < m:
+        raise ValueError("need 0 < m <= ef_construction")
+    n = points.shape[0]
+    wave_ef = ef_construction if n <= _MAX_ROWS else max(
+        m + 2, (7 * ef_construction) // 8
+    )
+    ml = 1.0 / math.log(m)  # the level multiplier HNSWIndex defaults to
+    rng = np.random.default_rng(seed)
+    levels = np.floor(
+        -np.log(np.maximum(rng.random(n), 1e-12)) * ml
+    ).astype(np.int64)
+    return _wave_graph(
+        points, m,
+        wave_ef=wave_ef,
+        ef=ef_construction,
+        cap=2 * m,  # layer-0 degree cap, per the paper
+        metric=metric,
+        select="occlusion",
+        entry_fn=lambda lo: int(np.argmax(levels[:lo])),
+        refine_frac=_HNSW_REFINE_FRAC,
+        parallelism=parallelism,
+        kind="hnsw-l0",
+    )

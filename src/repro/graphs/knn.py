@@ -12,6 +12,7 @@ import numpy as np
 
 from ..data.metrics import pairwise_distances
 from .base import GraphIndex
+from .utils import _first_occurrence_mask, as_points
 
 __all__ = ["exact_knn_matrix", "exact_knn_graph", "nn_descent_matrix", "nn_descent_graph"]
 
@@ -61,7 +62,6 @@ def nn_descent_matrix(
     sample: int = 12,
     seed: int = 0,
     tol: float = 0.001,
-    backend: str = "scalar",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Approximate k-NN via NN-descent (Dong et al.).
 
@@ -69,19 +69,11 @@ def nn_descent_matrix(
     neighbours and keeps the k best.  Converges to >0.9 recall k-NN graphs
     in a handful of iterations on clustered data; used when ``n`` makes the
     exact quadratic build unattractive.
-
-    ``backend`` selects the per-row deduplication kernel: ``"scalar"`` is
-    the original per-row ``np.unique`` loop, ``"vectorized"`` replays the
-    identical first-occurrence semantics with one stable argsort over the
-    whole merge matrix (bit-identical output, no Python loop — this loop
-    is the dominant cost of the scalar build at n=20k).
     """
-    points = np.asarray(points, dtype=np.float32)
+    points = as_points(points)
     n = points.shape[0]
     if not 0 < k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    if backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown backend {backend!r}")
     rng = np.random.default_rng(seed)
     # Random initialization (ids distinct from self).
     nbrs = rng.integers(0, n - 1, size=(n, k), dtype=np.int64)
@@ -104,21 +96,9 @@ def nn_descent_matrix(
         sort_idx = np.argsort(merged_d, axis=1, kind="stable")
         merged_ids = np.take_along_axis(merged_ids, sort_idx, axis=1)
         merged_d = np.take_along_axis(merged_d, sort_idx, axis=1)
-        if backend == "vectorized":
-            nbrs, dists, updated = _dedup_update_vectorized(
-                nbrs, dists, merged_ids, merged_d, k
-            )
-        else:
-            updated = 0
-            for i in range(n):
-                row_ids, first = np.unique(merged_ids[i], return_index=True)
-                first.sort()
-                keep = first[:k]
-                new_row = merged_ids[i, keep]
-                if not np.array_equal(np.sort(new_row), np.sort(nbrs[i])):
-                    updated += 1
-                nbrs[i, : keep.size] = new_row
-                dists[i, : keep.size] = merged_d[i, keep]
+        nbrs, dists, updated = _dedup_update_vectorized(
+            nbrs, dists, merged_ids, merged_d, k
+        )
         if updated / n < tol:
             break
     return nbrs.astype(np.int32), dists
@@ -133,16 +113,15 @@ def _dedup_update_vectorized(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Row-parallel first-occurrence dedup + top-k update.
 
-    Exact replay of the scalar per-row ``np.unique`` walk: rows are
-    already distance-sorted, so the first occurrence of each id in
-    column order is its best-distance occurrence; the first ``k`` such
-    columns overwrite the leading slots (trailing slots keep their old
-    values when a row has fewer than ``k`` distinct ids, as the scalar
-    partial write does).  A row counts as updated when its sorted new id
-    set differs from the old one — which a short row always does.
+    Exact replay of a per-row ``np.unique`` walk
+    (``tests/oracles.py::scalar_nn_descent_dedup``): rows are already
+    distance-sorted, so the first occurrence of each id in column order
+    is its best-distance occurrence; the first ``k`` such columns
+    overwrite the leading slots (trailing slots keep their old values
+    when a row has fewer than ``k`` distinct ids, as a partial write
+    does).  A row counts as updated when its sorted new id set differs
+    from the old one — which a short row always does.
     """
-    from .build_batched import _first_occurrence_mask
-
     first = _first_occurrence_mask(merged_ids, np.ones(merged_ids.shape, dtype=bool))
     rank = np.cumsum(first, axis=1)
     sel = first & (rank <= k)

@@ -10,18 +10,29 @@ The result is a sparse, low-out-degree graph that greedy search navigates
 from a single fixed entry — a third graph family (besides CAGRA and NSW)
 for the ALGAS serving layer, matching the paper's claim of supporting
 "general GPU graphs".
+
+All medoid-rooted candidate searches run batched through
+:class:`~repro.search.batched.LockstepEngine` over the kNN substrate, the
+sequential MRNG test is the chunked triangle-inequality prune
+(:func:`~repro.graphs.build_batched.occlusion_prune_mask`), and the BFS
+repair works on the padded adjacency arrays; the per-vertex form is
+``tests/oracles.py::scalar_build_nsg``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from ..data.metrics import query_distances
+from ..data.metrics import pairwise_distances
 from .base import GraphIndex
+from .build_batched import (
+    _MAX_ROWS,
+    _csr_from_padded,
+    _prefix_search,
+    occlusion_prune_mask,
+)
 from .knn import exact_knn_matrix
-from .utils import medoid
+from .utils import _compact_rows, _first_occurrence_mask, as_points, medoid
 
 __all__ = ["build_nsg"]
 
@@ -33,7 +44,6 @@ def build_nsg(
     search_l: int = 48,
     metric: str = "l2",
     seed: int = 0,
-    build_backend: str = "scalar",
 ) -> GraphIndex:
     """Build an NSG over ``points`` with out-degree at most ``out_degree``.
 
@@ -44,133 +54,104 @@ def build_nsg(
     search_l:
         candidate-list length of the construction-time search from the
         navigating node (larger = better edge candidates, slower build).
-    build_backend:
-        ``"scalar"`` runs the per-vertex searches and the sequential MRNG
-        occlusion test below; ``"vectorized"`` batches all medoid-rooted
-        searches through the lockstep engine and uses the chunked
-        triangle-inequality prune
-        (:func:`~repro.graphs.build_batched.build_nsg_batched`).
     """
-    points = np.asarray(points, dtype=np.float32)
+    points = as_points(points)
     n = points.shape[0]
     if out_degree <= 0:
         raise ValueError("out_degree must be positive")
     if n <= out_degree:
         raise ValueError("need more points than out_degree")
-    if build_backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown build_backend {build_backend!r}")
-    if build_backend == "vectorized":
-        from .build_batched import build_nsg_batched
-
-        return build_nsg_batched(points, out_degree, knn_k, search_l, metric, seed)
     knn_k = knn_k or 2 * out_degree
     knn_ids, knn_d = exact_knn_matrix(points, min(knn_k, n - 1), metric)
     nav = medoid(points, metric, seed=seed)
+    substrate = GraphIndex.from_matrix(knn_ids, kind="knn")
+    nbr_mat, degs = substrate.neighbor_matrix()
 
-    # Phase 1: per-vertex candidate pools = kNN ∪ search path from nav.
-    knn_lists = [knn_ids[v] for v in range(n)]
-    adj: list[np.ndarray] = [np.empty(0, np.int64)] * n
-    for v in range(n):
-        path = _search_path(points, knn_lists, points[v], nav, search_l, metric)
-        pool_ids = np.unique(np.concatenate([knn_ids[v].astype(np.int64), path]))
-        pool_ids = pool_ids[pool_ids != v]
-        pool_d = query_distances(points[v], points[pool_ids], metric)
-        order = np.argsort(pool_d, kind="stable")
-        adj[v] = _occlusion_select(
-            points, v, pool_ids[order], pool_d[order], out_degree, metric
+    adj = np.full((n, out_degree), -1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    rows_all = np.arange(n, dtype=np.int64)
+    for lo in range(0, n, _MAX_ROWS):
+        hi = min(n, lo + _MAX_ROWS)
+        # Pool = kNN row ∪ the search *path* from the navigating node
+        # (every expanded vertex) — the path's long-range vertices are
+        # what make NSG navigable from its fixed entry; the final beam
+        # alone is too local and recall collapses.
+        pool_s, pool_sd = _prefix_search(
+            points, lo, hi, n, nbr_mat, degs, nav, search_l, metric,
+            collect_expansions=True,
         )
+        pool_ids = np.concatenate([knn_ids[lo:hi].astype(np.int64), pool_s], axis=1)
+        pool_d = np.concatenate([knn_d[lo:hi], pool_sd], axis=1)
+        o = np.argsort(pool_d, axis=1, kind="stable")
+        pool_ids = np.take_along_axis(pool_ids, o, axis=1)
+        pool_d = np.take_along_axis(pool_d, o, axis=1)
+        valid = (pool_ids >= 0) & (pool_ids != rows_all[lo:hi, None])
+        valid &= _first_occurrence_mask(pool_ids, valid)
+        cids, cd, _ = _compact_rows(pool_ids, valid, pool_ids.shape[1], extra=pool_d)
+        occ = occlusion_prune_mask(points, cids, cd, metric)
+        links, _, lcnt = _compact_rows(cids, occ, out_degree)
+        adj[lo:hi] = links
+        counts[lo:hi] = lcnt
 
-    # Phase 2: connectivity repair — BFS tree from the navigating node,
-    # attaching unreachable vertices to their nearest reachable neighbour.
-    # Anchors with spare capacity are preferred (append-only attachment
-    # cannot disconnect an existing subtree the way edge replacement can),
-    # and the BFS+attach cycle iterates to a fixpoint so replacement-induced
-    # disconnections are themselves repaired.
-    for _ in range(10):
-        reachable = _bfs_reachable(adj, nav, n)
-        unreached = np.flatnonzero(~reachable)
-        if unreached.size == 0:
+    _repair_from_nav(points, adj, counts, nav, out_degree, metric)
+    return _csr_from_padded(adj, counts, "nsg")
+
+
+def _bfs_seen(adj: np.ndarray, nav: int) -> np.ndarray:
+    """Vectorized BFS over a -1-padded adjacency matrix; returns the
+    reachable-from-``nav`` mask."""
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[nav] = True
+    frontier = np.array([nav], dtype=np.int64)
+    while frontier.size:
+        nb = adj[frontier]
+        nb = nb[nb >= 0]
+        if nb.size == 0:
             break
-        reach_ids = np.flatnonzero(reachable)
-        for v in unreached:
-            d = query_distances(points[v], points[reach_ids], metric)
-            order = np.argsort(d, kind="stable")
-            anchor = None
-            for i in order:
-                a = int(reach_ids[i])
-                if adj[a].size < out_degree:
-                    anchor = a
-                    break
-            if anchor is not None:
-                adj[anchor] = np.append(adj[anchor], v)
-            else:
-                anchor = int(reach_ids[int(order[0])])
-                adj[anchor] = np.append(adj[anchor][:-1], v)
-
-    lists = [a.astype(np.int32) for a in adj]
-    return GraphIndex.from_neighbor_lists(lists, kind="nsg")
+        nb = np.unique(nb)
+        fresh = nb[~seen[nb]]
+        seen[fresh] = True
+        frontier = fresh
+    return seen
 
 
-def _search_path(
+def _repair_from_nav(
     points: np.ndarray,
-    knn_lists: list[np.ndarray],
-    query: np.ndarray,
-    entry: int,
-    l: int,
-    metric: str,
-) -> np.ndarray:
-    """Greedy search over the kNN graph; returns every expanded vertex."""
-    visited = {entry}
-    d0 = float(query_distances(query, points[entry][None, :], metric)[0])
-    cand: list[list] = [[d0, entry, False]]
-    expanded: list[int] = []
-    while True:
-        sel = next((c for c in cand if not c[2]), None)
-        if sel is None:
-            break
-        sel[2] = True
-        expanded.append(sel[1])
-        fresh = [int(u) for u in knn_lists[sel[1]] if int(u) not in visited]
-        if fresh:
-            visited.update(fresh)
-            nd = query_distances(query, points[fresh], metric)
-            cand.extend([float(d), u, False] for d, u in zip(nd, fresh))
-            cand.sort(key=lambda c: (c[0], c[1]))
-            del cand[l:]
-    return np.array(expanded, dtype=np.int64)
-
-
-def _occlusion_select(
-    points: np.ndarray,
-    v: int,
-    pool_ids: np.ndarray,
-    pool_d: np.ndarray,
+    adj: np.ndarray,
+    counts: np.ndarray,
+    nav: int,
     out_degree: int,
     metric: str,
-) -> np.ndarray:
-    """MRNG rule: keep u→c unless a kept neighbour is closer to c than u."""
-    kept: list[int] = []
-    for c, d_vc in zip(pool_ids.tolist(), pool_d.tolist()):
-        if len(kept) >= out_degree:
-            break
-        occluded = False
-        if kept:
-            d_kc = query_distances(points[c], points[np.array(kept)], metric)
-            occluded = bool((d_kc < d_vc).any())
-        if not occluded:
-            kept.append(int(c))
-    return np.array(kept, dtype=np.int64)
+) -> None:
+    """BFS connectivity repair from the navigating node, on raw arrays.
 
-
-def _bfs_reachable(adj: list[np.ndarray], start: int, n: int) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    dq = deque([start])
-    while dq:
-        v = dq.popleft()
-        for u in adj[v]:
-            u = int(u)
-            if not seen[u]:
-                seen[u] = True
-                dq.append(u)
-    return seen
+    Unreachable vertices attach to their nearest reachable vertex,
+    preferring anchors with spare capacity (append-only attachment cannot
+    disconnect a subtree the way edge replacement can), with the
+    BFS+attach cycle iterated to a fixpoint so replacement-induced
+    disconnections are themselves repaired.
+    """
+    for _ in range(10):
+        seen = _bfs_seen(adj, nav)
+        unreached = np.flatnonzero(~seen)
+        if unreached.size == 0:
+            return
+        reach = np.flatnonzero(seen)
+        for blo in range(0, unreached.size, 1024):
+            bhi = min(unreached.size, blo + 1024)
+            block = unreached[blo:bhi]
+            d = pairwise_distances(points[block], points[reach], metric)
+            order = np.argsort(d, axis=1, kind="stable")
+            for row, v in enumerate(block.tolist()):
+                anchor = None
+                for i in order[row]:
+                    a = int(reach[i])
+                    if counts[a] < out_degree:
+                        anchor = a
+                        break
+                if anchor is not None:
+                    adj[anchor, counts[anchor]] = v
+                    counts[anchor] += 1
+                else:
+                    adj[int(reach[order[row, 0]]), out_degree - 1] = v

@@ -1,4 +1,6 @@
-"""Graph diagnostics: degree statistics, connectivity, entry points."""
+"""Graph diagnostics (degree statistics, connectivity, entry points) and
+the leaf helpers every builder shares: the ``points`` boundary check and
+the two row-parallel dedup / compaction primitives."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ..data.metrics import query_distances
+from ..data.metrics import query_distances, require_finite
 from .base import GraphIndex
 
 __all__ = ["GraphStats", "graph_stats", "reachable_fraction", "medoid"]
@@ -92,3 +94,67 @@ def medoid(points: np.ndarray, metric: str = "l2", sample: int = 2048, seed: int
     center = points[idx].mean(axis=0)
     d = query_distances(center, points, metric)
     return int(np.argmin(d))
+
+
+def as_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as the float32 ``(n, dim)`` corpus a builder works on.
+
+    The builders' boundary check: an empty, 1-D or 3-D array would die
+    inside ``einsum`` with a subscripts message, and a NaN row builds a
+    graph silently (NaN compares false against every bound) — both raise
+    ``ValueError`` here, the latter naming the caller's first offending
+    row (before any insertion shuffle).
+    """
+    points = np.asarray(points, dtype=np.float32)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError(
+            "points must be a finite (n, dim) array with n > 0, "
+            f"got shape {points.shape}"
+        )
+    require_finite(points, "points")
+    return points
+
+
+def _first_occurrence_mask(ids: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each valid id per row (order kept).
+
+    The vectorized form of a per-row ``seen``-set walk: a stable argsort
+    groups equal ids, group heads are first occurrences, and a scatter
+    puts the mask back in original column order.
+    """
+    masked = np.where(valid, ids, -1)
+    order = np.argsort(masked, axis=1, kind="stable")
+    s = np.take_along_axis(masked, order, axis=1)
+    first = np.empty(s.shape, dtype=bool)
+    first[:, 0] = True
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    first &= s >= 0
+    keep = np.zeros(s.shape, dtype=bool)
+    np.put_along_axis(keep, order, first, axis=1)
+    return keep
+
+
+def _compact_rows(
+    ids: np.ndarray,
+    keep: np.ndarray,
+    out_k: int,
+    extra: np.ndarray | None = None,
+    extra_fill: float = np.inf,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Left-compact up to ``out_k`` kept entries per row, preserving order.
+
+    Returns ``(compacted_ids, compacted_extra, counts)``; ids are -1
+    padded past each row's count.
+    """
+    rank = np.cumsum(keep, axis=1)
+    sel = keep & (rank <= out_k)
+    rows, cols = np.nonzero(sel)
+    pos = rank[rows, cols] - 1
+    out = np.full((ids.shape[0], out_k), -1, dtype=ids.dtype)
+    out[rows, pos] = ids[rows, cols]
+    out_extra = None
+    if extra is not None:
+        out_extra = np.full((ids.shape[0], out_k), extra_fill, dtype=extra.dtype)
+        out_extra[rows, pos] = extra[rows, cols]
+    counts = sel.sum(axis=1).astype(np.int64)
+    return out, out_extra, counts

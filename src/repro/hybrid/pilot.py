@@ -27,13 +27,8 @@ from ..data.metrics import pair_distances
 from ..gpusim.device import DeviceProperties, RTX_A6000
 from ..gpusim.memory import MemoryPlan, footprint_bytes, plan_memory
 from ..graphs.base import GraphIndex
-from ..graphs.build_batched import (
-    _add_links,
-    _compact_rows,
-    _first_occurrence_mask,
-    _repair_connectivity,
-)
-from ..graphs.utils import medoid
+from ..graphs.build_batched import _add_links, _repair_connectivity
+from ..graphs.utils import _compact_rows, _first_occurrence_mask, medoid
 
 __all__ = ["PilotIndex", "build_pilot", "size_pilot"]
 

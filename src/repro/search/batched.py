@@ -138,8 +138,8 @@ class LockstepEngine:
 
     Besides a frozen :class:`~repro.graphs.base.GraphIndex`, ``graph`` may
     be a raw ``(nbr_mat, degrees)`` pair — a padded neighbour matrix plus
-    per-vertex counts, the representation the vectorized *construction*
-    backends (:mod:`repro.graphs.build_batched`) mutate between insertion
+    per-vertex counts, the representation the graph *builders*
+    (:mod:`repro.graphs.build_batched`) mutate between insertion
     waves.  ``n_visible`` optionally masks expansion to the vertex-id
     prefix ``[0, n_visible)``: insertion-time searches against a growing
     graph only ever traverse the already-inserted prefix, without the

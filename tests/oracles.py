@@ -1,4 +1,4 @@
-"""Scalar search and pricing oracles for the parity tests.
+"""Scalar search, pricing and graph-construction oracles for the parity tests.
 
 ``src/`` has one search engine on the serve path (the lockstep
 :class:`~repro.search.LockstepEngine`); the one-step-per-iteration
@@ -8,13 +8,26 @@ the system-level shape so ``system.search_all`` can be checked against
 them bit for bit.  :func:`scalar_cta_cost` is the matching pricing
 oracle: the step-by-step accumulation of ``CostModel.step_cost`` the block
 pricer must equal exactly.
+
+``src/`` likewise has one builder per graph family (``repro.graphs``:
+wave / array builders); the per-vertex Python loops they replaced are
+:func:`scalar_build_nsw`, :func:`scalar_build_nsg`,
+:func:`scalar_build_cagra` and :func:`scalar_nn_descent_dedup` below —
+CAGRA and the NN-descent dedup are equal to them byte for byte, NSW and
+NSG are held to their recall.  The HNSW reference is
+``HNSWIndex(...).to_graph_index()``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
+from repro.data.metrics import query_distances
 from repro.gpusim.costmodel import CTACost
+from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, prune_detours
+from repro.graphs.utils import medoid
 from repro.gpusim.trace import QueryTrace, TraceBlock
 from repro.search import intra_cta_search, multi_cta_search
 
@@ -89,3 +102,312 @@ def scalar_cta_cost(cost_model, trace) -> CTACost:
             trace.result_len * 8 / (dev.global_mem_bw_gbps * 1e3)
         )
     return CTACost(sel, fet, fil, dis, srt, write, trace.n_steps)
+
+
+# ---------------------------------------------------------------- builders
+# The one-vertex-at-a-time builders the wave / array builders of
+# ``repro.graphs`` replaced.  They take validated float32 ``points``.
+
+def scalar_build_nsw(
+    points: np.ndarray,
+    m: int = 16,
+    ef_construction: int = 64,
+    metric: str = "l2",
+    max_degree: int | None = None,
+    seed: int = 0,
+) -> GraphIndex:
+    """Faithful incremental NSW (Malkov et al. 2014): each point is
+    inserted by greedy beam search over the graph built so far and linked
+    bidirectionally to its ``m`` closest discovered neighbours; a vertex
+    over ``max_degree`` (default ``2 m``) drops its farthest links."""
+    points = np.asarray(points, dtype=np.float32)
+    n = points.shape[0]
+    cap = max_degree or 2 * m
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    inserted: list[int] = []
+
+    for new in order:
+        if not inserted:
+            inserted.append(int(new))
+            continue
+        entry = inserted[0]
+        found = _beam_search(points, adj, points[new], entry, ef_construction, metric)
+        links = found[:m]
+        for v in links:
+            adj[new].append(int(v))
+            adj[v].append(int(new))
+            if len(adj[v]) > cap:
+                _trim_closest(points, adj, v, cap, metric)
+        inserted.append(int(new))
+    return GraphIndex.from_neighbor_lists([np.array(a, dtype=np.int32) for a in adj], kind="nsw")
+
+
+def _beam_search(
+    points: np.ndarray,
+    adj: list[list[int]],
+    query: np.ndarray,
+    entry: int,
+    ef: int,
+    metric: str,
+) -> np.ndarray:
+    """Greedy beam search over a partially built adjacency; returns ids
+    sorted by ascending distance (up to ``ef``)."""
+    visited = {entry}
+    d0 = _dist(points[entry], query, metric)
+    cand_ids = [entry]
+    cand_d = [d0]
+    checked = [False]
+    while True:
+        best = None
+        best_d = np.inf
+        for i, (dd, ck) in enumerate(zip(cand_d, checked)):
+            if not ck and dd < best_d:
+                best, best_d = i, dd
+        if best is None:
+            break
+        checked[best] = True
+        nbrs = [v for v in adj[cand_ids[best]] if v not in visited]
+        if not nbrs:
+            continue
+        visited.update(nbrs)
+        nd = query_distances(query, points[nbrs], metric)
+        cand_ids.extend(nbrs)
+        cand_d.extend(nd.tolist())
+        checked.extend([False] * len(nbrs))
+        if len(cand_ids) > ef:
+            orderi = np.argsort(cand_d, kind="stable")[:ef]
+            cand_ids = [cand_ids[i] for i in orderi]
+            cand_d = [cand_d[i] for i in orderi]
+            checked = [checked[i] for i in orderi]
+    orderi = np.argsort(cand_d, kind="stable")
+    return np.array([cand_ids[i] for i in orderi], dtype=np.int64)
+
+
+def _dist(a: np.ndarray, b: np.ndarray, metric: str) -> float:
+    if metric == "l2":
+        d = a - b
+        return float(np.dot(d, d))
+    return float(1.0 - np.dot(a, b))
+
+
+def _trim_closest(
+    points: np.ndarray, adj: list[list[int]], v: int, cap: int, metric: str
+) -> None:
+    nbrs = np.array(adj[v], dtype=np.int64)
+    d = query_distances(points[v], points[nbrs], metric)
+    keep = np.argsort(d, kind="stable")[:cap]
+    adj[v] = [int(x) for x in nbrs[keep]]
+
+
+def scalar_build_nsg(
+    points: np.ndarray,
+    out_degree: int = 16,
+    knn_k: int | None = None,
+    search_l: int = 48,
+    metric: str = "l2",
+    seed: int = 0,
+) -> GraphIndex:
+    """Per-vertex NSG: medoid-rooted greedy searches one vertex at a time,
+    the sequential MRNG occlusion test, and a deque BFS repair."""
+    points = np.asarray(points, dtype=np.float32)
+    n = points.shape[0]
+    knn_k = knn_k or 2 * out_degree
+    knn_ids, knn_d = exact_knn_matrix(points, min(knn_k, n - 1), metric)
+    nav = medoid(points, metric, seed=seed)
+
+    # Phase 1: per-vertex candidate pools = kNN ∪ search path from nav.
+    knn_lists = [knn_ids[v] for v in range(n)]
+    adj: list[np.ndarray] = [np.empty(0, np.int64)] * n
+    for v in range(n):
+        path = _search_path(points, knn_lists, points[v], nav, search_l, metric)
+        pool_ids = np.unique(np.concatenate([knn_ids[v].astype(np.int64), path]))
+        pool_ids = pool_ids[pool_ids != v]
+        pool_d = query_distances(points[v], points[pool_ids], metric)
+        order = np.argsort(pool_d, kind="stable")
+        adj[v] = _occlusion_select(
+            points, v, pool_ids[order], pool_d[order], out_degree, metric
+        )
+
+    # Phase 2: connectivity repair — BFS tree from the navigating node,
+    # attaching unreachable vertices to their nearest reachable neighbour.
+    # Anchors with spare capacity are preferred (append-only attachment
+    # cannot disconnect an existing subtree the way edge replacement can),
+    # and the BFS+attach cycle iterates to a fixpoint so replacement-induced
+    # disconnections are themselves repaired.
+    for _ in range(10):
+        reachable = _bfs_reachable(adj, nav, n)
+        unreached = np.flatnonzero(~reachable)
+        if unreached.size == 0:
+            break
+        reach_ids = np.flatnonzero(reachable)
+        for v in unreached:
+            d = query_distances(points[v], points[reach_ids], metric)
+            order = np.argsort(d, kind="stable")
+            anchor = None
+            for i in order:
+                a = int(reach_ids[i])
+                if adj[a].size < out_degree:
+                    anchor = a
+                    break
+            if anchor is not None:
+                adj[anchor] = np.append(adj[anchor], v)
+            else:
+                anchor = int(reach_ids[int(order[0])])
+                adj[anchor] = np.append(adj[anchor][:-1], v)
+
+    lists = [a.astype(np.int32) for a in adj]
+    return GraphIndex.from_neighbor_lists(lists, kind="nsg")
+
+
+def _search_path(
+    points: np.ndarray,
+    knn_lists: list[np.ndarray],
+    query: np.ndarray,
+    entry: int,
+    l: int,
+    metric: str,
+) -> np.ndarray:
+    """Greedy search over the kNN graph; returns every expanded vertex."""
+    visited = {entry}
+    d0 = float(query_distances(query, points[entry][None, :], metric)[0])
+    cand: list[list] = [[d0, entry, False]]
+    expanded: list[int] = []
+    while True:
+        sel = next((c for c in cand if not c[2]), None)
+        if sel is None:
+            break
+        sel[2] = True
+        expanded.append(sel[1])
+        fresh = [int(u) for u in knn_lists[sel[1]] if int(u) not in visited]
+        if fresh:
+            visited.update(fresh)
+            nd = query_distances(query, points[fresh], metric)
+            cand.extend([float(d), u, False] for d, u in zip(nd, fresh))
+            cand.sort(key=lambda c: (c[0], c[1]))
+            del cand[l:]
+    return np.array(expanded, dtype=np.int64)
+
+
+def _occlusion_select(
+    points: np.ndarray,
+    v: int,
+    pool_ids: np.ndarray,
+    pool_d: np.ndarray,
+    out_degree: int,
+    metric: str,
+) -> np.ndarray:
+    """MRNG rule: keep u→c unless a kept neighbour is closer to c than u."""
+    kept: list[int] = []
+    for c, d_vc in zip(pool_ids.tolist(), pool_d.tolist()):
+        if len(kept) >= out_degree:
+            break
+        occluded = False
+        if kept:
+            d_kc = query_distances(points[c], points[np.array(kept)], metric)
+            occluded = bool((d_kc < d_vc).any())
+        if not occluded:
+            kept.append(int(c))
+    return np.array(kept, dtype=np.int64)
+
+
+def _bfs_reachable(adj: list[np.ndarray], start: int, n: int) -> np.ndarray:
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    dq = deque([start])
+    while dq:
+        v = dq.popleft()
+        for u in adj[v]:
+            u = int(u)
+            if not seen[u]:
+                seen[u] = True
+                dq.append(u)
+    return seen
+
+
+def scalar_build_cagra(
+    points: np.ndarray,
+    graph_degree: int = 32,
+    intermediate_degree: int | None = None,
+    metric: str = "l2",
+    use_nn_descent: bool = False,
+    chunk: int = 256,
+    seed: int = 0,
+) -> GraphIndex:
+    """CAGRA graph optimization with per-vertex forward / reverse / pad
+    loops over the shared ``prune_detours`` mask; ``build_cagra`` must
+    equal it byte for byte."""
+    points = np.asarray(points, dtype=np.float32)
+    n = points.shape[0]
+    inter = intermediate_degree or 2 * graph_degree
+    inter = min(inter, n - 1)
+    if use_nn_descent:
+        cand_ids, cand_d = nn_descent_matrix(points, inter, metric, seed=seed)
+        cand_ids = cand_ids.astype(np.int64)
+    else:
+        cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
+        cand_ids = cand_ids.astype(np.int64)
+
+    keep_mask = prune_detours(points, cand_ids, cand_d, metric, chunk=chunk)
+
+    d_half = graph_degree // 2
+    forward = np.full((n, graph_degree), -1, dtype=np.int64)
+    fwd_count = np.zeros(n, dtype=np.int64)
+    # Strong (unpruned) forward edges first, in rank order.
+    for u in range(n):
+        kept = cand_ids[u][keep_mask[u]]
+        take = kept[: max(d_half, 1)]
+        forward[u, : take.size] = take
+        fwd_count[u] = take.size
+
+    # Reverse edges: rank candidates by how early they appear in the
+    # source's kept list (CAGRA's reverse-rank ordering, approximated by
+    # forward rank).
+    rev_lists: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        kept = cand_ids[u][keep_mask[u]]
+        for rank, v in enumerate(kept):
+            rev_lists[int(v)].append((rank, u))
+    out = np.full((n, graph_degree), -1, dtype=np.int64)
+    for u in range(n):
+        chosen: list[int] = []
+        seen = set()
+        for v in forward[u, : fwd_count[u]]:
+            if v not in seen:
+                chosen.append(int(v))
+                seen.add(int(v))
+        for _, src in sorted(rev_lists[u]):
+            if len(chosen) >= graph_degree:
+                break
+            if src not in seen and src != u:
+                chosen.append(int(src))
+                seen.add(int(src))
+        # Pad from remaining intermediate candidates (pruned ones included).
+        if len(chosen) < graph_degree:
+            for v in cand_ids[u]:
+                if len(chosen) >= graph_degree:
+                    break
+                if int(v) not in seen and int(v) != u:
+                    chosen.append(int(v))
+                    seen.add(int(v))
+        out[u, : len(chosen)] = chosen
+    return GraphIndex.from_matrix(out.astype(np.int32), kind="cagra")
+
+
+def scalar_nn_descent_dedup(nbrs, dists, merged_ids, merged_d, k):
+    """The per-row ``np.unique`` dedup + top-k update of NN-descent, with
+    the signature of ``repro.graphs.knn._dedup_update_vectorized`` (which
+    must equal it bit for bit): returns ``(nbrs, dists, updated)``."""
+    nbrs, dists = nbrs.copy(), dists.copy()
+    updated = 0
+    for i in range(nbrs.shape[0]):
+        _row_ids, first = np.unique(merged_ids[i], return_index=True)
+        first.sort()
+        keep = first[:k]
+        new_row = merged_ids[i, keep]
+        if not np.array_equal(np.sort(new_row), np.sort(nbrs[i])):
+            updated += 1
+        nbrs[i, : keep.size] = new_row
+        dists[i, : keep.size] = merged_d[i, keep]
+    return nbrs, dists, updated

@@ -1,5 +1,7 @@
 """Failure-injection and boundary-condition tests across modules."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,13 @@ from repro.core.serving import QueryJob
 from repro.core.static_batcher import StaticBatchConfig, StaticBatchEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
+from repro.graphs import (
+    build_cagra,
+    build_hnsw,
+    build_nsg,
+    build_nsw,
+    nn_descent_matrix,
+)
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
 from repro.search import intra_cta_search, multi_cta_search
@@ -156,3 +165,30 @@ def test_non_finite_input_fails_at_the_boundary(ds, graph, where, bad):
             DynamicGraph(poisoned, graph, metric=ds.metric)
         else:
             DynamicGraph(ds.base, graph, metric=ds.metric).insert_batch(poisoned)
+
+
+_BUILDERS = {
+    "nsw": partial(build_nsw, m=4),
+    "hnsw": partial(build_hnsw, m=4),
+    "nsg": partial(build_nsg, out_degree=6),
+    "cagra": partial(build_cagra, graph_degree=6),
+    "nn_descent": partial(nn_descent_matrix, k=6),
+}  # sized for the 64-point corpus below: a clean one builds under each
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1-d", "3-d", "empty"])
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_validate_points_at_the_boundary(name, bad):
+    """A NaN row used to build a CAGRA graph silently, or surface as the
+    engine's ``queries must be finite`` with a shuffled row index; a 1-D or
+    3-D array died inside ``einsum``.  Every builder refuses them up front,
+    naming ``points`` and the caller's first offending row."""
+    pts = np.random.default_rng(4).normal(size=(64, 8)).astype(np.float32)
+    if bad in ("nan", "inf"):
+        pts[[35, 50], 3] = np.nan if bad == "nan" else -np.inf
+        match = r"points must be finite: row 35 holds"
+    else:
+        pts = {"1-d": pts[0], "3-d": pts[None], "empty": pts[:0]}[bad]
+        match = r"points must be a finite \(n, dim\) array"
+    with pytest.raises(ValueError, match=match):
+        _BUILDERS[name](pts)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import ALGASSystem, ReplicatedServer, ServeConfig, ShardedServer
 from repro.data.workload import Poisson, TrafficSpec
-from repro.graphs import build_cagra, build_nsw
+from repro.graphs import build_cagra, build_hnsw, build_nsw
 from repro.parallel import SharedArena, WorkerPool, make_pool, resolve_ref
 from repro.resilience import ResiliencePolicy, named_plan
 from repro.telemetry import Telemetry
@@ -339,18 +339,45 @@ def test_builder_pickling_bug_is_not_swallowed(ds):
 # -------------------------------------------------------------- build parity
 
 
-def test_nsw_build_parity(rng):
+@pytest.fixture()
+def pool_sweeps(monkeypatch):
+    """Calls of the wave builders' pool path (one per fanned-out sweep)."""
+    from repro.graphs import build_batched
+
+    calls = []
+    real = build_batched._prefix_search_parallel
+
+    def spy(*args):
+        calls.append(args[1:3])  # the sweep's row range
+        return real(*args)
+
+    monkeypatch.setattr(build_batched, "_prefix_search_parallel", spy)
+    return calls
+
+
+def _assert_build_parity(build, rng, pool_sweeps):
     pts = rng.standard_normal((600, 16)).astype(np.float32)
-    g0 = build_nsw(pts, m=4, seed=9)
-    g2 = build_nsw(pts, m=4, seed=9, parallelism=2)
+    g0 = build(pts, m=4, seed=9)
+    assert not pool_sweeps  # parallelism=0 never opens a pool
+    g2 = build(pts, m=4, seed=9, parallelism=2)
+    assert pool_sweeps  # ... and parallelism=2 is not a silent no-op
     np.testing.assert_array_equal(g2.indptr, g0.indptr)
     np.testing.assert_array_equal(g2.indices, g0.indices)
 
 
-def test_build_leaves_no_segments(rng):
+def test_nsw_build_parity(rng, pool_sweeps):
+    _assert_build_parity(build_nsw, rng, pool_sweeps)
+
+
+def test_hnsw_build_parity(rng, pool_sweeps):
+    _assert_build_parity(build_hnsw, rng, pool_sweeps)
+
+
+def test_build_leaves_no_segments(rng, pool_sweeps):
     before = set(_shm_leftovers())
     pts = rng.standard_normal((400, 16)).astype(np.float32)
     build_nsw(pts, m=4, seed=1, parallelism=2)
+    assert pool_sweeps  # segments were created, so their absence means cleanup
     assert set(_shm_leftovers()) == before
 
 

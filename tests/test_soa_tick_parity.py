@@ -27,7 +27,14 @@ from repro.core.host import partition_slots
 from repro.core.serving import ServeConfig
 from repro.core.slots import _CODE as CODE
 from repro.core.slots import SlotState
-from repro.graphs import build_nsw
+from repro.cli import main as cli_main
+from repro.graphs import (
+    build_cagra,
+    build_hnsw,
+    build_nsg,
+    build_nsw,
+    nn_descent_matrix,
+)
 from repro.parallel import make_pool
 
 from .golden import make_schedules as golden
@@ -123,8 +130,9 @@ def test_impure_wakes_are_all_executed(scenario):
     assert run.sim._events_run == DENSE_EVENTS[scenario]
 
 
-def test_removed_selectors_are_type_errors():
-    """``tick_mode`` and ``parallel_mode`` are gone, not ignored."""
+def test_removed_selectors_are_type_errors(capsys):
+    """``tick_mode``, ``parallel_mode`` and ``build_backend`` are gone, not
+    ignored."""
     base = np.zeros((8, 4), dtype=np.float32)
     with pytest.raises(TypeError):
         DynamicBatchConfig(n_slots=1, n_parallel=1, k=1, tick_mode="soa")
@@ -136,3 +144,17 @@ def test_removed_selectors_are_type_errors():
         build_nsw(base, m=2, parallel_mode="process")
     with pytest.raises(TypeError):
         make_pool(2, "thread")
+    for build in (build_hnsw, build_nsg, build_cagra):
+        with pytest.raises(TypeError):
+            build(base, build_backend="vectorized")
+    with pytest.raises(TypeError):
+        nn_descent_matrix(base, 2, backend="vectorized")
+    # build_nsw keeps the keyword for one frozen benchmark call site, but
+    # it selects nothing: anything other than that call's value is refused
+    with pytest.raises(ValueError, match=r"oracles\.py::scalar_build_nsw"):
+        build_nsw(base, m=2, build_backend="scalar")
+    for cmd in (["build", "-o", "unused.npz"], ["serve"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(cmd + ["--build-backend", "vectorized"])
+        assert exc.value.code == 2
+        assert "--build-backend" in capsys.readouterr().err
