@@ -100,17 +100,32 @@ def occlusion_prune_mask(
     unconditionally and occlude later ranks as usual — how the delete
     repair pins a row's surviving edges while diversifying only the
     candidates competing for the freed slots.
+
+    Pools are ragged (a delete repair's median row fills a third of its
+    columns), so rows are processed in order of their *width* — one past
+    the last valid column — and each chunk's Gram tensor and rank scan
+    stop at the chunk's widest row; rows with no valid column are skipped.
+    Columns past a row's width are padding, which neither occludes nor is
+    kept, and every Gram entry is the same per-element dot at any width,
+    so the mask equals the full-width scan's
+    (``tests/oracles.py::full_width_occlusion_prune_mask``).
     """
     points = np.asarray(points, dtype=np.float32)
     pool_ids = np.asarray(pool_ids)
     B, K = pool_ids.shape
     keep = np.zeros((B, K), dtype=bool)
+    valid = pool_ids >= 0
+    width = np.where(valid.any(axis=1), K - np.argmax(valid[:, ::-1], axis=1), 0)
+    order = np.argsort(width, kind="stable")
+    order = order[width[order] > 0]
     tri = np.tril(np.ones((K, K), dtype=bool))  # w >= j: only earlier ranks occlude
-    for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
-        ids = pool_ids[lo:hi]
+    for lo in range(0, order.size, chunk):
+        rows = order[lo : lo + chunk]
+        w = int(width[rows[-1]])
+        ids = pool_ids[rows, :w]
+        dq = pool_d[rows, :w]
         invalid = ids < 0
-        g = points[np.maximum(ids, 0)]  # (c, K, dim); padded rows are garbage, masked below
+        g = points[np.maximum(ids, 0)]  # (c, w, dim); padded rows are garbage, masked below
         if metric == "l2":
             sq = np.einsum("ckd,ckd->ck", g, g)
             gram = np.einsum("ckd,cjd->ckj", g, g)
@@ -119,25 +134,23 @@ def occlusion_prune_mask(
         else:
             pair = 1.0 - np.einsum("ckd,cjd->ckj", g, g)
         # pair[c, w, j] = d(w_rank_w, c_rank_j); inf where w >= j or w padded.
-        pair = np.where(tri[None, :, :] | invalid[:, :, None], np.inf, pair)
-        fc = None if forced is None else (forced[lo:hi] & ~invalid)
+        pair = np.where(tri[None, :w, :w] | invalid[:, :, None], np.inf, pair)
+        fc = None if forced is None else (forced[rows, :w] & ~invalid)
         if rule == "mrng":
-            kc = np.zeros((hi - lo, K), dtype=bool)
+            kc = np.zeros((rows.size, w), dtype=bool)
             kc[:, 0] = ~invalid[:, 0]
-            for j in range(1, K):
-                occ = (
-                    (pair[:, :j, j] < pool_d[lo:hi, j][:, None]) & kc[:, :j]
-                ).any(axis=1)
+            for j in range(1, w):
+                occ = ((pair[:, :j, j] < dq[:, j][:, None]) & kc[:, :j]).any(axis=1)
                 kc[:, j] = ~invalid[:, j] & ~occ
                 if fc is not None:
                     kc[:, j] |= fc[:, j]
-            keep[lo:hi] = kc
         else:
-            best_detour = pair.min(axis=1)  # (c, K): cheapest earlier-ranked detour
-            keep[lo:hi] = (best_detour >= pool_d[lo:hi]) & ~invalid
-            keep[lo:hi, 0] = ~invalid[:, 0]
+            best_detour = pair.min(axis=1)  # (c, w): cheapest earlier-ranked detour
+            kc = (best_detour >= dq) & ~invalid
+            kc[:, 0] = ~invalid[:, 0]
             if fc is not None:
-                keep[lo:hi] |= fc
+                kc |= fc
+        keep[rows, :w] = kc
     return keep
 
 

@@ -27,7 +27,10 @@ corpus; this module adds the "built for change" update story on top of any
   ``precision=`` like the static path: quantized precisions traverse on
   cached codecs that are *extended* on insert waves and re-trained when
   codebook drift is detected (:meth:`codec_status`).  The scalar greedy
-  loop (:meth:`_search_scalar`) is the parity oracle.
+  loop (:meth:`_search_scalar`) is the parity oracle.  A read batch may
+  carry the next insert wave's points (``pending_inserts=``): their
+  insertion searches then ride in the same lockstep run, and the insert
+  links from those pools if nothing changed in between.
 
 Vertex ids are stable for the lifetime of the structure (tombstoned ids
 are never reused); only :meth:`freeze` remaps to a dense snapshot.  Every
@@ -106,6 +109,9 @@ class DynamicGraph:
         self._frozen: tuple[np.ndarray, GraphIndex, np.ndarray] | None = None
         self._codecs: dict[str, object] = {}
         self._codec_baseline: dict[str, float] = {}
+        #: (version, points, pool ids, pool dists) of the insert rows of the
+        #: last fused search_batch, for the insert_batch that follows it
+        self._pending = None
         self.version = 0
         self.compactions = 0
         self.codec_retrains = 0
@@ -167,6 +173,7 @@ class DynamicGraph:
         precision: str = "float32",
         rerank_mult: int | None = None,
         record_trace: bool = False,
+        pending_inserts: np.ndarray | None = None,
     ):
         """Lockstep batch search over the *live* structure (no freeze).
 
@@ -174,11 +181,23 @@ class DynamicGraph:
         -1 / inf past each row's result count, and the batch's one-CTA
         :class:`~repro.gpusim.trace.TraceBlock` for cost-model pricing
         (``None`` when ``record_trace`` is off).
+
+        ``pending_inserts`` are the points the caller will hand to the next
+        :meth:`insert_batch`.  When their insertion searches need what the
+        reads need — float32 traversal, a candidate capacity equal to the
+        insert beam ``max(ef, max_degree + 1)``, and a wave that fits one
+        sub-wave — they run as extra rows of this search's lockstep engine
+        (a stream epoch then pays one set of rounds, not two) and
+        :meth:`insert_batch` links from their pools, provided the graph has
+        not changed in between and it receives the same points.  Otherwise
+        the insert searches on its own, as without the argument.  The
+        returned ids, distances and trace cover the ``queries`` rows only.
         """
         from ..gpusim.trace import TraceBuilder
         from ..search.batched import LockstepEngine
         from ..search.precision import DEFAULT_RERANK_MULT
 
+        self._pending = None
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
@@ -192,13 +211,24 @@ class DynamicGraph:
         codec = self.traversal_codec(precision)
         rerank_mult = DEFAULT_RERANK_MULT if rerank_mult is None else rerank_mult
         cand_capacity = max(l or max(self.ef, k), k)
+        fused = None
+        if pending_inserts is not None:
+            fused = self._staged_points(pending_inserts)
+            if not (
+                codec is None
+                and cand_capacity == self._insert_ef()
+                and 0 < fused.shape[0] <= max(self._n_alive, 256)
+            ):
+                fused = None
+        rows = queries if fused is None else np.concatenate([queries, fused])
+        R = rows.shape[0]
         n = self._n_total
         eng = LockstepEngine(
             self._pts[:n],
             (self._adj[:n], self._counts[:n]),
-            queries,
-            np.arange(B, dtype=np.int64),
-            np.full((B, 1), self._entry, dtype=np.int64),
+            rows,
+            np.arange(R, dtype=np.int64),
+            np.full((R, 1), self._live_entry(), dtype=np.int64),
             cand_capacity,
             metric=self.metric,
             record_trace=record_trace,
@@ -207,7 +237,13 @@ class DynamicGraph:
         )
         eng.run(100 * cand_capacity + 100, what="dynamic batch search")
         out_ids, out_d, _ = eng.row_topk(k, rerank_mult)
-        return out_ids, out_d, eng.trace_block(1, dim, k)
+        block = eng.trace_block(1, dim, k)
+        if fused is not None:
+            pool_ids, pool_d, _ = eng.pools()
+            self._pending = (self.version, fused, pool_ids[B:], pool_d[B:])
+            out_ids, out_d = out_ids[:B], out_d[:B]
+            block = None if block is None else block[:B]
+        return out_ids, out_d, block
 
     def _search_scalar(
         self, query: np.ndarray, k: int, l: int | None
@@ -253,17 +289,17 @@ class DynamicGraph:
         larger than the current index split into doubling sub-waves (each
         sub-wave sees everything inserted before it), the PR 4 builder
         schedule — so a storm-sized burst onto a small index still links
-        against meaningful neighbourhoods.
+        against meaningful neighbourhoods.  When the last
+        :meth:`search_batch` carried exactly these points as
+        ``pending_inserts`` and the graph has not changed since, the wave
+        links from the pools that search produced instead of searching
+        again.
         """
-        pts = np.ascontiguousarray(points, dtype=np.float32)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = self._staged_points(points)
         W = pts.shape[0]
         if W == 0:
             return np.empty(0, dtype=np.int64)
-        if pts.shape[1] != self._pts.shape[1]:
-            raise ValueError("dimension mismatch")
-        require_finite(pts, "inserted points")
+        pools = self._take_pending(pts)
         self._mutate()
         start = self._n_total
         ids = np.arange(start, start + W, dtype=np.int64)
@@ -282,19 +318,23 @@ class DynamicGraph:
         while pos < W:
             sub = min(W - pos, max(self._n_alive, 256))
             lo = start + pos
-            self._insert_wave(lo, lo + sub)
+            self._insert_wave(lo, lo + sub, pools)
+            pools = None
             pos += sub
         self._extend_codecs(pts)
         return ids
 
-    def _insert_wave(self, lo: int, hi: int) -> None:
-        """Link vertices ``[lo, hi)`` (points already staged) into the graph."""
-        visible = self._n_total
-        ef = max(self.ef, self.max_degree + 1)
-        pool_ids, pool_d = _prefix_search(
-            self._pts, lo, hi, visible, self._adj, self._counts,
-            self._live_entry(), ef, self.metric, alive_mask=self._alive,
-        )
+    def _insert_wave(self, lo: int, hi: int, pools=None) -> None:
+        """Link vertices ``[lo, hi)`` (points already staged) into the graph.
+        ``pools`` are their insertion-search pools when a fused
+        :meth:`search_batch` already ran them against this graph state."""
+        if pools is None:
+            pools = _prefix_search(
+                self._pts, lo, hi, self._n_total, self._adj, self._counts,
+                self._live_entry(), self._insert_ef(), self.metric,
+                alive_mask=self._alive,
+            )
+        pool_ids, pool_d = pools
         links = _select_links(
             self._pts, pool_ids, pool_d, self.max_degree, self.metric,
             self.link_select,
@@ -600,6 +640,31 @@ class DynamicGraph:
         self._alive = np.concatenate(
             [self._alive, np.zeros(cap - self._alive.size, dtype=bool)]
         )
+
+    def _insert_ef(self) -> int:
+        """Beam of an insertion search: wide enough for ``max_degree`` links."""
+        return max(self.ef, self.max_degree + 1)
+
+    def _staged_points(self, points) -> np.ndarray:
+        """An insert wave as it is staged: ``(W, dim)`` float32, finite."""
+        pts = np.ascontiguousarray(points, dtype=np.float32)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        if pts.shape[0] and pts.shape[1] != self._pts.shape[1]:
+            raise ValueError("dimension mismatch")
+        require_finite(pts, "inserted points")
+        return pts
+
+    def _take_pending(self, pts: np.ndarray):
+        """Consume the pools a fused :meth:`search_batch` left for ``pts``;
+        ``None`` unless the graph is unchanged since and the points equal."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return None
+        version, staged, pool_ids, pool_d = pending
+        if version != self.version or not np.array_equal(staged, pts):
+            return None
+        return pool_ids, pool_d
 
     def _live_entry(self) -> int:
         if self._entry is None or not self._alive[self._entry]:

@@ -104,7 +104,7 @@ class BatchedVisited:
         flat = rows * self.words_per_row + (ids >> 3)
         bit = np.uint8(1) << (ids & 7).astype(np.uint8)
         fresh = (bits.take(flat) & bit) == 0
-        f_idx = np.flatnonzero(fresh)
+        f_idx = fresh.nonzero()[0]
         if f_idx.size:
             # First come, first served over the sequence: pack (pair key,
             # sequence position) into one int64, sort once, and every key
@@ -123,7 +123,7 @@ class BatchedVisited:
             later = keys[1:]
             dup = (later >> pos_bits) == (keys[:-1] >> pos_bits)
             fresh[f_idx.take(later[dup] & ((1 << pos_bits) - 1))] = False
-            s_idx = np.flatnonzero(fresh)
+            s_idx = fresh.nonzero()[0]
             np.bitwise_or.at(bits, flat.take(s_idx), bit.take(s_idx))
             self.sets += int(s_idx.size)
         return fresh
@@ -183,6 +183,7 @@ class LockstepEngine:
             self.nbr_mat, self.degrees = graph
             if self.nbr_mat.ndim != 2 or self.degrees.ndim != 1:
                 raise ValueError("adjacency pair must be (2-D matrix, 1-D degrees)")
+        self._nbr_col = np.arange(self.nbr_mat.shape[1])
         if n_visible is not None and n_visible <= 0:
             raise ValueError("n_visible must be positive")
         self.n_visible = n_visible
@@ -315,7 +316,7 @@ class LockstepEngine:
         # so dropping it up front is bit-identical while shrinking the merge
         # width.  Pools not yet full have an inf sentinel there, which keeps
         # every pair; a full pool stays at L — `sizes` never sees the filter.
-        keep = np.flatnonzero(dists < self.cand_d[:, self.L - 1].take(rows))
+        keep = (dists < self.cand_d[:, self.L - 1].take(rows)).nonzero()[0]
         kept = counts
         if keep.size < ids.size:
             rows, ids, dists = rows.take(keep), ids.take(keep), dists.take(keep)
@@ -335,7 +336,7 @@ class LockstepEngine:
         """Fold scored (row, id, dist) pairs into their candidate lists
         (sorted, truncated, old-before-new / fetch-order tie resolution)."""
         L = self.L
-        mrows = np.flatnonzero(counts)
+        mrows = counts.nonzero()[0]
         maxc = int(counts[mrows].max())
         if maxc > self._merge_w:
             self._merge_w = maxc
@@ -375,7 +376,7 @@ class LockstepEngine:
     # ------------------------------------------------------------ stepping
     def step_all(self) -> bool:
         """One maintenance cycle for every active row; False when all done."""
-        act = np.flatnonzero(self.active)
+        act = self.active.nonzero()[0]
         if act.size == 0:
             return False
         live = self._col[None, :] < self.sizes[act, None]
@@ -387,19 +388,18 @@ class LockstepEngine:
             return False
         unchecked = unchecked[has]
         off = np.argmax(unchecked, axis=1)
-        if self.beam is not None:
-            width = np.where(
-                off >= self.beam.offset_beam, self.beam.beam_width, 1
-            ).astype(np.int64)
+        if self.beam is None:
+            # One expansion per row: the first unchecked column.
+            n_exp = 1
+            pick_rows, sel_cols = act, off
         else:
-            width = np.ones(act.size, dtype=np.int64)
-        csum = np.cumsum(unchecked, axis=1)
-        sel = unchecked & (csum <= width[:, None])
-        n_exp = sel.sum(axis=1)
-        sel_local, sel_cols = np.nonzero(sel)  # row-major: per-row offset order
-        pick_rows = act[sel_local]
+            width = np.where(off >= self.beam.offset_beam, self.beam.beam_width, 1)
+            csum = np.cumsum(unchecked, axis=1)
+            sel = unchecked & (csum <= width[:, None])
+            n_exp = sel.sum(axis=1)
+            sel_local, sel_cols = sel.nonzero()  # row-major: per-row offset order
+            pick_rows = act[sel_local]
         pick_ids = self.cand_ids[pick_rows, sel_cols]
-        selected_dist = self.cand_d[act, off]
         self.cand_checked[pick_rows, sel_cols] = True
         if self.expansions is not None:
             # pick_rows/pick_ids are fresh gathers and cand_d is gathered
@@ -413,34 +413,36 @@ class LockstepEngine:
         # concatenation order.
         deg = self.degrees[pick_ids]
         nb = self.nbr_mat[pick_ids]
-        valid = np.arange(nb.shape[1])[None, :] < deg[:, None]
+        valid = self._nbr_col < deg[:, None]
         if self.n_visible is not None:
             # Construction-time prefix mask: edges into not-yet-inserted
             # vertices are invisible to this wave's searches.
             valid &= nb < self.n_visible
-            deg = valid.sum(axis=1)
         if self.alive_mask is not None:
             # Tombstone mask: edges into deleted vertices are traversable
-            # metadata in the adjacency but never expanded.  Clip the
+            # metadata in the adjacency but never expanded.  Clamp the
             # gather — padding slots hold -1 and are already invalid.
-            valid &= self.alive_mask[np.clip(nb, 0, None)]
+            valid &= self.alive_mask[np.maximum(nb, 0)]
+        if self.n_visible is not None or self.alive_mask is not None:
             deg = valid.sum(axis=1)
         nbr_flat = nb[valid].astype(np.int64)
         pair_rows = np.repeat(pick_rows, deg)
-        nfetch = np.bincount(pick_rows, weights=deg, minlength=self.R).astype(np.int64)
+        tracing = self._trace is not None
+        if tracing:  # what the trace needs from before the merge
+            selected_dist = self.cand_d[act, off]
+            before = self.sizes[act]
 
-        fresh = np.flatnonzero(
-            self.visited.test_and_set(self.row_query.take(pair_rows), nbr_flat)
-        )
-        sizes_before = self.sizes.copy()
+        fresh = self.visited.test_and_set(
+            self.row_query.take(pair_rows), nbr_flat
+        ).nonzero()[0]
         new_counts = self._score_and_merge(
             pair_rows.take(fresh), nbr_flat.take(fresh)
         )
 
-        if self._trace is not None:
+        if tracing:
             n_new = new_counts[act]
-            fetched = nfetch[act]
-            before = sizes_before[act]
+            fetched = np.bincount(pick_rows, weights=deg, minlength=self.R)[act]
+            fetched = fetched.astype(np.int64)
             self._trace.add(
                 act,
                 select_offset=off,

@@ -13,7 +13,10 @@ clocks-worth of work on one simulated timeline:
 
 Execution is epoch-based on the shared simulated clock: queries arriving
 between two waves are lockstep-searched on the *live* graph (tombstones
-masked at expansion), priced with the cost model, and served through a
+masked at expansion) — in the same run as the next wave's insertion
+searches where the two can share one (see
+:meth:`~repro.graphs.dynamic.DynamicGraph.search_batch`'s
+``pending_inserts``) — priced with the cost model, and served through a
 dynamic-batch engine; each wave then applies its updates as one vectorized
 batch whose (simulated) service time holds a serve barrier — queries that
 arrive while a wave is applying wait for it, and that wait lands in their
@@ -216,15 +219,19 @@ class StreamReport:
 
 
 def _epoch_recall(
-    dyn: DynamicGraph, qvecs: np.ndarray, ids: np.ndarray, k: int
+    dyn: DynamicGraph,
+    qvecs: np.ndarray,
+    ids: np.ndarray,
+    k: int,
+    alive: np.ndarray,
 ) -> np.ndarray:
-    """Per-query recall against *this instant's* exact live ground truth."""
-    alive = dyn.alive_ids()
+    """Per-query recall against *this instant's* exact live ground truth
+    (``alive``: the live vertex ids, ascending)."""
     gt_k = min(k, int(alive.size))
     if gt_k == 0:
         return np.zeros(qvecs.shape[0])
-    pts = dyn.points_matrix()[alive]
-    gt_idx, _ = exact_knn(qvecs, pts, gt_k, metric=dyn.metric)
+    # One gather of the live rows straight from the staging array.
+    gt_idx, _ = exact_knn(qvecs, dyn._pts[alive], gt_k, metric=dyn.metric)
     return recall_per_query(ids[:, :gt_k], alive[gt_idx])
 
 
@@ -288,7 +295,8 @@ def serve_while_update(
     # spec (wave sizes are drawn inside stream.waves from the same seed), so
     # the (stream, pools, faults) triple fully determines the run.
     rng = np.random.default_rng(stream.seed)
-    base0 = dyn.points_matrix()[dyn.alive_ids()]
+    alive0 = dyn.alive_ids()
+    base0 = dyn._pts[alive0]
     mean0 = base0.mean(axis=0)
     std0 = base0.std(axis=0) + 1e-6
     pool_pos = 0
@@ -322,7 +330,9 @@ def serve_while_update(
         oracle_ids, _, _ = dyn.search_batch(
             all_qvecs, k, l=l, precision=precision, rerank_mult=rerank_mult,
         )
-        oracle_recall = float(_epoch_recall(dyn, all_qvecs, oracle_ids, k).mean())
+        oracle_recall = float(
+            _epoch_recall(dyn, all_qvecs, oracle_ids, k, alive0).mean()
+        )
     else:
         oracle_recall = 1.0
 
@@ -342,7 +352,9 @@ def serve_while_update(
     barrier = 0.0
     ev_pos = 0
 
-    def serve_epoch(epoch_events, start_us: float) -> None:
+    def serve_epoch(epoch_events, start_us: float, inserts) -> None:
+        """Search, grade and schedule one epoch's reads; ``inserts`` (the
+        next wave's points, or None) ride along in the same search."""
         nonlocal tombstoned, dup_rows
         if not epoch_events:
             return
@@ -352,19 +364,20 @@ def serve_while_update(
             return
         ids, _, traces = dyn.search_batch(
             qv, k, l=l, precision=precision, rerank_mult=rerank_mult,
-            record_trace=True,
+            record_trace=True, pending_inserts=inserts,
         )
         # Compaction-boundary invariants, checked on every answer set:
         # a tombstone must never be returned, a row must never repeat an id.
+        alive = dyn.alive_ids()
         alive_now = np.zeros(dyn.n_total, dtype=bool)
-        alive_now[dyn.alive_ids()] = True
+        alive_now[alive] = True
         valid = ids >= 0
-        tombstoned += int((valid & ~alive_now[np.clip(ids, 0, None)]).sum())
-        for row in ids:
-            row = row[row >= 0]
-            if row.size != np.unique(row).size:
-                dup_rows += 1
-        recalls.append(_epoch_recall(dyn, qv, ids, k))
+        tombstoned += int((valid & ~alive_now[np.maximum(ids, 0)]).sum())
+        # Padding (-1) sorts first and is never a duplicate of a real id.
+        srt = np.sort(ids, axis=1)
+        repeat = (srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)
+        dup_rows += int(repeat.any(axis=1).sum())
+        recalls.append(_epoch_recall(dyn, qv, ids, k, alive))
         # A wave in flight holds the serve barrier: arrivals during it
         # queue until it finishes.
         jobs = price_jobs(cm, traces, epoch_events, k, arrival_floor_us=start_us)
@@ -391,12 +404,17 @@ def serve_while_update(
         while ev_pos < len(events) and events[ev_pos].arrival_us < wave.at_us:
             batch.append(events[ev_pos])
             ev_pos += 1
-        serve_epoch(batch, barrier)
-
+        # The wave's points are drawn before its epoch is served so the
+        # epoch's search can run their insertion searches too: serving
+        # leaves `barrier` and `rng` alone, so the drift start and the
+        # draw order (insert vectors, then delete victims) are unchanged.
         start = max(wave.at_us, barrier)
+        new_pts = draw_inserts(wave.n_inserts, start) if wave.n_inserts else None
+        serve_epoch(batch, barrier, new_pts)
+
         dur = 0.0
-        if wave.n_inserts:
-            dyn.insert_batch(draw_inserts(wave.n_inserts, start))
+        if new_pts is not None:
+            dyn.insert_batch(new_pts)
             dur += wave.n_inserts * INSERT_US_PER_POINT
         n_del = 0
         if wave.n_deletes:
@@ -427,7 +445,7 @@ def serve_while_update(
             "tombstone_fraction": dyn.tombstone_fraction,
         })
 
-    serve_epoch(events[ev_pos:], barrier)
+    serve_epoch(events[ev_pos:], barrier, None)
 
     # ----------------------------------------------------------- stitching
     update_meta = {

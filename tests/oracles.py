@@ -15,7 +15,9 @@ wave / array builders); the per-vertex Python loops they replaced are
 :func:`scalar_build_cagra` and :func:`scalar_nn_descent_dedup` below —
 CAGRA and the NN-descent dedup are equal to them byte for byte, NSW and
 NSG are held to their recall.  The HNSW reference is
-``HNSWIndex(...).to_graph_index()``.
+``HNSWIndex(...).to_graph_index()``.  The shared occlusion prune they all
+link through is held to :func:`full_width_occlusion_prune_mask`, its
+pre-width-ordering body, mask for mask.
 """
 
 from __future__ import annotations
@@ -393,6 +395,51 @@ def scalar_build_cagra(
                     seen.add(int(v))
         out[u, : len(chosen)] = chosen
     return GraphIndex.from_matrix(out.astype(np.int32), kind="cagra")
+
+
+def full_width_occlusion_prune_mask(
+    points, pool_ids, pool_d, metric="l2", chunk=256, rule="mrng", forced=None
+):
+    """``occlusion_prune_mask`` as it was before it learned row widths:
+    rows in input order, every chunk's Gram tensor and rank scan over all
+    ``K`` columns.  The width-ordered prune must equal it mask for mask."""
+    points = np.asarray(points, dtype=np.float32)
+    pool_ids = np.asarray(pool_ids)
+    B, K = pool_ids.shape
+    keep = np.zeros((B, K), dtype=bool)
+    tri = np.tril(np.ones((K, K), dtype=bool))
+    for lo in range(0, B, chunk):
+        hi = min(lo + chunk, B)
+        ids = pool_ids[lo:hi]
+        invalid = ids < 0
+        g = points[np.maximum(ids, 0)]
+        if metric == "l2":
+            sq = np.einsum("ckd,ckd->ck", g, g)
+            gram = np.einsum("ckd,cjd->ckj", g, g)
+            pair = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
+            np.maximum(pair, 0.0, out=pair)
+        else:
+            pair = 1.0 - np.einsum("ckd,cjd->ckj", g, g)
+        pair = np.where(tri[None, :, :] | invalid[:, :, None], np.inf, pair)
+        fc = None if forced is None else (forced[lo:hi] & ~invalid)
+        if rule == "mrng":
+            kc = np.zeros((hi - lo, K), dtype=bool)
+            kc[:, 0] = ~invalid[:, 0]
+            for j in range(1, K):
+                occ = (
+                    (pair[:, :j, j] < pool_d[lo:hi, j][:, None]) & kc[:, :j]
+                ).any(axis=1)
+                kc[:, j] = ~invalid[:, j] & ~occ
+                if fc is not None:
+                    kc[:, j] |= fc[:, j]
+            keep[lo:hi] = kc
+        else:
+            best_detour = pair.min(axis=1)
+            keep[lo:hi] = (best_detour >= pool_d[lo:hi]) & ~invalid
+            keep[lo:hi, 0] = ~invalid[:, 0]
+            if fc is not None:
+                keep[lo:hi] |= fc
+    return keep
 
 
 def scalar_nn_descent_dedup(nbrs, dists, merged_ids, merged_d, k):

@@ -7,7 +7,8 @@ a fixed seed, reproduce the CSR digests frozen in
 ``tests/golden/graphs.json`` at the last commit that still had a
 ``build_backend=`` switch, and stand up against the per-vertex reference
 loops of ``tests/oracles.py``: ``build_cagra`` and the NN-descent dedup
-kernel byte for byte, NSW / HNSW / NSG within the recall gate.
+kernel byte for byte, NSW / HNSW / NSG within the recall gate.  The
+occlusion prune they share equals its full-width oracle mask for mask.
 
 (The file keeps its pre-PR-22 name so the test ids the floor list names
 stay where they were; there is no backend left to select.)
@@ -17,6 +18,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.metrics import pairwise_distances
 from repro.graphs import (
@@ -27,12 +30,14 @@ from repro.graphs import (
     build_nsw,
     knn,
     nn_descent_matrix,
+    occlusion_prune_mask,
 )
 from repro.graphs.utils import medoid
 from repro.search.batched import batched_intra_cta_search
 
 from .golden import make_graphs
 from .oracles import (
+    full_width_occlusion_prune_mask,
     scalar_build_cagra,
     scalar_build_nsg,
     scalar_build_nsw,
@@ -140,6 +145,59 @@ def test_nn_descent_vectorized_dedup_is_bit_identical(points, monkeypatch):
     a_ids, a_d = nn_descent_matrix(points, 16, seed=5)
     assert np.array_equal(a_ids, b_ids)
     assert np.array_equal(a_d, b_d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["ragged", "patch"]),
+    metric=st.sampled_from(["l2", "cosine"]),
+    rule=st.sampled_from(["mrng", "detour"]),
+    chunk=st.sampled_from([1, 3, 256]),
+    with_forced=st.booleans(),
+)
+def test_occlusion_prune_mask_equals_full_width_scan(
+    seed, layout, metric, rule, chunk, with_forced
+):
+    """The width-ordered prune against its full-width body, mask for mask,
+    on ragged pools (all-padding rows included) and on the delete repair's
+    layout: ``S`` survivor slots (forced, distance 0), padding, then the
+    distance-sorted inherited candidates."""
+    rng = np.random.default_rng(seed)
+    n, dim = 60, int(rng.choice([3, 8, 17]))
+    pts = rng.standard_normal((n, dim)).astype(np.float32)
+    if metric == "cosine":
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    B, S = int(rng.integers(1, 13)), 6
+    K = S + int(rng.integers(1, 19)) if layout == "patch" else int(rng.integers(1, 25))
+    pool_ids = np.full((B, K), -1, dtype=np.int64)
+    pool_d = np.full((B, K), np.inf, dtype=np.float32)
+    forced = np.zeros((B, K), dtype=bool)
+    for r in range(B):
+        if rng.random() < 0.2:
+            continue  # all padding
+        q = int(rng.integers(n))
+        cand = rng.permutation(np.delete(np.arange(n), q))
+        if layout == "patch":
+            s = int(rng.integers(0, S + 1))
+            m = int(rng.integers(0, K - S + 1))
+            pool_ids[r, :s] = cand[:s]
+            pool_d[r, :s] = 0.0
+            forced[r, :s] = True
+            cols = np.arange(S, S + m)
+        else:
+            m = int(rng.integers(0, K + 1))
+            cols = np.arange(m)
+            forced[r, :m] = rng.random(m) < 0.3
+        ids = cand[S : S + m]
+        d = pairwise_distances(pts[q][None, :], pts[ids], metric)[0]
+        o = np.argsort(d, kind="stable")
+        pool_ids[r, cols], pool_d[r, cols] = ids[o], d[o]
+    kw = dict(metric=metric, chunk=chunk, rule=rule,
+              forced=forced if with_forced or layout == "patch" else None)
+    got = occlusion_prune_mask(pts, pool_ids, pool_d, **kw)
+    assert np.array_equal(
+        got, full_width_occlusion_prune_mask(pts, pool_ids, pool_d, **kw))
 
 
 def _recall(points, graph, queries, gt, ef=48):

@@ -5,14 +5,21 @@ import pytest
 
 from repro.data.groundtruth import exact_knn, recall
 from repro.data.synthetic import latent_mixture
-from repro.graphs import DynamicGraph, build_cagra
+from repro.graphs import DynamicGraph, build_cagra, dynamic
+
+
+PTS = latent_mixture(500, 16, intrinsic_dim=8, seed=21)
+GRAPH = build_cagra(PTS, graph_degree=10)
+
+
+def fresh() -> DynamicGraph:
+    """500 live points; k=8 reads share the insert beam (ef 48 >= 13)."""
+    return DynamicGraph(PTS, GRAPH, max_degree=12, ef=48)
 
 
 @pytest.fixture()
 def dyn():
-    pts = latent_mixture(500, 16, intrinsic_dim=8, seed=21)
-    g = build_cagra(pts, graph_degree=10)
-    return DynamicGraph(pts, g, max_degree=12, ef=48), pts
+    return fresh(), PTS
 
 
 def test_search_matches_static(dyn):
@@ -143,3 +150,90 @@ def test_occlusion_linking_recall_under_churn():
     # serviceable in absolute terms after ~12 churn waves.
     assert recalls["occlusion"] >= recalls["closest"] - 0.01
     assert recalls["occlusion"] > 0.8
+
+
+# ------------------------------------------- fused read + insert searches
+QUERIES = latent_mixture(12, 16, intrinsic_dim=8, seed=22)
+WAVE = latent_mixture(20, 16, intrinsic_dim=8, seed=23)
+
+
+def _state(d):
+    n = d.n_total
+    return d._adj[:n].copy(), d._counts[:n].copy(), d._alive[:n].copy()
+
+
+def _epoch(monkeypatch, wave, pending, search_kw=None, between=None):
+    """search_batch (optionally carrying ``pending``), ``between(d)``, then
+    insert_batch(wave) on a fresh graph: the read results, the final
+    adjacency state and how many insertion searches ran on their own."""
+    calls = []
+    real = dynamic._prefix_search
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(dynamic, "_prefix_search", spy)
+    d = fresh()
+    out = d.search_batch(QUERIES, 8, record_trace=True,
+                         pending_inserts=pending, **(search_kw or {}))
+    if between is not None:
+        between(d)
+    d.insert_batch(wave)
+    return out, _state(d), len(calls)
+
+
+def _assert_same(a, b):
+    (ids_a, d_a, tr_a), state_a = a
+    (ids_b, d_b, tr_b), state_b = b
+    assert np.array_equal(ids_a, ids_b)
+    assert np.array_equal(d_a, d_b)
+    assert tr_a == tr_b
+    for x, y in zip(state_a, state_b):
+        assert np.array_equal(x, y)
+
+
+def test_fused_epoch_equals_the_two_run_epoch(monkeypatch):
+    """Reads carrying the next wave return the plain reads' ids, distances
+    and trace, and the insert that follows links from the fused pools —
+    no search of its own — into the plain path's adjacency."""
+    *plain, n_plain = _epoch(monkeypatch, WAVE, None)
+    *fused, n_fused = _epoch(monkeypatch, WAVE, WAVE)
+    assert (n_plain, n_fused) == (1, 0)
+    _assert_same(plain, fused)
+    ids, _, tr = fused[0]
+    assert ids.shape == (QUERIES.shape[0], 8) and len(tr) == QUERIES.shape[0]
+
+
+@pytest.mark.parametrize("case", [
+    "delete_between", "other_points", "int8", "explicit_l", "oversize_wave",
+])
+def test_fused_epoch_falls_back_to_its_own_insert_search(monkeypatch, case):
+    """Every condition that voids the fused pools leaves the insert to
+    search on its own, exactly as without ``pending_inserts``."""
+    wave, pending, kw, between = WAVE, WAVE, None, None
+    if case == "delete_between":
+        def between(d):
+            d.delete_batch([3, 4])
+    elif case == "other_points":
+        pending = WAVE[::-1]
+    elif case == "int8":
+        kw = dict(precision="int8")
+    elif case == "explicit_l":
+        kw = dict(l=24)
+    else:  # one more point than the first sub-wave (max(n_alive, 256))
+        wave = pending = latent_mixture(501, 16, intrinsic_dim=8, seed=24)
+    *plain, n_plain = _epoch(monkeypatch, wave, None, kw, between)
+    *fused, n_fused = _epoch(monkeypatch, wave, pending, kw, between)
+    assert n_fused == n_plain == (2 if case == "oversize_wave" else 1)
+    _assert_same(plain, fused)
+
+
+def test_pending_inserts_validated():
+    d = fresh()
+    with pytest.raises(ValueError, match="dimension"):
+        d.search_batch(QUERIES, 8, pending_inserts=np.zeros((2, 5), np.float32))
+    bad = WAVE.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="inserted points"):
+        d.search_batch(QUERIES, 8, pending_inserts=bad)

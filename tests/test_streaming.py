@@ -13,6 +13,8 @@ Covers the streaming subsystem end to end (docs/robustness.md):
 * the update-fault plan plumbing and the sharded admission path.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from repro.streaming import (
     UpdateStream,
     serve_while_update,
 )
+
+from .golden import make_streams
 
 BASE = latent_mixture(400, 16, intrinsic_dim=8, seed=21)
 QUERIES = latent_mixture(24, 16, intrinsic_dim=8, seed=22)
@@ -161,6 +165,37 @@ def test_compaction_boundary_invariants():
     assert storm_waves and storm_waves[0]["n_inserts"] == 200
 
 
+def test_integrity_checks_count_injected_violations(monkeypatch):
+    """The per-epoch answer checks count exactly what they name: rows that
+    repeat an id, and answers naming a deleted vertex."""
+    dyn = fresh_graph()
+    real = dyn.search_batch
+    injected = {"dup": 0, "dead": 0}
+
+    def corrupt(*args, **kw):
+        ids, dists, traces = real(*args, **kw)
+        if not kw.get("record_trace"):
+            return ids, dists, traces  # the frozen-graph oracle
+        ids = ids.copy()
+        ids[::2, 1] = ids[::2, 0]
+        injected["dup"] += ids[::2].shape[0]
+        dead = np.flatnonzero(~dyn._alive[: dyn.n_total])
+        if dead.size:
+            ids[-1, -1] = dead[0]
+            injected["dead"] += 1
+        return ids, dists, traces
+
+    monkeypatch.setattr(dyn, "search_batch", corrupt)
+    stream = UpdateStream(insert_qps=4000.0, delete_qps=2000.0,
+                          wave_us=4_000.0, seed=3)
+    rep = serve_while_update(dyn, QUERIES, stream,
+                             workload=Poisson(rate_qps=2000.0, seed=1),
+                             k=8, slots=4)
+    assert injected["dead"] > 0
+    assert rep.duplicate_rows == injected["dup"]
+    assert rep.tombstoned_answers == injected["dead"]
+
+
 def test_degradation_slo_verdict():
     rep = run_stream()
     v = rep.verdict()
@@ -209,6 +244,25 @@ def test_runner_admission_spec_dropped_not_lost():
     rep = serve_while_update(dyn, QUERIES, stream, workload=spec, k=8, slots=2)
     assert rep.answered + rep.dropped == rep.n_events
     assert rep.lost == 0
+
+
+# ------------------------------------- golden streams (frozen at b1b6bf7)
+@pytest.fixture(scope="module")
+def golden_streams():
+    return json.loads(make_streams.FIXTURE.read_text())
+
+
+def test_stream_fixture_covers_every_scenario(golden_streams):
+    assert sorted(golden_streams) == sorted(make_streams.SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(make_streams.SCENARIOS))
+def test_streams_reproduce_the_frozen_digests(golden_streams, name):
+    """Report JSON and final adjacency / degrees / liveness of every
+    scenario equal what the two-run epoch produced: the fused epoch, the
+    sub-wave / codec / capacity fallbacks, cosine, delete-only waves and
+    epochs without reads."""
+    assert make_streams.digests(*make_streams.run(name)) == golden_streams[name]
 
 
 # ------------------------------------------------------- report merge account
