@@ -49,7 +49,7 @@ from repro.data.groundtruth import recall
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.memory import footprint_bytes, plan_memory
 from repro.graphs import build_nsw_fast
-from repro.search.greedy import greedy_search
+from repro.reference.greedy import greedy_search
 
 DATASET = "gist1m-mini"  # dim=960: distance bytes dominate, the UM cliff bites
 N_BASE = 4_000

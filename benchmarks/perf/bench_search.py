@@ -25,12 +25,11 @@ import numpy as np
 from repro.bench.profiling import profile_call
 from repro.data import load_dataset
 from repro.graphs import build_cagra
+from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import (
     batched_intra_cta_search,
     batched_multi_cta_search,
-    intra_cta_search,
     make_entries,
-    multi_cta_search,
 )
 
 #: (dataset, n_base) — GIST runs smaller because 960-d ground truth and

@@ -18,11 +18,8 @@ import pytest
 
 from repro.data import load_dataset
 from repro.graphs import build_cagra
-from repro.search import (
-    batched_intra_cta_search,
-    intra_cta_search,
-    make_entries,
-)
+from repro.reference import intra_cta_search
+from repro.search import batched_intra_cta_search, make_entries
 from repro.telemetry import MetricsRegistry, to_prometheus_text
 
 pytestmark = pytest.mark.perf_smoke

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro import build_cagra, load_dataset
 from repro.analysis.report import format_table
-from repro.core.autotuner import autotune_algas
+from repro.core.tuning import autotune_algas
 
 
 def main() -> None:

@@ -1,8 +1,14 @@
 #!/usr/bin/env bash
-# CI test entry point: lint, tier-1 suite, perf smoke, chaos smoke, e2e smoke.
+# CI test entry point: lint, tier-1 suite, paper figures, perf smoke, chaos
+# smoke, e2e smoke.
 #
 #   scripts/test.sh            # everything
 #   scripts/test.sh --tier1    # lint + unit/integration/property tests
+#   scripts/test.sh --paper    # the 28 paper-figure / ablation / extension
+#                              # tests (benchmarks/test_*.py, ~30 s) with
+#                              # --benchmark-disable: each regenerates its
+#                              # figure at small scale and asserts the
+#                              # paper's result shape
 #   scripts/test.sh --perf     # perf smoke only: search gate (~2 s; fails
 #                              # if the lockstep engine loses to the
 #                              # scalar oracle on wall clock) + build gate
@@ -77,15 +83,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-run_tier1=1
-run_perf=1
-run_chaos=1
-run_e2e=1
+run_tier1=0 run_paper=0 run_perf=0 run_chaos=0 run_e2e=0
 case "${1:-}" in
-  --tier1) run_perf=0; run_chaos=0; run_e2e=0 ;;
-  --perf) run_tier1=0; run_chaos=0; run_e2e=0 ;;
-  --chaos) run_tier1=0; run_perf=0; run_e2e=0 ;;
-  --e2e) run_tier1=0; run_perf=0; run_chaos=0 ;;
+  --tier1) run_tier1=1 ;;
+  --paper) run_paper=1 ;;
+  --perf) run_perf=1 ;;
+  --chaos) run_chaos=1 ;;
+  --e2e) run_e2e=1 ;;
+  *) run_tier1=1 run_paper=1 run_perf=1 run_chaos=1 run_e2e=1 ;;
 esac
 
 # Per-test watchdog: the resilience suite exercises hang/deadlock recovery,
@@ -123,6 +128,10 @@ if [ "$run_tier1" = 1 ]; then
     echo "pytest-xdist not installed; running tier-1 serially"
     python -m pytest -x -q ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
   fi
+fi
+if [ "$run_paper" = 1 ]; then
+  python -m pytest benchmarks/test_*.py -q --benchmark-disable \
+    ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
 fi
 if [ "$run_perf" = 1 ]; then
   python -m pytest benchmarks/perf -m perf_smoke -q \

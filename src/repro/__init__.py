@@ -31,7 +31,7 @@ from .gpusim import RTX_A6000, CostModel, CostParams, DeviceProperties
 from .graphs import GraphIndex, build_cagra, build_nsw, build_nsw_fast
 from .hybrid import HybridSystem, PilotIndex, build_pilot
 from .resilience import FaultPlan, ResiliencePolicy, named_plan, run_chaos
-from .search import BeamConfig, IVFFlatIndex, intra_cta_search, multi_cta_search
+from .search import BeamConfig, IVFFlatIndex
 from .telemetry import MetricsRegistry, Telemetry
 
 __version__ = "1.0.0"
@@ -69,7 +69,5 @@ __all__ = [
     "build_pilot",
     "BeamConfig",
     "IVFFlatIndex",
-    "intra_cta_search",
-    "multi_cta_search",
     "__version__",
 ]

@@ -1,7 +1,9 @@
-"""IVF baseline system (FAISS-GPU style, as used in §VI).
+"""IVF baseline systems (FAISS-GPU style, as used in §VI).
 
 Search: IVF-Flat (:class:`repro.search.ivf.IVFFlatIndex`) — coarse
-quantizer scan + exhaustive scan of ``nprobe`` inverted lists.  Serving:
+quantizer scan + exhaustive scan of ``nprobe`` inverted lists — or the
+same index scanning PQ codes (:class:`~repro.search.ivf.IVFPQIndex`,
+:class:`IVFPQSystem`).  Serving:
 static batches, one block per query, results copied to the host (there is
 no cross-CTA merge).  Recall is controlled by ``nprobe`` rather than by a
 candidate-list length.
@@ -18,7 +20,7 @@ from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.trace import TraceBlock
-from ..search.ivf import IVFFlatIndex
+from ..search.ivf import IVFFlatIndex, IVFPQIndex
 
 __all__ = ["IVFSystem"]
 
@@ -43,7 +45,7 @@ class IVFSystem:
     ):
         if k <= 0:
             raise ValueError("k must be positive")
-        self.index = IVFFlatIndex(base, nlist=nlist, metric=metric, seed=seed)
+        self.index = self._make_index(base, nlist, metric, seed)
         self.nprobe = int(nprobe)
         self.device = device
         self.metric = metric
@@ -55,6 +57,9 @@ class IVFSystem:
     @property
     def n_parallel(self) -> int:
         return 1
+
+    def _make_index(self, base, nlist: int, metric: str, seed: int):
+        return IVFFlatIndex(base, nlist=nlist, metric=metric, seed=seed)
 
     def _search_one(self, query: np.ndarray):
         return self.index.search(query, self.k, self.nprobe)
@@ -145,27 +150,18 @@ class IVFPQSystem(IVFSystem):
         m: int = 8,
         ks: int = 256,
         rerank: int = 64,
-        device: DeviceProperties = RTX_A6000,
-        metric: str = "l2",
-        k: int = 16,
-        batch_size: int = 16,
-        cost_params: CostParams | None = None,
-        mem_per_block: int = 8192,
-        seed: int = 0,
+        **kwargs,
     ):
-        from ..search.quantization import IVFPQIndex
-
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.index = IVFPQIndex(base, nlist=nlist, m=m, ks=ks, metric=metric, seed=seed)
-        self.nprobe = int(nprobe)
+        """``m`` / ``ks`` size the product quantizer; ``rerank`` is the
+        exact re-rank pool (0: return ADC distances); ``kwargs`` are
+        :class:`IVFSystem`'s."""
+        self.m, self.ks = m, ks
         self.rerank = int(rerank)
-        self.device = device
-        self.metric = metric
-        self.k = k
-        self.batch_size = batch_size
-        self.mem_per_block = mem_per_block
-        self.cost_model = CostModel(device, cost_params)
+        super().__init__(base, nlist=nlist, nprobe=nprobe, **kwargs)
+
+    def _make_index(self, base, nlist: int, metric: str, seed: int):
+        return IVFPQIndex(base, nlist=nlist, m=self.m, ks=self.ks,
+                          metric=metric, seed=seed)
 
     def _search_one(self, query: np.ndarray):
         return self.index.search(query, self.k, self.nprobe, rerank=self.rerank)

@@ -415,7 +415,7 @@ def ablation_beam_params(
     regime where the phase threshold matters).  The ``"off"`` row disables
     beam extend entirely (pure greedy control).
     """
-    from ..search.intra_cta import BeamConfig
+    from ..search.batched import BeamConfig
 
     ds = get_dataset(dataset)
     rows = []

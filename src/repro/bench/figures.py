@@ -151,8 +151,7 @@ def precision_frontier_data(
     from ..data.groundtruth import recall
     from ..gpusim.costmodel import CostModel
     from ..gpusim.device import RTX_A6000
-    from ..search.batched import batched_multi_cta_search
-    from ..search.multi_cta import make_entries
+    from ..search.batched import batched_multi_cta_search, make_entries
     from ..search.precision import make_codec
 
     ds = get_dataset(dataset)

@@ -1,6 +1,5 @@
 """ALGAS core: slots, dynamic batching, tuning, merge, state sync, pipeline."""
 
-from .autotuner import AutoTuneResult, Trial, autotune_algas
 from .cluster import ReplicatedServer, ShardedServer
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from .host import HostLoadEstimate, estimate_host_load, partition_slots
@@ -12,7 +11,15 @@ from .serving import QueryJob, QueryRecord, ServeConfig, ServeReport, as_serve_c
 from .slots import Slot, SlotState, StateTransitionError
 from .state_sync import STATE_WORD_BYTES, StateChannel
 from .static_batcher import StaticBatchConfig, StaticBatchEngine
-from .tuning import TuningResult, plan_layout, reserved_cache_bytes, tune
+from .tuning import (
+    AutoTuneResult,
+    Trial,
+    TuningResult,
+    autotune_algas,
+    plan_layout,
+    reserved_cache_bytes,
+    tune,
+)
 
 __all__ = [
     "AutoTuneResult",

@@ -28,9 +28,12 @@ from ..gpusim.occupancy import SearchMemoryLayout
 from ..gpusim.trace import TraceBlock
 from ..graphs.base import GraphIndex
 from ..graphs.utils import medoid
-from ..search.batched import batched_intra_cta_search, batched_multi_cta_search
-from ..search.intra_cta import BeamConfig
-from ..search.multi_cta import make_entries
+from ..search.batched import (
+    BeamConfig,
+    batched_intra_cta_search,
+    batched_multi_cta_search,
+    make_entries,
+)
 from ..search.precision import PRECISIONS, make_codec
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from .host import host_meta

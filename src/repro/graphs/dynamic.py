@@ -27,10 +27,10 @@ corpus; this module adds the "built for change" update story on top of any
   ``precision=`` like the static path: quantized precisions traverse on
   cached codecs that are *extended* on insert waves and re-trained when
   codebook drift is detected (:meth:`codec_status`).  The scalar greedy
-  loop (:meth:`_search_scalar`) is the parity oracle.  A read batch may
-  carry the next insert wave's points (``pending_inserts=``): their
-  insertion searches then ride in the same lockstep run, and the insert
-  links from those pools if nothing changed in between.
+  loop it is held to lives with the tests (``tests/oracles.py``).  A read
+  batch may carry the next insert wave's points (``pending_inserts=``):
+  their insertion searches then ride in the same lockstep run, and the
+  insert links from those pools if nothing changed in between.
 
 Vertex ids are stable for the lifetime of the structure (tombstoned ids
 are never reused); only :meth:`freeze` remaps to a dense snapshot.  Every
@@ -244,38 +244,6 @@ class DynamicGraph:
             out_ids, out_d = out_ids[:B], out_d[:B]
             block = None if block is None else block[:B]
         return out_ids, out_d, block
-
-    def _search_scalar(
-        self, query: np.ndarray, k: int, l: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar oracle (Alg. 1 semantics) with expansion-time tombstone
-        masking — the reference the lockstep path is tested against."""
-        lcap = l or max(self.ef, k)
-        entry = self._live_entry()
-        visited = {entry}
-        d0 = float(query_distances(query, self._pts[entry][None, :], self.metric)[0])
-        cand: list[list] = [[d0, entry, False]]
-        while True:
-            sel = next((c for c in cand if not c[2]), None)
-            if sel is None:
-                break
-            sel[2] = True
-            row = self._adj[sel[1], : self._counts[sel[1]]]
-            fresh = [
-                int(u) for u in row if self._alive[u] and int(u) not in visited
-            ]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            nd = query_distances(query, self._pts[fresh], self.metric)
-            cand.extend([float(d), u, False] for d, u in zip(nd, fresh))
-            cand.sort(key=lambda c: (c[0], c[1]))
-            del cand[lcap:]
-        top = cand[:k]
-        return (
-            np.array([u for _, u, _ in top], dtype=np.int64),
-            np.array([d for d, _, _ in top], dtype=np.float32),
-        )
 
     # ------------------------------------------------------------- updates
     def insert(self, point: np.ndarray) -> int:

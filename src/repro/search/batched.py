@@ -1,6 +1,6 @@
 """Vectorized lockstep batch search engine (SoA intra-CTA kernels).
 
-The scalar :class:`~repro.search.intra_cta.CTASearcher` advances one query
+The scalar :class:`~repro.reference.intra_cta.CTASearcher` advances one query
 one graph step per Python iteration — every ``neighbors()`` call, distance
 matvec, and argsort is a sub-microsecond kernel drowned in numpy dispatch
 overhead.  This module runs **B CTAs in lockstep** instead, the way CAGRA's
@@ -50,25 +50,84 @@ per-step Python object exists on this path.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..data.metrics import PairKernel, require_finite
 from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
-from .intra_cta import BeamConfig, SearchResult
-from .multi_cta import make_entries, per_cta_capacity
 from .precision import DEFAULT_RERANK_MULT
 from .topk import merge_topk_batch
 
 __all__ = [
+    "BeamConfig",
+    "SearchResult",
+    "per_cta_capacity",
+    "make_entries",
     "BatchedVisited",
     "BatchResults",
     "LockstepEngine",
     "batched_intra_cta_search",
     "batched_multi_cta_search",
 ]
+
+
+@dataclass(frozen=True)
+class BeamConfig:
+    """Beam-extend parameters (§IV-C "timing for activating beam search").
+
+    While the selected candidate's offset in the list is below
+    ``offset_beam`` a CTA is *localizing* and expands one candidate per
+    maintenance cycle, like greedy search; from there on it is *diffusing*
+    and expands up to ``beam_width`` candidates per cycle under a single
+    sort/merge (§IV-B).
+    """
+
+    #: candidate-list offset at which the diffusing phase begins.
+    offset_beam: int = 8
+    #: candidates expanded per maintenance cycle in the diffusing phase.
+    beam_width: int = 4
+
+    def __post_init__(self) -> None:
+        if self.offset_beam < 0:
+            raise ValueError("offset_beam must be non-negative")
+        if self.beam_width < 1:
+            raise ValueError("beam_width must be at least 1")
+
+
+@dataclass
+class SearchResult:
+    """Outcome of one query search."""
+
+    ids: np.ndarray
+    dists: np.ndarray
+    trace: object = None  # CTATrace or QueryTrace
+    extra: dict = field(default_factory=dict)
+
+
+def per_cta_capacity(l_total: int, n_ctas: int, k: int) -> int:
+    """Split a total candidate budget across CTAs (each ≥ the TopK)."""
+    if l_total <= 0 or n_ctas <= 0 or k <= 0:
+        raise ValueError("l_total, n_ctas, k must be positive")
+    return max(k, math.ceil(l_total / n_ctas))
+
+
+def make_entries(
+    n_points: int,
+    n_ctas: int,
+    entries_per_cta: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Distinct random entry points for each CTA (CAGRA-style seeding)."""
+    total = min(n_ctas * entries_per_cta, n_points)
+    flat = rng.choice(n_points, size=total, replace=False)
+    return [
+        flat[i * entries_per_cta : (i + 1) * entries_per_cta]
+        for i in range(n_ctas)
+    ]
 
 
 class BatchedVisited:
@@ -553,7 +612,7 @@ class LockstepEngine:
         """The quantized-search epilogue: exact re-rank of ``pools[i,
         :pool_counts[i]]`` against row ``rows[i]``'s query, plus the priced
         float32 step on that row's trace (the engine twin of
-        :func:`~repro.search.precision.rerank_into_trace`).  ``pools`` is
+        :func:`~repro.reference.intra_cta.rerank_into_trace`).  ``pools`` is
         ``(len(rows), >= k)``, -1 padded; returns padded ``(len(rows), k)``
         ids / distances and the per-row result counts.
 

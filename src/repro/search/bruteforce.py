@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data.metrics import query_distances
 from ..gpusim.trace import CTATrace, StepRecord
-from .intra_cta import SearchResult
+from .batched import SearchResult
 
 __all__ = ["FlatIndex"]
 

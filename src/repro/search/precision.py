@@ -5,24 +5,27 @@ high dimension: every expansion step is a full ``dim``-wide float32 kernel.
 CAGRA-Q and FAISS cut that cost by walking the graph on a *compressed*
 representation of the base vectors and restoring exactness with a final
 float32 re-rank of the surviving candidates.  This module provides the
-compressed substrates as pluggable codecs shared by both search backends:
+compressed substrates as pluggable codecs, each beside the quantizer that
+trains it:
 
-* :class:`Int8Codec` — ScalarQuantizer (SQ8) codes.  Distances use the
-  ``|q - x̂|² = (|q|² - 2 q·lo) - 2 (q∘s)·c + |x̂|²`` expansion, so the
-  per-hop kernel reads 1 byte/dimension and the per-query terms
+* :class:`Int8Codec` — :class:`ScalarQuantizer` (SQ8) codes.  Distances
+  use the ``|q - x̂|² = (|q|² - 2 q·lo) - 2 (q∘s)·c + |x̂|²`` expansion, so
+  the per-hop kernel reads 1 byte/dimension and the per-query terms
   (``q∘s``, ``|q|² - 2 q·lo``) are built once at dispatch.  On hardware
   this is a DP4A dot product (4 int8 MACs per lane-cycle, 4× less
   memory traffic); the cost model prices it that way.
-* :class:`PQCodec` — ProductQuantizer ADC.  Per-query lookup tables are
-  built once at dispatch; each hop costs ``m`` table lookups per point
-  instead of ``dim`` FMAs (the IVF-PQ scan, moved into the traversal).
+* :class:`PQCodec` — :class:`ProductQuantizer` ADC.  Per-query lookup
+  tables are built once at dispatch; each hop costs ``m`` table lookups
+  per point instead of ``dim`` FMAs (the scan of
+  :class:`~repro.search.ivf.IVFPQIndex`, moved into the traversal).
 
 Both codecs return float32 *approximate* distances with the same calling
 convention as :func:`repro.data.metrics.pair_distances`, and both are
-bit-deterministic across backends: the scalar oracle and the lockstep
-engine issue the identical per-row einsum / table-gather arithmetic, so
-scalar-vs-vectorized parity holds for every precision (the same argument
-as the float32 norms expansion — see ``pair_distances``).
+bit-deterministic across backends: the scalar reference
+(:mod:`repro.reference`) and the lockstep engine issue the identical
+per-row einsum / table-gather arithmetic, so scalar-vs-vectorized parity
+holds for every precision (the same argument as the float32 norms
+expansion — see ``pair_distances``).
 
 :func:`exact_rerank` is the shared exactness-restoring pass: the top
 ``rerank_mult × k`` survivors of the approximate candidate list are
@@ -39,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.metrics import pair_block_rows, pair_distances
-from ..gpusim.trace import StepRecord
-from .quantization import ProductQuantizer, ScalarQuantizer
 
 __all__ = [
     "PRECISIONS",
     "DEFAULT_RERANK_MULT",
+    "ScalarQuantizer",
+    "ProductQuantizer",
     "CodecInfo",
     "Int8Codec",
     "PQCodec",
@@ -53,7 +56,6 @@ __all__ = [
     "make_codec",
     "default_pq_m",
     "exact_rerank",
-    "rerank_step_record",
 ]
 
 #: Supported traversal precisions.  ``"float32"`` is the exact baseline
@@ -85,6 +87,167 @@ def default_pq_m(dim: int) -> int:
     return dim
 
 
+class ScalarQuantizer:
+    """SQ8: per-dimension affine quantization to uint8.
+
+    The lighter-weight FAISS compression: 4× smaller than float32 with
+    near-lossless recall on natural corpora.  ``encode``/``decode`` use
+    per-dimension (min, max) ranges learned from the training set;
+    distances are computed on reconstructions (symmetric).
+    """
+
+    def __init__(self):
+        self.lo: np.ndarray | None = None
+        self.scale: np.ndarray | None = None
+
+    def fit(self, vectors: np.ndarray) -> "ScalarQuantizer":
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if vectors.ndim != 2 or vectors.shape[0] == 0:
+            raise ValueError("vectors must be a non-empty (n, dim) array")
+        self.lo = vectors.min(axis=0)
+        span = vectors.max(axis=0) - self.lo
+        self.scale = np.where(span > 0, span / 255.0, 1.0).astype(np.float32)
+        return self
+
+    def _check(self) -> None:
+        if self.lo is None:
+            raise RuntimeError("ScalarQuantizer is not fitted")
+
+    def encode(self, vectors: np.ndarray) -> np.ndarray:
+        self._check()
+        v = np.asarray(vectors, dtype=np.float32)
+        codes = np.rint((v - self.lo) / self.scale)
+        return np.clip(codes, 0, 255).astype(np.uint8)
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        self._check()
+        return codes.astype(np.float32) * self.scale + self.lo
+
+    def quantization_error(self, vectors: np.ndarray) -> float:
+        """Mean squared reconstruction error of ``vectors``."""
+        rec = self.decode(self.encode(vectors))
+        v = np.asarray(vectors, dtype=np.float32)
+        return float(((v - rec) ** 2).sum(1).mean())
+
+
+class ProductQuantizer:
+    """Classic PQ: split ``dim`` into ``m`` subspaces with ``ks`` centroids.
+
+    Codes are ``uint8`` (``ks <= 256``).  Distances are squared-L2; for
+    cosine corpora normalize vectors first (then 1 - dot ≡ L2²/2 ordering).
+    ``m=None`` takes :func:`default_pq_m` of the fitted dimension.
+
+    The requested sizes stay apart from the fitted ones: fitting on fewer
+    than ``ks`` rows trains one centroid per row, and a later refit on more
+    rows trains the requested ``ks`` again.  ``m`` / ``ks`` are the fitted
+    sizes (the requested ones until the first fit).
+    """
+
+    def __init__(
+        self,
+        m: int | None = 8,
+        ks: int = 256,
+        n_iters: int = 15,
+        seed: int = 0,
+    ):
+        if m is not None and m <= 0:
+            raise ValueError("m must be positive")
+        if not 1 < ks <= 256:
+            raise ValueError("ks must be in (1, 256]")
+        self._m_requested = m
+        self._ks_requested = ks
+        self.m = m
+        self.ks = ks
+        self.n_iters = n_iters
+        self.seed = seed
+        self.codebooks: np.ndarray | None = None  # (m, ks, dsub)
+        self.dim: int | None = None
+
+    # ------------------------------------------------------------ training
+    def fit(self, vectors: np.ndarray) -> "ProductQuantizer":
+        from .ivf import kmeans
+
+        vectors = np.asarray(vectors, dtype=np.float32)
+        n, dim = vectors.shape
+        m = self._m_requested or default_pq_m(dim)
+        if dim % m != 0:
+            raise ValueError(f"dim {dim} not divisible by pq m={m}")
+        ks = min(self._ks_requested, n)
+        dsub = dim // m
+        self.dim = dim
+        self.m, self.ks = m, ks
+        self.codebooks = np.empty((m, ks, dsub), dtype=np.float32)
+        for j in range(m):
+            sub = vectors[:, j * dsub : (j + 1) * dsub]
+            cents, _ = kmeans(sub, ks, n_iters=self.n_iters, seed=self.seed + j)
+            self.codebooks[j] = cents
+        return self
+
+    def _check_fitted(self) -> None:
+        if self.codebooks is None:
+            raise RuntimeError("ProductQuantizer is not fitted")
+
+    # ------------------------------------------------------------- codecs
+    def encode(self, vectors: np.ndarray) -> np.ndarray:
+        """Quantize rows to ``(n, m) uint8`` codes."""
+        self._check_fitted()
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if vectors.ndim == 1:
+            vectors = vectors[None, :]
+        n, dim = vectors.shape
+        if dim != self.dim:
+            raise ValueError("dimension mismatch")
+        dsub = dim // self.m
+        codes = np.empty((n, self.m), dtype=np.uint8)
+        for j in range(self.m):
+            sub = vectors[:, j * dsub : (j + 1) * dsub]
+            # (n, ks) distances via the expansion; argmin per row
+            c = self.codebooks[j]
+            d = (
+                np.einsum("nd,nd->n", sub, sub)[:, None]
+                - 2.0 * sub @ c.T
+                + np.einsum("kd,kd->k", c, c)[None, :]
+            )
+            codes[:, j] = d.argmin(axis=1).astype(np.uint8)
+        return codes
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """Reconstruct (approximate) vectors from codes."""
+        self._check_fitted()
+        codes = np.asarray(codes)
+        if codes.ndim == 1:
+            codes = codes[None, :]
+        n = codes.shape[0]
+        dsub = self.dim // self.m
+        out = np.empty((n, self.dim), dtype=np.float32)
+        for j in range(self.m):
+            out[:, j * dsub : (j + 1) * dsub] = self.codebooks[j][codes[:, j]]
+        return out
+
+    # ----------------------------------------------------------------- ADC
+    def adc_table(self, query: np.ndarray) -> np.ndarray:
+        """Per-subspace lookup table ``(m, ks)``: d(query_sub, centroid)²."""
+        self._check_fitted()
+        query = np.asarray(query, dtype=np.float32)
+        dsub = self.dim // self.m
+        table = np.empty((self.m, self.ks), dtype=np.float32)
+        for j in range(self.m):
+            qs = query[j * dsub : (j + 1) * dsub]
+            diff = self.codebooks[j] - qs
+            table[j] = np.einsum("kd,kd->k", diff, diff)
+        return table
+
+    def adc_distances(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Approximate distances of coded points to the table's query."""
+        codes = np.asarray(codes)
+        return table[np.arange(self.m)[None, :], codes].sum(axis=1)
+
+    def quantization_error(self, vectors: np.ndarray) -> float:
+        """Mean squared reconstruction error (codebook quality metric)."""
+        rec = self.decode(self.encode(vectors))
+        return float(((np.asarray(vectors, dtype=np.float32) - rec) ** 2).sum(1).mean())
+
+
 class Int8Codec:
     """SQ8 traversal substrate: per-dimension affine uint8 codes.
 
@@ -100,23 +263,19 @@ class Int8Codec:
         if metric not in ("l2", "cosine"):
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
+        self.sq = ScalarQuantizer()
         self.codes: np.ndarray | None = None
-        self.scale: np.ndarray | None = None
-        self.lo: np.ndarray | None = None
         self._pnorm_hat: np.ndarray | None = None
         self.dim = 0
 
     def fit(self, points: np.ndarray) -> "Int8Codec":
         points = np.asarray(points, dtype=np.float32)
-        sq = ScalarQuantizer().fit(points)
-        self.codes = sq.encode(points)
-        self.scale = sq.scale.astype(np.float32)
-        self.lo = sq.lo.astype(np.float32)
+        self.codes = self.sq.fit(points).encode(points)
         self.dim = int(points.shape[1])
         if self.metric == "l2":
             # Squared norms of the *reconstructions* — the |x̂|² term of the
             # expansion, computed once over the corpus.
-            rec = sq.decode(self.codes)
+            rec = self.sq.decode(self.codes)
             self._pnorm_hat = np.einsum("ij,ij->i", rec, rec)
         return self
 
@@ -140,8 +299,8 @@ class Int8Codec:
         q = np.ascontiguousarray(queries, dtype=np.float32)
         if q.ndim == 1:
             q = q[None, :]
-        qs = np.ascontiguousarray(q * self.scale[None, :])
-        qlo = np.einsum("ij,j->i", q, self.lo)
+        qs = np.ascontiguousarray(q * self.sq.scale[None, :])
+        qlo = np.einsum("ij,j->i", q, self.sq.lo)
         if self.metric == "l2":
             qoff = np.einsum("ij,ij->i", q, q) - 2.0 * qlo
         else:
@@ -170,10 +329,6 @@ class Int8Codec:
         """Cache-blocked per-dispatch kernel (see :class:`Int8Kernel`)."""
         return Int8Kernel(self, state)
 
-    def _encode(self, points: np.ndarray) -> np.ndarray:
-        codes = np.rint((points - self.lo) / self.scale)
-        return np.clip(codes, 0, 255).astype(np.uint8)
-
     def extend(self, points: np.ndarray) -> "Int8Codec":
         """Append codes for freshly inserted points (codebook unchanged).
 
@@ -181,11 +336,10 @@ class Int8Codec:
         frozen, so points outside the trained envelope clip — that loss is
         what :meth:`reconstruction_error` watches for.
         """
-        points = np.asarray(points, dtype=np.float32)
-        codes = self._encode(points)
+        codes = self.sq.encode(points)
         self.codes = np.concatenate([self.codes, codes], axis=0)
         if self.metric == "l2":
-            rec = codes.astype(np.float32) * self.scale + self.lo
+            rec = self.sq.decode(codes)
             self._pnorm_hat = np.concatenate(
                 [self._pnorm_hat, np.einsum("ij,ij->i", rec, rec)]
             )
@@ -194,9 +348,7 @@ class Int8Codec:
     def reconstruction_error(self, points: np.ndarray) -> float:
         """Mean squared reconstruction error of ``points`` under the
         *current* codebook — the stale-codebook drift probe."""
-        points = np.asarray(points, dtype=np.float32)
-        rec = self._encode(points).astype(np.float32) * self.scale + self.lo
-        return float(((points - rec) ** 2).sum(axis=1).mean())
+        return self.sq.quantization_error(points)
 
 
 class PQCodec:
@@ -221,12 +373,9 @@ class PQCodec:
         if metric not in ("l2", "cosine"):
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
-        self._m_requested = m
-        self._ks_requested = ks
-        self.n_iters = n_iters
         self.train_sample = train_sample
         self.seed = seed
-        self.pq: ProductQuantizer | None = None
+        self.pq = ProductQuantizer(m=m, ks=ks, n_iters=n_iters, seed=seed)
         self.codes: np.ndarray | None = None
         self.dim = 0
         self.train_n = 0
@@ -235,20 +384,14 @@ class PQCodec:
     def fit(self, points: np.ndarray) -> "PQCodec":
         points = np.asarray(points, dtype=np.float32)
         n, dim = points.shape
-        m = self._m_requested or default_pq_m(dim)
-        if dim % m != 0:
-            raise ValueError(f"dim {dim} not divisible by pq m={m}")
         train = points
         if n > self.train_sample:
             rng = np.random.default_rng(self.seed)
             train = points[rng.choice(n, size=self.train_sample, replace=False)]
-        self.pq = ProductQuantizer(
-            m=m, ks=self._ks_requested, n_iters=self.n_iters, seed=self.seed
-        ).fit(train)
-        self.codes = self.pq.encode(points)
+        self.codes = self.pq.fit(train).encode(points)
         self.dim = dim
         self.train_n = int(train.shape[0])
-        self._base = np.arange(m, dtype=np.int64) * self.pq.ks
+        self._base = np.arange(self.pq.m, dtype=np.int64) * self.pq.ks
         return self
 
     @property
@@ -324,16 +467,13 @@ class PQCodec:
 
     def extend(self, points: np.ndarray) -> "PQCodec":
         """Append codes for freshly inserted points (codebooks unchanged)."""
-        points = np.asarray(points, dtype=np.float32)
         self.codes = np.concatenate([self.codes, self.pq.encode(points)], axis=0)
         return self
 
     def reconstruction_error(self, points: np.ndarray) -> float:
         """Mean squared reconstruction error of ``points`` under the
         *current* codebooks — the stale-codebook drift probe."""
-        points = np.asarray(points, dtype=np.float32)
-        rec = self.pq.decode(self.pq.encode(points))
-        return float(((points - rec) ** 2).sum(axis=1).mean())
+        return self.pq.quantization_error(points)
 
 
 class Int8Kernel:
@@ -512,55 +652,3 @@ def exact_rerank(
     )
     order = np.argsort(d, kind="stable")[: min(k, ids.size)]
     return ids[order].copy(), d[order].copy()
-
-
-def rerank_step_record(n_scored: int, dim: int, best_dist: float) -> StepRecord:
-    """The float32 re-rank pass as a priced trace step.
-
-    ``n_scored`` full-width exact distances plus one sort of the pool —
-    the same accounting the IVF-PQ baseline uses for its re-rank scan.
-    """
-    return StepRecord(
-        select_offset=0,
-        n_expanded=0,
-        n_neighbors_fetched=0,
-        n_visited_checks=0,
-        n_new_points=n_scored,
-        dim=dim,
-        sort_size=n_scored,
-        cand_list_len=0,
-        did_sort=n_scored > 1,
-        best_dist=best_dist,
-        precision="float32",
-    )
-
-
-def rerank_into_trace(
-    points: np.ndarray,
-    query: np.ndarray,
-    metric: str,
-    pool: np.ndarray,
-    k: int,
-    qnorm: np.ndarray | None,
-    trace,
-    set_result_len: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The quantized-search epilogue: exact re-rank plus its priced step.
-
-    Re-scores ``pool`` with :func:`exact_rerank` and, when ``trace`` (a
-    :class:`~repro.gpusim.trace.CTATrace`) is recording, appends the
-    re-rank pass to it.  Single-CTA searches also own the trace's
-    ``result_len`` (``set_result_len``); multi-CTA searches record the step
-    on CTA 0 and leave each CTA's own result length alone.
-    """
-    ids, dists = exact_rerank(points, query, metric, pool, k, qnorm=qnorm)
-    if trace is not None:
-        trace.steps.append(
-            rerank_step_record(
-                int(pool.size), int(points.shape[1]),
-                float(dists[0]) if dists.size else float("nan"),
-            )
-        )
-        if set_result_len:
-            trace.result_len = int(ids.size)
-    return ids, dists

@@ -17,6 +17,7 @@ Metric catalog: see docs/observability.md (kept in sync with ``_CATALOG``).
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 
@@ -328,7 +329,9 @@ class NullTelemetry(Telemetry):
 
     The default for every instrumented component — guarantees the hot path
     is unaffected when observability is off (the perf_smoke gate holds the
-    engines to <5% overhead against the seed numbers).
+    engines to <5% overhead against the seed numbers).  Every void hook of
+    :class:`Telemetry` is overridden from one table (:data:`_VOID_HOOKS`,
+    below), so a hook added there cannot reach the absent registry here.
     """
 
     enabled = False
@@ -342,78 +345,6 @@ class NullTelemetry(Telemetry):
     def scoped(self, **labels) -> "NullTelemetry":
         return self
 
-    def merge_from(self, other) -> None:
-        pass
-
-    def query_submitted(self, n: int = 1) -> None:
-        pass
-
-    def queue_depth(self, depth: int) -> None:
-        pass
-
-    def query_dispatched(self, query_id, arrival_us, dispatch_us) -> None:
-        pass
-
-    def query_completed(self, record) -> None:
-        pass
-
-    def query_dropped(self, query_id=None, arrival_us=None, deadline_us=None) -> None:
-        pass
-
-    def query_shed(self, query_id=None, arrival_us=None, depth=None) -> None:
-        pass
-
-    def replicas_active(self, n) -> None:
-        pass
-
-    def scale_event(self, now_us, old, new, depth) -> None:
-        pass
-
-    def slot_transition(self, slot_id, old, new) -> None:
-        pass
-
-    def slot_occupied(self, slot_id, start_us, end_us, query_id) -> None:
-        pass
-
-    def merge_observed(self, n_lists, cpu_us) -> None:
-        pass
-
-    def watchdog_kill(self, slot_id, query_id, now_us) -> None:
-        pass
-
-    def query_retried(self, query_id, attempt, now_us) -> None:
-        pass
-
-    def retry_exhausted(self, query_id) -> None:
-        pass
-
-    def hedge_fired(self, query_id, fire_us) -> None:
-        pass
-
-    def hedge_won(self, query_id) -> None:
-        pass
-
-    def partial_answer(self, query_id, n_included, n_total) -> None:
-        pass
-
-    def degraded_dispatch(self, query_id) -> None:
-        pass
-
-    def degraded_window_entered(self, now_us, depth) -> None:
-        pass
-
-    def degraded_window_exited(self, start_us, end_us) -> None:
-        pass
-
-    def fault_injected(self, kind) -> None:
-        pass
-
-    def span(self, name, start_us, end_us, query_id=None, slot_id=None, **attrs) -> None:
-        pass
-
-    def observe_report(self, report, mode=None) -> None:
-        pass
-
     def to_dict(self, max_spans=None) -> dict:
         return {}
 
@@ -425,6 +356,38 @@ class NullTelemetry(Telemetry):
 
     def slot_timeline(self, width: int = 72, max_slots: int = 32) -> str:
         return "(telemetry disabled)"
+
+
+def _no_op(hook):
+    """An empty function with ``hook``'s parameter list and defaults.
+
+    It binds arguments exactly as the live hook does (a mis-shaped call
+    fails with telemetry off too) at the cost of an empty call — a
+    ``*args, **kwargs`` catch-all costs twice that, which the scheduler's
+    per-event hooks turn into measurable wall time.
+    """
+    sig = inspect.signature(hook)
+    # The source only marks which parameters have a default; the default
+    # objects themselves are attached below.
+    bare = sig.replace(return_annotation=sig.empty, parameters=[
+        p.replace(annotation=p.empty, default=p.empty if p.default is p.empty else None)
+        for p in sig.parameters.values()
+    ])
+    scope: dict = {}
+    exec(f"def {hook.__name__}{bare}: pass", scope)
+    fn = scope[hook.__name__]
+    fn.__defaults__, fn.__kwdefaults__ = hook.__defaults__, hook.__kwdefaults__
+    return fn
+
+
+#: every public :class:`Telemetry` method :class:`NullTelemetry` does not
+#: define itself — the hooks that return nothing
+_VOID_HOOKS = tuple(
+    name for name, attr in vars(Telemetry).items()
+    if callable(attr) and not name.startswith("_") and name not in vars(NullTelemetry)
+)
+for _name in _VOID_HOOKS:
+    setattr(NullTelemetry, _name, _no_op(getattr(Telemetry, _name)))
 
 
 #: shared no-op instance; components do ``tel = telemetry or NULL_TELEMETRY``.

@@ -7,9 +7,16 @@ objects).  ``tests/test_trace_block.py`` checks the columnar
 ``TraceBlock`` path against it, which makes "bit-identical to the object
 path" a tier-1 fact.
 
+Each case also digests its result ids and distances, and the IVF-Flat /
+IVF-PQ baselines (l2 and cosine, PQ with and without the exact re-rank)
+are cases too; those were frozen at ``782626c``, the last commit with a
+separate IVF-PQ index and quantizer module.
+
 This script reads traces only through the row-object surface both layouts
 share (iterate → ``.ctas`` → ``.steps`` → fields; ``cta_duration_us`` on a
-``CTATrace``), so it reproduces the fixture on either side of the change:
+``CTATrace``), so it reproduces the fixture on either side of a change.
+New cases are generated on a checkout of the parent commit (copy this
+script there if it predates them), then the fixture is copied back:
 
     PYTHONPATH=src python -m tests.golden.make_priced_traces
 """
@@ -22,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.baselines import IVFPQSystem, IVFSystem
 from repro.core.pipeline import ALGASSystem
+from repro.data.metrics import normalize
 from repro.data.synthetic import latent_mixture
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
@@ -46,7 +55,7 @@ def corpus():
 
 
 def cases():
-    """``name -> callable() -> (traces, cost_model)``, in fixture order."""
+    """``name -> callable() -> ((ids, dists, traces), cost_model)``."""
     base, queries = corpus()
     graph = build_cagra(base, graph_degree=12, seed=0)
     out = {}
@@ -58,7 +67,7 @@ def cases():
                 n_parallel=n_ctas, beam=beam, precision=precision, pq_m=8,
                 seed=5,
             )
-            return system.search_all(queries)[2], system.cost_model
+            return system.search_all(queries), system.cost_model
         return run
 
     def dynamic_case(precision):
@@ -67,9 +76,20 @@ def cases():
             dyn.delete_batch(np.arange(0, 600, 7))
             dyn.insert_batch(latent_mixture(30, 32, intrinsic_dim=10, seed=33))
             dyn.delete_batch(np.arange(3, 600, 42))
-            traces = dyn.search_batch(
-                queries, K, precision=precision, record_trace=True)[2]
-            return traces, ALGASSystem(base, graph, k=K, l_total=L_TOTAL).cost_model
+            out = dyn.search_batch(
+                queries, K, precision=precision, record_trace=True)
+            return out, ALGASSystem(base, graph, k=K, l_total=L_TOTAL).cost_model
+        return run
+
+    def ivf_case(metric, rerank):
+        def run():
+            pts, qs = (base, queries) if metric == "l2" else (
+                normalize(base), normalize(queries))
+            kw = dict(nlist=16, nprobe=4, metric=metric, k=K, batch_size=8,
+                      seed=5)
+            system = (IVFSystem(pts, **kw) if rerank is None else
+                      IVFPQSystem(pts, m=8, ks=64, rerank=rerank, **kw))
+            return system.search_all(qs), system.cost_model
         return run
 
     for precision in PRECISION_CODE:
@@ -78,6 +98,10 @@ def cases():
                 name = f"{precision}/ctas{n_ctas}/{'beam' if beam else 'greedy'}"
                 out[name] = system_case(precision, n_ctas, beam)
         out[f"{precision}/dynamic-tombstones"] = dynamic_case(precision)
+    for metric in ("l2", "cosine"):
+        out[f"ivf-flat/{metric}"] = ivf_case(metric, None)
+        for rerank in (0, 64):
+            out[f"ivf-pq/{metric}/rerank{rerank}"] = ivf_case(metric, rerank)
     return out
 
 
@@ -96,6 +120,12 @@ def hash_columns(cols: dict, durations) -> dict:
     text = ",".join(float(d).hex() for d in durations)
     out["cta_durations_us"] = hashlib.sha256(text.encode()).hexdigest()
     return out
+
+
+def results(ids, dists) -> dict:
+    """Digests of a search's padded result ids and distances."""
+    return {"ids": sha(np.asarray(ids, dtype=np.int64)),
+            "dists": sha(np.asarray(dists, dtype=np.float32))}
 
 
 def walk(traces, cost_model) -> dict:
@@ -126,7 +156,10 @@ def walk(traces, cost_model) -> dict:
 
 
 def main() -> None:
-    doc = {name: walk(*run()) for name, run in cases().items()}
+    doc = {}
+    for name, run in cases().items():
+        (ids, dists, traces), cost_model = run()
+        doc[name] = {**walk(traces, cost_model), "results": results(ids, dists)}
     # one case per line keeps the per-row result_len lists out of the diff
     body = ",\n".join(
         f" {json.dumps(name)}: {json.dumps(doc[name], sort_keys=True)}"

@@ -2,12 +2,14 @@
 
 ``src/`` has one search engine on the serve path (the lockstep
 :class:`~repro.search.LockstepEngine`); the one-step-per-iteration
-reference functions (``intra_cta_search`` / ``multi_cta_search``) are
-plain functions the tests call directly.  This module composes them into
-the system-level shape so ``system.search_all`` can be checked against
-them bit for bit.  :func:`scalar_cta_cost` is the matching pricing
-oracle: the step-by-step accumulation of ``CostModel.step_cost`` the block
-pricer must equal exactly.
+reference functions (``repro.reference``: ``intra_cta_search`` /
+``multi_cta_search``) are plain functions the tests call directly.  This
+module composes them into the system-level shape so ``system.search_all``
+can be checked against them bit for bit, and :func:`scalar_dynamic_search`
+is the same kind of oracle for ``DynamicGraph.search``.
+:func:`scalar_cta_cost` is the matching pricing oracle: the step-by-step
+accumulation of ``CostModel.step_cost`` the block pricer must equal
+exactly.
 
 ``src/`` likewise has one builder per graph family (``repro.graphs``:
 wave / array builders); the per-vertex Python loops they replaced are
@@ -31,7 +33,7 @@ from repro.gpusim.costmodel import CTACost
 from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, prune_detours
 from repro.graphs.utils import medoid
 from repro.gpusim.trace import QueryTrace, TraceBlock
-from repro.search import intra_cta_search, multi_cta_search
+from repro.reference import intra_cta_search, multi_cta_search
 
 
 def scalar_search_all(system, queries, seed=None, precision=None,
@@ -74,6 +76,36 @@ def scalar_search_all(system, queries, seed=None, precision=None,
         dists[i, :m] = r.dists[:m]
         traces.append(trace)
     return ids, dists, traces
+
+
+def scalar_dynamic_search(dyn, query, k, l=None):
+    """Alg. 1 over a ``DynamicGraph``'s live arrays with expansion-time
+    tombstone masking, one Python step at a time — the reference
+    ``dyn.search`` is tested against.  Returns ``(ids, dists)``."""
+    lcap = l or max(dyn.ef, k)
+    entry = dyn._live_entry()
+    visited = {entry}
+    d0 = float(query_distances(query, dyn._pts[entry][None, :], dyn.metric)[0])
+    cand: list[list] = [[d0, entry, False]]
+    while True:
+        sel = next((c for c in cand if not c[2]), None)
+        if sel is None:
+            break
+        sel[2] = True
+        row = dyn._adj[sel[1], : dyn._counts[sel[1]]]
+        fresh = [int(u) for u in row if dyn._alive[u] and int(u) not in visited]
+        if not fresh:
+            continue
+        visited.update(fresh)
+        nd = query_distances(query, dyn._pts[fresh], dyn.metric)
+        cand.extend([float(d), u, False] for d, u in zip(nd, fresh))
+        cand.sort(key=lambda c: (c[0], c[1]))
+        del cand[lcap:]
+    top = cand[:k]
+    return (
+        np.array([u for _, u, _ in top], dtype=np.int64),
+        np.array([d for d, _, _ in top], dtype=np.float32),
+    )
 
 
 def assert_same_search_all(got, want):

@@ -1,8 +1,9 @@
 """Unit tests for the empirical auto-tuner."""
 
+import numpy as np
 import pytest
 
-from repro.core.autotuner import autotune_algas
+from repro.core.tuning import autotune_algas
 
 
 def test_meets_reachable_target(ds, graph):
@@ -37,3 +38,25 @@ def test_validates(ds, graph):
         autotune_algas(ds.base, graph, ds.queries, ds.gt, target_recall=0.0)
     with pytest.raises(ValueError):
         autotune_algas(ds.base, graph, ds.queries, ds.gt[:, :4], k=10)
+
+
+def test_errors_other_than_infeasible_configs_propagate(ds, graph):
+    """Only grid points that cannot run are skipped; bad inputs fail."""
+    kw = dict(k=10, batch_size=8, sample=8, l_grid=(32,), parallel_grid=(2,))
+    bad = ds.base.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        autotune_algas(bad, graph, ds.queries, ds.gt, metric=ds.metric, **kw)
+    with pytest.raises(ValueError, match="unknown metric"):
+        autotune_algas(ds.base, graph, ds.queries, ds.gt, metric="nope", **kw)
+
+
+def test_infeasible_grid_points_are_skipped(ds, graph):
+    """``l_total < k`` and an unreachable ``N_parallel`` are not trials."""
+    res = autotune_algas(
+        ds.base, graph, ds.queries, ds.gt, target_recall=0.5, k=10,
+        batch_size=8, metric=ds.metric, sample=8, l_grid=(8, 64),
+        parallel_grid=(2, 4096), seed=1,
+    )
+    assert res.trials and all(t.l_total == 64 for t in res.trials)
+    assert all(t.n_parallel <= 8 for t in res.trials)

@@ -18,13 +18,12 @@ from repro.core.pipeline import ALGASSystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw_fast
 from repro.gpusim.trace import TraceBlock
+from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import (
     BeamConfig,
     batched_intra_cta_search,
     batched_multi_cta_search,
-    intra_cta_search,
     make_entries,
-    multi_cta_search,
 )
 
 from .oracles import assert_same_search_all, scalar_search_all

@@ -1,30 +1,21 @@
-"""Unit tests for beam-extend entry points."""
+"""Beam extend against greedy extend on the scalar reference searchers."""
 
-import numpy as np
-
-from repro.search.beam_extend import (
-    beam_extend_search,
-    default_beam_config,
-    greedy_extend_search,
-)
-
-
-def test_default_beam_config_scaling():
-    c = default_beam_config(128)
-    assert c.offset_beam == 16 and c.beam_width == 4
-    assert default_beam_config(4).offset_beam == 1
+from repro.reference import intra_cta_search, multi_cta_search
+from repro.search import BeamConfig
 
 
 def test_beam_vs_greedy_sorts(ds, graph, entry):
     q = ds.queries[0]
-    b = beam_extend_search(ds.base, graph, q, 8, 64, entry, metric=ds.metric)
-    g = greedy_extend_search(ds.base, graph, q, 8, 64, entry, metric=ds.metric)
+    b = intra_cta_search(ds.base, graph, q, 8, 64, entry, metric=ds.metric,
+                         beam=BeamConfig())
+    g = intra_cta_search(ds.base, graph, q, 8, 64, entry, metric=ds.metric)
     assert b.trace.n_sorts < g.trace.n_sorts
 
 
 def test_multi_cta_variants(ds, graph, rng):
     q = ds.queries[1]
-    b = beam_extend_search(ds.base, graph, q, 8, 64, None, metric=ds.metric, n_ctas=4, rng=rng)
-    g = greedy_extend_search(ds.base, graph, q, 8, 64, None, metric=ds.metric, n_ctas=4, rng=rng)
+    b = multi_cta_search(ds.base, graph, q, 8, 64, 4, metric=ds.metric,
+                         beam=BeamConfig(), rng=rng)
+    g = multi_cta_search(ds.base, graph, q, 8, 64, 4, metric=ds.metric, rng=rng)
     assert b.trace.n_ctas == 4 and g.trace.n_ctas == 4
     assert b.trace.total_sorts <= g.trace.total_sorts

@@ -56,7 +56,7 @@ def test_reverse_edges_present(pts):
 
 def test_searchable_quality(pts):
     from repro.data.groundtruth import exact_knn, recall
-    from repro.search import multi_cta_search
+    from repro.reference import multi_cta_search
 
     g = build_cagra(pts, graph_degree=8)
     rng = np.random.default_rng(0)

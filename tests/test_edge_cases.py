@@ -20,7 +20,7 @@ from repro.graphs import (
 )
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
-from repro.search import intra_cta_search, multi_cta_search
+from repro.reference import intra_cta_search, multi_cta_search
 
 
 def test_search_isolated_entry_returns_partial():

@@ -58,7 +58,7 @@ def test_layer0_export_searchable(pts):
     assert st.n_vertices == pts.shape[0]
     assert st.n_weak_components <= 2
     from repro.graphs.utils import medoid
-    from repro.search import intra_cta_search
+    from repro.reference import intra_cta_search
 
     gt, _ = exact_knn(pts[:10], pts, 5)
     ep = medoid(pts)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.data.groundtruth import recall
-from repro.search.greedy import greedy_search
-from repro.search.intra_cta import BeamConfig, intra_cta_search
+from repro.reference.greedy import greedy_search
+from repro.reference.intra_cta import intra_cta_search
+from repro.search.batched import BeamConfig
 
 
 def test_results_sorted_and_k(ds, graph, entry):

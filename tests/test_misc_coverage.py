@@ -34,7 +34,7 @@ def test_single_cta_algas_medoid_entry(ds, graph):
 
 
 def test_step_durations_match_step_costs(ds, graph, entry):
-    from repro.search import intra_cta_search
+    from repro.reference import intra_cta_search
 
     cm = CostModel(RTX_A6000)
     tr = intra_cta_search(ds.base, graph, ds.queries[0], 8, 32, entry,

@@ -42,7 +42,7 @@ def test_fast_nsw_structure(pts):
 def test_fast_nsw_searchable(pts):
     from repro.data.groundtruth import exact_knn, recall
     from repro.graphs.utils import medoid
-    from repro.search import intra_cta_search
+    from repro.reference import intra_cta_search
 
     g = build_nsw_fast(pts, m=8, seed=0)
     q = pts[:10]

@@ -27,21 +27,19 @@ from repro.graphs import build_cagra
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.trace import StepRecord, TraceBlock
+from repro.reference import intra_cta_search, multi_cta_search, rerank_step_record
 from repro.search import (
     Int8Codec,
     PQCodec,
     default_pq_m,
     exact_rerank,
-    intra_cta_search,
     make_codec,
     make_entries,
-    multi_cta_search,
 )
 from repro.search.batched import (
     batched_intra_cta_search,
     batched_multi_cta_search,
 )
-from repro.search.precision import rerank_step_record
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +68,7 @@ def test_int8_codec_matches_decoded_exact_distances(corpus):
     state = codec.query_state(ds.queries)
     ids = np.arange(64, dtype=np.int64)
     got = codec.distances(state, np.zeros(64, np.int64), ids)
-    dec = codec.lo + codec.codes[ids].astype(np.float32) * codec.scale
+    dec = codec.sq.decode(codec.codes[ids])
     ref = ((dec - ds.queries[0]) ** 2).sum(axis=1)
     assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
 

@@ -1,11 +1,12 @@
-"""Unit tests for product quantization and IVF-PQ."""
+"""Unit tests for the quantizers (PQ, SQ8) and IVF-PQ."""
 
 import numpy as np
 import pytest
 
 from repro.data.groundtruth import exact_knn, recall
 from repro.data.synthetic import latent_mixture
-from repro.search.quantization import IVFPQIndex, ProductQuantizer
+from repro.search.ivf import IVFPQIndex
+from repro.search.precision import ProductQuantizer, ScalarQuantizer
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,19 @@ def test_dim_divisibility():
         ProductQuantizer(m=5).fit(np.ones((10, 32), np.float32))
 
 
+def test_refit_trains_the_requested_codebook_size(pts):
+    """A fit on fewer rows than ``ks`` trains one centroid per row; a refit
+    on enough rows trains the requested ``ks`` again."""
+    pq = ProductQuantizer(m=4, ks=64, seed=0).fit(pts[:20])
+    assert pq.codebooks.shape == (4, 20, 8) and pq.ks == 20
+    pq.fit(pts[:500])
+    assert pq.codebooks.shape == (4, 64, 8) and pq.ks == 64
+    assert pq.encode(pts[:500]).max() >= 20
+    # m=None resolves per fit from the fitted dimension
+    auto = ProductQuantizer(m=None, ks=16).fit(pts[:100])
+    assert auto.m == 4 and auto.codebooks.shape == (4, 16, 8)
+
+
 def test_unfitted_raises():
     pq = ProductQuantizer(m=2)
     with pytest.raises(RuntimeError):
@@ -104,8 +118,6 @@ def test_ivfpq_validates(pts):
 
 
 def test_sq8_roundtrip_accuracy(pts):
-    from repro.search.quantization import ScalarQuantizer
-
     sq = ScalarQuantizer().fit(pts)
     codes = sq.encode(pts[:100])
     assert codes.dtype == np.uint8
@@ -118,17 +130,12 @@ def test_sq8_roundtrip_accuracy(pts):
 def test_sq8_beats_pq_reconstruction(pts, pq):
     """SQ8 keeps 8 bits per dimension, PQ here 8 bits per 8 dims —
     SQ must reconstruct far more accurately."""
-    from repro.search.quantization import ScalarQuantizer
-
     sq = ScalarQuantizer().fit(pts)
     assert sq.quantization_error(pts[:200]) < 0.1 * pq.quantization_error(pts[:200])
 
 
 def test_sq8_recall_near_lossless(pts):
-    from repro.data.groundtruth import exact_knn, recall
-    from repro.search.quantization import ScalarQuantizer
-
-    sq = ScalarQuantizer().fit(pts)
+    sq =ScalarQuantizer().fit(pts)
     rec_pts = sq.decode(sq.encode(pts))
     gt, _ = exact_knn(pts[:20], pts, 5)
     approx, _ = exact_knn(pts[:20], rec_pts, 5)
@@ -136,8 +143,6 @@ def test_sq8_recall_near_lossless(pts):
 
 
 def test_sq8_constant_dimension(pts):
-    from repro.search.quantization import ScalarQuantizer
-
     v = pts[:50].copy()
     v[:, 0] = 3.14  # zero-span dimension
     sq = ScalarQuantizer().fit(v)
@@ -146,8 +151,6 @@ def test_sq8_constant_dimension(pts):
 
 
 def test_sq8_validates():
-    from repro.search.quantization import ScalarQuantizer
-
     sq = ScalarQuantizer()
     with pytest.raises(RuntimeError):
         sq.encode(np.ones((2, 4), np.float32))
@@ -192,8 +195,6 @@ def test_ivfpq_rerank_returns_exact_sorted_distances(pts):
 def test_sq8_error_bound_scales_with_span(pts):
     """SQ8 worst-case round-trip error is span/510 per dimension, so total
     squared error is bounded by sum((span/510)^2) — check with margin."""
-    from repro.search.quantization import ScalarQuantizer
-
     sq = ScalarQuantizer().fit(pts)
     rec = sq.decode(sq.encode(pts[:300]))
     worst = ((sq.scale / 2) ** 2).sum()

@@ -34,6 +34,7 @@ from repro.streaming import (
 )
 
 from .golden import make_streams
+from .oracles import scalar_dynamic_search
 
 BASE = latent_mixture(400, 16, intrinsic_dim=8, seed=21)
 QUERIES = latent_mixture(24, 16, intrinsic_dim=8, seed=22)
@@ -300,7 +301,7 @@ def test_merge_serve_reports_accounting():
 def test_dynamic_search_backend_parity_and_freeze_invalidation():
     dyn = fresh_graph(ef=64)
     q = QUERIES[0]
-    ids_s, _ = dyn._search_scalar(q, 8, None)
+    ids_s, _ = scalar_dynamic_search(dyn, q, 8)
     ids_v, _ = dyn.search(q, 8)
     assert set(ids_s.tolist()) == set(ids_v.tolist())
     ids_q, _ = dyn.search(q, 8, precision="int8", rerank_mult=4)

@@ -1,5 +1,6 @@
 """Unit + integration tests for the serving telemetry subsystem."""
 
+import inspect
 import json
 import math
 import re
@@ -168,6 +169,30 @@ def test_null_telemetry_is_inert():
     assert tel.to_dict() == {}
     assert tel.to_prometheus() == ""
     assert "disabled" in tel.slot_timeline()
+
+
+class _Tripwire:
+    """Stands in for a registry or span log: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"null telemetry touched .{name}")
+
+
+def test_null_telemetry_overrides_every_hook():
+    """Every public ``Telemetry`` method has a ``NullTelemetry`` override,
+    and none of them reaches a registry or span log."""
+    public = [name for name, attr in vars(Telemetry).items()
+              if callable(attr) and not name.startswith("_")]
+    assert len(public) > 20
+    null = NullTelemetry()
+    null.registry = null.spans = _Tripwire()
+    for name in public:
+        assert name in vars(NullTelemetry), name
+        params = list(inspect.signature(getattr(Telemetry, name)).parameters.values())
+        required = [p for p in params[1:]
+                    if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+        getattr(null, name)(*[None] * len(required))
+    assert null.to_json() == "{}"
 
 
 def test_scoped_labels_share_registry():

@@ -39,7 +39,7 @@ from repro.gpusim.trace import (
 )
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
-from repro.search import intra_cta_search
+from repro.reference import intra_cta_search
 from repro.search.batched import LockstepEngine, _entry_rows
 from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
@@ -66,7 +66,8 @@ GOLDEN = json.loads(golden.FIXTURE.read_text())
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_block_path_matches_parent_commit_fixture(golden_cases, name):
     want = GOLDEN[name]
-    block, cost_model = golden_cases[name]()
+    (ids, dists, block), cost_model = golden_cases[name]()
+    assert golden.results(ids, dists) == want["results"]
     assert isinstance(block, TraceBlock)
     assert (len(block), block.n_ctas, block.n_steps) == (
         want["n_queries"], want["n_ctas"], want["n_steps"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.search.visited import VisitedBitmap
+from repro.reference.visited import VisitedBitmap
 
 
 def test_test_and_set_basic():
