@@ -1,5 +1,7 @@
 """Unit tests for serving vocabulary (jobs, records, reports)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,6 @@ def test_report_json_file_and_no_pcie(tmp_path):
 
 
 def test_report_meta_serialized_best_effort():
-    import json
-
     rep = _sample_report()
     rep.meta["config"] = object()  # not JSON-serializable as-is
     doc = json.loads(rep.to_json())
@@ -128,3 +128,19 @@ def test_served_report_round_trip_from_engine():
     back = ServeReport.from_json(rep.to_json())
     assert back.records == rep.records
     assert back.summary() == rep.summary()
+
+
+# --------------------------------------- golden serves (frozen at 6b2560b)
+def test_every_serve_entry_point_reproduces_the_frozen_digests():
+    """Report JSON, result ids / dists and (with telemetry on) the
+    Prometheus text of every entry point — single systems, the hybrid
+    tier, the static baselines and both cluster servers under health,
+    admission, faults and defenses — rebuild ``serves.json`` byte for
+    byte."""
+    from .golden import make_serves
+
+    frozen = json.loads(make_serves.FIXTURE.read_text())
+    doc = make_serves.build()
+    moved = sorted(n for n in frozen if doc.get(n) != frozen[n])
+    assert not moved, f"serve digests moved: {moved}"
+    assert make_serves.render(doc) == make_serves.FIXTURE.read_text()
