@@ -283,6 +283,24 @@ def test_hedge_rescues_killed_replica(ds, graph):
     assert all(r.complete_us >= 100.0 for r in rescued)
 
 
+def test_hedge_rescue_keeps_the_backups_degraded_flag(ds, graph):
+    """A query lost with its replica and answered by the backup under
+    overload degradation reports ``degraded`` — the backup's record whole,
+    at the query's original arrival."""
+    srv = ReplicatedServer(ds.base, graph, n_gpus=2, metric=ds.metric,
+                           k=8, batch_size=4)
+    plan = FaultPlan(shard_faults=(ShardFault(1, "kill", at_us=0.0),))
+    policy = ResiliencePolicy(hedge_delay_us=100.0, degrade_queue_depth=1)
+    rep = srv.serve(ds.queries, ServeConfig(faults=plan, resilience=policy))
+    n = ds.queries.shape[0]
+    assert rep.serve.meta["resilience"]["hedge_wins"] == n // 2
+    rescued = [r for r in rep.serve.records if r.query_id % 2 == 1]
+    assert len(rescued) == n // 2
+    assert any(r.degraded for r in rescued)
+    assert all(r.arrival_us == 0.0 for r in rescued)  # closed loop
+    assert all(r.dispatch_us >= 100.0 for r in rescued)
+
+
 def test_hedge_without_backup_fails(ds, graph):
     srv = ReplicatedServer(ds.base, graph, n_gpus=1, metric=ds.metric,
                            k=8, batch_size=8)
