@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.dynamic_batcher import _admit
 from ..core.pipeline import SystemReport
 from ..core.serving import ServeConfig, as_serve_config, price_jobs
 from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
@@ -112,23 +113,15 @@ class IVFSystem:
                 "substrate; the IVF baselines have no graph traversal "
                 "(use IVFPQSystem for a compressed IVF scan)"
             )
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         evs, spec = resolve_workload(cfg.workload, queries.shape[0])
-        if spec is not None:
-            raise ValueError(
-                "admission control (deadline_us/max_queue_depth) requires "
-                "the dynamic batching engine; the IVF baselines batch "
-                "statically with no admission queue"
-            )
         ids, dists, traces = self.search_all(queries)
         jobs = price_jobs(
             self.cost_model, traces, sorted(evs, key=lambda e: e.query_id), self.k
         )
         engine = self.make_engine(slots=cfg.slots, telemetry=cfg.telemetry,
                                   faults=cfg.faults, resilience=cfg.resilience)
-        report = engine.serve(jobs)
+        report = _admit(engine, jobs, spec)
         return SystemReport(ids=ids, dists=dists, serve=report, traces=traces)
 
 

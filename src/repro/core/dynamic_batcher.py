@@ -163,6 +163,33 @@ class DynamicBatchEngine:
         return report
 
 
+def _admit(engine, jobs: list[QueryJob], spec) -> ServeReport:
+    """Serve ``jobs`` on ``engine`` under a workload's admission contract.
+
+    The admission step of every serve path (single systems, cluster legs,
+    stream epochs): a :class:`~repro.data.workload.TrafficSpec`'s
+    ``deadline_us`` / ``max_queue_depth`` need an admission queue, which
+    only the dynamic engine has; the static baselines dispatch fixed
+    batches with no queue to shed from, so they reject such specs loudly
+    rather than silently ignoring the contract.
+    """
+    if spec is None:
+        return engine.serve(jobs)
+    if not isinstance(engine, DynamicBatchEngine):
+        raise ValueError(
+            f"admission control (deadline_us/max_queue_depth) requires "
+            f"the dynamic batching engine; {type(engine).__name__} has "
+            f"no admission queue"
+        )
+    managed = None
+    if spec.deadline_us is not None:
+        managed = [
+            ManagedQuery(j, deadline_us=j.arrival_us + spec.deadline_us)
+            for j in jobs
+        ]
+    return engine.serve(jobs, managed=managed, max_queue_depth=spec.max_queue_depth)
+
+
 class _ServeRun:
     """Scheduler state of one ``serve()`` and its event handlers."""
 

@@ -1,8 +1,8 @@
 """The staged hybrid serving system: GPU pilot → PCIe → CPU refine.
 
-:class:`HybridSystem` extends :class:`ALGASSystem` with a `tier` axis:
+:class:`HybridSystem` is an :class:`ALGASSystem` with a `tier` axis:
 
-- ``tier="gpu"`` — byte-identical to the plain ALGAS path (full graph on
+- ``tier="gpu"`` — the plain ALGAS serve, byte for byte (full graph on
   the device); the escape hatch when the corpus fits.
 - ``tier="hybrid"`` — stage 1 traverses the device-resident pilot
   subgraph with the normal lockstep engine (reduced dims, full speed),
@@ -12,18 +12,24 @@
   on the host from those entries (:func:`bounded_refine`) priced by
   :meth:`CostModel.cpu_refine_us` as `host_us` on the job.
 
-Recall is measured on the refined (exact, full-precision) results;
-latency comes from the same dynamic batching engine as every other tier,
-so telemetry, fault plans, and admission control all compose unchanged.
+Both tiers run :meth:`BaseGraphSystem.serve`; the hybrid tier supplies
+three things to it: its search step (pilot traversal + bounded refine,
+priced with the refine extras), its engine width (the pilot search's CTAs
+per slot) and ``meta["tier"]``.  Recall is measured on the refined
+(exact, full-precision) results; latency comes from the same dynamic
+batching engine as every other tier, so telemetry, fault plans, and
+admission control all compose unchanged.
 """
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 
-from ..core.pipeline import ALGASSystem, SystemReport
-from ..core.serving import as_serve_config, price_jobs
-from ..data.workload import resolve_workload
+from ..core.pipeline import ALGASSystem
+from ..core.serving import price_jobs
 from ..gpusim.device import DeviceProperties, RTX_A6000
 from ..graphs.base import GraphIndex
 from .pilot import PilotIndex, build_pilot
@@ -125,9 +131,7 @@ class HybridSystem(ALGASSystem):
         DMA ships), and ``refine`` is the :class:`RefineResult` whose op
         counts price the host stage.
         """
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         q_red = self.pilot.project(queries)
         p_ids, _, traces = self._pilot_system.search_all(
             q_red, seed=seed, precision=precision, rerank_mult=rerank_mult,
@@ -143,47 +147,40 @@ class HybridSystem(ALGASSystem):
         )
         return refine.ids, refine.dists, traces, refine
 
-    # ------------------------------------------------------------ serving
-    def _make_hybrid_engine(self, cfg):
-        """Engine for hybrid serves: slot CTAs match the *pilot* search."""
-        from ..core.dynamic_batcher import DynamicBatchEngine
+    # ---------------------------------------------------------- serve steps
+    def _at_tier(self, tier: str | None) -> "HybridSystem":
+        if tier is None or tier == self.tier:
+            return self
+        view = copy.copy(self)  # shares every array, graph and codec
+        view.tier = tier
+        return view
 
-        dcfg = self.engine_config(
-            cfg.slots, n_parallel=self._pilot_system.n_parallel
-        )
-        return DynamicBatchEngine(
-            self.device, self.cost_model, dcfg,
-            telemetry=cfg.telemetry, faults=cfg.faults,
-            resilience=cfg.resilience,
-        )
+    def engine_config(self, slots: int | None = None):
+        """The hybrid tier's slots run the pilot search's CTA count."""
+        cfg = super().engine_config(slots)
+        if self.tier == "gpu":
+            return cfg
+        return replace(cfg, n_parallel=self._pilot_system.n_parallel)
 
-    def _serve_hybrid(self, queries: np.ndarray, cfg) -> SystemReport:
-        cfg = as_serve_config(cfg, owner=f"{type(self).__name__}.serve")
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        evs, spec = resolve_workload(cfg.workload, queries.shape[0])
-        precision = cfg.precision or self.precision
-        rerank_mult = cfg.rerank_mult or self.rerank_mult
+    def _search_step(self, queries: np.ndarray, cfg, events):
+        if self.tier == "gpu":
+            return super()._search_step(queries, cfg, events)
         ids, dists, traces, refine = self.hybrid_search_all(
             queries, seed=cfg.seed,
-            precision=precision, rerank_mult=rerank_mult,
+            precision=cfg.precision or self.precision,
+            rerank_mult=cfg.rerank_mult or self.rerank_mult,
         )
         full_dim = int(self.base.shape[1])
         host_us = [
-            self.cost_model.cpu_refine_us(
-                int(nd), full_dim, ef=self.refine_ef
-            )
+            self.cost_model.cpu_refine_us(int(nd), full_dim, ef=self.refine_ef)
             for nd in refine.n_distances
         ]
         jobs = price_jobs(
-            self.cost_model, traces, sorted(evs, key=lambda e: e.query_id),
-            self.k, host_us=host_us, result_entries=self.n_candidates,
+            self.cost_model, traces, events, self.k,
+            host_us=host_us, result_entries=self.n_candidates,
         )
-        engine = self._make_hybrid_engine(cfg)
-        report = self._run_engine(engine, jobs, spec)
         plan = self.pilot.plan
-        report.meta["tier"] = {
+        tier = {
             "tier": "hybrid",
             "pilot": {
                 "n_pilot": self.pilot.n_pilot,
@@ -203,12 +200,5 @@ class HybridSystem(ALGASSystem):
                 "mean_host_us": float(np.mean(host_us)),
             },
         }
-        codec = self._pilot_system.traversal_codec(precision)
-        report.meta["precision"] = {
-            "precision": precision,
-            "rerank_mult": rerank_mult if precision != "float32" else None,
-            "codec": None if codec is None else codec.info(),
-        }
-        if self.build_info:
-            report.meta.setdefault("build", {}).update(self.build_info)
-        return SystemReport(ids=ids, dists=dists, serve=report, traces=traces)
+        precision = self._precision_meta(cfg, codec_owner=self._pilot_system)
+        return ids, dists, traces, jobs, {"tier": tier, "precision": precision}

@@ -51,8 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
-from ..core.pipeline import BaseGraphSystem
+from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine, _admit
 from ..core.serving import ServeReport, merge_serve_reports, price_jobs
 from ..data.groundtruth import exact_knn, recall_per_query
 from ..data.workload import resolve_workload
@@ -272,9 +271,7 @@ def serve_while_update(
     """
     if not isinstance(stream, UpdateStream):
         raise TypeError(f"stream must be an UpdateStream, got {type(stream).__name__}")
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim == 1:
-        queries = queries[None, :]
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     if queries.shape[0] == 0:
         raise ValueError("need at least one query vector")
     slo = slo or DegradationSLO()
@@ -384,7 +381,7 @@ def serve_while_update(
         engine = DynamicBatchEngine(
             device, cm, cfg, telemetry=telemetry, faults=faults
         )
-        rep = BaseGraphSystem._run_engine(engine, jobs, spec)
+        rep = _admit(engine, jobs, spec)
         for rec in rep.records:
             # Restore the true arrival so e2e latency includes the wait
             # behind the barrier (service latency is untouched).

@@ -79,3 +79,37 @@ def test_merged_report_aggregates_dropped_meta():
     assert rep.meta["dropped"] == 3
     assert rep.meta["dropped_ids"] == [3, 5, 7]
     assert "resilience" not in rep.meta  # healthy runs stay resilience-free
+
+
+def test_cluster_serves_honour_precision_and_reject_hybrid_tier(ds, graph):
+    """A cluster leg runs its system's serve steps: ``precision`` and
+    ``rerank_mult`` reach the traversal, and ``tier="hybrid"`` is
+    rejected as it is by a single ALGASSystem."""
+    from repro.core import ALGASSystem, ServeConfig
+
+    kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8, max_parallel=4)
+    int8 = ServeConfig(precision="int8", rerank_mult=1)
+    replicated = ReplicatedServer(ds.base, graph, n_gpus=2, **kw)
+    single = ALGASSystem(ds.base, graph, **kw).serve(ds.queries, int8)
+    rep = replicated.serve(ds.queries, int8)
+    assert np.array_equal(rep.ids, single.ids)
+    assert np.array_equal(rep.dists, single.dists)
+
+    builder = lambda pts: build_cagra(pts, graph_degree=12, metric=ds.metric)
+    sharded = ShardedServer(ds.base, builder, n_gpus=2, **kw)
+    assert sharded.k == sharded.shards[0].system.k == 8
+    for server in (replicated, sharded):
+        f32 = server.serve(ds.queries).serve
+        q1 = server.serve(ds.queries, int8).serve
+        q4 = server.serve(ds.queries, ServeConfig(precision="int8",
+                                                  rerank_mult=4)).serve
+        lat = [r.service_latency_us for r in f32.records]
+        assert [r.service_latency_us for r in q1.records] != lat
+        assert q4.to_json() != q1.to_json()
+        with pytest.raises(ValueError, match="hybrid"):
+            server.serve(ds.queries, ServeConfig(tier="hybrid"))
+    # Pool workers rebuild the shard systems and fit the codec themselves.
+    pooled = sharded.serve(ds.queries, ServeConfig(precision="int8",
+                                                   rerank_mult=1, parallelism=2))
+    sharded.close()
+    assert pooled.serve.to_json() == q1.to_json()
