@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI test entry point: lint, tier-1 suite, paper figures, perf smoke, chaos
-# smoke, e2e smoke.
+# CI test entry point: lint, tier-1 suite, paper figures, golden fixtures,
+# perf smoke, chaos smoke, e2e smoke.
 #
 #   scripts/test.sh            # everything
 #   scripts/test.sh --tier1    # lint + unit/integration/property tests
@@ -9,6 +9,13 @@
 #                              # --benchmark-disable: each regenerates its
 #                              # figure at small scale and asserts the
 #                              # paper's result shape
+#   scripts/test.sh --golden   # golden fixtures only (~15 s): run every
+#                              # tests/golden/make_*.py generator in place,
+#                              # then `git diff --exit-code -- tests/golden/`
+#                              # — a generator that no longer rewrites its
+#                              # fixture byte for byte fails here (fixtures
+#                              # are frozen at parent commits; a change that
+#                              # moves one on purpose regenerates it there)
 #   scripts/test.sh --perf     # perf smoke only: search gate (~2 s; fails
 #                              # if the lockstep engine loses to the
 #                              # scalar oracle on wall clock) + build gate
@@ -83,14 +90,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-run_tier1=0 run_paper=0 run_perf=0 run_chaos=0 run_e2e=0
+run_tier1=0 run_paper=0 run_golden=0 run_perf=0 run_chaos=0 run_e2e=0
 case "${1:-}" in
   --tier1) run_tier1=1 ;;
   --paper) run_paper=1 ;;
+  --golden) run_golden=1 ;;
   --perf) run_perf=1 ;;
   --chaos) run_chaos=1 ;;
   --e2e) run_e2e=1 ;;
-  *) run_tier1=1 run_paper=1 run_perf=1 run_chaos=1 run_e2e=1 ;;
+  *) run_tier1=1 run_paper=1 run_golden=1 run_perf=1 run_chaos=1 run_e2e=1 ;;
 esac
 
 # Per-test watchdog: the resilience suite exercises hang/deadlock recovery,
@@ -132,6 +140,12 @@ fi
 if [ "$run_paper" = 1 ]; then
   python -m pytest benchmarks/test_*.py -q --benchmark-disable \
     ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
+fi
+if [ "$run_golden" = 1 ]; then
+  for gen in tests/golden/make_*.py; do
+    python -m "tests.golden.$(basename "$gen" .py)"
+  done
+  git diff --exit-code -- tests/golden/
 fi
 if [ "$run_perf" = 1 ]; then
   python -m pytest benchmarks/perf -m perf_smoke -q \

@@ -153,10 +153,13 @@ def test_fleet_requires_start_within_policy_bounds():
 
 
 def test_one_replica_fleet_tracks_dynamic_engine():
-    """Loose calibration: a 1-replica fleet must land within 2x of the real
-    DynamicBatchEngine on mean e2e latency for the same jobs (the fleet
-    prices service as dispatch + max(cta) + collect; the engine simulates
-    per-CTA slots, so they differ — but not wildly)."""
+    """Calibration: a 1-replica fleet over-prices the real
+    DynamicBatchEngine's mean service latency on the same jobs, by a
+    bounded margin.  The fleet prices service as dispatch + max(cta) +
+    collect with fixed overheads; the engine simulates per-CTA slots.  The
+    error is +4.1 to +4.9 % at bench_load's templates (~29 us service,
+    docs/load_testing.md) and +11 % on these short ~13 us jobs, where the
+    fixed overheads weigh more."""
     from repro.core import ALGASSystem
     from repro.data import load_dataset
     from repro.graphs import build_nsw
@@ -174,7 +177,7 @@ def test_one_replica_fleet_tracks_dynamic_engine():
         FleetConfig(n_replicas=1, slots_per_replica=16)).serve(jobs)
     m_engine = engine_rep.mean_latency_us()
     m_fleet = fleet_rep.mean_latency_us()
-    assert 0.5 < m_fleet / m_engine < 2.0, (m_fleet, m_engine)
+    assert 1.0 < m_fleet / m_engine < 1.15, (m_fleet, m_engine)
 
 
 # ---------------------------------------------------------------- harness
