@@ -167,6 +167,8 @@ _STEP_FIELDS = tuple(f.name for f in fields(StepRecord))
 #: columns only a traversal round fills; seed and re-rank steps leave them 0
 _TRAVERSAL_ONLY = ("select_offset", "n_expanded", "n_neighbors_fetched",
                    "n_visited_checks", "cand_list_len")
+_NO_TRAVERSAL = dict.fromkeys(_TRAVERSAL_ONLY, 0)
+_STEP_SET = frozenset(_STEP_NAMES)
 
 
 class TraceBlock:
@@ -353,8 +355,8 @@ class TraceBuilder:
     def add(self, rows: np.ndarray, **columns) -> None:
         """One step per row; columns a seed / re-rank step has no value for
         (``select_offset``, fetch and probe counts, …) default to zero."""
-        chunk = {**dict.fromkeys(_TRAVERSAL_ONLY, 0), **columns}
-        if chunk.keys() != set(_STEP_NAMES):
+        chunk = {**_NO_TRAVERSAL, **columns}
+        if chunk.keys() != _STEP_SET:
             raise TypeError(f"a step needs exactly the columns {_STEP_NAMES}")
         self._rows.append(rows)
         self._chunks.append(chunk)

@@ -47,7 +47,7 @@ from .utils import _compact_rows, _first_occurrence_mask
 __all__ = ["occlusion_prune_mask"]
 
 #: Lockstep rows per engine instance: bounds the packed visited bitmap at
-#: ``_MAX_ROWS * ceil(n/8)`` bytes while keeping waves fully batched.
+#: ``_MAX_ROWS * n / 8`` bytes while keeping waves fully batched.
 _MAX_ROWS = 8192
 
 # Budget policy of the wave builders.  Wave searches see at best a
@@ -284,6 +284,7 @@ def _prefix_search(
     collect_expansions: bool = False,
     alive_mask: np.ndarray | None = None,
     share: _BuildShare | None = None,
+    point_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep beam searches of vertices ``[q_lo, q_hi)`` against the
     inserted prefix ``[0, visible)``; returns (W, ef) pools sorted by
@@ -301,6 +302,10 @@ def _prefix_search(
     *expansion log* (every vertex expanded en route, in expansion order,
     ragged width) — the NSG candidate pool, which needs the search path's
     long-range vertices, not just the final beam.
+
+    ``point_norms`` are the points' squared norms when the caller keeps
+    them (a :class:`~repro.graphs.dynamic.DynamicGraph`, which never fans
+    out over a ``share``).
     """
     from ..search.batched import LockstepEngine
 
@@ -333,6 +338,7 @@ def _prefix_search(
             n_visible=visible,
             record_expansions=collect_expansions,
             alive_mask=alive_mask,
+            point_norms=point_norms,
         )
         eng.run(100 * ef + 100, what="batched insertion search")
         if collect_expansions:

@@ -8,7 +8,7 @@ batched kernels (and any serious GPU traversal) do:
 
 * candidate lists are structure-of-arrays ``(B, L)`` id/dist/checked
   blocks, selected and maintained with row-parallel kernels;
-* the per-query visited sets are one packed ``(Q, ceil(n/8))`` ``uint8``
+* the per-query visited sets are one packed ``Q × n``-bit ``uint8``
   bitmap with a vectorized, order-preserving test-and-set;
 * neighbour expansion is a single fancy-indexed gather from the graph's
   cached padded ``(n, max_degree)`` neighbour matrix
@@ -133,58 +133,66 @@ def make_entries(
 class BatchedVisited:
     """Per-query packed visited bitmaps with ordered test-and-set.
 
-    One ``uint8`` bit-row per query (all CTAs of a query share the row,
-    like the shared visited table of §IV-B).  ``test_and_set`` resolves
+    One bit per (query, point) pair — all CTAs of a query share its bits,
+    like the shared visited table of §IV-B — packed into one flat ``uint8``
+    array at bit ``query * n + point``.  ``test_and_set`` resolves
     duplicates first-come-first-served over the *given sequence order*,
     which the engine arranges to be (CTA, fetch position) — exactly the
     order in which the scalar round-robin schedule issues its atomicOrs.
     """
 
-    __slots__ = ("n", "words_per_row", "_bits", "probes", "sets")
+    __slots__ = ("n", "n_rows", "_bits", "probes", "sets")
+
+    #: the bit of ``key & 7`` within its byte
+    _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
     def __init__(self, n_rows: int, n_points: int):
         if n_points <= 0:
             raise ValueError("n_points must be positive")
         self.n = n_points
-        self.words_per_row = (n_points + 7) // 8
-        self._bits = np.zeros((max(n_rows, 1), self.words_per_row), dtype=np.uint8)
+        self.n_rows = max(n_rows, 1)
+        self._bits = np.zeros((self.n_rows * n_points + 7) // 8, dtype=np.uint8)
         self.probes = 0
         self.sets = 0
 
     def test_and_set(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Mark ``(rows, ids)`` pairs visited; return the fresh mask."""
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
-        if ids.min() < 0 or ids.max() >= self.n:
+        if int(np.maximum.reduce(ids.view(np.uint64))) >= self.n:  # negatives wrap
             raise IndexError("vertex id out of range")
         self.probes += int(ids.size)
-        bits = self._bits.reshape(-1)
-        rows = rows.astype(np.int64, copy=False)
-        flat = rows * self.words_per_row + (ids >> 3)
-        bit = np.uint8(1) << (ids & 7).astype(np.uint8)
-        fresh = (bits.take(flat) & bit) == 0
+        key = np.multiply(rows, self.n, dtype=np.int64)
+        key += ids
+        bit = self._BIT.take(key & 7)
+        word = key >> 3
+        fresh = (self._bits.take(word) & bit) == 0
         f_idx = fresh.nonzero()[0]
         if f_idx.size:
             # First come, first served over the sequence: pack (pair key,
             # sequence position) into one int64, sort once, and every key
             # equal to its predecessor is a later duplicate that loses.
             pos_bits = int(f_idx.size - 1).bit_length()
-            n_rows = self._bits.shape[0]
-            if (n_rows * self.n - 1).bit_length() + pos_bits > 63:
+            if (self.n_rows * self.n - 1).bit_length() + pos_bits > 63:
                 raise OverflowError(
-                    f"visited pair keys do not fit 63 bits: Q={n_rows} rows x "
-                    f"n={self.n} points with {f_idx.size} fresh pairs in one call"
+                    f"visited pair keys do not fit 63 bits: Q={self.n_rows} "
+                    f"rows x n={self.n} points with {f_idx.size} fresh pairs "
+                    f"in one call"
                 )
-            keys = rows.take(f_idx) * self.n + ids.take(f_idx)
+            keys = key.take(f_idx)
             keys <<= pos_bits
             keys |= np.arange(f_idx.size, dtype=np.int64)
             keys.sort()
-            later = keys[1:]
-            dup = (later >> pos_bits) == (keys[:-1] >> pos_bits)
-            fresh[f_idx.take(later[dup] & ((1 << pos_bits) - 1))] = False
-            s_idx = fresh.nonzero()[0]
-            np.bitwise_or.at(bits, flat.take(s_idx), bit.take(s_idx))
-            self.sets += int(s_idx.size)
+            pair = keys >> pos_bits
+            dup = (pair[1:] == pair[:-1]).nonzero()[0]
+            if dup.size:
+                keys = keys.take(dup + 1)
+                keys &= (1 << pos_bits) - 1
+                fresh[f_idx.take(keys)] = False
+                f_idx = fresh.nonzero()[0]
+            np.bitwise_or.at(self._bits, word.take(f_idx), bit.take(f_idx))
+            self.sets += int(f_idx.size)
         return fresh
 
 
@@ -202,7 +210,14 @@ class LockstepEngine:
     waves.  ``n_visible`` optionally masks expansion to the vertex-id
     prefix ``[0, n_visible)``: insertion-time searches against a growing
     graph only ever traverse the already-inserted prefix, without the
-    builder having to re-materialize a CSR per wave.
+    builder having to re-materialize a CSR per wave.  ``point_norms`` are
+    the points' squared L2 norms when the caller keeps them (a
+    :class:`~repro.graphs.dynamic.DynamicGraph` does); otherwise the engine
+    computes them.
+
+    A round costs its active rows, not ``R``: the engine keeps the active
+    row ids, works on per-active-row arrays, and counts its rounds by
+    width in :attr:`rounds_by_active`.
     """
 
     def __init__(
@@ -220,6 +235,7 @@ class LockstepEngine:
         record_expansions: bool = False,
         codec=None,
         alive_mask: np.ndarray | None = None,
+        point_norms: np.ndarray | None = None,
     ):
         if cand_capacity <= 0:
             raise ValueError("cand_capacity must be positive")
@@ -264,7 +280,10 @@ class LockstepEngine:
             # the norms expansion (one fewer full-width pass than the diff
             # form; see pair_distances).  Kept in codec mode too: the exact
             # re-rank pass reuses the query norms.
-            self._pnorm = np.einsum("ij,ij->i", self.points, self.points)
+            self._pnorm = (
+                np.einsum("ij,ij->i", self.points, self.points)
+                if point_norms is None else point_norms
+            )
             self._qnorm = np.einsum("ij,ij->i", self.queries, self.queries)
         else:
             self._pnorm = self._qnorm = None
@@ -289,11 +308,30 @@ class LockstepEngine:
         # kernel scored, and pairs that passed the bound filter into a merge.
         self.pairs_scored = 0
         self.pairs_merged = 0
+        #: ``rounds_by_active[a]`` — lockstep rounds that stepped ``a`` rows;
+        #: it sums to the rounds run, and with a per-round time it splits a
+        #: run's cost into its per-round floor and its per-row work
+        self.rounds_by_active = np.zeros(R + 1, dtype=np.int64)
         self.cand_ids = np.full((R, L), -1, dtype=np.int64)
         self.cand_d = np.full((R, L), np.inf, dtype=np.float32)
-        self.cand_checked = np.zeros((R, L), dtype=bool)
+        # Open = kept and not yet expanded; padding is never open (a merged
+        # distance is always finite: the bound filter rejects inf).
+        self.cand_open = np.zeros((R, L), dtype=bool)
         self.sizes = np.zeros(R, dtype=np.int64)
-        self.active = np.zeros(R, dtype=bool)
+        # Flat views for one-call gathers / scatters by cell index, and each
+        # row's worst kept distance (the bound filter's threshold).
+        self._ids_flat = self.cand_ids.reshape(-1)
+        self._d_flat = self.cand_d.reshape(-1)
+        self._open_flat = self.cand_open.reshape(-1)
+        self._worst = self.cand_d[:, L - 1]
+        #: the rows still searching, ascending
+        self._act = np.zeros(0, dtype=np.int64)
+        self._iota = np.arange(R, dtype=np.int64)
+        # One CTA per query in query order: a row is its own visited row
+        # and query index, so no per-round row_query gather.
+        self._rows_are_queries = bool(
+            R == queries.shape[0] and np.array_equal(self.row_query, self._iota)
+        )
         self.visited = BatchedVisited(queries.shape[0], self.points.shape[0])
         # Op trace, columnar: one chunk of count arrays per lockstep round,
         # the exact re-rank epilogue one more chunk.
@@ -307,11 +345,10 @@ class LockstepEngine:
         self.expansions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = (
             [] if record_expansions else None
         )
-        self._col = np.arange(L)
         # Merge block: old lists in columns [0, L), a round's new pairs in
         # [L, L + W); W grows only when a round's widest row exceeds it.
         self._merge_w = 0
-        self._merge_d = self._merge_ids = self._merge_checked = None
+        self._merge_d = self._merge_ids = self._merge_open = None
         self._seed(row_entries)
 
     # ------------------------------------------------------------- seeding
@@ -340,12 +377,13 @@ class LockstepEngine:
             counts = np.array([e.size for e in ents], dtype=np.int64)
             rows = np.repeat(np.arange(R, dtype=np.int64), counts)
             ids = np.concatenate(ents)
-        fresh = self.visited.test_and_set(self.row_query[rows], ids)
-        new_counts = self._score_and_merge(rows[fresh], ids[fresh])
-        self.active[:] = self.sizes > 0
+        fresh = self.visited.test_and_set(self.row_query.take(rows), ids).nonzero()[0]
+        rows, ids = rows.take(fresh), ids.take(fresh)
+        new_counts = self._score_and_merge(self._iota, rows, rows, ids)
+        self._act = (self.sizes > 0).nonzero()[0]
         if self._trace is not None:
             self._trace.add(
-                np.arange(R, dtype=np.int64),
+                self._iota,
                 n_visited_checks=counts,
                 n_new_points=new_counts,
                 step_dim=self._trace_dim,
@@ -356,122 +394,151 @@ class LockstepEngine:
             )
 
     # ------------------------------------------------------------- merging
-    def _score_and_merge(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Score fresh (row, id) pairs with one blocked kernel call and fold
-        the ones that can survive into their rows' candidate lists.
+    def _score_and_merge(
+        self, act: np.ndarray, loc: np.ndarray, rows: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray | None:
+        """Score fresh pairs with one blocked kernel call and fold the ones
+        that can survive into their rows' candidate lists.
 
-        Returns the per-row counts of pairs *scored* — what the op trace
-        records (``n_new_points``, ``sort_size``).  ``rows`` must be sorted
-        ascending with per-row insertion order preserved — that order is
-        the stable-merge tie order.
+        ``act`` are the round's rows; pair ``j`` belongs to row ``rows[j] =
+        act[loc[j]]``.  Pairs must be sorted by row with per-row fetch order
+        preserved — that order is the stable-merge tie order.  Returns the
+        per-``act`` counts of pairs *scored* — what the op trace records
+        (``n_new_points``, ``sort_size``) — or ``None`` when not tracing.
         """
-        counts = np.bincount(rows, minlength=self.R).astype(np.int64)
+        scored = (
+            None if self._trace is None else np.bincount(loc, minlength=act.size)
+        )
         if ids.size == 0:
-            return counts
-        dists = self._kernel(self.row_query.take(rows), ids)
+            return scored
+        dists = self._kernel(
+            rows if self._rows_are_queries else self.row_query.take(rows), ids
+        )
         self.pairs_scored += int(ids.size)
         # Bound filter: a pair at or beyond its row's current worst slot can
         # never survive the stable merge truncation (old entries win ties),
         # so dropping it up front is bit-identical while shrinking the merge
         # width.  Pools not yet full have an inf sentinel there, which keeps
-        # every pair; a full pool stays at L — `sizes` never sees the filter.
-        keep = (dists < self.cand_d[:, self.L - 1].take(rows)).nonzero()[0]
-        kept = counts
+        # every finite pair; a full pool stays at L — `sizes` never sees the
+        # filter.
+        keep = (dists < self._worst.take(rows)).nonzero()[0]
         if keep.size < ids.size:
-            rows, ids, dists = rows.take(keep), ids.take(keep), dists.take(keep)
-            kept = np.bincount(rows, minlength=self.R).astype(np.int64)
-        if ids.size:
-            self.pairs_merged += int(ids.size)
-            self._merge_pairs(rows, ids, dists, kept)
-        return counts
+            if keep.size == 0:
+                return scored
+            loc, ids, dists = loc.take(keep), ids.take(keep), dists.take(keep)
+        self.pairs_merged += int(ids.size)
+        self._merge_pairs(act, loc, ids, dists)
+        return scored
 
     def _merge_pairs(
         self,
-        rows: np.ndarray,
+        act: np.ndarray,
+        loc: np.ndarray,
         ids: np.ndarray,
         dists: np.ndarray,
-        counts: np.ndarray,
     ) -> None:
-        """Fold scored (row, id, dist) pairs into their candidate lists
-        (sorted, truncated, old-before-new / fetch-order tie resolution)."""
+        """Fold scored pairs into their candidate lists (sorted, truncated,
+        old-before-new / fetch-order tie resolution); pair ``j`` belongs to
+        row ``act[loc[j]]``."""
         L = self.L
-        mrows = counts.nonzero()[0]
-        maxc = int(counts[mrows].max())
+        per_row = np.bincount(loc, minlength=act.size)
+        mloc = per_row.nonzero()[0]
+        counts = per_row.take(mloc)
+        mrows = act.take(mloc)
+        maxc = int(np.maximum.reduce(counts))
         if maxc > self._merge_w:
             self._merge_w = maxc
             cells = self.R * (L + maxc)
             self._merge_d = np.empty(cells, dtype=np.float32)
             self._merge_ids = np.empty(cells, dtype=np.int64)
-            self._merge_checked = np.empty(cells, dtype=bool)
-        shape = (mrows.size, L + maxc)
-        cells = shape[0] * shape[1]
-        m_d = self._merge_d[:cells].reshape(shape)
-        m_ids = self._merge_ids[:cells].reshape(shape)
-        m_c = self._merge_checked[:cells].reshape(shape)
-        m_d[:, :L] = self.cand_d[mrows]
-        m_ids[:, :L] = self.cand_ids[mrows]
-        m_c[:, :L] = self.cand_checked[mrows]
+            self._merge_open = np.empty(cells, dtype=bool)
+        w = L + maxc
+        cells = mloc.size * w
+        m_d = self._merge_d[:cells].reshape(-1, w)
+        self.cand_d.take(mrows, axis=0, out=m_d[:, :L])
+        self.cand_ids.take(
+            mrows, axis=0, out=self._merge_ids[:cells].reshape(-1, w)[:, :L]
+        )
+        self.cand_open.take(
+            mrows, axis=0, out=self._merge_open[:cells].reshape(-1, w)[:, :L]
+        )
         m_d[:, L:] = np.inf
-        m_ids[:, L:] = -1
-        m_c[:, L:] = False
-        # Scatter the ragged per-row pairs behind the old lists, preserving
-        # insertion order within each row.
-        offsets = np.zeros(self.R, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        col = np.arange(L, L + rows.size, dtype=np.int64) - offsets[rows]
-        rc = (np.cumsum(counts > 0) - 1).take(rows)  # row -> merge-block row
-        m_d[rc, col] = dists
-        m_ids[rc, col] = ids
+        # Scatter each row's pairs behind its old list in fetch order: pair
+        # j lands at cell (row start + L + j - the row's first pair).  Only
+        # the distance pads need writing: a row's old pads (inf, -1, closed)
+        # sort ahead of its new ones, so a new pad is never kept.
+        row_start = np.arange(0, cells, w, dtype=np.int64)
+        first = counts.cumsum()
+        first -= counts
+        shift = row_start - first
+        shift += L
+        cell = shift.repeat(counts)
+        cell += np.arange(ids.size, dtype=np.int64)
+        self._merge_d.put(cell, dists)
+        self._merge_ids.put(cell, ids)
+        self._merge_open.put(cell, True)
         # One stable row-wise sort: old entries are already sorted and come
         # first, so ties resolve old-before-new and new-in-fetch-order —
         # identical to the scalar merge.
-        order = np.argsort(m_d, axis=1, kind="stable")[:, :L]
-        order += np.arange(0, cells, shape[1])[:, None]  # -> flat cell index
+        order = np.add(  # -> flat cell index, contiguous for the gathers
+            m_d.argsort(axis=1, kind="stable")[:, :L], row_start[:, None]
+        )
         self.cand_d[mrows] = self._merge_d.take(order)
         self.cand_ids[mrows] = self._merge_ids.take(order)
-        self.cand_checked[mrows] = self._merge_checked.take(order)
-        self.sizes[mrows] = np.minimum(self.sizes[mrows] + counts[mrows], L)
+        self.cand_open[mrows] = self._merge_open.take(order)
+        size = self.sizes.take(mrows)
+        size += counts
+        np.minimum(size, L, out=size)
+        self.sizes[mrows] = size
 
     # ------------------------------------------------------------ stepping
     def step_all(self) -> bool:
-        """One maintenance cycle for every active row; False when all done."""
-        act = self.active.nonzero()[0]
+        """One maintenance cycle for every active row; False when all done.
+
+        Every array a round builds is sized by its active rows, picks and
+        pairs — none by ``R``."""
+        act = self._act
         if act.size == 0:
             return False
-        live = self._col[None, :] < self.sizes[act, None]
-        unchecked = live & ~self.cand_checked[act]
-        has = unchecked.any(axis=1)
-        self.active[act[~has]] = False  # exhausted rows finish, no record
-        act = act[has]
-        if act.size == 0:
-            return False
-        unchecked = unchecked[has]
-        off = np.argmax(unchecked, axis=1)
+        L = self.L
+        open_ = self.cand_open.take(act, axis=0)
+        off = open_.argmax(axis=1)
+        first = act * L
+        first += off  # flat cell of each row's first open entry
+        has = self._open_flat.take(first)
+        if np.count_nonzero(has) < act.size:  # exhausted rows finish, no record
+            act = self._act = act.compress(has)
+            if act.size == 0:
+                return False
+            off, first = off.compress(has), first.compress(has)
+            open_ = open_.compress(has, axis=0)
+        A = act.size
+        self.rounds_by_active[A] += 1
         if self.beam is None:
-            # One expansion per row: the first unchecked column.
-            n_exp = 1
-            pick_rows, sel_cols = act, off
+            # One expansion per row: the first open entry.
+            n_exp, pick_loc, cells = 1, self._iota[:A], first
         else:
             width = np.where(off >= self.beam.offset_beam, self.beam.beam_width, 1)
-            csum = np.cumsum(unchecked, axis=1)
-            sel = unchecked & (csum <= width[:, None])
+            sel = open_.cumsum(axis=1) <= width[:, None]
+            sel &= open_
             n_exp = sel.sum(axis=1)
-            sel_local, sel_cols = sel.nonzero()  # row-major: per-row offset order
-            pick_rows = act[sel_local]
-        pick_ids = self.cand_ids[pick_rows, sel_cols]
-        self.cand_checked[pick_rows, sel_cols] = True
+            pick_loc, cols = sel.nonzero()  # row-major: per-row offset order
+            cells = act.take(pick_loc)
+            cells *= L
+            cells += cols
+        pick_ids = self._ids_flat.take(cells)
+        self._open_flat[cells] = False
         if self.expansions is not None:
-            # pick_rows/pick_ids are fresh gathers and cand_d is gathered
-            # below before any merge mutates it, so the log stays valid.
+            # Gathered before any merge moves an entry.
             self.expansions.append(
-                (pick_rows, pick_ids, self.cand_d[pick_rows, sel_cols])
+                (act.take(pick_loc), pick_ids, self._d_flat.take(cells))
             )
 
         # Neighbour expansion: one gather, flattened row-major so the global
         # pair order is (row asc, pick order, storage order) — the scalar
         # concatenation order.
-        deg = self.degrees[pick_ids]
-        nb = self.nbr_mat[pick_ids]
+        deg = self.degrees.take(pick_ids)
+        nb = self.nbr_mat.take(pick_ids, axis=0)
         valid = self._nbr_col < deg[:, None]
         if self.n_visible is not None:
             # Construction-time prefix mask: edges into not-yet-inserted
@@ -479,29 +546,36 @@ class LockstepEngine:
             valid &= nb < self.n_visible
         if self.alive_mask is not None:
             # Tombstone mask: edges into deleted vertices are traversable
-            # metadata in the adjacency but never expanded.  Clamp the
-            # gather — padding slots hold -1 and are already invalid.
-            valid &= self.alive_mask[np.maximum(nb, 0)]
+            # metadata in the adjacency but never expanded.  Padding slots
+            # hold -1 (read as the mask's last entry) and are already
+            # invalid.
+            valid &= self.alive_mask.take(nb)
         if self.n_visible is not None or self.alive_mask is not None:
-            deg = valid.sum(axis=1)
-        nbr_flat = nb[valid].astype(np.int64)
-        pair_rows = np.repeat(pick_rows, deg)
+            deg = np.add.reduce(valid, axis=1)
+        nbrs = nb[valid].astype(np.int64, copy=False)
+        pair_loc = pick_loc.repeat(deg)
+        pair_rows = act.take(pair_loc)
         tracing = self._trace is not None
         if tracing:  # what the trace needs from before the merge
-            selected_dist = self.cand_d[act, off]
-            before = self.sizes[act]
+            selected_dist = self._d_flat.take(first)
+            before = self.sizes.take(act)
 
         fresh = self.visited.test_and_set(
-            self.row_query.take(pair_rows), nbr_flat
+            pair_rows if self._rows_are_queries
+            else self.row_query.take(pair_rows),
+            nbrs,
         ).nonzero()[0]
-        new_counts = self._score_and_merge(
-            pair_rows.take(fresh), nbr_flat.take(fresh)
+        n_new = self._score_and_merge(
+            act, pair_loc.take(fresh), pair_rows.take(fresh), nbrs.take(fresh)
         )
 
         if tracing:
-            n_new = new_counts[act]
-            fetched = np.bincount(pick_rows, weights=deg, minlength=self.R)[act]
-            fetched = fetched.astype(np.int64)
+            fetched = deg if self.beam is None else np.bincount(
+                pick_loc, weights=deg, minlength=A
+            ).astype(np.int64)
+            did_sort = n_new > 0
+            sort_size = before + n_new
+            sort_size *= did_sort
             self._trace.add(
                 act,
                 select_offset=off,
@@ -510,9 +584,9 @@ class LockstepEngine:
                 n_visited_checks=fetched,
                 n_new_points=n_new,
                 step_dim=self._trace_dim,
-                sort_size=np.where(n_new > 0, before + n_new, 0),
+                sort_size=sort_size,
                 cand_list_len=before,
-                did_sort=n_new > 0,
+                did_sort=did_sort,
                 best_dist=selected_dist,
                 precision=self._precision,
             )

@@ -108,6 +108,18 @@ def scalar_dynamic_search(dyn, query, k, l=None):
     )
 
 
+def loop_recall_per_query(found, truth) -> np.ndarray:
+    """``recall_per_query`` one row at a time with ``np.intersect1d``: the
+    distinct truth ids found, padding (negative ids) never matching."""
+    found, truth = np.asarray(found), np.asarray(truth)
+    k = truth.shape[1]
+    out = np.empty(found.shape[0], dtype=np.float64)
+    for i in range(found.shape[0]):
+        f = found[i]
+        out[i] = np.intersect1d(f[f >= 0], truth[i]).size / k
+    return out
+
+
 def assert_same_search_all(got, want):
     """``(ids, dists, traces)`` triples must match bit for bit; the engine's
     trace block equals the oracle's traces column for column."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.groundtruth import exact_knn, recall
 from repro.data.synthetic import latent_mixture
@@ -237,3 +239,33 @@ def test_pending_inserts_validated():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="inserted points"):
         d.search_batch(QUERIES, 8, pending_inserts=bad)
+
+
+SMALL = latent_mixture(40, 16, intrinsic_dim=8, seed=23)
+SMALL_GRAPH = build_cagra(SMALL, graph_degree=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "compact"]),
+                          st.integers(1, 60), st.floats(0.1, 30.0)),
+                max_size=6),
+       st.integers(0, 2**31 - 1))
+def test_kept_norms_equal_a_fresh_einsum(waves, seed):
+    """The squared norms kept on the graph — extended per insert wave, grown
+    with the capacity, untouched by deletes and compaction — equal one
+    einsum over every staged row, bit for bit."""
+    rng = np.random.default_rng(seed)
+    d = DynamicGraph(SMALL, SMALL_GRAPH, max_degree=8, ef=16)
+    for kind, size, scale in waves:
+        if kind == "insert":
+            d.insert_batch(rng.normal(0.0, scale, (size, 16)).astype(np.float32))
+        elif kind == "delete" and d.n_alive > 1:
+            alive = d.alive_ids()
+            d.delete_batch(rng.choice(alive, min(size, alive.size - 1),
+                                      replace=False))
+        elif kind == "compact":
+            d.compact()
+    pts = d._pts[: d.n_total]
+    want = np.einsum("ij,ij->i", pts, pts)
+    assert d._sqnorms.shape[0] == d._pts.shape[0]
+    assert d._sqnorms[: d.n_total].tobytes() == want.tobytes()

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.groundtruth import exact_knn, recall, recall_per_query
+
+from .oracles import loop_recall_per_query
 
 
 def test_exact_knn_sorted_and_correct():
@@ -63,3 +67,24 @@ def test_recall_per_query_shape_checks():
         recall_per_query(np.ones(3), np.ones((1, 3)))
     with pytest.raises(ValueError):
         recall_per_query(np.ones((2, 3)), np.ones((1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 8), st.integers(1, 8),
+       st.integers(0, 2**31 - 1))
+def test_recall_per_query_equals_the_row_loop(n_rows, width, k, seed):
+    """The one-sort recall against the ``np.intersect1d`` loop on rows with
+    -1 padding, duplicate ids in ``found`` (and ``truth``), and ids absent
+    from ``truth``, drawn from a small id range so collisions are common."""
+    rng = np.random.default_rng(seed)
+    found = rng.integers(-1, 6, size=(n_rows, width))
+    truth = rng.integers(0, 6, size=(n_rows, k))
+    got = recall_per_query(found, truth)
+    want = loop_recall_per_query(found, truth)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_recall_per_query_counts_distinct_hits():
+    found = np.array([[3, 3, -1, 7], [-1, -1, -1, -1]])
+    truth = np.array([[3, 5, 3, 9], [0, 1, 2, 3]])
+    assert recall_per_query(found, truth).tolist() == [0.25, 0.0]

@@ -11,6 +11,8 @@ bounded in scratch, and the bound filter they feed stays on under tracing.
   multiple of the corpus.
 * **Filter stays on** — ``LockstepEngine.pairs_scored`` / ``pairs_merged``
   on the golden 600-point corpus with tracing on.
+* **Round widths** — ``LockstepEngine.rounds_by_active`` against a manual
+  stepping and against the rounds the trace records.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from hypothesis import strategies as st
 from repro.core.pipeline import ALGASSystem
 from repro.data.metrics import PAIR_SCRATCH_BYTES, PairKernel, pair_distances
 from repro.data.synthetic import latent_mixture
-from repro.graphs import build_cagra
-from repro.search.batched import BatchedVisited, LockstepEngine
+from repro.graphs import GraphIndex, build_cagra
+from repro.search.batched import BatchedVisited, BeamConfig, LockstepEngine
 from repro.search.precision import Int8Codec, PQCodec
 
 from .golden import make_priced_traces as golden
@@ -251,3 +253,47 @@ def test_visited_key_overflow_is_an_error_not_a_fallback():
     with pytest.raises(OverflowError, match=r"Q=1 rows x n=4611686018427387904 "
                                             r"points with 4 fresh pairs"):
         visited.test_and_set(np.zeros(4, np.int64), np.arange(4))
+
+
+# ------------------------------------------------------------ round widths
+def _chain_engine(record_trace=False):
+    """Three rows on a 10-point chain, each entering at a different distance
+    from its query, so they exhaust in different rounds."""
+    pts = np.arange(10, dtype=np.float32)[:, None]
+    graph = GraphIndex.from_neighbor_lists(
+        [[j for j in (i - 1, i + 1) if 0 <= j < 10] for i in range(10)])
+    queries = np.array([[0.0], [4.0], [9.0]], dtype=np.float32)
+    return LockstepEngine(pts, graph, queries, np.arange(3),
+                          np.array([[0], [9], [0]]), 2,
+                          record_trace=record_trace)
+
+
+def test_rounds_by_active_matches_a_manual_stepping():
+    eng = _chain_engine()
+    seen = np.zeros(4, dtype=np.int64)
+    while True:
+        stepping = int(eng.cand_open.any(axis=1).sum())  # rows with work left
+        if not eng.step_all():
+            break
+        seen[stepping] += 1
+    assert eng.rounds_by_active.tolist() == seen.tolist()
+    assert np.count_nonzero(seen) >= 2  # the rows really finish apart
+
+
+@pytest.mark.parametrize("beam", [None, BeamConfig(offset_beam=2, beam_width=3)])
+def test_rounds_by_active_sums_to_the_rounds_run(beam):
+    """Summed, the histogram is the round count; per width, it is what the
+    trace says: a row steps in a prefix of the rounds, one trace step each
+    after its seed step."""
+    base, queries = golden.corpus()
+    graph = build_cagra(base, graph_degree=12, seed=0)
+    entries = np.random.default_rng(5).integers(0, base.shape[0],
+                                                size=(len(queries), 2))
+    eng = LockstepEngine(base, graph, queries, np.arange(len(queries)),
+                         entries, 32, beam=beam, record_trace=True)
+    rounds = sum(1 for _ in iter(eng.step_all, False))
+    assert rounds > 0 and int(eng.rounds_by_active.sum()) == rounds
+    stepped = eng.trace_block(1, base.shape[1], golden.K).lens - 1
+    width = (stepped[None, :] > np.arange(rounds)[:, None]).sum(axis=1)
+    assert eng.rounds_by_active.tolist() == np.bincount(
+        width, minlength=len(queries) + 1).tolist()
