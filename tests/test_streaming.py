@@ -266,6 +266,50 @@ def test_streams_reproduce_the_frozen_digests(golden_streams, name):
     assert make_streams.digests(*make_streams.run(name)) == golden_streams[name]
 
 
+# --------------------------------------------------------- cosine unit rows
+def test_cosine_stream_inserts_unit_rows():
+    """Every cosine kernel computes ``1 - dot`` over unit rows: the drawn
+    inserts (here under a drift shift too) must be normalized before they
+    are staged."""
+    plan = FaultPlan(seed=1, update_faults=(
+        UpdateFault("codebook_drift", at_us=8_000.0, magnitude=3.0),))
+    rep, dyn = make_streams.run("cosine")
+    assert sum(w["n_inserts"] for w in rep.waves) > 0
+    base, queries = make_streams.corpus("cosine")
+    drifted = DynamicGraph(base, build_cagra(base, graph_degree=10,
+                                             metric="cosine", seed=0),
+                           metric="cosine", max_degree=12, ef=48)
+    serve_while_update(drifted, queries, UpdateStream(
+        insert_qps=4000.0, delete_qps=2000.0, wave_us=4_000.0, seed=3),
+        workload=Poisson(rate_qps=2000.0, seed=1), n_queries=96, k=8,
+        slots=4, faults=plan)
+    for d in (dyn, drifted):
+        assert d.n_total > base.shape[0]
+        norms = np.linalg.norm(d._pts[: d.n_total], axis=1)
+        assert np.abs(norms - 1.0).max() < 1e-5, norms.min()
+
+
+@pytest.mark.parametrize("where", ["constructor", "insert", "pending"])
+def test_cosine_graph_refuses_non_unit_rows(where):
+    base, queries = make_streams.corpus("cosine")
+    graph = build_cagra(base, graph_degree=10, metric="cosine", seed=0)
+    bad = queries[:4].copy()
+    bad[2] *= 1.5
+    with pytest.raises(ValueError, match=r"unit-norm under cosine: row 2 "
+                                         r"has norm 1\.5"):
+        if where == "constructor":
+            pts = base.copy()
+            pts[2] *= 1.5
+            DynamicGraph(pts, graph, metric="cosine")
+        elif where == "insert":
+            DynamicGraph(base, graph, metric="cosine").insert_batch(bad)
+        else:
+            DynamicGraph(base, graph, metric="cosine").search_batch(
+                queries[:2], 4, pending_inserts=bad)
+    # l2 has no such constraint
+    DynamicGraph(base, graph).insert_batch(bad)
+
+
 # ------------------------------------------------------- report merge account
 def _mk_report(qids, arrival, busy, meta=None):
     recs = [
