@@ -1,0 +1,67 @@
+"""Perf smoke gate for the host query bubble (docs/performance.md, "The host
+query bubble").
+
+Marker-gated (``-m perf_smoke``) like the other gates.  A lockstep run
+lasts as many rounds as its slowest row, so a small batch pays the
+engine's per-round floor on every round while amortizing it over few rows.
+The gate bounds that: on one 10k-point CAGRA graph (``sift1m-mini``,
+degree 12) a 32-row ``DynamicGraph.search_batch`` (ef 64, k 10, traced —
+a stream epoch's shape) may cost at most ``MAX_PER_ROW_RATIO`` times as
+much host time per row as a 1 024-row one.  Each side is the best of 3.
+
+The timed path is the lockstep engine alone: it calls no BLAS routine, so
+the BLAS thread count (the benchmark pins it to 1) does not enter.
+
+Measured on a 2-core host, three trials a side: 3.3-3.4x once rounds cost
+their active rows (14.3 ms for 32 rows, 136 ms for 1 024); 3.4-4.3x
+before, when every round paid an O(R) floor of about 100 numpy calls
+(about 8x in an earlier configuration with a 30-row run).  The ceiling is
+the measured 3.3x plus a 1.5x margin for scheduler noise: it trips when
+the per-round floor comes back, not on a noisy run.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from repro.data import load_dataset
+from repro.graphs import build_cagra
+from repro.graphs.dynamic import DynamicGraph
+
+pytestmark = pytest.mark.perf_smoke
+
+#: 3.3x measured + 1.5x margin
+MAX_PER_ROW_RATIO = 4.8
+
+
+def _best_of_3(fn) -> float:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_small_batch_pays_its_rows_not_the_round_floor():
+    ds = load_dataset("sift1m-mini", n=10_000, n_queries=1024, gt_k=10, seed=7)
+    graph = build_cagra(ds.base, graph_degree=12, metric=ds.metric)
+    dyn = DynamicGraph(ds.base, graph, metric=ds.metric, ef=64)
+    small, wide = ds.queries[:32], ds.queries
+
+    def search(queries):
+        return lambda: dyn.search_batch(queries, 10, record_trace=True)
+
+    search(small)()  # warm: imports, first allocations
+    per_row_small = _best_of_3(search(small)) / small.shape[0]
+    per_row_wide = _best_of_3(search(wide)) / wide.shape[0]
+    ratio = per_row_small / per_row_wide
+    print(f"\nper-row host time: 32 rows {per_row_small * 1e3:.3f} ms, "
+          f"1024 rows {per_row_wide * 1e3:.3f} ms, ratio {ratio:.2f}x")
+    assert ratio <= MAX_PER_ROW_RATIO, (
+        f"a 32-row search costs {ratio:.2f}x the per-row host time of a "
+        f"1024-row one (ceiling {MAX_PER_ROW_RATIO}x): the per-round floor "
+        f"is back"
+    )

@@ -37,7 +37,13 @@
 #                              # faster simulated than the UM-spill
 #                              # baseline at recall@10 within 0.02 and beat
 #                              # a host-only greedy loop on wall clock —
-#                              # docs/performance.md)
+#                              # docs/performance.md) + query-bubble gate
+#                              # (~5 s; on a 10k-point CAGRA graph a 32-row
+#                              # DynamicGraph.search_batch may cost at most
+#                              # 4.8x the per-row host time of a 1024-row
+#                              # one, best of 3 each: 3.3x measured + 1.5x
+#                              # margin, so a per-round floor paid by every
+#                              # lockstep round fails it — docs/performance.md)
 #   scripts/test.sh --chaos    # chaos smoke only: (a) serve under the fixed
 #                              # "smoke" fault plan (1 of 4 shards killed,
 #                              # slots hung/corrupted, PCIe stalled) and

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.metrics import (
     blocked_pairwise,
@@ -84,3 +86,34 @@ def test_unknown_metric_raises():
 def test_blocked_pairwise_bad_block():
     with pytest.raises(ValueError):
         list(blocked_pairwise(np.ones((2, 2)), np.ones((2, 2)), block=0))
+
+
+def _temporaries_pairwise(q, p, metric):
+    """The expression ``pairwise_distances`` evaluated with a temporary per
+    operator: ``(qq + pp) - 2·G``, clamped, then copied to float32."""
+    if metric == "l2":
+        qq = np.einsum("ij,ij->i", q, q)[:, None]
+        pp = np.einsum("ij,ij->i", p, p)[None, :]
+        d = qq + pp - 2.0 * (q @ p.T)
+        np.maximum(d, 0.0, out=d)
+        return d.astype(np.float32)
+    return (1.0 - q @ p.T).astype(np.float32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 70),
+       st.sampled_from(["l2", "cosine"]), st.integers(0, 2**31 - 1))
+def test_pairwise_distances_keeps_the_evaluation_order(nq, n_pts, dim, metric,
+                                                       seed):
+    """The in-place rewrite equals the temporaries' expression bit for bit,
+    with or without kept point norms."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(nq, dim)).astype(np.float32)
+    p = rng.normal(size=(n_pts, dim)).astype(np.float32)
+    if metric == "cosine":
+        q, p = normalize(q), normalize(p)
+    want = _temporaries_pairwise(q, p, metric)
+    got = pairwise_distances(q, p, metric)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    norms = np.einsum("ij,ij->i", p, p)
+    assert pairwise_distances(q, p, metric, norms).tobytes() == want.tobytes()
