@@ -13,6 +13,10 @@ least squares (docs/performance.md, "The host query bubble"):
   (CAGRA degree 16, 1 024 queries, 8 CTAs a query, l_total 128).
 
 A round's active rows come from the engine's ``rounds_by_active`` counter.
+The script pins itself to one CPU (``os.sched_setaffinity``), so
+``repro.parallel.pool.cores()`` reads 1 and every search is one engine on
+the calling thread: a split search would step engines concurrently and the
+timings wrapped around ``step_all`` would overlap.
 
     PYTHONPATH=src python benchmarks/perf/round_cost.py [stream|static] [--seed N]
 """
@@ -76,6 +80,8 @@ def main() -> None:
     ap.add_argument("config", choices=("stream", "static"))
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if hasattr(os, "sched_setaffinity"):  # elsewhere cores() may split
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     ds = load_dataset("sift1m-mini", n=10_000, n_queries=1024, gt_k=10, seed=0)
     rounds: list = []
     if args.config == "stream":

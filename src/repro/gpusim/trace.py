@@ -265,6 +265,27 @@ class TraceBlock:
             **{name: getattr(self, name)[idx] for name in _STEP_NAMES},
         )
 
+    @classmethod
+    def concat(cls, blocks) -> "TraceBlock":
+        """The blocks' queries one after another (the inverse of contiguous
+        :meth:`take` slices); all must share ``n_ctas`` / ``dim`` / ``k``."""
+        blocks = list(blocks)
+        if not blocks:
+            raise ValueError("need at least one block to concatenate")
+        head = blocks[0]
+        shape = (head.n_ctas, head.dim, head.k)
+        for b in blocks[1:]:
+            if (b.n_ctas, b.dim, b.k) != shape:
+                raise ValueError(f"cannot concatenate a block of (n_ctas, dim, "
+                                 f"k) = {(b.n_ctas, b.dim, b.k)} onto {shape}")
+        return cls(
+            *shape,
+            lens=np.concatenate([b.lens for b in blocks]),
+            result_len=np.concatenate([b.result_len for b in blocks]),
+            **{name: np.concatenate([getattr(b, name) for b in blocks])
+               for name in _STEP_NAMES},
+        )
+
     # --------------------------------------------------------------- shape
     def __len__(self) -> int:
         return self.lens.size // self.n_ctas

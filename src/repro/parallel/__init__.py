@@ -7,14 +7,17 @@ corpora (:mod:`repro.parallel.shared`).  Consumed by the cluster servers
 sweep (:func:`repro.bench.runner.run_sweep`).  ``parallelism <= 1`` runs
 inline, byte-identical to the pre-parallel code paths; see
 docs/performance.md ("Multi-core execution") for the measured speedups
-and how parity is enforced.
+and how parity is enforced.  :func:`~repro.parallel.pool.cores` says how
+many threads this process may run; the lockstep search engine steps query
+chunks on that many.
 """
 
-from .pool import WorkerPool, make_pool
+from .pool import WorkerPool, cores, make_pool
 from .shared import ArrayRef, SharedArena, resolve_ref
 
 __all__ = [
     "WorkerPool",
+    "cores",
     "make_pool",
     "ArrayRef",
     "SharedArena",

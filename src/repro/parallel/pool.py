@@ -6,9 +6,11 @@ execution"):
 * ``n_workers > 1`` — a fork-context
   :class:`~concurrent.futures.ProcessPoolExecutor`: true multi-core for
   the Python-bound serving/scheduling loops (the dynamic batcher is pure
-  Python, so threads serialize on the GIL — a thread flavour was measured
-  and lost to processes on every fan-out, see the doc).  Inputs cross via
-  pickle, corpora via :mod:`repro.parallel.shared`.
+  Python, so threads running it serialize on the GIL — a thread flavour
+  was measured and lost to processes on every fan-out, see the doc; wide
+  lockstep search rounds do overlap on threads, in their GIL-releasing
+  sorts, :mod:`repro.search.batched`).  Inputs cross via pickle, corpora
+  via :mod:`repro.parallel.shared`.
 * ``n_workers <= 1`` — inline execution in the caller, byte-identical to
   the pre-parallel code path, so a ``parallelism=0`` default costs nothing.
 
@@ -20,10 +22,30 @@ shard id) deterministic across worker counts.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["WorkerPool", "make_pool"]
+__all__ = ["WorkerPool", "make_pool", "cores"]
+
+_in_worker = False  # set by the pool initializer in every worker process
+
+
+def _mark_worker() -> None:
+    global _in_worker
+    _in_worker = True
+
+
+def cores() -> int:
+    """CPUs this process may keep busy with threads of its own: its
+    affinity mask, and 1 inside a :class:`WorkerPool` worker (sharded legs
+    and wave-build workers already share the host)."""
+    if _in_worker:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class WorkerPool:
@@ -43,7 +65,8 @@ class WorkerPool:
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn"
             )
-            self._exec = ProcessPoolExecutor(self.n_workers, mp_context=ctx)
+            self._exec = ProcessPoolExecutor(self.n_workers, mp_context=ctx,
+                                             initializer=_mark_worker)
 
     @property
     def is_parallel(self) -> bool:

@@ -28,7 +28,11 @@ batched kernels (and any serious GPU traversal) do:
 * the epilogue is batched too: :meth:`LockstepEngine.topk` hands out the
   padded ``(R, k)`` pools, and multi-CTA top-k is one
   :func:`~repro.search.topk.merge_topk_batch` over the contiguous per-CTA
-  lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly).
+  lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly);
+* a batch of at least ``2 × MIN_ROWS_PER_THREAD`` rows is cut into
+  contiguous query chunks, one engine each, stepped concurrently on
+  threads (:func:`~repro.parallel.pool.cores` of them at most): rows never
+  interact, so the stitched chunks are the one-engine batch bit for bit.
 
 The engine is a *bit-exact* replacement for the scalar path: per-row
 ordering of every effectful operation (entry seeding, candidate selection,
@@ -51,6 +55,7 @@ per-step Python object exists on this path.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -59,10 +64,12 @@ import numpy as np
 from ..data.metrics import PairKernel, require_finite
 from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
+from ..parallel.pool import cores
 from .precision import DEFAULT_RERANK_MULT
 from .topk import merge_topk_batch
 
 __all__ = [
+    "MIN_ROWS_PER_THREAD",
     "BeamConfig",
     "SearchResult",
     "per_cta_capacity",
@@ -73,6 +80,11 @@ __all__ = [
     "batched_intra_cta_search",
     "batched_multi_cta_search",
 ]
+
+#: rows each thread of a split search gets at least: below it a second
+#: thread loses (GIL hand-offs outweigh the overlapped sorts); measured
+#: width sweep in docs/performance.md, "Multi-core execution"
+MIN_ROWS_PER_THREAD = 2048
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,13 @@ def make_entries(
     entries_per_cta: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Distinct random entry points for each CTA (CAGRA-style seeding)."""
+    """Distinct random entry points for each CTA (CAGRA-style seeding):
+    consecutive slices of one draw, so the last CTA needs ``n_points >
+    (n_ctas - 1) * entries_per_cta``."""
+    if n_points <= (n_ctas - 1) * entries_per_cta:
+        raise ValueError(
+            f"n_points={n_points} leaves a CTA without an entry point "
+            f"(n_ctas={n_ctas}, entries_per_cta={entries_per_cta})")
     total = min(n_ctas * entries_per_cta, n_points)
     flat = rng.choice(n_points, size=total, replace=False)
     return [
@@ -773,6 +791,22 @@ class BatchResults(Sequence):
     def dists(self) -> list[np.ndarray]:
         return [row[:m] for row, m in zip(self.padded_dists, self.counts)]
 
+    @classmethod
+    def concat(cls, parts: list["BatchResults"]) -> "BatchResults":
+        """The parts' queries one after another (one part passes through)."""
+        if len(parts) == 1:
+            return parts[0]
+        traces = [p.traces for p in parts]
+        lists = [p._cta_lists for p in parts]
+        return cls(
+            np.concatenate([p.padded_ids for p in parts]),
+            np.concatenate([p.padded_dists for p in parts]),
+            np.concatenate([p.counts for p in parts]),
+            None if traces[0] is None else TraceBlock.concat(traces),
+            None if lists[0] is None
+            else tuple(np.concatenate(a) for a in zip(*lists)),
+        )
+
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -799,6 +833,44 @@ def _entry_rows(entries) -> np.ndarray | list[np.ndarray]:
     return rows
 
 
+def _query_chunks(n_queries: int, rows_per_query: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal ``[lo, hi)`` query ranges, one per core but
+    none under :data:`MIN_ROWS_PER_THREAD` rows (at least one range)."""
+    n = max(1, min(cores(), n_queries,
+                   n_queries * rows_per_query // MIN_ROWS_PER_THREAD))
+    return [(i * n_queries // n, (i + 1) * n_queries // n) for i in range(n)]
+
+
+def _on_threads(fn, engines: list[LockstepEngine]) -> list:
+    """``[fn(e) for e in engines]``: ``engines[0]`` on the caller, each
+    other one on a thread of its own; every thread is joined, then the
+    first failure in engine order is re-raised.  Engines share only
+    read-only state, built by their constructors on the caller."""
+    out: list = [None] * len(engines)
+    errors: list[BaseException | None] = [None] * len(engines)
+
+    def call(i: int) -> None:
+        try:
+            out[i] = fn(engines[i])
+        except BaseException as e:  # re-raised on the caller below
+            errors[i] = e
+
+    threads = [threading.Thread(target=call, args=(i,))
+               for i in range(1, len(engines))]
+    try:
+        for t in threads:
+            t.start()
+        call(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return out
+
+
 def batched_intra_cta_search(
     points: np.ndarray,
     graph: GraphIndex,
@@ -815,7 +887,8 @@ def batched_intra_cta_search(
     """Single-CTA search of ``B`` queries in lockstep.
 
     ``entries[i]`` seeds query ``i``.  Per-query results and the trace
-    block are bit-identical to ``intra_cta_search`` run query-by-query.
+    block are bit-identical to ``intra_cta_search`` run query-by-query,
+    however the batch is cut into per-thread engines.
 
     With a ``codec`` the traversal runs on compressed distances and the
     top ``rerank_mult × k`` survivors of each row are re-scored exactly
@@ -825,17 +898,24 @@ def batched_intra_cta_search(
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries[None, :]
-    B = queries.shape[0]
-    eng = LockstepEngine(
-        points, graph, queries, np.arange(B), _entry_rows(entries),
-        cand_capacity,
-        metric=metric, beam=beam, record_trace=record_trace, codec=codec,
-    )
-    eng.run(100 * cand_capacity)
-    return BatchResults(
-        *eng.row_topk(k, rerank_mult),
-        eng.trace_block(1, int(eng.points.shape[1]), k),
-    )
+    rows = _entry_rows(entries)
+    if len(rows) != queries.shape[0]:
+        raise ValueError("need one entry array per row")
+    engines = [
+        LockstepEngine(
+            points, graph, queries[lo:hi], np.arange(hi - lo), rows[lo:hi],
+            cand_capacity,
+            metric=metric, beam=beam, record_trace=record_trace, codec=codec,
+        )
+        for lo, hi in _query_chunks(queries.shape[0], 1)
+    ]
+
+    def finish(eng: LockstepEngine) -> BatchResults:
+        eng.run(100 * cand_capacity)
+        return BatchResults(*eng.row_topk(k, rerank_mult),
+                            eng.trace_block(1, eng.dim, k))
+
+    return BatchResults.concat(_on_threads(finish, engines))
 
 
 def batched_multi_cta_search(
@@ -863,6 +943,9 @@ def batched_multi_cta_search(
     With a ``codec`` the per-CTA lists are merged at ``rerank_mult × k``
     width and the merged pool is re-scored exactly; the re-rank step is
     recorded on CTA 0's trace (host hands the pool back to one CTA).
+
+    Entries are drawn for the whole batch before it is cut into per-thread
+    engines, so the cut moves no result, list or trace bit.
     """
     if n_ctas <= 0:
         raise ValueError("n_ctas must be positive")
@@ -873,7 +956,6 @@ def batched_multi_cta_search(
     rng = rng or np.random.default_rng(0)
     l_cta = per_cta_capacity(l_total, n_ctas, k)
     row_entries: list[np.ndarray] = []
-    row_query = np.repeat(np.arange(B, dtype=np.int64), n_ctas)
     for q in range(B):
         e = entries[q] if entries is not None else make_entries(
             points.shape[0], n_ctas, entries_per_cta, rng
@@ -881,25 +963,33 @@ def batched_multi_cta_search(
         if len(e) != n_ctas:
             raise ValueError("need one entry array per CTA")
         row_entries.extend(e)
-    eng = LockstepEngine(
-        points, graph, queries, row_query, _entry_rows(row_entries), l_cta,
-        metric=metric, beam=beam, record_trace=record_trace, codec=codec,
-    )
-    eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
-    # CPU TopK merge (§IV-B): the per-CTA lists are contiguous in the pools,
-    # so the whole batch is one merge_topk_batch — heap_merge's order.
-    rcap = max(k, rerank_mult * k) if codec is not None else k
-    l_ids, l_d, l_counts = (
-        a.reshape(B, n_ctas, *a.shape[1:]) for a in eng.topk(rcap)
-    )
-    ids, dists, counts = merge_topk_batch(l_ids, l_d, rcap)
-    if codec is not None:
-        ids, dists, counts = eng.rerank(
-            np.arange(0, B * n_ctas, n_ctas), ids, counts, k,
-            set_result_len=False,
+    rows = _entry_rows(row_entries)
+    engines = [
+        LockstepEngine(
+            points, graph, queries[lo:hi],
+            np.repeat(np.arange(hi - lo, dtype=np.int64), n_ctas),
+            rows[lo * n_ctas:hi * n_ctas], l_cta,
+            metric=metric, beam=beam, record_trace=record_trace, codec=codec,
         )
-    return BatchResults(
-        ids, dists, counts,
-        eng.trace_block(n_ctas, int(eng.points.shape[1]), k),
-        (l_ids, l_d, l_counts),
-    )
+        for lo, hi in _query_chunks(B, n_ctas)
+    ]
+    rcap = max(k, rerank_mult * k) if codec is not None else k
+
+    def finish(eng: LockstepEngine) -> BatchResults:
+        eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
+        # CPU TopK merge (§IV-B): the per-CTA lists are contiguous in the
+        # pools, so an engine's queries are one merge_topk_batch.
+        b = eng.queries.shape[0]
+        l_ids, l_d, l_counts = (a.reshape(b, n_ctas, *a.shape[1:]) for a in eng.topk(rcap))
+        ids, dists, counts = merge_topk_batch(l_ids, l_d, rcap)
+        if codec is not None:
+            ids, dists, counts = eng.rerank(
+                np.arange(0, b * n_ctas, n_ctas), ids, counts, k,
+                set_result_len=False,
+            )
+        return BatchResults(
+            ids, dists, counts, eng.trace_block(n_ctas, eng.dim, k),
+            (l_ids, l_d, l_counts),
+        )
+
+    return BatchResults.concat(_on_threads(finish, engines))

@@ -21,6 +21,7 @@ from repro.graphs import (
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
 from repro.reference import intra_cta_search, multi_cta_search
+from repro.search import make_entries
 
 
 def test_search_isolated_entry_returns_partial():
@@ -52,6 +53,27 @@ def test_pipeline_pads_short_results():
     rep = sys_.serve(pts[:3])
     assert rep.ids.shape == (3, 8)
     assert (rep.ids >= -1).all()
+
+
+def test_corpus_too_small_for_every_cta_fails_at_the_entry_draw():
+    """12 points cannot give the 8 CTAs the tuner picks two entries each:
+    the draw refuses, naming the sizes, instead of CTAs 6 and 7 failing
+    empty-handed inside the engine.  15 points still seed all 8, with the
+    draw unchanged."""
+    pts = np.random.default_rng(3).normal(size=(15, 4)).astype(np.float32)
+    kw = dict(k=4, l_total=32, batch_size=4)
+    small = ALGASSystem(pts[:12], build_cagra(pts[:12], graph_degree=4), **kw)
+    assert (small.n_parallel, small.entries_per_cta) == (8, 2)
+    with pytest.raises(ValueError, match=r"n_points=12 .*n_ctas=8, "
+                                         r"entries_per_cta=2"):
+        small.search_all(pts[:2])
+    ok = ALGASSystem(pts, build_cagra(pts, graph_degree=4), **kw)
+    assert ok.n_parallel == 8
+    assert ok.search_all(pts[:2])[0].shape == (2, 4)
+    drawn = make_entries(15, 8, 2, np.random.default_rng(0))
+    assert [e.size for e in drawn] == [2] * 7 + [1]
+    assert np.array_equal(np.concatenate(drawn),
+                          np.random.default_rng(0).choice(15, 15, replace=False))
 
 
 def test_single_vertex_graph():

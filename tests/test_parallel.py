@@ -19,7 +19,7 @@ import pytest
 from repro.core import ALGASSystem, ReplicatedServer, ServeConfig, ShardedServer
 from repro.data.workload import Poisson, TrafficSpec
 from repro.graphs import build_cagra, build_hnsw, build_nsw
-from repro.parallel import SharedArena, WorkerPool, make_pool, resolve_ref
+from repro.parallel import SharedArena, WorkerPool, cores, make_pool, resolve_ref
 from repro.resilience import ResiliencePolicy, named_plan
 from repro.telemetry import Telemetry
 from repro.telemetry.exposition import to_prometheus_text
@@ -74,6 +74,16 @@ def test_pool_worker_crash_raises():
     with make_pool(2) as pool:
         with pytest.raises(RuntimeError):
             pool.map(_crash, [0, 1])
+
+
+def _cores(_):
+    return cores()
+
+
+def test_pool_workers_run_no_threads_of_their_own():
+    assert cores() >= 1
+    with WorkerPool(2) as pool:
+        assert pool.map(_cores, [0, 1]) == [1, 1]
 
 
 # --------------------------------------------------------------- SharedArena

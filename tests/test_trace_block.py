@@ -177,6 +177,30 @@ def test_round_trip_through_row_objects(block):
     assert TraceBlock.from_traces(block) is block
 
 
+@settings(max_examples=60, deadline=None)
+@given(block=ragged_blocks(), data=st.data())
+def test_concat_of_contiguous_slices_is_the_block(block, data):
+    n = len(block)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    parts = [block.take(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    assert TraceBlock.concat(parts) == block
+
+
+def test_concat_refuses_mismatched_blocks():
+    a = TraceBlock.from_traces([CTATrace(steps=[mkstep()], result_len=1)],
+                               dim=32, k=5)
+    assert TraceBlock.concat([a]) == a
+    for other in (TraceBlock.from_traces([a[0]], dim=64, k=5),
+                  TraceBlock.from_traces([a[0]], dim=32, k=6),
+                  TraceBlock.from_traces([QueryTrace([a[0].ctas[0]] * 2)],
+                                         dim=32, k=5)):
+        with pytest.raises(ValueError, match="cannot concatenate"):
+            TraceBlock.concat([a, other])
+    with pytest.raises(ValueError, match="at least one block"):
+        TraceBlock.concat([])
+
+
 def mkstep(**kw):
     base = dict(
         select_offset=0, n_expanded=1, n_neighbors_fetched=8,
