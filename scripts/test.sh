@@ -53,6 +53,16 @@
 #                              # time, best of 3 each: 0.55-0.71x measured
 #                              # on 2 cores + margin; skips on one core —
 #                              # docs/performance.md "Multi-core execution")
+#                              # + CAGRA set-up gate (~20 s; on the gist
+#                              # 3k x 960 corpus at degree 32 the production
+#                              # detour mask must equal the einsum reference
+#                              # of tests/oracles.py edge for edge, beat it
+#                              # by >=2.5x pinned to one CPU (4.7-5.3x
+#                              # measured), and build_cagra with every core
+#                              # must take at most 0.8x the one-CPU build
+#                              # (0.54-0.58x measured), best of 3 each, with
+#                              # identical CSR, BLAS on one thread; skips on
+#                              # one core — docs/performance.md "Set-up")
 #   scripts/test.sh --chaos    # chaos smoke only: (a) serve under the fixed
 #                              # "smoke" fault plan (1 of 4 shards killed,
 #                              # slots hung/corrupted, PCIe stalled) and

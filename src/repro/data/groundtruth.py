@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import blocked_pairwise
+from ..parallel.pool import in_row_ranges
+from .metrics import pairwise_distances, require_finite, row_blocks
 
 __all__ = ["exact_knn", "recall", "recall_per_query"]
 
@@ -21,35 +22,52 @@ def exact_knn(
     points: np.ndarray,
     k: int,
     metric: str = "l2",
-    block: int = 512,
     point_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force k nearest neighbours.
 
     Returns ``(indices, distances)`` of shape ``(n_queries, k)``, sorted by
-    ascending distance.  Blocked over queries so memory stays bounded.
-    ``point_norms`` are the points' squared norms when the caller keeps
-    them (see :func:`~repro.data.metrics.pairwise_distances`).
+    ascending distance.  ``point_norms`` are the points' squared norms when
+    the caller keeps them (see :func:`~repro.data.metrics.pairwise_distances`).
+    The queries are checked here; the points are the caller's.
     """
     points = np.asarray(points, dtype=np.float32)
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries[None, :]
+    if queries.shape[1:] != points.shape[1:]:
+        raise ValueError(
+            f"queries {queries.shape} and points {points.shape} differ in width")
+    require_finite(queries, "queries")
     if not 0 < k <= points.shape[0]:
         raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
-    nq = queries.shape[0]
+    return _blocked_knn(queries, points, k, metric, point_norms)
+
+
+def _blocked_knn(queries, points, k, metric, point_norms=None, skip_self=False):
+    """The brute force of :func:`exact_knn` and, with ``skip_self`` (query
+    ``i`` is point ``i``), of :func:`~repro.graphs.knn.exact_knn_matrix`.
+    Each :func:`~repro.data.metrics.row_blocks` block reduces its own
+    ``(b, n)`` distance panel; the blocks run over row ranges on every
+    core, and no output bit depends on how many."""
+    nq, n = queries.shape[0], points.shape[0]
     idx = np.empty((nq, k), dtype=np.int64)
     dst = np.empty((nq, k), dtype=np.float32)
-    for lo, d in blocked_pairwise(queries, points, metric, block, point_norms):
-        hi = lo + d.shape[0]
-        if k < d.shape[1]:
+
+    def block(lo: int, hi: int) -> None:
+        d = pairwise_distances(queries[lo:hi], points, metric, point_norms)
+        if skip_self:
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        if k < n:
             part = np.argpartition(d, k - 1, axis=1)[:, :k]
         else:
-            part = np.tile(np.arange(d.shape[1]), (d.shape[0], 1))
+            part = np.tile(np.arange(n), (hi - lo, 1))
         pd = np.take_along_axis(d, part, axis=1)
         order = np.argsort(pd, axis=1, kind="stable")
         idx[lo:hi] = np.take_along_axis(part, order, axis=1)
         dst[lo:hi] = np.take_along_axis(pd, order, axis=1)
+
+    in_row_ranges(block, row_blocks(nq, 4 * n))
     return idx, dst
 
 

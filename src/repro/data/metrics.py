@@ -12,14 +12,13 @@ vectorize, avoid copies, mind cache effects).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = [
     "METRICS",
     "normalize",
     "require_finite",
+    "require_unit",
     "pairwise_distances",
     "pair_distances",
     "PairKernel",
@@ -27,7 +26,8 @@ __all__ = [
     "pair_block_rows",
     "query_distances",
     "distance_one",
-    "blocked_pairwise",
+    "BLOCK_BYTES",
+    "row_blocks",
 ]
 
 #: Supported metric names.
@@ -75,6 +75,24 @@ def require_finite(x: np.ndarray, what: str) -> None:
     if bad.size:
         raise ValueError(
             f"{what} must be finite: row {int(bad[0])} holds NaN or inf"
+        )
+
+
+#: Largest ``| |x|^2 - 1 |`` a row may show under cosine: every cosine
+#: kernel computes ``1 - dot``, a distance only between unit rows.  A
+#: float32 ``normalize`` leaves about 1e-7.
+UNIT_SQNORM_TOL = 1e-3
+
+
+def require_unit(sqnorms: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row whose squared norm (in
+    ``sqnorms``) is not 1: the cosine boundary check."""
+    bad = np.flatnonzero(np.abs(sqnorms - 1.0) > UNIT_SQNORM_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{what} must be unit-norm under cosine: row {i} has norm "
+            f"{float(np.sqrt(sqnorms[i])):.4g}"
         )
 
 
@@ -276,27 +294,19 @@ def pairwise_distances(
     return np.maximum(d, np.float32(0.0), out=d)
 
 
-def blocked_pairwise(
-    queries: np.ndarray,
-    points: np.ndarray,
-    metric: str = "l2",
-    block: int = 1024,
-    point_norms: np.ndarray | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(row_offset, block_distance_matrix)`` pairs.
+#: Bytes of one block's temporary in the blocked set-up kernels: the kNN's
+#: distance panel (rows × n × 4 B) and the occlusion prune's gather (rows ×
+#: K × dim × 4 B).  Not a knob; the sweep (set-up time and peak RSS) is in
+#: docs/performance.md, "Set-up".
+BLOCK_BYTES = 4 * 1024 * 1024
 
-    Blocked evaluation keeps the working set inside cache for large ``n``
-    (exact kNN-graph construction does n × n work); callers reduce each
-    block (argpartition) before the next is produced, so peak memory stays
-    ``block × len(points)`` floats.  ``point_norms`` as in
-    :func:`pairwise_distances`.
-    """
-    _check_metric(metric)
-    q = np.asarray(queries, dtype=np.float32)
-    if q.ndim == 1:
-        q = q[None, :]
-    if block <= 0:
-        raise ValueError("block must be positive")
-    for lo in range(0, q.shape[0], block):
-        hi = min(lo + block, q.shape[0])
-        yield lo, pairwise_distances(q[lo:hi], points, metric, point_norms)
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` blocks of ``BLOCK_BYTES // row_bytes`` rows (at least
+    two) covering ``n_rows``.  A one-row tail joins the block before it: a
+    one-row GEMM takes BLAS's matrix-vector path, which rounds differently."""
+    b = max(2, BLOCK_BYTES // max(row_bytes, 1))
+    bounds = list(range(0, n_rows, b)) + [n_rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))

@@ -2,7 +2,7 @@
 
 from .base import GraphIndex
 from .build_batched import occlusion_prune_mask
-from .cagra import build_cagra, prune_detours
+from .cagra import build_cagra
 from .dynamic import DynamicGraph
 from .gpu_build import BuildEstimate, estimate_build_time
 from .hnsw import HNSWIndex, build_hnsw
@@ -15,7 +15,6 @@ __all__ = [
     "GraphIndex",
     "build_cagra",
     "occlusion_prune_mask",
-    "prune_detours",
     "DynamicGraph",
     "BuildEstimate",
     "estimate_build_time",

@@ -39,7 +39,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..data.metrics import pair_distances, pairwise_distances
+from ..data.metrics import pair_distances, pairwise_distances, row_blocks
 from ..parallel import SharedArena, make_pool, resolve_ref
 from .base import GraphIndex
 from .utils import _compact_rows, _first_occurrence_mask
@@ -77,7 +77,6 @@ def occlusion_prune_mask(
     pool_ids: np.ndarray,
     pool_d: np.ndarray,
     metric: str = "l2",
-    chunk: int = 256,
     rule: str = "mrng",
     forced: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -85,7 +84,9 @@ def occlusion_prune_mask(
 
     ``pool_ids``/``pool_d`` are ``(B, K)`` candidate lists sorted by
     ascending distance to their row's query vertex, -1 / inf padded.  One
-    batched Gram tensor per chunk gives all intra-pool distances at once.
+    batched Gram matmul per chunk gives all intra-pool distances at once;
+    a chunk's ``(rows, K, dim)`` gather is sized from
+    :data:`~repro.data.metrics.BLOCK_BYTES`.
 
     ``rule="mrng"`` is the exact MRNG / HNSW-Algorithm-4 rule: candidate
     ``c`` (rank j) is occluded when some *kept* earlier candidate ``w``
@@ -106,9 +107,14 @@ def occlusion_prune_mask(
     the last valid column — and each chunk's Gram tensor and rank scan
     stop at the chunk's widest row; rows with no valid column are skipped.
     Columns past a row's width are padding, which neither occludes nor is
-    kept, and every Gram entry is the same per-element dot at any width,
-    so the mask equals the full-width scan's
-    (``tests/oracles.py::full_width_occlusion_prune_mask``).
+    kept, and a matmul Gram over a prefix of width ``w >= 2`` equals the
+    full-width one's slice bit for bit, at any chunk size (at ``w = 1``
+    the only entry is the masked diagonal), so neither the width order nor
+    the chunking moves a mask bit.  The full-width einsum scan
+    (``tests/oracles.py::full_width_occlusion_prune_mask``) agrees but for
+    near-ties the Gram's last bit decides (docs/performance.md, "Set-up").
+    This function runs on its caller's thread: the MRNG scan is a Python
+    loop over columns, which loses under GIL contention.
     """
     points = np.asarray(points, dtype=np.float32)
     pool_ids = np.asarray(pool_ids)
@@ -119,20 +125,20 @@ def occlusion_prune_mask(
     order = np.argsort(width, kind="stable")
     order = order[width[order] > 0]
     tri = np.tril(np.ones((K, K), dtype=bool))  # w >= j: only earlier ranks occlude
-    for lo in range(0, order.size, chunk):
-        rows = order[lo : lo + chunk]
+    for lo, hi in row_blocks(order.size, 4 * K * points.shape[1]):
+        rows = order[lo:hi]
         w = int(width[rows[-1]])
         ids = pool_ids[rows, :w]
         dq = pool_d[rows, :w]
         invalid = ids < 0
         g = points[np.maximum(ids, 0)]  # (c, w, dim); padded rows are garbage, masked below
+        gram = np.matmul(g, g.transpose(0, 2, 1))
         if metric == "l2":
             sq = np.einsum("ckd,ckd->ck", g, g)
-            gram = np.einsum("ckd,cjd->ckj", g, g)
             pair = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
             np.maximum(pair, 0.0, out=pair)
         else:
-            pair = 1.0 - np.einsum("ckd,cjd->ckj", g, g)
+            pair = 1.0 - gram
         # pair[c, w, j] = d(w_rank_w, c_rank_j); inf where w >= j or w padded.
         pair = np.where(tri[None, :w, :w] | invalid[:, :, None], np.inf, pair)
         fc = None if forced is None else (forced[rows, :w] & ~invalid)

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.metrics import row_blocks
+from ..parallel.pool import in_row_ranges
 from .base import GraphIndex
+from .build_batched import occlusion_prune_mask
 from .knn import exact_knn_matrix, nn_descent_matrix
 from .utils import _compact_rows, _first_occurrence_mask, as_points
 
-__all__ = ["build_cagra", "prune_detours"]
+__all__ = ["build_cagra"]
 
 
 def build_cagra(
@@ -29,7 +32,6 @@ def build_cagra(
     intermediate_degree: int | None = None,
     metric: str = "l2",
     use_nn_descent: bool = False,
-    chunk: int = 256,
     seed: int = 0,
 ) -> GraphIndex:
     """Build a CAGRA graph with out-degree exactly ``graph_degree``.
@@ -37,9 +39,11 @@ def build_cagra(
     Forward-rank selection, reverse-edge bucketing and the first-wins
     dedup assembly are whole-matrix array ops (stable sorts and
     first-occurrence masks); the CSR equals the per-vertex loops of
-    ``tests/oracles.py::scalar_build_cagra`` byte for byte.
+    ``tests/oracles.py::scalar_build_cagra`` byte for byte.  Like the
+    kNN, the detour prune (:func:`occlusion_prune_mask`) runs over row
+    ranges on every core, with the same bits on any number of them.
     """
-    points = as_points(points)
+    points = as_points(points, metric)
     n = points.shape[0]
     if graph_degree <= 0:
         raise ValueError("graph_degree must be positive")
@@ -53,7 +57,13 @@ def build_cagra(
         cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
     cand_ids = cand_ids.astype(np.int64)
 
-    keep_mask = prune_detours(points, cand_ids, cand_d, metric, chunk=chunk)
+    keep_mask = np.empty(cand_ids.shape, dtype=bool)
+
+    def prune(lo: int, hi: int) -> None:
+        keep_mask[lo:hi] = occlusion_prune_mask(
+            points, cand_ids[lo:hi], cand_d[lo:hi], metric, rule="detour")
+
+    in_row_ranges(prune, row_blocks(n, 4 * inter * points.shape[1]))
 
     # Strong (unpruned) forward edges first, in rank order.
     t = max(graph_degree // 2, 1)
@@ -98,43 +108,3 @@ def build_cagra(
     keep = _first_occurrence_mask(prio, valid)
     out, _, _ = _compact_rows(prio, keep, graph_degree)
     return GraphIndex.from_matrix(out.astype(np.int32), kind="cagra")
-
-
-def prune_detours(
-    points: np.ndarray,
-    cand_ids: np.ndarray,
-    cand_d: np.ndarray,
-    metric: str = "l2",
-    chunk: int = 256,
-) -> np.ndarray:
-    """Detour pruning mask over sorted candidate lists.
-
-    Edge ``u→v`` (rank j) is *detourable* if some earlier candidate ``w``
-    (rank < j) satisfies ``d(w, v) < d(u, v)`` — one can reach ``v`` more
-    cheaply through ``w``.  Vectorized per chunk: one batched Gram tensor
-    gives all intra-candidate distances for ``chunk`` nodes at once.
-
-    Returns a boolean mask of kept (non-detourable) edges; rank 0 is always
-    kept.
-    """
-    points = np.asarray(points, dtype=np.float32)
-    cand_ids = np.asarray(cand_ids)
-    n, k = cand_ids.shape
-    keep = np.ones((n, k), dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        g = points[cand_ids[lo:hi]]  # (c, k, dim)
-        if metric == "l2":
-            sq = np.einsum("ckd,ckd->ck", g, g)
-            gram = np.einsum("ckd,cjd->ckj", g, g)
-            pair = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
-            np.maximum(pair, 0.0, out=pair)
-        else:
-            pair = 1.0 - np.einsum("ckd,cjd->ckj", g, g)
-        # pair[c, w, j] = d(w, v_j); mask w >= j (only earlier ranks count)
-        tri = np.tril(np.ones((k, k), dtype=bool))  # w >= j when w row index
-        pair = np.where(tri[None, :, :], np.inf, pair)
-        best_detour = pair.min(axis=1)  # (c, k) min over earlier-ranked w
-        keep[lo:hi] = best_detour >= cand_d[lo:hi]
-        keep[lo:hi, 0] = True
-    return keep

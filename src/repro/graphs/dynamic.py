@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.metrics import pair_distances, query_distances, require_finite
+from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
 from .base import GraphIndex
 from .build_batched import (
     _add_links,
@@ -58,23 +58,6 @@ __all__ = ["DynamicGraph"]
 #: Re-train when new points reconstruct this many times worse than the
 #: codec's training-time baseline (see :meth:`DynamicGraph._extend_codecs`).
 DEFAULT_DRIFT_THRESHOLD = 4.0
-
-
-#: Largest ``| |x|^2 - 1 |`` a row may show under cosine: every cosine
-#: kernel computes ``1 - dot``, a distance only between unit rows.  A
-#: float32 ``normalize`` leaves about 1e-7.
-UNIT_SQNORM_TOL = 1e-3
-
-
-def _require_unit(sqnorms: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first row that is not unit-norm."""
-    bad = np.flatnonzero(np.abs(sqnorms - 1.0) > UNIT_SQNORM_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"{what} must be unit-norm under cosine: row {i} has norm "
-            f"{float(np.sqrt(sqnorms[i])):.4g}"
-        )
 
 
 class DynamicGraph:
@@ -96,7 +79,7 @@ class DynamicGraph:
         require_finite(points, "points")
         sqnorms = np.einsum("ij,ij->i", points, points)
         if metric == "cosine":
-            _require_unit(sqnorms, "points")
+            require_unit(sqnorms, "points")
         if link_select not in ("closest", "occlusion"):
             raise ValueError(
                 f"unknown link_select {link_select!r}; "
@@ -655,7 +638,7 @@ class DynamicGraph:
         require_finite(pts, "inserted points")
         sqnorms = np.einsum("ij,ij->i", pts, pts)
         if self.metric == "cosine":
-            _require_unit(sqnorms, "inserted points")
+            require_unit(sqnorms, "inserted points")
         return pts, sqnorms
 
     def _take_pending(self, pts: np.ndarray):

@@ -247,7 +247,7 @@ def build_hnsw(
     builds keep the full beam), and the full-beam refinement sweep
     covers everything for small builds, the earliest 3/4 past ``n=8192``.
     """
-    points = as_points(points)
+    points = as_points(points, metric)
     if m <= 0 or ef_construction < m:
         raise ValueError("need 0 < m <= ef_construction")
     n = points.shape[0]

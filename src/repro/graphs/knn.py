@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.metrics import pairwise_distances
+from ..data.groundtruth import _blocked_knn
 from .base import GraphIndex
 from .utils import _first_occurrence_mask, as_points
 
@@ -18,39 +18,23 @@ __all__ = ["exact_knn_matrix", "exact_knn_graph", "nn_descent_matrix", "nn_desce
 
 
 def exact_knn_matrix(
-    points: np.ndarray,
-    k: int,
-    metric: str = "l2",
-    block: int = 512,
+    points: np.ndarray, k: int, metric: str = "l2"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ``(n, k)`` neighbour matrix (self excluded), plus distances.
-
-    Blocked brute force: each block computes a ``(b, n)`` distance panel
-    (one GEMM via the L2 expansion) and reduces it with ``argpartition``
-    before the next panel is materialized, so memory stays ``O(b·n)``.
-    """
+    """Exact ``(n, k)`` neighbour matrix (self excluded), plus distances:
+    the self-excluding call of :func:`~repro.data.groundtruth.exact_knn`'s
+    blocked brute force, so memory stays one ``BLOCK_BYTES`` distance panel
+    per core."""
     points = np.asarray(points, dtype=np.float32)
     n = points.shape[0]
     if not 0 < k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    nbrs = np.empty((n, k), dtype=np.int32)
-    dists = np.empty((n, k), dtype=np.float32)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d = pairwise_distances(points[lo:hi], points, metric)
-        # exclude self-matches
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        part = np.argpartition(d, k - 1, axis=1)[:, :k]
-        pd = np.take_along_axis(d, part, axis=1)
-        order = np.argsort(pd, axis=1, kind="stable")
-        nbrs[lo:hi] = np.take_along_axis(part, order, axis=1)
-        dists[lo:hi] = np.take_along_axis(pd, order, axis=1)
-    return nbrs, dists
+    nbrs, dists = _blocked_knn(points, points, k, metric, skip_self=True)
+    return nbrs.astype(np.int32), dists
 
 
-def exact_knn_graph(points: np.ndarray, k: int, metric: str = "l2", block: int = 512) -> GraphIndex:
+def exact_knn_graph(points: np.ndarray, k: int, metric: str = "l2") -> GraphIndex:
     """Exact k-NN graph as a :class:`GraphIndex`."""
-    nbrs, _ = exact_knn_matrix(points, k, metric, block)
+    nbrs, _ = exact_knn_matrix(points, k, metric)
     return GraphIndex.from_matrix(nbrs, kind="knn")
 
 
@@ -70,7 +54,7 @@ def nn_descent_matrix(
     in a handful of iterations on clustered data; used when ``n`` makes the
     exact quadratic build unattractive.
     """
-    points = as_points(points)
+    points = as_points(points, metric)
     n = points.shape[0]
     if not 0 < k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")

@@ -55,7 +55,7 @@ def build_nsg(
         candidate-list length of the construction-time search from the
         navigating node (larger = better edge candidates, slower build).
     """
-    points = as_points(points)
+    points = as_points(points, metric)
     n = points.shape[0]
     if out_degree <= 0:
         raise ValueError("out_degree must be positive")

@@ -71,7 +71,7 @@ def build_nsw(
     above the one-point-at-a-time build's recall at a fraction of its
     wall-clock.
     """
-    points = as_points(points)
+    points = as_points(points, metric)
     if m <= 0 or ef_construction < m:
         raise ValueError("need 0 < m <= ef_construction")
     # benchmarks/e2e/workloads.py (byte-frozen) still passes "vectorized".

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ..data.metrics import query_distances, require_finite
+from ..data.metrics import query_distances, require_finite, require_unit
 from .base import GraphIndex
 
 __all__ = ["GraphStats", "graph_stats", "reachable_fraction", "medoid"]
@@ -96,14 +96,15 @@ def medoid(points: np.ndarray, metric: str = "l2", sample: int = 2048, seed: int
     return int(np.argmin(d))
 
 
-def as_points(points: np.ndarray) -> np.ndarray:
+def as_points(points: np.ndarray, metric: str = "l2") -> np.ndarray:
     """``points`` as the float32 ``(n, dim)`` corpus a builder works on.
 
     The builders' boundary check: an empty, 1-D or 3-D array would die
     inside ``einsum`` with a subscripts message, and a NaN row builds a
     graph silently (NaN compares false against every bound) — both raise
     ``ValueError`` here, the latter naming the caller's first offending
-    row (before any insertion shuffle).
+    row (before any insertion shuffle).  So does a non-unit row under
+    cosine, where ``1 - dot`` is not a distance.
     """
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -112,6 +113,8 @@ def as_points(points: np.ndarray) -> np.ndarray:
             f"got shape {points.shape}"
         )
     require_finite(points, "points")
+    if metric == "cosine":
+        require_unit(np.einsum("ij,ij->i", points, points), "points")
     return points
 
 

@@ -9,8 +9,9 @@ execution"):
   Python, so threads running it serialize on the GIL — a thread flavour
   was measured and lost to processes on every fan-out, see the doc; wide
   lockstep search rounds do overlap on threads, in their GIL-releasing
-  sorts, :mod:`repro.search.batched`).  Inputs cross via pickle, corpora
-  via :mod:`repro.parallel.shared`.
+  sorts, :mod:`repro.search.batched`, and so do the BLAS-bound set-up
+  kernels, :func:`in_row_ranges`).  Inputs cross via pickle, corpora via
+  :mod:`repro.parallel.shared`.
 * ``n_workers <= 1`` — inline execution in the caller, byte-identical to
   the pre-parallel code path, so a ``parallelism=0`` default costs nothing.
 
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["WorkerPool", "make_pool", "cores"]
+__all__ = ["WorkerPool", "make_pool", "cores", "on_threads", "in_row_ranges"]
 
 _in_worker = False  # set by the pool initializer in every worker process
 
@@ -46,6 +48,48 @@ def cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
+
+
+def on_threads(fn, items: list) -> list:
+    """``[fn(x) for x in items]``: ``items[0]`` on the caller, each other
+    item on a thread of its own started for this call; every thread is
+    joined, then the first failure in item order is re-raised.  The items
+    may share only state they read, or write disjoint slices of."""
+    out: list = [None] * len(items)
+    errors: list[BaseException | None] = [None] * len(items)
+
+    def call(i: int) -> None:
+        try:
+            out[i] = fn(items[i])
+        except BaseException as e:  # re-raised on the caller below
+            errors[i] = e
+
+    threads = [threading.Thread(target=call, args=(i,))
+               for i in range(1, len(items))]
+    try:
+        for t in threads:
+            t.start()
+        call(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return out
+
+
+def in_row_ranges(fn, blocks: list[tuple[int, int]]) -> None:
+    """``fn(lo, hi)`` for every ``[lo, hi)`` of ``blocks``, the block list
+    cut into at most :func:`cores` contiguous ranges of near-equal block
+    count, one range per thread (:func:`on_threads`).  Every block is the
+    one a single loop would run, so a kernel whose blocks write disjoint
+    rows gives the same bits on any number of cores."""
+    n = max(1, min(cores(), len(blocks)))
+    ranges = [blocks[i * len(blocks) // n:(i + 1) * len(blocks) // n]
+              for i in range(n)]
+    on_threads(lambda r: [fn(lo, hi) for lo, hi in r], ranges)
 
 
 class WorkerPool:

@@ -55,7 +55,6 @@ per-step Python object exists on this path.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -64,7 +63,7 @@ import numpy as np
 from ..data.metrics import PairKernel, require_finite
 from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
-from ..parallel.pool import cores
+from ..parallel.pool import cores, on_threads
 from .precision import DEFAULT_RERANK_MULT
 from .topk import merge_topk_batch
 
@@ -841,36 +840,6 @@ def _query_chunks(n_queries: int, rows_per_query: int) -> list[tuple[int, int]]:
     return [(i * n_queries // n, (i + 1) * n_queries // n) for i in range(n)]
 
 
-def _on_threads(fn, engines: list[LockstepEngine]) -> list:
-    """``[fn(e) for e in engines]``: ``engines[0]`` on the caller, each
-    other one on a thread of its own; every thread is joined, then the
-    first failure in engine order is re-raised.  Engines share only
-    read-only state, built by their constructors on the caller."""
-    out: list = [None] * len(engines)
-    errors: list[BaseException | None] = [None] * len(engines)
-
-    def call(i: int) -> None:
-        try:
-            out[i] = fn(engines[i])
-        except BaseException as e:  # re-raised on the caller below
-            errors[i] = e
-
-    threads = [threading.Thread(target=call, args=(i,))
-               for i in range(1, len(engines))]
-    try:
-        for t in threads:
-            t.start()
-        call(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return out
-
-
 def batched_intra_cta_search(
     points: np.ndarray,
     graph: GraphIndex,
@@ -915,7 +884,7 @@ def batched_intra_cta_search(
         return BatchResults(*eng.row_topk(k, rerank_mult),
                             eng.trace_block(1, eng.dim, k))
 
-    return BatchResults.concat(_on_threads(finish, engines))
+    return BatchResults.concat(on_threads(finish, engines))
 
 
 def batched_multi_cta_search(
@@ -992,4 +961,4 @@ def batched_multi_cta_search(
             (l_ids, l_d, l_counts),
         )
 
-    return BatchResults.concat(_on_threads(finish, engines))
+    return BatchResults.concat(on_threads(finish, engines))

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.data.metrics import query_distances
 from repro.gpusim.costmodel import CTACost
-from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, prune_detours
+from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, occlusion_prune_mask
 from repro.graphs.utils import medoid
 from repro.gpusim.trace import QueryTrace, TraceBlock
 from repro.reference import intra_cta_search, multi_cta_search
@@ -378,12 +378,12 @@ def scalar_build_cagra(
     intermediate_degree: int | None = None,
     metric: str = "l2",
     use_nn_descent: bool = False,
-    chunk: int = 256,
     seed: int = 0,
 ) -> GraphIndex:
     """CAGRA graph optimization with per-vertex forward / reverse / pad
-    loops over the shared ``prune_detours`` mask; ``build_cagra`` must
-    equal it byte for byte."""
+    loops over the shared detour mask (``occlusion_prune_mask``,
+    ``rule="detour"``, over all rows at once); ``build_cagra`` must equal
+    it byte for byte."""
     points = np.asarray(points, dtype=np.float32)
     n = points.shape[0]
     inter = intermediate_degree or 2 * graph_degree
@@ -395,7 +395,7 @@ def scalar_build_cagra(
         cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
         cand_ids = cand_ids.astype(np.int64)
 
-    keep_mask = prune_detours(points, cand_ids, cand_d, metric, chunk=chunk)
+    keep_mask = occlusion_prune_mask(points, cand_ids, cand_d, metric, rule="detour")
 
     d_half = graph_degree // 2
     forward = np.full((n, graph_degree), -1, dtype=np.int64)
@@ -444,9 +444,13 @@ def scalar_build_cagra(
 def full_width_occlusion_prune_mask(
     points, pool_ids, pool_d, metric="l2", chunk=256, rule="mrng", forced=None
 ):
-    """``occlusion_prune_mask`` as it was before it learned row widths:
-    rows in input order, every chunk's Gram tensor and rank scan over all
-    ``K`` columns.  The width-ordered prune must equal it mask for mask."""
+    """``occlusion_prune_mask`` as it was before it learned row widths and
+    took its Gram from a batched matmul: rows in input order, every
+    ``chunk``'s einsum Gram tensor and rank scan over all ``K`` columns.
+    The production prune equals it mask for mask on the hypothesis pools
+    and the benchmark corpora's detour pools; the two Grams differ in last
+    bits, so a near-tie can flip an MRNG edge (1 of 320 000 on the sift
+    10k degree-32 kNN pools)."""
     points = np.asarray(points, dtype=np.float32)
     pool_ids = np.asarray(pool_ids)
     B, K = pool_ids.shape

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import metrics
 from repro.data.metrics import pairwise_distances
 from repro.graphs import (
     HNSWIndex,
@@ -153,16 +154,17 @@ def test_nn_descent_vectorized_dedup_is_bit_identical(points, monkeypatch):
     layout=st.sampled_from(["ragged", "patch"]),
     metric=st.sampled_from(["l2", "cosine"]),
     rule=st.sampled_from(["mrng", "detour"]),
-    chunk=st.sampled_from([1, 3, 256]),
+    block_rows=st.sampled_from([2, 3, 256]),
     with_forced=st.booleans(),
 )
 def test_occlusion_prune_mask_equals_full_width_scan(
-    seed, layout, metric, rule, chunk, with_forced
+    seed, layout, metric, rule, block_rows, with_forced
 ):
-    """The width-ordered prune against its full-width body, mask for mask,
-    on ragged pools (all-padding rows included) and on the delete repair's
-    layout: ``S`` survivor slots (forced, distance 0), padding, then the
-    distance-sorted inherited candidates."""
+    """The width-ordered matmul prune against its full-width einsum body,
+    mask for mask, on ragged pools (all-padding rows included) and on the
+    delete repair's layout: ``S`` survivor slots (forced, distance 0),
+    padding, then the distance-sorted inherited candidates.  The byte
+    budget is set so that chunks hold ``block_rows`` rows."""
     rng = np.random.default_rng(seed)
     n, dim = 60, int(rng.choice([3, 8, 17]))
     pts = rng.standard_normal((n, dim)).astype(np.float32)
@@ -193,9 +195,11 @@ def test_occlusion_prune_mask_equals_full_width_scan(
         d = pairwise_distances(pts[q][None, :], pts[ids], metric)[0]
         o = np.argsort(d, kind="stable")
         pool_ids[r, cols], pool_d[r, cols] = ids[o], d[o]
-    kw = dict(metric=metric, chunk=chunk, rule=rule,
+    kw = dict(metric=metric, rule=rule,
               forced=forced if with_forced or layout == "patch" else None)
-    got = occlusion_prune_mask(pts, pool_ids, pool_d, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "BLOCK_BYTES", block_rows * 4 * K * dim)
+        got = occlusion_prune_mask(pts, pool_ids, pool_d, **kw)
     assert np.array_equal(
         got, full_width_occlusion_prune_mask(pts, pool_ids, pool_d, **kw))
 

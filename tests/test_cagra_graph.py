@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import latent_mixture
-from repro.graphs.cagra import build_cagra, prune_detours
+from repro.graphs.build_batched import occlusion_prune_mask
+from repro.graphs.cagra import build_cagra
 from repro.graphs.knn import exact_knn_matrix
 from repro.graphs.utils import graph_stats
 
@@ -28,12 +29,21 @@ def test_no_self_loops_no_duplicates(pts):
         assert len(set(nb.tolist())) == len(nb)
 
 
+def _detour_mask(pts_, k):
+    cand_ids, cand_d = exact_knn_matrix(pts_, k)
+    keep = occlusion_prune_mask(pts_, cand_ids.astype(np.int64), cand_d,
+                                rule="detour")
+    return cand_ids, keep
+
+
 def test_prune_detours_semantics():
+    """CAGRA's detour rule, ``occlusion_prune_mask(rule="detour")``: an
+    edge goes when any earlier-ranked candidate, kept or not, is closer to
+    its target than the source is."""
     pts_ = np.array(
         [[0.0, 0.0], [1.0, 0.0], [1.1, 0.1], [5.0, 5.0]], dtype=np.float32
     )
-    cand_ids, cand_d = exact_knn_matrix(pts_, 3)
-    keep = prune_detours(pts_, cand_ids.astype(np.int64), cand_d)
+    cand_ids, keep = _detour_mask(pts_, 3)
     # For point 0: candidates sorted [1, 2, 3]; edge 0->2 is detourable
     # through 1 (d(1,2) < d(0,2)).
     row = cand_ids[0].tolist()
@@ -42,8 +52,7 @@ def test_prune_detours_semantics():
 
 
 def test_rank0_always_kept(pts):
-    cand_ids, cand_d = exact_knn_matrix(pts, 8)
-    keep = prune_detours(pts, cand_ids.astype(np.int64), cand_d)
+    _, keep = _detour_mask(pts, 8)
     assert keep[:, 0].all()
 
 

@@ -9,6 +9,7 @@ from repro.core import ALGASSystem
 from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from repro.core.serving import QueryJob
 from repro.core.static_batcher import StaticBatchConfig, StaticBatchEngine
+from repro.data.metrics import normalize
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.graphs import (
@@ -214,3 +215,16 @@ def test_builders_validate_points_at_the_boundary(name, bad):
         match = r"points must be a finite \(n, dim\) array"
     with pytest.raises(ValueError, match=match):
         _BUILDERS[name](pts)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_refuse_non_unit_rows_under_cosine(name):
+    """Every cosine kernel computes ``1 - dot``, a distance only between
+    unit rows; 300 rows of ``5·N(0, 1)`` used to build a cosine graph
+    without a word.  Normalized, the same rows build."""
+    pts = 5 * np.random.default_rng(5).normal(size=(300, 8)).astype(np.float32)
+    with pytest.raises(ValueError, match=r"points must be unit-norm under "
+                                         r"cosine: row 0 has norm"):
+        _BUILDERS[name](pts, metric="cosine")
+    _BUILDERS[name](normalize(pts), metric="cosine")
+    _BUILDERS[name](pts)  # l2 has no such constraint

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import metrics
 from repro.data.groundtruth import exact_knn, recall, recall_per_query
 
 from .oracles import loop_recall_per_query
@@ -22,13 +23,55 @@ def test_exact_knn_sorted_and_correct():
     assert set(ids[0]) == set(ref)
 
 
-def test_exact_knn_blocked_matches_unblocked():
+def _block_rows(monkeypatch, rows, n_points):
+    """Size the byte budget so that kNN panels hold ``rows`` query rows."""
+    monkeypatch.setattr(metrics, "BLOCK_BYTES", rows * 4 * n_points,
+                        raising=False)
+
+
+def test_exact_knn_blocked_matches_unblocked(monkeypatch):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(40, 4)).astype(np.float32)
     q = rng.normal(size=(13, 4)).astype(np.float32)
-    a, _ = exact_knn(q, pts, 5, block=4)
-    b, _ = exact_knn(q, pts, 5, block=100)
+    _block_rows(monkeypatch, 4, len(pts))
+    a, _ = exact_knn(q, pts, 5)
+    _block_rows(monkeypatch, 100, len(pts))
+    b, _ = exact_knn(q, pts, 5)
     assert np.array_equal(a, b)
+
+
+def test_exact_knn_distances_do_not_depend_on_the_blocking(monkeypatch):
+    """513 queries in 512-row blocks used to leave row 512 alone in a
+    one-row GEMM, which BLAS runs as a matrix-vector product with other
+    rounding; a one-row tail now joins the block before it, so every row's
+    distances are those of any multi-row block."""
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(1024, 32)).astype(np.float32)
+    q = rng.normal(size=(513, 32)).astype(np.float32)
+    _, pair = exact_knn(q[511:], pts, 10)  # one two-row block
+    for rows in (512, 100, 2):
+        _block_rows(monkeypatch, rows, len(pts))
+        ids, d = exact_knn(q, pts, 10)
+        assert d[511:].tobytes() == pair.tobytes(), rows
+        if rows == 512:
+            want = ids, d
+        assert ids.tobytes() == want[0].tobytes()
+        assert d.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "width"])
+def test_exact_knn_validates_the_queries(bad):
+    """All-NaN queries used to get neighbour ids, and a width mismatch died
+    inside matmul's gufunc message."""
+    pts = np.random.default_rng(3).normal(size=(20, 4)).astype(np.float32)
+    if bad == "nan":
+        q = np.full((3, 4), np.nan, dtype=np.float32)
+        match = r"queries must be finite: row 0 holds"
+    else:
+        q = pts[:3, :3]
+        match = r"queries \(3, 3\) and points \(20, 4\)"
+    with pytest.raises(ValueError, match=match):
+        exact_knn(q, pts, 5)
 
 
 def test_exact_knn_k_equals_n():

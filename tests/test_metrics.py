@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import metrics
 from repro.data.metrics import (
-    blocked_pairwise,
     distance_one,
     normalize,
     pairwise_distances,
     query_distances,
+    row_blocks,
 )
 
 
@@ -59,17 +60,6 @@ def test_normalize_1d():
     assert np.allclose(v, [0.0, 1.0])
 
 
-def test_blocked_pairwise_equals_full():
-    rng = np.random.default_rng(4)
-    q = rng.normal(size=(17, 6)).astype(np.float32)
-    p = rng.normal(size=(9, 6)).astype(np.float32)
-    full = pairwise_distances(q, p)
-    parts = np.zeros_like(full)
-    for lo, d in blocked_pairwise(q, p, block=5):
-        parts[lo : lo + d.shape[0]] = d
-    assert np.allclose(parts, full)
-
-
 def test_l2_clamps_negative_cancellation():
     p = np.full((3, 4), 1e3, dtype=np.float32)
     d = pairwise_distances(p, p, "l2")
@@ -83,9 +73,13 @@ def test_unknown_metric_raises():
         query_distances(np.ones(2), np.ones((1, 2)), "dot")
 
 
-def test_blocked_pairwise_bad_block():
-    with pytest.raises(ValueError):
-        list(blocked_pairwise(np.ones((2, 2)), np.ones((2, 2)), block=0))
+def test_row_blocks_cover_the_rows_and_fold_a_one_row_tail(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_BYTES", 400)
+    assert row_blocks(10, 100) == [(0, 4), (4, 8), (8, 10)]
+    assert row_blocks(9, 100) == [(0, 4), (4, 9)]  # no one-row block
+    assert row_blocks(1, 100) == [(0, 1)]
+    assert row_blocks(0, 100) == []
+    assert row_blocks(5, 10_000) == [(0, 2), (2, 5)]  # at least two rows
 
 
 def _temporaries_pairwise(q, p, metric):

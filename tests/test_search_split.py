@@ -20,6 +20,7 @@ import repro.search.batched as batched
 from repro.core import ALGASSystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra
+from repro.parallel import on_threads
 from repro.search.batched import LockstepEngine, batched_multi_cta_search
 
 from .golden import make_serves
@@ -41,13 +42,13 @@ def split(monkeypatch):
     and split down to one row per engine; ``engines`` lists the engine
     count of every search run since."""
     engines: list[int] = []
-    on_threads = batched._on_threads
+    threads = batched.on_threads
 
     def counted(fn, engs):
         engines.append(len(engs))
-        return on_threads(fn, engs)
+        return threads(fn, engs)
 
-    monkeypatch.setattr(batched, "_on_threads", counted)
+    monkeypatch.setattr(batched, "on_threads", counted)
     monkeypatch.setattr(batched, "MIN_ROWS_PER_THREAD", 1)
 
     def use(n_cores: int) -> list[int]:
@@ -132,7 +133,7 @@ def test_step_budget_failure_in_a_thread_surfaces_after_the_join(ds, graph):
     baseline = threading.active_count()
     quick, slow = engine(ds.queries[:2], 4), engine(ds.queries[2:6], 128)
     with pytest.raises(RuntimeError, match="exceeded step budget"):
-        batched._on_threads(lambda e: e.run(40), [quick, slow])
+        on_threads(lambda e: e.run(40), [quick, slow])
     assert threading.active_count() == baseline
     assert quick._act.size == 0 and slow._act.size > 0
 
