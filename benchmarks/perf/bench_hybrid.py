@@ -30,7 +30,7 @@ pricing/scheduling bookkeeping to every system, so including it would
 measure the simulator, not the algorithms.
 
 Usage:
-    PYTHONPATH=src python benchmarks/perf/bench_hybrid.py [out.json]
+    PYTHONPATH=src:. python benchmarks/perf/bench_hybrid.py [out.json]
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from repro.data import load_dataset
 from repro.data.groundtruth import recall
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.memory import footprint_bytes, plan_memory
-from repro.graphs import build_nsw_fast
-from repro.reference.greedy import greedy_search
+from repro.graphs import build_nsw
+from tests.reference.greedy import greedy_search
 
 DATASET = "gist1m-mini"  # dim=960: distance bytes dominate, the UM cliff bites
 N_BASE = 4_000
@@ -90,7 +90,7 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv[1:])
 
     ds = load_dataset(DATASET, n=N_BASE, n_queries=N_QUERIES, gt_k=K, seed=7)
-    graph = build_nsw_fast(ds.base, m=M, metric=ds.metric, seed=0)
+    graph = build_nsw(ds.base, m=M, metric=ds.metric, seed=0)
     gt = ds.gt_at(K)
     cap = footprint_bytes(
         ds.n, ds.dim, graph.n_edges, N_SLOTS, N_SLOTS, K

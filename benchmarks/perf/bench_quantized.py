@@ -23,8 +23,8 @@ subset.  Results land in ``BENCH_quantized.json`` together with the
 recall-vs-latency frontier (figures.precision_frontier_data inputs).
 
 Usage:
-    PYTHONPATH=src python benchmarks/perf/bench_quantized.py [out.json]
-                                                             [--profile]
+    PYTHONPATH=src:. python benchmarks/perf/bench_quantized.py [out.json]
+                                                                [--profile]
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from repro.data.groundtruth import recall
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.graphs import build_cagra
-from repro.reference import multi_cta_search
 from repro.search import make_codec, make_entries
 from repro.search.batched import batched_multi_cta_search
+from tests.reference import multi_cta_search
 
 #: (dataset, n_base) — same sizes as bench_search.py.
 CORPORA = [

@@ -8,8 +8,8 @@ headline configuration is batch-64 SIFT-mini at n=20000 / L=128 — the
 acceptance gate is a >= 5x vectorized speedup there.
 
 Usage:
-    PYTHONPATH=src python benchmarks/perf/bench_search.py [out.json]
-                                                          [--profile]
+    PYTHONPATH=src:. python benchmarks/perf/bench_search.py [out.json]
+                                                             [--profile]
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import numpy as np
 from repro.bench.profiling import profile_call
 from repro.data import load_dataset
 from repro.graphs import build_cagra
-from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import (
     batched_intra_cta_search,
     batched_multi_cta_search,
     make_entries,
 )
+from tests.reference import intra_cta_search, multi_cta_search
 
 #: (dataset, n_base) — GIST runs smaller because 960-d ground truth and
 #: scalar per-pair distances dominate otherwise.

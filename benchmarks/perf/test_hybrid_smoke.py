@@ -21,8 +21,8 @@ from repro.data import load_dataset
 from repro.data.groundtruth import recall
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.memory import footprint_bytes, plan_memory
-from repro.graphs import build_nsw_fast
-from repro.reference.greedy import greedy_search
+from repro.graphs import build_nsw
+from tests.reference.greedy import greedy_search
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -45,7 +45,7 @@ def _best_of(fn, repeats=3):
 @pytest.mark.perf_smoke
 def test_hybrid_beats_um_spill_at_3x_oversubscription():
     ds = load_dataset("gist1m-mini", n=3000, n_queries=64, gt_k=K, seed=7)
-    graph = build_nsw_fast(ds.base, m=16, metric=ds.metric, seed=0)
+    graph = build_nsw(ds.base, m=16, metric=ds.metric, seed=0)
     gt = ds.gt_at(K)
     cap = footprint_bytes(ds.n, ds.dim, graph.n_edges, N_SLOTS, N_SLOTS, K) // 3
     common = dict(metric=ds.metric, k=K, l_total=L_TOTAL,

@@ -18,7 +18,7 @@ import pytest
 
 from repro.data import load_dataset
 from repro.graphs import build_cagra
-from repro.reference import intra_cta_search
+from tests.reference import intra_cta_search
 from repro.search import batched_intra_cta_search, make_entries
 from repro.telemetry import MetricsRegistry, to_prometheus_text
 

@@ -13,7 +13,7 @@ from repro.analysis.report import format_table
 from repro.bench.runner import get_dataset
 from repro.core import ALGASSystem
 from repro.data import recall as recall_of
-from repro.graphs import build_cagra, build_hnsw, build_nsg, build_nsw_fast
+from repro.graphs import build_cagra, build_hnsw, build_nsg, build_nsw
 
 _cache = {}
 
@@ -29,7 +29,7 @@ def _family_rows():
     gt, _ = exact_knn(queries, base, 16, metric=ds.metric)
     graphs = {
         "cagra": build_cagra(base, graph_degree=16, metric=ds.metric),
-        "nsw": build_nsw_fast(base, m=8, metric=ds.metric),
+        "nsw": build_nsw(base, m=8, metric=ds.metric),
         "hnsw": build_hnsw(base, m=8, ef_construction=48, metric=ds.metric),
         "nsg": build_nsg(base, out_degree=16, search_l=48, metric=ds.metric),
     }

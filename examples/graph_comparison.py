@@ -10,7 +10,7 @@ Run:  python examples/graph_comparison.py
 
 from __future__ import annotations
 
-from repro import ALGASSystem, build_cagra, build_nsw_fast, load_dataset, recall
+from repro import ALGASSystem, build_cagra, build_nsw, load_dataset, recall
 from repro.analysis.report import format_table
 from repro.graphs import exact_knn_graph, graph_stats, medoid, reachable_fraction
 
@@ -23,7 +23,7 @@ def main() -> None:
 
     graphs = {
         "cagra(d=16)": build_cagra(ds.base, graph_degree=16, metric=ds.metric),
-        "nsw(m=8)": build_nsw_fast(ds.base, m=8, metric=ds.metric),
+        "nsw(m=8)": build_nsw(ds.base, m=8, metric=ds.metric),
         "knn(k=16)": exact_knn_graph(ds.base, 16, metric=ds.metric),
     }
 

@@ -28,7 +28,7 @@ from .core import (
 )
 from .data import Dataset, load_dataset, recall
 from .gpusim import RTX_A6000, CostModel, CostParams, DeviceProperties
-from .graphs import GraphIndex, build_cagra, build_nsw, build_nsw_fast
+from .graphs import GraphIndex, build_cagra, build_nsw
 from .hybrid import HybridSystem, PilotIndex, build_pilot
 from .resilience import FaultPlan, ResiliencePolicy, named_plan, run_chaos
 from .search import BeamConfig, IVFFlatIndex
@@ -63,7 +63,6 @@ __all__ = [
     "GraphIndex",
     "build_cagra",
     "build_nsw",
-    "build_nsw_fast",
     "HybridSystem",
     "PilotIndex",
     "build_pilot",

@@ -24,7 +24,7 @@ from ..core.pipeline import BaseGraphSystem, SystemReport
 from ..core.serving import ServeReport
 from ..data import Dataset, load_dataset
 from ..data.workload import closed_loop
-from ..graphs import GraphIndex, build_cagra, build_nsw_fast
+from ..graphs import GraphIndex, build_cagra, build_nsw
 from ..parallel import make_pool
 
 __all__ = [
@@ -78,7 +78,7 @@ def get_graph(name: str, kind: str = "cagra") -> GraphIndex:
     if kind == "cagra":
         return build_cagra(ds.base, graph_degree=SCALE.graph_degree, metric=ds.metric)
     if kind == "nsw":
-        return build_nsw_fast(ds.base, m=SCALE.graph_degree // 2, metric=ds.metric)
+        return build_nsw(ds.base, m=SCALE.graph_degree // 2, metric=ds.metric)
     raise ValueError(f"unknown graph kind {kind!r}")
 
 

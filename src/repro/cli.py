@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dataset", default="sift1m-mini")
     b.add_argument("--n", type=int, default=None, help="base vectors (default: spec)")
     b.add_argument("--graph",
-                   choices=("cagra", "nsw", "nsw-fast", "hnsw", "nsg", "knn"),
+                   choices=("cagra", "nsw", "hnsw", "nsg", "knn"),
                    default="cagra")
     b.add_argument("--degree", type=int, default=16)
     b.add_argument("--seed", type=int, default=0)
@@ -276,7 +276,6 @@ def _cmd_build(args) -> int:
         build_hnsw,
         build_nsg,
         build_nsw,
-        build_nsw_fast,
         exact_knn_graph,
     )
 
@@ -287,8 +286,6 @@ def _cmd_build(args) -> int:
     elif args.graph == "nsw":
         g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
                       seed=args.seed, parallelism=args.parallelism)
-    elif args.graph == "nsw-fast":
-        g = build_nsw_fast(ds.base, m=args.degree // 2, metric=ds.metric, seed=args.seed)
     elif args.graph == "hnsw":
         g = build_hnsw(ds.base, m=args.degree // 2, metric=ds.metric,
                        seed=args.seed, parallelism=args.parallelism)

@@ -507,13 +507,14 @@ def _seed_block(
         cap, metric, trim="occlusion" if select == "occlusion" else "closest",
         dedup=True,
     )
-    _bridge_components(d, adj, counts, cap, entry)
+    _bridge_components(d, adj, counts, m, cap, entry)
 
 
 def _bridge_components(
     d: np.ndarray,
     adj: np.ndarray,
     counts: np.ndarray,
+    m: int,
     cap: int,
     entry: int,
 ) -> None:
@@ -522,9 +523,13 @@ def _bridge_components(
     (unreached, reached) pair.  ``d`` is the seed block's full pairwise
     distance matrix (inf diagonal).  Each bridge may evict a farthest
     link when a side is at capacity; the outer loop re-runs the BFS, so
-    an eviction that splits something off is itself repaired."""
+    an eviction that splits something off is itself repaired.  The loop
+    is a function of the seed block's adjacency alone, so meeting an
+    adjacency twice means the bridges evict each other forever (a tight
+    cap): that raises instead of spinning."""
     w0 = d.shape[0]
     ids = np.arange(w0)
+    seen: set[bytes] = set()
     while True:
         # Frontier BFS over the padded adjacency restricted to the seed.
         reached = np.zeros(w0, dtype=bool)
@@ -540,6 +545,14 @@ def _bridge_components(
             frontier = nxt
         if reached.all():
             return
+        state = adj[:w0].tobytes() + counts[:w0].tobytes()
+        if state in seen:
+            raise ValueError(
+                f"m={m}, degree cap {cap}: the {w0}-point seed block cannot "
+                "be connected within the cap (each bridge evicts another); "
+                "use a larger m or degree cap"
+            )
+        seen.add(state)
         un, re = ids[~reached], ids[reached]
         sub = d[np.ix_(un, re)]
         flat = int(np.argmin(sub))

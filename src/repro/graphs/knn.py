@@ -14,7 +14,7 @@ from ..data.groundtruth import _blocked_knn
 from .base import GraphIndex
 from .utils import _first_occurrence_mask, as_points
 
-__all__ = ["exact_knn_matrix", "exact_knn_graph", "nn_descent_matrix", "nn_descent_graph"]
+__all__ = ["exact_knn_matrix", "exact_knn_graph", "nn_descent_matrix"]
 
 
 def exact_knn_matrix(
@@ -124,14 +124,6 @@ def _dedup_update_vectorized(
         diff = np.any(np.sort(new_ids[full], axis=1) != sorted_old[full], axis=1)
         updated += int(diff.sum())
     return new_ids, new_d, updated
-
-
-def nn_descent_graph(
-    points: np.ndarray, k: int, metric: str = "l2", **kw
-) -> GraphIndex:
-    """Approximate k-NN graph as a :class:`GraphIndex`."""
-    nbrs, _ = nn_descent_matrix(points, k, metric, **kw)
-    return GraphIndex.from_matrix(nbrs, kind="knn-approx")
 
 
 def _rowwise_distances(

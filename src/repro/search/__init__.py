@@ -1,6 +1,6 @@
 """Search: the lockstep batch engine, its distance substrates, and the
-flat / IVF scan baselines.  The scalar reference searchers the engine is
-held to live in :mod:`repro.reference`."""
+IVF scan baselines.  The scalar reference searchers the engine is held
+to live with the tests (``tests/reference``)."""
 
 from .batched import (
     BatchedVisited,
@@ -13,7 +13,6 @@ from .batched import (
     make_entries,
     per_cta_capacity,
 )
-from .bruteforce import FlatIndex
 from .ivf import IVFFlatIndex, IVFPQIndex, kmeans
 from .precision import (
     DEFAULT_RERANK_MULT,
@@ -39,7 +38,6 @@ __all__ = [
     "batched_multi_cta_search",
     "make_entries",
     "per_cta_capacity",
-    "FlatIndex",
     "IVFFlatIndex",
     "IVFPQIndex",
     "kmeans",

@@ -1,7 +1,7 @@
 """Vectorized lockstep batch search engine (SoA intra-CTA kernels).
 
-The scalar :class:`~repro.reference.intra_cta.CTASearcher` advances one query
-one graph step per Python iteration — every ``neighbors()`` call, distance
+The scalar ``CTASearcher`` (``tests/reference/intra_cta.py``) advances one
+query one graph step per Python iteration — every ``neighbors()`` call, distance
 matvec, and argsort is a sub-microsecond kernel drowned in numpy dispatch
 overhead.  This module runs **B CTAs in lockstep** instead, the way CAGRA's
 batched kernels (and any serious GPU traversal) do:
@@ -702,8 +702,8 @@ class LockstepEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The quantized-search epilogue: exact re-rank of ``pools[i,
         :pool_counts[i]]`` against row ``rows[i]``'s query, plus the priced
-        float32 step on that row's trace (the engine twin of
-        :func:`~repro.reference.intra_cta.rerank_into_trace`).  ``pools`` is
+        float32 step on that row's trace (the engine twin of the scalar
+        ``tests/reference/intra_cta.py::rerank_into_trace``).  ``pools`` is
         ``(len(rows), >= k)``, -1 padded; returns padded ``(len(rows), k)``
         ids / distances and the per-row result counts.
 

@@ -22,7 +22,7 @@ trains it:
 Both codecs return float32 *approximate* distances with the same calling
 convention as :func:`repro.data.metrics.pair_distances`, and both are
 bit-deterministic across backends: the scalar reference
-(:mod:`repro.reference`) and the lockstep engine issue the identical
+(``tests/reference``) and the lockstep engine issue the identical
 per-row einsum / table-gather arithmetic, so scalar-vs-vectorized parity
 holds for every precision (the same argument as the float32 norms
 expansion — see ``pair_distances``).

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import load_dataset
-from repro.graphs import build_cagra, build_nsw_fast, medoid
+from repro.graphs import build_cagra, build_nsw, medoid
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def graph(ds):
 
 @pytest.fixture(scope="session")
 def nsw_graph(ds):
-    return build_nsw_fast(ds.base, m=8, metric=ds.metric)
+    return build_nsw(ds.base, m=8, metric=ds.metric)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 ``src/`` has one search engine on the serve path (the lockstep
 :class:`~repro.search.LockstepEngine`); the one-step-per-iteration
-reference functions (``repro.reference``: ``intra_cta_search`` /
+reference functions (``tests.reference``: ``intra_cta_search`` /
 ``multi_cta_search``) are plain functions the tests call directly.  This
 module composes them into the system-level shape so ``system.search_all``
 can be checked against them bit for bit, and :func:`scalar_dynamic_search`
@@ -13,18 +13,21 @@ exactly.
 
 ``src/`` likewise has one builder per graph family (``repro.graphs``:
 wave / array builders); the per-vertex Python loops they replaced are
-:func:`scalar_build_nsw`, :func:`scalar_build_nsg`,
+:func:`scalar_build_nsw`, :func:`scalar_build_hnsw` (layer 0 of the
+hierarchical :class:`ScalarHNSW`), :func:`scalar_build_nsg`,
 :func:`scalar_build_cagra` and :func:`scalar_nn_descent_dedup` below —
-CAGRA and the NN-descent dedup are equal to them byte for byte, NSW and
-NSG are held to their recall.  The HNSW reference is
-``HNSWIndex(...).to_graph_index()``.  The shared occlusion prune they all
+CAGRA and the NN-descent dedup are equal to them byte for byte, NSW, HNSW
+and NSG are held to their recall.  The shared occlusion prune they all
 link through is held to :func:`full_width_occlusion_prune_mask`, its
 pre-width-ordering body, mask for mask.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +36,8 @@ from repro.gpusim.costmodel import CTACost
 from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, occlusion_prune_mask
 from repro.graphs.utils import medoid
 from repro.gpusim.trace import QueryTrace, TraceBlock
-from repro.reference import intra_cta_search, multi_cta_search
+
+from .reference import intra_cta_search, multi_cta_search
 
 
 def scalar_search_all(system, queries, seed=None, precision=None,
@@ -245,6 +249,181 @@ def _trim_closest(
     d = query_distances(points[v], points[nbrs], metric)
     keep = np.argsort(d, kind="stable")[:cap]
     adj[v] = [int(x) for x in nbrs[keep]]
+
+
+@dataclass
+class _Layer:
+    adj: dict[int, list[int]] = field(default_factory=dict)
+
+    def neighbors(self, v: int) -> list[int]:
+        return self.adj.get(v, [])
+
+
+class ScalarHNSW:
+    """Incremental HNSW (Malkov & Yashunin, TPAMI'18), one point at a time:
+    each point draws a level from a geometric distribution, is routed
+    greedily through the upper layers, and is linked on every layer at or
+    below its level with the *heuristic* neighbour selection (keep a
+    candidate only if it is closer to the query than to every
+    already-selected neighbour).  ``to_graph_index()`` exports layer 0."""
+
+    def __init__(
+        self,
+        points: np.ndarray,
+        m: int = 12,
+        ef_construction: int = 64,
+        metric: str = "l2",
+        seed: int = 0,
+    ):
+        self.points = np.asarray(points, dtype=np.float32)
+        self.m = m
+        self.m0 = 2 * m  # layer-0 degree cap, per the paper
+        self.ef_construction = ef_construction
+        self.metric = metric
+        self.ml = 1.0 / math.log(m)
+        self._rng = np.random.default_rng(seed)
+        self.layers: list[_Layer] = [_Layer()]
+        self.levels = np.zeros(self.points.shape[0], dtype=np.int64)
+        self.entry: int | None = None
+        for v in range(self.points.shape[0]):
+            self._insert(v)
+
+    # ------------------------------------------------------------ building
+    def _draw_level(self) -> int:
+        return int(-math.log(max(self._rng.random(), 1e-12)) * self.ml)
+
+    def _insert(self, v: int) -> None:
+        level = self._draw_level()
+        self.levels[v] = level
+        while len(self.layers) <= level:
+            self.layers.append(_Layer())
+        if self.entry is None:
+            self.entry = v
+            for lc in range(level + 1):
+                self.layers[lc].adj[v] = []
+            return
+        ep = self.entry
+        top = int(self.levels[self.entry])
+        q = self.points[v]
+        # Greedy descent through layers above the insertion level.
+        for lc in range(top, level, -1):
+            ep = self._greedy_closest(q, ep, lc)
+        # Insert with ef-search on each layer at or below min(level, top).
+        for lc in range(min(level, top), -1, -1):
+            cand = self._search_layer(q, [ep], self.ef_construction, lc)
+            cap = self.m0 if lc == 0 else self.m
+            selected = self._select_heuristic(q, cand, self.m)
+            self.layers[lc].adj[v] = [u for _, u in selected]
+            for d_uv, u in selected:
+                self.layers[lc].adj.setdefault(u, []).append(v)
+                if len(self.layers[lc].adj[u]) > cap:
+                    self._shrink(u, lc, cap)
+            ep = selected[0][1] if selected else ep
+        if level > top:
+            self.entry = v
+
+    def _shrink(self, u: int, lc: int, cap: int) -> None:
+        nbrs = self.layers[lc].adj[u]
+        d = query_distances(self.points[u], self.points[np.array(nbrs)], self.metric)
+        pairs = sorted(zip(d.tolist(), nbrs))
+        selected = self._select_heuristic(self.points[u], pairs, cap)
+        self.layers[lc].adj[u] = [v for _, v in selected]
+
+    def _select_heuristic(
+        self, q: np.ndarray, candidates: list[tuple[float, int]], m: int
+    ) -> list[tuple[float, int]]:
+        """Diversifying neighbour selection (HNSW Algorithm 4)."""
+        out: list[tuple[float, int]] = []
+        for d_c, c in sorted(candidates):
+            if len(out) >= m:
+                break
+            ok = True
+            for _, s in out:
+                if (
+                    float(
+                        query_distances(
+                            self.points[c], self.points[s][None, :], self.metric
+                        )[0]
+                    )
+                    < d_c
+                ):
+                    ok = False
+                    break
+            if ok:
+                out.append((d_c, c))
+        if not out and candidates:
+            out = [min(candidates)]
+        return out
+
+    def _greedy_closest(self, q: np.ndarray, ep: int, lc: int) -> int:
+        cur = ep
+        cur_d = float(query_distances(q, self.points[cur][None, :], self.metric)[0])
+        improved = True
+        while improved:
+            improved = False
+            nbrs = self.layers[lc].neighbors(cur)
+            if not nbrs:
+                break
+            d = query_distances(q, self.points[np.array(nbrs)], self.metric)
+            i = int(d.argmin())
+            if float(d[i]) < cur_d:
+                cur, cur_d = nbrs[i], float(d[i])
+                improved = True
+        return cur
+
+    def _search_layer(
+        self, q: np.ndarray, entries: list[int], ef: int, lc: int
+    ) -> list[tuple[float, int]]:
+        d0 = query_distances(q, self.points[np.array(entries)], self.metric)
+        visited = set(entries)
+        frontier = [(float(d), e) for d, e in zip(d0, entries)]
+        heapq.heapify(frontier)
+        results = [(-float(d), e) for d, e in zip(d0, entries)]
+        heapq.heapify(results)
+        while len(results) > ef:
+            heapq.heappop(results)
+        while frontier:
+            d, v = heapq.heappop(frontier)
+            if len(results) >= ef and d > -results[0][0]:
+                break
+            fresh = [u for u in self.layers[lc].neighbors(v) if u not in visited]
+            if not fresh:
+                continue
+            visited.update(fresh)
+            du = query_distances(q, self.points[np.array(fresh)], self.metric)
+            for dd, u in zip(du.tolist(), fresh):
+                if len(results) < ef or dd < -results[0][0]:
+                    heapq.heappush(frontier, (dd, u))
+                    heapq.heappush(results, (-dd, u))
+                    if len(results) > ef:
+                        heapq.heappop(results)
+        return sorted((-nd, u) for nd, u in results)
+
+    # ------------------------------------------------------------- exports
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
+
+    def to_graph_index(self) -> GraphIndex:
+        """Flat layer-0 graph for the GPU search kernels."""
+        n = self.points.shape[0]
+        lists = [
+            np.asarray(self.layers[0].adj.get(v, []), dtype=np.int32)
+            for v in range(n)
+        ]
+        return GraphIndex.from_neighbor_lists(lists, kind="hnsw-l0")
+
+
+def scalar_build_hnsw(
+    points: np.ndarray,
+    m: int = 12,
+    ef_construction: int = 64,
+    metric: str = "l2",
+    seed: int = 0,
+) -> GraphIndex:
+    """Layer 0 of :class:`ScalarHNSW`, the reference ``build_hnsw`` is
+    held to on recall."""
+    return ScalarHNSW(points, m, ef_construction, metric, seed).to_graph_index()
 
 
 def scalar_build_nsg(

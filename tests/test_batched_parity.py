@@ -16,9 +16,8 @@ import pytest
 
 from repro.core.pipeline import ALGASSystem
 from repro.data import load_dataset
-from repro.graphs import build_cagra, build_nsw_fast
+from repro.graphs import build_cagra, build_nsw
 from repro.gpusim.trace import TraceBlock
-from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import (
     BeamConfig,
     batched_intra_cta_search,
@@ -27,6 +26,7 @@ from repro.search import (
 )
 
 from .oracles import assert_same_search_all, scalar_search_all
+from .reference import intra_cta_search, multi_cta_search
 
 DATASETS = ["sift1m-mini", "gist1m-mini", "glove200-mini", "nytimes-mini"]
 BEAMS = {"greedy": None, "beam": BeamConfig(offset_beam=8, beam_width=4)}
@@ -41,7 +41,7 @@ def pds(request):
 def pgraph(request, pds):
     if request.param == "cagra":
         return build_cagra(pds.base, graph_degree=10, metric=pds.metric)
-    return build_nsw_fast(pds.base, m=6, metric=pds.metric)
+    return build_nsw(pds.base, m=6, metric=pds.metric)
 
 
 def assert_same_batch(scalars, batch, dim, k):

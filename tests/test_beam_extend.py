@@ -1,7 +1,8 @@
 """Beam extend against greedy extend on the scalar reference searchers."""
 
-from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import BeamConfig
+
+from .reference import intra_cta_search, multi_cta_search
 
 
 def test_beam_vs_greedy_sorts(ds, graph, entry):

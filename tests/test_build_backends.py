@@ -15,16 +15,19 @@ stay where they were; there is no backend left to select.)
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import graphs
 from repro.data import metrics
 from repro.data.metrics import pairwise_distances
 from repro.graphs import (
-    HNSWIndex,
     build_cagra,
     build_hnsw,
     build_nsg,
@@ -40,6 +43,7 @@ from .golden import make_graphs
 from .oracles import (
     full_width_occlusion_prune_mask,
     scalar_build_cagra,
+    scalar_build_hnsw,
     scalar_build_nsg,
     scalar_build_nsw,
     scalar_nn_descent_dedup,
@@ -50,7 +54,7 @@ N, DIM, BUILDERS = make_graphs.N, make_graphs.DIM, make_graphs.BUILDERS
 #: name -> the one-vertex-at-a-time reference with the builder's signature
 ORACLES = {
     "nsw": scalar_build_nsw,
-    "hnsw": lambda pts, **kw: HNSWIndex(pts, **kw).to_graph_index(),
+    "hnsw": scalar_build_hnsw,
     "nsg": scalar_build_nsg,
 }
 
@@ -250,3 +254,46 @@ def test_unknown_backend_rejected(points, name, fn):
 def test_nn_descent_unknown_backend_rejected(points):
     with pytest.raises(TypeError, match="backend"):
         nn_descent_matrix(points[:64], 8, backend="vectorized")
+
+
+def test_one_builder_per_family():
+    assert sorted(n for n in graphs.__all__ if n.startswith("build_")) == [
+        "build_cagra", "build_hnsw", "build_nsg", "build_nsw"]
+
+
+# ------------------------------------------------------ tight degree caps
+#: builds whose seed-block bridging evicted one bridge with the next
+#: forever, or whose level multiplier divided by log(1)
+TIGHT_CAPS = {
+    "nsw-m1": "build_nsw(normal(300, 32), m=1, ef_construction=16)",
+    "nsw-m1-cap8": "build_nsw(normal(300, 32), m=1, ef_construction=16, max_degree=8)",
+    "nsw-m2-300x32": "build_nsw(normal(300, 32), m=2, ef_construction=16)",
+    "nsw-m2-1000x8": "build_nsw(normal(1000, 8), m=2, ef_construction=16)",
+    "nsw-m4-cap3": "build_nsw(normal(300, 32), m=4, ef_construction=16, max_degree=3)",
+    "nsw-m4-cap4": "build_nsw(normal(300, 32), m=4, ef_construction=16, max_degree=4)",
+    "hnsw-m1": "build_hnsw(normal(200, 8), m=1, ef_construction=16)",
+    "hnsw-m2-200x8": "build_hnsw(normal(200, 8), m=2, ef_construction=16)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIGHT_CAPS))
+def test_tight_degree_cap_returns_or_raises(case):
+    """Each build runs in a child with a deadline: it must return a graph
+    or raise a ``ValueError`` naming ``m``, never spin or divide by zero."""
+    code = (
+        "import numpy as np\n"
+        "from repro.graphs import build_hnsw, build_nsw\n"
+        "def normal(n, dim):\n"
+        "    return np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)\n"
+        "try:\n"
+        f"    {TIGHT_CAPS[case]}\n"
+        "    print('built')\n"
+        "except ValueError as e:\n"
+        "    print('ValueError:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.strip()
+    assert out == "built" or (out.startswith("ValueError:") and "m=" in out), out

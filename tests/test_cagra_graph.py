@@ -65,7 +65,7 @@ def test_reverse_edges_present(pts):
 
 def test_searchable_quality(pts):
     from repro.data.groundtruth import exact_knn, recall
-    from repro.reference import multi_cta_search
+    from .reference import multi_cta_search
 
     g = build_cagra(pts, graph_degree=8)
     rng = np.random.default_rng(0)

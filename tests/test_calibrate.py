@@ -74,7 +74,7 @@ def test_noisy_measurements_still_close():
 def test_real_trace_predictive_fit(ds, graph, entry):
     """On homogeneous real traces the coefficients may not be identifiable,
     but the fit must still *predict* the measurements (low residual)."""
-    from repro.reference import intra_cta_search
+    from .reference import intra_cta_search
 
     cm = CostModel(RTX_A6000, TRUTH)
     traces = [
@@ -89,7 +89,7 @@ def test_real_trace_predictive_fit(ds, graph, entry):
 
 
 def test_features_positive(ds, graph, entry):
-    from repro.reference import intra_cta_search
+    from .reference import intra_cta_search
 
     for i in range(3):
         t = intra_cta_search(ds.base, graph, ds.queries[i], 8, 32, entry,

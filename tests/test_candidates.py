@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reference.candidates import CandidateList
+from .reference.candidates import CandidateList
 
 
 def test_merge_keeps_sorted_and_truncates():

@@ -21,8 +21,9 @@ from repro.graphs import (
 )
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
-from repro.reference import intra_cta_search, multi_cta_search
 from repro.search import make_entries
+
+from .reference import intra_cta_search, multi_cta_search
 
 
 def test_search_isolated_entry_returns_partial():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.groundtruth import exact_knn, recall
-from repro.reference.greedy import ef_search, greedy_search
+
+from .reference.greedy import ef_search, greedy_search
 
 
 def test_greedy_search_finds_neighbors(ds, graph, entry):

@@ -1,12 +1,14 @@
-"""Unit tests for the HNSW index."""
+"""Unit tests for the HNSW builder and its hierarchical reference."""
 
 import numpy as np
 import pytest
 
 from repro.data.groundtruth import exact_knn, recall
 from repro.data.synthetic import latent_mixture
-from repro.graphs.hnsw import HNSWIndex, build_hnsw
+from repro.graphs.hnsw import build_hnsw
 from repro.graphs.utils import graph_stats
+
+from .oracles import ScalarHNSW
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +18,7 @@ def pts():
 
 @pytest.fixture(scope="module")
 def index(pts):
-    return HNSWIndex(pts, m=6, ef_construction=32, seed=0)
+    return ScalarHNSW(pts, m=6, ef_construction=32, seed=0)
 
 
 def test_layer_structure(index, pts):
@@ -37,20 +39,6 @@ def test_degree_caps(index):
             assert v not in nbrs
 
 
-def test_hierarchical_search_recall(index, pts):
-    rng = np.random.default_rng(1)
-    q = pts[:20] + rng.normal(0, 0.01, (20, pts.shape[1])).astype(np.float32)
-    gt, _ = exact_knn(q, pts, 5)
-    found = np.stack([index.search(qq, 5, ef=48)[0] for qq in q])
-    assert recall(found, gt) > 0.85
-
-
-def test_search_sorted_output(index, pts):
-    ids, d = index.search(pts[7], 6)
-    assert (np.diff(d) >= -1e-6).all()
-    assert ids[0] == 7  # the query is a base point; its own id is closest
-
-
 def test_layer0_export_searchable(pts):
     g = build_hnsw(pts, m=6, ef_construction=32, seed=0)
     assert g.kind == "hnsw-l0"
@@ -58,7 +46,8 @@ def test_layer0_export_searchable(pts):
     assert st.n_vertices == pts.shape[0]
     assert st.n_weak_components <= 2
     from repro.graphs.utils import medoid
-    from repro.reference import intra_cta_search
+
+    from .reference import intra_cta_search
 
     gt, _ = exact_knn(pts[:10], pts, 5)
     ep = medoid(pts)
@@ -69,19 +58,18 @@ def test_layer0_export_searchable(pts):
 
 
 def test_deterministic(pts):
-    a = HNSWIndex(pts[:100], m=4, ef_construction=16, seed=3)
-    b = HNSWIndex(pts[:100], m=4, ef_construction=16, seed=3)
+    a = ScalarHNSW(pts[:100], m=4, ef_construction=16, seed=3)
+    b = ScalarHNSW(pts[:100], m=4, ef_construction=16, seed=3)
     ga, gb = a.to_graph_index(), b.to_graph_index()
     assert np.array_equal(ga.indices, gb.indices)
 
 
 def test_validates(pts):
     with pytest.raises(ValueError):
-        HNSWIndex(pts, m=0)
+        build_hnsw(pts, m=0)
+    with pytest.raises(ValueError, match="m=1"):
+        build_hnsw(pts, m=1, ef_construction=16)
     with pytest.raises(ValueError):
-        HNSWIndex(pts, m=8, ef_construction=4)
+        build_hnsw(pts, m=8, ef_construction=4)
     with pytest.raises(ValueError):
-        HNSWIndex(np.empty((0, 4), dtype=np.float32))
-    idx = HNSWIndex(pts[:50], m=4, ef_construction=16)
-    with pytest.raises(ValueError):
-        idx.search(pts[0], 0)
+        build_hnsw(np.empty((0, 4), dtype=np.float32))

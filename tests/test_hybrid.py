@@ -8,7 +8,7 @@ from repro.core.serving import QueryJob
 from repro.data import load_dataset
 from repro.data.groundtruth import exact_knn
 from repro.gpusim.memory import footprint_bytes
-from repro.graphs import build_nsw_fast
+from repro.graphs import build_nsw
 from repro.hybrid import bounded_refine, size_pilot
 from repro.resilience import FaultPlan, PCIeStall
 
@@ -16,7 +16,7 @@ from repro.resilience import FaultPlan, PCIeStall
 @pytest.fixture(scope="module")
 def corpus():
     ds = load_dataset("sift1m-mini", n=2000, n_queries=32)
-    graph = build_nsw_fast(ds.base, m=12, metric=ds.metric, seed=0)
+    graph = build_nsw(ds.base, m=12, metric=ds.metric, seed=0)
     return ds, graph
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.groundtruth import recall
-from repro.reference.greedy import greedy_search
-from repro.reference.intra_cta import intra_cta_search
 from repro.search.batched import BeamConfig
+
+from .reference.greedy import greedy_search
+from .reference.intra_cta import intra_cta_search
 
 
 def test_results_sorted_and_k(ds, graph, entry):

@@ -34,7 +34,7 @@ def test_single_cta_algas_medoid_entry(ds, graph):
 
 
 def test_step_durations_match_step_costs(ds, graph, entry):
-    from repro.reference import intra_cta_search
+    from .reference import intra_cta_search
 
     cm = CostModel(RTX_A6000)
     tr = intra_cta_search(ds.base, graph, ds.queries[0], 8, 32, entry,
@@ -66,15 +66,3 @@ def test_host_threads_auto_scaling(ds, graph):
     with pytest.raises(ValueError):
         ALGASSystem(ds.base, graph, metric=ds.metric, k=8, l_total=32,
                     batch_size=8, max_parallel=2, host_threads=0)
-
-
-def test_graph_stats_repr_and_flat_serving(ds):
-    """FlatIndex trace prices through the same pipeline vocabulary."""
-    from repro.gpusim.trace import QueryTrace
-    from repro.search.bruteforce import FlatIndex
-
-    idx = FlatIndex(ds.base, metric=ds.metric)
-    r = idx.search(ds.queries[0], 5)
-    qt = QueryTrace(ctas=[r.trace], dim=ds.dim, k=5)
-    cm = CostModel(RTX_A6000)
-    assert cm.query_gpu_time_us(qt) > 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.groundtruth import recall
-from repro.reference.multi_cta import multi_cta_search
 from repro.search.batched import make_entries, per_cta_capacity
 from repro.search.topk import merge_sorted_lists
+
+from .reference.multi_cta import multi_cta_search
 
 
 def test_per_cta_capacity():
@@ -44,7 +45,7 @@ def test_visited_sharing_no_duplicate_scoring(ds, graph, rng):
 
 
 def test_recall_comparable_to_single_cta(ds, graph, entry, rng):
-    from repro.reference.intra_cta import intra_cta_search
+    from .reference.intra_cta import intra_cta_search
 
     k = 10
     multi, single = [], []

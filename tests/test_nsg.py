@@ -34,7 +34,7 @@ def test_navigating_node_reaches_everything(nsg, pts):
 
 
 def test_searchable_quality(nsg, pts):
-    from repro.reference import intra_cta_search
+    from .reference import intra_cta_search
 
     rng = np.random.default_rng(0)
     q = pts[:16] + rng.normal(0, 0.01, (16, pts.shape[1])).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import latent_mixture
-from repro.graphs.nsw import build_nsw, build_nsw_fast
+from repro.graphs.nsw import build_nsw
 from repro.graphs.utils import graph_stats
 
 
@@ -30,21 +30,13 @@ def test_incremental_nsw_bidirectionalish(pts):
     assert rev / len(fwd) > 0.6
 
 
-def test_fast_nsw_structure(pts):
-    g = build_nsw_fast(pts, m=6, seed=0)
-    assert g.kind == "nsw"
-    st = graph_stats(g)
-    assert st.max_degree <= 12
-    assert st.min_degree >= 1
-    assert st.n_weak_components <= 3
-
-
-def test_fast_nsw_searchable(pts):
+def test_nsw_searchable(pts):
     from repro.data.groundtruth import exact_knn, recall
     from repro.graphs.utils import medoid
-    from repro.reference import intra_cta_search
 
-    g = build_nsw_fast(pts, m=8, seed=0)
+    from .reference import intra_cta_search
+
+    g = build_nsw(pts, m=8, seed=0)
     q = pts[:10]
     gt, _ = exact_knn(q, pts, 5)
     ep = medoid(pts)
@@ -62,11 +54,11 @@ def test_nsw_validates():
         build_nsw(pts, m=0)
     with pytest.raises(ValueError):
         build_nsw(pts, m=8, ef_construction=4)
-    with pytest.raises(ValueError):
-        build_nsw_fast(pts, m=0)
+    with pytest.raises(ValueError, match="m=1"):
+        build_nsw(pts, m=1, ef_construction=16)
 
 
 def test_nsw_deterministic(pts):
-    a = build_nsw_fast(pts, m=4, seed=7)
-    b = build_nsw_fast(pts, m=4, seed=7)
+    a = build_nsw(pts, m=4, seed=7)
+    b = build_nsw(pts, m=4, seed=7)
     assert np.array_equal(a.indices, b.indices)

@@ -27,7 +27,6 @@ from repro.graphs import build_cagra
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.trace import StepRecord, TraceBlock
-from repro.reference import intra_cta_search, multi_cta_search, rerank_step_record
 from repro.search import (
     Int8Codec,
     PQCodec,
@@ -40,6 +39,8 @@ from repro.search.batched import (
     batched_intra_cta_search,
     batched_multi_cta_search,
 )
+
+from .reference import intra_cta_search, multi_cta_search, rerank_step_record
 
 
 @pytest.fixture(scope="module")

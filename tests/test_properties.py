@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.gpusim.costmodel import bitonic_stage_count
 from repro.gpusim.engine import list_schedule
-from repro.reference.candidates import CandidateList
 from repro.search.topk import heap_merge, merge_sorted_lists, select_topk
-from repro.reference.visited import VisitedBitmap
+
+from .reference.candidates import CandidateList
+from .reference.visited import VisitedBitmap
 
 f32 = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=32)
 

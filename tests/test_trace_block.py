@@ -39,13 +39,13 @@ from repro.gpusim.trace import (
 )
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
-from repro.reference import intra_cta_search
 from repro.search.batched import LockstepEngine, _entry_rows
 from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
 
 from .golden import make_priced_traces as golden
 from .oracles import scalar_cta_cost
+from .reference import intra_cta_search
 
 STEP_COLUMNS = (
     "select_offset", "n_expanded", "n_neighbors_fetched", "n_visited_checks",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reference.visited import VisitedBitmap
+from .reference.visited import VisitedBitmap
 
 
 def test_test_and_set_basic():
