@@ -1,26 +1,20 @@
 #!/usr/bin/env python
-"""Multi-core scaling curves for the parallel execution substrate.
+"""Multi-core scaling curve of the process-parallel sharded serve.
 
-Two sections, each swept over worker counts 1/2/4/8 with process pools
-(docs/performance.md, "Multi-core execution"):
+A 4-shard :class:`~repro.core.cluster.ShardedServer` over GIST-mini,
+swept over worker counts 1/2/4/8 with process pools (docs/performance.md,
+"Multi-core execution"): the shard legs (search + dynamic-batch
+scheduling) fan out over workers reading the corpus and graphs from
+shared memory.  The graph build is done once up front; the timed region
+is ``serve()`` alone, including pool startup (that is the real
+per-request cost a caller pays).
 
-* ``serve`` — a 4-shard :class:`~repro.core.cluster.ShardedServer` over
-  GIST-mini: the shard legs (search + dynamic-batch scheduling) fan out
-  over workers reading the corpus and graphs from shared memory.  The
-  graph build is done once up front; the timed region is ``serve()``
-  alone, including pool startup (that is the real per-request cost a
-  caller pays).
-* ``build`` — the n=20k NSW wave build (vectorized backend): each
-  lockstep prefix-search wave is chunked across workers writing into a
-  shared adjacency segment, with the parent applying inserts between
-  waves.
-
-Every row carries a ``parity`` bit: the parallel run's report (or graph)
-must be byte-identical to the sequential one — ``parallelism`` is an
-execution knob, never a results knob.  ``host_cpus`` is recorded because
-speedups are only meaningful relative to the cores actually present: on
-a single-core container every multi-worker row honestly shows <= 1x
-(pure pool overhead), and the perf-smoke speedup gates skip themselves.
+Every row carries a ``parity`` bit: the parallel run's report must be
+byte-identical to the sequential one — ``parallelism`` is an execution
+knob, never a results knob.  ``host_cpus`` is recorded because speedups
+are only meaningful relative to the cores actually present: on a
+single-core container every multi-worker row honestly shows <= 1x (pure
+pool overhead), and the perf-smoke speedup gate skips itself.
 
 Usage:
     PYTHONPATH=src python benchmarks/perf/bench_parallel.py [out.json]
@@ -35,11 +29,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core import ServeConfig, ShardedServer
 from repro.data import load_dataset
-from repro.graphs import build_cagra, build_nsw
+from repro.graphs import build_cagra
 
 WORKERS = (1, 2, 4, 8)
 
@@ -47,10 +39,6 @@ SERVE_DATASET = "gist1m-mini"
 SERVE_N = 8_000
 SERVE_QUERIES = 64
 SERVE_SHARDS = 4
-
-BUILD_N = 20_000
-BUILD_M = 8
-BUILD_EF = 32
 
 
 def _builder(pts):
@@ -90,34 +78,6 @@ def bench_serve() -> list[dict]:
     return rows
 
 
-def bench_build() -> list[dict]:
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((BUILD_N, 128)).astype(np.float32)
-    rows = []
-    baseline_graph = None
-    baseline_s = None
-    for w in WORKERS:
-        t0 = time.perf_counter()
-        g = build_nsw(pts, m=BUILD_M, ef_construction=BUILD_EF, seed=7,
-                      parallelism=0 if w == 1 else w)
-        dt = time.perf_counter() - t0
-        if baseline_graph is None:
-            baseline_graph, baseline_s = g, dt
-        parity = bool(
-            np.array_equal(g.indptr, baseline_graph.indptr)
-            and np.array_equal(g.indices, baseline_graph.indices)
-        )
-        rows.append({
-            "workers": w,
-            "wall_s": round(dt, 4),
-            "speedup": round(baseline_s / dt, 2),
-            "parity": parity,
-        })
-        print(f"build  w={w}: {dt:6.2f}s  {rows[-1]['speedup']:5.2f}x  "
-              f"parity={parity}")
-    return rows
-
-
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", type=Path, default=(
@@ -138,15 +98,8 @@ def main(argv: list[str]) -> int:
             "n_queries": SERVE_QUERIES, "n_shards": SERVE_SHARDS,
             "rows": bench_serve(),
         },
-        "build": {
-            "graph": "nsw", "n_base": BUILD_N, "m": BUILD_M,
-            "ef_construction": BUILD_EF, "backend": "vectorized",
-            "rows": bench_build(),
-        },
     }
-    parity_ok = all(
-        r["parity"] for sec in ("serve", "build") for r in doc[sec]["rows"]
-    )
+    parity_ok = all(r["parity"] for r in doc["serve"]["rows"])
     doc["parity_ok"] = parity_ok
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} (parity_ok={parity_ok})")

@@ -63,6 +63,17 @@
 #                              # (0.54-0.58x measured), best of 3 each, with
 #                              # identical CSR, BLAS on one thread; skips on
 #                              # one core — docs/performance.md "Set-up")
+#                              # + wave-build threads gate (~30 s;
+#                              # build_nsw on sift1m-mini 20k x 128 with
+#                              # every core must give the CSR of the build
+#                              # with cores() patched to 1 and take at most
+#                              # 0.90x its wall time, best of 3 a side,
+#                              # each build in a fresh child process with
+#                              # BLAS on one thread: 0.71-0.85x measured on
+#                              # 2 cores; skips when cores() is 1 — the
+#                              # sharded-serve speedup gate beside it skips
+#                              # below 4 cores() — docs/performance.md
+#                              # "Multi-core execution")
 #   scripts/test.sh --chaos    # chaos smoke only: (a) serve under the fixed
 #                              # "smoke" fault plan (1 of 4 shards killed,
 #                              # slots hung/corrupted, PCIe stalled) and

@@ -113,6 +113,12 @@ class IVFSystem:
                 "substrate; the IVF baselines have no graph traversal "
                 "(use IVFPQSystem for a compressed IVF scan)"
             )
+        if cfg.tier not in (None, "gpu"):
+            raise ValueError(
+                f"tier={cfg.tier!r} needs a pilot index "
+                f"(repro.hybrid.HybridSystem); {type(self).__name__} serves "
+                f"tier='gpu' only"
+            )
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         evs, spec = resolve_workload(cfg.workload, queries.shape[0])
         ids, dists, traces = self.search_all(queries)

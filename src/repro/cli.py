@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="cagra")
     b.add_argument("--degree", type=int, default=16)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--parallelism", type=int, default=0,
-                   help="worker count for the wave-build searches "
-                        "(nsw/hnsw only; 0 = sequential)")
     b.add_argument("-o", "--output", required=True, help="output .npz path")
 
     s = sub.add_parser("serve", help="serve the query set with a system")
@@ -285,10 +282,10 @@ def _cmd_build(args) -> int:
         g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric)
     elif args.graph == "nsw":
         g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
-                      seed=args.seed, parallelism=args.parallelism)
+                      seed=args.seed)
     elif args.graph == "hnsw":
         g = build_hnsw(ds.base, m=args.degree // 2, metric=ds.metric,
-                       seed=args.seed, parallelism=args.parallelism)
+                       seed=args.seed)
     elif args.graph == "nsg":
         g = build_nsg(ds.base, out_degree=args.degree, metric=ds.metric,
                       seed=args.seed)

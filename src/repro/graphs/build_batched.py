@@ -15,8 +15,8 @@ the lockstep engine (docs/performance.md, "Graph construction").
 What lives here is what more than one family uses:
 
 * :func:`_prefix_search` — lockstep beam searches of a row range against
-  the inserted prefix, optionally fanned over a worker pool reading the
-  build state from shared memory (:class:`_BuildShare`);
+  the inserted prefix, split over the cores on threads exactly as a wide
+  search is;
 * :func:`_select_links` / :func:`_add_links` — per-row link selection and
   the bulk append-then-degree-cap (keep closest, or the diversifying
   :func:`occlusion_prune_mask`);
@@ -29,25 +29,22 @@ What lives here is what more than one family uses:
 The family modules (``nsw.py``, ``hnsw.py``, ``nsg.py``, ``cagra.py``)
 hold validation and the family's own policy; the per-vertex reference
 builders are in ``tests/oracles.py``.  Every build is deterministic under
-a fixed seed and identical at any ``parallelism``.
+a fixed seed and identical on any number of cores.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..data.metrics import pair_distances, pairwise_distances, row_blocks
-from ..parallel import SharedArena, make_pool, resolve_ref
+from ..parallel.pool import on_threads, thread_chunks
 from .base import GraphIndex
 from .utils import _compact_rows, _first_occurrence_mask
 
 __all__ = ["occlusion_prune_mask"]
 
-#: Lockstep rows per engine instance: bounds the packed visited bitmap at
-#: ``_MAX_ROWS * n / 8`` bytes while keeping waves fully batched.
+#: Lockstep rows in flight across all threads: bounds the packed visited
+#: bitmaps at ``_MAX_ROWS * n / 8`` bytes while keeping waves fully batched.
 _MAX_ROWS = 8192
 
 # Budget policy of the wave builders.  Wave searches see at best a
@@ -164,118 +161,6 @@ def occlusion_prune_mask(
 # growing-graph machinery (shared by the NSW-family wave builders)
 # --------------------------------------------------------------------------
 
-class _BuildShare:
-    """Multi-core state for the wave builders (docs/performance.md).
-
-    Holds a worker pool plus shared-memory mirrors of the build state:
-    the (shuffled) corpus is shared once, and the growing adjacency /
-    degree arrays are *allocated in* shared memory so the parent's
-    between-wave mutations (linking, trimming, repair) are visible to
-    workers without any copying.  The wave loop is a strict barrier —
-    workers only read during a wave's lockstep searches, the parent only
-    writes between waves — so no synchronization beyond ``pool.map`` is
-    needed.  Each row's beam search is independent of its chunk-mates,
-    which is what makes the fan-out exact: any chunking of the rows
-    produces the same pools as the sequential ``_MAX_ROWS`` sweep.
-    """
-
-    def __init__(self, points: np.ndarray, parallelism: int):
-        self.pool = make_pool(parallelism)
-        self.arena = SharedArena()
-        self.points_ref = self.arena.share(points)
-        self.adj = None
-        self.counts = None
-        self.adj_ref = None
-        self.counts_ref = None
-
-    def alloc_graph(self, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-        """Segment-backed (adj, counts) the parent mutates in place."""
-        self.adj, self.adj_ref = self.arena.empty((n, cap), np.int64)
-        self.counts, self.counts_ref = self.arena.empty((n,), np.int64)
-        self.adj.fill(-1)
-        self.counts.fill(0)
-        return self.adj, self.counts
-
-    def close(self) -> None:
-        self.pool.close()
-        self.arena.close()
-
-    def __enter__(self) -> "_BuildShare":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _prefix_chunk_task(payload: dict) -> tuple[int, np.ndarray, np.ndarray]:
-    """One lockstep chunk of a wave's insertion searches (worker side)."""
-    from ..search.batched import LockstepEngine
-
-    points = resolve_ref(payload["points"])
-    adj = resolve_ref(payload["adj"])
-    counts = resolve_ref(payload["counts"])
-    ents = payload["ents"]
-    if ents is None:
-        ents = np.full((payload["rows"], 1), payload["entry"], dtype=np.int64)
-    eng = LockstepEngine(
-        points,
-        (adj, counts),
-        points[payload["lo"] : payload["hi"]],
-        np.arange(payload["rows"], dtype=np.int64),
-        ents,
-        payload["ef"],
-        metric=payload["metric"],
-        record_trace=False,
-        n_visible=payload["visible"],
-        alive_mask=payload["alive"],
-    )
-    eng.run(100 * payload["ef"] + 100, what="batched insertion search")
-    ids, dists, _sizes = eng.pools()
-    return payload["clo"], ids, dists
-
-
-def _prefix_search_parallel(
-    share: _BuildShare,
-    q_lo: int,
-    q_hi: int,
-    visible: int,
-    entry: int,
-    ef: int,
-    metric: str,
-    row_entries: np.ndarray | None,
-    alive_mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fan one wave's row range over the pool; identical pools to the
-    sequential sweep (rows are search-independent), deterministically
-    reassembled by chunk offset."""
-    W = q_hi - q_lo
-    per = max(1, min(_MAX_ROWS, math.ceil(W / share.pool.n_workers)))
-    payloads = []
-    for clo in range(0, W, per):
-        chi = min(W, clo + per)
-        payloads.append({
-            "points": share.points_ref,
-            "adj": share.adj_ref,
-            "counts": share.counts_ref,
-            "lo": q_lo + clo,
-            "hi": q_lo + chi,
-            "clo": clo,
-            "rows": chi - clo,
-            "entry": entry,
-            "ents": None if row_entries is None else row_entries[clo:chi],
-            "ef": ef,
-            "metric": metric,
-            "visible": visible,
-            "alive": alive_mask,
-        })
-    out_ids = np.full((W, ef), -1, dtype=np.int64)
-    out_d = np.full((W, ef), np.inf, dtype=np.float32)
-    for clo, ids, dists in share.pool.map(_prefix_chunk_task, payloads):
-        out_ids[clo : clo + ids.shape[0]] = ids
-        out_d[clo : clo + ids.shape[0]] = dists
-    return out_ids, out_d
-
-
 def _prefix_search(
     points: np.ndarray,
     q_lo: int,
@@ -289,15 +174,18 @@ def _prefix_search(
     row_entries: np.ndarray | None = None,
     collect_expansions: bool = False,
     alive_mask: np.ndarray | None = None,
-    share: _BuildShare | None = None,
     point_norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep beam searches of vertices ``[q_lo, q_hi)`` against the
     inserted prefix ``[0, visible)``; returns (W, ef) pools sorted by
     ascending distance (-1 / inf padded).
 
-    ``share`` fans the row chunks over a worker pool reading the same
-    (shared-memory) build state; the pools are identical either way.
+    The rows split into per-core ranges by the search split's rule
+    (:func:`~repro.parallel.pool.thread_chunks`), one thread each
+    (:func:`~repro.parallel.pool.on_threads`); a thread steps its range
+    in engines of ``_MAX_ROWS // threads`` rows, so at most ``_MAX_ROWS``
+    rows are in flight.  Rows never interact and the graph is only read,
+    so the pools are identical on any number of cores.
 
     ``row_entries`` optionally gives each row its own ``(W, e)`` entry
     ids (duplicates allowed) instead of the shared ``entry`` — refinement
@@ -310,56 +198,48 @@ def _prefix_search(
     long-range vertices, not just the final beam.
 
     ``point_norms`` are the points' squared norms when the caller keeps
-    them (a :class:`~repro.graphs.dynamic.DynamicGraph`, which never fans
-    out over a ``share``).
+    them (a :class:`~repro.graphs.dynamic.DynamicGraph`).
     """
     from ..search.batched import LockstepEngine
 
-    if share is not None and not collect_expansions:
-        assert adj is share.adj and counts is share.counts
-        return _prefix_search_parallel(
-            share, q_lo, q_hi, visible, entry, ef, metric,
-            row_entries, alive_mask,
-        )
     W = q_hi - q_lo
-    out_ids = np.full((W, ef), -1, dtype=np.int64)
-    out_d = np.full((W, ef), np.inf, dtype=np.float32)
-    chunks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for clo in range(0, W, _MAX_ROWS):
-        chi = min(W, clo + _MAX_ROWS)
-        B = chi - clo
-        if row_entries is None:
-            ents = np.full((B, 1), entry, dtype=np.int64)
-        else:
-            ents = row_entries[clo:chi]
-        eng = LockstepEngine(
-            points,
-            (adj, counts),
-            points[q_lo + clo : q_lo + chi],
-            np.arange(B, dtype=np.int64),
-            ents,
-            ef,
-            metric=metric,
-            record_trace=False,
-            n_visible=visible,
-            record_expansions=collect_expansions,
-            alive_mask=alive_mask,
-            point_norms=point_norms,
-        )
-        eng.run(100 * ef + 100, what="batched insertion search")
-        if collect_expansions:
-            chunks.append((clo, *eng.expansion_pools()))
-        else:
-            ids, dists, _sizes = eng.pools()
-            out_ids[clo:chi] = ids
-            out_d[clo:chi] = dists
-    if collect_expansions:
-        width = max(c[1].shape[1] for c in chunks)
-        out_ids = np.full((W, width), -1, dtype=np.int64)
-        out_d = np.full((W, width), np.inf, dtype=np.float32)
-        for clo, ids, dists in chunks:
-            out_ids[clo : clo + ids.shape[0], : ids.shape[1]] = ids
-            out_d[clo : clo + ids.shape[0], : ids.shape[1]] = dists
+    ranges = thread_chunks(W)
+    step = _MAX_ROWS // len(ranges)
+
+    def search(span: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        out = []
+        for clo in range(span[0], span[1], step):
+            chi = min(span[1], clo + step)
+            if row_entries is None:
+                ents = np.full((chi - clo, 1), entry, dtype=np.int64)
+            else:
+                ents = row_entries[clo:chi]
+            eng = LockstepEngine(
+                points,
+                (adj, counts),
+                points[q_lo + clo : q_lo + chi],
+                np.arange(chi - clo, dtype=np.int64),
+                ents,
+                ef,
+                metric=metric,
+                record_trace=False,
+                n_visible=visible,
+                record_expansions=collect_expansions,
+                alive_mask=alive_mask,
+                point_norms=point_norms,
+            )
+            eng.run(100 * ef + 100, what="batched insertion search")
+            pools = eng.expansion_pools() if collect_expansions else eng.pools()[:2]
+            out.append((clo, *pools))
+        return out
+
+    chunks = [c for part in on_threads(search, ranges) for c in part]
+    width = max(c[1].shape[1] for c in chunks) if collect_expansions else ef
+    out_ids = np.full((W, width), -1, dtype=np.int64)
+    out_d = np.full((W, width), np.inf, dtype=np.float32)
+    for clo, ids, dists in chunks:
+        out_ids[clo : clo + ids.shape[0], : ids.shape[1]] = ids
+        out_d[clo : clo + ids.shape[0], : ids.shape[1]] = dists
     return out_ids, out_d
 
 
@@ -578,20 +458,13 @@ def _wave_build(
     metric: str,
     select: str,
     entry_fn,
-    share: _BuildShare | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Doubling-wave batched insertion; returns (adj (n, cap), counts).
-
-    With ``share``, the adjacency lives in shared memory and each wave's
-    insertion searches fan across the pool; linking stays in the parent
-    (the barrier between waves).
-    """
+    Each wave's insertion searches see the graph as the previous wave
+    left it; linking happens between waves."""
     n = points.shape[0]
-    if share is not None:
-        adj, counts = share.alloc_graph(n, cap)
-    else:
-        adj = np.full((n, cap), -1, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
+    adj = np.full((n, cap), -1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     w0 = min(max(_FIRST_WAVE, m + 1), n)
     _seed_block(points, w0, m, cap, metric, select, adj, counts,
                 entry=entry_fn(w0))
@@ -601,7 +474,6 @@ def _wave_build(
         hi = min(n, 2 * lo)
         pool_ids, pool_d = _prefix_search(
             points, lo, hi, lo, adj, counts, entry_fn(lo), ef, metric,
-            share=share,
         )
         links = _select_links(points, pool_ids, pool_d, m, metric, select)
         lcnt = (links >= 0).sum(axis=1)
@@ -680,7 +552,6 @@ def _refine_pass(
     entry: int,
     select: str,
     frac: float = 1.0,
-    share: _BuildShare | None = None,
 ) -> None:
     """Re-insertion sweep: re-search vertices against the finished graph
     and merge the fresh top-``m`` links (plus their reverses) into the
@@ -698,7 +569,7 @@ def _refine_pass(
     row_entries = np.stack([e1, e2], axis=1)
     pool_ids, pool_d = _prefix_search(
         points, 0, W, n, adj, counts, entry, ef, metric,
-        row_entries=row_entries, share=share,
+        row_entries=row_entries,
     )
     links = _select_links(
         points, pool_ids, pool_d, m, metric, select,
@@ -725,7 +596,6 @@ def _wave_graph(
     select: str,
     entry_fn,
     refine_frac: float,
-    parallelism: int,
     kind: str,
     remap: np.ndarray | None = None,
 ) -> GraphIndex:
@@ -734,24 +604,17 @@ def _wave_graph(
     ``ef`` (over everything up to ``_MAX_ROWS`` points, the earliest
     ``refine_frac`` past that), connectivity repaired before and after
     it.  ``entry_fn(lo)`` names the entry vertex of the prefix
-    ``[0, lo)``; ``remap`` maps insertion order back to the caller's ids.
-    ``parallelism > 1`` opens a :class:`_BuildShare` for the build's
-    lifetime (the adjacency lives in its segments, so the CSR is
-    assembled before it closes)."""
+    ``[0, lo)``; ``remap`` maps insertion order back to the caller's ids."""
     n = points.shape[0]
     entry = entry_fn(n)
-    with (_BuildShare(points, parallelism) if parallelism and parallelism > 1
-          else nullcontext()) as share:
-        adj, counts = _wave_build(
-            points, m, wave_ef, cap, metric, select, entry_fn, share=share
-        )
-        _repair_connectivity(points, adj, counts, cap, metric, entry)
-        _refine_pass(
-            points, adj, counts, m, ef, cap, metric, entry, select,
-            frac=1.0 if n <= _MAX_ROWS else refine_frac, share=share,
-        )
-        _repair_connectivity(points, adj, counts, cap, metric, entry)
-        return _csr_from_padded(adj, counts, kind, remap=remap)
+    adj, counts = _wave_build(points, m, wave_ef, cap, metric, select, entry_fn)
+    _repair_connectivity(points, adj, counts, cap, metric, entry)
+    _refine_pass(
+        points, adj, counts, m, ef, cap, metric, entry, select,
+        frac=1.0 if n <= _MAX_ROWS else refine_frac,
+    )
+    _repair_connectivity(points, adj, counts, cap, metric, entry)
+    return _csr_from_padded(adj, counts, kind, remap=remap)
 
 
 def _csr_from_padded(

@@ -32,7 +32,6 @@ def build_hnsw(
     ef_construction: int = 64,
     metric: str = "l2",
     seed: int = 0,
-    parallelism: int = 0,
 ) -> GraphIndex:
     """Wave-batched build of the flat HNSW layer-0 graph (GPU-searchable).
 
@@ -43,10 +42,10 @@ def build_hnsw(
     inserted prefix.  Neighbour selection and the shrink-on-overflow both
     use the batched occlusion prune
     (:func:`~repro.graphs.build_batched.occlusion_prune_mask`, the
-    parallel form of Algorithm 4's heuristic, as used by CAGRA).
-    ``parallelism > 1`` fans the insertion searches over worker processes
-    exactly as in :func:`~repro.graphs.nsw.build_nsw`; the CSR is
-    identical at any worker count.
+    parallel form of Algorithm 4's heuristic, as used by CAGRA).  The
+    insertion searches split over the cores exactly as in
+    :func:`~repro.graphs.nsw.build_nsw`; the CSR is identical on any
+    number of cores.
 
     The beam budget is gentler than NSW's: occlusion-pruned graphs keep
     far fewer links per insertion, so starving the waves (NSW's 5/8 cut)
@@ -79,6 +78,5 @@ def build_hnsw(
         select="occlusion",
         entry_fn=lambda lo: int(np.argmax(levels[:lo])),
         refine_frac=_HNSW_REFINE_FRAC,
-        parallelism=parallelism,
         kind="hnsw-l0",
     )

@@ -29,7 +29,6 @@ def build_nsw(
     metric: str = "l2",
     max_degree: int | None = None,
     seed: int = 0,
-    parallelism: int = 0,
     *,
     build_backend: str | None = None,
 ) -> GraphIndex:
@@ -44,11 +43,10 @@ def build_nsw(
     max_degree:
         degree cap after reverse-link insertion (default ``2 m``); when a
         vertex overflows, its farthest links are dropped (NSW keeps closest).
-    parallelism:
-        ``> 1`` fans each wave's (and the refinement sweep's) insertion
-        searches across worker processes over a shared-memory mirror of
-        the growing graph; the produced CSR is identical at any worker
-        count (rows are search-independent, linking stays serial).
+
+    A wave's insertion searches (and the refinement sweep's) split over
+    the cores on threads as a wide search does; the CSR is identical on
+    any number of cores (rows are search-independent, linking is serial).
 
     Budget policy: the per-wave insertion searches run at a reduced beam
     (``5/8·ef_construction``) and the saved budget funds a refinement
@@ -85,7 +83,6 @@ def build_nsw(
         select="closest",
         entry_fn=lambda lo: 0,
         refine_frac=_NSW_REFINE_FRAC,
-        parallelism=parallelism,
         kind="nsw",
         remap=order,
     )

@@ -8,10 +8,11 @@ execution"):
   the Python-bound serving/scheduling loops (the dynamic batcher is pure
   Python, so threads running it serialize on the GIL — a thread flavour
   was measured and lost to processes on every fan-out, see the doc; wide
-  lockstep search rounds do overlap on threads, in their GIL-releasing
-  sorts, :mod:`repro.search.batched`, and so do the BLAS-bound set-up
-  kernels, :func:`in_row_ranges`).  Inputs cross via pickle, corpora via
-  :mod:`repro.parallel.shared`.
+  lockstep rounds — searches, :mod:`repro.search.batched`, and the wave
+  builders' insertion searches, :mod:`repro.graphs.build_batched` — do
+  overlap on threads in their GIL-releasing sorts, :func:`thread_chunks`,
+  and so do the BLAS-bound set-up kernels, :func:`in_row_ranges`).
+  Inputs cross via pickle, corpora via :mod:`repro.parallel.shared`.
 * ``n_workers <= 1`` — inline execution in the caller, byte-identical to
   the pre-parallel code path, so a ``parallelism=0`` default costs nothing.
 
@@ -28,7 +29,14 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["WorkerPool", "make_pool", "cores", "on_threads", "in_row_ranges"]
+__all__ = ["MIN_ROWS_PER_THREAD", "WorkerPool", "make_pool", "cores", "on_threads",
+           "thread_chunks", "in_row_ranges"]
+
+#: lockstep rows each thread of a split search or wave build gets at
+#: least: below it a second thread loses (GIL hand-offs outweigh the
+#: overlapped sorts); measured width sweep in docs/performance.md,
+#: "Multi-core execution"
+MIN_ROWS_PER_THREAD = 2048
 
 _in_worker = False  # set by the pool initializer in every worker process
 
@@ -40,8 +48,8 @@ def _mark_worker() -> None:
 
 def cores() -> int:
     """CPUs this process may keep busy with threads of its own: its
-    affinity mask, and 1 inside a :class:`WorkerPool` worker (sharded legs
-    and wave-build workers already share the host)."""
+    affinity mask, and 1 inside a :class:`WorkerPool` worker (the sharded
+    legs and shard builds already share the host)."""
     if _in_worker:
         return 1
     try:
@@ -78,6 +86,16 @@ def on_threads(fn, items: list) -> list:
         if e is not None:
             raise e
     return out
+
+
+def thread_chunks(n_items: int, rows_per_item: int = 1) -> list[tuple[int, int]]:
+    """Contiguous, near-equal ``[lo, hi)`` item ranges, one per core but
+    none under :data:`MIN_ROWS_PER_THREAD` lockstep rows (an item is a
+    query of ``rows_per_item`` CTA rows, or one insertion row); at least
+    one range."""
+    n = max(1, min(cores(), n_items,
+                   n_items * rows_per_item // MIN_ROWS_PER_THREAD))
+    return [(i * n_items // n, (i + 1) * n_items // n) for i in range(n)]
 
 
 def in_row_ranges(fn, blocks: list[tuple[int, int]]) -> None:

@@ -1,10 +1,11 @@
 """Zero-copy array sharing across worker processes.
 
 The parallel substrate (docs/performance.md, "Multi-core execution") fans
-serving and build work out over :class:`~repro.parallel.pool.WorkerPool`
-workers.  Process workers cannot see the parent's heap, and pickling a
-corpus per task would copy gigabytes per serve — so arrays cross the
-process boundary as :class:`ArrayRef` handles instead:
+serving work and sharded shard builds out over
+:class:`~repro.parallel.pool.WorkerPool` workers.  Process workers cannot
+see the parent's heap, and pickling a corpus per task would copy
+gigabytes per serve — so arrays cross the process boundary as
+:class:`ArrayRef` handles instead:
 
 * ``"shm"`` — the array lives in a :mod:`multiprocessing.shared_memory`
   segment; workers map the same physical pages (attach is O(1), no copy);
@@ -51,7 +52,6 @@ class ArrayRef:
     name: str | None = None  # shm segment name
     path: str | None = None  # memmap file path
     offset: int = 0  # memmap byte offset of the data block
-    writable: bool = False
     array: object | None = None  # inline payload (same-process pools only)
 
     @property
@@ -69,10 +69,7 @@ class SharedArena:
     """Owner of a set of shared-memory segments holding numpy arrays.
 
     ``share(arr)`` copies (or aliases, for memmaps) an array into a
-    picklable :class:`ArrayRef`; ``empty(shape, dtype)`` allocates a
-    segment-backed array the parent can keep mutating while workers read
-    the same pages (the wave builders' barrier pattern: the parent writes
-    adjacency rows between waves, workers only read during a wave).
+    picklable :class:`ArrayRef`; workers map it read-only.
 
     With ``enabled=False`` (an inline pool) nothing is shared:
     refs are inline and carry the array itself.  ``close()`` unlinks every
@@ -121,24 +118,6 @@ class SharedArena:
         _OWNED_NAMES.add(seg.name)
         return ArrayRef("shm", arr.shape, arr.dtype.str, name=seg.name)
 
-    def empty(self, shape: tuple, dtype) -> tuple[np.ndarray, ArrayRef]:
-        """Allocate a writable parent-side array plus its (read-only for
-        workers) ref.  Segment-backed when sharing is enabled, a plain
-        array otherwise."""
-        dtype = np.dtype(dtype)
-        if not self.enabled:
-            arr = np.empty(shape, dtype=dtype)
-            return arr, ArrayRef("inline", tuple(shape), dtype.str, array=arr)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        seg = shared_memory.SharedMemory(
-            create=True, size=max(nbytes, 1), name=_segment_name()
-        )
-        arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        self._segments.append(seg)
-        self._names.append(seg.name)
-        _OWNED_NAMES.add(seg.name)
-        return arr, ArrayRef("shm", tuple(shape), dtype.str, name=seg.name)
-
     # ----------------------------------------------------------- lifecycle
     @property
     def segment_names(self) -> list[str]:
@@ -151,10 +130,9 @@ class SharedArena:
             return
         for seg in segments:
             # Unlink before close: close() raises BufferError while numpy
-            # views of the segment are still alive (the wave builders keep
-            # the adjacency view until the CSR is assembled), but the name
-            # must be reclaimed regardless — the mapping itself is freed
-            # when the last view dies.
+            # views of the segment are still alive, but the name must be
+            # reclaimed regardless — the mapping itself is freed when the
+            # last view dies.
             try:
                 seg.unlink()
             except FileNotFoundError:
@@ -232,8 +210,7 @@ def _attach(ref: ArrayRef) -> np.ndarray:
                 _log.debug("unregistering %s from the resource tracker "
                            "failed: %r", ref.name, exc, exc_info=True)
         arr = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf)
-        if not ref.writable:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
         _ATTACHED[ref.name] = (seg, arr)
         cached = (seg, arr)
     return cached[1]

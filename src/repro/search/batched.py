@@ -30,9 +30,9 @@ batched kernels (and any serious GPU traversal) do:
   :func:`~repro.search.topk.merge_topk_batch` over the contiguous per-CTA
   lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly);
 * a batch of at least ``2 × MIN_ROWS_PER_THREAD`` rows is cut into
-  contiguous query chunks, one engine each, stepped concurrently on
-  threads (:func:`~repro.parallel.pool.cores` of them at most): rows never
-  interact, so the stitched chunks are the one-engine batch bit for bit.
+  contiguous query chunks (:func:`~repro.parallel.pool.thread_chunks`),
+  one engine each, stepped concurrently on threads: rows never interact,
+  so the stitched chunks are the one-engine batch bit for bit.
 
 The engine is a *bit-exact* replacement for the scalar path: per-row
 ordering of every effectful operation (entry seeding, candidate selection,
@@ -63,12 +63,11 @@ import numpy as np
 from ..data.metrics import PairKernel, require_finite
 from ..gpusim.trace import TraceBlock, TraceBuilder, precision_code
 from ..graphs.base import GraphIndex
-from ..parallel.pool import cores, on_threads
+from ..parallel.pool import on_threads, thread_chunks
 from .precision import DEFAULT_RERANK_MULT
 from .topk import merge_topk_batch
 
 __all__ = [
-    "MIN_ROWS_PER_THREAD",
     "BeamConfig",
     "SearchResult",
     "per_cta_capacity",
@@ -79,12 +78,6 @@ __all__ = [
     "batched_intra_cta_search",
     "batched_multi_cta_search",
 ]
-
-#: rows each thread of a split search gets at least: below it a second
-#: thread loses (GIL hand-offs outweigh the overlapped sorts); measured
-#: width sweep in docs/performance.md, "Multi-core execution"
-MIN_ROWS_PER_THREAD = 2048
-
 
 @dataclass(frozen=True)
 class BeamConfig:
@@ -832,14 +825,6 @@ def _entry_rows(entries) -> np.ndarray | list[np.ndarray]:
     return rows
 
 
-def _query_chunks(n_queries: int, rows_per_query: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal ``[lo, hi)`` query ranges, one per core but
-    none under :data:`MIN_ROWS_PER_THREAD` rows (at least one range)."""
-    n = max(1, min(cores(), n_queries,
-                   n_queries * rows_per_query // MIN_ROWS_PER_THREAD))
-    return [(i * n_queries // n, (i + 1) * n_queries // n) for i in range(n)]
-
-
 def batched_intra_cta_search(
     points: np.ndarray,
     graph: GraphIndex,
@@ -876,7 +861,7 @@ def batched_intra_cta_search(
             cand_capacity,
             metric=metric, beam=beam, record_trace=record_trace, codec=codec,
         )
-        for lo, hi in _query_chunks(queries.shape[0], 1)
+        for lo, hi in thread_chunks(queries.shape[0])
     ]
 
     def finish(eng: LockstepEngine) -> BatchResults:
@@ -940,7 +925,7 @@ def batched_multi_cta_search(
             rows[lo * n_ctas:hi * n_ctas], l_cta,
             metric=metric, beam=beam, record_trace=record_trace, codec=codec,
         )
-        for lo, hi in _query_chunks(B, n_ctas)
+        for lo, hi in thread_chunks(B, n_ctas)
     ]
     rcap = max(k, rerank_mult * k) if codec is not None else k
 

@@ -6,8 +6,8 @@ The fixture freezes what the wave / array builders produced at commit
 ``tests/test_builders.py`` makes "the builders did not move when they
 became ``build_nsw`` / ``build_hnsw`` / ``build_nsg`` / ``build_cagra``"
 a tier-1 fact: one sha256 over ``indptr ‖ indices`` per family × metric
-× seed on the 800 × 24 corpus of that suite, plus ``parallelism=2`` for
-the two wave builders and ``use_nn_descent=True`` for CAGRA.
+× seed on the 800 × 24 corpus of that suite, plus ``use_nn_descent=True``
+for CAGRA.
 
 Regenerating on ``9bc1209`` reproduces every digest (``build_backend``
 is passed only while a builder still has the parameter, so the script
@@ -41,8 +41,8 @@ BUILDERS = {
 }
 #: name -> extra keyword sets frozen beside the plain build.
 VARIANTS = {
-    "nsw": (dict(parallelism=2),),
-    "hnsw": (dict(parallelism=2),),
+    "nsw": (),
+    "hnsw": (),
     "nsg": (),
     "cagra": (dict(use_nn_descent=True),),
 }

@@ -127,7 +127,7 @@ def test_fixture_covers_every_case(golden):
 def test_builders_reproduce_the_frozen_graphs(golden, name):
     """Every CSR digest frozen at ``9bc1209`` (then behind
     ``build_backend="vectorized"``): both metrics, two seeds,
-    ``parallelism=2`` for the wave builders, NN-descent for CAGRA."""
+    NN-descent for CAGRA."""
     for key, family, metric, kw in make_graphs.cases():
         if family == name:
             got = make_graphs.digest(

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import ALGASSystem, ReplicatedServer, ServeConfig, ShardedServer
 from repro.data.workload import Poisson, TrafficSpec
-from repro.graphs import build_cagra, build_hnsw, build_nsw
+from repro.graphs import build_cagra
 from repro.parallel import SharedArena, WorkerPool, cores, make_pool, resolve_ref
 from repro.resilience import ResiliencePolicy, named_plan
 from repro.telemetry import Telemetry
@@ -95,9 +95,6 @@ def test_arena_disabled_is_inline():
         ref = arena.share(arr)
         assert ref.kind == "inline"
         assert resolve_ref(ref) is arr
-        buf, wref = arena.empty((2, 2), np.int64)
-        buf[:] = 7
-        assert resolve_ref(wref) is buf
     assert arena.segment_names == []
 
 
@@ -128,23 +125,11 @@ def test_arena_share_memmap_is_zero_copy(tmp_path):
     assert arena.segment_names == []  # nothing was copied into shm
 
 
-def test_arena_empty_parent_writes_visible():
-    """The wave-build barrier pattern: the parent mutates the segment
-    between waves and workers observe the same pages."""
-    with SharedArena() as arena:
-        buf, ref = arena.empty((4, 3), np.int64)
-        buf[:] = -1
-        view = resolve_ref(ref)
-        np.testing.assert_array_equal(view, buf)
-        buf[2, :] = 42  # parent writes after the ref was resolved
-        np.testing.assert_array_equal(view[2], [42, 42, 42])
-
-
 def test_arena_close_reclaims_segments():
     before = set(_shm_leftovers())
     arena = SharedArena()
     arena.share(np.zeros(1000, dtype=np.float64))
-    arena.empty((100,), np.float32)
+    arena.share(np.zeros(100, dtype=np.float32))
     names = arena.segment_names
     assert len(names) == 2
     arena.close()
@@ -344,51 +329,6 @@ def test_builder_pickling_bug_is_not_swallowed(ds):
     with pytest.raises(RuntimeError, match="boom"):
         ShardedServer(ds.base, Exploding(), n_gpus=2, parallelism=2,
                       metric=ds.metric, k=10, l_total=64)
-
-
-# -------------------------------------------------------------- build parity
-
-
-@pytest.fixture()
-def pool_sweeps(monkeypatch):
-    """Calls of the wave builders' pool path (one per fanned-out sweep)."""
-    from repro.graphs import build_batched
-
-    calls = []
-    real = build_batched._prefix_search_parallel
-
-    def spy(*args):
-        calls.append(args[1:3])  # the sweep's row range
-        return real(*args)
-
-    monkeypatch.setattr(build_batched, "_prefix_search_parallel", spy)
-    return calls
-
-
-def _assert_build_parity(build, rng, pool_sweeps):
-    pts = rng.standard_normal((600, 16)).astype(np.float32)
-    g0 = build(pts, m=4, seed=9)
-    assert not pool_sweeps  # parallelism=0 never opens a pool
-    g2 = build(pts, m=4, seed=9, parallelism=2)
-    assert pool_sweeps  # ... and parallelism=2 is not a silent no-op
-    np.testing.assert_array_equal(g2.indptr, g0.indptr)
-    np.testing.assert_array_equal(g2.indices, g0.indices)
-
-
-def test_nsw_build_parity(rng, pool_sweeps):
-    _assert_build_parity(build_nsw, rng, pool_sweeps)
-
-
-def test_hnsw_build_parity(rng, pool_sweeps):
-    _assert_build_parity(build_hnsw, rng, pool_sweeps)
-
-
-def test_build_leaves_no_segments(rng, pool_sweeps):
-    before = set(_shm_leftovers())
-    pts = rng.standard_normal((400, 16)).astype(np.float32)
-    build_nsw(pts, m=4, seed=1, parallelism=2)
-    assert pool_sweeps  # segments were created, so their absence means cleanup
-    assert set(_shm_leftovers()) == before
 
 
 # ----------------------------------------------------------------- run_sweep

@@ -1,11 +1,12 @@
 """Split lockstep searches: one engine per query chunk, stepped on threads.
 
 A batch of at least ``2 × MIN_ROWS_PER_THREAD`` rows is cut into contiguous
-query chunks, one :class:`LockstepEngine` each, and the chunks run
-concurrently.  Rows never interact, so the stitched result must be the
-one-engine batch bit for bit.  The tests patch ``MIN_ROWS_PER_THREAD`` to 1
-and ``cores`` to 3 so that every small batch below splits, into uneven
-chunks, on any host; the reference side patches ``cores`` to 1.
+query chunks (``repro.parallel.pool.thread_chunks``), one
+:class:`LockstepEngine` each, and the chunks run concurrently.  Rows never
+interact, so the stitched result must be the one-engine batch bit for bit.
+The tests patch ``MIN_ROWS_PER_THREAD`` to 1 and ``cores`` to 3 so that
+every small batch below splits, into uneven chunks, on any host; the
+reference side patches ``cores`` to 1.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.parallel.pool as pool
 import repro.search.batched as batched
 from repro.core import ALGASSystem
 from repro.data import load_dataset
@@ -49,10 +51,10 @@ def split(monkeypatch):
         return threads(fn, engs)
 
     monkeypatch.setattr(batched, "on_threads", counted)
-    monkeypatch.setattr(batched, "MIN_ROWS_PER_THREAD", 1)
+    monkeypatch.setattr(pool, "MIN_ROWS_PER_THREAD", 1)
 
     def use(n_cores: int) -> list[int]:
-        monkeypatch.setattr(batched, "cores", lambda: n_cores)
+        monkeypatch.setattr(pool, "cores", lambda: n_cores)
         engines.clear()
         return engines
 
@@ -60,16 +62,16 @@ def split(monkeypatch):
 
 
 def test_chunks_follow_the_row_rule(monkeypatch):
-    monkeypatch.setattr(batched, "cores", lambda: 2)
-    chunks = batched._query_chunks
+    monkeypatch.setattr(pool, "cores", lambda: 2)
+    chunks = pool.thread_chunks
     # the 8-CTA serves of 1 024 queries split; 2 048-row searches do not
     assert chunks(1024, 8) == [(0, 512), (512, 1024)]
     assert chunks(256, 8) == [(0, 256)]
     assert chunks(1024, 1) == [(0, 1024)]
     assert chunks(0, 8) == [(0, 0)]
-    monkeypatch.setattr(batched, "cores", lambda: 3)
+    monkeypatch.setattr(pool, "cores", lambda: 3)
     assert chunks(6144, 1) == [(0, 2048), (2048, 4096), (4096, 6144)]
-    monkeypatch.setattr(batched, "MIN_ROWS_PER_THREAD", 1)
+    monkeypatch.setattr(pool, "MIN_ROWS_PER_THREAD", 1)
     assert chunks(7, 8) == [(0, 2), (2, 4), (4, 7)]
     assert chunks(2, 8) == [(0, 1), (1, 2)]  # never an empty chunk
 

@@ -127,6 +127,19 @@ def test_static_engines_reject_admission(mini, name):
         system.serve(ds.queries, ServeConfig(workload=spec))
 
 
+@pytest.mark.parametrize("name", ["algas", "cagra", "ganns", "ivf"])
+def test_hybrid_tier_without_a_pilot_is_refused(mini, name):
+    """No system without a pilot index serves ``tier="hybrid"`` as a plain
+    report: the refusal names the system; ``tier="gpu"`` is its own."""
+    ds, g = mini
+    system = dict(_systems(ds, g))[name]
+    with pytest.raises(ValueError, match=f"{type(system).__name__} serves tier='gpu'"):
+        system.serve(ds.queries, ServeConfig(tier="hybrid"))
+    gpu = system.serve(ds.queries, ServeConfig(tier="gpu"))
+    plain = system.serve(ds.queries)
+    assert gpu.serve.to_json() == plain.serve.to_json()
+
+
 def test_sharded_and_replicated_accept_admission(mini):
     ds, g = mini
     kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0)
