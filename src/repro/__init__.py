@@ -16,57 +16,27 @@ Quickstart::
     print(report.mean_latency_us, report.throughput_qps)
 """
 
-from .baselines import CAGRASystem, GANNSSystem, IVFSystem
-from .core import (
-    ALGASSystem,
-    ReplicatedServer,
-    ServeConfig,
-    ServeReport,
-    ShardedServer,
-    SystemReport,
-    tune,
-)
-from .data import Dataset, load_dataset, recall
-from .gpusim import RTX_A6000, CostModel, CostParams, DeviceProperties
-from .graphs import GraphIndex, build_cagra, build_nsw
-from .hybrid import HybridSystem, PilotIndex, build_pilot
-from .resilience import FaultPlan, ResiliencePolicy, named_plan, run_chaos
-from .search import BeamConfig, IVFFlatIndex
-from .telemetry import MetricsRegistry, Telemetry
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CAGRASystem",
-    "GANNSSystem",
-    "IVFSystem",
-    "ALGASSystem",
-    "ReplicatedServer",
-    "ShardedServer",
-    "ServeConfig",
-    "ServeReport",
-    "SystemReport",
-    "Telemetry",
-    "MetricsRegistry",
-    "FaultPlan",
-    "ResiliencePolicy",
-    "named_plan",
-    "run_chaos",
-    "tune",
-    "Dataset",
-    "load_dataset",
-    "recall",
-    "RTX_A6000",
-    "CostModel",
-    "CostParams",
-    "DeviceProperties",
-    "GraphIndex",
-    "build_cagra",
-    "build_nsw",
-    "HybridSystem",
-    "PilotIndex",
-    "build_pilot",
-    "BeamConfig",
-    "IVFFlatIndex",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".baselines": ("CAGRASystem", "GANNSSystem", "IVFSystem"),
+    ".core": (
+        "ALGASSystem",
+        "ReplicatedServer",
+        "ServeConfig",
+        "ServeReport",
+        "ShardedServer",
+        "SystemReport",
+        "tune",
+    ),
+    ".data": ("Dataset", "load_dataset", "recall"),
+    ".gpusim": ("RTX_A6000", "CostModel", "CostParams", "DeviceProperties"),
+    ".graphs": ("GraphIndex", "build_cagra", "build_nsw"),
+    ".hybrid": ("HybridSystem", "PilotIndex", "build_pilot"),
+    ".resilience": ("FaultPlan", "ResiliencePolicy", "named_plan", "run_chaos"),
+    ".search": ("BeamConfig", "IVFFlatIndex"),
+    ".telemetry": ("MetricsRegistry", "Telemetry"),
+})
+__all__.append("__version__")

@@ -1,7 +1,9 @@
 """Comparator systems: CAGRA, GANNS, and IVF (FAISS-GPU style)."""
 
-from .cagra_system import CAGRASystem
-from .ganns_system import GANNSSystem
-from .ivf_system import IVFPQSystem, IVFSystem
+from .._lazy import lazy_exports
 
-__all__ = ["CAGRASystem", "GANNSSystem", "IVFPQSystem", "IVFSystem"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cagra_system": ("CAGRASystem",),
+    ".ganns_system": ("GANNSSystem",),
+    ".ivf_system": ("IVFPQSystem", "IVFSystem"),
+})

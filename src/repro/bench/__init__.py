@@ -1,32 +1,20 @@
 """Benchmark harness: cached runners and per-figure experiment definitions."""
 
-from . import experiments, figures
-from .profiling import profile_call
-from .runner import (
-    BENCH_DATASETS,
-    SCALE,
-    BenchScale,
-    cached_search,
-    get_dataset,
-    get_graph,
-    make_system,
-    scheduled_report,
-    serve_ivf,
-    serve_system,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "experiments",
-    "figures",
-    "BENCH_DATASETS",
-    "SCALE",
-    "BenchScale",
-    "cached_search",
-    "profile_call",
-    "get_dataset",
-    "get_graph",
-    "make_system",
-    "scheduled_report",
-    "serve_ivf",
-    "serve_system",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("experiments", "figures"),
+    ".profiling": ("profile_call",),
+    ".runner": (
+        "BENCH_DATASETS",
+        "SCALE",
+        "BenchScale",
+        "cached_search",
+        "get_dataset",
+        "get_graph",
+        "make_system",
+        "scheduled_report",
+        "serve_ivf",
+        "serve_system",
+    ),
+})

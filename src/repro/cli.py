@@ -300,11 +300,9 @@ def _cmd_build(args) -> int:
 def _cmd_serve(args) -> int:
     import time
 
-    from .baselines import CAGRASystem, GANNSSystem, IVFSystem
     from .core import ALGASSystem, ServeConfig
     from .data import load_dataset, recall
-    from .graphs import build_cagra, build_nsw
-    from .telemetry import Telemetry, write_metrics
+    from .telemetry import Telemetry
 
     ds = load_dataset(args.dataset, n=args.n, n_queries=args.queries,
                       gt_k=max(64, args.k), seed=args.seed)
@@ -317,6 +315,8 @@ def _cmd_serve(args) -> int:
             print("--precision selects the graph-traversal substrate; "
                   "the IVF baseline has no graph traversal", file=sys.stderr)
             return 2
+        from .baselines import IVFSystem
+
         system = IVFSystem(
             ds.base, nlist=max(16, int(4 * np.sqrt(ds.n))), nprobe=args.nprobe,
             metric=ds.metric, k=args.k, batch_size=args.batch, seed=args.seed,
@@ -324,8 +324,12 @@ def _cmd_serve(args) -> int:
     else:
         t0 = time.perf_counter()
         if args.graph == "cagra":
+            from .graphs import build_cagra
+
             g = build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric)
         else:
+            from .graphs import build_nsw
+
             g = build_nsw(ds.base, m=args.degree // 2, metric=ds.metric,
                           seed=args.seed)
         build_info = {
@@ -361,9 +365,13 @@ def _cmd_serve(args) -> int:
             else:
                 system = ALGASSystem(ds.base, g, **algas_kw)
         elif args.system == "cagra":
+            from .baselines import CAGRASystem
+
             system = CAGRASystem(ds.base, g, **common)
             system.build_info = build_info
         else:
+            from .baselines import GANNSSystem
+
             system = GANNSSystem(ds.base, g, **common)
             system.build_info = build_info
     workload = None
@@ -431,6 +439,8 @@ def _cmd_serve(args) -> int:
     if args.slot_timeline and tel is not None:
         print(tel.slot_timeline())
     if args.metrics_out and tel is not None:
+        from .telemetry import write_metrics
+
         write_metrics(tel, args.metrics_out)
         print(f"metrics       -> {args.metrics_out}")
     if prof_report is not None:

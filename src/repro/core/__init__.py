@@ -1,59 +1,26 @@
 """ALGAS core: slots, dynamic batching, tuning, merge, state sync, pipeline."""
 
-from .cluster import ReplicatedServer, ShardedServer
-from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
-from .host import HostLoadEstimate, estimate_host_load, partition_slots
-from .merge import HostMerger, MergeOutcome
-from .persistent_kernel import PersistentKernel
-from .pipeline import ALGASSystem, BaseGraphSystem, SystemReport
-from .query_manager import ManagedQuery, QueryManager
-from .serving import QueryJob, QueryRecord, ServeConfig, ServeReport, as_serve_config
-from .slots import Slot, SlotState, StateTransitionError
-from .state_sync import STATE_WORD_BYTES, StateChannel
-from .static_batcher import StaticBatchConfig, StaticBatchEngine
-from .tuning import (
-    AutoTuneResult,
-    Trial,
-    TuningResult,
-    autotune_algas,
-    plan_layout,
-    reserved_cache_bytes,
-    tune,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AutoTuneResult",
-    "Trial",
-    "autotune_algas",
-    "ReplicatedServer",
-    "ShardedServer",
-    "DynamicBatchConfig",
-    "DynamicBatchEngine",
-    "HostLoadEstimate",
-    "estimate_host_load",
-    "partition_slots",
-    "HostMerger",
-    "MergeOutcome",
-    "PersistentKernel",
-    "ALGASSystem",
-    "BaseGraphSystem",
-    "SystemReport",
-    "ManagedQuery",
-    "QueryManager",
-    "QueryJob",
-    "QueryRecord",
-    "ServeConfig",
-    "ServeReport",
-    "as_serve_config",
-    "Slot",
-    "SlotState",
-    "StateTransitionError",
-    "STATE_WORD_BYTES",
-    "StateChannel",
-    "StaticBatchConfig",
-    "StaticBatchEngine",
-    "TuningResult",
-    "plan_layout",
-    "reserved_cache_bytes",
-    "tune",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cluster": ("ReplicatedServer", "ShardedServer"),
+    ".dynamic_batcher": ("DynamicBatchConfig", "DynamicBatchEngine"),
+    ".host": ("HostLoadEstimate", "estimate_host_load", "partition_slots"),
+    ".merge": ("HostMerger", "MergeOutcome"),
+    ".persistent_kernel": ("PersistentKernel",),
+    ".pipeline": ("ALGASSystem", "BaseGraphSystem", "SystemReport"),
+    ".query_manager": ("ManagedQuery", "QueryManager"),
+    ".serving": ("QueryJob", "QueryRecord", "ServeConfig", "ServeReport", "as_serve_config"),
+    ".slots": ("Slot", "SlotState", "StateTransitionError"),
+    ".state_sync": ("STATE_WORD_BYTES", "StateChannel"),
+    ".static_batcher": ("StaticBatchConfig", "StaticBatchEngine"),
+    ".tuning": (
+        "AutoTuneResult",
+        "Trial",
+        "TuningResult",
+        "autotune_algas",
+        "plan_layout",
+        "reserved_cache_bytes",
+        "tune",
+    ),
+})

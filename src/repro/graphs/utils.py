@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..data.metrics import query_distances, require_finite, require_unit
 from .base import GraphIndex
@@ -26,34 +24,45 @@ class GraphStats:
     max_degree: int
     mean_degree: float
     n_weak_components: int
-    n_strong_components: int
 
     @property
     def is_weakly_connected(self) -> bool:
         return self.n_weak_components == 1
 
 
-def _to_scipy(graph: GraphIndex) -> csr_matrix:
-    data = np.ones(graph.n_edges, dtype=np.int8)
-    return csr_matrix(
-        (data, graph.indices, graph.indptr), shape=(graph.n_vertices, graph.n_vertices)
-    )
+def _weak_components(graph: GraphIndex) -> int:
+    """Number of weakly connected components.
+
+    Label propagation over the symmetrised edges: every root hooks onto the
+    smallest root across its edges, then pointer jumping flattens the
+    forest to stars.  Labels only decrease, so no cycle forms.  Only the
+    local minima among the roots survive a round, and on a path no two of
+    them are adjacent, so a long path takes O(log n) rounds, not O(n).
+    """
+    n = graph.n_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    u, v = np.concatenate([src, graph.indices]), np.concatenate([graph.indices, src])
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        pu, pv = parent[u], parent[v]
+        cross = pu != pv
+        if not cross.any():
+            return int(np.count_nonzero(parent == np.arange(n)))
+        np.minimum.at(parent, pu[cross], pv[cross])
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
 
 
 def graph_stats(graph: GraphIndex) -> GraphStats:
     """Compute degree and connectivity statistics."""
     deg = graph.degrees
-    mat = _to_scipy(graph)
-    n_weak, _ = connected_components(mat, directed=True, connection="weak")
-    n_strong, _ = connected_components(mat, directed=True, connection="strong")
     return GraphStats(
         n_vertices=graph.n_vertices,
         n_edges=graph.n_edges,
         min_degree=int(deg.min()) if deg.size else 0,
         max_degree=int(deg.max()) if deg.size else 0,
         mean_degree=float(deg.mean()) if deg.size else 0.0,
-        n_weak_components=int(n_weak),
-        n_strong_components=int(n_strong),
+        n_weak_components=_weak_components(graph),
     )
 
 

@@ -6,15 +6,10 @@ candidates over PCIe, and refine on host full-precision vectors with a
 bounded graph walk.  See docs/performance.md §"Hybrid CPU–GPU tier".
 """
 
-from .pilot import PilotIndex, build_pilot, size_pilot
-from .refine import RefineResult, bounded_refine
-from .system import HybridSystem
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PilotIndex",
-    "build_pilot",
-    "size_pilot",
-    "RefineResult",
-    "bounded_refine",
-    "HybridSystem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pilot": ("PilotIndex", "build_pilot", "size_pilot"),
+    ".refine": ("RefineResult", "bounded_refine"),
+    ".system": ("HybridSystem",),
+})

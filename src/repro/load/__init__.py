@@ -13,27 +13,17 @@ See docs/load_testing.md.  The pieces:
   ``BENCH_load.json``).
 """
 
-from .autoscaler import Autoscaler, AutoscalerPolicy, ScaleDecision
-from .driver import FleetConfig, FleetDriver
-from .harness import (
-    LoadPoint,
-    max_sustainable_qps,
-    replay_jobs,
-    run_load_point,
-    sweep_load,
-    write_bench_load,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "ScaleDecision",
-    "FleetConfig",
-    "FleetDriver",
-    "LoadPoint",
-    "max_sustainable_qps",
-    "replay_jobs",
-    "run_load_point",
-    "sweep_load",
-    "write_bench_load",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".autoscaler": ("Autoscaler", "AutoscalerPolicy", "ScaleDecision"),
+    ".driver": ("FleetConfig", "FleetDriver"),
+    ".harness": (
+        "LoadPoint",
+        "max_sustainable_qps",
+        "replay_jobs",
+        "run_load_point",
+        "sweep_load",
+        "write_bench_load",
+    ),
+})

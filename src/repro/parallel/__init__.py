@@ -14,16 +14,9 @@ batches, wave-build insertion searches) into per-core chunks and
 :func:`~repro.parallel.pool.on_threads` runs them.
 """
 
-from .pool import WorkerPool, cores, in_row_ranges, make_pool, on_threads
-from .shared import ArrayRef, SharedArena, resolve_ref
+from .._lazy import lazy_exports
 
-__all__ = [
-    "WorkerPool",
-    "cores",
-    "on_threads",
-    "in_row_ranges",
-    "make_pool",
-    "ArrayRef",
-    "SharedArena",
-    "resolve_ref",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pool": ("WorkerPool", "cores", "in_row_ranges", "make_pool", "on_threads"),
+    ".shared": ("ArrayRef", "SharedArena", "resolve_ref"),
+})

@@ -23,38 +23,19 @@ Quick tour::
     print(report.serve.meta["resilience"])   # kills / retries / ...
 """
 
-from .chaos import ChaosResult, load_plan, run_chaos
-from .faults import (
-    NAMED_PLANS,
-    FaultInjector,
-    FaultPlan,
-    PCIeStall,
-    ShardFault,
-    SlotFault,
-    UpdateFault,
-    named_plan,
-)
-from .policy import (
-    DEFAULT_POLICY,
-    ResiliencePolicy,
-    ResilienceStats,
-    merge_resilience_meta,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "SlotFault",
-    "PCIeStall",
-    "ShardFault",
-    "UpdateFault",
-    "named_plan",
-    "NAMED_PLANS",
-    "ResiliencePolicy",
-    "DEFAULT_POLICY",
-    "ResilienceStats",
-    "merge_resilience_meta",
-    "ChaosResult",
-    "run_chaos",
-    "load_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": ("ChaosResult", "load_plan", "run_chaos"),
+    ".faults": (
+        "NAMED_PLANS",
+        "FaultInjector",
+        "FaultPlan",
+        "PCIeStall",
+        "ShardFault",
+        "SlotFault",
+        "UpdateFault",
+        "named_plan",
+    ),
+    ".policy": ("DEFAULT_POLICY", "ResiliencePolicy", "ResilienceStats", "merge_resilience_meta"),
+})

@@ -26,14 +26,9 @@ Quick tour::
     print(report.summary())          # SLO verdict table
 """
 
-from .runner import DegradationSLO, StreamReport, serve_while_update
-from .updates import UpdateStorm, UpdateStream, UpdateWave
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UpdateStorm",
-    "UpdateStream",
-    "UpdateWave",
-    "DegradationSLO",
-    "StreamReport",
-    "serve_while_update",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".runner": ("DegradationSLO", "StreamReport", "serve_while_update"),
+    ".updates": ("UpdateStorm", "UpdateStream", "UpdateWave"),
+})

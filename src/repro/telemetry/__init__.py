@@ -18,29 +18,16 @@ Quick tour::
 See docs/observability.md for the metric catalog and span lifecycle.
 """
 
-from .exposition import (
-    registry_to_dict,
-    telemetry_document,
-    to_prometheus_text,
-    write_metrics,
-)
-from .hooks import NULL_TELEMETRY, NullTelemetry, Telemetry
-from .registry import Buckets, Counter, Gauge, Histogram, MetricsRegistry
-from .spans import Span, SpanLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Buckets",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "SpanLog",
-    "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "registry_to_dict",
-    "telemetry_document",
-    "to_prometheus_text",
-    "write_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".exposition": (
+        "registry_to_dict",
+        "telemetry_document",
+        "to_prometheus_text",
+        "write_metrics",
+    ),
+    ".hooks": ("NULL_TELEMETRY", "NullTelemetry", "Telemetry"),
+    ".registry": ("Buckets", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".spans": ("Span", "SpanLog"),
+})

@@ -19,7 +19,9 @@ hierarchical :class:`ScalarHNSW`), :func:`scalar_build_nsg`,
 CAGRA and the NN-descent dedup are equal to them byte for byte, NSW, HNSW
 and NSG are held to their recall.  The shared occlusion prune they all
 link through is held to :func:`full_width_occlusion_prune_mask`, its
-pre-width-ordering body, mask for mask.
+pre-width-ordering body, mask for mask.  :func:`union_find_components`
+is the plain union-find the numpy weak-component count of
+``graph_stats`` is held to.
 """
 
 from __future__ import annotations
@@ -685,3 +687,22 @@ def scalar_nn_descent_dedup(nbrs, dists, merged_ids, merged_d, k):
         nbrs[i, : keep.size] = new_row
         dists[i, : keep.size] = merged_d[i, keep]
     return nbrs, dists, updated
+
+
+def union_find_components(graph: GraphIndex) -> int:
+    """Weakly connected components of ``graph`` by union-find over its
+    edges, one edge at a time (path halving, union by smaller root)."""
+    parent = list(range(graph.n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in range(graph.n_vertices):
+        for u in graph.neighbors(v):
+            a, b = find(v), find(int(u))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return sum(parent[v] == v for v in range(graph.n_vertices))

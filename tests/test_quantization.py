@@ -43,10 +43,10 @@ def test_adc_approximates_exact(pq, pts):
     codes = pq.encode(pts[1:201])
     approx = pq.adc_distances(table, codes)
     exact = ((pts[1:201] - q) ** 2).sum(1)
-    # rank correlation must be strongly positive
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(approx, exact).statistic
+    # rank correlation must be strongly positive (Spearman's rho as Pearson
+    # on argsort ranks: ties are ranked by position, not averaged)
+    ranks = [np.argsort(np.argsort(x)).astype(np.float64) for x in (approx, exact)]
+    rho = np.corrcoef(*ranks)[0, 1]
     assert rho > 0.8
     # ADC equals exact distance to the *reconstruction*
     rec = pq.decode(codes)
