@@ -23,15 +23,15 @@ class CAGRASystem(BaseGraphSystem):
         kwargs.setdefault("beam", None)  # CAGRA has no beam extend
         super().__init__(*args, **kwargs)
 
-    def make_engine(self, slots: int | None = None, telemetry=None,
-                    faults=None, resilience=None) -> StaticBatchEngine:
+    def make_engine(self, telemetry=None, faults=None,
+                    resilience=None) -> StaticBatchEngine:
         if faults is not None or resilience is not None:
             raise ValueError(
                 "fault injection / resilience is a dynamic-engine feature; "
                 "the static baselines do not support it"
             )
         cfg = StaticBatchConfig(
-            batch_size=slots or self.batch_size,
+            batch_size=self.batch_size,
             n_parallel=self.n_parallel,
             k=self.k,
             merge_on_gpu=True,

@@ -6,18 +6,16 @@ same index scanning PQ codes (:class:`~repro.search.ivf.IVFPQIndex`,
 :class:`IVFPQSystem`).  Serving:
 static batches, one block per query, results copied to the host (there is
 no cross-CTA merge).  Recall is controlled by ``nprobe`` rather than by a
-candidate-list length.
+candidate-list length.  A serve runs :meth:`BaseGraphSystem.serve`, the
+one serve body every system shares: only the search step is IVF's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.dynamic_batcher import _admit
-from ..core.pipeline import SystemReport
-from ..core.serving import ServeConfig, as_serve_config, price_jobs
+from ..core.pipeline import BaseGraphSystem
 from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
-from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.trace import TraceBlock
@@ -30,6 +28,10 @@ class IVFSystem:
     """IVF-Flat serving system over the simulated GPU."""
 
     name = "ivf"
+    build_info = None
+    serve = BaseGraphSystem.serve
+    _schedule_step = BaseGraphSystem._schedule_step
+    jobs_from_traces = BaseGraphSystem.jobs_from_traces
 
     def __init__(
         self,
@@ -85,15 +87,15 @@ class IVFSystem:
         )
         return ids, dists, block
 
-    def make_engine(self, slots: int | None = None, telemetry=None,
-                    faults=None, resilience=None) -> StaticBatchEngine:
+    def make_engine(self, telemetry=None, faults=None,
+                    resilience=None) -> StaticBatchEngine:
         if faults is not None or resilience is not None:
             raise ValueError(
                 "fault injection / resilience is a dynamic-engine feature; "
                 "the static baselines do not support it"
             )
         cfg = StaticBatchConfig(
-            batch_size=slots or self.batch_size,
+            batch_size=self.batch_size,
             n_parallel=1,
             k=self.k,
             merge_on_gpu=False,
@@ -101,34 +103,9 @@ class IVFSystem:
         )
         return StaticBatchEngine(self.device, self.cost_model, cfg, telemetry=telemetry)
 
-    def serve(
-        self,
-        queries: np.ndarray,
-        config: ServeConfig | None = None,
-    ) -> SystemReport:
-        cfg = as_serve_config(config, owner=f"{type(self).__name__}.serve")
-        if cfg.precision is not None or cfg.rerank_mult is not None:
-            raise ValueError(
-                "precision/rerank_mult select the graph-traversal distance "
-                "substrate; the IVF baselines have no graph traversal "
-                "(use IVFPQSystem for a compressed IVF scan)"
-            )
-        if cfg.tier not in (None, "gpu"):
-            raise ValueError(
-                f"tier={cfg.tier!r} needs a pilot index "
-                f"(repro.hybrid.HybridSystem); {type(self).__name__} serves "
-                f"tier='gpu' only"
-            )
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        evs, spec = resolve_workload(cfg.workload, queries.shape[0])
+    def _search_step(self, queries: np.ndarray, cfg, events):
         ids, dists, traces = self.search_all(queries)
-        jobs = price_jobs(
-            self.cost_model, traces, sorted(evs, key=lambda e: e.query_id), self.k
-        )
-        engine = self.make_engine(slots=cfg.slots, telemetry=cfg.telemetry,
-                                  faults=cfg.faults, resilience=cfg.resilience)
-        report = _admit(engine, jobs, spec)
-        return SystemReport(ids=ids, dists=dists, serve=report, traces=traces)
+        return ids, dists, traces, self.jobs_from_traces(traces, events), {}
 
 
 class IVFPQSystem(IVFSystem):

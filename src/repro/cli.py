@@ -49,17 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queries", type=int, default=64)
     s.add_argument("--graph", choices=("cagra", "nsw"), default="cagra")
     s.add_argument("--degree", type=int, default=16)
-    s.add_argument("--system", choices=("algas", "cagra", "ganns", "ivf"),
-                   default="algas")
+    s.add_argument("--system",
+                   choices=("algas", "hybrid", "cagra", "ganns", "ivf"),
+                   default="algas",
+                   help="'hybrid' is ALGAS through the memory-bounded CPU-GPU "
+                        "tier: GPU pilot-subgraph traversal, PCIe candidate "
+                        "shipment, bounded CPU refinement "
+                        "(docs/performance.md)")
     s.add_argument("--k", type=int, default=16)
     s.add_argument("--l", dest="l_total", type=int, default=128)
     s.add_argument("--batch", type=int, default=16)
     s.add_argument("--nprobe", type=int, default=8, help="IVF only")
-    s.add_argument("--tier", choices=("gpu", "hybrid"), default="gpu",
-                   help="'hybrid' serves through the memory-bounded CPU-GPU "
-                        "tier: GPU pilot-subgraph traversal, PCIe candidate "
-                        "shipment, bounded CPU refinement "
-                        "(docs/performance.md); ALGAS system only")
     s.add_argument("--capacity-gib", type=float, default=None,
                    help="device memory budget the pilot subgraph is sized "
                         "against (default: full device HBM)")
@@ -306,10 +306,6 @@ def _cmd_serve(args) -> int:
 
     ds = load_dataset(args.dataset, n=args.n, n_queries=args.queries,
                       gt_k=max(64, args.k), seed=args.seed)
-    if args.tier == "hybrid" and args.system != "algas":
-        print("--tier hybrid is only available with --system algas",
-              file=sys.stderr)
-        return 2
     if args.system == "ivf":
         if args.precision != "float32":
             print("--precision selects the graph-traversal substrate; "
@@ -336,44 +332,43 @@ def _cmd_serve(args) -> int:
             "graph": args.graph,
             "build_seconds": round(time.perf_counter() - t0, 4),
         }
-        common = dict(metric=ds.metric, k=args.k, l_total=args.l_total,
+
+        def make_system(precision: str):
+            """The served system over graph ``g`` at ``precision``."""
+            kw = dict(metric=ds.metric, k=args.k, l_total=args.l_total,
                       batch_size=args.batch, seed=args.seed,
-                      precision=args.precision, rerank_mult=args.rerank_mult)
-        if args.system == "algas":
+                      build_info=build_info, precision=precision,
+                      rerank_mult=args.rerank_mult)
+            if args.system == "cagra":
+                from .baselines import CAGRASystem
+
+                return CAGRASystem(ds.base, g, **kw)
+            if args.system == "ganns":
+                from .baselines import GANNSSystem
+
+                return GANNSSystem(ds.base, g, **kw)
             ht = args.host_threads
-            algas_kw = dict(
-                host_threads=ht if ht == "auto" else int(ht),
-                state_mode=args.state_mode, beam=not args.no_beam,
-                build_info=build_info, **common,
+            kw.update(host_threads=ht if ht == "auto" else int(ht),
+                      state_mode=args.state_mode, beam=not args.no_beam)
+            if args.system == "algas":
+                return ALGASSystem(ds.base, g, **kw)
+            from .hybrid import HybridSystem
+
+            cap = (None if args.capacity_gib is None
+                   else int(args.capacity_gib * 2**30))
+            return HybridSystem(
+                ds.base, g,
+                capacity_bytes=cap,
+                sample_ratio=args.sample_ratio,
+                pilot_dim=args.pilot_dim,
+                reduction=args.reduction,
+                n_candidates=args.n_candidates,
+                refine_steps=args.refine_steps,
+                pilot_l_total=args.pilot_l_total,
+                **kw,
             )
-            if args.tier == "hybrid":
-                from .hybrid import HybridSystem
 
-                cap = (None if args.capacity_gib is None
-                       else int(args.capacity_gib * 2**30))
-                system = HybridSystem(
-                    ds.base, g,
-                    capacity_bytes=cap,
-                    sample_ratio=args.sample_ratio,
-                    pilot_dim=args.pilot_dim,
-                    reduction=args.reduction,
-                    n_candidates=args.n_candidates,
-                    refine_steps=args.refine_steps,
-                    pilot_l_total=args.pilot_l_total,
-                    **algas_kw,
-                )
-            else:
-                system = ALGASSystem(ds.base, g, **algas_kw)
-        elif args.system == "cagra":
-            from .baselines import CAGRASystem
-
-            system = CAGRASystem(ds.base, g, **common)
-            system.build_info = build_info
-        else:
-            from .baselines import GANNSSystem
-
-            system = GANNSSystem(ds.base, g, **common)
-            system.build_info = build_info
+        system = make_system(args.precision)
     workload = None
     if args.workload is not None:
         from .data.workload import ArrivalProcess
@@ -418,8 +413,9 @@ def _cmd_serve(args) -> int:
         # config (docs/performance.md, "Wall-clock vs simulated speed"):
         # sim = the cost model's priced GPU latency ratio, wall = the
         # host-side numpy engine's measured clock ratio.
+        twin = make_system("float32")
         t0 = time.perf_counter()
-        ref = system.serve(ds.queries, ServeConfig(precision="float32"))
+        ref = twin.serve(ds.queries)
         ref_wall_s = time.perf_counter() - t0
         ref_lat = ref.serve.summary()["mean_latency_us"]
         print(f"vs float32    = sim {ref_lat / s['mean_latency_us']:.2f}x, "

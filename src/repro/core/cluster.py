@@ -16,9 +16,11 @@ results) and scheduling (priced traces) are already separated:
 A serve runs the steps of :meth:`ALGASSystem.serve`: the replicated
 server searches and prices once in the parent, each shard leg runs its
 shard system's search, price and schedule steps under the serve's
-:class:`~repro.core.serving.ServeConfig`, so ``precision``,
-``rerank_mult`` and ``tier`` mean what they mean on one system.  Only the
-slow-GPU rescale and the per-worker telemetry are cluster-specific.
+:class:`~repro.core.serving.ServeConfig`.  Every shard / replica system is
+built from the server's constructor keywords (``precision``,
+``rerank_mult``, ``batch_size``, ...), so they mean what they mean on one
+system.  Only the slow-GPU rescale and the per-worker telemetry are
+cluster-specific.
 
 Resilience (docs/robustness.md): :func:`_gpu_faults` slices a
 :class:`~repro.resilience.faults.FaultPlan` per GPU (``for_shard``:
@@ -243,7 +245,7 @@ def _shard_serve_task(payload: dict):
     leg only applies the slow-down pricing it was handed.
     """
     cfg = replace(payload["cfg"], telemetry=_worker_telemetry(payload))
-    system = _payload_system(payload)._at_tier(cfg.tier)
+    system = _payload_system(payload)
     q = payload["queries"]
     s_ids, s_dists, _, jobs, _ = system._search_step(
         resolve_ref(q) if isinstance(q, ArrayRef) else q, cfg, payload["ordered"]
@@ -300,7 +302,7 @@ class ReplicatedServer:
         # limits) applies per replica: each replica runs its own
         # admission queue over the round-robin slice it was dealt.
         evs, spec = resolve_workload(cfg.workload, queries.shape[0])
-        ids, dists, traces, jobs, _ = self.system._at_tier(cfg.tier)._search_step(
+        ids, dists, traces, jobs, _ = self.system._search_step(
             queries, cfg, sorted(evs, key=lambda e: e.query_id)
         )
         groups = [jobs[g :: self.n_gpus] for g in range(self.n_gpus)]
@@ -308,7 +310,7 @@ class ReplicatedServer:
         # Fan the engine legs out.  Replicas never touch the corpus during
         # scheduling, so the payload is just (device, cost model, engine
         # config, jobs) — small and picklable; no shared arena needed.
-        engine_cfg = self.system.engine_config(cfg.slots)
+        engine_cfg = self.system.engine_config()
         tasks: list[tuple[int, dict]] = []
         kills: dict[int, float | None] = {}
         gpu_sum, gpu_n = 0.0, 0
@@ -354,7 +356,7 @@ class ReplicatedServer:
 
         host = host_meta(
             self.system.device, self.system.cost_model,
-            cfg.slots or self.system.batch_size, self.system.n_parallel,
+            self.system.batch_size, self.system.n_parallel,
             self.system.k, int(self.system.base.shape[1]),
             gpu_sum / gpu_n if gpu_n else 0.0, self.system.host_threads,
         )
@@ -366,7 +368,7 @@ class ReplicatedServer:
             serve = _merged_report(parts, n_cta_slots, meta)
         else:
             records, hedge_meta = self._hedge_pass(
-                served, parts, policy, cstats, tel, cfg, plan
+                served, parts, policy, cstats, tel, plan
             )
             serve = _merged_report(
                 parts, n_cta_slots, {**meta, **hedge_meta},
@@ -378,7 +380,7 @@ class ReplicatedServer:
         return SystemReport(ids=ids, dists=dists, serve=serve, traces=traces)
 
     # ------------------------------------------------------------- hedging
-    def _hedge_pass(self, served, parts, policy, cstats, tel, cfg, plan):
+    def _hedge_pass(self, served, parts, policy, cstats, tel, plan):
         """Re-send slow/lost queries to the next replica; first answer wins.
 
         Returns the final record list plus meta about the hedge trigger.
@@ -430,9 +432,7 @@ class ReplicatedServer:
             _, slow, kill = _gpu_faults(plan, b)
             if slow is not None:
                 jobs_b = _scaled_jobs(jobs_b, slow)
-            engine = self.system.make_engine(
-                slots=cfg.slots, resilience=policy,
-            )
+            engine = self.system.make_engine(resilience=policy)
             part = engine.serve(sorted(jobs_b, key=lambda j: j.arrival_us))
             parts.append(part)
             for r in part.records:
@@ -675,7 +675,7 @@ class ShardedServer:
 
         sys0 = self.shards[0].system
         host = host_meta(
-            sys0.device, sys0.cost_model, cfg.slots or sys0.batch_size,
+            sys0.device, sys0.cost_model, sys0.batch_size,
             sys0.n_parallel, self.k, int(queries.shape[1]),
             gpu_sum / gpu_n if gpu_n else 0.0, sys0.host_threads,
         )

@@ -3,8 +3,8 @@
 Event-driven model of the ALGAS serving loop:
 
 * ``n_slots`` slots are pinned inside a persistent kernel, each with
-  ``n_parallel`` CTAs permanently resident (feasibility checked by
-  :mod:`repro.core.tuning` before construction).
+  ``n_parallel`` CTAs permanently resident (an ``ALGASSystem`` refuses a
+  slot count its :mod:`repro.core.tuning` result marks infeasible).
 * Host threads own disjoint slot subsets ("parallel processing on host",
   §V-B).  Each thread periodically wakes, polls its slots' states through a
   :class:`~repro.core.state_sync.StateChannel`, retrieves results of

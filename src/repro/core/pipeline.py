@@ -12,8 +12,8 @@ query set has two stages, deliberately separated (DESIGN.md §2):
 :class:`BaseGraphSystem` implements both stages; concrete systems
 (:class:`ALGASSystem` here, the baselines in :mod:`repro.baselines`) pick
 the search variant and engine.  :meth:`BaseGraphSystem.serve` is the one
-serve body; its steps (``_at_tier``, ``_search_step``, ``_schedule_step``)
-are the hooks the hybrid tier overrides and the cluster legs call.
+serve body; its steps (``_search_step``, ``_schedule_step``) are the hooks
+the hybrid tier and the IVF baselines override and the cluster legs call.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ class BaseGraphSystem:
         if rerank_mult < 1:
             raise ValueError("rerank_mult must be >= 1")
         #: traversal distance substrate + exact re-rank pool multiplier
-        #: (repro.search.precision); ServeConfig can override per serve.
+        #: (repro.search.precision)
         self.precision = precision
         self.rerank_mult = rerank_mult
         self.pq_m = pq_m
         self.pq_ks = pq_ks
-        self._codec_cache: dict[str, object] = {}
+        self._codec = None
         #: graph-construction provenance (e.g. ``{"graph": ...,
         #: "build_seconds": ...}``) merged into ``ServeReport.meta["build"]``
         #: on every serve.
@@ -154,28 +154,24 @@ class BaseGraphSystem:
             else np.array([self._medoid])
         )
 
-    def traversal_codec(self, precision: str | None = None):
-        """The fitted traversal codec for ``precision`` (None → system's).
+    def traversal_codec(self):
+        """The fitted traversal codec of the system's precision (None for
+        float32).
 
-        Codecs are fitted lazily on the base vectors and cached per
-        precision — fitting (SQ ranges / PQ codebooks + corpus encode) is
-        a build-time cost paid once, like graph construction.
+        The codec is fitted lazily on the base vectors, once — fitting (SQ
+        ranges / PQ codebooks + corpus encode) is a build-time cost, like
+        graph construction.
         """
-        p = precision or self.precision
-        if p not in PRECISIONS:
-            raise ValueError(f"unknown precision {p!r}; expected one of {PRECISIONS}")
-        if p == "float32":
+        if self.precision == "float32":
             return None
-        if p not in self._codec_cache:
-            self._codec_cache[p] = make_codec(
-                p, self.base, metric=self.metric,
+        if self._codec is None:
+            self._codec = make_codec(
+                self.precision, self.base, metric=self.metric,
                 pq_m=self.pq_m, pq_ks=self.pq_ks, seed=self.seed,
             )
-        return self._codec_cache[p]
+        return self._codec
 
-    def search_all(self, queries: np.ndarray, seed: int | None = None,
-                   precision: str | None = None,
-                   rerank_mult: int | None = None):
+    def search_all(self, queries: np.ndarray, seed: int | None = None):
         """Search every query; returns padded ids/dists and the batch's
         :class:`~repro.gpusim.trace.TraceBlock` (``len(traces) == nq``).
 
@@ -184,14 +180,11 @@ class BaseGraphSystem:
         in order — the draw order of a query-by-query loop over the scalar
         reference functions, which therefore return byte-identical results
         and, through ``TraceBlock.from_traces``, an equal block
-        (``tests/oracles.py``).
-        ``seed``/``precision``/``rerank_mult`` override the system's
-        configured values for this call (the
-        :class:`~repro.core.serving.ServeConfig` knobs).
+        (``tests/oracles.py``).  ``seed`` overrides the system's seed for
+        this call (:attr:`~repro.core.serving.ServeConfig.seed`).
         """
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        codec = self.traversal_codec(precision)
-        rm = rerank_mult or self.rerank_mult
+        codec = self.traversal_codec()
         nq = queries.shape[0]
         if self.n_parallel == 1:
             entries = [self._single_cta_entries(rng) for _ in range(nq)]
@@ -199,7 +192,7 @@ class BaseGraphSystem:
                 self.base, self.graph, queries, self.k,
                 self.tuning.per_cta_cand_len, entries,
                 metric=self.metric, beam=self.beam,
-                codec=codec, rerank_mult=rm,
+                codec=codec, rerank_mult=self.rerank_mult,
             )
         else:
             entries = [
@@ -210,7 +203,7 @@ class BaseGraphSystem:
             results = batched_multi_cta_search(
                 self.base, self.graph, queries, self.k, self.l_total,
                 self.n_parallel, metric=self.metric, beam=self.beam,
-                entries=entries, codec=codec, rerank_mult=rm,
+                entries=entries, codec=codec, rerank_mult=self.rerank_mult,
             )
         return results.padded_ids, results.padded_dists, results.traces
 
@@ -225,18 +218,17 @@ class BaseGraphSystem:
         return self.tuning.block_shared_mem_bytes
 
     # ------------------------------------------------------------- serving
-    def make_engine(self, slots: int | None = None, telemetry=None,
-                    faults=None, resilience=None):  # pragma: no cover
+    def make_engine(self, telemetry=None, faults=None,
+                    resilience=None):  # pragma: no cover
         """Build the system's batching engine (abstract).
 
-        ``slots`` overrides the configured slot count / batch size for one
-        serve; ``telemetry`` instruments the engine; ``faults`` /
-        ``resilience`` arm the chaos plane and its defenses (all four are
-        the :class:`~repro.core.serving.ServeConfig` knobs).
+        ``telemetry`` instruments the engine; ``faults`` / ``resilience``
+        arm the chaos plane and its defenses (all three are the
+        :class:`~repro.core.serving.ServeConfig` knobs).
         """
         raise NotImplementedError
 
-    def _host_meta(self, jobs: list[QueryJob], n_slots: int) -> dict | None:
+    def _host_meta(self, jobs: list[QueryJob]) -> dict | None:
         """Closed-form host-thread provenance for ``meta["host"]``.
 
         Base systems have no host-thread model (the static baselines
@@ -246,48 +238,30 @@ class BaseGraphSystem:
         """
         return None
 
-    def _precision_meta(self, cfg: ServeConfig, codec_owner=None) -> dict:
-        """``meta["precision"]`` of one serve: the substrate, its re-rank
-        multiplier and the fitted codec of ``codec_owner`` (None → self)."""
-        precision = cfg.precision or self.precision
-        codec = (codec_owner or self).traversal_codec(precision)
+    def _precision_meta(self) -> dict:
+        """``meta["precision"]`` of a serve: the substrate, its re-rank
+        multiplier and the fitted codec."""
+        codec = self.traversal_codec()
         return {
-            "precision": precision,
-            "rerank_mult": ((cfg.rerank_mult or self.rerank_mult)
-                            if precision != "float32" else None),
+            "precision": self.precision,
+            "rerank_mult": None if codec is None else self.rerank_mult,
             "codec": None if codec is None else codec.info(),
         }
 
     # ---------------------------------------------------------- serve steps
     # ``serve`` is these steps in order; the cluster legs call the same
     # steps on their shard systems (repro.core.cluster).
-    def _at_tier(self, tier: str | None) -> "BaseGraphSystem":
-        """The system serving ``tier`` (None → the system's own).  Only
-        pilot-equipped systems (:class:`~repro.hybrid.HybridSystem`) have
-        a hybrid tier."""
-        if tier == "hybrid":
-            raise ValueError(
-                f"tier='hybrid' requires a system with a pilot index "
-                f"(repro.hybrid.HybridSystem); {type(self).__name__} serves "
-                f"tier='gpu' only"
-            )
-        return self
-
     def _search_step(self, queries: np.ndarray, cfg: ServeConfig, events):
         """Search and price one serve: ``(ids, dists, traces, jobs, meta)``,
         ``jobs[i]`` priced for ``events[i]`` and ``meta`` the report entries
         this stage owns (``host``, ``precision``)."""
-        ids, dists, traces = self.search_all(
-            queries, seed=cfg.seed,
-            precision=cfg.precision or self.precision,
-            rerank_mult=cfg.rerank_mult or self.rerank_mult,
-        )
+        ids, dists, traces = self.search_all(queries, seed=cfg.seed)
         jobs = self.jobs_from_traces(traces, events)
         meta = {}
-        host = self._host_meta(jobs, cfg.slots or self.batch_size)
+        host = self._host_meta(jobs)
         if host is not None:
             meta["host"] = host
-        meta["precision"] = self._precision_meta(cfg)
+        meta["precision"] = self._precision_meta()
         return ids, dists, traces, jobs, meta
 
     def _schedule_step(self, jobs: list[QueryJob], cfg: ServeConfig,
@@ -295,8 +269,8 @@ class BaseGraphSystem:
         """Replay priced ``jobs`` through this serve's engine under the
         workload's admission ``spec``."""
         engine = self.make_engine(
-            slots=cfg.slots, telemetry=cfg.telemetry,
-            faults=cfg.faults, resilience=cfg.resilience,
+            telemetry=cfg.telemetry, faults=cfg.faults,
+            resilience=cfg.resilience,
         )
         return _admit(engine, jobs, spec)
 
@@ -314,13 +288,12 @@ class BaseGraphSystem:
         ``QueryEvent`` list (docs/load_testing.md).
         """
         cfg = as_serve_config(config, owner=f"{type(self).__name__}.serve")
-        system = self._at_tier(cfg.tier)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         evs, spec = resolve_workload(cfg.workload, queries.shape[0])
-        ids, dists, traces, jobs, meta = system._search_step(
+        ids, dists, traces, jobs, meta = self._search_step(
             queries, cfg, sorted(evs, key=lambda e: e.query_id)
         )
-        report = system._schedule_step(jobs, cfg, spec)
+        report = self._schedule_step(jobs, cfg, spec)
         report.meta.update(meta)
         if self.build_info:
             report.meta["build"] = dict(self.build_info)
@@ -371,6 +344,17 @@ class ALGASSystem(BaseGraphSystem):
             build_info, precision=precision, rerank_mult=rerank_mult,
             pq_m=pq_m, pq_ks=pq_ks,
         )
+        t = self.tuning
+        if not t.feasible:
+            # The persistent kernel keeps every slot's CTAs resident: a
+            # configuration the tuner cannot place would deadlock.
+            raise ValueError(
+                f"batch_size={batch_size} slots do not fit the persistent "
+                f"kernel on {device.name}: n_parallel={t.n_parallel} gives "
+                f"{t.total_blocks} resident blocks of "
+                f"{t.block_shared_mem_bytes} B (device holds at most "
+                f"{device.max_resident_blocks}); shrink batch_size or l_total"
+            )
         if host_threads == "auto":
             # §V-B: one host thread struggles above ~16-32 slots; scale the
             # thread pool with the slot count.
@@ -381,16 +365,15 @@ class ALGASSystem(BaseGraphSystem):
         self.state_mode = state_mode
         self.merge_on_cpu = merge_on_cpu
 
-    def engine_config(self, slots: int | None = None) -> DynamicBatchConfig:
-        """The dynamic-engine config for one serve (``slots`` overrides the
-        configured slot count).
+    def engine_config(self) -> DynamicBatchConfig:
+        """The dynamic-engine config of the system's serves.
 
         Split from :meth:`make_engine` so the parallel replica fan-out can
         rebuild a byte-identical engine in a worker from picklable parts
         (device + cost model + config) without shipping the corpus.
         """
         return DynamicBatchConfig(
-            n_slots=slots or self.batch_size,
+            n_slots=self.batch_size,
             n_parallel=self.n_parallel,
             k=self.k,
             host_threads=self.host_threads,
@@ -398,18 +381,18 @@ class ALGASSystem(BaseGraphSystem):
             merge_on_cpu=self.merge_on_cpu,
         )
 
-    def make_engine(self, slots: int | None = None, telemetry=None,
-                    faults=None, resilience=None) -> DynamicBatchEngine:
+    def make_engine(self, telemetry=None, faults=None,
+                    resilience=None) -> DynamicBatchEngine:
         return DynamicBatchEngine(self.device, self.cost_model,
-                                  self.engine_config(slots),
+                                  self.engine_config(),
                                   telemetry=telemetry, faults=faults,
                                   resilience=resilience)
 
-    def _host_meta(self, jobs: list[QueryJob], n_slots: int) -> dict | None:
+    def _host_meta(self, jobs: list[QueryJob]) -> dict | None:
         if not jobs:
             return None
         mean_gpu = float(np.mean([j.gpu_time_us for j in jobs]))
         return host_meta(
-            self.device, self.cost_model, n_slots, self.n_parallel, self.k,
+            self.device, self.cost_model, self.batch_size, self.n_parallel, self.k,
             int(self.base.shape[1]), mean_gpu, self.host_threads,
         )

@@ -177,17 +177,17 @@ class QueryRecord:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Unified serve-time options accepted by every ``serve()`` entry point.
+    """Unified per-run inputs accepted by every ``serve()`` entry point.
 
-    Every field defaults to "use the system's configured value", so
-    ``serve(queries)`` and ``serve(queries, ServeConfig())`` are identical.
+    What is served (slots, precision, re-rank pool, tier) is set once, on
+    the system's constructor.  ``serve(queries)`` and
+    ``serve(queries, ServeConfig())`` are identical.
 
     * ``workload`` — when queries arrive: an
       :class:`~repro.data.workload.ArrivalProcess`, a
       :class:`~repro.data.workload.TrafficSpec` (process + admission
       control), or a materialized ``list[QueryEvent]``
       (None → closed loop over the queries);
-    * ``slots`` — overrides the engine's slot count / batch size;
     * ``seed`` — overrides the entry-point RNG seed;
     * ``telemetry`` — a :class:`~repro.telemetry.Telemetry` to instrument
       the run (None → the no-op default; the hot path is unaffected);
@@ -196,15 +196,6 @@ class ServeConfig:
     * ``resilience`` — a :class:`~repro.resilience.ResiliencePolicy`
       arming the defenses (None → defaults when faults are injected,
       otherwise fully off);
-    * ``precision`` — traversal distance substrate ("float32"/"int8"/"pq";
-      see :mod:`repro.search.precision`); quantized precisions finish with
-      an exact float32 re-rank of the best candidates;
-    * ``rerank_mult`` — exact re-rank pool multiplier (re-score
-      ``rerank_mult × k`` survivors; ignored for float32);
-    * ``tier`` — serving tier: ``"gpu"`` traverses the full graph on the
-      device (the pre-hybrid behaviour), ``"hybrid"`` runs the staged
-      pilot-subgraph → PCIe candidate transfer → CPU refinement pipeline
-      (:mod:`repro.hybrid`; requires a system with a pilot index);
     * ``parallelism`` — host worker count for the cluster servers'
       shard/replica fan-out (:mod:`repro.parallel`); ``None``/0/1 run
       sequentially (byte-identical to the pre-parallel path), ``N > 1``
@@ -215,29 +206,15 @@ class ServeConfig:
     """
 
     workload: "TrafficSpec | ArrivalProcess | list[QueryEvent] | None" = None
-    slots: int | None = None
     seed: int | None = None
     telemetry: "Telemetry | None" = None
     faults: "FaultPlan | None" = None
     resilience: "ResiliencePolicy | None" = None
-    precision: str | None = None
-    rerank_mult: int | None = None
-    tier: str | None = None
     parallelism: int | None = None
 
     def __post_init__(self) -> None:
         from ..resilience import FaultPlan, ResiliencePolicy
-        from ..search.precision import PRECISIONS
 
-        if self.slots is not None and self.slots <= 0:
-            raise ValueError("slots must be positive")
-        if self.precision is not None and self.precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; "
-                f"expected one of {PRECISIONS}"
-            )
-        if self.rerank_mult is not None and self.rerank_mult < 1:
-            raise ValueError("rerank_mult must be >= 1")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan, got {type(self.faults).__name__}"
@@ -248,10 +225,6 @@ class ServeConfig:
             raise TypeError(
                 f"resilience must be a ResiliencePolicy, "
                 f"got {type(self.resilience).__name__}"
-            )
-        if self.tier is not None and self.tier not in ("gpu", "hybrid"):
-            raise ValueError(
-                f"unknown tier {self.tier!r}; expected 'gpu' or 'hybrid'"
             )
         if self.parallelism is not None and self.parallelism < 0:
             raise ValueError("parallelism must be non-negative")

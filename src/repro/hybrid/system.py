@@ -1,21 +1,20 @@
 """The staged hybrid serving system: GPU pilot → PCIe → CPU refine.
 
-:class:`HybridSystem` is an :class:`ALGASSystem` with a `tier` axis:
+:class:`HybridSystem` is an :class:`ALGASSystem` that always serves the
+hybrid tier: stage 1 traverses the device-resident pilot subgraph with
+the normal lockstep engine (reduced dims, full speed), stage 2 ships the
+surviving candidate ids over the simulated PCIe link as one batched DMA
+per query (`result_entries` on the job — PCIe stalls now land on the
+refinement hop), stage 3 walks the full graph on the host from those
+entries (:func:`bounded_refine`) priced by
+:meth:`CostModel.cpu_refine_us` as `host_us` on the job.  To serve the
+full graph on the device, build an :class:`ALGASSystem`.
 
-- ``tier="gpu"`` — the plain ALGAS serve, byte for byte (full graph on
-  the device); the escape hatch when the corpus fits.
-- ``tier="hybrid"`` — stage 1 traverses the device-resident pilot
-  subgraph with the normal lockstep engine (reduced dims, full speed),
-  stage 2 ships the surviving candidate ids over the simulated PCIe link
-  as one batched DMA per query (`result_entries` on the job — PCIe
-  stalls now land on the refinement hop), stage 3 walks the full graph
-  on the host from those entries (:func:`bounded_refine`) priced by
-  :meth:`CostModel.cpu_refine_us` as `host_us` on the job.
-
-Both tiers run :meth:`BaseGraphSystem.serve`; the hybrid tier supplies
+A serve runs :meth:`BaseGraphSystem.serve`; the hybrid tier supplies
 three things to it: its search step (pilot traversal + bounded refine,
 priced with the refine extras), its engine width (the pilot search's CTAs
-per slot) and ``meta["tier"]``.  Recall is measured on the refined
+per slot) and ``meta["tier"]``.  The pilot traverses at the system's
+``precision`` and ``rerank_mult``.  Recall is measured on the refined
 (exact, full-precision) results; latency comes from the same dynamic
 batching engine as every other tier, so telemetry, fault plans, and
 admission control all compose unchanged.
@@ -23,7 +22,6 @@ admission control all compose unchanged.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -57,12 +55,9 @@ class HybridSystem(ALGASSystem):
         refine_ef: int | None = None,
         refine_steps: int = 12,
         pilot_l_total: int | None = None,
-        tier: str = "hybrid",
         **kwargs,
     ):
         super().__init__(base, graph, device, **kwargs)
-        if tier not in ("gpu", "hybrid"):
-            raise ValueError(f"unknown tier {tier!r}; expected 'gpu' or 'hybrid'")
         if n_candidates <= 0:
             raise ValueError("n_candidates must be positive")
         if refine_ef is None:
@@ -73,8 +68,6 @@ class HybridSystem(ALGASSystem):
             raise ValueError("refine_ef must be >= k")
         if refine_steps < 0:
             raise ValueError("refine_steps must be >= 0 (0 = rerank only)")
-        #: default tier when ServeConfig does not override it
-        self.tier = tier
         self.n_candidates = n_candidates
         self.refine_ef = refine_ef
         self.refine_steps = refine_steps
@@ -113,6 +106,8 @@ class HybridSystem(ALGASSystem):
             merge_on_cpu=self.merge_on_cpu,
             entries_per_cta=self.entries_per_cta,
             seed=self.seed,
+            precision=self.precision,
+            rerank_mult=self.rerank_mult,
         )
 
     # ---------------------------------------------------------- stage 1+3
@@ -120,8 +115,6 @@ class HybridSystem(ALGASSystem):
         self,
         queries: np.ndarray,
         seed: int | None = None,
-        precision: str | None = None,
-        rerank_mult: int | None = None,
     ):
         """Pilot traversal + bounded CPU refinement for a query batch.
 
@@ -133,9 +126,7 @@ class HybridSystem(ALGASSystem):
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         q_red = self.pilot.project(queries)
-        p_ids, _, traces = self._pilot_system.search_all(
-            q_red, seed=seed, precision=precision, rerank_mult=rerank_mult,
-        )
+        p_ids, _, traces = self._pilot_system.search_all(q_red, seed=seed)
         entries_full = self.pilot.to_full(p_ids)
         refine = bounded_refine(
             self.base, self.graph, queries,
@@ -148,28 +139,13 @@ class HybridSystem(ALGASSystem):
         return refine.ids, refine.dists, traces, refine
 
     # ---------------------------------------------------------- serve steps
-    def _at_tier(self, tier: str | None) -> "HybridSystem":
-        if tier is None or tier == self.tier:
-            return self
-        view = copy.copy(self)  # shares every array, graph and codec
-        view.tier = tier
-        return view
-
-    def engine_config(self, slots: int | None = None):
+    def engine_config(self):
         """The hybrid tier's slots run the pilot search's CTA count."""
-        cfg = super().engine_config(slots)
-        if self.tier == "gpu":
-            return cfg
-        return replace(cfg, n_parallel=self._pilot_system.n_parallel)
+        return replace(super().engine_config(),
+                       n_parallel=self._pilot_system.n_parallel)
 
     def _search_step(self, queries: np.ndarray, cfg, events):
-        if self.tier == "gpu":
-            return super()._search_step(queries, cfg, events)
-        ids, dists, traces, refine = self.hybrid_search_all(
-            queries, seed=cfg.seed,
-            precision=cfg.precision or self.precision,
-            rerank_mult=cfg.rerank_mult or self.rerank_mult,
-        )
+        ids, dists, traces, refine = self.hybrid_search_all(queries, seed=cfg.seed)
         full_dim = int(self.base.shape[1])
         host_us = [
             self.cost_model.cpu_refine_us(int(nd), full_dim, ef=self.refine_ef)
@@ -200,5 +176,5 @@ class HybridSystem(ALGASSystem):
                 "mean_host_us": float(np.mean(host_us)),
             },
         }
-        precision = self._precision_meta(cfg, codec_owner=self._pilot_system)
+        precision = self._pilot_system._precision_meta()
         return ids, dists, traces, jobs, {"tier": tier, "precision": precision}

@@ -14,17 +14,27 @@ it holds the sha256 of ``ServeReport.to_json()``, of the result ``ids`` and
 The scenarios cover every entry point and every fan-in branch:
 
 * ``ALGASSystem`` — closed loop; Poisson arrivals under a deadline and a
-  queue-depth limit; a slot-fault plan under ``DEFAULT_POLICY``;
-* ``HybridSystem`` — ``tier="hybrid"`` and ``tier="gpu"``;
+  queue-depth limit; a slot-fault plan under ``DEFAULT_POLICY``; int8
+  traversal with ``rerank_mult=3``;
+* ``HybridSystem`` — the hybrid tier at float32 and with an int8 pilot
+  traversal;
 * ``CAGRASystem``, ``IVFSystem``, ``IVFPQSystem``;
 * ``ReplicatedServer`` — healthy at ``parallelism`` 0 and 2; admission;
   a replica kill with percentile hedging; a slow replica with a fixed
   ``hedge_delay_us``;
 * ``ShardedServer`` — healthy at ``parallelism`` 0 and 2; admission; a
   shard kill; a slow shard; ``quorum_k=4`` with a tight straggler budget;
-  the healthy fan-in with telemetry on.
+  the healthy fan-in with telemetry on; int8 shards at ``parallelism=2``
+  (pooled shard systems rebuild from the server's constructor keywords).
 
-Regenerating on ``6b2560b`` reproduces every digest:
+Regenerating on ``6b2560b`` reproduces every digest of the first twenty
+scenarios.  The three quantized ones (``algas-int8``, ``hybrid-int8``,
+``sharded-int8-p2``) were frozen at ``fbcd248``, where ``ServeConfig``
+still carried ``precision`` / ``rerank_mult`` overrides: each is built
+here through constructor keywords only, so it pins "construction equals
+the old override".  The ``hybrid-gpu`` scenario of ``6b2560b`` is gone
+with ``HybridSystem``'s ``tier="gpu"``; its digests were those of
+``algas-closed``.
 
     PYTHONPATH=src python -m tests.golden.make_serves
 """
@@ -78,8 +88,9 @@ SCENARIOS = {
     "algas-admission": ("algas", dict(workload=ADMISSION), False),
     "algas-slot-faults": (
         "algas", dict(faults=SLOT_FAULTS, resilience=DEFAULT_POLICY), True),
-    "hybrid-hybrid": ("hybrid", dict(tier="hybrid"), True),
-    "hybrid-gpu": ("hybrid", dict(tier="gpu"), False),
+    "algas-int8": ("algas", {}, False),
+    "hybrid-hybrid": ("hybrid", {}, True),
+    "hybrid-int8": ("hybrid", {}, False),
     "cagra": ("cagra", {}, False),
     "ivf": ("ivf", {}, False),
     "ivfpq": ("ivfpq", {}, False),
@@ -109,6 +120,14 @@ SCENARIOS = {
         dict(resilience=ResiliencePolicy(quorum_k=4, straggler_budget_us=1.0)),
         False),
     "sharded-telemetry": ("sharded", {}, True),
+    "sharded-int8-p2": ("sharded", dict(parallelism=2), False),
+}
+
+#: name -> system constructor keywords beyond ``KW``
+SYSTEM_KW = {
+    "algas-int8": dict(precision="int8", rerank_mult=3),
+    "hybrid-int8": dict(precision="int8"),
+    "sharded-int8-p2": dict(precision="int8"),
 }
 
 
@@ -124,9 +143,9 @@ def corpus():
     return ds, graph, shard_graphs
 
 
-def make_server(kind: str):
+def make_server(kind: str, **system_kw):
     ds, graph, shard_graphs = corpus()
-    kw = dict(metric=ds.metric, **KW)
+    kw = dict(metric=ds.metric, **KW, **system_kw)
     if kind == "algas":
         return ALGASSystem(ds.base, graph, **kw)
     if kind == "hybrid":
@@ -151,7 +170,7 @@ def run(name: str):
     scratch."""
     kind, cfg_kw, with_tel = SCENARIOS[name]
     tel = Telemetry() if with_tel else None
-    server = make_server(kind)
+    server = make_server(kind, **SYSTEM_KW.get(name, {}))
     try:
         rep = server.serve(corpus()[0].queries,
                            ServeConfig(telemetry=tel, **cfg_kw))

@@ -42,8 +42,7 @@ from repro.gpusim.trace import QueryTrace, TraceBlock
 from .reference import intra_cta_search, multi_cta_search
 
 
-def scalar_search_all(system, queries, seed=None, precision=None,
-                      rerank_mult=None):
+def scalar_search_all(system, queries, seed=None):
     """``system.search_all`` computed query by query on the scalar oracle.
 
     Reproduces the engine's per-query rng draw order: single-CTA systems
@@ -53,8 +52,8 @@ def scalar_search_all(system, queries, seed=None, precision=None,
     :meth:`BaseGraphSystem.search_all`.
     """
     rng = np.random.default_rng(system.seed if seed is None else seed)
-    codec = system.traversal_codec(precision)
-    rm = rerank_mult or system.rerank_mult
+    codec = system.traversal_codec()
+    rm = system.rerank_mult
     nq, k = queries.shape[0], system.k
     ids = np.full((nq, k), -1, dtype=np.int64)
     dists = np.full((nq, k), np.inf, dtype=np.float32)

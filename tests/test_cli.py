@@ -55,6 +55,28 @@ def test_serve_ivf(capsys):
     assert "recall@8" in capsys.readouterr().out
 
 
+def test_serve_hybrid_int8(capsys):
+    """The quantized hybrid serve prints its tier, its precision and the
+    speedups against a float32 twin built the same way."""
+    rc = main([
+        "serve", "--system", "hybrid", "--precision", "int8",
+        "--n", "1500", "--queries", "16",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "tier          = hybrid" in out
+    assert "precision     = int8" in out
+    assert "vs float32    = sim" in out
+
+
+def test_serve_tier_flag_is_gone(capsys):
+    """The tier is the system: ``--system hybrid`` replaced ``--tier``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--tier", "hybrid"])
+    assert exc.value.code == 2
+    assert "--tier" in capsys.readouterr().err
+
+
 def test_serve_metrics_out(tmp_path, capsys):
     import json
 

@@ -82,34 +82,49 @@ def test_merged_report_aggregates_dropped_meta():
 
 
 def test_cluster_serves_honour_precision_and_reject_hybrid_tier(ds, graph):
-    """A cluster leg runs its system's serve steps: ``precision`` and
-    ``rerank_mult`` reach the traversal, and ``tier="hybrid"`` is
-    rejected as it is by a single ALGASSystem."""
+    """A cluster leg runs its system's serve steps: the server's
+    ``precision`` and ``rerank_mult`` reach every replica and shard
+    traversal, pooled shard rebuilds included.  Replicas and shards are
+    ALGAS systems, so a hybrid ``tier`` is refused as it is by one."""
     from repro.core import ALGASSystem, ServeConfig
 
     kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8, max_parallel=4)
-    int8 = ServeConfig(precision="int8", rerank_mult=1)
-    replicated = ReplicatedServer(ds.base, graph, n_gpus=2, **kw)
-    single = ALGASSystem(ds.base, graph, **kw).serve(ds.queries, int8)
-    rep = replicated.serve(ds.queries, int8)
+    int8 = dict(precision="int8", rerank_mult=1)
+    single = ALGASSystem(ds.base, graph, **kw, **int8).serve(ds.queries)
+    rep = ReplicatedServer(ds.base, graph, n_gpus=2, **kw, **int8).serve(ds.queries)
     assert np.array_equal(rep.ids, single.ids)
     assert np.array_equal(rep.dists, single.dists)
 
-    builder = lambda pts: build_cagra(pts, graph_degree=12, metric=ds.metric)
-    sharded = ShardedServer(ds.base, builder, n_gpus=2, **kw)
-    assert sharded.k == sharded.shards[0].system.k == 8
-    for server in (replicated, sharded):
-        f32 = server.serve(ds.queries).serve
-        q1 = server.serve(ds.queries, int8).serve
-        q4 = server.serve(ds.queries, ServeConfig(precision="int8",
-                                                  rerank_mult=4)).serve
+    shard_graphs = [
+        build_cagra(ds.base[ids], graph_degree=12, metric=ds.metric)
+        for ids in ShardedServer.shard_assignments(ds.base.shape[0], 2)
+    ]
+
+    def servers(**system_kw):
+        return (
+            ReplicatedServer(ds.base, graph, n_gpus=2, **kw, **system_kw),
+            ShardedServer(ds.base, n_gpus=2, graphs=shard_graphs, **kw,
+                          **system_kw),
+        )
+
+    f32s, q1s, q4s = servers(), servers(**int8), servers(precision="int8",
+                                                        rerank_mult=4)
+    with pytest.raises(TypeError, match="tier"):
+        ReplicatedServer(ds.base, graph, n_gpus=2, tier="hybrid", **kw)
+    with pytest.raises(TypeError, match="tier"):
+        ShardedServer(ds.base, n_gpus=2, graphs=shard_graphs, tier="hybrid",
+                      **kw)
+    assert q1s[1].k == q1s[1].shards[0].system.k == 8
+    assert q1s[1].shards[0].system.precision == "int8"
+    for f32_server, q1_server, q4_server in zip(f32s, q1s, q4s):
+        f32 = f32_server.serve(ds.queries).serve
+        q1 = q1_server.serve(ds.queries).serve
+        q4 = q4_server.serve(ds.queries).serve
         lat = [r.service_latency_us for r in f32.records]
         assert [r.service_latency_us for r in q1.records] != lat
         assert q4.to_json() != q1.to_json()
-        with pytest.raises(ValueError, match="hybrid"):
-            server.serve(ds.queries, ServeConfig(tier="hybrid"))
     # Pool workers rebuild the shard systems and fit the codec themselves.
-    pooled = sharded.serve(ds.queries, ServeConfig(precision="int8",
-                                                   rerank_mult=1, parallelism=2))
+    sharded = q1s[1]
+    pooled = sharded.serve(ds.queries, ServeConfig(parallelism=2))
     sharded.close()
     assert pooled.serve.to_json() == q1.to_json()

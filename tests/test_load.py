@@ -172,7 +172,7 @@ def test_one_replica_fleet_tracks_dynamic_engine():
     events = poisson_arrivals(32, rate_qps=20_000, seed=1)
     jobs = system.jobs_from_traces(traces, events)
 
-    engine_rep = system.make_engine(slots=16).serve(jobs)
+    engine_rep = system.make_engine().serve(jobs)
     fleet_rep = FleetDriver(
         FleetConfig(n_replicas=1, slots_per_replica=16)).serve(jobs)
     m_engine = engine_rep.mean_latency_us()

@@ -263,11 +263,12 @@ def test_rerank_step_record_shape():
 
 # ---------------------------------------------------------- serve plumbing
 def test_serve_config_validates_precision():
-    with pytest.raises(ValueError, match="precision"):
-        ServeConfig(precision="fp16")
-    with pytest.raises(ValueError, match="rerank_mult"):
-        ServeConfig(rerank_mult=0)
-    ServeConfig(precision="int8", rerank_mult=3)  # valid
+    """Precision and the re-rank pool are the system's, validated at
+    construction (below); a serve has no per-run precision to take."""
+    with pytest.raises(TypeError, match="precision"):
+        ServeConfig(precision="int8")
+    with pytest.raises(TypeError, match="rerank_mult"):
+        ServeConfig(rerank_mult=3)
 
 
 def test_system_serve_records_codec_meta(corpus):
@@ -290,14 +291,12 @@ def test_system_serve_records_codec_meta(corpus):
     assert back.meta == json.loads(report.to_json())["meta"]
 
 
-def test_serve_config_precision_overrides_system_default(corpus):
+def test_system_precision_reaches_the_serve(corpus):
     ds, g = corpus
-    system = ALGASSystem(
-        ds.base, g, metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0
-    )
-    report = system.serve(ds.queries, ServeConfig(precision="int8"))
+    kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0)
+    report = ALGASSystem(ds.base, g, precision="int8", **kw).serve(ds.queries)
     assert report.serve.meta["precision"]["precision"] == "int8"
-    plain = system.serve(ds.queries)
+    plain = ALGASSystem(ds.base, g, **kw).serve(ds.queries)
     assert plain.serve.meta["precision"]["codec"] is None
     assert np.array_equal(report.ids.shape, plain.ids.shape)
 
@@ -312,15 +311,12 @@ def test_float32_serve_unchanged_by_precision_kwarg(corpus):
 
 
 def test_ivf_rejects_precision(corpus):
+    """The IVF baselines have no graph traversal, so no traversal
+    precision: IVF-PQ is the compressed IVF scan."""
     ds, _ = corpus
-    system = IVFSystem(
-        ds.base, nlist=16, nprobe=4, metric=ds.metric, k=8, batch_size=8,
-        seed=0,
-    )
-    with pytest.raises(ValueError, match="graph traversal"):
-        system.serve(ds.queries, ServeConfig(precision="int8"))
-    with pytest.raises(ValueError, match="graph traversal"):
-        system.serve(ds.queries, ServeConfig(rerank_mult=4))
+    with pytest.raises(TypeError, match="precision"):
+        IVFSystem(ds.base, nlist=16, nprobe=4, metric=ds.metric,
+                  precision="int8")
 
 
 def test_system_validates_precision_kwargs(corpus):
@@ -333,10 +329,9 @@ def test_system_validates_precision_kwargs(corpus):
 
 def test_codec_cache_reused_across_searches(corpus):
     ds, g = corpus
-    system = ALGASSystem(
-        ds.base, g, metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0
-    )
-    c1 = system.traversal_codec("int8")
-    c2 = system.traversal_codec("int8")
-    assert c1 is c2
-    assert system.traversal_codec("float32") is None
+    kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0)
+    system = ALGASSystem(ds.base, g, precision="int8", **kw)
+    c1 = system.traversal_codec()
+    system.search_all(ds.queries[:2])
+    assert system.traversal_codec() is c1
+    assert ALGASSystem(ds.base, g, **kw).traversal_codec() is None

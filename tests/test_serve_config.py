@@ -129,15 +129,17 @@ def test_static_engines_reject_admission(mini, name):
 
 @pytest.mark.parametrize("name", ["algas", "cagra", "ganns", "ivf"])
 def test_hybrid_tier_without_a_pilot_is_refused(mini, name):
-    """No system without a pilot index serves ``tier="hybrid"`` as a plain
-    report: the refusal names the system; ``tier="gpu"`` is its own."""
+    """No system without a pilot index serves the hybrid tier: a serve
+    cannot ask for a tier, and the system's own serve (the one
+    ``ServeConfig()`` runs) carries no ``meta["tier"]``."""
     ds, g = mini
     system = dict(_systems(ds, g))[name]
-    with pytest.raises(ValueError, match=f"{type(system).__name__} serves tier='gpu'"):
+    with pytest.raises(TypeError, match="tier"):
         system.serve(ds.queries, ServeConfig(tier="hybrid"))
-    gpu = system.serve(ds.queries, ServeConfig(tier="gpu"))
+    default = system.serve(ds.queries, ServeConfig())
     plain = system.serve(ds.queries)
-    assert gpu.serve.to_json() == plain.serve.to_json()
+    assert "tier" not in plain.serve.meta
+    assert default.serve.to_json() == plain.serve.to_json()
 
 
 def test_sharded_and_replicated_accept_admission(mini):
@@ -165,11 +167,12 @@ def test_sharded_and_replicated_accept_admission(mini):
 
 # ---------------------------------------------------------------- overrides
 def test_slots_override_changes_engine_width(mini):
+    """The slot count is the system's: two systems built at 2 and 8 slots
+    return the same results on engines of different width."""
     ds, g = mini
-    system = ALGASSystem(ds.base, g, metric=ds.metric, k=8, l_total=64,
-                         batch_size=8, seed=0)
-    narrow = system.serve(ds.queries, ServeConfig(slots=2))
-    wide = system.serve(ds.queries, ServeConfig(slots=8))
+    kw = dict(metric=ds.metric, k=8, l_total=64, seed=0)
+    narrow = ALGASSystem(ds.base, g, batch_size=2, **kw).serve(ds.queries)
+    wide = ALGASSystem(ds.base, g, batch_size=8, **kw).serve(ds.queries)
     # Same results, different scheduling width.
     assert np.array_equal(narrow.ids, wide.ids)
     assert narrow.serve.makespan_us > wide.serve.makespan_us
@@ -193,15 +196,16 @@ def test_backend_and_seed_overrides(mini):
 
 
 # --------------------------------------------------------------- validation
-def test_serve_config_validation():
-    with pytest.raises(ValueError):
-        ServeConfig(slots=0)
+def test_serve_config_validation(mini):
+    ds, g = mini
+    with pytest.raises(ValueError, match="batch_size"):
+        ALGASSystem(ds.base, g, metric=ds.metric, batch_size=0)
     with pytest.raises(TypeError):
         ServeConfig(workload=[1, 2, 3])
 
 
 def test_as_serve_config_coercion():
-    cfg = ServeConfig(slots=4)
+    cfg = ServeConfig(seed=4)
     assert as_serve_config(cfg) is cfg
     assert as_serve_config(None) == ServeConfig()
     proc = Poisson(rate_qps=1000)
@@ -211,7 +215,7 @@ def test_as_serve_config_coercion():
     evs = poisson_arrivals(4, 1000, seed=0)
     assert as_serve_config(evs) == ServeConfig(workload=evs)
     with pytest.raises(TypeError, match="expected a ServeConfig"):
-        as_serve_config({"slots": 4})
+        as_serve_config({"seed": 4})
 
 
 # ----------------------------------------------- meta serialization fidelity
@@ -243,9 +247,59 @@ def test_report_meta_survives_json_roundtrip(mini):
     assert again.meta == back.meta
 
 
-def test_serve_config_precision_validation():
+def test_serve_config_precision_validation(mini):
+    ds, g = mini
+    kw = dict(metric=ds.metric, k=8, l_total=64)
     with pytest.raises(ValueError, match="precision"):
-        ServeConfig(precision="bf16")
+        ALGASSystem(ds.base, g, precision="bf16", **kw)
     with pytest.raises(ValueError, match="rerank_mult"):
-        ServeConfig(rerank_mult=-1)
-    assert ServeConfig(precision="pq", rerank_mult=2).precision == "pq"
+        ALGASSystem(ds.base, g, rerank_mult=-1, **kw)
+    system = ALGASSystem(ds.base, g, precision="pq", rerank_mult=2, **kw)
+    assert system.precision == "pq"
+
+
+# ------------------------------------------ one place for every served value
+def test_serve_config_carries_per_run_inputs_only():
+    """What is served (slots, precision, re-rank pool, tier) is set on the
+    system's constructor: ``ServeConfig`` holds per-run inputs, and no
+    search or engine entry point takes a per-call override."""
+    import dataclasses
+    import inspect
+
+    from repro.core.pipeline import BaseGraphSystem
+    from repro.hybrid import HybridSystem
+
+    assert {f.name for f in dataclasses.fields(ServeConfig)} == {
+        "workload", "seed", "telemetry", "faults", "resilience", "parallelism",
+    }
+    removed = {"slots", "precision", "rerank_mult", "tier"}
+    for fn in (
+        ALGASSystem.search_all, ALGASSystem.make_engine,
+        ALGASSystem.engine_config, ALGASSystem.traversal_codec,
+        HybridSystem.hybrid_search_all, HybridSystem.engine_config,
+        CAGRASystem.make_engine, GANNSSystem.make_engine,
+        IVFSystem.make_engine,
+    ):
+        assert removed.isdisjoint(inspect.signature(fn).parameters), fn
+    assert "tier" not in inspect.signature(HybridSystem).parameters
+    # One serve body for every system, IVF included.
+    for cls in (ALGASSystem, HybridSystem, CAGRASystem, GANNSSystem, IVFSystem):
+        assert cls.serve is BaseGraphSystem.serve, cls
+
+
+def test_infeasible_slot_count_is_refused(mini):
+    """A slot count the tuner cannot make resident is refused at
+    construction, naming slots, ``n_parallel``, blocks and device; the
+    static baselines schedule blocks in waves and still take it."""
+    from repro.hybrid import HybridSystem
+
+    ds, g = mini
+    kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=4096)
+    match = r"batch_size=4096 .*RTX A6000: n_parallel=1 gives 4096 resident"
+    for make in (ALGASSystem, HybridSystem,
+                 lambda *a, **k: ReplicatedServer(*a, n_gpus=2, **k)):
+        with pytest.raises(ValueError, match=match):
+            make(ds.base, g, **kw)
+    for cls in (CAGRASystem, GANNSSystem):
+        rep = cls(ds.base, g, **kw).serve(ds.queries)
+        assert len(rep.serve.records) == len(ds.queries)

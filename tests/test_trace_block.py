@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gpusim.trace as trace_mod
-from repro.core import ALGASSystem, ServeConfig, ShardedServer
+from repro.core import ALGASSystem, ShardedServer
 from repro.core.serving import price_jobs
 from repro.data.synthetic import latent_mixture
 from repro.data.workload import Poisson, QueryEvent
@@ -342,11 +342,12 @@ def row_object_count(monkeypatch):
 
 
 def test_untraced_serves_construct_no_row_objects(ds, graph, row_object_count):
-    system = ALGASSystem(ds.base, graph, metric=ds.metric, k=8, l_total=64,
-                         batch_size=8)
+    kw = dict(metric=ds.metric, k=8, l_total=64, batch_size=8)
+    system = ALGASSystem(ds.base, graph, **kw)
     rep = system.serve(ds.queries)
     assert isinstance(rep.traces, TraceBlock) and len(rep.traces) == ds.queries.shape[0]
-    quantized = system.serve(ds.queries, ServeConfig(precision="int8"))
+    quantized = ALGASSystem(ds.base, graph, precision="int8", **kw).serve(
+        ds.queries)
     assert (quantized.traces.precision == PRECISION_TAGS.index("float32")).any()
 
     server = ShardedServer(
