@@ -33,8 +33,13 @@ has anything to collect or dispatch, a wake that does walks only that
 thread's live slots, and a wake that provably would find nothing is not
 executed at all — ``next_effective_wake`` moves it along the poll grid to
 the first point at which something can have changed
-(docs/performance.md, "Wall-clock vs simulated speed").  The schedule is
-the dense one's, bit for bit: tests/golden/schedules.json.
+(docs/performance.md, "Wall-clock vs simulated speed").  Each CTA
+publishes its own FINISH (§IV-B), but the host acts only on a slot whose
+last CTA finished (§V-A), so only that CTA's end is a *loud* simulator
+event; the others are *quiet posts* (``Simulator.post``): they keep their
+place in the event order but do not bound a skipped wake, and the one
+FINISH handler, ``cta_end``, drains them as plain tuples.  The schedule
+is the dense one's, bit for bit: tests/golden/schedules.json.
 
 Resilience (docs/robustness.md): the engine optionally takes a
 :class:`~repro.resilience.FaultPlan` (slot hangs/corruption, stragglers,
@@ -50,8 +55,10 @@ pre-resilience code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop
 
 from ..gpusim.costmodel import CostModel
 from ..gpusim.device import DeviceProperties
@@ -65,9 +72,12 @@ from .merge import HostMerger
 from .query_manager import ManagedQuery, QueryManager
 from .serving import QueryJob, QueryRecord, ServeReport
 from .slots import SlotBank
-from .state_sync import STATE_MODES, StateChannel
+from .state_sync import STATE_MODES, STATE_WORD_BYTES, StateChannel
 
 __all__ = ["DynamicBatchConfig", "DynamicBatchEngine"]
+
+#: a heap key above every post: a loud CTA end runs its one post.
+_ALL = (float("inf"),)
 
 @dataclass(frozen=True)
 class DynamicBatchConfig:
@@ -97,12 +107,14 @@ class DynamicBatchConfig:
             raise ValueError("n_slots, n_parallel, k must be positive")
         if self.host_threads <= 0:
             raise ValueError("host_threads must be positive")
-        if self.host_poll_period_us <= 0:
-            raise ValueError("host_poll_period_us must be positive")
-        if self.gpu_poll_us < 0:
-            raise ValueError("gpu_poll_us must be non-negative")
-        if self.host_submit_us < 0:
-            raise ValueError("host_submit_us must be non-negative")
+        # A NaN fails every comparison, so these also refuse it; a
+        # non-finite time would hang the serve or report nonsense.
+        if not 0.0 < self.host_poll_period_us < math.inf:
+            raise ValueError("host_poll_period_us must be finite and positive")
+        if not 0.0 <= self.gpu_poll_us < math.inf:
+            raise ValueError("gpu_poll_us must be finite and non-negative")
+        if not 0.0 <= self.host_submit_us < math.inf:
+            raise ValueError("host_submit_us must be finite and non-negative")
         if self.state_mode not in STATE_MODES:
             raise ValueError(f"state_mode must be one of {STATE_MODES}")
         if self.result_entry_bytes <= 0:
@@ -253,7 +265,7 @@ class _ServeRun:
     def run(self) -> None:
         for pass_fn in self.passes:
             self.sim.schedule(0.0, pass_fn)
-        self.sim.run()
+        self.sim.run(on_post=self.cta_end)
         # The passes reference this object; dropping them lets a finished
         # run be freed on return rather than wait for the cycle collector
         # (7-30 MiB of peak RSS on a 3000-query replay loop).
@@ -292,8 +304,9 @@ class _ServeRun:
         # back-to-back (PCIe orders posted writes, so the flag lands
         # after the vector).
         t += cfg.host_submit_us
-        self.link.transfer(t, job.dim * 4, tag="query")
-        pub = self.chan.publish(t, n_words=cfg.n_parallel)
+        _, pub = self.link.push_and_flag(
+            t, job.dim * 4, "query", None, STATE_WORD_BYTES * cfg.n_parallel
+        )
         self.bank.dispatch(s, job, t)
         self.start_ctas(s, job, pub, durations, fault)
         return t
@@ -334,9 +347,11 @@ class _ServeRun:
             # thread can never dispatch or collect again.  Other
             # threads' slots serve whatever the manager re-queued.
             return
-        chan, manager = self.chan, self.manager
+        manager = self.manager
         n_ready, n_free = bank.n_ready, bank.n_free
         jobs, ready_at = bank.jobs, bank.ready_at
+        # gdrcopy mirrors make a poll free: only naive mode calls it.
+        poll = None if self.cfg.state_mode == "gdrcopy" else self.chan.poll
         n_parallel = self.cfg.n_parallel
         t = t0
         # The host thread *spins*: it keeps re-scanning its slots as
@@ -347,7 +362,8 @@ class _ServeRun:
         progress = True
         while progress:
             progress = False
-            t = chan.poll(t, len(live), n_parallel)
+            if poll is not None:
+                t = poll(t, len(live), n_parallel)
             if n_ready[tid]:
                 for s in live:
                     # Merges advance t, so later pending slots may
@@ -403,7 +419,9 @@ class _ServeRun:
         ``g += host_poll_period_us`` — the chain's own float additions,
         never a multiple — while it is strictly earlier than all of
 
-        * the simulator's next event,
+        * the simulator's next *loud* event (``Simulator.next_time``; the
+          quiet posts — every CTA FINISH but a slot's last — are not
+          bounds),
         * every FINISH-visible stamp of the thread's live slots, and
         * if the thread has a free slot, the next arrival — provided the
           ready queue is empty; it does not move at all otherwise.
@@ -411,21 +429,28 @@ class _ServeRun:
         Exactness, by induction on the skipped wakes.  Take the wake at
         ``g`` with ``g`` below those three bounds, and suppose every earlier
         wake of the chain was skipped rightly, so the state is what this
-        pass left.  Executed densely it is the very next event (nothing
-        else is pending before it), so it sees that state unchanged: no
-        stamp ``<= g`` to collect; with a free slot an empty ready queue
-        and no arrival ``<= g``, so ``peek_ready`` admits, sheds and drops
-        nothing (``QueryManager.quiet_until``); without one the queue is
-        not consulted.  It is pure — gdrcopy mirrors, no policy — so there
-        is no link poll, watchdog or degrade check either: it advances no
-        clock (``t == t0``, ``host_busy += 0.0``), and re-arms itself at
-        ``g + host_poll_period_us`` with a sequence number above everything
-        pending.  That is the state, and the heap, the skip assumes.  The
-        wake that survives is scheduled *now*, also above everything
-        pending, and whatever is scheduled later comes from events at or
-        after the next event's time in both executions: same position in
-        the event order, ties included (hence the strict ``<``: at
-        ``g ==`` the next event's time the dense wake runs after it).
+        pass left.  Executed densely it is the very next loud event, so
+        only quiet posts can run before it, and they change nothing it
+        reads: a post moves one CTA word of its slot and the link's busy
+        horizon and ledger, and schedules nothing.  The wake reads the
+        bank's counters and stamps and the admission queue; the CTA words
+        only for a due stamp (``all_finished``) and the link only to
+        dispatch, neither of which it finds.  So it sees the state this
+        pass left: no stamp ``<= g`` to collect; with a free slot an empty
+        ready queue and no arrival ``<= g``, so ``peek_ready`` admits,
+        sheds and drops nothing (``QueryManager.quiet_until``); without one
+        the queue is not consulted.  It is pure — gdrcopy mirrors, no
+        policy — so there is no link poll, watchdog or degrade check
+        either: it advances no clock (``t == t0``, ``host_busy += 0.0``),
+        and re-arms itself at ``g + host_poll_period_us`` with a sequence
+        number above everything pending, posts included.  That is the
+        state, and the queues, the skip assumes; the posts before it run
+        at their own ``(time, seq)`` places in both executions.  The wake
+        that survives is scheduled *now*, also above everything pending,
+        and whatever is scheduled later comes from loud events at or after
+        the next loud event's time in both executions: same position in
+        the event order, ties included (hence the strict ``<``: at ``g ==``
+        the next loud event's time the dense wake runs after it).
 
         Impure wakes (``state_mode="naive"``, any resilience policy) are
         never passed through here.  This is not a parked thread either: the
@@ -469,58 +494,77 @@ class _ServeRun:
         self.gpu_busy += sum(durations[1:] if hung else durations)
         rec.gpu_end_us = max(ends)
         last_idx = ends.index(rec.gpu_end_us)
-        schedule, cta_end = self.sim.schedule, self.cta_end
+        sim = self.sim
+        post = sim.post
         for i, e in enumerate(ends):
             if hung and i == 0:
                 continue  # never finishes; the watchdog will notice
-            schedule(e, partial(cta_end, s, epoch, job, fault, i, i == last_idx))
+            if i == last_idx:
+                # The last CTA stamps the slot ready, which a host wake
+                # reads: a loud event, the same handler on a one-post heap.
+                last = [(e, 0, (s, epoch, job, fault, i))]
+                sim.schedule(e, partial(self.cta_end, last, _ALL))
+            else:
+                post(e, (s, epoch, job, fault, i))
 
-    def cta_end(
-        self, s: int, epoch: int, job: QueryJob, fault, cta: int, is_last: bool,
-        sim: Simulator,
-    ) -> None:
-        """One CTA finishes: push its TopK, publish FINISH."""
-        if self.bank.epochs[s] != epoch:
-            return  # the watchdog revoked this dispatch
-        if fault is not None and fault.kind == "corrupt" and cta == 0:
-            # The CTA writes garbage instead of FINISH: no result
-            # push, no publication — the slot can never aggregate
-            # to FINISH and the watchdog must reap it.
-            self.slots[s].corrupt_cta(cta)
-            self.stats.note_fault("corrupt")
-            self.tel.fault_injected("corrupt")
-            return
-        self.slots[s].advance_cta(cta)
-        cfg, link, now = self.cfg, self.link, sim.now
-        # §IV-B Finish: "the CTA is responsible for pushing the query
-        # results to the designated location" — a posted write of its
-        # local TopK into the slot's contiguous host buffer, followed
-        # by the FINISH flag.  PCIe orders posted writes, so the flag
-        # is issued immediately after the push (no round-trip wait);
-        # the host merges from *local* memory once it sees the flag.
-        # Hybrid-tier jobs instead push their *candidate pool* as a
-        # bulk DMA whose completion gates collection: the CPU
-        # refinement needs the candidate ids on the host, so link
-        # congestion and injected PCIe stalls delay the refine hop.
-        if job.result_entries is None:
-            link.transfer(
-                now, self.topk_bytes, "result-push", link.MMIO_OVERHEAD_US
-            )
-            push_gate = 0.0
-        else:
-            push_gate = link.transfer(
-                now, job.result_entries * cfg.result_entry_bytes, "candidates"
-            )
-        if not is_last:
-            self.chan.publish(now)
-        elif cfg.merge_on_cpu:
-            self.bank.mark_ready(s, max(self.chan.publish(now), push_gate))
-        else:
-            # GPU-merge ablation: the persistent kernel must yield to
-            # a merge kernel before results are ready (§IV-B); only
-            # the merged TopK is then pushed to the host.
-            merge_done = now + self.cm.gpu_merge_us(cfg.n_parallel, cfg.k)
-            sim.schedule(merge_done, partial(self.publish_merged, s, epoch))
+    def cta_end(self, posts: list, stop: tuple, sim: Simulator | None = None) -> float:
+        """The FINISH handler: every CTA end in the heap ``posts`` ordered
+        before ``stop`` pushes its TopK and publishes FINISH; returns the
+        time of the last one.
+
+        An entry is ``(time, seq, (slot, epoch, job, fault, cta))``.  The
+        simulator drains a slot's non-last CTAs through here as quiet
+        posts (``sim`` is None): each moves only the link's busy horizon
+        and its slot's CTA words, which no pure host wake reads
+        (:meth:`next_effective_wake`).  The slot's last CTA is a loud
+        event running this handler on a one-post heap, ``sim`` given,
+        because it also stamps the slot ready.
+        """
+        bank, slots, link, cfg = self.bank, self.slots, self.link, self.cfg
+        epochs, push_and_flag = bank.epochs, link.push_and_flag
+        topk_bytes, mmio_us = self.topk_bytes, link.MMIO_OVERHEAD_US
+        now = self.sim.now
+        while posts and posts[0] < stop:
+            now, _, (s, epoch, job, fault, cta) = heappop(posts)
+            if epochs[s] != epoch:
+                continue  # the watchdog revoked this dispatch
+            if fault is not None and fault.kind == "corrupt" and cta == 0:
+                # The CTA writes garbage instead of FINISH: no result
+                # push, no publication — the slot can never aggregate
+                # to FINISH and the watchdog must reap it.
+                slots[s].corrupt_cta(cta)
+                self.stats.note_fault("corrupt")
+                self.tel.fault_injected("corrupt")
+                continue
+            slots[s].advance_cta(cta)
+            # §IV-B Finish: "the CTA is responsible for pushing the query
+            # results to the designated location" — a posted write of its
+            # local TopK into the slot's contiguous host buffer, followed
+            # by the FINISH flag.  PCIe orders posted writes, so the flag
+            # is issued immediately after the push (no round-trip wait);
+            # the host merges from *local* memory once it sees the flag.
+            # Hybrid-tier jobs instead push their *candidate pool* as a
+            # bulk DMA whose completion gates collection: the CPU
+            # refinement needs the candidate ids on the host, so link
+            # congestion and injected PCIe stalls delay the refine hop.
+            entries = job.result_entries
+            if entries is None:
+                nbytes, tag, overhead = topk_bytes, "result-push", mmio_us
+            else:
+                nbytes, tag, overhead = entries * cfg.result_entry_bytes, "candidates", None
+            if sim is None:
+                push_and_flag(now, nbytes, tag, overhead, STATE_WORD_BYTES)
+            elif cfg.merge_on_cpu:
+                pushed, flagged = push_and_flag(now, nbytes, tag, overhead, STATE_WORD_BYTES)
+                bank.mark_ready(s, max(flagged, 0.0 if entries is None else pushed))
+            else:
+                # GPU-merge ablation: the persistent kernel must yield to
+                # a merge kernel before results are ready (§IV-B); only
+                # the merged TopK is then pushed to the host.
+                link.transfer(now, nbytes, tag, overhead)
+                merge_done = now + self.cm.gpu_merge_us(cfg.n_parallel, cfg.k)
+                sim.schedule(merge_done, partial(self.publish_merged, s, epoch))
+        return now
 
     def publish_merged(self, s: int, epoch: int, sim: Simulator) -> None:
         """GPU-merge ablation: the merge kernel ends, push the merged TopK."""

@@ -114,8 +114,7 @@ class QueryManager:
             self._tel.queue_depth(len(self._ready))
 
     def _drop_expired(self, now: float) -> None:
-        if not self._any_deadline:
-            return
+        # Callers skip this unless some query has a deadline.
         live = []
         changed = False
         for entry in self._ready:
@@ -132,9 +131,13 @@ class QueryManager:
             self._ready = live
             heapq.heapify(self._ready)
 
-    def _best_eligible(self, now: float) -> int | None:
+    def _eligible(self, now: float) -> int | None:
         """Index (into the ready heap array) of the most urgent query whose
-        arrival is ≤ the *caller's* clock."""
+        arrival is ≤ the *caller's* clock, after admitting arrivals and
+        dropping expired queries at ``now``."""
+        self._admit(now)
+        if self._any_deadline:
+            self._drop_expired(now)
         if not self._ready:
             return None
         if now >= self._admit_clock:
@@ -155,9 +158,7 @@ class QueryManager:
     # -------------------------------------------------------------- queries
     def next_ready(self, now: float) -> ManagedQuery | None:
         """Pop the most urgent query eligible at ``now`` (None if none)."""
-        self._admit(now)
-        self._drop_expired(now)
-        i = self._best_eligible(now)
+        i = self._eligible(now)
         if i is None:
             return None
         q = self._ready[i][3]
@@ -173,16 +174,15 @@ class QueryManager:
 
     def peek_ready(self, now: float) -> ManagedQuery | None:
         """The query ``next_ready`` would return, without removing it."""
-        self._admit(now)
-        self._drop_expired(now)
-        i = self._best_eligible(now)
+        i = self._eligible(now)
         return self._ready[i][3] if i is not None else None
 
     def ready_depth(self, now: float) -> int:
         """Depth of the ready queue at ``now`` (the overload-degradation
         signal: arrivals are admitted and expired entries dropped first)."""
         self._admit(now)
-        self._drop_expired(now)
+        if self._any_deadline:
+            self._drop_expired(now)
         return len(self._ready)
 
     def next_arrival_us(self) -> float | None:
@@ -200,7 +200,7 @@ class QueryManager:
         (inf when none is pending): a peek at any earlier clock admits
         nothing, so it sheds, drops and reports nothing either — all it
         moves is the admission clock, which only ever selects between two
-        equivalent scans in :meth:`_best_eligible`.  -inf as soon as a
+        equivalent scans in :meth:`_eligible`.  -inf as soon as a
         query has been admitted: the next peek may hand it out.
         """
         if self._ready:

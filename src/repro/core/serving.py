@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,12 +65,16 @@ class QueryJob:
     result_entries: int | None = None
 
     def __post_init__(self) -> None:
+        # Comparisons with NaN are false, so ``0 <= x < inf`` refuses it
+        # too: a non-finite time would hang the engine's event loop.
         if not self.cta_durations_us:
             raise ValueError("a job needs at least one CTA duration")
-        if not min(self.cta_durations_us) >= 0:  # one pass; NaN fails too
-            raise ValueError("durations must be non-negative")
-        if self.host_us < 0:
-            raise ValueError("host_us must be non-negative")
+        if not all(0.0 <= d < math.inf for d in self.cta_durations_us):
+            raise ValueError("cta_durations_us must be finite and non-negative")
+        if not math.isfinite(self.arrival_us):
+            raise ValueError(f"arrival_us must be finite, got {self.arrival_us}")
+        if not 0.0 <= self.host_us < math.inf:
+            raise ValueError(f"host_us must be finite and non-negative, got {self.host_us}")
         if self.result_entries is not None and self.result_entries <= 0:
             raise ValueError("result_entries must be positive")
 
@@ -78,8 +83,11 @@ class QueryJob:
 
         Equal to ``dataclasses.replace(self, query_id=..., arrival_us=...)``
         without its per-call field introspection; the fields
-        ``__post_init__`` checks are carried over, so it is not re-run.
+        ``__post_init__`` checks are carried over, so only the new arrival
+        is checked.
         """
+        if not math.isfinite(arrival_us):
+            raise ValueError(f"arrival_us must be finite, got {arrival_us}")
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, query_id=query_id, arrival_us=arrival_us)
         return clone

@@ -367,7 +367,7 @@ class Slot:
     def dispatch(self, query_id: int) -> None:
         """NONE/DONE → WORK with a query attached."""
         self.host_set(SlotState.WORK)
-        self.query_id = query_id
+        self.bank.query_ids[self._row] = query_id
 
     def collect(self) -> int:
         """FINISH → DONE; returns the completed query id."""
@@ -376,8 +376,9 @@ class Slot:
                 f"slot {self.slot_id}: collect before all CTAs finished"
             )
         self.host_set(SlotState.DONE)
-        qid, self.query_id = self.query_id, None
-        self.bank.queries_served[self._row] += 1
+        bank, row = self.bank, self._row
+        qid, bank.query_ids[row] = bank.query_ids[row], None
+        bank.queries_served[row] += 1
         return qid
 
     def retire(self) -> None:

@@ -84,15 +84,13 @@ class PCIeLink:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        # The scheduler's innermost call (18 a query): :meth:`occupancy_us`
-        # is written out and the stats object looked up once.  Same float
-        # operations in the same order as the method-per-step form.
+        # A scheduler's inner call: :meth:`occupancy_us` is written out
+        # and the stats object looked up once.  Same float operations in
+        # the same order as the method-per-step form.
         stats = self.stats
         start = now if now > self.busy_until else self.busy_until
-        for w_start, w_end in self.stall_windows:
-            if w_start <= start < w_end:
-                stats.stall_us += w_end - start
-                start = w_end
+        if self.stall_windows:
+            start = self._stalled(start)
         occ = (
             self.tx_overhead_us if overhead_us is None else overhead_us
         ) + nbytes / self.bw_bytes_per_us
@@ -103,6 +101,55 @@ class PCIeLink:
         by_tag = stats.by_tag
         by_tag[tag] = by_tag.get(tag, 0) + 1
         return done + self.lat_us
+
+    def push_and_flag(
+        self,
+        now: float,
+        nbytes: int,
+        tag: str,
+        overhead_us: float | None,
+        flag_bytes: int,
+    ) -> tuple[float, float]:
+        """A push of ``nbytes`` then a ``flag_bytes`` "state-publish" MMIO
+        store, both issued at ``now``; returns both completion times.
+
+        The two :meth:`transfer` calls a CTA's FINISH makes (its result
+        push, then the state flag PCIe orders behind it) as one call: the
+        same float operations in the same order, so the busy horizon and
+        every :class:`PCIeStats` field, float sums included, equal the two
+        calls'.
+        """
+        if nbytes < 0 or flag_bytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        busy, bw = self.busy_until, self.bw_bytes_per_us
+        start = now if now > busy else busy
+        if self.stall_windows:
+            start = self._stalled(start)
+        occ = (self.tx_overhead_us if overhead_us is None else overhead_us) + nbytes / bw
+        pushed = start + occ
+        start = now if now > pushed else pushed
+        if self.stall_windows:
+            start = self._stalled(start)
+        flag_occ = self.MMIO_OVERHEAD_US + flag_bytes / bw
+        flagged = self.busy_until = start + flag_occ
+        stats = self.stats
+        stats.transactions += 2
+        stats.bytes_moved += nbytes + flag_bytes
+        stats.busy_us = stats.busy_us + occ + flag_occ  # two adds, in order
+        by_tag = stats.by_tag
+        by_tag[tag] = by_tag.get(tag, 0) + 1
+        by_tag["state-publish"] = by_tag.get("state-publish", 0) + 1
+        lat = self.lat_us
+        return pushed + lat, flagged + lat
+
+    def _stalled(self, start: float) -> float:
+        """``start`` moved past the stall windows it falls in."""
+        stats = self.stats
+        for w_start, w_end in self.stall_windows:
+            if w_start <= start < w_end:
+                stats.stall_us += w_end - start
+                start = w_end
+        return start
 
     def reset(self) -> None:
         """Clear the busy horizon and statistics."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from heapq import heappop
 
 import numpy as np
 import pytest
@@ -89,10 +90,10 @@ def test_bank_counters_equal_bank_reductions_after_every_event(scenario):
     run = golden.scheduler_run(scenario)
     bank, cfg = run.bank, run.cfg
     owned = partition_slots(cfg.n_slots, cfg.host_threads)
-    schedule, checked = run.sim.schedule, []
+    sim, checked = run.sim, []
+    schedule, sim_run = sim.schedule, sim.run
 
-    def check_after(fn, sim):
-        fn(sim)
+    def check(when):
         assert (bank.live, bank.n_free, bank.n_in_flight, bank.n_ready) == (
             _bank_reductions(bank, owned)
         )
@@ -100,9 +101,21 @@ def test_bank_counters_equal_bank_reductions_after_every_event(scenario):
         assert [j is not None for j in bank.jobs] == [
             d is not None for d in bank.dispatched_at
         ]
-        checked.append(sim.now)
+        checked.append(when)
 
-    run.sim.schedule = lambda when, fn: schedule(when, partial(check_after, fn))
+    def loud(fn, sim):
+        fn(sim)
+        check(sim.now)
+
+    def quiet(drain, posts, stop):
+        # the non-last CTA FINISHes: hand the drain one post at a time
+        while posts and posts[0] < stop:
+            when = drain([heappop(posts)], stop)
+            check(when)
+        return when
+
+    sim.schedule = lambda when, fn: schedule(when, partial(loud, fn))
+    sim.run = lambda on_post: sim_run(on_post=partial(quiet, on_post))
     run.run()
     assert len(checked) == run.sim._events_run > 0
 
