@@ -571,7 +571,7 @@ def _cmd_stream(args) -> int:
     dyn = DynamicGraph(
         ds.base,
         build_cagra(ds.base, graph_degree=args.degree, metric=ds.metric),
-        metric=ds.metric, ef=args.ef,
+        metric=ds.metric, ef=args.ef, precision=args.precision,
     )
     try:
         process = ArrivalProcess.parse(args.workload)
@@ -590,8 +590,7 @@ def _cmd_stream(args) -> int:
     report = serve_while_update(
         dyn, ds.queries, stream,
         workload=workload, n_queries=args.events, k=args.k,
-        slots=args.slots, precision=args.precision,
-        faults=faults, slo=slo, compact_threshold=args.compact_threshold,
+        slots=args.slots, faults=faults, slo=slo, compact_threshold=args.compact_threshold,
     )
     print(f"dataset={args.dataset} n={args.n} plan={args.plan or 'none'}")
     print(report.summary())

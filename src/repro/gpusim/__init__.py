@@ -9,7 +9,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CostModel",
         "CostParams",
         "CTACost",
-        "StepCost",
         "bitonic_stage_count",
     ),
     ".device": ("A100_SXM", "DEVICE_PRESETS", "RTX_3080", "RTX_A6000", "DeviceProperties"),

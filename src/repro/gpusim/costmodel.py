@@ -1,7 +1,7 @@
 """Analytic cost model: op traces → time.
 
-Prices a :class:`~repro.gpusim.trace.StepRecord` as the sum of five
-components (matching the kernel phases in §IV-B of the paper):
+Prices every step of an op trace as the sum of five components
+(matching the kernel phases in §IV-B of the paper):
 
 ``select``   scan the candidate list for the next unvisited candidate(s)
 ``fetch``    read adjacency lists from global memory
@@ -11,14 +11,13 @@ components (matching the kernel phases in §IV-B of the paper):
 ``sort``     bitonic sort of the expand list + bitonic merge into the
              candidate list (the maintenance the paper measures in Fig. 3)
 
-Two implementations of the same formulas live here.  :meth:`CostModel.step_cost`
-prices one :class:`~repro.gpusim.trace.StepRecord` in plain Python — the
-readable reference.  :meth:`CostModel.block_cost` prices a whole
+One pricer: :meth:`CostModel.block_cost` prices a whole
 :class:`~repro.gpusim.trace.TraceBlock` in array expressions — the only
 trace → CTA-duration path ``serve()`` reaches; the single-trace methods
 (``cta_cost``, ``cta_duration_us``, …) are one-row blocks through it.  The
-two agree to the bit (docs/costmodel.md says how; ``tests/test_trace_block.py``
-proves it).
+readable one-step-at-a-time form of the same formulas is the scalar oracle
+``tests/oracles.py::scalar_step_cost``, and the pricer equals it to the bit
+(docs/costmodel.md says how; ``tests/test_trace_block.py`` proves it).
 
 Latencies are expressed in SM cycles and converted to microseconds with the
 device clock.  The default constants are calibrated so that, at the paper's
@@ -36,18 +35,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .device import DeviceProperties
-from .trace import (
-    PRECISION_TAGS,
-    CTATrace,
-    QueryTrace,
-    StepRecord,
-    TraceBlock,
-    precision_code,
-)
+from .trace import PRECISION_TAGS, CTATrace, QueryTrace, TraceBlock
 
 __all__ = [
     "CostParams",
-    "StepCost",
     "CTACost",
     "BlockCost",
     "CostModel",
@@ -196,21 +187,6 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class StepCost:
-    """Time breakdown of one step, microseconds."""
-
-    select_us: float
-    fetch_us: float
-    filter_us: float
-    distance_us: float
-    sort_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.select_us + self.fetch_us + self.filter_us + self.distance_us + self.sort_us
-
-
-@dataclass(frozen=True)
 class CTACost:
     """Aggregate cost of a CTA trace, microseconds."""
 
@@ -312,70 +288,14 @@ class CostModel:
         self.threads = int(threads_per_cta if threads_per_cta else device.warp_size)
         self._us = device.cycles_to_us
 
-    # ------------------------------------------------------------------ GPU
-    def step_cost(self, step: StepRecord) -> StepCost:
-        """Price a single search step."""
-        p, t = self.params, self.threads
-        select = self._us(
-            _ceil_div(max(step.cand_list_len, 1), t) * p.scan_cycles * step.n_expanded
-        )
-        # Adjacency fetch: one global-memory round trip per expanded
-        # candidate plus streaming the neighbour ids.
-        fetch_bytes = step.n_neighbors_fetched * 4
-        fetch = (
-            step.n_expanded * self._us(self.device.global_mem_latency_cycles)
-            + fetch_bytes / (self.device.global_mem_bw_gbps * 1e3)
-        )
-        filter_ = self._us(
-            _ceil_div(max(step.n_visited_checks, 1), t) * p.bitmap_cycles
-        ) if step.n_visited_checks else 0.0
-        distance = 0.0
-        precision = step.precision
-        precision_code(precision)  # an unknown tag fails; it is not float32
-        if step.n_new_points:
-            reduce_steps = step.n_new_points * max(1, int(math.log2(t)))
-            if precision == "int8":
-                # DP4A packs int8_mac_pack MACs per lane-cycle and streams
-                # 1 byte/dimension instead of 4.
-                pack = max(int(p.int8_mac_pack), 1)
-                iters = _ceil_div(step.n_new_points * step.dim, t * pack)
-                lane_cycles = iters * p.fma_iter_cycles
-                vec_bytes = step.n_new_points * step.dim * 1
-            elif precision == "pq":
-                # ADC: step.dim holds m — one shared-memory table lookup
-                # per subspace per point, 1 byte/code streamed.
-                iters = _ceil_div(step.n_new_points * step.dim, t)
-                lane_cycles = iters * p.lut_lookup_cycles
-                vec_bytes = step.n_new_points * step.dim * 1
-            else:
-                iters = _ceil_div(step.n_new_points * step.dim, t)
-                lane_cycles = iters * p.fma_iter_cycles
-                vec_bytes = step.n_new_points * step.dim * 4
-            distance = self._us(
-                lane_cycles + reduce_steps * p.shuffle_cycles
-            ) + vec_bytes / (self.device.global_mem_bw_gbps * 1e3)
-        sort = self.sort_cost_us(step) if step.did_sort else 0.0
-        total_fixed = self._us(p.step_fixed_cycles)
-        return StepCost(select + total_fixed, fetch, filter_, distance, sort)
-
-    def sort_cost_us(self, step: StepRecord) -> float:
-        """Bitonic sort of the expand list + merge into the candidate list."""
-        p, t = self.params, self.threads
-        expand_n = max(step.sort_size - step.cand_list_len, 0)
-        cycles = 0.0
-        if expand_n > 1:
-            cycles += bitonic_sort_groups(expand_n, t) * p.cmpex_cycles
-        if step.sort_size > 1:
-            cycles += bitonic_merge_groups(step.sort_size, t) * p.cmpex_cycles
-        return self._us(cycles)
-
     # ---------------------------------------------------------------- blocks
     def block_step_costs(self, block: TraceBlock) -> np.ndarray:
         """``(5, n_steps)`` µs: select, fetch, filter, distance, sort rows.
 
-        :meth:`step_cost` transcribed operator for operator over columns
-        (every product and quotient in the same order, in float64), so each
-        entry is bit-equal to the scalar term.
+        The scalar oracle (``tests/oracles.py::scalar_step_cost``)
+        transcribed operator for operator over columns (every product and
+        quotient in the same order, in float64), so each entry is bit-equal
+        to its scalar term.
         """
         p, dev, us = self.params, self.device, self._us
         g = step_op_groups(block, self.threads, p.int8_mac_pack)
@@ -395,7 +315,7 @@ class CostModel:
         return np.stack([select, fetch, filter_, distance, sort])
 
     def block_step_us(self, block: TraceBlock) -> np.ndarray:
-        """Duration of every step of ``block`` (:attr:`StepCost.total_us`)."""
+        """Duration of every step of ``block``: the sum of its five terms."""
         select, fetch, filter_, distance, sort = self.block_step_costs(block)
         return select + fetch + filter_ + distance + sort
 

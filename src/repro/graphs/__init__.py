@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".cagra": ("build_cagra",),
     ".dynamic": ("DynamicGraph",),
     ".hnsw": ("build_hnsw",),
-    ".knn": ("exact_knn_graph", "exact_knn_matrix", "nn_descent_matrix"),
+    ".knn": ("exact_knn_graph", "exact_knn_matrix"),
     ".nsg": ("build_nsg",),
     ".nsw": ("build_nsw",),
     ".utils": ("GraphStats", "graph_stats", "medoid", "reachable_fraction"),

@@ -2,8 +2,8 @@
 
 CAGRA builds a GPU-friendly graph in two phases:
 
-1. an *intermediate* k-NN graph (here: exact blocked brute force, or
-   NN-descent for large n), with per-node candidates sorted by distance;
+1. an *intermediate* k-NN graph of degree ``2 × graph_degree`` (here:
+   the exact blocked brute force), per-node candidates sorted by distance;
 2. *graph optimization*: detour-based pruning of each node's candidate list
    followed by reverse-edge addition, producing a fixed out-degree ``d``
    (half "strong" forward edges, half reverse edges).
@@ -20,7 +20,7 @@ from ..data.metrics import row_blocks
 from ..parallel.pool import in_row_ranges
 from .base import GraphIndex
 from .build_batched import occlusion_prune_mask
-from .knn import exact_knn_matrix, nn_descent_matrix
+from .knn import exact_knn_matrix
 from .utils import _compact_rows, _first_occurrence_mask, as_points
 
 __all__ = ["build_cagra"]
@@ -29,9 +29,7 @@ __all__ = ["build_cagra"]
 def build_cagra(
     points: np.ndarray,
     graph_degree: int = 32,
-    intermediate_degree: int | None = None,
     metric: str = "l2",
-    use_nn_descent: bool = False,
     seed: int = 0,
 ) -> GraphIndex:
     """Build a CAGRA graph with out-degree exactly ``graph_degree``.
@@ -42,6 +40,8 @@ def build_cagra(
     ``tests/oracles.py::scalar_build_cagra`` byte for byte.  Like the
     kNN, the detour prune (:func:`occlusion_prune_mask`) runs over row
     ranges on every core, with the same bits on any number of them.
+    The build draws nothing at random: ``seed`` is accepted so every
+    builder takes the same keywords, and changes no bit.
     """
     points = as_points(points, metric)
     n = points.shape[0]
@@ -49,12 +49,8 @@ def build_cagra(
         raise ValueError("graph_degree must be positive")
     if n <= graph_degree:
         raise ValueError("need more points than graph_degree")
-    inter = intermediate_degree or 2 * graph_degree
-    inter = min(inter, n - 1)
-    if use_nn_descent:
-        cand_ids, cand_d = nn_descent_matrix(points, inter, metric, seed=seed)
-    else:
-        cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
+    inter = min(2 * graph_degree, n - 1)
+    cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
     cand_ids = cand_ids.astype(np.int64)
 
     keep_mask = np.empty(cand_ids.shape, dtype=bool)

@@ -23,14 +23,16 @@ corpus; this module adds the "built for change" update story on top of any
   and its compaction — that sag is exactly what the serve-while-update
   degradation SLOs (:mod:`repro.streaming`) measure;
 * **search** — :meth:`search` / :meth:`search_batch` run the lockstep
-  engine directly on the live padded arrays (no freeze needed) and accept
-  ``precision=`` like the static path: quantized precisions traverse on
-  cached codecs that are *extended* on insert waves and re-trained when
-  codebook drift is detected (:meth:`codec_status`).  The scalar greedy
-  loop it is held to lives with the tests (``tests/oracles.py``).  A read
-  batch may carry the next insert wave's points (``pending_inserts=``):
-  their insertion searches then ride in the same lockstep run, and the
-  insert links from those pools if nothing changed in between.
+  engine directly on the live padded arrays (no freeze needed).  Like the
+  static systems, the graph takes its traversal ``precision`` and
+  ``rerank_mult`` once, at construction: a quantized graph traverses on
+  one codec, fitted at its first search, *extended* on insert waves and
+  re-trained when codebook drift is detected (:meth:`codec_status`).  The
+  scalar greedy loop it is held to lives with the tests
+  (``tests/oracles.py``).  A read batch may carry the next insert wave's
+  points (``pending_inserts=``): their insertion searches then ride in the
+  same lockstep run, and the insert links from those pools if nothing
+  changed in between.
 
 Vertex ids are stable for the lifetime of the structure (tombstoned ids
 are never reused); only :meth:`freeze` remaps to a dense snapshot.  Every
@@ -44,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
+from ..search.precision import DEFAULT_RERANK_MULT, PRECISIONS, make_codec
 from .base import GraphIndex
 from .build_batched import (
     _add_links,
@@ -56,7 +59,7 @@ from .utils import _compact_rows, medoid
 __all__ = ["DynamicGraph"]
 
 #: Re-train when new points reconstruct this many times worse than the
-#: codec's training-time baseline (see :meth:`DynamicGraph._extend_codecs`).
+#: codec's training-time baseline (see :meth:`DynamicGraph._extend_codec`).
 DEFAULT_DRIFT_THRESHOLD = 4.0
 
 
@@ -72,6 +75,8 @@ class DynamicGraph:
         ef: int = 48,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         link_select: str = "occlusion",
+        precision: str = "float32",
+        rerank_mult: int = DEFAULT_RERANK_MULT,
     ):
         points = np.asarray(points, dtype=np.float32)
         if points.shape[0] != graph.n_vertices:
@@ -85,6 +90,16 @@ class DynamicGraph:
                 f"unknown link_select {link_select!r}; "
                 f"expected 'closest' or 'occlusion'"
             )
+        if precision not in PRECISIONS:
+            raise ValueError(
+                f"unknown precision {precision!r}; expected one of {PRECISIONS}"
+            )
+        if rerank_mult < 1:
+            raise ValueError("rerank_mult must be >= 1")
+        #: traversal substrate of every search (repro.search.precision)
+        #: and the exact re-rank pool multiplier of a quantized one
+        self.precision = precision
+        self.rerank_mult = rerank_mult
         #: fresh-row link policy for insert waves: ``"occlusion"`` runs the
         #: MRNG diversifying prune over each new vertex's candidate pool
         #: (edges survive churn better — see the recall-under-churn
@@ -116,8 +131,9 @@ class DynamicGraph:
         self._n_alive = n
         self._pending_dead: list[int] = []
         self._frozen: tuple[np.ndarray, GraphIndex, np.ndarray] | None = None
-        self._codecs: dict[str, object] = {}
-        self._codec_baseline: dict[str, float] = {}
+        self._codec = None
+        #: reconstruction error of the corpus the codec was fitted on
+        self._codec_baseline = 0.0
         #: (version, points, pool ids, pool dists) of the insert rows of the
         #: last fused search_batch, for the insert_batch that follows it
         self._pending = None
@@ -159,18 +175,11 @@ class DynamicGraph:
 
     # -------------------------------------------------------------- search
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        l: int | None = None,
-        precision: str = "float32",
-        rerank_mult: int | None = None,
+        self, query: np.ndarray, k: int, l: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Greedy search; tombstones are masked at expansion (never routed,
         never returned).  A one-row :meth:`search_batch`."""
-        ids, dists, _ = self.search_batch(
-            query, k, l=l, precision=precision, rerank_mult=rerank_mult
-        )
+        ids, dists, _ = self.search_batch(query, k, l=l)
         m = int((ids[0] >= 0).sum())
         return ids[0, :m].copy(), dists[0, :m].copy()
 
@@ -179,8 +188,6 @@ class DynamicGraph:
         queries: np.ndarray,
         k: int,
         l: int | None = None,
-        precision: str = "float32",
-        rerank_mult: int | None = None,
         record_trace: bool = False,
         pending_inserts: np.ndarray | None = None,
     ):
@@ -204,8 +211,9 @@ class DynamicGraph:
         """
         from ..gpusim.trace import TraceBuilder
         from ..search.batched import LockstepEngine
-        from ..search.precision import DEFAULT_RERANK_MULT
 
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
         self._pending = None
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -217,8 +225,7 @@ class DynamicGraph:
             out_d = np.full((B, k), np.inf, dtype=np.float32)
             empty = TraceBuilder(B).build(1, dim, k, np.zeros(B, dtype=np.int32))
             return out_ids, out_d, empty if record_trace else None
-        codec = self.traversal_codec(precision)
-        rerank_mult = DEFAULT_RERANK_MULT if rerank_mult is None else rerank_mult
+        codec = self.traversal_codec()
         cand_capacity = max(l or max(self.ef, k), k)
         fused = None
         if pending_inserts is not None:
@@ -246,7 +253,7 @@ class DynamicGraph:
             point_norms=self._sqnorms[:n],
         )
         eng.run(100 * cand_capacity + 100, what="dynamic batch search")
-        out_ids, out_d, _ = eng.row_topk(k, rerank_mult)
+        out_ids, out_d, _ = eng.row_topk(k, self.rerank_mult)
         block = eng.trace_block(1, dim, k)
         if fused is not None:
             pool_ids, pool_d, _ = eng.pools()
@@ -300,7 +307,7 @@ class DynamicGraph:
             self._insert_wave(lo, lo + sub, pools)
             pools = None
             pos += sub
-        self._extend_codecs(pts)
+        self._extend_codec(pts)
         return ids
 
     def _insert_wave(self, lo: int, hi: int, pools=None) -> None:
@@ -506,30 +513,24 @@ class DynamicGraph:
         return int(rows_aff.size)
 
     # -------------------------------------------------------------- codecs
-    def traversal_codec(self, precision: str):
-        """Cached traversal codec over all staged points (dead rows carry
-        unused codes — expansion never admits them).  Codecs survive insert
-        waves via :meth:`~repro.search.precision.Int8Codec.extend` and are
+    def traversal_codec(self):
+        """The graph's traversal codec over all staged points (None for
+        float32; dead rows carry unused codes — expansion never admits
+        them).  Fitted lazily at the first search, it survives insert waves
+        via :meth:`~repro.search.precision.Int8Codec.extend` and is
         re-trained when drift trips the threshold."""
-        from ..search.precision import make_codec
-
-        if precision == "float32":
+        if self.precision == "float32":
             return None
-        if precision not in self._codecs:
-            codec = make_codec(precision, self._pts[: self._n_total], self.metric)
-            self._codecs[precision] = codec
-            self._codec_baseline[precision] = codec.reconstruction_error(
-                self._pts[: self._n_total]
-            )
-        return self._codecs[precision]
+        if self._codec is None:
+            self._fit_codec()
+        return self._codec
 
-    def codec_status(self, precision: str) -> dict:
-        """Drift probe for a cached codec: baseline vs current error."""
-        if precision not in self._codecs:
+    def codec_status(self) -> dict:
+        """Drift probe for the fitted codec: baseline vs current error."""
+        if self._codec is None:
             return {"fitted": False}
-        codec = self._codecs[precision]
-        base = self._codec_baseline[precision]
-        cur = codec.reconstruction_error(self._pts[: self._n_total])
+        base = self._codec_baseline
+        cur = self._codec.reconstruction_error(self._pts[: self._n_total])
         return {
             "fitted": True,
             "baseline_error": base,
@@ -538,27 +539,27 @@ class DynamicGraph:
             "retrains": self.codec_retrains,
         }
 
-    def _extend_codecs(self, new_pts: np.ndarray) -> None:
-        """Extend cached codecs with the wave's codes; re-train on drift.
+    def _fit_codec(self) -> None:
+        pts = self._pts[: self._n_total]
+        self._codec = make_codec(self.precision, pts, self.metric)
+        self._codec_baseline = self._codec.reconstruction_error(pts)
+
+    def _extend_codec(self, new_pts: np.ndarray) -> None:
+        """Extend the fitted codec with the wave's codes; re-train on drift.
 
         The stale-codebook policy: if the wave's reconstruction error under
         the frozen codebook exceeds ``drift_threshold ×`` the training-time
         baseline (codebook-drift injection produces exactly this), re-fit
         on the full current corpus and count the re-train.
         """
-        from ..search.precision import make_codec
-
-        for prec, codec in list(self._codecs.items()):
-            codec.extend(new_pts)
-            base = self._codec_baseline[prec]
-            err = codec.reconstruction_error(new_pts)
-            if base > 0 and err > self.drift_threshold * base:
-                fresh = make_codec(prec, self._pts[: self._n_total], self.metric)
-                self._codecs[prec] = fresh
-                self._codec_baseline[prec] = fresh.reconstruction_error(
-                    self._pts[: self._n_total]
-                )
-                self.codec_retrains += 1
+        if self._codec is None:
+            return
+        self._codec.extend(new_pts)
+        base = self._codec_baseline
+        err = self._codec.reconstruction_error(new_pts)
+        if base > 0 and err > self.drift_threshold * base:
+            self._fit_codec()
+            self.codec_retrains += 1
 
     # -------------------------------------------------------------- export
     def freeze(self) -> tuple[np.ndarray, GraphIndex, np.ndarray]:

@@ -38,8 +38,8 @@ The engine is a *bit-exact* replacement for the scalar path: per-row
 ordering of every effectful operation (entry seeding, candidate selection,
 neighbour fetch order, visited test-and-set, tie-breaking in the merge)
 matches the scalar searcher, and the pair kernels equal
-:func:`~repro.data.metrics.pair_distances` / ``codec.distances`` — what the
-scalar searcher calls — on every distance bit
+:func:`~repro.data.metrics.pair_distances` / the allocating codec oracle
+(``tests/oracles.py::codec_distances``) on every distance bit
 (``tests/test_pair_kernel.py``).  Multi-CTA queries share a visited row; the
 row order within a query reproduces the scalar round-robin schedule, so
 cross-CTA work partitioning — and therefore results *and* op traces —

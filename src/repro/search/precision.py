@@ -251,10 +251,11 @@ class ProductQuantizer:
 class Int8Codec:
     """SQ8 traversal substrate: per-dimension affine uint8 codes.
 
-    ``distances`` mirrors the float32 norms expansion so the scalar and
-    lockstep backends produce bit-identical approximate distances: the
-    per-pair kernel is one row-wise einsum over the decoded-scale query
-    rows and the uint8 code rows (converted in-register on hardware).
+    Its kernel (:meth:`make_kernel`) mirrors the float32 norms expansion
+    so the scalar and lockstep backends produce bit-identical approximate
+    distances: the per-pair kernel is one row-wise einsum over the
+    decoded-scale query rows and the uint8 code rows (converted
+    in-register on hardware).
     """
 
     precision = "int8"
@@ -306,24 +307,6 @@ class Int8Codec:
         else:
             qoff = 1.0 - qlo
         return qs, qoff.astype(np.float32)
-
-    def distances(
-        self, state: tuple[np.ndarray, np.ndarray], qrows: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """Approximate distances for matched (query-row, point-id) pairs.
-
-        Reference form of the per-hop kernel (materialises every gathered
-        operand); the hot paths dispatch a cache-blocked
-        :class:`Int8Kernel` via :meth:`make_kernel` instead —
-        bit-identical output, scratch fixed at construction.
-        """
-        qs, qoff = state
-        c = self.codes[ids].astype(np.float32)
-        dot = np.einsum("ij,ij->i", np.ascontiguousarray(qs[qrows]), c)
-        if self.metric == "l2":
-            d = qoff[qrows] + self._pnorm_hat[ids] - 2.0 * dot
-            return np.maximum(d, 0.0).astype(np.float32)
-        return (qoff[qrows] - dot).astype(np.float32)
 
     def make_kernel(self, state: tuple[np.ndarray, np.ndarray]) -> "Int8Kernel":
         """Cache-blocked per-dispatch kernel (see :class:`Int8Kernel`)."""
@@ -442,25 +425,6 @@ class PQCodec:
                 tables[:, j, :] = -np.einsum("bd,kd->bk", qs, cb)
         return np.ascontiguousarray(tables.reshape(q.shape[0], -1))
 
-    def distances(
-        self, state: np.ndarray, qrows: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """ADC distances: one flat gather of ``m`` table entries per pair.
-
-        Reference form (materialises every gathered operand); the hot
-        paths dispatch a cache-blocked :class:`PQKernel` via
-        :meth:`make_kernel` — bit-identical output, scratch fixed at
-        construction.
-        """
-        c = self.codes[ids].astype(np.int64)
-        width = state.shape[1]
-        idx = qrows[:, None] * width + self._base[None, :] + c
-        vals = np.take(state.reshape(-1), idx)
-        d = vals.sum(axis=1)
-        if self.metric == "cosine":
-            d = 1.0 + d
-        return d.astype(np.float32)
-
     def make_kernel(self, state: np.ndarray) -> "PQKernel":
         """Cache-blocked per-dispatch kernel (see :class:`PQKernel`)."""
         return PQKernel(self, state)
@@ -479,9 +443,10 @@ class PQCodec:
 class Int8Kernel:
     """Reusable SQ8 distance kernel: one dispatch, many lockstep rounds.
 
-    Same arithmetic as the allocating form (:meth:`Int8Codec.distances`),
-    cache-blocked like :class:`~repro.data.metrics.PairKernel`: pairs are
-    scored ``pair_block_rows`` at a time through two operand blocks — the
+    Same arithmetic as the allocating oracle
+    (``tests/oracles.py::codec_distances``), cache-blocked like
+    :class:`~repro.data.metrics.PairKernel`: pairs are scored
+    ``pair_block_rows`` at a time through two operand blocks — the
     gathered uint8 code rows and the gathered scaled query rows — allocated
     once from :data:`~repro.data.metrics.PAIR_SCRATCH_BYTES`, so the
     scratch never scales with a round's width (unblocked, the query-row
@@ -549,10 +514,10 @@ class PQKernel:
     blocks — gathered codes, flat table indices, gathered table values —
     allocated once from :data:`~repro.data.metrics.PAIR_SCRATCH_BYTES`; a
     block is one ``np.take`` code gather, an index build, one flat table
-    gather, and a row-wise sum.  Output is bit-identical to
-    :meth:`PQCodec.distances` (integer index math is order-exact; the
-    float32 row sum runs over the same contiguous ``(rows, m)`` layout and
-    never sees the block boundary).
+    gather, and a row-wise sum.  Output is bit-identical to the allocating
+    oracle, ``tests/oracles.py::codec_distances`` (integer index math is
+    order-exact; the float32 row sum runs over the same contiguous
+    ``(rows, m)`` layout and never sees the block boundary).
     """
 
     __slots__ = ("codes", "base", "flat", "width", "cosine", "rows",

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,12 +96,16 @@ class DegradationSLO:
     p99_ceiling_us: float | None = None
 
     def __post_init__(self) -> None:
+        # A NaN fails every comparison, so each check refuses it too: a NaN
+        # limit would fail every verdict.
         if not 0.0 <= self.min_answered_frac <= 1.0:
             raise ValueError("min_answered_frac must be in [0, 1]")
-        if self.max_recall_drop < 0:
-            raise ValueError("max_recall_drop must be >= 0")
-        if self.p99_ceiling_us is not None and self.p99_ceiling_us <= 0:
-            raise ValueError("p99_ceiling_us must be positive")
+        if not 0.0 <= self.max_recall_drop < math.inf:
+            raise ValueError("max_recall_drop must be finite and >= 0")
+        if self.p99_ceiling_us is not None and not (
+            0.0 < self.p99_ceiling_us < math.inf
+        ):
+            raise ValueError("p99_ceiling_us must be finite and positive")
 
 
 @dataclass
@@ -250,9 +255,6 @@ def serve_while_update(
     k: int = 16,
     l: int | None = None,
     slots: int = 8,
-    precision: str = "float32",
-    rerank_mult: int | None = None,
-    insert_pool: np.ndarray | None = None,
     faults: FaultPlan | None = None,
     slo: DegradationSLO | None = None,
     compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
@@ -265,11 +267,13 @@ def serve_while_update(
     ``queries`` is the query-vector pool; event ``i`` of the workload uses
     row ``i mod len(queries)`` (the load harness convention).  ``workload``
     is anything :func:`~repro.data.workload.resolve_workload` accepts;
-    ``n_queries`` defaults to the pool size.  ``insert_pool`` supplies the
-    vectors insert waves draw from, cycled in order (None → seeded Gaussian
-    draws matched to the initial corpus's mean/spread, so steady churn is
-    in-distribution and codec re-trains only fire under injected drift).
-    Under cosine every insert vector is normalized after any drift shift.
+    ``n_queries`` defaults to the pool size.  Insert waves draw seeded
+    Gaussian vectors matched to the initial corpus's mean/spread, so
+    steady churn is in-distribution and codec re-trains only fire under
+    injected drift; under cosine every insert vector is normalized after
+    any drift shift.  Reads traverse at the graph's own ``precision`` /
+    ``rerank_mult`` (:class:`~repro.graphs.dynamic.DynamicGraph`'s
+    constructor).
     ``faults`` consumes the plan's update kinds: ``storm`` merges into the
     wave schedule, ``compaction_stall`` stretches the compaction barrier by
     ``factor``, ``codebook_drift`` shifts insert vectors arriving after
@@ -281,6 +285,10 @@ def serve_while_update(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     if queries.shape[0] == 0:
         raise ValueError("need at least one query vector")
+    # A NaN fails every comparison, so this refuses it too: a NaN
+    # threshold would never compact.
+    if not 0.0 <= compact_threshold < math.inf:
+        raise ValueError("compact_threshold must be finite and non-negative")
     slo = slo or DegradationSLO()
     n_events = queries.shape[0] if n_queries is None else n_queries
     events, spec = resolve_workload(workload, n_events)
@@ -297,24 +305,15 @@ def serve_while_update(
 
     # One generator drives every stochastic choice downstream of the stream
     # spec (wave sizes are drawn inside stream.waves from the same seed), so
-    # the (stream, pools, faults) triple fully determines the run.
+    # the (stream, faults) pair fully determines the run.
     rng = np.random.default_rng(stream.seed)
     alive0 = dyn.alive_ids()
     base0 = dyn._pts[alive0]
     mean0 = base0.mean(axis=0)
     std0 = base0.std(axis=0) + 1e-6
-    pool_pos = 0
 
     def draw_inserts(n: int, at_us: float) -> np.ndarray:
-        nonlocal pool_pos
-        if insert_pool is not None:
-            pool = np.asarray(insert_pool, dtype=np.float32)
-            idx = (pool_pos + np.arange(n)) % pool.shape[0]
-            pool_pos += n
-            pts = pool[idx].copy()
-        else:
-            pts = rng.normal(mean0, std0, size=(n, base0.shape[1]))
-            pts = pts.astype(np.float32)
+        pts = rng.normal(mean0, std0, size=(n, base0.shape[1])).astype(np.float32)
         if drift is not None and at_us >= drift.at_us:
             pts = pts + drift.magnitude * std0
         if dyn.metric == "cosine":
@@ -335,9 +334,7 @@ def serve_while_update(
         else np.empty((0, queries.shape[1]), np.float32)
     )
     if events:
-        oracle_ids, _, _ = dyn.search_batch(
-            all_qvecs, k, l=l, precision=precision, rerank_mult=rerank_mult,
-        )
+        oracle_ids, _, _ = dyn.search_batch(all_qvecs, k, l=l)
         oracle_recall = float(
             _epoch_recall(dyn, all_qvecs, oracle_ids, k, alive0).mean()
         )
@@ -371,8 +368,7 @@ def serve_while_update(
             lost_ids.extend(ev.query_id for ev in epoch_events)
             return
         ids, _, traces = dyn.search_batch(
-            qv, k, l=l, precision=precision, rerank_mult=rerank_mult,
-            record_trace=True, pending_inserts=inserts,
+            qv, k, l=l, record_trace=True, pending_inserts=inserts,
         )
         # Compaction-boundary invariants, checked on every answer set:
         # a tombstone must never be returned, a row must never repeat an id.

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class UpdateStorm:
     n_deletes: int = 0
 
     def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("at_us must be >= 0")
+        # A NaN fails every comparison, so this refuses it too: waves()
+        # would drop a NaN storm without a word.
+        if not 0.0 <= self.at_us < math.inf:
+            raise ValueError("at_us must be finite and >= 0")
         if self.n_inserts < 0 or self.n_deletes < 0:
             raise ValueError("storm sizes must be >= 0")
         if self.n_inserts + self.n_deletes == 0:
@@ -82,10 +85,14 @@ class UpdateStream:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.insert_qps < 0 or self.delete_qps < 0:
-            raise ValueError("update rates must be >= 0")
-        if self.wave_us <= 0:
-            raise ValueError("wave_us must be positive")
+        # A NaN fails every comparison, so these refuse it too: a NaN rate
+        # or window would produce zero waves, an infinite rate die inside
+        # the Poisson draw.
+        for name in ("insert_qps", "delete_qps"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0.0 < self.wave_us < math.inf:
+            raise ValueError("wave_us must be finite and positive")
         storms = tuple(
             s if isinstance(s, UpdateStorm) else UpdateStorm(**dict(s))
             for s in self.storms

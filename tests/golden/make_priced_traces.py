@@ -72,12 +72,12 @@ def cases():
 
     def dynamic_case(precision):
         def run():
-            dyn = DynamicGraph(base, graph, max_degree=14, ef=48)
+            dyn = DynamicGraph(base, graph, max_degree=14, ef=48,
+                               precision=precision)
             dyn.delete_batch(np.arange(0, 600, 7))
             dyn.insert_batch(latent_mixture(30, 32, intrinsic_dim=10, seed=33))
             dyn.delete_batch(np.arange(3, 600, 42))
-            out = dyn.search_batch(
-                queries, K, precision=precision, record_trace=True)
+            out = dyn.search_batch(queries, K, record_trace=True)
             return out, ALGASSystem(base, graph, k=K, l_total=L_TOTAL).cost_model
         return run
 

@@ -28,7 +28,10 @@ Regenerating on ``b1b6bf7`` reproduces every digest but ``cosine``'s:
 ``cosine`` was re-frozen when the runner began normalizing its drawn
 inserts under cosine (before, its 200 inserted rows had norms 0.59 to
 1.46 while every cosine kernel assumes unit rows); the other seven
-scenarios did not move.
+scenarios did not move.  ``codebook_drift-int8`` gives its precision to
+the ``DynamicGraph`` constructor, where the stream path takes it now; on
+a commit that predates that, the same values went to
+``serve_while_update`` and produced the same digests.
 """
 
 from __future__ import annotations
@@ -49,27 +52,27 @@ from repro.streaming import UpdateStream, serve_while_update
 FIXTURE = Path(__file__).with_name("streams.json")
 N, DIM, N_QUERIES = 400, 16, 24
 
-#: name -> (metric, serve_while_update keywords, stream keywords, query rate)
+#: name -> (metric, DynamicGraph keywords, serve_while_update keywords,
+#: stream keywords, query rate)
 SCENARIOS = {
-    "float32": ("l2", {}, {}, 2000.0),
+    "float32": ("l2", {}, {}, {}, 2000.0),
     "update-storm": (
-        "l2", dict(faults=named_plan("update-storm")), {}, 2000.0),
+        "l2", {}, dict(faults=named_plan("update-storm")), {}, 2000.0),
     "compaction_stall": (
-        "l2",
+        "l2", {},
         dict(faults=FaultPlan(seed=1, update_faults=(
             UpdateFault("compaction_stall", factor=3.0),)),
              compact_threshold=0.02),
         {}, 2000.0),
     "codebook_drift-int8": (
-        "l2",
-        dict(precision="int8", rerank_mult=4,
-             faults=FaultPlan(seed=1, update_faults=(
-                 UpdateFault("codebook_drift", at_us=8_000.0, magnitude=3.0),))),
+        "l2", dict(precision="int8", rerank_mult=4),
+        dict(faults=FaultPlan(seed=1, update_faults=(
+            UpdateFault("codebook_drift", at_us=8_000.0, magnitude=3.0),))),
         {}, 2000.0),
-    "explicit-l": ("l2", dict(l=24), {}, 2000.0),
-    "cosine": ("cosine", {}, {}, 2000.0),
-    "zero-insert-waves": ("l2", {}, dict(insert_qps=250.0), 2000.0),
-    "empty-epochs": ("l2", {}, dict(wave_us=1_500.0), 1000.0),
+    "explicit-l": ("l2", {}, dict(l=24), {}, 2000.0),
+    "cosine": ("cosine", {}, {}, {}, 2000.0),
+    "zero-insert-waves": ("l2", {}, {}, dict(insert_qps=250.0), 2000.0),
+    "empty-epochs": ("l2", {}, {}, dict(wave_us=1_500.0), 1000.0),
 }
 
 
@@ -86,11 +89,11 @@ def corpus(metric: str) -> tuple[np.ndarray, np.ndarray]:
 
 def run(name: str):
     """``(report, dyn)`` of one scenario, run from scratch."""
-    metric, kw, stream_kw, rate = SCENARIOS[name]
+    metric, graph_kw, kw, stream_kw, rate = SCENARIOS[name]
     base, queries = corpus(metric)
     dyn = DynamicGraph(
         base, build_cagra(base, graph_degree=10, metric=metric, seed=0),
-        metric=metric, max_degree=12, ef=48,
+        metric=metric, max_degree=12, ef=48, **graph_kw,
     )
     stream = UpdateStream(**{
         "insert_qps": 4000.0, "delete_qps": 2000.0, "wave_us": 4_000.0,

@@ -7,18 +7,20 @@ reference functions (``tests.reference``: ``intra_cta_search`` /
 module composes them into the system-level shape so ``system.search_all``
 can be checked against them bit for bit, and :func:`scalar_dynamic_search`
 is the same kind of oracle for ``DynamicGraph.search``.
-:func:`scalar_cta_cost` is the matching pricing oracle: the step-by-step
-accumulation of ``CostModel.step_cost`` the block pricer must equal
-exactly.
+:func:`scalar_step_cost` is the matching pricing oracle — the cost
+formulas one ``StepRecord`` at a time — and :func:`scalar_cta_cost` its
+left-to-right accumulation; the block pricer ``CostModel.block_cost``
+must equal both exactly.  :func:`codec_distances` is the allocating form
+of the quantized distance kernels (``Int8Kernel`` / ``PQKernel``), which
+must equal it bit for bit.
 
 ``src/`` likewise has one builder per graph family (``repro.graphs``:
 wave / array builders); the per-vertex Python loops they replaced are
 :func:`scalar_build_nsw`, :func:`scalar_build_hnsw` (layer 0 of the
 hierarchical :class:`ScalarHNSW`), :func:`scalar_build_nsg`,
-:func:`scalar_build_cagra` and :func:`scalar_nn_descent_dedup` below —
-CAGRA and the NN-descent dedup are equal to them byte for byte, NSW, HNSW
-and NSG are held to their recall.  The shared occlusion prune they all
-link through is held to :func:`full_width_occlusion_prune_mask`, its
+:func:`scalar_build_cagra` below — CAGRA is equal to it byte for byte,
+NSW, HNSW and NSG are held to their recall.  The shared occlusion prune
+they all link through is held to :func:`full_width_occlusion_prune_mask`, its
 pre-width-ordering body, mask for mask.  :func:`union_find_components`
 is the plain union-find the numpy weak-component count of
 ``graph_stats`` is held to.
@@ -34,10 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.metrics import query_distances
-from repro.gpusim.costmodel import CTACost
-from repro.graphs import GraphIndex, exact_knn_matrix, nn_descent_matrix, occlusion_prune_mask
+from repro.gpusim.costmodel import (
+    CTACost,
+    _ceil_div,
+    bitonic_merge_groups,
+    bitonic_sort_groups,
+)
+from repro.gpusim.trace import QueryTrace, StepRecord, TraceBlock, precision_code
+from repro.graphs import GraphIndex, exact_knn_matrix, occlusion_prune_mask
 from repro.graphs.utils import medoid
-from repro.gpusim.trace import QueryTrace, TraceBlock
 
 from .reference import intra_cta_search, multi_cta_search
 
@@ -135,12 +142,85 @@ def assert_same_search_all(got, want):
     assert gt == TraceBlock.from_traces(wt)
 
 
+@dataclass(frozen=True)
+class StepCost:
+    """Time breakdown of one step, microseconds."""
+
+    select_us: float
+    fetch_us: float
+    filter_us: float
+    distance_us: float
+    sort_us: float
+
+    @property
+    def total_us(self) -> float:
+        return self.select_us + self.fetch_us + self.filter_us + self.distance_us + self.sort_us
+
+
+def scalar_step_cost(cost_model, step: StepRecord) -> StepCost:
+    """Price a single search step in plain Python — the former
+    ``CostModel.step_cost``, whose formulas ``CostModel.block_step_costs``
+    transcribes over columns."""
+    p, t, us, dev = cost_model.params, cost_model.threads, cost_model._us, cost_model.device
+    select = us(_ceil_div(max(step.cand_list_len, 1), t) * p.scan_cycles * step.n_expanded)
+    # Adjacency fetch: one global-memory round trip per expanded
+    # candidate plus streaming the neighbour ids.
+    fetch_bytes = step.n_neighbors_fetched * 4
+    fetch = (
+        step.n_expanded * us(dev.global_mem_latency_cycles)
+        + fetch_bytes / (dev.global_mem_bw_gbps * 1e3)
+    )
+    filter_ = us(
+        _ceil_div(max(step.n_visited_checks, 1), t) * p.bitmap_cycles
+    ) if step.n_visited_checks else 0.0
+    distance = 0.0
+    precision = step.precision
+    precision_code(precision)  # an unknown tag fails; it is not float32
+    if step.n_new_points:
+        reduce_steps = step.n_new_points * max(1, int(math.log2(t)))
+        if precision == "int8":
+            # DP4A packs int8_mac_pack MACs per lane-cycle and streams
+            # 1 byte/dimension instead of 4.
+            pack = max(int(p.int8_mac_pack), 1)
+            iters = _ceil_div(step.n_new_points * step.dim, t * pack)
+            lane_cycles = iters * p.fma_iter_cycles
+            vec_bytes = step.n_new_points * step.dim * 1
+        elif precision == "pq":
+            # ADC: step.dim holds m — one shared-memory table lookup
+            # per subspace per point, 1 byte/code streamed.
+            iters = _ceil_div(step.n_new_points * step.dim, t)
+            lane_cycles = iters * p.lut_lookup_cycles
+            vec_bytes = step.n_new_points * step.dim * 1
+        else:
+            iters = _ceil_div(step.n_new_points * step.dim, t)
+            lane_cycles = iters * p.fma_iter_cycles
+            vec_bytes = step.n_new_points * step.dim * 4
+        distance = us(
+            lane_cycles + reduce_steps * p.shuffle_cycles
+        ) + vec_bytes / (dev.global_mem_bw_gbps * 1e3)
+    sort = scalar_sort_cost_us(cost_model, step) if step.did_sort else 0.0
+    total_fixed = us(p.step_fixed_cycles)
+    return StepCost(select + total_fixed, fetch, filter_, distance, sort)
+
+
+def scalar_sort_cost_us(cost_model, step: StepRecord) -> float:
+    """Bitonic sort of the expand list + merge into the candidate list."""
+    p, t = cost_model.params, cost_model.threads
+    expand_n = max(step.sort_size - step.cand_list_len, 0)
+    cycles = 0.0
+    if expand_n > 1:
+        cycles += bitonic_sort_groups(expand_n, t) * p.cmpex_cycles
+    if step.sort_size > 1:
+        cycles += bitonic_merge_groups(step.sort_size, t) * p.cmpex_cycles
+    return cost_model._us(cycles)
+
+
 def scalar_cta_cost(cost_model, trace) -> CTACost:
     """Price one ``CTATrace`` step by step, accumulating left to right —
     the pre-block ``CostModel.cta_cost`` kept as the reference."""
     sel = fet = fil = dis = srt = 0.0
     for s in trace.steps:
-        c = cost_model.step_cost(s)
+        c = scalar_step_cost(cost_model, s)
         sel += c.select_us
         fet += c.fetch_us
         fil += c.filter_us
@@ -153,6 +233,30 @@ def scalar_cta_cost(cost_model, trace) -> CTACost:
             trace.result_len * 8 / (dev.global_mem_bw_gbps * 1e3)
         )
     return CTACost(sel, fet, fil, dis, srt, write, trace.n_steps)
+
+
+def codec_distances(codec, state, qrows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Approximate distances of matched (query-row, point-id) pairs under
+    an ``Int8Codec`` / ``PQCodec``, materialising every gathered operand —
+    the former ``codec.distances``.  ``codec.make_kernel(state)`` (the
+    cache-blocked kernel every search dispatches) must equal it bit for
+    bit."""
+    if codec.precision == "int8":
+        qs, qoff = state
+        c = codec.codes[ids].astype(np.float32)
+        dot = np.einsum("ij,ij->i", np.ascontiguousarray(qs[qrows]), c)
+        if codec.metric == "l2":
+            d = qoff[qrows] + codec._pnorm_hat[ids] - 2.0 * dot
+            return np.maximum(d, 0.0).astype(np.float32)
+        return (qoff[qrows] - dot).astype(np.float32)
+    # PQ-ADC: one flat gather of ``m`` table entries per pair.
+    c = codec.codes[ids].astype(np.int64)
+    width = state.shape[1]
+    idx = qrows[:, None] * width + codec._base[None, :] + c
+    d = np.take(state.reshape(-1), idx).sum(axis=1)
+    if codec.metric == "cosine":
+        d = 1.0 + d
+    return d.astype(np.float32)
 
 
 # ---------------------------------------------------------------- builders
@@ -555,9 +659,7 @@ def _bfs_reachable(adj: list[np.ndarray], start: int, n: int) -> np.ndarray:
 def scalar_build_cagra(
     points: np.ndarray,
     graph_degree: int = 32,
-    intermediate_degree: int | None = None,
     metric: str = "l2",
-    use_nn_descent: bool = False,
     seed: int = 0,
 ) -> GraphIndex:
     """CAGRA graph optimization with per-vertex forward / reverse / pad
@@ -566,14 +668,9 @@ def scalar_build_cagra(
     it byte for byte."""
     points = np.asarray(points, dtype=np.float32)
     n = points.shape[0]
-    inter = intermediate_degree or 2 * graph_degree
-    inter = min(inter, n - 1)
-    if use_nn_descent:
-        cand_ids, cand_d = nn_descent_matrix(points, inter, metric, seed=seed)
-        cand_ids = cand_ids.astype(np.int64)
-    else:
-        cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
-        cand_ids = cand_ids.astype(np.int64)
+    inter = min(2 * graph_degree, n - 1)
+    cand_ids, cand_d = exact_knn_matrix(points, inter, metric)
+    cand_ids = cand_ids.astype(np.int64)
 
     keep_mask = occlusion_prune_mask(points, cand_ids, cand_d, metric, rule="detour")
 
@@ -668,24 +765,6 @@ def full_width_occlusion_prune_mask(
             if fc is not None:
                 keep[lo:hi] |= fc
     return keep
-
-
-def scalar_nn_descent_dedup(nbrs, dists, merged_ids, merged_d, k):
-    """The per-row ``np.unique`` dedup + top-k update of NN-descent, with
-    the signature of ``repro.graphs.knn._dedup_update_vectorized`` (which
-    must equal it bit for bit): returns ``(nbrs, dists, updated)``."""
-    nbrs, dists = nbrs.copy(), dists.copy()
-    updated = 0
-    for i in range(nbrs.shape[0]):
-        _row_ids, first = np.unique(merged_ids[i], return_index=True)
-        first.sort()
-        keep = first[:k]
-        new_row = merged_ids[i, keep]
-        if not np.array_equal(np.sort(new_row), np.sort(nbrs[i])):
-            updated += 1
-        nbrs[i, : keep.size] = new_row
-        dists[i, : keep.size] = merged_d[i, keep]
-    return nbrs, dists, updated
 
 
 def union_find_components(graph: GraphIndex) -> int:

@@ -6,8 +6,8 @@ respected, no self-loops, no duplicate neighbours), be deterministic under
 a fixed seed, reproduce the CSR digests frozen in
 ``tests/golden/graphs.json`` at the last commit that still had a
 ``build_backend=`` switch, and stand up against the per-vertex reference
-loops of ``tests/oracles.py``: ``build_cagra`` and the NN-descent dedup
-kernel byte for byte, NSW / HNSW / NSG within the recall gate.  The
+loops of ``tests/oracles.py``: ``build_cagra`` byte for byte, NSW / HNSW /
+NSG within the recall gate.  The
 occlusion prune they share equals its full-width oracle mask for mask.
 
 (The file keeps its pre-PR-22 name so the test ids the floor list names
@@ -32,8 +32,6 @@ from repro.graphs import (
     build_hnsw,
     build_nsg,
     build_nsw,
-    knn,
-    nn_descent_matrix,
     occlusion_prune_mask,
 )
 from repro.graphs.utils import medoid
@@ -46,7 +44,6 @@ from .oracles import (
     scalar_build_hnsw,
     scalar_build_nsg,
     scalar_build_nsw,
-    scalar_nn_descent_dedup,
 )
 
 N, DIM, BUILDERS = make_graphs.N, make_graphs.DIM, make_graphs.BUILDERS
@@ -126,8 +123,7 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builders_reproduce_the_frozen_graphs(golden, name):
     """Every CSR digest frozen at ``9bc1209`` (then behind
-    ``build_backend="vectorized"``): both metrics, two seeds,
-    NN-descent for CAGRA."""
+    ``build_backend="vectorized"``): both metrics, two seeds."""
     for key, family, metric, kw in make_graphs.cases():
         if family == name:
             got = make_graphs.digest(
@@ -137,19 +133,10 @@ def test_builders_reproduce_the_frozen_graphs(golden, name):
 
 # -------------------------------------------------------------- parity
 def test_cagra_vectorized_is_bit_identical(points):
-    for kw in (dict(graph_degree=12), dict(graph_degree=12, use_nn_descent=True)):
-        gs = scalar_build_cagra(points, **kw)
-        gv = build_cagra(points, **kw)
-        assert np.array_equal(gs.indptr, gv.indptr)
-        assert np.array_equal(gs.indices, gv.indices)
-
-
-def test_nn_descent_vectorized_dedup_is_bit_identical(points, monkeypatch):
-    b_ids, b_d = nn_descent_matrix(points, 16, seed=5)
-    monkeypatch.setattr(knn, "_dedup_update_vectorized", scalar_nn_descent_dedup)
-    a_ids, a_d = nn_descent_matrix(points, 16, seed=5)
-    assert np.array_equal(a_ids, b_ids)
-    assert np.array_equal(a_d, b_d)
+    gs = scalar_build_cagra(points, graph_degree=12)
+    gv = build_cagra(points, graph_degree=12)
+    assert np.array_equal(gs.indptr, gv.indptr)
+    assert np.array_equal(gs.indices, gv.indices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,11 +236,6 @@ def test_unknown_backend_rejected(points, name, fn):
     else:
         with pytest.raises(TypeError, match="build_backend"):
             fn(points[:64], build_backend="vectorized")
-
-
-def test_nn_descent_unknown_backend_rejected(points):
-    with pytest.raises(TypeError, match="backend"):
-        nn_descent_matrix(points[:64], 8, backend="vectorized")
 
 
 def test_one_builder_per_family():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import graphs
 from repro.data.synthetic import latent_mixture
 from repro.graphs.build_batched import occlusion_prune_mask
 from repro.graphs.cagra import build_cagra
@@ -84,6 +85,13 @@ def test_validates(pts):
         build_cagra(pts[:5], graph_degree=8)
 
 
-def test_nn_descent_variant(pts):
-    g = build_cagra(pts, graph_degree=8, use_nn_descent=True, seed=2)
-    assert (g.degrees == 8).all()
+def test_builds_on_the_exact_knn_only(pts):
+    """The intermediate graph is the exact kNN of degree 2 x graph_degree:
+    NN-descent and the intermediate degree are gone, and ``seed`` moves no
+    bit."""
+    for kw in (dict(use_nn_descent=True), dict(intermediate_degree=16)):
+        with pytest.raises(TypeError):
+            build_cagra(pts, graph_degree=8, **kw)
+    a, b = build_cagra(pts, graph_degree=8), build_cagra(pts, graph_degree=8, seed=2)
+    assert np.array_equal(a.indices, b.indices)
+    assert "nn_descent_matrix" not in graphs.__all__

@@ -12,6 +12,8 @@ from repro.gpusim.costmodel import (
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.trace import CTATrace, StepRecord
 
+from .oracles import scalar_step_cost
+
 
 def mkstep(**kw):
     base = dict(
@@ -36,7 +38,7 @@ def test_bitonic_stage_count():
 
 
 def test_step_cost_positive_components(cm):
-    c = cm.step_cost(mkstep())
+    c = scalar_step_cost(cm, mkstep())
     assert c.select_us > 0 and c.fetch_us > 0 and c.filter_us > 0
     assert c.distance_us > 0 and c.sort_us > 0
     assert c.total_us == pytest.approx(
@@ -45,26 +47,26 @@ def test_step_cost_positive_components(cm):
 
 
 def test_no_sort_step_has_zero_sort_cost(cm):
-    c = cm.step_cost(mkstep(did_sort=False, sort_size=0))
+    c = scalar_step_cost(cm, mkstep(did_sort=False, sort_size=0))
     assert c.sort_us == 0.0
 
 
 def test_distance_scales_with_dim(cm):
-    lo = cm.step_cost(mkstep(dim=64)).distance_us
-    hi = cm.step_cost(mkstep(dim=960)).distance_us
+    lo = scalar_step_cost(cm, mkstep(dim=64)).distance_us
+    hi = scalar_step_cost(cm, mkstep(dim=960)).distance_us
     assert hi > 5 * lo
 
 
 def test_sort_scales_with_list_size(cm):
-    small = cm.step_cost(mkstep(sort_size=40, cand_list_len=32)).sort_us
-    large = cm.step_cost(mkstep(sort_size=264, cand_list_len=256)).sort_us
+    small = scalar_step_cost(cm, mkstep(sort_size=40, cand_list_len=32)).sort_us
+    large = scalar_step_cost(cm, mkstep(sort_size=264, cand_list_len=256)).sort_us
     assert large > 2 * small
 
 
 def test_cta_cost_additive(cm):
     t = CTATrace(steps=[mkstep(), mkstep(did_sort=False, sort_size=0)], result_len=10)
     agg = cm.cta_cost(t)
-    s0, s1 = cm.step_cost(t.steps[0]), cm.step_cost(t.steps[1])
+    s0, s1 = scalar_step_cost(cm, t.steps[0]), scalar_step_cost(cm, t.steps[1])
     assert agg.sort_us == pytest.approx(s0.sort_us + s1.sort_us)
     assert agg.total_us == pytest.approx(
         s0.total_us + s1.total_us + agg.result_write_us
@@ -109,4 +111,4 @@ def test_custom_params_change_costs():
     slow = CostModel(RTX_A6000, CostParams(cmpex_cycles=100.0))
     fast = CostModel(RTX_A6000, CostParams(cmpex_cycles=1.0))
     s = mkstep()
-    assert slow.step_cost(s).sort_us > 10 * fast.step_cost(s).sort_us
+    assert scalar_step_cost(slow, s).sort_us > 10 * scalar_step_cost(fast, s).sort_us

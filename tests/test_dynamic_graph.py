@@ -14,9 +14,9 @@ PTS = latent_mixture(500, 16, intrinsic_dim=8, seed=21)
 GRAPH = build_cagra(PTS, graph_degree=10)
 
 
-def fresh() -> DynamicGraph:
+def fresh(**kw) -> DynamicGraph:
     """500 live points; k=8 reads share the insert beam (ef 48 >= 13)."""
-    return DynamicGraph(PTS, GRAPH, max_degree=12, ef=48)
+    return DynamicGraph(PTS, GRAPH, max_degree=12, ef=48, **kw)
 
 
 @pytest.fixture()
@@ -164,10 +164,12 @@ def _state(d):
     return d._adj[:n].copy(), d._counts[:n].copy(), d._alive[:n].copy()
 
 
-def _epoch(monkeypatch, wave, pending, search_kw=None, between=None):
+def _epoch(monkeypatch, wave, pending, search_kw=None, between=None,
+           graph_kw=None):
     """search_batch (optionally carrying ``pending``), ``between(d)``, then
-    insert_batch(wave) on a fresh graph: the read results, the final
-    adjacency state and how many insertion searches ran on their own."""
+    insert_batch(wave) on a fresh graph (built with ``graph_kw``): the read
+    results, the final adjacency state and how many insertion searches ran
+    on their own."""
     calls = []
     real = dynamic._prefix_search
 
@@ -176,7 +178,7 @@ def _epoch(monkeypatch, wave, pending, search_kw=None, between=None):
         return real(*args, **kw)
 
     monkeypatch.setattr(dynamic, "_prefix_search", spy)
-    d = fresh()
+    d = fresh(**(graph_kw or {}))
     out = d.search_batch(QUERIES, 8, record_trace=True,
                          pending_inserts=pending, **(search_kw or {}))
     if between is not None:
@@ -213,22 +215,78 @@ def test_fused_epoch_equals_the_two_run_epoch(monkeypatch):
 def test_fused_epoch_falls_back_to_its_own_insert_search(monkeypatch, case):
     """Every condition that voids the fused pools leaves the insert to
     search on its own, exactly as without ``pending_inserts``."""
-    wave, pending, kw, between = WAVE, WAVE, None, None
+    wave, pending, kw, between, graph_kw = WAVE, WAVE, None, None, None
     if case == "delete_between":
         def between(d):
             d.delete_batch([3, 4])
     elif case == "other_points":
         pending = WAVE[::-1]
     elif case == "int8":
-        kw = dict(precision="int8")
+        graph_kw = dict(precision="int8")
     elif case == "explicit_l":
         kw = dict(l=24)
     else:  # one more point than the first sub-wave (max(n_alive, 256))
         wave = pending = latent_mixture(501, 16, intrinsic_dim=8, seed=24)
-    *plain, n_plain = _epoch(monkeypatch, wave, None, kw, between)
-    *fused, n_fused = _epoch(monkeypatch, wave, pending, kw, between)
+    *plain, n_plain = _epoch(monkeypatch, wave, None, kw, between, graph_kw)
+    *fused, n_fused = _epoch(monkeypatch, wave, pending, kw, between, graph_kw)
     assert n_fused == n_plain == (2 if case == "oversize_wave" else 1)
     _assert_same(plain, fused)
+
+
+def test_precision_is_set_once_at_construction():
+    """An unknown precision and a re-rank pool under ``k`` are refused when
+    the graph is built (the unknown tag used to fail only at the first
+    search), and no search or codec call takes them any more."""
+    with pytest.raises(ValueError, match="unknown precision 'fp16'"):
+        DynamicGraph(PTS, GRAPH, precision="fp16")
+    with pytest.raises(ValueError, match="rerank_mult"):
+        DynamicGraph(PTS, GRAPH, precision="int8", rerank_mult=0)
+    d = fresh(precision="int8", rerank_mult=4)
+    assert (d.precision, d.rerank_mult) == ("int8", 4)
+    for kw in (dict(precision="int8"), dict(rerank_mult=4)):
+        with pytest.raises(TypeError):
+            d.search(QUERIES[0], 8, **kw)
+        with pytest.raises(TypeError):
+            d.search_batch(QUERIES, 8, **kw)
+    for call in (d.traversal_codec, d.codec_status):
+        with pytest.raises(TypeError):
+            call("int8")
+
+
+def test_one_codec_serves_every_search():
+    """The codec is fitted at the first search and is the same object for
+    every later one; an insert wave extends it in place, and only a drift
+    re-train replaces it."""
+    assert fresh().traversal_codec() is None
+    d = fresh(precision="int8")
+    assert d.codec_status() == {"fitted": False}
+    d.search_batch(QUERIES, 8)
+    codec = d.traversal_codec()
+    assert d.codec_status()["fitted"]
+    d.search(QUERIES[0], 8)
+    # Midpoints of corpus rows sit inside the trained ranges: extended,
+    # not re-trained.
+    d.insert_batch((PTS[:20] + PTS[20:40]) / 2)
+    assert d.traversal_codec() is codec
+    assert codec.codes.shape[0] == d.n_total
+    assert d.codec_retrains == 0
+    d.insert_batch(PTS[:20] + 10 * PTS.std(axis=0))  # far outside them
+    assert d.codec_retrains == 1
+    refit = d.traversal_codec()
+    assert refit is not codec and refit.codes.shape[0] == d.n_total
+    d.search_batch(QUERIES, 8)
+    assert d.traversal_codec() is refit
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_refuses_non_positive_k(k):
+    """``k=-1`` used to fail inside numpy ("negative dimensions are not
+    allowed") and ``k=0`` to return empty rows."""
+    d = fresh()
+    with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        d.search_batch(QUERIES, k)
+    with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        d.search(QUERIES[0], k)
 
 
 def test_pending_inserts_validated():

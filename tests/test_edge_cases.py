@@ -17,7 +17,6 @@ from repro.graphs import (
     build_hnsw,
     build_nsg,
     build_nsw,
-    nn_descent_matrix,
 )
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
@@ -196,7 +195,6 @@ _BUILDERS = {
     "hnsw": partial(build_hnsw, m=4),
     "nsg": partial(build_nsg, out_degree=6),
     "cagra": partial(build_cagra, graph_degree=6),
-    "nn_descent": partial(nn_descent_matrix, k=6),
 }  # sized for the 64-point corpus below: a clean one builds under each
 
 

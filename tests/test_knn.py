@@ -3,11 +3,7 @@
 import numpy as np
 
 from repro.data.groundtruth import exact_knn
-from repro.graphs.knn import (
-    exact_knn_graph,
-    exact_knn_matrix,
-    nn_descent_matrix,
-)
+from repro.graphs.knn import exact_knn_graph, exact_knn_matrix
 
 
 def test_exact_knn_matrix_excludes_self():
@@ -37,25 +33,3 @@ def test_exact_knn_graph_fixed_degree():
     g = exact_knn_graph(pts, 4)
     assert g.kind == "knn"
     assert (g.degrees == 4).all()
-
-
-def test_nn_descent_recall():
-    rng = np.random.default_rng(3)
-    # Clustered points: NN-descent converges fast.
-    from repro.data.synthetic import latent_mixture
-
-    pts = latent_mixture(400, 16, intrinsic_dim=8, seed=3)
-    approx, _ = nn_descent_matrix(pts, 8, n_iters=10, seed=0)
-    exact, _ = exact_knn_matrix(pts, 8)
-    hits = sum(
-        len(set(approx[i]) & set(exact[i])) for i in range(400)
-    )
-    assert hits / (400 * 8) > 0.7
-
-
-def test_nn_descent_no_self_loops():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(60, 8)).astype(np.float32)
-    nbrs, _ = nn_descent_matrix(pts, 4, n_iters=3, seed=1)
-    for i in range(60):
-        assert i not in nbrs[i]

@@ -54,11 +54,11 @@ def test_derated_device_integration():
     plan = plan_memory(RTX_A6000, 100_000, 128, 0, capacity_bytes=100_000 * 128 * 2)
     dev = RTX_A6000.with_overrides(global_mem_bw_gbps=plan.effective_bw_gbps)
     from repro.gpusim.costmodel import CostModel
-    from repro.gpusim.trace import StepRecord
+    from repro.gpusim.trace import CTATrace, StepRecord
 
-    step = StepRecord(0, 1, 16, 16, 8, 128, 72, 64, True)
-    slow = CostModel(dev).step_cost(step)
-    fast = CostModel(RTX_A6000).step_cost(step)
+    trace = CTATrace(steps=[StepRecord(0, 1, 16, 16, 8, 128, 72, 64, True)])
+    slow = CostModel(dev).cta_cost(trace)
+    fast = CostModel(RTX_A6000).cta_cost(trace)
     assert slow.distance_us > fast.distance_us
     assert slow.fetch_us > fast.fetch_us
 

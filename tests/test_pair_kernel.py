@@ -2,8 +2,8 @@
 bounded in scratch, and the bound filter they feed stays on under tracing.
 
 * **Differential** — ``PairKernel`` / ``Int8Kernel`` / ``PQKernel`` against
-  ``pair_distances(a[ia], b[ib], ...)`` / ``codec.distances(...)`` at pair
-  counts on both sides of every block boundary and with repeated pairs,
+  ``pair_distances(a[ia], b[ib], ...)`` / ``oracles.codec_distances(...)``
+  at pair counts on both sides of every block boundary and with repeated pairs,
   compared as ``uint32`` bit patterns; returned arrays are owned.
 * **Bounded scratch** — a count, not a timer: a kernel's operand scratch is
   fixed at construction and inside ``PAIR_SCRATCH_BYTES`` whatever the
@@ -32,6 +32,7 @@ from repro.search.batched import BatchedVisited, BeamConfig, LockstepEngine
 from repro.search.precision import Int8Codec, PQCodec
 
 from .golden import make_priced_traces as golden
+from .oracles import codec_distances
 
 N_A, N_B, DIM = 37, 211, 24
 
@@ -65,7 +66,7 @@ def _kernel_and_reference(precision, metric, operands):
     codec = (Int8Codec(metric) if precision == "int8"
              else PQCodec(metric, m=6, ks=16, n_iters=2)).fit(b)
     state = codec.query_state(a)
-    return codec.make_kernel(state), lambda ia, ib: codec.distances(state, ia, ib)
+    return codec.make_kernel(state), lambda ia, ib: codec_distances(codec, state, ia, ib)
 
 
 def _pairs(n: int, seed: int):

@@ -26,7 +26,7 @@ from repro.data.metrics import pair_distances
 from repro.graphs import build_cagra
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import StepRecord, TraceBlock
+from repro.gpusim.trace import CTATrace, StepRecord, TraceBlock
 from repro.search import (
     Int8Codec,
     PQCodec,
@@ -68,7 +68,7 @@ def test_int8_codec_matches_decoded_exact_distances(corpus):
     codec = Int8Codec("l2").fit(ds.base)
     state = codec.query_state(ds.queries)
     ids = np.arange(64, dtype=np.int64)
-    got = codec.distances(state, np.zeros(64, np.int64), ids)
+    got = codec.make_kernel(state)(np.zeros(64, np.int64), ids)
     dec = codec.sq.decode(codec.codes[ids])
     ref = ((dec - ds.queries[0]) ** 2).sum(axis=1)
     assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
@@ -79,7 +79,7 @@ def test_pq_codec_matches_adc_reference(corpus):
     codec = PQCodec("l2", m=8, ks=32).fit(ds.base)
     state = codec.query_state(ds.queries[:2])
     ids = np.arange(50, dtype=np.int64)
-    got = codec.distances(state, np.ones(50, np.int64), ids)
+    got = codec.make_kernel(state)(np.ones(50, np.int64), ids)
     table = codec.pq.adc_table(ds.queries[1])
     ref = codec.pq.adc_distances(table, codec.codes[ids])
     assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
@@ -243,15 +243,19 @@ def _step(dim, n_new, precision):
 
 def test_cost_model_prices_quantized_steps_cheaper():
     cm = CostModel(RTX_A6000)
-    f32 = cm.step_cost(_step(960, 32, "float32")).total_us
-    i8 = cm.step_cost(_step(960, 32, "int8")).total_us
+
+    def step_us(*args):
+        return cm.step_durations_us(CTATrace(steps=[_step(*args)]))[0]
+
+    f32 = step_us(960, 32, "float32")
+    i8 = step_us(960, 32, "int8")
     # pq scores m=120 lookups per point, not 960 FMAs
-    pq = cm.step_cost(_step(120, 32, "pq")).total_us
+    pq = step_us(120, 32, "pq")
     assert i8 < f32
     assert pq < f32
     # an unknown precision tag fails; it does not price as float32
     with pytest.raises(ValueError, match="exotic"):
-        cm.step_cost(_step(960, 32, "exotic"))
+        step_us(960, 32, "exotic")
 
 
 def test_rerank_step_record_shape():

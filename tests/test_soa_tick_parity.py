@@ -34,7 +34,6 @@ from repro.graphs import (
     build_hnsw,
     build_nsg,
     build_nsw,
-    nn_descent_matrix,
 )
 from repro.parallel import make_pool
 
@@ -160,8 +159,6 @@ def test_removed_selectors_are_type_errors(capsys):
     for build in (build_hnsw, build_nsg, build_cagra):
         with pytest.raises(TypeError):
             build(base, build_backend="vectorized")
-    with pytest.raises(TypeError):
-        nn_descent_matrix(base, 2, backend="vectorized")
     # build_nsw keeps the keyword for one frozen benchmark call site, but
     # it selects nothing: anything other than that call's value is refused
     with pytest.raises(ValueError, match=r"oracles\.py::scalar_build_nsw"):

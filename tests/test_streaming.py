@@ -40,12 +40,13 @@ BASE = latent_mixture(400, 16, intrinsic_dim=8, seed=21)
 QUERIES = latent_mixture(24, 16, intrinsic_dim=8, seed=22)
 
 
-def fresh_graph(ef: int = 48) -> DynamicGraph:
+def fresh_graph(ef: int = 48, **kw) -> DynamicGraph:
     return DynamicGraph(
         BASE,
         build_cagra(BASE, graph_degree=10, seed=0),
         max_degree=12,
         ef=ef,
+        **kw,
     )
 
 
@@ -73,6 +74,35 @@ def test_update_stream_with_storm_merges_sorted():
     s2 = s.with_storm(UpdateStorm(10_000.0, n_deletes=3))
     assert [x.at_us for x in s2.storms] == [10_000.0, 20_000.0]
     assert s.storms != s2.storms  # frozen original untouched
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: case -> (the field the error must name, the call that must refuse it)
+NON_FINITE = {
+    "insert_qps-nan": ("insert_qps", lambda: UpdateStream(insert_qps=NAN)),
+    "delete_qps-inf": ("delete_qps", lambda: UpdateStream(delete_qps=INF)),
+    "wave_us-nan": ("wave_us", lambda: UpdateStream(wave_us=NAN)),
+    "wave_us-inf": ("wave_us", lambda: UpdateStream(wave_us=INF)),
+    "storm-at_us-nan": ("at_us", lambda: UpdateStorm(NAN, n_inserts=1)),
+    "max_recall_drop-nan": (
+        "max_recall_drop", lambda: DegradationSLO(max_recall_drop=NAN)),
+    "p99_ceiling_us-nan": (
+        "p99_ceiling_us", lambda: DegradationSLO(p99_ceiling_us=NAN)),
+    "compact_threshold-nan": (
+        "compact_threshold", lambda: run_stream(compact_threshold=NAN)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_stream_inputs_refuse_non_finite(case):
+    """Each used to pass: a NaN rate or window made zero waves, a NaN storm
+    was dropped by ``waves()``, an infinite rate died inside numpy's
+    Poisson draw, a NaN SLO failed every verdict and a NaN threshold never
+    compacted."""
+    field, make = NON_FINITE[case]
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_update_stream_validation():
@@ -164,6 +194,16 @@ def test_compaction_boundary_invariants():
     # The storm wave is tagged and the stall stretched its barrier.
     storm_waves = [w for w in rep.waves if w["storm"]]
     assert storm_waves and storm_waves[0]["n_inserts"] == 200
+
+
+@pytest.mark.parametrize("kw", [
+    dict(precision="int8"), dict(rerank_mult=4), dict(insert_pool=BASE[:8]),
+], ids=["precision", "rerank_mult", "insert_pool"])
+def test_serve_while_update_takes_no_precision_or_pool(kw):
+    """Reads traverse at the graph's constructor precision; the stream draws
+    its own insert vectors."""
+    with pytest.raises(TypeError):
+        run_stream(**kw)
 
 
 def test_integrity_checks_count_injected_violations(monkeypatch):
@@ -348,7 +388,7 @@ def test_dynamic_search_backend_parity_and_freeze_invalidation():
     ids_s, _ = scalar_dynamic_search(dyn, q, 8)
     ids_v, _ = dyn.search(q, 8)
     assert set(ids_s.tolist()) == set(ids_v.tolist())
-    ids_q, _ = dyn.search(q, 8, precision="int8", rerank_mult=4)
+    ids_q, _ = fresh_graph(ef=64, precision="int8", rerank_mult=4).search(q, 8)
     assert len(set(ids_q.tolist())) == len(ids_q)
     with pytest.raises(TypeError, match="backend"):
         dyn.search(q, 8, backend="scalar")

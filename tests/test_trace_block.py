@@ -6,7 +6,7 @@ against the scalar pricer.
   (``tests/golden/make_priced_traces.py``); every trace column and every
   priced CTA duration of the block path must hash to the same digests.
 * **Differential** — random ragged blocks under random ``CostParams`` and
-  thread counts: the block pricer equals the scalar ``step_cost``
+  thread counts: the block pricer equals the ``scalar_step_cost``
   accumulation (``tests/oracles.py::scalar_cta_cost``) on every component,
   exact float equality.
 * Adapter round trips, the unknown-precision failure, the shared
@@ -44,7 +44,7 @@ from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
 
 from .golden import make_priced_traces as golden
-from .oracles import scalar_cta_cost
+from .oracles import scalar_cta_cost, scalar_step_cost
 from .reference import intra_cta_search
 
 STEP_COLUMNS = (
@@ -85,7 +85,7 @@ def test_block_path_matches_parent_commit_fixture(golden_cases, name):
     assert flat == durations.tolist()
 
 
-# ------------------------------------------------- block pricer vs step_cost
+# ------------------------------------------ block pricer vs scalar_step_cost
 @st.composite
 def ragged_blocks(draw):
     n_ctas = draw(st.integers(1, 3))
@@ -142,11 +142,11 @@ def test_block_pricer_equals_scalar_step_cost(block, params, threads):
         # the single-trace methods are one-row blocks through the same pricer
         assert cm.cta_cost(cta) == want
         assert cm.step_durations_us(cta) == [
-            cm.step_cost(s).total_us for s in cta.steps]
+            scalar_step_cost(cm, s).total_us for s in cta.steps]
     per_step = cm.block_step_costs(block)
     steps = [s for cta in ctas for s in cta.steps]
     for i, step in enumerate(steps):
-        c = cm.step_cost(step)
+        c = scalar_step_cost(cm, step)
         assert per_step[:, i].tolist() == [
             c.select_us, c.fetch_us, c.filter_us, c.distance_us, c.sort_us]
     for q, query in enumerate(block):
@@ -248,11 +248,8 @@ def test_unknown_precision_tag_fails_everywhere(ds, graph):
     bad = CTATrace(steps=[mkstep(precision="fp16")])
     with pytest.raises(ValueError, match="fp16"):
         TraceBlock.from_traces([bad])
-    cm = CostModel(RTX_A6000)
     with pytest.raises(ValueError, match="fp16"):
-        cm.step_cost(bad.steps[0])
-    with pytest.raises(ValueError, match="fp16"):
-        cm.cta_duration_us(bad)
+        CostModel(RTX_A6000).cta_duration_us(bad)
     codec = Int8Codec(metric=ds.metric).fit(ds.base)
     codec.precision = "fp16"
     with pytest.raises(ValueError, match="fp16"):
