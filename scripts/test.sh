@@ -74,6 +74,16 @@
 #                              # sharded-serve speedup gate beside it skips
 #                              # below 4 cores() — docs/performance.md
 #                              # "Multi-core execution")
+#                              # + telemetry-cost gate (~45 s; on the
+#                              # online_small_batch shape — 10k x 128,
+#                              # CAGRA-16, 1024 queries, 16 slots — a
+#                              # telemetry-on ALGASSystem.serve may take at
+#                              # most 1.10x a telemetry-off one, ratio of
+#                              # the medians of 30 alternating pairs:
+#                              # 0.96-1.09x measured on 2 cores, mostly
+#                              # near 1.04x; 1.22x while every observation
+#                              # was a registry lookup — docs/observability.md
+#                              # "Cost")
 #   scripts/test.sh --chaos    # chaos smoke only: (a) serve under the fixed
 #                              # "smoke" fault plan (1 of 4 shards killed,
 #                              # slots hung/corrupted, PCIe stalled) and

@@ -11,7 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".pipeline": ("ALGASSystem", "BaseGraphSystem", "SystemReport"),
     ".query_manager": ("ManagedQuery", "QueryManager"),
     ".serving": ("QueryJob", "QueryRecord", "ServeConfig", "ServeReport", "as_serve_config"),
-    ".slots": ("Slot", "SlotState", "StateTransitionError"),
+    ".slots": ("SlotBank", "SlotState", "StateTransitionError"),
     ".state_sync": ("STATE_WORD_BYTES", "StateChannel"),
     ".static_batcher": ("StaticBatchConfig", "StaticBatchEngine"),
     ".tuning": (

@@ -71,7 +71,7 @@ from .host import partition_slots
 from .merge import HostMerger
 from .query_manager import ManagedQuery, QueryManager
 from .serving import QueryJob, QueryRecord, ServeReport
-from .slots import SlotBank
+from .slots import SlotBank, SlotState
 from .state_sync import STATE_MODES, STATE_WORD_BYTES, StateChannel
 
 __all__ = ["DynamicBatchConfig", "DynamicBatchEngine"]
@@ -171,6 +171,7 @@ class DynamicBatchEngine:
         run = _ServeRun(self, jobs, managed, max_queue_depth)
         run.run()
         report = run.report()
+        self.tel.slot_transitions(run.bank.transition_counts())
         self.tel.observe_report(report, mode="dynamic")
         return report
 
@@ -233,10 +234,8 @@ class _ServeRun:
         self.bank = SlotBank(
             cfg.n_slots, cfg.n_parallel, partition_slots(cfg.n_slots, cfg.host_threads)
         )
-        self.slots = self.bank.slots  # the per-CTA path skips the property
         if tel.enabled:
-            for s in self.slots:
-                s.observer = tel.slot_transition
+            self.bank.transitions = [[0] * len(SlotState) for _ in SlotState]
         # A wake is *pure* when all it can do is look at the bank and the
         # admission queue: local state mirrors (no poll on the link) and no
         # policy (no watchdog or degrade check).  Only pure wakes may be
@@ -520,7 +519,7 @@ class _ServeRun:
         event running this handler on a one-post heap, ``sim`` given,
         because it also stamps the slot ready.
         """
-        bank, slots, link, cfg = self.bank, self.slots, self.link, self.cfg
+        bank, link, cfg = self.bank, self.link, self.cfg
         epochs, push_and_flag = bank.epochs, link.push_and_flag
         topk_bytes, mmio_us = self.topk_bytes, link.MMIO_OVERHEAD_US
         now = self.sim.now
@@ -532,11 +531,11 @@ class _ServeRun:
                 # The CTA writes garbage instead of FINISH: no result
                 # push, no publication — the slot can never aggregate
                 # to FINISH and the watchdog must reap it.
-                slots[s].corrupt_cta(cta)
+                bank.corrupt_cta(s, cta)
                 self.stats.note_fault("corrupt")
                 self.tel.fault_injected("corrupt")
                 continue
-            slots[s].advance_cta(cta)
+            bank.advance_cta(s, cta)
             # §IV-B Finish: "the CTA is responsible for pushing the query
             # results to the designated location" — a posted write of its
             # local TopK into the slot's contiguous host buffer, followed

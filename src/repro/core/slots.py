@@ -19,25 +19,19 @@ O(1) scalar Python: the CTA state words are one ``bytearray`` (a byte per
 word; the public ``codes`` ndarray is a view of the same memory, not a
 copy), and every per-slot word — owned query id, served count, running
 job, dispatch and FINISH-visible stamps, dispatch epoch — is a plain list
-indexed by slot.  The bank also answers "does host thread *t* have
-anything to do" without looking at a slot: per-thread counters of free,
-in-flight and ready-stamped slots and the list of each thread's live
-(not retired) slots are moved by the four operations that move a slot —
-:meth:`SlotBank.dispatch`, :meth:`SlotBank.mark_ready`,
-:meth:`SlotBank.collect`, :meth:`SlotBank.force_retire` — and by nothing
-else, so the scheduler never polls the bank to find out what changed
-(docs/performance.md, "Wall-clock vs simulated speed").  :class:`Slot`
-remains the per-slot API: a thin view onto one bank row with the exact
-transition checks and observer callbacks of the original object, so the
-telemetry and resilience layers observe identical transitions in
-identical order.
+indexed by slot.  A slot is a row of the bank, not an object: its row
+operations enforce Fig. 5 with one ``bytes.count`` over the row's bytes.
+Per-thread counters of free, in-flight and ready-stamped slots answer
+"does host thread *t* have anything to do" without looking at a slot, so
+the scheduler never polls the bank to find out what changed
+(docs/performance.md, "Wall-clock vs simulated speed").
 
 Two escape hatches sit deliberately *outside* Fig. 5, for the resilience
-layer (docs/robustness.md): :meth:`Slot.force_retire` is the watchdog's
-recovery path (the host revokes a wedged slot from *any* state), and
-:meth:`Slot.corrupt_cta` models a GPU-side fault writing an
-out-of-protocol state word — both are observable via the transition
-observer so chaos runs stay accountable.
+layer (docs/robustness.md): :meth:`SlotBank.force_retire` is the
+watchdog's recovery path (the host revokes a wedged slot from *any*
+state), and :meth:`SlotBank.corrupt_cta` models a GPU-side fault writing
+an out-of-protocol state word.  Both are counted in the bank's transition
+table, so chaos runs stay accountable.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["SlotState", "StateTransitionError", "Slot", "SlotBank"]
+__all__ = ["SlotState", "StateTransitionError", "SlotBank"]
 
 
 class SlotState(Enum):
@@ -66,13 +60,7 @@ _ALLOWED: dict[SlotState, frozenset[SlotState]] = {
 }
 
 # Bank representation: one byte code per CTA state word.
-_STATES: tuple[SlotState, ...] = (
-    SlotState.NONE,
-    SlotState.WORK,
-    SlotState.FINISH,
-    SlotState.DONE,
-    SlotState.QUIT,
-)
+_STATES: tuple[SlotState, ...] = tuple(SlotState)
 _CODE: dict[SlotState, int] = {s: i for i, s in enumerate(_STATES)}
 _NONE, _WORK, _FINISH, _DONE, _QUIT = range(5)
 
@@ -99,15 +87,18 @@ class SlotBank:
     flight with a FINISH-visible stamp).  They are moved only by
     :meth:`dispatch`, :meth:`mark_ready`, :meth:`collect` and
     :meth:`force_retire`: a scheduler drives its bank through these four,
-    and there is exactly one copy of every word.  Individual slots mutate
-    their rows through :class:`Slot` views (:attr:`slots`), which enforce
-    Fig. 5 exactly as the pre-bank objects did.
+    and there is exactly one copy of every word.
+
+    The paper gives *modification rights* to exactly one side at a time
+    (§V-A): the GPU owns a CTA's state only while that CTA is in WORK; the
+    host owns it otherwise.  :meth:`advance_cta` / :meth:`host_set`
+    enforce this.
     """
 
     __slots__ = (
         "n_slots", "n_ctas", "_words", "codes", "query_ids", "queries_served",
-        "_slots", "jobs", "dispatched_at", "ready_at", "epochs",
-        "owner", "live", "n_free", "n_in_flight", "n_ready",
+        "jobs", "dispatched_at", "ready_at", "epochs",
+        "owner", "live", "n_free", "n_in_flight", "n_ready", "transitions",
     )
 
     def __init__(
@@ -132,7 +123,6 @@ class SlotBank:
         #: query id owned by each slot (None = empty).
         self.query_ids: list[int | None] = [None] * n_slots
         self.queries_served = [0] * n_slots
-        self._slots: list[Slot] | None = None
         # Scheduler runtime words; None while the slot is empty.
         #: the job each slot is running (opaque reference).
         self.jobs: list = [None] * n_slots
@@ -153,32 +143,90 @@ class SlotBank:
         self.n_free = [len(mine) for mine in owned]
         self.n_in_flight = [0] * len(owned)
         self.n_ready = [0] * len(owned)
-
-    @property
-    def slots(self) -> list["Slot"]:
-        """Per-slot views, built once on first access."""
-        if self._slots is None:
-            self._slots = [
-                Slot(slot_id=i, n_ctas=self.n_ctas, bank=self, _row=i)
-                for i in range(self.n_slots)
-            ]
-        return self._slots
-
-    def __len__(self) -> int:
-        return self.n_slots
-
-    def __getitem__(self, i: int) -> "Slot":
-        return self.slots[i]
+        #: ``transitions[old][new]``: transitions counted by state code, or
+        #: None (nothing counted).  Host-side transitions count once per
+        #: slot with the aggregate ``old``, GPU-side ones once per CTA —
+        #: who writes how many state words over the wire.
+        self.transitions: list[list[int]] | None = None
 
     def all_finished(self, s: int) -> bool:
         """Every CTA of slot ``s`` is FINISH (the host detection condition)."""
         n = self.n_ctas
         return self._words.count(_FINISH, s * n, s * n + n) == n
 
+    def state(self, s: int) -> SlotState:
+        """Aggregate state of slot ``s``: its *least advanced* CTA state.
+
+        A slot is FINISH only when *all* its CTAs are FINISH (the host's
+        detection condition in step ❸ of §IV-B).
+        """
+        return _STATES[self._aggregate(s)]
+
+    def _aggregate(self, s: int) -> int:
+        n = self.n_ctas
+        c = self._words[s * n:s * n + n]
+        if c.count(c[0]) == n:
+            return c[0]
+        for code in (_WORK, _FINISH, _DONE):
+            if code in c:
+                return code
+        return _NONE
+
+    # ------------------------------------------------------- row operations
+    def host_set(self, s: int, new: SlotState) -> None:
+        """Host-side transition of every CTA word of slot ``s`` to ``new``."""
+        words, n = self._words, self.n_ctas
+        lo = s * n
+        nc = _CODE[new]
+        sources = _SOURCES[nc]
+        n_legal = 0
+        for c in sources:
+            n_legal += words.count(c, lo, lo + n)
+        if n_legal != n:
+            i = next(i for i in range(lo, lo + n) if words[i] not in sources)
+            raise StateTransitionError(
+                f"slot {s} CTA {i - lo}: {_STATES[words[i]]} → {new}"
+            )
+        if self.transitions is not None:
+            self.transitions[self._aggregate(s)][nc] += 1
+        words[lo:lo + n] = bytes((nc,)) * n
+
+    def advance_cta(self, s: int, cta: int) -> None:
+        """GPU-side transition WORK → FINISH for one CTA of slot ``s``."""
+        if not 0 <= cta < self.n_ctas:
+            raise IndexError("cta index out of range")
+        words, i = self._words, s * self.n_ctas + cta
+        cur = words[i]
+        if cur != _WORK:
+            raise StateTransitionError(
+                f"slot {s} CTA {cta}: GPU may only advance WORK, "
+                f"saw {_STATES[cur]}"
+            )
+        words[i] = _FINISH
+        if self.transitions is not None:
+            self.transitions[_WORK][_FINISH] += 1
+
+    def corrupt_cta(self, s: int, cta: int) -> None:
+        """Fault-injection hook: the CTA writes an out-of-protocol word.
+
+        Models a GPU-side corruption of the state handshake — instead of
+        FINISH the state word regresses to NONE, a transition no side may
+        legally make.  The slot can then never aggregate to FINISH, which
+        is exactly the no-progress signature the engine watchdog detects.
+        """
+        if not 0 <= cta < self.n_ctas:
+            raise IndexError("cta index out of range")
+        words, i = self._words, s * self.n_ctas + cta
+        if self.transitions is not None:
+            self.transitions[words[i]][_NONE] += 1
+        words[i] = _NONE
+
     # ------------------------------------------------ scheduler events
     def dispatch(self, s: int, job, t_us: float) -> None:
-        """Host fills slot ``s`` with ``job`` (anything with a ``query_id``)."""
-        self.slots[s].dispatch(job.query_id)
+        """Host fills slot ``s`` (NONE/DONE → WORK) with ``job`` (anything
+        with a ``query_id``)."""
+        self.host_set(s, SlotState.WORK)
+        self.query_ids[s] = job.query_id
         self.jobs[s] = job
         self.dispatched_at[s] = t_us
         tid = self.owner[s]
@@ -192,16 +240,34 @@ class SlotBank:
         self.ready_at[s] = t_us
 
     def collect(self, s: int):
-        """Host collects finished slot ``s``; returns the job it ran."""
-        self.slots[s].collect()
+        """Host collects finished slot ``s`` (FINISH → DONE); returns the
+        job it ran."""
+        if not self.all_finished(s):
+            raise StateTransitionError(
+                f"slot {s}: collect before all CTAs finished"
+            )
+        self.host_set(s, SlotState.DONE)
+        self.query_ids[s] = None
+        self.queries_served[s] += 1
         self.n_free[self.owner[s]] += 1
         return self._release(s)
 
     def force_retire(self, s: int):
-        """Watchdog revokes slot ``s`` (:meth:`Slot.force_retire`) and bumps
-        its epoch; returns the job that was lost with it."""
+        """Watchdog recovery: revoke slot ``s`` from *any* state, bump its
+        epoch, and return the job that was lost with it.
+
+        Unlike ``host_set(s, QUIT)`` this bypasses the Fig. 5 transition
+        table — a hung or corrupted slot is by definition stuck in a state
+        the protocol cannot leave.  The persistent kernel treats QUIT as
+        terminal, so the slot's CTA contexts are permanently lost (the
+        engine serves on with the survivors).
+        """
         self.epochs[s] += 1
-        self.slots[s].force_retire()
+        if self.transitions is not None:
+            self.transitions[self._aggregate(s)][_QUIT] += 1
+        n = self.n_ctas
+        self._words[s * n:s * n + n] = bytes((_QUIT,)) * n
+        self.query_ids[s] = None
         tid = self.owner[s]
         if s in self.live[tid]:
             self.live[tid].remove(s)
@@ -220,214 +286,11 @@ class SlotBank:
         self.dispatched_at[s] = None
         return job
 
-
-class Slot:
-    """One query slot with per-CTA state words (a view of one bank row).
-
-    The paper gives *modification rights* to exactly one side at a time
-    (§V-A): the GPU owns a CTA's state only while that CTA is in WORK;
-    the host owns it otherwise.  ``advance_cta``/``host_set`` enforce this.
-
-    Constructed standalone (``Slot(slot_id=0, n_ctas=4)``) the slot owns a
-    private one-row bank, preserving the original object API; the engine
-    instead hands out views of a shared :class:`SlotBank`.
-    """
-
-    __slots__ = ("slot_id", "n_ctas", "bank", "_row", "_lo", "_hi", "observer")
-
-    def __init__(
-        self,
-        slot_id: int,
-        n_ctas: int,
-        cta_states: list[SlotState] | None = None,
-        query_id: int | None = None,
-        queries_served: int = 0,
-        observer: object = None,
-        bank: SlotBank | None = None,
-        _row: int = 0,
-    ):
-        if n_ctas <= 0:
-            raise ValueError("n_ctas must be positive")
-        self.slot_id = slot_id
-        self.n_ctas = n_ctas
-        if bank is None:
-            bank = SlotBank(1, n_ctas)
-            _row = 0
-        self.bank = bank
-        self._row = _row
-        #: this slot's byte range in ``bank._words``.
-        self._lo = _row * n_ctas
-        self._hi = self._lo + n_ctas
-        #: optional transition observer ``(slot_id, old, new)`` — the
-        #: telemetry layer attaches :meth:`Telemetry.slot_transition` here.
-        #: Host-side transitions fire once per slot, GPU-side once per CTA
-        #: (matching who writes how many state words over the wire).
-        self.observer = observer
-        if cta_states:
-            if len(cta_states) != n_ctas:
-                raise ValueError("need one state per CTA")
-            bank.codes[_row] = [_CODE[s] for s in cta_states]
-        if query_id is not None:
-            bank.query_ids[_row] = query_id
-        if queries_served:
-            bank.queries_served[_row] = queries_served
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Slot(slot_id={self.slot_id}, n_ctas={self.n_ctas}, "
-            f"cta_states={self.cta_states!r}, query_id={self.query_id!r}, "
-            f"queries_served={self.queries_served})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Slot):
-            return NotImplemented
-        return (
-            self.slot_id == other.slot_id
-            and self.n_ctas == other.n_ctas
-            and self.cta_states == other.cta_states
-            and self.query_id == other.query_id
-            and self.queries_served == other.queries_served
-        )
-
-    # ----------------------------------------------------- stored fields
-    @property
-    def _codes(self) -> bytearray:
-        """A copy of this slot's CTA state bytes."""
-        return self.bank._words[self._lo:self._hi]
-
-    @property
-    def cta_states(self) -> list[SlotState]:
-        """The CTA state words as enum members (a fresh list per access)."""
-        return [_STATES[c] for c in self._codes]
-
-    @property
-    def query_id(self) -> int | None:
-        """Id of the query currently owned by the slot (None when empty)."""
-        return self.bank.query_ids[self._row]
-
-    @query_id.setter
-    def query_id(self, qid: int | None) -> None:
-        self.bank.query_ids[self._row] = qid
-
-    @property
-    def queries_served(self) -> int:
-        return self.bank.queries_served[self._row]
-
-    @queries_served.setter
-    def queries_served(self, n: int) -> None:
-        self.bank.queries_served[self._row] = n
-
-    # ----------------------------------------------------------- aggregate
-    @property
-    def state(self) -> SlotState:
-        """Aggregate slot state: the *least advanced* CTA state.
-
-        A slot is FINISH only when *all* its CTAs are FINISH (the host's
-        detection condition in step ❸ of §IV-B).
-        """
-        c = self._codes
-        first = c[0]
-        if c.count(first) == self.n_ctas:
-            return _STATES[first]
-        for code in (_WORK, _FINISH, _DONE):
-            if code in c:
-                return _STATES[code]
-        return SlotState.NONE
-
-    @property
-    def all_finished(self) -> bool:
-        return self.bank.all_finished(self._row)
-
-    @property
-    def is_free(self) -> bool:
-        words, lo, hi = self.bank._words, self._lo, self._hi
-        return words.count(_NONE, lo, hi) + words.count(_DONE, lo, hi) == self.n_ctas
-
-    # ---------------------------------------------------------- host side
-    def host_set(self, new: SlotState) -> None:
-        """Host-side transition applied to every CTA state."""
-        words, lo, hi = self.bank._words, self._lo, self._hi
-        nc = _CODE[new]
-        sources = _SOURCES[nc]
-        n_legal = 0
-        for c in sources:
-            n_legal += words.count(c, lo, hi)
-        if n_legal != self.n_ctas:
-            i = next(i for i in range(lo, hi) if words[i] not in sources)
-            raise StateTransitionError(
-                f"slot {self.slot_id} CTA {i - lo}: {_STATES[words[i]]} → {new}"
-            )
-        # The aggregate is only ever read by an observer: skip it otherwise.
-        old = self.state if self.observer is not None else None
-        words[lo:hi] = bytes((nc,)) * self.n_ctas
-        if self.observer is not None:
-            self.observer(self.slot_id, old, new)
-
-    def dispatch(self, query_id: int) -> None:
-        """NONE/DONE → WORK with a query attached."""
-        self.host_set(SlotState.WORK)
-        self.bank.query_ids[self._row] = query_id
-
-    def collect(self) -> int:
-        """FINISH → DONE; returns the completed query id."""
-        if not self.all_finished:
-            raise StateTransitionError(
-                f"slot {self.slot_id}: collect before all CTAs finished"
-            )
-        self.host_set(SlotState.DONE)
-        bank, row = self.bank, self._row
-        qid, bank.query_ids[row] = bank.query_ids[row], None
-        bank.queries_served[row] += 1
-        return qid
-
-    def retire(self) -> None:
-        """DONE/NONE → QUIT."""
-        self.host_set(SlotState.QUIT)
-
-    def force_retire(self) -> None:
-        """Watchdog recovery: revoke the slot from *any* state.
-
-        Unlike :meth:`retire` this bypasses the Fig. 5 transition table —
-        a hung or corrupted slot is by definition stuck in a state the
-        protocol cannot leave.  The persistent kernel treats QUIT as
-        terminal, so the slot's CTA contexts are permanently lost (the
-        engine serves on with the survivors).
-        """
-        old = self.state if self.observer is not None else None
-        self.bank._words[self._lo:self._hi] = bytes((_QUIT,)) * self.n_ctas
-        self.query_id = None
-        if self.observer is not None:
-            self.observer(self.slot_id, old, SlotState.QUIT)
-
-    # ----------------------------------------------------------- GPU side
-    def advance_cta(self, cta: int) -> None:
-        """GPU-side transition WORK → FINISH for one CTA."""
-        if not 0 <= cta < self.n_ctas:
-            raise IndexError("cta index out of range")
-        words, i = self.bank._words, self._lo + cta
-        cur = words[i]
-        if cur != _WORK:
-            raise StateTransitionError(
-                f"slot {self.slot_id} CTA {cta}: GPU may only advance WORK, "
-                f"saw {_STATES[cur]}"
-            )
-        words[i] = _FINISH
-        if self.observer is not None:
-            self.observer(self.slot_id, SlotState.WORK, SlotState.FINISH)
-
-    def corrupt_cta(self, cta: int) -> None:
-        """Fault-injection hook: the CTA writes an out-of-protocol word.
-
-        Models a GPU-side corruption of the state handshake — instead of
-        FINISH the state word regresses to NONE, a transition no side may
-        legally make.  The slot can then never aggregate to FINISH, which
-        is exactly the no-progress signature the engine watchdog detects.
-        """
-        if not 0 <= cta < self.n_ctas:
-            raise IndexError("cta index out of range")
-        words, i = self.bank._words, self._lo + cta
-        old = _STATES[words[i]]
-        words[i] = _NONE
-        if self.observer is not None:
-            self.observer(self.slot_id, old, SlotState.NONE)
+    def transition_counts(self) -> dict[tuple[str, str], int]:
+        """The non-zero entries of :attr:`transitions` as ``{(from, to):
+        count}`` in state names (empty when nothing was counted)."""
+        table = self.transitions or ()
+        return {
+            (_STATES[i].value, _STATES[j].value): n
+            for i, row in enumerate(table) for j, n in enumerate(row) if n
+        }

@@ -16,7 +16,7 @@ Two modes:
     at any time, per the paper), so no consistency protocol is needed.
 
 The channel only accounts *traffic and time*; the authoritative state lives
-in :class:`repro.core.slots.Slot` objects owned by the engine.
+in the :class:`repro.core.slots.SlotBank` owned by the engine.
 """
 
 from __future__ import annotations

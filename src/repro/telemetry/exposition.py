@@ -39,11 +39,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _escape(text: str, quote: bool = True) -> str:
+    """Text-format escaping: ``\\`` and newline always, ``"`` in label
+    values (``quote``) but not in ``# HELP`` text."""
+    text = text.replace("\\", "\\\\").replace("\n", "\\n")
+    return text.replace('"', '\\"') if quote else text
+
+
 def _labels_text(labels: dict[str, str], extra: tuple[tuple[str, str], ...] = ()) -> str:
     items = list(labels.items()) + list(extra)
     if not items:
         return ""
-    body = ",".join(f'{k}="{v}"' for k, v in items)
+    body = ",".join(f'{k}="{_escape(v)}"' for k, v in items)
     return "{" + body + "}"
 
 
@@ -76,7 +83,7 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     lines: list[str] = []
     for name, kind, help, metrics in registry.collect():
         if help:
-            lines.append(f"# HELP {name} {help}")
+            lines.append(f"# HELP {name} {_escape(help, quote=False)}")
         lines.append(f"# TYPE {name} {kind}")
         for m in metrics:
             if isinstance(m, Histogram):

@@ -1,9 +1,11 @@
 """The `Telemetry` facade: instrumentation hooks for the serving stack.
 
 Every instrumented component (:class:`~repro.core.query_manager.QueryManager`,
-:class:`~repro.core.slots.Slot`, :class:`~repro.core.merge.HostMerger`, both
-batching engines, the systems and cluster servers) takes an optional
-``telemetry`` object and calls these hooks.  The default is
+:class:`~repro.core.merge.HostMerger`, both batching engines, the systems
+and cluster servers) takes an optional ``telemetry`` object and calls these
+hooks.  Slot state transitions are the exception: the slot bank counts
+them in a table and the dynamic engine folds it in once per serve
+(:meth:`Telemetry.slot_transitions`).  The default is
 :data:`NULL_TELEMETRY`, whose hooks are all no-ops, so the hot path and the
 existing benchmarks pay nothing unless observability is requested.
 
@@ -21,7 +23,7 @@ import inspect
 import json
 import os
 
-from .registry import Buckets, MetricsRegistry
+from .registry import Buckets, Counter, MetricsRegistry
 from .spans import SpanLog
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
@@ -85,7 +87,12 @@ _CATALOG: tuple[tuple[str, str, str, tuple | None], ...] = (
 
 
 class Telemetry:
-    """Live telemetry: a metrics registry + span log + lifecycle hooks."""
+    """Live telemetry: a metrics registry + span log + lifecycle hooks.
+
+    Every metric child a hook writes is resolved once — the catalog's when
+    the object is built, a per-slot or per-kind child on its first use —
+    so an observation is one attribute update, never a registry lookup.
+    """
 
     enabled = True
 
@@ -98,13 +105,18 @@ class Telemetry:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.spans = spans if spans is not None else SpanLog()
         self.labels = {k: str(v) for k, v in (labels or {}).items()}
+        #: the catalog's child for :attr:`labels`, by family name.
+        self._m = {}
         for kind, name, help, buckets in _CATALOG:
-            if kind == "counter":
-                self.registry.counter(name, help, **self.labels)
-            elif kind == "gauge":
-                self.registry.gauge(name, help, **self.labels)
+            if kind == "histogram":
+                child = self.registry.histogram(name, help, buckets=buckets, **self.labels)
             else:
-                self.registry.histogram(name, help, buckets=buckets, **self.labels)
+                child = getattr(self.registry, kind)(name, help, **self.labels)
+            self._m[name] = child
+        #: slot id -> (busy-time, queries) counters, bound on first use.
+        self._per_slot: dict[int, tuple[Counter, Counter]] = {}
+        #: fault kind -> counter, bound on first use.
+        self._faults: dict[str, Counter] = {}
 
     def scoped(self, **labels: str) -> "Telemetry":
         """A view sharing this registry/span log with extra constant labels."""
@@ -125,35 +137,29 @@ class Telemetry:
 
     # ------------------------------------------------------ query lifecycle
     def query_submitted(self, n: int = 1) -> None:
-        self.registry.counter("algas_queries_submitted_total", **self.labels).inc(n)
+        self._m["algas_queries_submitted_total"].inc(n)
 
     def queue_depth(self, depth: int) -> None:
-        self.registry.gauge("algas_queue_depth", **self.labels).set(depth)
-        self.registry.histogram(
-            "algas_queue_depth_observed", **self.labels
-        ).observe(depth)
+        self._m["algas_queue_depth"].set(depth)
+        self._m["algas_queue_depth_observed"].observe(depth)
 
     def query_dispatched(self, query_id: int, arrival_us: float, dispatch_us: float) -> None:
-        self.registry.counter("algas_queries_dispatched_total", **self.labels).inc()
-        self.registry.histogram("algas_queue_wait_us", **self.labels).observe(
-            max(0.0, dispatch_us - arrival_us)
-        )
+        m = self._m
+        m["algas_queries_dispatched_total"].inc()
+        m["algas_queue_wait_us"].observe(max(0.0, dispatch_us - arrival_us))
         self.spans.record("queue", arrival_us, dispatch_us, query_id=query_id,
                           **self.labels)
 
     def query_completed(self, record) -> None:
         """Observe a finished :class:`~repro.core.serving.QueryRecord`."""
-        labels = self.labels
-        reg = self.registry
-        reg.counter("algas_queries_completed_total", **labels).inc()
-        reg.histogram("algas_search_us", **labels).observe(
+        m, labels = self._m, self.labels
+        m["algas_queries_completed_total"].inc()
+        m["algas_search_us"].observe(
             max(0.0, record.gpu_end_us - record.gpu_start_us)
         )
-        reg.histogram("algas_service_latency_us", **labels).observe(
-            record.service_latency_us
-        )
-        reg.histogram("algas_e2e_latency_us", **labels).observe(record.e2e_latency_us)
-        reg.histogram("algas_bubble_us", **labels).observe(record.bubble_us)
+        m["algas_service_latency_us"].observe(record.service_latency_us)
+        m["algas_e2e_latency_us"].observe(record.e2e_latency_us)
+        m["algas_bubble_us"].observe(record.bubble_us)
         qid = record.query_id
         self.spans.record("search", record.gpu_start_us, record.gpu_end_us,
                           query_id=qid, **labels)
@@ -168,7 +174,7 @@ class Telemetry:
         arrival_us: float | None = None,
         deadline_us: float | None = None,
     ) -> None:
-        self.registry.counter("algas_queries_dropped_total", **self.labels).inc()
+        self._m["algas_queries_dropped_total"].inc()
         if query_id is not None and arrival_us is not None and deadline_us is not None:
             self.spans.record("dropped", arrival_us, deadline_us, query_id=query_id,
                               **self.labels)
@@ -180,85 +186,87 @@ class Telemetry:
         depth: int | None = None,
     ) -> None:
         """One arrival rejected by the queue-depth admission limit."""
-        self.registry.counter("algas_queries_shed_total", **self.labels).inc()
+        self._m["algas_queries_shed_total"].inc()
         if query_id is not None and arrival_us is not None:
             self.spans.record("shed", arrival_us, arrival_us, query_id=query_id,
                               **self.labels)
 
     # ---------------------------------------------------------------- slots
-    def slot_transition(self, slot_id: int, old, new) -> None:
-        """One slot/CTA state transition (``old``/``new`` are SlotStates)."""
-        self.registry.counter(
-            "algas_slot_transitions_total",
-            "slot state-machine transitions (per CTA for GPU-side FINISH)",
-            **{"from": old.value, "to": new.value, **self.labels},
-        ).inc()
+    def slot_transitions(self, counts: dict[tuple[str, str], int]) -> None:
+        """Fold one serve's slot state transitions, ``{(from, to): n}``
+        (:meth:`~repro.core.slots.SlotBank.transition_counts`)."""
+        for (old, new), n in counts.items():
+            self.registry.counter(
+                "algas_slot_transitions_total",
+                "slot state-machine transitions (per CTA for GPU-side FINISH)",
+                **{"from": old, "to": new, **self.labels},
+            ).inc(n)
 
     def slot_occupied(
         self, slot_id: int, start_us: float, end_us: float, query_id: int
     ) -> None:
         """One completed occupancy interval: dispatch → results collected."""
-        slot = str(slot_id)
-        self.registry.counter(
-            "algas_slot_busy_us_total", "per-slot occupied time (us)",
-            slot=slot, **self.labels,
-        ).inc(max(0.0, end_us - start_us))
-        self.registry.counter(
-            "algas_slot_queries_total", "queries served per slot",
-            slot=slot, **self.labels,
-        ).inc()
+        pair = self._per_slot.get(slot_id)
+        if pair is None:
+            slot, reg = str(slot_id), self.registry
+            pair = self._per_slot[slot_id] = (
+                reg.counter("algas_slot_busy_us_total", "per-slot occupied time (us)",
+                            slot=slot, **self.labels),
+                reg.counter("algas_slot_queries_total", "queries served per slot",
+                            slot=slot, **self.labels),
+            )
+        pair[0].inc(max(0.0, end_us - start_us))
+        pair[1].inc()
         self.spans.record("slot", start_us, end_us, query_id=query_id,
                           slot_id=slot_id, **self.labels)
 
     # ----------------------------------------------------------- host merge
     def merge_observed(self, n_lists: int, cpu_us: float) -> None:
-        self.registry.histogram("algas_host_merge_us", **self.labels).observe(cpu_us)
+        self._m["algas_host_merge_us"].observe(cpu_us)
 
     # ----------------------------------------------------------- resilience
     def watchdog_kill(self, slot_id: int, query_id: int, now_us: float) -> None:
         """The watchdog force-retired ``slot_id`` holding ``query_id``."""
-        self.registry.counter("algas_watchdog_kills_total", **self.labels).inc()
+        self._m["algas_watchdog_kills_total"].inc()
         self.spans.record("watchdog-kill", now_us, now_us, query_id=query_id,
                           slot_id=slot_id, **self.labels)
 
     def query_retried(self, query_id: int, attempt: int, now_us: float) -> None:
-        self.registry.counter("algas_query_retries_total", **self.labels).inc()
+        self._m["algas_query_retries_total"].inc()
         self.spans.record("retry", now_us, now_us, query_id=query_id,
                           attempt=str(attempt), **self.labels)
 
     def retry_exhausted(self, query_id: int) -> None:
-        self.registry.counter("algas_retry_exhausted_total", **self.labels).inc()
+        self._m["algas_retry_exhausted_total"].inc()
 
     def hedge_fired(self, query_id: int, fire_us: float) -> None:
-        self.registry.counter("algas_hedges_total", **self.labels).inc()
+        self._m["algas_hedges_total"].inc()
         self.spans.record("hedge", fire_us, fire_us, query_id=query_id,
                           **self.labels)
 
     def hedge_won(self, query_id: int) -> None:
-        self.registry.counter("algas_hedge_wins_total", **self.labels).inc()
+        self._m["algas_hedge_wins_total"].inc()
 
     def partial_answer(self, query_id: int, n_included: int, n_total: int) -> None:
-        self.registry.counter("algas_partial_answers_total", **self.labels).inc()
+        self._m["algas_partial_answers_total"].inc()
 
     def degraded_dispatch(self, query_id: int) -> None:
-        self.registry.counter(
-            "algas_degraded_dispatches_total", **self.labels
-        ).inc()
+        self._m["algas_degraded_dispatches_total"].inc()
 
     def degraded_window_entered(self, now_us: float, depth: int) -> None:
-        self.registry.counter("algas_degraded_windows_total", **self.labels).inc()
+        self._m["algas_degraded_windows_total"].inc()
 
     def degraded_window_exited(self, start_us: float, end_us: float) -> None:
         self.spans.record("degraded", start_us, end_us, **self.labels)
 
     # --------------------------------------------------------- autoscaling
     def replicas_active(self, n: int) -> None:
-        self.registry.gauge("algas_replicas_active", **self.labels).set(n)
+        self._m["algas_replicas_active"].set(n)
 
     def scale_event(self, now_us: float, old: int, new: int, depth: float) -> None:
         """The autoscaler changed the fleet size from ``old`` to ``new``."""
-        self.registry.counter("algas_scale_events_total", **self.labels).inc()
-        self.registry.gauge("algas_replicas_active", **self.labels).set(new)
+        self._m["algas_scale_events_total"].inc()
+        self._m["algas_replicas_active"].set(new)
         self.spans.record(
             "scale-up" if new > old else "scale-down", now_us, now_us,
             **{"from": str(old), "to": str(new), **self.labels},
@@ -266,10 +274,13 @@ class Telemetry:
 
     def fault_injected(self, kind: str) -> None:
         """One injected fault fired (labelled by kind, like transitions)."""
-        self.registry.counter(
-            "algas_faults_injected_total", "injected faults fired, by kind",
-            kind=kind, **self.labels,
-        ).inc()
+        counter = self._faults.get(kind)
+        if counter is None:
+            counter = self._faults[kind] = self.registry.counter(
+                "algas_faults_injected_total", "injected faults fired, by kind",
+                kind=kind, **self.labels,
+            )
+        counter.inc()
 
     # ------------------------------------------------------- generic spans
     def span(self, name: str, start_us: float, end_us: float,
@@ -327,11 +338,13 @@ class Telemetry:
 class NullTelemetry(Telemetry):
     """No-op telemetry: every hook returns immediately.
 
-    The default for every instrumented component — guarantees the hot path
-    is unaffected when observability is off (the perf_smoke gate holds the
-    engines to <5% overhead against the seed numbers).  Every void hook of
-    :class:`Telemetry` is overridden from one table (:data:`_VOID_HOOKS`,
-    below), so a hook added there cannot reach the absent registry here.
+    The default for every instrumented component: with observability off a
+    hook is one empty call.  (Observability *on* is what a perf_smoke gate
+    bounds, benchmarks/perf/test_telemetry_cost_smoke.py: a telemetry-on
+    ``ALGASSystem.serve`` takes at most 1.10x a telemetry-off one.)  Every
+    void hook of :class:`Telemetry` is overridden from one table
+    (:data:`_VOID_HOOKS`, below), so a hook added there cannot reach the
+    absent registry here.
     """
 
     enabled = False

@@ -160,15 +160,21 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------ factories
     def _get(self, kind: str, name: str, help: str, labels: dict, extra=None):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for k in labels:
-            if not _LABEL_RE.match(k):
-                raise ValueError(f"invalid label name {k!r}")
-        labels = {k: str(v) for k, v in labels.items()}
+        key = (name, _label_key(labels))
+        metric = self._metrics.get(key)
         fam = self._families.get(name)
+        if metric is None:
+            # A new child (or family): validate and coerce only here.
+            if fam is None and not _NAME_RE.match(name):
+                raise ValueError(f"invalid metric name {name!r}")
+            for k in labels:
+                if not _LABEL_RE.match(k):
+                    raise ValueError(f"invalid label name {k!r}")
+            labels = {k: str(v) for k, v in labels.items()}
+            key = (name, _label_key(labels))
+            metric = self._metrics.get(key)
         if fam is None:
-            self._families[name] = (kind, help, extra)
+            fam = self._families[name] = (kind, help, extra)
         else:
             if fam[0] != kind:
                 raise ValueError(f"metric {name!r} already registered as {fam[0]}")
@@ -176,15 +182,13 @@ class MetricsRegistry:
                 raise ValueError(f"histogram {name!r} re-registered with different buckets")
             if help and not fam[1]:
                 self._families[name] = (kind, help, fam[2])
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
         if metric is None:
             if kind == "counter":
                 metric = Counter(name, labels)
             elif kind == "gauge":
                 metric = Gauge(name, labels)
             else:
-                metric = Histogram(name, labels, self._families[name][2])
+                metric = Histogram(name, labels, fam[2])
             self._metrics[key] = metric
         return metric
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 __all__ = ["Span", "SpanLog"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval (simulation microseconds)."""
 
@@ -84,13 +84,6 @@ class SpanLog:
             and (query_id is None or s.query_id == query_id)
             and (slot_id is None or s.slot_id == slot_id)
         ]
-
-    def by_query(self, query_id: int) -> list[Span]:
-        """All spans of one query, in start order."""
-        return sorted(self.filter(query_id=query_id), key=lambda s: s.start_us)
-
-    def to_dicts(self) -> list[dict]:
-        return [s.to_dict() for s in self.spans]
 
     def __len__(self) -> int:
         return len(self.spans)

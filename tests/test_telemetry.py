@@ -301,3 +301,59 @@ def test_disabled_telemetry_identical_report(mini):
     with_tel = mk().serve(ds.queries, ServeConfig(telemetry=Telemetry()))
     assert np.array_equal(plain.ids, with_tel.ids)
     assert plain.serve.summary() == with_tel.serve.summary()
+
+
+def test_registry_lookups_do_not_grow_with_queries(mini, monkeypatch):
+    """Hooks write to children bound once: a telemetry-on serve resolves
+    O(families + slots) metrics, so 4x the queries make no more lookups."""
+    ds, g = mini
+    sys_ = ALGASSystem(ds.base, g, metric=ds.metric, k=8, l_total=64,
+                       batch_size=8, seed=0)
+    real_get, calls = MetricsRegistry._get, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1])
+        return real_get(self, *args, **kwargs)
+
+    def lookups(n_queries):
+        tel = Telemetry()
+        calls.clear()
+        monkeypatch.setattr(MetricsRegistry, "_get", counted)
+        sys_.serve(ds.base[:n_queries], ServeConfig(telemetry=tel))
+        monkeypatch.setattr(MetricsRegistry, "_get", real_get)
+        assert tel.registry.get("algas_queries_completed_total").value == n_queries
+        return len(calls)
+
+    small, large = lookups(32), lookups(128)
+    assert small == large
+    assert small <= 2 * 8 + 25 + 4  # per-slot pairs, transitions, report gauges
+
+
+def test_prometheus_label_values_are_escaped():
+    """Backslash, double quote and newline in a label value, and backslash
+    and newline in HELP text, are escaped as the text format specifies;
+    a line parser recovers the original value."""
+    value = 'a"b\\c\nd'
+    tel = Telemetry(labels={"tenant": value})
+    tel.registry.counter("algas_odd_total", 'help with \\ and\nnewline "q"',
+                         tenant=value).inc()
+    text = tel.to_prometheus()
+    assert '# HELP algas_odd_total help with \\\\ and\\nnewline "q"' in text
+    label = r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"'
+    sample = re.compile(
+        rf"^([a-zA-Z_:][a-zA-Z0-9_:]*)\{{({label}(?:,{label})*)\}} (\S+)$"
+    )
+    unescape = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+    samples = 0
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        m = sample.match(line)
+        assert m, line
+        labels = {
+            k: re.sub(r'\\[\\"n]', lambda e: unescape[e.group(0)], v)
+            for k, v in re.findall(label, m.group(2))
+        }
+        assert labels["tenant"] == value, line
+        samples += 1
+    assert samples > 20  # every catalog series carries the label
