@@ -5,9 +5,9 @@ Builds a corpus, wraps it in a :class:`~repro.graphs.dynamic.DynamicGraph`,
 and serves an open-loop Poisson query stream three times on the shared
 simulated clock:
 
-* **frozen**   — no updates at all (the oracle the SLOs are graded against
-  is computed inside every run, but this scenario also pins down the
-  healthy latency profile);
+* **frozen**   — no updates at all (every run is graded against its own
+  frozen-graph oracle, but this scenario also pins down the healthy
+  latency profile);
 * **steady**   — steady insert/delete waves at moderate rates;
 * **storm**    — the ``update-storm`` chaos plan on top of the steady
   rates: a 5k-insert + 1k-delete burst mid-serve with the compaction
@@ -20,7 +20,10 @@ queries) plus the merged serve summary — whose latency percentiles are
 accounted separately under ``meta["update"]`` (the
 :func:`~repro.core.serving.merge_serve_reports` rule), so a storm shows up
 as e2e queueing delay behind the wave barrier, never as inflated service
-percentiles.
+percentiles.  Each scenario also records its host seconds in two parts:
+``serve_s`` (the ``serve_while_update`` call) and ``grade_s``
+(:func:`~repro.streaming.grade_stream`: the frozen-graph oracle search and
+the per-epoch exact ground truth, run after the call).
 
 Acceptance gate (mirrors ``scripts/test.sh --chaos``): the storm scenario
 must answer >= 99% of the traffic, keep recall@16 within 0.02 of the
@@ -46,7 +49,12 @@ from repro.data.workload import Poisson, TrafficSpec
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
 from repro.resilience import named_plan
-from repro.streaming import DegradationSLO, UpdateStream, serve_while_update
+from repro.streaming import (
+    DegradationSLO,
+    UpdateStream,
+    grade_stream,
+    serve_while_update,
+)
 
 DATASET = "sift1m-mini"
 N_BASE = 6000
@@ -92,12 +100,18 @@ def main(out_path: str) -> int:
     results: dict[str, dict] = {}
     for label, (stream, plan) in SCENARIOS.items():
         dyn = _fresh_graph(ds)  # every scenario churns its own copy
+        t_serve = time.perf_counter()
         rep = serve_while_update(
             dyn, ds.queries, stream,
             workload=workload, n_queries=N_EVENTS, k=K,
             faults=plan, slo=SLO,
         )
+        t_grade = time.perf_counter()
+        grade_stream(rep)
+        t_end = time.perf_counter()
         doc = rep.to_dict()
+        doc["serve_s"] = round(t_grade - t_serve, 3)
+        doc["grade_s"] = round(t_end - t_grade, 3)
         # Keep the document compact: headline summary + accounting meta,
         # not the per-query record dump.
         doc["serve"] = {
@@ -105,7 +119,8 @@ def main(out_path: str) -> int:
             "meta": rep.serve.meta,
         }
         results[label] = doc
-        print(f"[{label}]")
+        print(f"[{label}]  serve {doc['serve_s']:.3f} s  "
+              f"grade {doc['grade_s']:.3f} s")
         print(rep.summary())
         print()
 

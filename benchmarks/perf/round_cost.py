@@ -7,8 +7,9 @@ least squares (docs/performance.md, "The host query bubble"):
 * ``stream`` — one ``serve_while_update`` call of the benchmark's
   ``stream_churn`` shape (``sift1m-mini`` 10k x 128, CAGRA degree 12, ef 64,
   1 024 Poisson reads at 3 000 q/s beside 3 000 + 3 000 q/s insert / delete
-  waves); the fit covers the epoch runs (traced engines), not the untraced
-  frozen-graph oracle;
+  waves); the call runs only the epoch searches (traced engines), and the
+  frozen-graph oracle runs after it, when the report is graded, so the
+  fit covers the epoch runs alone;
 * ``static`` — ``ALGASSystem.search_all`` of ``online_small_batch``'s shape
   (CAGRA degree 16, 1 024 queries, 8 CTAs a query, l_total 128).
 

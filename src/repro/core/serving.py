@@ -110,7 +110,6 @@ def price_jobs(
     *,
     host_us=None,
     result_entries: int | None = None,
-    arrival_floor_us: float | None = None,
 ) -> list[QueryJob]:
     """Price search traces into engine jobs, one per query event.
 
@@ -120,8 +119,7 @@ def price_jobs(
     :meth:`~repro.gpusim.costmodel.CostModel.cta_durations_us` call and
     query ``i``'s CTA durations go to ``events[i]``.  ``host_us`` (indexed
     by ``query_id``) and ``result_entries`` are the hybrid tier's refine
-    stage; ``arrival_floor_us`` holds arrivals behind a barrier (a
-    streaming update wave in flight).
+    stage.
     """
     block = TraceBlock.from_traces(traces)
     if len(block) != len(events):
@@ -132,13 +130,10 @@ def price_jobs(
     durations = cost_model.cta_durations_us(block).reshape(len(block), -1).tolist()
     jobs = []
     for ev, durs in zip(events, durations):
-        arrival = ev.arrival_us
-        if arrival_floor_us is not None:
-            arrival = max(arrival, arrival_floor_us)
         jobs.append(
             QueryJob(
                 query_id=ev.query_id,
-                arrival_us=arrival,
+                arrival_us=ev.arrival_us,
                 cta_durations_us=tuple(durs),
                 dim=block.dim,
                 k=k,

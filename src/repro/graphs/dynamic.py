@@ -43,6 +43,8 @@ between dispatches.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
@@ -594,6 +596,24 @@ class DynamicGraph:
             alive_ids,
         )
         return self._frozen
+
+    def _snapshot(self) -> "DynamicGraph":
+        """A private copy to search later: adjacency, degrees, liveness, entry
+        and codec (fitted now, as a first search would) are copied; point rows
+        and norms are shared views, since rows are append-only."""
+        if self._n_alive:
+            self.traversal_codec()
+        n, snap = self._n_total, object.__new__(DynamicGraph)
+        for name in ("precision", "rerank_mult", "link_select", "metric", "max_degree",
+                     "ef", "drift_threshold", "_n_total", "_n_alive", "_codec_baseline",
+                     "_entry", "version", "compactions", "codec_retrains"):
+            setattr(snap, name, getattr(self, name))
+        snap._pts, snap._sqnorms = self._pts[:n], self._sqnorms[:n]
+        snap._adj, snap._counts, snap._alive = (
+            a[:n].copy() for a in (self._adj, self._counts, self._alive))
+        snap._pending_dead, snap._codec = list(self._pending_dead), copy.copy(self._codec)
+        snap._frozen = snap._pending = None
+        return snap
 
     # ------------------------------------------------------------ internal
     def _mutate(self) -> None:

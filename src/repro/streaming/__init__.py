@@ -8,8 +8,9 @@ Two halves (docs/robustness.md, "Streaming updates & update storms"):
 * :mod:`repro.streaming.runner` — :func:`serve_while_update`, which
   interleaves those waves with an
   :class:`~repro.data.workload.ArrivalProcess` query stream on one
-  simulated clock and grades recall/latency degradation against a
-  frozen-graph oracle (:class:`DegradationSLO`, :class:`StreamReport`).
+  simulated clock, and :func:`grade_stream`, which grades the call's
+  recall/latency degradation against a frozen-graph oracle when the
+  report is first read (:class:`DegradationSLO`, :class:`StreamReport`).
 
 Quick tour::
 
@@ -29,6 +30,6 @@ Quick tour::
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".runner": ("DegradationSLO", "StreamReport", "serve_while_update"),
+    ".runner": ("DegradationSLO", "StreamReport", "grade_stream", "serve_while_update"),
     ".updates": ("UpdateStorm", "UpdateStream", "UpdateWave"),
 })

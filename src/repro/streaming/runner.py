@@ -34,7 +34,10 @@ ground truth over the live set) must stay within
 :attr:`DegradationSLO.max_recall_drop` of the oracle, answer at least
 :attr:`DegradationSLO.min_answered_frac` of the traffic, and never return
 a tombstoned vertex or a duplicate id — the serve-while-update SLOs the
-chaos smoke gate asserts (``scripts/test.sh --chaos``).
+chaos smoke gate asserts (``scripts/test.sh --chaos``).  The call checks
+the integrity criteria and records the evidence (a t=0 copy of the graph,
+the query rows, each epoch's answers and live ids); :func:`grade_stream`
+runs the oracle and the exact ground truths once, on first read.
 
 Accounting (the BENCH_stream rule): update-wave work never enters the
 query latency stream.  Epoch reports are stitched with
@@ -48,7 +51,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -59,11 +64,12 @@ from ..data.metrics import normalize
 from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
+from ..gpusim.trace import TraceBlock
 from ..graphs.dynamic import DynamicGraph
 from ..resilience.faults import FaultPlan
 from .updates import UpdateStorm, UpdateStream
 
-__all__ = ["DegradationSLO", "StreamReport", "serve_while_update"]
+__all__ = ["DegradationSLO", "StreamReport", "grade_stream", "serve_while_update"]
 
 #: Simulated per-point service cost of an insert wave (µs).  Inserts pay a
 #: prefix search + link selection; deletes are pure tombstoning; compaction
@@ -110,12 +116,11 @@ class DegradationSLO:
 
 @dataclass
 class StreamReport:
-    """Outcome of one serve-while-update run, graded against its SLO."""
+    """Outcome of one serve-while-update run, graded against its SLO; the
+    recall fields and all built on them resolve through :func:`grade_stream`."""
 
     serve: ServeReport
     slo: DegradationSLO
-    oracle_recall: float
-    stream_recall: float
     n_events: int
     answered: int
     dropped: int
@@ -124,9 +129,26 @@ class StreamReport:
     tombstoned_answers: int
     duplicate_rows: int
     waves: list[dict] = field(default_factory=list)
-    epochs: list[dict] = field(default_factory=list)
+    _epochs: list[dict] = field(default_factory=list, repr=False)
+    #: the call's grader, run once: ``() -> (oracle, stream recall)``
+    _grade: Callable[[], tuple[float, float]] | None = field(default=None, repr=False)
+    _recall: tuple[float, float] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------- grading
+    @property
+    def _recalls(self) -> tuple[float, float]:
+        if self._recall is None:
+            self._recall, self._grade = self._grade(), None
+        return self._recall
+
+    oracle_recall = property(lambda self: self._recalls[0])
+    stream_recall = property(lambda self: self._recalls[1])
+
+    @property
+    def epochs(self) -> list[dict]:
+        self._recalls
+        return self._epochs
+
     @property
     def recall_drop(self) -> float:
         return self.oracle_recall - self.stream_recall
@@ -223,15 +245,10 @@ class StreamReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
 
 
-def _epoch_recall(
-    dyn: DynamicGraph,
-    qvecs: np.ndarray,
-    ids: np.ndarray,
-    k: int,
-    alive: np.ndarray,
-) -> np.ndarray:
+def _epoch_recall(pts: np.ndarray, sqnorms: np.ndarray, metric: str, qvecs: np.ndarray,
+                  ids: np.ndarray, k: int, alive: np.ndarray) -> np.ndarray:
     """Per-query recall against *this instant's* exact live ground truth
-    (``alive``: the live vertex ids, ascending).
+    (``alive``: the live vertex ids, ascending, as rows of ``pts``).
 
     The live rows are gathered (a GEMM column's bits can depend on its
     position among the columns, so scoring every staged row and selecting
@@ -240,9 +257,17 @@ def _epoch_recall(
     gt_k = min(k, int(alive.size))
     if gt_k == 0:
         return np.zeros(qvecs.shape[0])
-    gt_idx, _ = exact_knn(qvecs, dyn._pts[alive], gt_k, metric=dyn.metric,
-                          point_norms=dyn._sqnorms[alive])
+    gt_idx, _ = exact_knn(qvecs, pts[alive], gt_k, metric=metric,
+                          point_norms=sqnorms[alive])
     return recall_per_query(ids[:, :gt_k], alive[gt_idx])
+
+
+def grade_stream(report: StreamReport) -> dict:
+    """Grade a :func:`serve_while_update` report once (later calls and
+    reads reuse it) and return its SLO verdict: the frozen-graph oracle
+    searches every event's query on the call's t=0 copy of the graph."""
+    report._recalls
+    return report.verdict()
 
 
 def serve_while_update(
@@ -327,28 +352,22 @@ def serve_while_update(
     compactions0 = dyn.compactions
     retrains0 = dyn.codec_retrains
 
-    # ------------------------------------------------- frozen-graph oracle
-    all_qvecs = (
-        np.stack([qvec_of(ev) for ev in events])
-        if events
-        else np.empty((0, queries.shape[1]), np.float32)
-    )
-    if events:
-        oracle_ids, _, _ = dyn.search_batch(all_qvecs, k, l=l)
-        oracle_recall = float(
-            _epoch_recall(dyn, all_qvecs, oracle_ids, k, alive0).mean()
-        )
-    else:
-        oracle_recall = 1.0
-
     horizon = (max(ev.arrival_us for ev in events) + 1.0) if events else 0.0
+    late = next((s.at_us for s in stream.storms if s.at_us >= horizon), None)
+    if late is not None:
+        raise ValueError(f"storm at_us={late:g} lands at or after the traffic horizon "
+                         f"{horizon:g} us (last arrival + 1): it would never run")
     waves = stream.waves(horizon)
+    # The graph as the frozen-graph oracle searches it (graded later).
+    t0 = dyn._snapshot() if events else None
 
     # ------------------------------------------------------- epoch machine
     parts: list[ServeReport] = []
     wave_log: list[dict] = []
     epoch_log: list[dict] = []
-    recalls: list[np.ndarray] = []
+    batches: list[np.ndarray] = []
+    answers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    served: list[tuple[list, float, TraceBlock]] = []
     true_arrival = {ev.query_id: ev.arrival_us for ev in events}
     tombstoned = 0
     dup_rows = 0
@@ -358,12 +377,13 @@ def serve_while_update(
     ev_pos = 0
 
     def serve_epoch(epoch_events, start_us: float, inserts) -> None:
-        """Search, grade and schedule one epoch's reads; ``inserts`` (the
-        next wave's points, or None) ride along in the same search."""
+        """Search and check one epoch's reads; ``inserts`` (the next wave's
+        points, or None) ride along in the same search."""
         nonlocal tombstoned, dup_rows
         if not epoch_events:
             return
         qv = np.stack([qvec_of(ev) for ev in epoch_events])
+        batches.append(qv)
         if dyn.n_alive == 0:
             lost_ids.extend(ev.query_id for ev in epoch_events)
             return
@@ -381,23 +401,11 @@ def serve_while_update(
         srt = np.sort(ids, axis=1)
         repeat = (srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)
         dup_rows += int(repeat.any(axis=1).sum())
-        recalls.append(_epoch_recall(dyn, qv, ids, k, alive))
-        # A wave in flight holds the serve barrier: arrivals during it
-        # queue until it finishes.
-        jobs = price_jobs(cm, traces, epoch_events, k, arrival_floor_us=start_us)
-        engine = DynamicBatchEngine(
-            device, cm, cfg, telemetry=telemetry, faults=faults
-        )
-        rep = _admit(engine, jobs, spec)
-        for rec in rep.records:
-            # Restore the true arrival so e2e latency includes the wait
-            # behind the barrier (service latency is untouched).
-            rec.arrival_us = true_arrival[rec.query_id]
-        parts.append(rep)
+        answers.append((qv, ids, alive))
+        served.append((epoch_events, start_us, traces))
         epoch_log.append({
             "start_us": start_us,
             "n_queries": len(epoch_events),
-            "recall": float(recalls[-1].mean()),
             "graph_version": dyn.version,
             "n_alive": dyn.n_alive,
             "n_tombstones": dyn.n_tombstones,
@@ -451,6 +459,26 @@ def serve_while_update(
 
     serve_epoch(events[ev_pos:], barrier, None)
 
+    # ------------------------------------------------------------- serving
+    # Serving never feeds back into the epochs (barriers come from waves
+    # alone): price every epoch in one pass (each CTA row is summed by
+    # itself, so a row's bits do not depend on the block around it), then
+    # run the epoch engines in epoch order.
+    jobs = iter(price_jobs(cm, TraceBlock.concat(t for *_, t in served),
+                           [ev for evs, *_ in served for ev in evs], k) if served else ())
+    for epoch_events, start_us, _ in served:
+        # A wave in flight holds the serve barrier: arrivals during it
+        # queue until it finishes.
+        epoch_jobs = [j if j.arrival_us >= start_us else j.rescheduled(j.query_id, start_us)
+                      for j in islice(jobs, len(epoch_events))]
+        engine = DynamicBatchEngine(device, cm, cfg, telemetry=telemetry, faults=faults)
+        rep = _admit(engine, epoch_jobs, spec)
+        for rec in rep.records:
+            # Restore the true arrival so e2e latency includes the wait
+            # behind the barrier (service latency is untouched).
+            rec.arrival_us = true_arrival[rec.query_id]
+        parts.append(rep)
+
     # ----------------------------------------------------------- stitching
     update_meta = {
         "stream": stream.to_dict(),
@@ -487,14 +515,25 @@ def serve_while_update(
             if ev.query_id not in answered_ids and ev.query_id not in excused
         }
     )
-    stream_recall = (
-        float(np.concatenate(recalls).mean()) if recalls else oracle_recall
-    )
+    # Rows are append-only: views as of now are every row grading reads.
+    pts, sqnorms, metric = dyn._pts[: dyn.n_total], dyn._sqnorms[: dyn.n_total], dyn.metric
+
+    def grade() -> tuple[float, float]:
+        oracle = 1.0
+        if t0 is not None:
+            qvecs = np.concatenate(batches)
+            ids, _, _ = t0.search_batch(qvecs, k, l=l)
+            oracle = float(_epoch_recall(
+                pts, sqnorms, metric, qvecs, ids, k, t0.alive_ids()).mean())
+        recalls = [_epoch_recall(pts, sqnorms, metric, qv, ids, k, alive)
+                   for qv, ids, alive in answers]
+        for epoch, r in zip(epoch_log, recalls):
+            epoch["recall"] = float(r.mean())
+        return oracle, float(np.concatenate(recalls).mean()) if recalls else oracle
+
     return StreamReport(
         serve=serve,
         slo=slo,
-        oracle_recall=oracle_recall,
-        stream_recall=stream_recall,
         n_events=len(events),
         answered=len(serve.records),
         dropped=int(serve.meta.get("dropped", 0)),
@@ -503,5 +542,6 @@ def serve_while_update(
         tombstoned_answers=tombstoned,
         duplicate_rows=dup_rows,
         waves=wave_log,
-        epochs=epoch_log,
+        _epochs=epoch_log,
+        _grade=grade,
     )

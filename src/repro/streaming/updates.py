@@ -115,8 +115,9 @@ class UpdateStream:
 
     # -------------------------------------------------------- materialize
     def waves(self, horizon_us: float, seed: int | None = None) -> list[UpdateWave]:
-        """Materialize every wave with ``at_us <= horizon_us``, time-sorted
-        (the final partial window's wave clamps to the horizon itself).
+        """Materialize, time-sorted, every steady wave up to ``horizon_us``
+        (the final partial window's clamps to it) and every storm with
+        ``at_us < horizon_us``.
 
         Steady-rate windows draw Poisson sizes from ``seed`` (empty
         windows are skipped); storms are copied through verbatim.  Equal

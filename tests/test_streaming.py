@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.streaming.runner as runner
 from repro.core.serving import QueryRecord, ServeReport, merge_serve_reports
 from repro.data.synthetic import latent_mixture
 from repro.data.workload import ArrivalProcess, Poisson, Spike, TrafficSpec
@@ -30,6 +31,7 @@ from repro.streaming import (
     DegradationSLO,
     UpdateStorm,
     UpdateStream,
+    grade_stream,
     serve_while_update,
 )
 
@@ -214,9 +216,10 @@ def test_integrity_checks_count_injected_violations(monkeypatch):
     injected = {"dup": 0, "dead": 0}
 
     def corrupt(*args, **kw):
+        # Every search on the live graph is an epoch's: the frozen-graph
+        # oracle searches a snapshot, when the report is graded.
+        assert kw.get("record_trace")
         ids, dists, traces = real(*args, **kw)
-        if not kw.get("record_trace"):
-            return ids, dists, traces  # the frozen-graph oracle
         ids = ids.copy()
         ids[::2, 1] = ids[::2, 0]
         injected["dup"] += ids[::2].shape[0]
@@ -235,6 +238,57 @@ def test_integrity_checks_count_injected_violations(monkeypatch):
     assert injected["dead"] > 0
     assert rep.duplicate_rows == injected["dup"]
     assert rep.tombstoned_answers == injected["dead"]
+
+
+def test_storm_past_the_traffic_horizon_raises():
+    """A storm the traffic never reaches used to vanish: 24 events at
+    2 000 q/s end near 12 ms, the named plan's storm lands at 30 ms, and the
+    report read PASS with no storm wave."""
+    with pytest.raises(ValueError, match=r"storm at_us=30000 .* horizon \d"):
+        serve_while_update(
+            fresh_graph(), QUERIES, UpdateStream(
+                insert_qps=4000.0, delete_qps=2000.0, wave_us=4_000.0, seed=3),
+            workload=Poisson(rate_qps=2000.0, seed=1), k=8, slots=4,
+            faults=named_plan("update-storm"))
+
+
+@pytest.mark.parametrize("name", ["float32", "codebook_drift-int8"])
+def test_grading_runs_once_after_the_call(monkeypatch, name):
+    """The call runs no oracle search and no brute-force kNN; the first read
+    of a graded field runs the oracle plus one kNN per epoch, later reads
+    none.  Mutating the graph after the call moves no graded value: the
+    oracle searches a t=0 snapshot (int8: with the codec fitted at t=0, not
+    the live one the mutation re-trains)."""
+    expected = make_streams.run(name)[0].to_json()  # graded before mutation
+    calls = {"knn": 0, "untraced": 0}
+    knn, search = runner.exact_knn, DynamicGraph.search_batch
+
+    def counted_knn(*args, **kw):
+        calls["knn"] += 1
+        return knn(*args, **kw)
+
+    def counted_search(self, *args, **kw):
+        calls["untraced"] += not kw.get("record_trace")
+        return search(self, *args, **kw)
+
+    monkeypatch.setattr(runner, "exact_knn", counted_knn)
+    monkeypatch.setattr(DynamicGraph, "search_batch", counted_search)
+    rep, dyn = make_streams.run(name)
+    assert calls == {"knn": 0, "untraced": 0}
+
+    retrains = dyn.codec_retrains
+    dyn.insert_batch(QUERIES[:8] + 10.0 * QUERIES.std(axis=0))
+    dyn.delete_batch(dyn.alive_ids()[:40])
+    dyn.compact()
+    if dyn.precision == "int8":
+        assert dyn.codec_retrains > retrains
+    assert calls == {"knn": 0, "untraced": 0}
+
+    rep.stream_recall
+    assert calls == {"knn": 1 + len(rep.epochs), "untraced": 1}
+    rep.oracle_recall, rep.verdict(), grade_stream(rep)
+    assert rep.to_json() == expected
+    assert calls == {"knn": 1 + len(rep.epochs), "untraced": 1}
 
 
 def test_degradation_slo_verdict():

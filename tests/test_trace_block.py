@@ -87,10 +87,11 @@ def test_block_path_matches_parent_commit_fixture(golden_cases, name):
 
 # ------------------------------------------ block pricer vs scalar_step_cost
 @st.composite
-def ragged_blocks(draw):
-    n_ctas = draw(st.integers(1, 3))
+def ragged_blocks(draw, n_ctas=None, max_len=6):
+    n_ctas = draw(st.integers(1, 3)) if n_ctas is None else n_ctas
     n_rows = n_ctas * draw(st.integers(0, 4))
-    lens = draw(st.lists(st.integers(0, 6), min_size=n_rows, max_size=n_rows))
+    lens = draw(st.lists(st.integers(0, max_len), min_size=n_rows,
+                         max_size=n_rows))
     n = sum(lens)
 
     def col(strategy):
@@ -155,6 +156,23 @@ def test_block_pricer_equals_scalar_step_cost(block, params, threads):
         summary = cm.query_cost_summary(query)
         assert summary.sort_us == sum(c.sort_us for c in costs)
         assert summary.total_us == priced.per_query(block.n_ctas).row(q).total_us
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_ctas=st.integers(1, 3), data=st.data())
+def test_pricing_a_concatenation_prices_each_block(n_ctas, data):
+    """A stream call prices all its epochs' blocks in one pass: every row of
+    the concatenation must price to the bits its own block gives it, and to
+    its steps summed left to right (rows past 8 steps are where a pairwise
+    row ``sum`` would differ)."""
+    blocks = data.draw(st.lists(ragged_blocks(n_ctas=n_ctas, max_len=24),
+                                min_size=1, max_size=4))
+    cm = CostModel(RTX_A6000)
+    whole = cm.cta_durations_us(TraceBlock.concat(blocks))
+    each = np.concatenate([cm.cta_durations_us(b) for b in blocks])
+    assert whole.tobytes() == each.tobytes()
+    ctas = [cta for b in blocks for query in b for cta in query.ctas]
+    assert whole.tolist() == [scalar_cta_cost(cm, c).total_us for c in ctas]
 
 
 # ------------------------------------------------------------------ adapters
@@ -271,9 +289,9 @@ def test_price_jobs_options_and_length_mismatch():
         32, 5, 0.0, None)
     assert [j.arrival_us for j in jobs] == [10.0, 500.0]
     tiered = price_jobs(cm, traces, events[::-1], k=5, host_us=[1.5, 2.5],
-                        result_entries=24, arrival_floor_us=100.0)
+                        result_entries=24)
     assert [(j.query_id, j.host_us, j.arrival_us) for j in tiered] == [
-        (1, 2.5, 500.0), (0, 1.5, 100.0)]
+        (1, 2.5, 500.0), (0, 1.5, 10.0)]
     assert all(j.result_entries == 24 for j in tiered)
     with pytest.raises(ValueError, match=r"2 traces for 1 events"):
         price_jobs(cm, traces, events[:1], k=5)
