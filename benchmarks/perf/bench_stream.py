@@ -23,7 +23,9 @@ as e2e queueing delay behind the wave barrier, never as inflated service
 percentiles.  Each scenario also records its host seconds in two parts:
 ``serve_s`` (the ``serve_while_update`` call) and ``grade_s``
 (:func:`~repro.streaming.grade_stream`: the frozen-graph oracle search and
-the per-epoch exact ground truth, run after the call).
+the per-epoch exact ground truth, run after the call), and ``rounds``: the
+traced lockstep rounds the call's epoch searches ran, the per-round floor's
+multiplier (docs/performance.md, "The host query bubble").
 
 Acceptance gate (mirrors ``scripts/test.sh --chaos``): the storm scenario
 must answer >= 99% of the traffic, keep recall@16 within 0.02 of the
@@ -49,6 +51,7 @@ from repro.data.workload import Poisson, TrafficSpec
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
 from repro.resilience import named_plan
+from repro.search.batched import LockstepEngine
 from repro.streaming import (
     DegradationSLO,
     UpdateStream,
@@ -91,6 +94,18 @@ def _fresh_graph(ds) -> DynamicGraph:
     )
 
 
+def count_traced_rounds(rounds: list) -> None:
+    """Wrap ``LockstepEngine.run`` to append each traced engine's rounds."""
+    run = LockstepEngine.run
+
+    def counted(self, *args, **kwargs):
+        run(self, *args, **kwargs)
+        if self._trace is not None:
+            rounds.append(int(self.rounds_by_active.sum()))
+
+    LockstepEngine.run = counted
+
+
 def main(out_path: str) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(DATASET, n=N_BASE, n_queries=N_TEMPLATES,
@@ -98,8 +113,11 @@ def main(out_path: str) -> int:
     workload = TrafficSpec(Poisson(rate_qps=RATE_QPS, seed=SEED),
                            n_queries=N_EVENTS)
     results: dict[str, dict] = {}
+    rounds: list[int] = []
+    count_traced_rounds(rounds)
     for label, (stream, plan) in SCENARIOS.items():
         dyn = _fresh_graph(ds)  # every scenario churns its own copy
+        rounds.clear()
         t_serve = time.perf_counter()
         rep = serve_while_update(
             dyn, ds.queries, stream,
@@ -107,11 +125,13 @@ def main(out_path: str) -> int:
             faults=plan, slo=SLO,
         )
         t_grade = time.perf_counter()
+        n_rounds = sum(rounds)
         grade_stream(rep)
         t_end = time.perf_counter()
         doc = rep.to_dict()
         doc["serve_s"] = round(t_grade - t_serve, 3)
         doc["grade_s"] = round(t_end - t_grade, 3)
+        doc["rounds"] = n_rounds
         # Keep the document compact: headline summary + accounting meta,
         # not the per-query record dump.
         doc["serve"] = {
@@ -120,7 +140,7 @@ def main(out_path: str) -> int:
         }
         results[label] = doc
         print(f"[{label}]  serve {doc['serve_s']:.3f} s  "
-              f"grade {doc['grade_s']:.3f} s")
+              f"grade {doc['grade_s']:.3f} s  rounds {n_rounds}")
         print(rep.summary())
         print()
 

@@ -4,36 +4,51 @@ query bubble").
 Marker-gated (``-m perf_smoke``) like the other gates.  A lockstep run
 lasts as many rounds as its slowest row, so a small batch pays the
 engine's per-round floor on every round while amortizing it over few rows.
-The gate bounds that: on one 10k-point CAGRA graph (``sift1m-mini``,
-degree 12) a 32-row ``DynamicGraph.search_batch`` (ef 64, k 10, traced —
-a stream epoch's shape) may cost at most ``MAX_PER_ROW_RATIO`` times as
-much host time per row as a 1 024-row one.  Each side is the best of 3.
+Two gates bound that:
 
-The timed path is the lockstep engine alone: it calls no BLAS routine, so
-the BLAS thread count (the benchmark pins it to 1) does not enter.
-
-Measured on a 2-core host, three trials a side: 3.3-3.4x once rounds cost
-their active rows (14.3 ms for 32 rows, 136 ms for 1 024); 3.4-4.3x
-before, when every round paid an O(R) floor of about 100 numpy calls
-(about 8x in an earlier configuration with a 30-row run).  The ceiling is
-the measured 3.3x plus a 1.5x margin for scheduler noise: it trips when
-the per-round floor comes back, not on a noisy run.
+* the per-row ratio: on one 10k-point CAGRA graph (``sift1m-mini``,
+  degree 12) a 32-row ``DynamicGraph.search_batch`` (ef 64, k 10, traced —
+  a stream epoch's shape) may cost at most ``MAX_PER_ROW_RATIO`` times as
+  much host time per row as a 1 024-row one.  Each side is the best of 3.
+  The timed path is the lockstep engine alone: it calls no BLAS routine,
+  so the BLAS thread count (the benchmark pins it to 1) does not enter.
+  Measured on a 2-core host, three runs a side: 2.8-3.3x with the beam
+  extend (``BeamConfig.for_capacity`` of the list, about half the rounds
+  on both sides), 3.1-3.4x with one expansion a cycle (14.3 ms for 32
+  rows, 136 ms for 1 024); 3.4-4.3x when every round paid an O(R) floor
+  of about 100 numpy calls (about 8x in an earlier configuration with a
+  30-row run).  The ceiling is the measured 3.3x plus a 1.5x margin for
+  scheduler noise: it trips when the per-round floor comes back, not on
+  a noisy run.
+* the round count: one ``serve_while_update`` call of the ``stream_churn``
+  shape (10k x 128, CAGRA-12, ef 64, 1 024 uniform-order arrivals at
+  3 000 q/s beside 3 000 + 3 000 q/s insert / delete waves, seed 1) may
+  run at most ``MAX_STREAM_ROUNDS`` traced lockstep rounds.  Rounds are
+  exact counts, so the gate has no noise margin: 2 155 with the beam
+  extend (``BeamConfig.for_capacity`` of the list), 4 630 with one
+  expansion a cycle.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.data import load_dataset
+from repro.data.workload import QueryEvent
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
+from repro.search.batched import LockstepEngine
+from repro.streaming import UpdateStream, serve_while_update
 
 pytestmark = pytest.mark.perf_smoke
 
 #: 3.3x measured + 1.5x margin
 MAX_PER_ROW_RATIO = 4.8
+#: 2 155 measured with the beam extend; one expansion a cycle runs 4 630
+MAX_STREAM_ROUNDS = 2_400
 
 
 def _best_of_3(fn) -> float:
@@ -64,4 +79,40 @@ def test_small_batch_pays_its_rows_not_the_round_floor():
         f"a 32-row search costs {ratio:.2f}x the per-row host time of a "
         f"1024-row one (ceiling {MAX_PER_ROW_RATIO}x): the per-round floor "
         f"is back"
+    )
+
+
+def test_stream_call_runs_beam_extend_rounds(monkeypatch):
+    # benchmarks/e2e's stream_churn at seed 1: a 4x query pool sampled
+    # without replacement, arrivals uniform over the horizon n / rate.
+    seed, n_events, rate = 1, 1024, 3000.0
+    ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
+                      gt_k=10, seed=0)
+    pick = np.random.default_rng(seed).choice(
+        ds.queries.shape[0], size=n_events, replace=False)
+    times = np.sort(np.random.default_rng(seed).uniform(
+        0.0, n_events / rate * 1e6, n_events))
+    arrivals = [QueryEvent(i, float(t)) for i, t in enumerate(times)]
+    graph = build_cagra(ds.base, graph_degree=12, metric=ds.metric, seed=0)
+    dyn = DynamicGraph(ds.base, graph, metric=ds.metric, ef=64)
+    stream = UpdateStream(insert_qps=rate, delete_qps=rate,
+                          wave_us=10_000.0, seed=seed)
+
+    rounds = []
+    run = LockstepEngine.run
+
+    def counted(self, *args, **kwargs):
+        run(self, *args, **kwargs)
+        if self._trace is not None:
+            rounds.append(int(self.rounds_by_active.sum()))
+
+    monkeypatch.setattr(LockstepEngine, "run", counted)
+    rep = serve_while_update(dyn, ds.queries[pick], stream, workload=arrivals,
+                             n_queries=n_events, k=10, slots=8)
+    total = sum(rounds)
+    print(f"\nstream call: {total} traced lockstep rounds over "
+          f"{len(rounds)} epochs, {len(rep.waves)} waves")
+    assert total <= MAX_STREAM_ROUNDS, (
+        f"the stream call ran {total} traced lockstep rounds (ceiling "
+        f"{MAX_STREAM_ROUNDS}): its searches no longer run the beam extend"
     )

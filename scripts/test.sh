@@ -45,6 +45,15 @@
 #                              # one, best of 3 each: 3.3x measured + 1.5x
 #                              # margin, so a per-round floor paid by every
 #                              # lockstep round fails it — docs/performance.md)
+#                              # + stream-rounds gate (~10 s; one
+#                              # serve_while_update call of the stream_churn
+#                              # shape — 10k x 128, CAGRA-12, ef 64, 1024
+#                              # events, seed 1 — may run at most 2400
+#                              # traced lockstep rounds: 2155 with the beam
+#                              # extend on every DynamicGraph search, 4630
+#                              # with one expansion a cycle; exact counts,
+#                              # no margin — docs/performance.md "Streaming
+#                              # epoch")
 #                              # + search-threads gate (~25 s; a 1024-query
 #                              # x 8-CTA search_all on a 10k-point CAGRA-16
 #                              # graph with every core must equal the run

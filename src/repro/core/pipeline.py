@@ -331,11 +331,8 @@ class ALGASSystem(BaseGraphSystem):
         pq_ks: int = 256,
     ):
         if beam is True:
-            # Default two-phase split per §IV-C: diffuse once the selected
-            # candidate sits past ~L/8 of the per-CTA list, floored at 8 so
-            # short lists never enter the diffusing phase mid-localization.
             per_cta = max(k, -(-l_total // (n_parallel or max_parallel)))
-            beam = BeamConfig(offset_beam=max(8, per_cta // 8), beam_width=4)
+            beam = BeamConfig.for_capacity(per_cta)
         elif beam is False:
             beam = None
         super().__init__(

@@ -34,12 +34,17 @@ a fixed seed and identical on any number of cores.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..data.metrics import pair_distances, pairwise_distances, row_blocks
 from ..parallel.pool import on_threads, thread_chunks
 from .base import GraphIndex
 from .utils import _compact_rows, _first_occurrence_mask
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..search.batched import BeamConfig
 
 __all__ = ["occlusion_prune_mask"]
 
@@ -175,6 +180,7 @@ def _prefix_search(
     collect_expansions: bool = False,
     alive_mask: np.ndarray | None = None,
     point_norms: np.ndarray | None = None,
+    beam: BeamConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep beam searches of vertices ``[q_lo, q_hi)`` against the
     inserted prefix ``[0, visible)``; returns (W, ef) pools sorted by
@@ -198,7 +204,9 @@ def _prefix_search(
     long-range vertices, not just the final beam.
 
     ``point_norms`` are the points' squared norms when the caller keeps
-    them (a :class:`~repro.graphs.dynamic.DynamicGraph`).
+    them (a :class:`~repro.graphs.dynamic.DynamicGraph`), and ``beam`` its
+    :class:`~repro.search.batched.BeamConfig`: a dynamic graph's insertion
+    searches expand like its reads, the builders' one candidate a cycle.
     """
     from ..search.batched import LockstepEngine
 
@@ -227,6 +235,7 @@ def _prefix_search(
                 record_expansions=collect_expansions,
                 alive_mask=alive_mask,
                 point_norms=point_norms,
+                beam=beam,
             )
             eng.run(100 * ef + 100, what="batched insertion search")
             pools = eng.expansion_pools() if collect_expansions else eng.pools()[:2]

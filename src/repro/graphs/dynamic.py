@@ -48,6 +48,8 @@ import copy
 import numpy as np
 
 from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
+from ..gpusim.trace import TraceBuilder
+from ..search.batched import BeamConfig, LockstepEngine
 from ..search.precision import DEFAULT_RERANK_MULT, PRECISIONS, make_codec
 from .base import GraphIndex
 from .build_batched import (
@@ -211,9 +213,6 @@ class DynamicGraph:
         the insert searches on its own, as without the argument.  The
         returned ids, distances and trace cover the ``queries`` rows only.
         """
-        from ..gpusim.trace import TraceBuilder
-        from ..search.batched import LockstepEngine
-
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._pending = None
@@ -249,6 +248,7 @@ class DynamicGraph:
             np.full((R, 1), self._live_entry(), dtype=np.int64),
             cand_capacity,
             metric=self.metric,
+            beam=BeamConfig.for_capacity(cand_capacity),
             record_trace=record_trace,
             codec=codec,
             alive_mask=self._alive[:n],
@@ -317,10 +317,12 @@ class DynamicGraph:
         ``pools`` are their insertion-search pools when a fused
         :meth:`search_batch` already ran them against this graph state."""
         if pools is None:
+            ef = self._insert_ef()
             pools = _prefix_search(
                 self._pts, lo, hi, self._n_total, self._adj, self._counts,
-                self._live_entry(), self._insert_ef(), self.metric,
+                self._live_entry(), ef, self.metric,
                 alive_mask=self._alive, point_norms=self._sqnorms,
+                beam=BeamConfig.for_capacity(ef),
             )
         pool_ids, pool_d = pools
         links = _select_links(

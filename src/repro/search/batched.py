@@ -101,6 +101,14 @@ class BeamConfig:
         if self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")
 
+    @classmethod
+    def for_capacity(cls, capacity: int) -> "BeamConfig":
+        """The default two-phase split per §IV-C for a candidate list of
+        ``capacity`` entries: diffuse once the selected candidate sits past
+        ~L/8 of the list, floored at 8 so short lists never enter the
+        diffusing phase mid-localization; four expansions per sort."""
+        return cls(offset_beam=max(8, capacity // 8), beam_width=4)
+
 
 @dataclass
 class SearchResult:

@@ -115,11 +115,14 @@ class UpdateStream:
 
     # -------------------------------------------------------- materialize
     def waves(self, horizon_us: float, seed: int | None = None) -> list[UpdateWave]:
-        """Materialize, time-sorted, every steady wave up to ``horizon_us``
-        (the final partial window's clamps to it) and every storm with
-        ``at_us < horizon_us``.
+        """Materialize, time-sorted, every wave that lands before
+        ``horizon_us``: each steady window that ends before it and each storm
+        with ``at_us < horizon_us``.
 
-        Steady-rate windows draw Poisson sizes from ``seed`` (empty
+        A wave at or after the horizon would apply after the last read and
+        change nothing any query sees, so the window the horizon cuts short
+        is dropped, not clamped to it.  Steady-rate windows draw Poisson
+        sizes from ``seed`` (every window up to the cut one draws; empty
         windows are skipped); storms are copied through verbatim.  Equal
         timestamps sort storms after steady waves, so a storm landing on a
         window boundary stacks on top of that window's steady wave.
@@ -135,8 +138,8 @@ class UpdateStream:
             ins = rng.poisson(mean_ins, size=n_win) if mean_ins > 0 else np.zeros(n_win, np.int64)
             dels = rng.poisson(mean_del, size=n_win) if mean_del > 0 else np.zeros(n_win, np.int64)
             for w in range(n_win):
-                if ins[w] or dels[w]:
-                    at = min((w + 1) * self.wave_us, horizon_us)
+                at = (w + 1) * self.wave_us
+                if (ins[w] or dels[w]) and at < horizon_us:
                     out.append(UpdateWave(float(at), int(ins[w]), int(dels[w])))
         for s in self.storms:
             if s.at_us < horizon_us:

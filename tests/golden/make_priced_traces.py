@@ -10,7 +10,10 @@ path" a tier-1 fact.
 Each case also digests its result ids and distances, and the IVF-Flat /
 IVF-PQ baselines (l2 and cosine, PQ with and without the exact re-rank)
 are cases too; those were frozen at ``782626c``, the last commit with a
-separate IVF-PQ index and quantizer module.
+separate IVF-PQ index and quantizer module.  The three ``*/dynamic-tombstones``
+cases were re-frozen when ``DynamicGraph`` searches began to run the beam
+extend: their result ids and distances did not move, their trace columns
+(half the steps) and priced durations did.
 
 This script reads traces only through the row-object surface both layouts
 share (iterate → ``.ctas`` → ``.steps`` → fields; ``cta_duration_us`` on a

@@ -32,6 +32,15 @@ scenarios did not move.  ``codebook_drift-int8`` gives its precision to
 the ``DynamicGraph`` constructor, where the stream path takes it now; on
 a commit that predates that, the same values went to
 ``serve_while_update`` and produced the same digests.
+
+All eight were re-frozen together when two things moved at once: every
+``DynamicGraph`` search began to run the beam extend
+(``BeamConfig.for_capacity`` of its list: up to four expansions a sort
+once it diffuses), and ``UpdateStream.waves`` stopped clamping the last
+steady window to the horizon, so each scenario lost the one wave that
+landed 1 us after its last read (``compaction_stall`` and
+``zero-insert-waves`` with it a trailing compaction; every scenario keeps
+at least three others).
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from repro.gpusim.costmodel import (
 from repro.gpusim.trace import QueryTrace, StepRecord, TraceBlock, precision_code
 from repro.graphs import GraphIndex, exact_knn_matrix, occlusion_prune_mask
 from repro.graphs.utils import medoid
+from repro.search.batched import BeamConfig
 
 from .reference import intra_cta_search, multi_cta_search
 
@@ -92,23 +93,30 @@ def scalar_search_all(system, queries, seed=None):
 
 def scalar_dynamic_search(dyn, query, k, l=None):
     """Alg. 1 over a ``DynamicGraph``'s live arrays with expansion-time
-    tombstone masking, one Python step at a time — the reference
-    ``dyn.search`` is tested against.  Returns ``(ids, dists)``."""
+    tombstone masking and the beam extend of ``tests.reference``'s
+    ``CTASearcher`` (``BeamConfig.for_capacity`` of the list), one Python
+    step at a time — the reference ``dyn.search`` is tested against.
+    Returns ``(ids, dists)``."""
     lcap = l or max(dyn.ef, k)
+    beam = BeamConfig.for_capacity(lcap)
     entry = dyn._live_entry()
     visited = {entry}
     d0 = float(query_distances(query, dyn._pts[entry][None, :], dyn.metric)[0])
     cand: list[list] = [[d0, entry, False]]
     while True:
-        sel = next((c for c in cand if not c[2]), None)
-        if sel is None:
+        off = next((i for i, c in enumerate(cand) if not c[2]), None)
+        if off is None:
             break
-        sel[2] = True
-        row = dyn._adj[sel[1], : dyn._counts[sel[1]]]
-        fresh = [int(u) for u in row if dyn._alive[u] and int(u) not in visited]
+        width = beam.beam_width if off >= beam.offset_beam else 1
+        fresh = []
+        for sel in [c for c in cand[off:] if not c[2]][:width]:
+            sel[2] = True
+            for u in dyn._adj[sel[1], : dyn._counts[sel[1]]]:
+                if dyn._alive[u] and int(u) not in visited:
+                    visited.add(int(u))
+                    fresh.append(int(u))
         if not fresh:
             continue
-        visited.update(fresh)
         nd = query_distances(query, dyn._pts[fresh], dyn.metric)
         cand.extend([float(d), u, False] for d, u in zip(nd, fresh))
         cand.sort(key=lambda c: (c[0], c[1]))

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import repro.streaming.runner as runner
 from repro.core.serving import QueryRecord, ServeReport, merge_serve_reports
 from repro.data.synthetic import latent_mixture
-from repro.data.workload import ArrivalProcess, Poisson, Spike, TrafficSpec
+from repro.data import load_dataset
+from repro.data.workload import ArrivalProcess, Poisson, QueryEvent, Spike, TrafficSpec
 from repro.graphs import build_cagra
 from repro.graphs.dynamic import DynamicGraph
 from repro.resilience import FaultPlan, UpdateFault, named_plan
@@ -250,6 +251,43 @@ def test_storm_past_the_traffic_horizon_raises():
                 insert_qps=4000.0, delete_qps=2000.0, wave_us=4_000.0, seed=3),
             workload=Poisson(rate_qps=2000.0, seed=1), k=8, slots=4,
             faults=named_plan("update-storm"))
+
+
+def test_steady_waves_end_before_the_horizon():
+    """The window the horizon cuts short is dropped, not clamped to it, and
+    so is a window that ends on the horizon."""
+    stream = UpdateStream(insert_qps=2000.0, delete_qps=500.0,
+                          wave_us=5_000.0, seed=3)
+    cut = stream.waves(42_000.0)
+    assert [w.at_us for w in cut] == [5_000.0 * i for i in range(1, 9)]
+    assert stream.waves(45_000.0) == cut
+    assert stream.waves(45_000.001)[-1].at_us == 45_000.0
+
+
+def test_no_wave_lands_after_the_last_read():
+    """``stream_churn``'s shape at seed 1 (10k x 128, CAGRA-12, ef 64, 1 024
+    arrivals uniform over 1 024 / 3 000 s): every wave lands before the last
+    arrival, so each changes what some read sees.  With the last window
+    clamped to the horizon (last arrival + 1 us) the call applied a 35th
+    wave after every read, and that wave ran the call's second compaction."""
+    seed, n_events, rate = 1, 1024, 3000.0
+    ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
+                      gt_k=10, seed=0)
+    pick = np.random.default_rng(seed).choice(
+        ds.queries.shape[0], size=n_events, replace=False)
+    times = np.sort(np.random.default_rng(seed).uniform(
+        0.0, n_events / rate * 1e6, n_events))
+    dyn = DynamicGraph(
+        ds.base, build_cagra(ds.base, graph_degree=12, metric=ds.metric, seed=0),
+        metric=ds.metric, ef=64)
+    rep = serve_while_update(
+        dyn, ds.queries[pick],
+        UpdateStream(insert_qps=rate, delete_qps=rate, wave_us=10_000.0, seed=seed),
+        workload=[QueryEvent(i, float(t)) for i, t in enumerate(times)],
+        n_queries=n_events, k=10, slots=8)
+    assert all(w["at_us"] < times[-1] for w in rep.waves)
+    assert len(rep.waves) == 34
+    assert sum(1 for w in rep.waves if w["compacted"]) == 1
 
 
 @pytest.mark.parametrize("name", ["float32", "codebook_drift-int8"])

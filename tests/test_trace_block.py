@@ -37,14 +37,14 @@ from repro.gpusim.trace import (
     StepRecord,
     TraceBlock,
 )
-from repro.graphs import build_cagra
+from repro.graphs import GraphIndex, build_cagra
 from repro.graphs.dynamic import DynamicGraph
-from repro.search.batched import LockstepEngine, _entry_rows
+from repro.search.batched import BeamConfig, LockstepEngine, _entry_rows
 from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
 
 from .golden import make_priced_traces as golden
-from .oracles import scalar_cta_cost, scalar_step_cost
+from .oracles import scalar_cta_cost, scalar_dynamic_search, scalar_step_cost
 from .reference import intra_cta_search
 
 STEP_COLUMNS = (
@@ -320,25 +320,66 @@ def test_entry_matrix_seeding_equals_per_row_seeding(ds, graph):
 
 
 # ------------------------------------- dynamic graph vs the scalar searcher
-def test_dynamic_search_batch_block_equals_scalar_oracle():
+def _dynamic_fixture():
     base = latent_mixture(400, 16, intrinsic_dim=8, seed=21)
     queries = latent_mixture(12, 16, intrinsic_dim=8, seed=22)
     dyn = DynamicGraph(base, build_cagra(base, graph_degree=10, seed=0),
                        max_degree=12, ef=48)
+    return dyn, queries
+
+
+def _assert_equals_scalar(dyn, queries, pts, graph, entry):
+    """``dyn.search_batch`` equals the scalar single-CTA beam-extend
+    searcher on ``graph`` from ``entry``: ids, distance bytes, trace."""
     ids, dists, block = dyn.search_batch(queries, 8, record_trace=True)
     assert len(block) == 12 and block.n_ctas == 1
-    assert dyn.search_batch(queries, 8)[2] is None
-    # No tombstones yet: the frozen snapshot is the same graph, so the
-    # scalar single-CTA searcher from the same entry is the oracle.
-    pts, frozen, _ = dyn.freeze()
     oracle = [
-        intra_cta_search(pts, frozen, q, 8, 48, np.array([dyn._entry]))
+        intra_cta_search(pts, graph, q, 8, 48, np.array([entry]),
+                         beam=BeamConfig.for_capacity(48))
         for q in queries
     ]
     for i, r in enumerate(oracle):
         assert np.array_equal(ids[i], r.ids)
         assert dists[i].tobytes() == r.dists.tobytes()
     assert block == TraceBlock.from_traces([r.trace for r in oracle], dim=16, k=8)
+    return block
+
+
+def test_dynamic_search_batch_block_equals_scalar_oracle():
+    dyn, queries = _dynamic_fixture()
+    assert dyn.search_batch(queries, 8)[2] is None
+    # No tombstones yet: the frozen snapshot is the same graph, so the
+    # scalar single-CTA searcher from the same entry is the oracle.
+    pts, frozen, _ = dyn.freeze()
+    _assert_equals_scalar(dyn, queries, pts, frozen, dyn._entry)
+
+
+def test_dynamic_search_batch_over_tombstones_equals_scalar_oracle():
+    """Uncompacted tombstones are masked at expansion: the scalar searcher
+    on the adjacency with every dead edge dropped (ids kept) is the oracle,
+    and so is ``scalar_dynamic_search``."""
+    dyn, queries = _dynamic_fixture()
+    dyn.delete_batch(np.random.default_rng(5).choice(400, 60, replace=False))
+    assert dyn.n_tombstones == 60
+    n = dyn.n_total
+    live_rows = GraphIndex.from_neighbor_lists([
+        row[dyn._alive[row]].astype(np.int32)
+        for row in (dyn._adj[u, : dyn._counts[u]] for u in range(n))
+    ])
+    entry = dyn._live_entry()
+    _assert_equals_scalar(dyn, queries, dyn._pts[:n], live_rows, entry)
+    ids, _, _ = dyn.search_batch(queries, 8)
+    for q, row in zip(queries, ids):
+        assert np.array_equal(scalar_dynamic_search(dyn, q, 8)[0], row)
+
+
+def test_dynamic_search_diffuses_at_ef_64():
+    """A stream read expands several candidates per sort once it diffuses."""
+    dyn, queries = _dynamic_fixture()
+    dyn.ef = 64
+    block = dyn.search_batch(queries, 8, record_trace=True)[2]
+    assert block.n_expanded.max() == BeamConfig.for_capacity(64).beam_width
+    assert (block.n_expanded > 1).sum() > 0
 
 
 # ------------------------------------------- no row objects on a serve path
