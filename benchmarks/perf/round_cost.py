@@ -4,12 +4,13 @@ Times every ``LockstepEngine.step_all`` of two configurations and fits
 ``seconds = fixed + per_row * active_rows + per_pair * pairs_scored`` by
 least squares (docs/performance.md, "The host query bubble"):
 
-* ``stream`` — one ``serve_while_update`` call of the benchmark's
-  ``stream_churn`` shape (``sift1m-mini`` 10k x 128, CAGRA degree 12, ef 64,
-  1 024 Poisson reads at 3 000 q/s beside 3 000 + 3 000 q/s insert / delete
-  waves); the call runs only the epoch searches (traced engines), and the
-  frozen-graph oracle runs after it, when the report is graded, so the
-  fit covers the epoch runs alone;
+* ``stream`` — the ``serve_while_update`` call ``benchmarks/e2e`` times on
+  ``stream_churn`` at ``--seed`` (``sift1m-mini`` 10k x 128, CAGRA degree
+  12, ef 64; 1 024 reads drawn without replacement from a 4x query pool,
+  arrivals uniform over the horizon 1 024 / 3 000 q/s, beside 3 000 +
+  3 000 q/s insert / delete waves); the call runs only the epoch searches
+  (traced engines), and the frozen-graph oracle runs after it, when the
+  report is graded, so the fit covers the epoch runs alone;
 * ``static`` — ``ALGASSystem.search_all`` of ``online_small_batch``'s shape
   (CAGRA degree 16, 1 024 queries, 8 CTAs a query, l_total 128).
 
@@ -36,7 +37,7 @@ import numpy as np  # noqa: E402
 
 from repro.core.pipeline import ALGASSystem  # noqa: E402
 from repro.data import load_dataset  # noqa: E402
-from repro.data.workload import Poisson  # noqa: E402
+from repro.data.workload import QueryEvent  # noqa: E402
 from repro.graphs import build_cagra  # noqa: E402
 from repro.graphs.dynamic import DynamicGraph  # noqa: E402
 from repro.search.batched import LockstepEngine  # noqa: E402
@@ -83,18 +84,27 @@ def main() -> None:
     args = ap.parse_args()
     if hasattr(os, "sched_setaffinity"):  # elsewhere cores() may split
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    ds = load_dataset("sift1m-mini", n=10_000, n_queries=1024, gt_k=10, seed=0)
     rounds: list = []
     if args.config == "stream":
+        n_events, rate = 1024, 3000.0
+        ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
+                          gt_k=10, seed=0)
+        pick = np.random.default_rng(args.seed).choice(
+            ds.queries.shape[0], size=n_events, replace=False)
+        times = np.sort(np.random.default_rng(args.seed).uniform(
+            0.0, n_events / rate * 1e6, n_events))
         graph = build_cagra(ds.base, graph_degree=12, metric=ds.metric, seed=0)
-        stream = UpdateStream(insert_qps=3000.0, delete_qps=3000.0,
+        stream = UpdateStream(insert_qps=rate, delete_qps=rate,
                               wave_us=10_000.0, seed=args.seed)
         dyn = DynamicGraph(ds.base, graph, metric=ds.metric, ef=64)
         record_rounds(rounds, traced_only=True)
-        serve_while_update(dyn, ds.queries, stream,
-                           workload=Poisson(rate_qps=3000.0, seed=args.seed),
-                           n_queries=1024, k=10, slots=8)
+        serve_while_update(dyn, ds.queries[pick], stream,
+                           workload=[QueryEvent(i, float(t))
+                                     for i, t in enumerate(times)],
+                           n_queries=n_events, k=10, slots=8)
     else:
+        ds = load_dataset("sift1m-mini", n=10_000, n_queries=1024, gt_k=10,
+                          seed=0)
         graph = build_cagra(ds.base, graph_degree=16, metric=ds.metric, seed=0)
         system = ALGASSystem(ds.base, graph, metric=ds.metric, k=10,
                              l_total=128, batch_size=16, seed=args.seed)

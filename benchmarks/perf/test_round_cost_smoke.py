@@ -24,9 +24,15 @@ Two gates bound that:
   shape (10k x 128, CAGRA-12, ef 64, 1 024 uniform-order arrivals at
   3 000 q/s beside 3 000 + 3 000 q/s insert / delete waves, seed 1) may
   run at most ``MAX_STREAM_ROUNDS`` traced lockstep rounds.  Rounds are
-  exact counts, so the gate has no noise margin: 2 155 with the beam
-  extend (``BeamConfig.for_capacity`` of the list), 4 630 with one
-  expansion a cycle.
+  exact counts, so the gate has no noise margin: 1 390 with the tuned
+  multi-CTA split (8 CTAs a read, 10 candidates each), 2 155 with single-CTA
+  reads and the beam extend (``BeamConfig.for_capacity`` of the list),
+  4 630 with one expansion a cycle.
+
+And one gate on the simulated clock, from the same call: its simulated
+p50 service latency may be at most ``MAX_STREAM_P50_US``.  The cost model
+is deterministic, so this is an exact figure too: 19.13 us with the tuned
+split, 45.51 us with single-CTA reads.
 """
 
 from __future__ import annotations
@@ -47,8 +53,11 @@ pytestmark = pytest.mark.perf_smoke
 
 #: 3.3x measured + 1.5x margin
 MAX_PER_ROW_RATIO = 4.8
-#: 2 155 measured with the beam extend; one expansion a cycle runs 4 630
+#: 1 390 measured at the tuned split; single-CTA reads ran 2 155, one
+#: expansion a cycle 4 630
 MAX_STREAM_ROUNDS = 2_400
+#: 19.13 us measured at the tuned split; single-CTA reads read 45.51 us
+MAX_STREAM_P50_US = 25.0
 
 
 def _best_of_3(fn) -> float:
@@ -82,9 +91,11 @@ def test_small_batch_pays_its_rows_not_the_round_floor():
     )
 
 
-def test_stream_call_runs_beam_extend_rounds(monkeypatch):
-    # benchmarks/e2e's stream_churn at seed 1: a 4x query pool sampled
-    # without replacement, arrivals uniform over the horizon n / rate.
+@pytest.fixture(scope="module")
+def stream_call():
+    """The benchmark's seed-1 ``stream_churn`` call (a 4x query pool sampled
+    without replacement, arrivals uniform over the horizon n / rate): its
+    report and the traced lockstep rounds of each epoch run."""
     seed, n_events, rate = 1, 1024, 3000.0
     ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
                       gt_k=10, seed=0)
@@ -106,13 +117,31 @@ def test_stream_call_runs_beam_extend_rounds(monkeypatch):
         if self._trace is not None:
             rounds.append(int(self.rounds_by_active.sum()))
 
-    monkeypatch.setattr(LockstepEngine, "run", counted)
-    rep = serve_while_update(dyn, ds.queries[pick], stream, workload=arrivals,
-                             n_queries=n_events, k=10, slots=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LockstepEngine, "run", counted)
+        rep = serve_while_update(dyn, ds.queries[pick], stream,
+                                 workload=arrivals, n_queries=n_events,
+                                 k=10, slots=8)
+    return rep, rounds
+
+
+def test_stream_call_runs_beam_extend_rounds(stream_call):
+    rep, rounds = stream_call
     total = sum(rounds)
     print(f"\nstream call: {total} traced lockstep rounds over "
           f"{len(rounds)} epochs, {len(rep.waves)} waves")
     assert total <= MAX_STREAM_ROUNDS, (
         f"the stream call ran {total} traced lockstep rounds (ceiling "
         f"{MAX_STREAM_ROUNDS}): its searches no longer run the beam extend"
+    )
+
+
+def test_stream_reads_run_the_multi_cta_split(stream_call):
+    rep, _ = stream_call
+    p50 = rep.serve.percentile_latency_us(50, "service")
+    print(f"\nstream call: simulated p50 {p50:.2f} us")
+    assert p50 <= MAX_STREAM_P50_US, (
+        f"the stream call's simulated p50 is {p50:.2f} us (ceiling "
+        f"{MAX_STREAM_P50_US} us): its reads no longer run the tuned "
+        f"multi-CTA split"
     )

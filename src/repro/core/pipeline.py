@@ -34,12 +34,13 @@ from ..search.batched import (
     batched_intra_cta_search,
     batched_multi_cta_search,
     make_entries,
+    per_cta_capacity,
 )
 from ..search.precision import PRECISIONS, make_codec
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine, _admit
 from .host import host_meta
 from .serving import QueryJob, ServeConfig, ServeReport, as_serve_config, price_jobs
-from .tuning import TuningResult, tune
+from .tuning import MAX_PARALLEL, TuningResult, tune
 
 __all__ = ["SystemReport", "BaseGraphSystem", "ALGASSystem"]
 
@@ -81,7 +82,7 @@ class BaseGraphSystem:
         l_total: int = 128,
         batch_size: int = 16,
         n_parallel: int | None = None,
-        max_parallel: int = 8,
+        max_parallel: int = MAX_PARALLEL,
         beam: BeamConfig | None = None,
         cost_params: CostParams | None = None,
         entries_per_cta: int = 2,
@@ -316,7 +317,7 @@ class ALGASSystem(BaseGraphSystem):
         l_total: int = 128,
         batch_size: int = 16,
         n_parallel: int | None = None,
-        max_parallel: int = 8,
+        max_parallel: int = MAX_PARALLEL,
         beam: BeamConfig | None | bool = True,
         host_threads: int | str = "auto",
         state_mode: str = "gdrcopy",
@@ -331,8 +332,8 @@ class ALGASSystem(BaseGraphSystem):
         pq_ks: int = 256,
     ):
         if beam is True:
-            per_cta = max(k, -(-l_total // (n_parallel or max_parallel)))
-            beam = BeamConfig.for_capacity(per_cta)
+            beam = BeamConfig.for_capacity(
+                per_cta_capacity(l_total, n_parallel or max_parallel, k))
         elif beam is False:
             beam = None
         super().__init__(

@@ -31,8 +31,10 @@ import numpy as np
 from ..gpusim.device import DeviceProperties
 from ..gpusim.occupancy import SearchMemoryLayout
 from ..graphs.base import GraphIndex
+from ..search.batched import per_cta_capacity
 
 __all__ = [
+    "MAX_PARALLEL",
     "TuningResult",
     "reserved_cache_bytes",
     "plan_layout",
@@ -41,6 +43,10 @@ __all__ = [
     "AutoTuneResult",
     "autotune_algas",
 ]
+
+#: The cap on CTAs a query when a system names none: ALGAS's serving
+#: default, and the split a stream's reads and insertion searches run at.
+MAX_PARALLEL = 8
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,7 @@ def plan_layout(
     (each keeps at least ``k``); the expand list must hold the neighbours
     of every candidate expanded in one maintenance cycle.
     """
-    if l_total <= 0 or n_parallel <= 0 or k <= 0:
-        raise ValueError("l_total, n_parallel, k must be positive")
-    per_cta = max(k, math.ceil(l_total / n_parallel))
+    per_cta = per_cta_capacity(l_total, n_parallel, k)
     expand = max(1, max_degree) * max(1, beam_width)
     return SearchMemoryLayout(cand_list_len=per_cta, expand_list_len=expand, dim=dim)
 

@@ -5,8 +5,9 @@ batches its medoid-rooted searches, and ``DynamicGraph`` / the hybrid
 pilot apply the same link-and-trim step to update waves: in all of them
 the insertion-time beam searches run through
 :class:`~repro.search.batched.LockstepEngine` against the *growing*
-graph (a padded adjacency matrix + degree vector, with an ``n_visible``
-prefix mask instead of a per-wave CSR rebuild), and linking,
+graph (a padded adjacency matrix + degree vector; the builders mask
+with an ``n_visible`` prefix, ``DynamicGraph`` searches its live rows
+only, instead of a per-wave CSR rebuild), and linking,
 degree-capping and pruning are row-parallel array kernels.  A
 one-vertex-at-a-time Python loop spends its time in numpy dispatch
 overhead at tens of thousands of points, the same way search did before
@@ -34,17 +35,12 @@ a fixed seed and identical on any number of cores.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..data.metrics import pair_distances, pairwise_distances, row_blocks
 from ..parallel.pool import on_threads, thread_chunks
 from .base import GraphIndex
 from .utils import _compact_rows, _first_occurrence_mask
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..search.batched import BeamConfig
 
 __all__ = ["occlusion_prune_mask"]
 
@@ -178,9 +174,6 @@ def _prefix_search(
     metric: str,
     row_entries: np.ndarray | None = None,
     collect_expansions: bool = False,
-    alive_mask: np.ndarray | None = None,
-    point_norms: np.ndarray | None = None,
-    beam: BeamConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep beam searches of vertices ``[q_lo, q_hi)`` against the
     inserted prefix ``[0, visible)``; returns (W, ef) pools sorted by
@@ -201,12 +194,8 @@ def _prefix_search(
     With ``collect_expansions`` the returned pools are instead each row's
     *expansion log* (every vertex expanded en route, in expansion order,
     ragged width) — the NSG candidate pool, which needs the search path's
-    long-range vertices, not just the final beam.
-
-    ``point_norms`` are the points' squared norms when the caller keeps
-    them (a :class:`~repro.graphs.dynamic.DynamicGraph`), and ``beam`` its
-    :class:`~repro.search.batched.BeamConfig`: a dynamic graph's insertion
-    searches expand like its reads, the builders' one candidate a cycle.
+    long-range vertices, not just the final beam.  The builders expand
+    one candidate a cycle.
     """
     from ..search.batched import LockstepEngine
 
@@ -233,9 +222,6 @@ def _prefix_search(
                 record_trace=False,
                 n_visible=visible,
                 record_expansions=collect_expansions,
-                alive_mask=alive_mask,
-                point_norms=point_norms,
-                beam=beam,
             )
             eng.run(100 * ef + 100, what="batched insertion search")
             pools = eng.expansion_pools() if collect_expansions else eng.pools()[:2]

@@ -23,7 +23,9 @@ corpus; this module adds the "built for change" update story on top of any
   and its compaction — that sag is exactly what the serve-while-update
   degradation SLOs (:mod:`repro.streaming`) measure;
 * **search** — :meth:`search` / :meth:`search_batch` run the lockstep
-  engine directly on the live padded arrays (no freeze needed).  Like the
+  engine directly on the live padded arrays (no freeze needed), each query
+  as ``n_ctas`` CTAs of ALGAS's multi-CTA split (one by default), and so
+  do the insert waves' searches.  Like the
   static systems, the graph takes its traversal ``precision`` and
   ``rerank_mult`` once, at construction: a quantized graph traverses on
   one codec, fitted at its first search, *extended* on insert waves and
@@ -49,15 +51,15 @@ import numpy as np
 
 from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
 from ..gpusim.trace import TraceBuilder
-from ..search.batched import BeamConfig, LockstepEngine
+from ..search.batched import (
+    BeamConfig,
+    batched_multi_cta_search,
+    per_cta_capacity,
+    query_entries,
+)
 from ..search.precision import DEFAULT_RERANK_MULT, PRECISIONS, make_codec
 from .base import GraphIndex
-from .build_batched import (
-    _add_links,
-    _prefix_search,
-    _select_links,
-    occlusion_prune_mask,
-)
+from .build_batched import _add_links, _select_links, occlusion_prune_mask
 from .utils import _compact_rows, medoid
 
 __all__ = ["DynamicGraph"]
@@ -138,8 +140,8 @@ class DynamicGraph:
         self._codec = None
         #: reconstruction error of the corpus the codec was fitted on
         self._codec_baseline = 0.0
-        #: (version, points, pool ids, pool dists) of the insert rows of the
-        #: last fused search_batch, for the insert_batch that follows it
+        #: (version, (n_ctas, k), points, pool ids, pool dists) of the insert rows
+        #: of the last fused search_batch, for the insert_batch that follows it
         self._pending = None
         self.version = 0
         self.compactions = 0
@@ -194,20 +196,32 @@ class DynamicGraph:
         l: int | None = None,
         record_trace: bool = False,
         pending_inserts: np.ndarray | None = None,
+        n_ctas: int = 1,
     ):
         """Lockstep batch search over the *live* structure (no freeze).
 
         Returns ``(ids, dists, traces)``: ``(B, k)`` arrays padded with
-        -1 / inf past each row's result count, and the batch's one-CTA
-        :class:`~repro.gpusim.trace.TraceBlock` for cost-model pricing
-        (``None`` when ``record_trace`` is off).
+        -1 / inf past each row's result count, and the batch's
+        :class:`~repro.gpusim.trace.TraceBlock` of ``n_ctas`` CTAs a query
+        for cost-model pricing (``None`` when ``record_trace`` is off).
+
+        A query runs as ``n_ctas`` CTAs, ALGAS's multi-CTA split (§IV-B):
+        each keeps :func:`~repro.search.batched.per_cta_capacity` of the
+        candidate capacity ``max(l or max(ef, k), k)``, all share the
+        query's visited bits, and the host merges their lists
+        (:func:`~repro.search.topk.merge_topk_batch`).  CTA 0 enters at the
+        live medoid; CTAs 1.. enter at two live vertices that a hash of the
+        query's bytes names (:func:`~repro.search.batched.query_entries`)
+        among those holding at least half their degree budget, so a row's
+        answer depends on its query and the graph only.  One CTA is the
+        single-CTA search.
 
         ``pending_inserts`` are the points the caller will hand to the next
-        :meth:`insert_batch`.  When their insertion searches need what the
-        reads need — float32 traversal, a candidate capacity equal to the
-        insert beam ``max(ef, max_degree + 1)``, and a wave that fits one
-        sub-wave — they run as extra rows of this search's lockstep engine
-        (a stream epoch then pays one set of rounds, not two) and
+        :meth:`insert_batch` at the same ``n_ctas`` and ``k``.  When their
+        insertion searches can share the reads' run — float32 traversal,
+        the reads' per-CTA list capacity, and a wave that fits one sub-wave
+        — they run as extra rows of this search (a stream epoch then pays
+        one set of rounds and one TopK merge, not two) and
         :meth:`insert_batch` links from their pools, provided the graph has
         not changed in between and it receives the same points.  Otherwise
         the insert searches on its own, as without the argument.  The
@@ -215,6 +229,8 @@ class DynamicGraph:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if n_ctas <= 0:
+            raise ValueError(f"n_ctas must be positive, got {n_ctas}")
         self._pending = None
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -224,69 +240,82 @@ class DynamicGraph:
         if self._n_alive == 0 or B == 0:
             out_ids = np.full((B, k), -1, dtype=np.int64)
             out_d = np.full((B, k), np.inf, dtype=np.float32)
-            empty = TraceBuilder(B).build(1, dim, k, np.zeros(B, dtype=np.int32))
+            empty = TraceBuilder(B * n_ctas).build(
+                n_ctas, dim, k, np.zeros(B * n_ctas, dtype=np.int32))
             return out_ids, out_d, empty if record_trace else None
         codec = self.traversal_codec()
-        cand_capacity = max(l or max(self.ef, k), k)
+        l_total = max(l or max(self.ef, k), k)
         fused = None
         if pending_inserts is not None:
             fused, _ = self._staged_points(pending_inserts)
             if not (
                 codec is None
-                and cand_capacity == self._insert_ef()
+                and per_cta_capacity(l_total, n_ctas, k)
+                == per_cta_capacity(self._insert_ef(), n_ctas, k)
                 and 0 < fused.shape[0] <= max(self._n_alive, 256)
             ):
                 fused = None
-        rows = queries if fused is None else np.concatenate([queries, fused])
-        R = rows.shape[0]
-        n = self._n_total
-        eng = LockstepEngine(
-            self._pts[:n],
-            (self._adj[:n], self._counts[:n]),
-            rows,
-            np.arange(R, dtype=np.int64),
-            np.full((R, 1), self._live_entry(), dtype=np.int64),
-            cand_capacity,
-            metric=self.metric,
-            beam=BeamConfig.for_capacity(cand_capacity),
-            record_trace=record_trace,
-            codec=codec,
-            alive_mask=self._alive[:n],
-            point_norms=self._sqnorms[:n],
+        if fused is None:
+            res = self._search(queries, k, l_total, n_ctas, record_trace, codec)
+            return res.padded_ids, res.padded_dists, res.traces
+        # One run and one TopK merge for the epoch, at the insert pools'
+        # width; the reads take its first k entries.
+        ins = self._insert_ef()
+        res = self._search(np.concatenate([queries, fused]), k, l_total, n_ctas,
+                           record_trace, None, pool=ins)
+        ids, dists = res.padded_ids, res.padded_dists
+        self._pending = (self.version, (n_ctas, k), fused, ids[B:, :ins], dists[B:, :ins])
+        block = None if res.traces is None else res.traces[:B]
+        return ids[:B, :k], dists[:B, :k], block
+
+    def _search(self, rows, k, l_total, n_ctas, record_trace, codec, pool=0):
+        """``rows`` searched on the live graph at ``n_ctas`` CTAs a row
+        (:func:`~repro.search.batched.batched_multi_cta_search`): CTA 0
+        enters at the live medoid, the others at the row's hashed entries."""
+        n, Q = self._n_total, rows.shape[0]
+        entries = np.full((Q, n_ctas, 1 if n_ctas == 1 else 2), self._live_entry(),
+                          dtype=np.int64)
+        if n_ctas > 1:
+            entries[:, 1:] = query_entries(rows, n_ctas - 1, 2, self._entry_population())
+        return batched_multi_cta_search(
+            self._pts[:n], (self._adj[:n], self._counts[:n]), rows, k, l_total,
+            n_ctas, metric=self.metric,
+            beam=BeamConfig.for_capacity(per_cta_capacity(l_total, n_ctas, k)),
+            entries=entries, record_trace=record_trace, codec=codec,
+            rerank_mult=self.rerank_mult, alive_mask=self._alive[:n],
+            point_norms=self._sqnorms[:n], pool=pool,
         )
-        eng.run(100 * cand_capacity + 100, what="dynamic batch search")
-        out_ids, out_d, _ = eng.row_topk(k, self.rerank_mult)
-        block = eng.trace_block(1, dim, k)
-        if fused is not None:
-            pool_ids, pool_d, _ = eng.pools()
-            self._pending = (self.version, fused, pool_ids[B:], pool_d[B:])
-            out_ids, out_d = out_ids[:B], out_d[:B]
-            block = None if block is None else block[:B]
-        return out_ids, out_d, block
 
     # ------------------------------------------------------------- updates
     def insert(self, point: np.ndarray) -> int:
         """Insert a single point; returns its new vertex id."""
         return int(self.insert_batch(np.asarray(point, np.float32)[None, :])[0])
 
-    def insert_batch(self, points: np.ndarray) -> np.ndarray:
+    def insert_batch(
+        self, points: np.ndarray, n_ctas: int = 1, k: int = 1
+    ) -> np.ndarray:
         """Insert a wave of points; returns their new vertex ids.
 
-        The wave is lockstep-searched against the visible prefix; waves
-        larger than the current index split into doubling sub-waves (each
+        The wave is lockstep-searched against the visible prefix, each
+        point as ``n_ctas`` CTAs split like a read of ``k`` at capacity
+        ``max(ef, max_degree + 1)`` (:meth:`search_batch`; the merged CTA
+        lists, cut to that beam, are the point's link pool); waves larger
+        than the current index split into doubling sub-waves (each
         sub-wave sees everything inserted before it), the PR 4 builder
         schedule — so a storm-sized burst onto a small index still links
         against meaningful neighbourhoods.  When the last
         :meth:`search_batch` carried exactly these points as
-        ``pending_inserts`` and the graph has not changed since, the wave
-        links from the pools that search produced instead of searching
-        again.
+        ``pending_inserts`` at the same ``n_ctas`` and ``k`` and the graph
+        has not changed since, the wave links from the pools that search
+        produced instead of searching again.
         """
+        if n_ctas <= 0 or k <= 0:
+            raise ValueError(f"n_ctas and k must be positive, got {n_ctas}, {k}")
         pts, sqnorms = self._staged_points(points)
         W = pts.shape[0]
         if W == 0:
             return np.empty(0, dtype=np.int64)
-        pools = self._take_pending(pts)
+        pools = self._take_pending(pts, (n_ctas, k))
         self._mutate()
         start = self._n_total
         ids = np.arange(start, start + W, dtype=np.int64)
@@ -306,24 +335,22 @@ class DynamicGraph:
         while pos < W:
             sub = min(W - pos, max(self._n_alive, 256))
             lo = start + pos
-            self._insert_wave(lo, lo + sub, pools)
+            self._insert_wave(lo, lo + sub, (n_ctas, k), pools)
             pools = None
             pos += sub
         self._extend_codec(pts)
         return ids
 
-    def _insert_wave(self, lo: int, hi: int, pools=None) -> None:
+    def _insert_wave(self, lo: int, hi: int, split: tuple[int, int], pools=None) -> None:
         """Link vertices ``[lo, hi)`` (points already staged) into the graph.
         ``pools`` are their insertion-search pools when a fused
-        :meth:`search_batch` already ran them against this graph state."""
+        :meth:`search_batch` already ran them against this graph state;
+        otherwise they search the live graph (the staged rows are past
+        ``n_total``, so invisible) at the ``(n_ctas, k)`` split."""
         if pools is None:
-            ef = self._insert_ef()
-            pools = _prefix_search(
-                self._pts, lo, hi, self._n_total, self._adj, self._counts,
-                self._live_entry(), ef, self.metric,
-                alive_mask=self._alive, point_norms=self._sqnorms,
-                beam=BeamConfig.for_capacity(ef),
-            )
+            (n_ctas, k), ef = split, self._insert_ef()
+            res = self._search(self._pts[lo:hi], k, ef, n_ctas, False, None, pool=ef)
+            pools = res.padded_ids[:, :ef], res.padded_dists[:, :ef]
         pool_ids, pool_d = pools
         links = _select_links(
             self._pts, pool_ids, pool_d, self.max_degree, self.metric,
@@ -664,16 +691,29 @@ class DynamicGraph:
             require_unit(sqnorms, "inserted points")
         return pts, sqnorms
 
-    def _take_pending(self, pts: np.ndarray):
+    def _take_pending(self, pts: np.ndarray, split: tuple[int, int]):
         """Consume the pools a fused :meth:`search_batch` left for ``pts``;
-        ``None`` unless the graph is unchanged since and the points equal."""
+        ``None`` unless the graph is unchanged since, the split is the same
+        and the points equal."""
         pending, self._pending = self._pending, None
         if pending is None:
             return None
-        version, staged, pool_ids, pool_d = pending
-        if version != self.version or not np.array_equal(staged, pts):
+        version, at, staged, pool_ids, pool_d = pending
+        if (version, at) != (self.version, split) or not np.array_equal(staged, pts):
             return None
         return pool_ids, pool_d
+
+    def _entry_population(self) -> np.ndarray:
+        """The vertices hashed entries may name: live ones holding at least
+        half their degree budget (all live ones if none does).  An outlier
+        insert keeps one link after the occlusion prune and sits far from
+        every query, so it is no entry, and it does not widen the id span
+        the hash maps onto: a t=0 copy of the graph and the churned graph
+        then name the same entries wherever those survive."""
+        n = self._n_total
+        linked = np.flatnonzero(
+            self._alive[:n] & (self._counts[:n] >= self.max_degree // 2))
+        return linked if linked.size else self.alive_ids()
 
     def _live_entry(self) -> int:
         if self._entry is None or not self._alive[self._entry]:

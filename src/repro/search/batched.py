@@ -72,6 +72,7 @@ __all__ = [
     "SearchResult",
     "per_cta_capacity",
     "make_entries",
+    "query_entries",
     "BatchedVisited",
     "BatchResults",
     "LockstepEngine",
@@ -146,6 +147,39 @@ def make_entries(
         flat[i * entries_per_cta : (i + 1) * entries_per_cta]
         for i in range(n_ctas)
     ]
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, elementwise on a ``uint64`` array (wraps)."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def query_entries(
+    queries: np.ndarray, n_ctas: int, entries_per_cta: int, population: np.ndarray
+) -> np.ndarray:
+    """Entry points that are a function of the query alone: a ``(B,
+    n_ctas, entries_per_cta)`` block of ids from ``population`` (sorted,
+    non-empty).
+
+    Each row's ``uint32`` view is folded to one 64-bit key (a dot with
+    splitmix64-keyed column weights, then the finaliser), and entry slot
+    ``j`` of the row names the id ``splitmix64(key + j) mod (max + 1)``,
+    ``max`` the population's largest id; the slot takes the first
+    population id at or after it.  So a row draws the same
+    entries alone, permuted or in any batch, and removing an id from the
+    population moves only the slots that named it.  Entries may repeat: a
+    duplicate of an earlier CTA's entry is already visited when the CTA
+    seeds, and adds nothing."""
+    words = np.ascontiguousarray(queries, dtype=np.float32).view(np.uint32)
+    weights = _splitmix64(np.arange(words.shape[1], dtype=np.uint64))
+    key = _splitmix64(words.astype(np.uint64) @ weights)
+    slots = np.arange(n_ctas * entries_per_cta, dtype=np.uint64)
+    named = _splitmix64(key[:, None] + slots[None, :]) % np.uint64(population[-1] + 1)
+    pick = population.searchsorted(named.astype(np.int64))
+    return population[pick].reshape(-1, n_ctas, entries_per_cta)
 
 
 class BatchedVisited:
@@ -345,6 +379,8 @@ class LockstepEngine:
         #: the rows still searching, ascending
         self._act = np.zeros(0, dtype=np.int64)
         self._iota = np.arange(R, dtype=np.int64)
+        self._row_base = np.arange(R + 1, dtype=np.int64) * L
+        self._beam_cols = np.arange(beam.beam_width if beam else 1)
         # One CTA per query in query order: a row is its own visited row
         # and query index, so no per-round row_query gather.
         self._rows_are_queries = bool(
@@ -536,14 +572,18 @@ class LockstepEngine:
             # One expansion per row: the first open entry.
             n_exp, pick_loc, cells = 1, self._iota[:A], first
         else:
+            # Each row's first `width` open entries: rank the open cells of
+            # the (A, L) mask against each row's first one.
             width = np.where(off >= self.beam.offset_beam, self.beam.beam_width, 1)
-            sel = open_.cumsum(axis=1) <= width[:, None]
-            sel &= open_
-            n_exp = sel.sum(axis=1)
-            pick_loc, cols = sel.nonzero()  # row-major: per-row offset order
-            cells = act.take(pick_loc)
-            cells *= L
-            cells += cols
+            flat = open_.reshape(-1).nonzero()[0]  # np.flatnonzero, unwrapped
+            bounds = flat.searchsorted(self._row_base[:A + 1])
+            start = bounds[:-1]
+            n_exp = bounds[1:] - start
+            np.minimum(n_exp, width, out=n_exp)
+            pick_loc, j = (self._beam_cols < n_exp[:, None]).nonzero()
+            j += start.take(pick_loc)
+            cells = flat.take(j)  # row-major, offset order; to global cells:
+            cells += (first - flat.take(start)).take(pick_loc)
         pick_ids = self._ids_flat.take(cells)
         self._open_flat[cells] = False
         if self.expansions is not None:
@@ -882,29 +922,41 @@ def batched_intra_cta_search(
 
 def batched_multi_cta_search(
     points: np.ndarray,
-    graph: GraphIndex,
+    graph: GraphIndex | tuple[np.ndarray, np.ndarray],
     queries: np.ndarray,
     k: int,
     l_total: int,
     n_ctas: int,
     metric: str = "l2",
     beam: BeamConfig | None = None,
-    entries: list[list[np.ndarray]] | None = None,
+    entries: list[list[np.ndarray]] | np.ndarray | None = None,
     entries_per_cta: int = 2,
     rng: np.random.Generator | None = None,
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
+    alive_mask: np.ndarray | None = None,
+    point_norms: np.ndarray | None = None,
+    pool: int = 0,
 ) -> BatchResults:
     """Multi-CTA search of ``B`` queries, all CTA rows in one lockstep batch.
 
-    ``entries[q][c]`` seeds CTA ``c`` of query ``q``; when omitted they are
-    drawn per query in order from ``rng`` — the same stream of
-    :func:`make_entries` calls the scalar driver issues.
+    ``entries[q][c]`` seeds CTA ``c`` of query ``q`` (a ``(B, n_ctas, e)``
+    array, or nested lists); when omitted they are drawn per query in
+    order from ``rng`` — the same stream of :func:`make_entries` calls the
+    scalar driver issues.
 
     With a ``codec`` the per-CTA lists are merged at ``rerank_mult × k``
     width and the merged pool is re-scored exactly; the re-rank step is
-    recorded on CTA 0's trace (host hands the pool back to one CTA).
+    recorded on CTA 0's trace (host hands the pool back to one CTA).  A
+    ``pool`` wider than that merges each query's whole CTA lists to its
+    best ``pool`` instead (an insertion search's link pool; float32
+    only): the results are then ``pool`` wide, and their first ``k`` are
+    the ``k``-wide merge's.
+
+    ``graph`` may be a padded ``(adjacency, degrees)`` pair, and
+    ``alive_mask`` / ``point_norms`` pass to the engine, as a
+    :class:`~repro.graphs.dynamic.DynamicGraph` searches its live rows.
 
     Entries are drawn for the whole batch before it is cut into per-thread
     engines, so the cut moves no result, list or trace bit.
@@ -915,27 +967,35 @@ def batched_multi_cta_search(
     if queries.ndim == 1:
         queries = queries[None, :]
     B = queries.shape[0]
-    rng = rng or np.random.default_rng(0)
     l_cta = per_cta_capacity(l_total, n_ctas, k)
-    row_entries: list[np.ndarray] = []
-    for q in range(B):
-        e = entries[q] if entries is not None else make_entries(
-            points.shape[0], n_ctas, entries_per_cta, rng
-        )
-        if len(e) != n_ctas:
+    if isinstance(entries, np.ndarray):
+        if entries.shape[:2] != (B, n_ctas):
             raise ValueError("need one entry array per CTA")
-        row_entries.extend(e)
-    rows = _entry_rows(row_entries)
+        rows = entries.reshape(B * n_ctas, -1)
+    else:
+        rng = rng or np.random.default_rng(0)
+        row_entries: list[np.ndarray] = []
+        for q in range(B):
+            e = entries[q] if entries is not None else make_entries(
+                points.shape[0], n_ctas, entries_per_cta, rng
+            )
+            if len(e) != n_ctas:
+                raise ValueError("need one entry array per CTA")
+            row_entries.extend(e)
+        rows = _entry_rows(row_entries)
     engines = [
         LockstepEngine(
             points, graph, queries[lo:hi],
             np.repeat(np.arange(hi - lo, dtype=np.int64), n_ctas),
             rows[lo * n_ctas:hi * n_ctas], l_cta,
             metric=metric, beam=beam, record_trace=record_trace, codec=codec,
+            alive_mask=alive_mask, point_norms=point_norms,
         )
         for lo, hi in thread_chunks(B, n_ctas)
     ]
     rcap = max(k, rerank_mult * k) if codec is not None else k
+    if pool > rcap and codec is not None:
+        raise ValueError("a pool wider than the re-rank pool needs float32")
 
     def finish(eng: LockstepEngine) -> BatchResults:
         eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
@@ -943,11 +1003,16 @@ def batched_multi_cta_search(
         # pools, so an engine's queries are one merge_topk_batch.
         b = eng.queries.shape[0]
         l_ids, l_d, l_counts = (a.reshape(b, n_ctas, *a.shape[1:]) for a in eng.topk(rcap))
-        ids, dists, counts = merge_topk_batch(l_ids, l_d, rcap)
+        if pool > rcap:  # a heap merge's first rcap pops ignore list tails
+            ids, dists, counts = merge_topk_batch(
+                *(a.reshape(b, n_ctas, -1) for a in eng.pools()[:2]), pool)
+        else:
+            ids, dists, counts = merge_topk_batch(l_ids, l_d, rcap)
         if codec is not None:
+            # One CTA is the single-CTA search: it owns its result length.
             ids, dists, counts = eng.rerank(
                 np.arange(0, b * n_ctas, n_ctas), ids, counts, k,
-                set_result_len=False,
+                set_result_len=n_ctas == 1,
             )
         return BatchResults(
             ids, dists, counts, eng.trace_block(n_ctas, eng.dim, k),

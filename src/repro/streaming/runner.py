@@ -13,7 +13,10 @@ clocks-worth of work on one simulated timeline:
 
 Execution is epoch-based on the shared simulated clock: queries arriving
 between two waves are lockstep-searched on the *live* graph (tombstones
-masked at expansion) — in the same run as the next wave's insertion
+masked at expansion), each split over the CTAs an
+:class:`~repro.core.pipeline.ALGASSystem` of the same slots would give it
+(the §IV-C tuner's ``N_parallel``; insertion searches and the oracle's
+t=0 copy run the same split) — in the same run as the next wave's insertion
 searches where the two can share one (see
 :meth:`~repro.graphs.dynamic.DynamicGraph.search_batch`'s
 ``pending_inserts``) — priced with the cost model, and served through a
@@ -59,6 +62,7 @@ import numpy as np
 
 from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine, _admit
 from ..core.serving import ServeReport, merge_serve_reports, price_jobs
+from ..core.tuning import MAX_PARALLEL, tune
 from ..data.groundtruth import exact_knn, recall_per_query
 from ..data.metrics import normalize
 from ..data.workload import resolve_workload
@@ -67,6 +71,7 @@ from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.trace import TraceBlock
 from ..graphs.dynamic import DynamicGraph
 from ..resilience.faults import FaultPlan
+from ..search.batched import BeamConfig
 from .updates import UpdateStorm, UpdateStream
 
 __all__ = ["DegradationSLO", "StreamReport", "grade_stream", "serve_while_update"]
@@ -298,7 +303,10 @@ def serve_while_update(
     injected drift; under cosine every insert vector is normalized after
     any drift shift.  Reads traverse at the graph's own ``precision`` /
     ``rerank_mult`` (:class:`~repro.graphs.dynamic.DynamicGraph`'s
-    constructor).
+    constructor), and every search of the call runs ``n_ctas`` CTAs a
+    row, the split :func:`~repro.core.tuning.tune` gives ``slots`` slots
+    at the read capacity ``max(l or max(ef, k), k)`` (what
+    ``ALGASSystem`` serves with), priced at ``n_parallel`` of that split.
     ``faults`` consumes the plan's update kinds: ``storm`` merges into the
     wave schedule, ``compaction_stall`` stretches the compaction barrier by
     ``factor``, ``codebook_drift`` shifts insert vectors arriving after
@@ -348,7 +356,15 @@ def serve_while_update(
         return pts
 
     cm = CostModel(device, cost_params)
-    cfg = DynamicBatchConfig(n_slots=slots, n_parallel=1, k=k)
+    # Every search of the call (reads, insertion searches, the grader's t=0
+    # copy) runs the multi-CTA split an ALGASSystem of these slots serves.
+    read_cap = max(l or max(dyn.ef, k), k)
+    n_ctas = tune(
+        device, n_slots=slots, l_total=read_cap, k=k, max_degree=dyn.max_degree,
+        dim=queries.shape[1], beam_width=BeamConfig.for_capacity(read_cap).beam_width,
+        max_parallel=MAX_PARALLEL,
+    ).n_parallel
+    cfg = DynamicBatchConfig(n_slots=slots, n_parallel=n_ctas, k=k)
     compactions0 = dyn.compactions
     retrains0 = dyn.codec_retrains
 
@@ -388,7 +404,7 @@ def serve_while_update(
             lost_ids.extend(ev.query_id for ev in epoch_events)
             return
         ids, _, traces = dyn.search_batch(
-            qv, k, l=l, record_trace=True, pending_inserts=inserts,
+            qv, k, l=l, record_trace=True, pending_inserts=inserts, n_ctas=n_ctas,
         )
         # Compaction-boundary invariants, checked on every answer set:
         # a tombstone must never be returned, a row must never repeat an id.
@@ -426,7 +442,7 @@ def serve_while_update(
 
         dur = 0.0
         if new_pts is not None:
-            dyn.insert_batch(new_pts)
+            dyn.insert_batch(new_pts, n_ctas=n_ctas, k=k)
             dur += wave.n_inserts * INSERT_US_PER_POINT
         n_del = 0
         if wave.n_deletes:
@@ -522,7 +538,7 @@ def serve_while_update(
         oracle = 1.0
         if t0 is not None:
             qvecs = np.concatenate(batches)
-            ids, _, _ = t0.search_batch(qvecs, k, l=l)
+            ids, _, _ = t0.search_batch(qvecs, k, l=l, n_ctas=n_ctas)
             oracle = float(_epoch_recall(
                 pts, sqnorms, metric, qvecs, ids, k, t0.alive_ids()).mean())
         recalls = [_epoch_recall(pts, sqnorms, metric, qv, ids, k, alive)

@@ -16,7 +16,9 @@ insert search:
   400-point index splits into sub-waves;
 * ``compaction_stall`` — stretched compaction barriers at a low trigger;
 * ``codebook_drift-int8`` — int8 reads (another kernel) under drift;
-* ``explicit-l`` — ``l`` below the insert beam (another capacity);
+* ``explicit-l`` — ``l`` below the insert beam (another capacity; at the
+  tuned split a read's and an insert's per-CTA lists both floor at ``k``,
+  so they share one run);
 * ``cosine`` — unit-norm corpus under the cosine metric;
 * ``zero-insert-waves`` — a trickle of inserts: many delete-only waves;
 * ``empty-epochs`` — waves far denser than arrivals: epochs with no reads.
@@ -41,6 +43,13 @@ steady window to the horizon, so each scenario lost the one wave that
 landed 1 us after its last read (``compaction_stall`` and
 ``zero-insert-waves`` with it a trailing compaction; every scenario keeps
 at least three others).
+
+They were re-frozen together once more when every search of a stream
+call began to run the multi-CTA split ``tune`` gives the call's slots (8
+CTAs a query here; entries hashed from the query onto the well-linked
+live vertices, one CPU TopK merge per epoch): ``report``, ``adj`` and
+``counts`` moved in every scenario, ``alive`` in none (the same waves
+delete the same victims).
 """
 
 from __future__ import annotations

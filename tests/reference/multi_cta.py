@@ -105,7 +105,7 @@ def multi_cta_search(
         ids, dists = rerank_into_trace(
             np.asarray(points, dtype=np.float32), searchers[0].query, metric,
             ids, k, searchers[0]._qnorm, searchers[0].trace,
-            set_result_len=False,
+            set_result_len=n_ctas == 1,
         )
     trace = None
     if record_trace:

@@ -1,9 +1,10 @@
 """Split wave builds: insertion searches in per-core row chunks on threads.
 
 Every lockstep insertion search of the builders (``_prefix_search``: NSW /
-HNSW waves and refinement sweep, NSG's expansion logs, ``DynamicGraph``
-insert waves) cuts its rows by the search split's rule
-(``repro.parallel.pool.thread_chunks``) and runs the chunks concurrently.
+HNSW waves and refinement sweep, NSG's expansion logs) and of
+``DynamicGraph`` insert waves (``batched_multi_cta_search``) cuts its rows
+by the search split's rule (``repro.parallel.pool.thread_chunks``) and runs
+the chunks concurrently.
 Rows never interact, so the graph must be the one-core graph bit for bit.
 The tests patch ``MIN_ROWS_PER_THREAD`` to 1 and ``cores`` to 3 so that
 every wave splits, into uneven chunks, on any host, and shrink
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.pool as pool
+import repro.search.batched as search_batched
 from repro.graphs import DynamicGraph, build_batched, build_cagra, build_hnsw
 from repro.graphs import build_nsg, build_nsw
 
@@ -37,6 +39,7 @@ def split(monkeypatch):
         return real(fn, ranges)
 
     monkeypatch.setattr(build_batched, "on_threads", counted)
+    monkeypatch.setattr(search_batched, "on_threads", counted)
     monkeypatch.setattr(build_batched, "_MAX_ROWS", 96)
     monkeypatch.setattr(pool, "MIN_ROWS_PER_THREAD", 1)
 
@@ -73,24 +76,26 @@ def test_split_build_equals_one_core(split, corpus, name):
 
 def test_split_insert_wave_equals_one_core(split, corpus):
     """A ``DynamicGraph`` wave on a graph with tombstones (the alive mask
-    and the kept point norms cross the split too)."""
+    and the kept point norms cross the split too), at one CTA a point and
+    at eight."""
     base, wave = corpus[:400], corpus[400:]
     graph = build_cagra(base, graph_degree=10)
 
-    def insert() -> list[np.ndarray]:
+    def insert(n_ctas: int) -> list[np.ndarray]:
         d = DynamicGraph(base, graph, max_degree=12, ef=32)
         d.delete_batch(np.arange(0, 400, 7))
-        d.insert_batch(wave)
+        d.insert_batch(wave, n_ctas=n_ctas)
         n = d.n_total
         return [d._adj[:n].copy(), d._counts[:n].copy(), d._alive[:n].copy()]
 
-    split(1)
-    want = insert()
-    threads = split(3)
-    got = insert()
-    assert 3 in threads
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    for n_ctas in (1, 8):
+        split(1)
+        want = insert(n_ctas)
+        threads = split(3)
+        got = insert(n_ctas)
+        assert 3 in threads
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_no_thread_outlives_a_split_build(split, corpus):

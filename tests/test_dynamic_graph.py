@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro.data.groundtruth import exact_knn, recall
 from repro.data.synthetic import latent_mixture
-from repro.graphs import DynamicGraph, build_cagra, dynamic
+from repro.core.tuning import MAX_PARALLEL, tune
+from repro.gpusim.device import RTX_A6000
+from repro.gpusim.trace import TraceBlock
+from repro.graphs import DynamicGraph, build_cagra
+from repro.search.batched import query_entries
 
 
 PTS = latent_mixture(500, 16, intrinsic_dim=8, seed=21)
@@ -165,26 +169,26 @@ def _state(d):
 
 
 def _epoch(monkeypatch, wave, pending, search_kw=None, between=None,
-           graph_kw=None):
+           graph_kw=None, n_ctas=1):
     """search_batch (optionally carrying ``pending``), ``between(d)``, then
-    insert_batch(wave) on a fresh graph (built with ``graph_kw``): the read
-    results, the final adjacency state and how many insertion searches ran
-    on their own."""
+    insert_batch(wave) on a fresh graph (built with ``graph_kw``), both at
+    ``n_ctas`` CTAs and k 8: the read results, the final adjacency state and how
+    many insertion searches ran on their own."""
     calls = []
-    real = dynamic._prefix_search
+    real = DynamicGraph._search
 
-    def spy(*args, **kw):
+    def spy(self, *args, **kw):
         calls.append(args)
-        return real(*args, **kw)
+        return real(self, *args, **kw)
 
-    monkeypatch.setattr(dynamic, "_prefix_search", spy)
+    monkeypatch.setattr(DynamicGraph, "_search", spy)
     d = fresh(**(graph_kw or {}))
-    out = d.search_batch(QUERIES, 8, record_trace=True,
-                         pending_inserts=pending, **(search_kw or {}))
+    out = d.search_batch(QUERIES, 8, record_trace=True, pending_inserts=pending,
+                         n_ctas=n_ctas, **(search_kw or {}))
     if between is not None:
         between(d)
-    d.insert_batch(wave)
-    return out, _state(d), len(calls)
+    d.insert_batch(wave, n_ctas=n_ctas, k=8)
+    return out, _state(d), len(calls) - 1  # the reads' own search
 
 
 def _assert_same(a, b):
@@ -197,16 +201,25 @@ def _assert_same(a, b):
         assert np.array_equal(x, y)
 
 
+#: the split serve_while_update tunes for fresh()'s reads (8 slots, k 8)
+TUNED = tune(RTX_A6000, n_slots=8, l_total=48, k=8, max_degree=12, dim=16,
+             beam_width=4, max_parallel=MAX_PARALLEL).n_parallel
+
+
 def test_fused_epoch_equals_the_two_run_epoch(monkeypatch):
     """Reads carrying the next wave return the plain reads' ids, distances
     and trace, and the insert that follows links from the fused pools —
-    no search of its own — into the plain path's adjacency."""
-    *plain, n_plain = _epoch(monkeypatch, WAVE, None)
-    *fused, n_fused = _epoch(monkeypatch, WAVE, WAVE)
-    assert (n_plain, n_fused) == (1, 0)
-    _assert_same(plain, fused)
-    ids, _, tr = fused[0]
-    assert ids.shape == (QUERIES.shape[0], 8) and len(tr) == QUERIES.shape[0]
+    no search of its own — into the plain path's adjacency: at one CTA and
+    at the tuned split (a list of 8 a CTA for both)."""
+    assert TUNED == 8
+    for n_ctas in (1, TUNED):
+        *plain, n_plain = _epoch(monkeypatch, WAVE, None, n_ctas=n_ctas)
+        *fused, n_fused = _epoch(monkeypatch, WAVE, WAVE, n_ctas=n_ctas)
+        assert (n_plain, n_fused) == (1, 0)
+        _assert_same(plain, fused)
+        ids, _, tr = fused[0]
+        assert ids.shape == (QUERIES.shape[0], 8) and len(tr) == QUERIES.shape[0]
+        assert tr.n_ctas == n_ctas
 
 
 @pytest.mark.parametrize("case", [
@@ -231,6 +244,17 @@ def test_fused_epoch_falls_back_to_its_own_insert_search(monkeypatch, case):
     *fused, n_fused = _epoch(monkeypatch, wave, pending, kw, between, graph_kw)
     assert n_fused == n_plain == (2 if case == "oversize_wave" else 1)
     _assert_same(plain, fused)
+
+
+def test_fused_pools_serve_only_their_split():
+    """Pools searched at one split are not linked from by an insert at
+    another CTA count or k: that insert searches on its own."""
+    d = fresh()
+    for other in [(1, 8), (TUNED, 4)]:
+        d.search_batch(QUERIES, 8, pending_inserts=WAVE, n_ctas=TUNED)
+        assert d._take_pending(WAVE, other) is None
+    d.search_batch(QUERIES, 8, pending_inserts=WAVE, n_ctas=TUNED)
+    assert d._take_pending(WAVE, (TUNED, 8)) is not None
 
 
 def test_precision_is_set_once_at_construction():
@@ -327,3 +351,59 @@ def test_kept_norms_equal_a_fresh_einsum(waves, seed):
     want = np.einsum("ij,ij->i", pts, pts)
     assert d._sqnorms.shape[0] == d._pts.shape[0]
     assert d._sqnorms[: d.n_total].tobytes() == want.tobytes()
+
+
+# ------------------------------------------------ the multi-CTA read split
+def _churned() -> DynamicGraph:
+    """fresh() after a wave and uncompacted deletes: dead edges in place."""
+    d = fresh()
+    d.insert_batch(WAVE, n_ctas=TUNED, k=8)
+    d.delete_batch(np.arange(0, 500, 9))
+    return d
+
+
+def test_split_reads_are_a_function_of_the_query():
+    """An epoch's reads served whole, permuted and one row at a time give
+    equal ids, distances and trace rows: every CTA's entries come from the
+    query's own bytes, never from its place in the batch."""
+    d = _churned()
+    ids, dists, block = d.search_batch(QUERIES, 8, record_trace=True, n_ctas=TUNED)
+    assert block.n_ctas == TUNED
+    perm = np.random.default_rng(0).permutation(QUERIES.shape[0])
+    p_ids, p_dists, p_block = d.search_batch(QUERIES[perm], 8, record_trace=True,
+                                             n_ctas=TUNED)
+    assert np.array_equal(p_ids, ids[perm])
+    assert p_dists.tobytes() == dists[perm].tobytes()
+    assert p_block == block.take(perm)
+    alone = [d.search_batch(q, 8, record_trace=True, n_ctas=TUNED) for q in QUERIES]
+    assert np.array_equal(np.concatenate([a[0] for a in alone]), ids)
+    assert np.concatenate([a[1] for a in alone]).tobytes() == dists.tobytes()
+    assert TraceBlock.concat(a[2] for a in alone) == block
+
+
+def test_split_reads_of_a_tiny_graph_pad_without_duplicates():
+    """k above the live count, and fewer live vertices than 2 entries for
+    every CTA: each row is its live reachable set, -1 padded, no id twice.
+    A CTA whose entries an earlier CTA of its query already holds seeds
+    nothing and adds nothing."""
+    d = DynamicGraph(PTS[:20], build_cagra(PTS[:20], graph_degree=6), max_degree=8)
+    d.delete_batch(np.arange(0, 20, 3))  # 13 live < 8 CTAs x 2 entries
+    live = set(d.alive_ids().tolist())
+    ids, dists, block = d.search_batch(QUERIES, 16, record_trace=True, n_ctas=8)
+    assert ids.shape == (QUERIES.shape[0], 16)
+    for row, drow in zip(ids, dists):
+        got = row[row >= 0]
+        assert len(set(got.tolist())) == got.size and set(got.tolist()) <= live
+        assert (row[got.size:] == -1).all() and np.isinf(drow[got.size:]).all()
+    entries = query_entries(QUERIES, 7, 2, d._entry_population())
+    empty = 0
+    for q, hashed in enumerate(entries):
+        seen = {d._live_entry()}
+        for c, ent in enumerate(hashed, start=1):
+            if set(ent.tolist()) <= seen:
+                cta = block[q].ctas[c]
+                assert [s.n_new_points for s in cta.steps] == [0]
+                assert block.result_len[q * 8 + c] == 0
+                empty += 1
+            seen |= set(ent.tolist())
+    assert empty > 0

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.streaming.runner as runner
+from repro.core import ALGASSystem
 from repro.core.serving import QueryRecord, ServeReport, merge_serve_reports
 from repro.data.synthetic import latent_mixture
 from repro.data import load_dataset
@@ -288,6 +289,48 @@ def test_no_wave_lands_after_the_last_read():
     assert all(w["at_us"] < times[-1] for w in rep.waves)
     assert len(rep.waves) == 34
     assert sum(1 for w in rep.waves if w["compacted"]) == 1
+
+
+def test_stream_reads_run_the_tuned_split(monkeypatch):
+    """Every search of the call runs the split an ALGASSystem of the same
+    slots serves with (the tuner's N_parallel): the reads, the fused and the
+    unfused insert searches and the grader's t=0 copy; the priced CTAs
+    carry it too."""
+    splits = []
+    real = DynamicGraph.search_batch
+
+    def spy(self, queries, k, *args, **kw):
+        out = real(self, queries, k, *args, **kw)
+        splits.append(kw.get("n_ctas", 1))
+        if out[2] is not None:
+            assert out[2].n_ctas == kw["n_ctas"]
+        return out
+
+    inserts = []
+    real_insert = DynamicGraph.insert_batch
+    monkeypatch.setattr(DynamicGraph, "search_batch", spy)
+    monkeypatch.setattr(DynamicGraph, "insert_batch", lambda self, pts, **kw: (
+        inserts.append(kw.get("n_ctas", 1)), real_insert(self, pts, **kw))[1])
+    tuned = ALGASSystem(BASE, build_cagra(BASE, graph_degree=10, seed=0), k=8,
+                        l_total=48, batch_size=4).n_parallel
+    rep = run_stream()
+    rep.stream_recall  # grade: the t=0 copy searches too
+    assert tuned == 8 and rep.serve.n_cta_slots == 4 * tuned
+    assert set(splits) == set(inserts) == {tuned} and len(splits) > len(inserts) > 1
+
+
+def test_split_stream_on_a_tiny_graph_pads_without_duplicates():
+    """k above the live count, and fewer live vertices than 2 entries for
+    each of the 8 CTAs, through the whole call: no tombstoned answer, no
+    repeated id, every read answered."""
+    pts = BASE[:24]
+    dyn = DynamicGraph(pts, build_cagra(pts, graph_degree=6, seed=0), max_degree=8)
+    stream = UpdateStream(delete_qps=2000.0, wave_us=2_000.0, seed=5)
+    rep = serve_while_update(dyn, QUERIES, stream, k=16, slots=4,
+                             workload=Poisson(rate_qps=2000.0, seed=1))
+    assert dyn.n_alive < 16 and rep.n_events == QUERIES.shape[0]
+    assert (rep.tombstoned_answers, rep.duplicate_rows, rep.lost) == (0, 0, 0)
+    assert rep.answered == rep.n_events
 
 
 @pytest.mark.parametrize("name", ["float32", "codebook_drift-int8"])

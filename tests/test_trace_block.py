@@ -39,13 +39,19 @@ from repro.gpusim.trace import (
 )
 from repro.graphs import GraphIndex, build_cagra
 from repro.graphs.dynamic import DynamicGraph
-from repro.search.batched import BeamConfig, LockstepEngine, _entry_rows
+from repro.search.batched import (
+    BeamConfig,
+    LockstepEngine,
+    _entry_rows,
+    per_cta_capacity,
+    query_entries,
+)
 from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
 
 from .golden import make_priced_traces as golden
 from .oracles import scalar_cta_cost, scalar_dynamic_search, scalar_step_cost
-from .reference import intra_cta_search
+from .reference import intra_cta_search, multi_cta_search
 
 STEP_COLUMNS = (
     "select_offset", "n_expanded", "n_neighbors_fetched", "n_visited_checks",
@@ -328,16 +334,29 @@ def _dynamic_fixture():
     return dyn, queries
 
 
-def _assert_equals_scalar(dyn, queries, pts, graph, entry):
-    """``dyn.search_batch`` equals the scalar single-CTA beam-extend
-    searcher on ``graph`` from ``entry``: ids, distance bytes, trace."""
-    ids, dists, block = dyn.search_batch(queries, 8, record_trace=True)
-    assert len(block) == 12 and block.n_ctas == 1
-    oracle = [
-        intra_cta_search(pts, graph, q, 8, 48, np.array([entry]),
-                         beam=BeamConfig.for_capacity(48))
-        for q in queries
-    ]
+def _assert_equals_scalar(dyn, queries, pts, graph, entry, n_ctas=1):
+    """``dyn.search_batch`` equals the scalar beam-extend searcher on
+    ``graph``: ids, distance bytes, trace.  One CTA enters at ``entry``;
+    at ``n_ctas`` CTAs CTA 0 enters there and the others at the explicit
+    entries ``query_entries`` hashes from each query (the round-robin
+    ``multi_cta_search`` over per-CTA lists of ``per_cta_capacity``)."""
+    ids, dists, block = dyn.search_batch(queries, 8, record_trace=True,
+                                         n_ctas=n_ctas)
+    assert len(block) == 12 and block.n_ctas == n_ctas
+    if n_ctas == 1:
+        oracle = [
+            intra_cta_search(pts, graph, q, 8, 48, np.array([entry]),
+                             beam=BeamConfig.for_capacity(48))
+            for q in queries
+        ]
+    else:
+        hashed = query_entries(queries, n_ctas - 1, 2, dyn._entry_population())
+        beam = BeamConfig.for_capacity(per_cta_capacity(48, n_ctas, 8))
+        oracle = [
+            multi_cta_search(pts, graph, q, 8, 48, n_ctas, beam=beam,
+                             entries=[np.array([entry]), *h])
+            for q, h in zip(queries, hashed)
+        ]
     for i, r in enumerate(oracle):
         assert np.array_equal(ids[i], r.ids)
         assert dists[i].tobytes() == r.dists.tobytes()
@@ -347,17 +366,19 @@ def _assert_equals_scalar(dyn, queries, pts, graph, entry):
 
 def test_dynamic_search_batch_block_equals_scalar_oracle():
     dyn, queries = _dynamic_fixture()
-    assert dyn.search_batch(queries, 8)[2] is None
     # No tombstones yet: the frozen snapshot is the same graph, so the
-    # scalar single-CTA searcher from the same entry is the oracle.
+    # scalar searcher from the same entries is the oracle, at one CTA and
+    # at 8 (the round-robin multi-CTA reference).
     pts, frozen, _ = dyn.freeze()
-    _assert_equals_scalar(dyn, queries, pts, frozen, dyn._entry)
+    for n_ctas in (1, 8):
+        assert dyn.search_batch(queries, 8, n_ctas=n_ctas)[2] is None
+        _assert_equals_scalar(dyn, queries, pts, frozen, dyn._entry, n_ctas)
 
 
 def test_dynamic_search_batch_over_tombstones_equals_scalar_oracle():
     """Uncompacted tombstones are masked at expansion: the scalar searcher
     on the adjacency with every dead edge dropped (ids kept) is the oracle,
-    and so is ``scalar_dynamic_search``."""
+    at one CTA and at 8, and so is ``scalar_dynamic_search``."""
     dyn, queries = _dynamic_fixture()
     dyn.delete_batch(np.random.default_rng(5).choice(400, 60, replace=False))
     assert dyn.n_tombstones == 60
@@ -367,7 +388,8 @@ def test_dynamic_search_batch_over_tombstones_equals_scalar_oracle():
         for row in (dyn._adj[u, : dyn._counts[u]] for u in range(n))
     ])
     entry = dyn._live_entry()
-    _assert_equals_scalar(dyn, queries, dyn._pts[:n], live_rows, entry)
+    for n_ctas in (1, 8):
+        _assert_equals_scalar(dyn, queries, dyn._pts[:n], live_rows, entry, n_ctas)
     ids, _, _ = dyn.search_batch(queries, 8)
     for q, row in zip(queries, ids):
         assert np.array_equal(scalar_dynamic_search(dyn, q, 8)[0], row)
