@@ -147,6 +147,16 @@
 # one full run a side (no --trace) places the saving in the per-layer
 # busy_s rows, and the other four workloads get the same treatment to show
 # nothing else moved.
+#
+# Tools, not gates (nothing here runs them):
+#   benchmarks/perf/peak_memory.py [--workload NAME] [--seed S]
+#       one e2e workload's set-up three times and its call twice, the way
+#       run.py --trace 0 does, in a fresh process; prints the ru_maxrss
+#       increment of each stage (generate, ground truth, graph build,
+#       codec fit, prepare, call), so a peak_rss_mb claim is attributed to
+#       a stage (docs/performance.md "Set-up")
+#   benchmarks/perf/round_cost.py stream|static
+#       fits a lockstep round's host cost (docs/performance.md)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "gaussian_mixture",
         "hypersphere_mixture",
         "latent_mixture",
-        "split_queries",
         "uniform_cube",
     ),
     ".workload": (

@@ -47,25 +47,18 @@ class DatasetSpec:
     n_clusters: int = 48
     intrinsic_dim: int = 18
 
-    def generate(self, n: int, seed: int = 0) -> np.ndarray:
-        """Draw ``n`` base+query vectors from this spec's distribution."""
-        if self.family == "gaussian":
-            return synthetic.gaussian_mixture(
-                n,
-                self.dim,
-                n_clusters=self.n_clusters,
-                intrinsic_dim=self.intrinsic_dim,
-                seed=seed,
-            )
-        if self.family == "sphere":
-            return synthetic.hypersphere_mixture(
-                n,
-                self.dim,
-                n_clusters=self.n_clusters,
-                intrinsic_dim=self.intrinsic_dim,
-                seed=seed,
-            )
-        raise ValueError(f"unknown family {self.family!r}")
+    def blocks(self, n: int, seed: int = 0):
+        """Draw ``n`` base+query vectors from this spec's distribution, as
+        ``(lo, hi, float32 rows)`` blocks of
+        :func:`~repro.data.synthetic.latent_mixture` (unit rows for the
+        sphere family, as :func:`~repro.data.synthetic.hypersphere_mixture`)."""
+        if self.family not in ("gaussian", "sphere"):
+            raise ValueError(f"unknown family {self.family!r}")
+        blocks = synthetic._latent_blocks(n, self.dim, n_clusters=self.n_clusters,
+                                          intrinsic_dim=self.intrinsic_dim, seed=seed)
+        for lo, hi, rows in blocks:
+            rows = rows.astype(np.float32)
+            yield lo, hi, normalize(rows, copy=False) if self.family == "sphere" else rows
 
 
 @dataclass
@@ -123,11 +116,16 @@ def dataset_names() -> list[str]:
 @lru_cache(maxsize=16)
 def _load_cached(name: str, n: int, n_queries: int, gt_k: int, seed: int) -> Dataset:
     spec = DATASETS[name]
-    pool = spec.generate(n + n_queries, seed=seed)
-    base, queries = synthetic.split_queries(pool, n_queries, seed=seed + 1)
-    if spec.metric == "cosine":
-        base = normalize(base, copy=False)
-        queries = normalize(queries, copy=False)
+    # Queries then base rows of one array: drawn row i lands at row at[i],
+    # the inverse of the split's own (seed + 1) permutation, one block at a
+    # time, so the drawn pool never exists as an array of its own.
+    at = np.argsort(np.random.default_rng(seed + 1).permutation(n + n_queries))
+    rows = np.empty((n + n_queries, spec.dim), dtype=np.float32)
+    for lo, hi, block in spec.blocks(n + n_queries, seed):
+        if spec.metric == "cosine":
+            normalize(block, copy=False)
+        rows[at[lo:hi]] = block
+    queries, base = rows[:n_queries], rows[n_queries:]
     gt, gt_dist = exact_knn(queries, base, gt_k, metric=spec.metric)
     base.setflags(write=False)
     queries.setflags(write=False)
@@ -158,6 +156,8 @@ def load_dataset(
     n = spec.default_n if n is None else int(n)
     if n <= gt_k:
         raise ValueError("n must exceed gt_k")
+    if n_queries <= 0:
+        raise ValueError("n_queries must be positive")
     return _load_cached(name, n, int(n_queries), int(gt_k), int(seed))
 
 

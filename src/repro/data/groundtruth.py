@@ -49,7 +49,11 @@ def _blocked_knn(queries, points, k, metric, point_norms=None, skip_self=False):
     ``i`` is point ``i``), of :func:`~repro.graphs.knn.exact_knn_matrix`.
     Each :func:`~repro.data.metrics.row_blocks` block reduces its own
     ``(b, n)`` distance panel; the blocks run over row ranges on every
-    core, and no output bit depends on how many."""
+    core, and no output bit depends on how many.  Blocks are sized at 4 B
+    a cell although a block holds 16 B a cell (the GEMM, the distances and
+    ``argpartition``'s int64 indices): sized at 16 B, a 10k-point corpus
+    gets 26-row blocks and its kNN runs 40–50 % slower (docs/performance.md,
+    "Set-up")."""
     nq, n = queries.shape[0], points.shape[0]
     idx = np.empty((nq, k), dtype=np.int64)
     dst = np.empty((nq, k), dtype=np.float32)

@@ -294,9 +294,11 @@ def pairwise_distances(
     return np.maximum(d, np.float32(0.0), out=d)
 
 
-#: Bytes of one block's temporary in the blocked set-up kernels: the kNN's
-#: distance panel (rows × n × 4 B) and the occlusion prune's gather (rows ×
-#: K × dim × 4 B).  Not a knob; the sweep (set-up time and peak RSS) is in
+#: Bytes of one block's temporaries in the blocked set-up kernels: the
+#: kNN's distance panel (rows × n × 4 B; the block's GEMM and index panels
+#: make it 16 B a cell), the occlusion prune's gather (rows × K × dim ×
+#: 4 B), the generator's float64 rows and the stream repair's pair
+#: gathers.  Not a knob; the sweep (set-up time and peak RSS) is in
 #: docs/performance.md, "Set-up".
 BLOCK_BYTES = 4 * 1024 * 1024
 

@@ -1,10 +1,11 @@
 """Production-scale corpus storage: chunked generation + memory-mapped IO.
 
 The eager generators in :mod:`repro.data.synthetic` materialize the whole
-corpus in one ndarray — fine at the paper's mini scales (≤ 20k points),
-untenable at the 1M+ scale the load experiments target (a 1M × 960 float32
-corpus is ~3.8 GB before any working copies).  This module keeps corpus
-size off the Python heap:
+corpus in one float32 ndarray (they project and add noise one row block at
+a time, so they build no corpus-sized float64 copies) — fine at the
+paper's mini scales (≤ 20k points), untenable at the 1M+ scale the load
+experiments target (a 1M × 960 float32 corpus is ~3.8 GB by itself).
+This module keeps corpus size off the Python heap:
 
 * :class:`LatentMixtureModel` — the latent-mixture distribution as an
   explicit object (centers, Zipf weights, projection) whose per-chunk
@@ -24,7 +25,8 @@ size off the Python heap:
 The eager :func:`~repro.data.synthetic.latent_mixture` draw order is
 load-bearing for every existing test corpus, so it stays untouched; the
 chunked model is a parallel implementation with its own (also frozen)
-draw order.
+draw order.  Merging the two would move every corpus, fixture and digest
+the repository pins.
 """
 
 from __future__ import annotations

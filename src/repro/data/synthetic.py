@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import normalize
+from .metrics import normalize, row_blocks
 
 __all__ = [
     "latent_mixture",
     "gaussian_mixture",
     "hypersphere_mixture",
     "uniform_cube",
-    "split_queries",
 ]
 
 
@@ -53,8 +52,24 @@ def latent_mixture(
     The calibrated defaults (intrinsic 18, std 0.5, noise 0.12) produce,
     at 4–20 k points with degree-16..32 graphs, recall@10 rising from ~0.85
     at candidate list 16 to ~1.0 at 128 — the operating curve the paper's
-    experiments sweep.
+    experiments sweep.  Beside the float32 result it holds the
+    ``(n, intrinsic_dim)`` latent points and one block of projected rows.
     """
+    blocks = _latent_blocks(n, dim, n_clusters, intrinsic_dim, cluster_std,
+                            ambient_noise, zipf_exponent, seed)
+    x = np.empty((n, dim), dtype=np.float32)
+    for lo, hi, rows in blocks:
+        x[lo:hi] = rows
+    return x
+
+
+def _latent_blocks(n, dim, n_clusters=48, intrinsic_dim=None, cluster_std=0.5,
+                   ambient_noise=0.12, zipf_exponent=0.7, seed=0):
+    """:func:`latent_mixture`'s draw as ``(lo, hi, float64 rows)`` over
+    :func:`~repro.data.metrics.row_blocks`.  The centers, labels, latent
+    points and projection are drawn first; each block is then projected
+    and gets its ambient noise.  ``rng.normal`` fills C-order, so the block
+    draws are the one-shot draw, bit for bit."""
     if n <= 0 or dim <= 0:
         raise ValueError("n and dim must be positive")
     if intrinsic_dim is None:
@@ -71,10 +86,15 @@ def latent_mixture(
     labels = rng.choice(n_clusters, size=n, p=weights)
     z = centers[labels] + rng.normal(0.0, cluster_std, size=(n, intrinsic_dim))
     proj = rng.normal(0.0, 1.0, size=(intrinsic_dim, dim)) / np.sqrt(intrinsic_dim)
-    x = z @ proj
-    if ambient_noise > 0:
-        x += rng.normal(0.0, ambient_noise, size=(n, dim))
-    return np.ascontiguousarray(x, dtype=np.float32)
+
+    def blocks():
+        for lo, hi in row_blocks(n, 16 * dim):  # two float64 temporaries
+            x = z[lo:hi] @ proj
+            if ambient_noise > 0:
+                x += rng.normal(0.0, ambient_noise, size=(hi - lo, dim))
+            yield lo, hi, x
+
+    return blocks()
 
 
 def gaussian_mixture(
@@ -127,20 +147,3 @@ def uniform_cube(
         raise ValueError("n and dim must be positive")
     rng = _rng(seed)
     return rng.random((n, dim), dtype=np.float32)
-
-
-def split_queries(
-    points: np.ndarray, n_queries: int, seed: int | np.random.Generator | None = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``points`` into (base, queries) with disjoint rows.
-
-    Mirrors the texmex convention where the query set is drawn from the
-    same distribution as the base set but is not part of the index.
-    """
-    n = points.shape[0]
-    if not 0 < n_queries < n:
-        raise ValueError("n_queries must be in (0, len(points))")
-    rng = _rng(seed)
-    perm = rng.permutation(n)
-    q_idx, b_idx = perm[:n_queries], perm[n_queries:]
-    return points[b_idx], points[q_idx]

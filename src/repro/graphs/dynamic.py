@@ -49,7 +49,7 @@ import copy
 
 import numpy as np
 
-from ..data.metrics import pair_distances, query_distances, require_finite, require_unit
+from ..data.metrics import pair_distances, query_distances, require_finite, require_unit, row_blocks
 from ..gpusim.trace import TraceBuilder
 from ..search.batched import (
     BeamConfig,
@@ -493,13 +493,18 @@ class DynamicGraph:
         # Dedup (target, src) pairs, drop edges the row already has.
         key = np.unique(targets * np.int64(n) + srcs)
         targets, srcs = key // n, key % n
+        del flat_k, off, ok, key  # pair-sized: only the prune's arrays stay live
         present = (self._adj[targets] == srcs[:, None]).any(axis=1)
         targets, srcs = targets[~present], srcs[~present]
         if targets.size == 0:
             return int(rows_aff.size)
         # Rank each row's inherited candidates by distance, then let the
-        # occlusion prune (survivors pinned) pick the fills.
-        d = pair_distances(self._pts[targets], self._pts[srcs], self.metric)
+        # occlusion prune (survivors pinned) pick the fills.  Pairs are
+        # gathered and scored a row block at a time (row-wise, same bits).
+        d = np.empty(targets.size, dtype=np.float32)
+        for lo, hi in row_blocks(targets.size, 8 * self._pts.shape[1]):
+            d[lo:hi] = pair_distances(self._pts[targets[lo:hi]],
+                                      self._pts[srcs[lo:hi]], self.metric)
         order = np.lexsort((d, targets))
         t_s, s_s, d_s = targets[order], srcs[order], d[order]
         starts = np.r_[0, np.flatnonzero(np.diff(t_s)) + 1]
@@ -510,6 +515,7 @@ class DynamicGraph:
         cap = 4 * self.max_degree
         in_pool = rank < cap
         t_s, s_s, d_s, rank = t_s[in_pool], s_s[in_pool], d_s[in_pool], rank[in_pool]
+        del targets, srcs, d, order, group_start, in_pool
         starts = np.r_[0, np.flatnonzero(np.diff(t_s)) + 1]
         rows = np.unique(t_s)
         rpos = np.full(n, -1, dtype=np.int64)

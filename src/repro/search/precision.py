@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.metrics import pair_block_rows, pair_distances
+from ..data.metrics import pair_block_rows, pair_distances, row_blocks
 
 __all__ = [
     "PRECISIONS",
@@ -271,14 +271,24 @@ class Int8Codec:
 
     def fit(self, points: np.ndarray) -> "Int8Codec":
         points = np.asarray(points, dtype=np.float32)
-        self.codes = self.sq.fit(points).encode(points)
+        self.sq.fit(points)
+        self.codes, self._pnorm_hat = self._encode(points)
         self.dim = int(points.shape[1])
-        if self.metric == "l2":
-            # Squared norms of the *reconstructions* — the |x̂|² term of the
-            # expansion, computed once over the corpus.
-            rec = self.sq.decode(self.codes)
-            self._pnorm_hat = np.einsum("ij,ij->i", rec, rec)
         return self
+
+    def _encode(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Codes of ``points`` and, for L2, the squared norms of their
+        *reconstructions* (the |x̂|² term of the expansion), one row block
+        at a time: both are elementwise or row-wise, so the same bits."""
+        points = np.asarray(points, dtype=np.float32)
+        codes = np.empty(points.shape, dtype=np.uint8)
+        norms = np.empty(points.shape[0], dtype=np.float32) if self.metric == "l2" else None
+        for lo, hi in row_blocks(points.shape[0], 16 * points.shape[1]):  # 4 float32 temps
+            codes[lo:hi] = self.sq.encode(points[lo:hi])
+            if norms is not None:
+                rec = self.sq.decode(codes[lo:hi])
+                norms[lo:hi] = np.einsum("ij,ij->i", rec, rec)
+        return codes, norms
 
     @property
     def trace_dim(self) -> int:
@@ -319,13 +329,10 @@ class Int8Codec:
         frozen, so points outside the trained envelope clip — that loss is
         what :meth:`reconstruction_error` watches for.
         """
-        codes = self.sq.encode(points)
+        codes, norms = self._encode(points)
         self.codes = np.concatenate([self.codes, codes], axis=0)
-        if self.metric == "l2":
-            rec = self.sq.decode(codes)
-            self._pnorm_hat = np.concatenate(
-                [self._pnorm_hat, np.einsum("ij,ij->i", rec, rec)]
-            )
+        if norms is not None:
+            self._pnorm_hat = np.concatenate([self._pnorm_hat, norms])
         return self
 
     def reconstruction_error(self, points: np.ndarray) -> float:

@@ -14,6 +14,11 @@ must equal both exactly.  :func:`codec_distances` is the allocating form
 of the quantized distance kernels (``Int8Kernel`` / ``PQKernel``), which
 must equal it bit for bit.
 
+:func:`oneshot_latent_mixture` and :func:`pooled_load` are the corpus
+generator and ``load_dataset``'s split as they were before both ran in row
+blocks: the whole draw in float64 at once, then the pool gathered into
+base and queries.  The blocked forms must equal them byte for byte.
+
 ``src/`` likewise has one builder per graph family (``repro.graphs``:
 wave / array builders); the per-vertex Python loops they replaced are
 :func:`scalar_build_nsw`, :func:`scalar_build_hnsw` (layer 0 of the
@@ -35,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.metrics import query_distances
+from repro.data.datasets import DATASETS
+from repro.data.metrics import normalize, query_distances
 from repro.gpusim.costmodel import (
     CTACost,
     _ceil_div,
@@ -265,6 +271,43 @@ def codec_distances(codec, state, qrows: np.ndarray, ids: np.ndarray) -> np.ndar
     if codec.metric == "cosine":
         d = 1.0 + d
     return d.astype(np.float32)
+
+
+# ------------------------------------------------------------------ corpora
+def oneshot_latent_mixture(n, dim, n_clusters=48, intrinsic_dim=None, cluster_std=0.5,
+                           ambient_noise=0.12, zipf_exponent=0.7, seed=0) -> np.ndarray:
+    """``latent_mixture`` with every draw and the projection over the whole
+    corpus at once: two float64 ``(n, dim)`` arrays before the cast."""
+    if intrinsic_dim is None:
+        intrinsic_dim = min(18, dim)
+    rng = np.random.default_rng(seed)
+    n_clusters = min(n_clusters, n)
+    centers = rng.normal(0.0, 1.0, size=(n_clusters, intrinsic_dim))
+    weights = 1.0 / np.arange(1, n_clusters + 1) ** zipf_exponent
+    weights /= weights.sum()
+    labels = rng.choice(n_clusters, size=n, p=weights)
+    z = centers[labels] + rng.normal(0.0, cluster_std, size=(n, intrinsic_dim))
+    proj = rng.normal(0.0, 1.0, size=(intrinsic_dim, dim)) / np.sqrt(intrinsic_dim)
+    x = z @ proj
+    if ambient_noise > 0:
+        x += rng.normal(0.0, ambient_noise, size=(n, dim))
+    return np.ascontiguousarray(x, dtype=np.float32)
+
+
+def pooled_load(name: str, n: int, n_queries: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``load_dataset``'s ``(base, queries)`` drawn as one pool and split by
+    gathering: the pool's rows ``perm[n_queries:]`` are the base and
+    ``perm[:n_queries]`` the queries, ``perm`` a ``seed + 1`` permutation."""
+    spec = DATASETS[name]
+    pool = oneshot_latent_mixture(n + n_queries, spec.dim, n_clusters=spec.n_clusters,
+                                  intrinsic_dim=spec.intrinsic_dim, seed=seed)
+    if spec.family == "sphere":
+        pool = normalize(pool, copy=False)
+    perm = np.random.default_rng(seed + 1).permutation(n + n_queries)
+    base, queries = pool[perm[n_queries:]], pool[perm[:n_queries]]
+    if spec.metric == "cosine":
+        base, queries = normalize(base, copy=False), normalize(queries, copy=False)
+    return base, queries
 
 
 # ---------------------------------------------------------------- builders

@@ -62,6 +62,21 @@ def test_n_must_exceed_gtk():
         load_dataset("sift1m-mini", n=10, gt_k=64)
 
 
+def test_n_queries_must_be_positive():
+    with pytest.raises(ValueError, match="n_queries"):
+        load_dataset("sift1m-mini", n=50, n_queries=0, gt_k=4)
+
+
+def test_load_split_is_disjoint_and_complete():
+    ds = load_dataset("sift1m-mini", n=80, n_queries=20, gt_k=4, seed=0)
+    pool = np.vstack([rows for _, _, rows in DATASETS["sift1m-mini"].blocks(100, 0)])
+    assert ds.base.shape == (80, 128) and ds.queries.shape == (20, 128)
+    # every generated row is exactly one query or one base row
+    split = np.vstack([ds.queries, ds.base])
+    key = [("", np.float32)] * 128
+    assert np.array_equal(np.sort(split.view(key).ravel()), np.sort(pool.view(key).ravel()))
+
+
 def test_load_real_dataset_roundtrip(tmp_path, ds):
     """Real-file loading path, exercised with synthetic fvecs files."""
     from repro.data.datasets import load_real_dataset

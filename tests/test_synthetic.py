@@ -7,7 +7,6 @@ from repro.data.synthetic import (
     gaussian_mixture,
     hypersphere_mixture,
     latent_mixture,
-    split_queries,
     uniform_cube,
 )
 
@@ -63,18 +62,6 @@ def test_uniform_cube_bounds():
     assert x.min() >= 0 and x.max() <= 1
 
 
-def test_split_queries_disjoint_and_complete():
-    x = latent_mixture(100, 8, seed=0)
-    base, q = split_queries(x, 20, seed=1)
-    assert base.shape == (80, 8) and q.shape == (20, 8)
-    # every original row appears exactly once across the two splits
-    allrows = np.vstack([base, q])
-    assert np.array_equal(
-        np.sort(allrows.view([("", allrows.dtype)] * 8).ravel()),
-        np.sort(x.view([("", x.dtype)] * 8).ravel()),
-    )
-
-
 @pytest.mark.parametrize("bad", [(0, 4), (10, 0)])
 def test_invalid_sizes_raise(bad):
     with pytest.raises(ValueError):
@@ -84,11 +71,3 @@ def test_invalid_sizes_raise(bad):
 def test_invalid_intrinsic_dim():
     with pytest.raises(ValueError):
         latent_mixture(10, 4, intrinsic_dim=8)
-
-
-def test_split_queries_invalid():
-    x = latent_mixture(10, 4, seed=0)
-    with pytest.raises(ValueError):
-        split_queries(x, 10)
-    with pytest.raises(ValueError):
-        split_queries(x, 0)
