@@ -43,8 +43,9 @@ from repro.data.groundtruth import recall
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.graphs import build_cagra
-from repro.search import make_codec, make_entries
+from repro.search import make_codec
 from repro.search.batched import batched_multi_cta_search
+from tests.oracles import make_entries
 from tests.reference import multi_cta_search
 
 #: (dataset, n_base) — same sizes as bench_search.py.

@@ -28,8 +28,8 @@ from repro.graphs import build_cagra
 from repro.search import (
     batched_intra_cta_search,
     batched_multi_cta_search,
-    make_entries,
 )
+from tests.oracles import make_entries
 from tests.reference import intra_cta_search, multi_cta_search
 
 #: (dataset, n_base) — GIST runs smaller because 960-d ground truth and

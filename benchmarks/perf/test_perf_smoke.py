@@ -18,8 +18,9 @@ import pytest
 
 from repro.data import load_dataset
 from repro.graphs import build_cagra
+from tests.oracles import make_entries
 from tests.reference import intra_cta_search
-from repro.search import batched_intra_cta_search, make_entries
+from repro.search import batched_intra_cta_search
 from repro.telemetry import MetricsRegistry, to_prometheus_text
 
 pytestmark = pytest.mark.perf_smoke

@@ -38,9 +38,10 @@ from repro.data.groundtruth import recall
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
 from repro.graphs import build_cagra
-from repro.search import make_codec, make_entries
+from repro.search import make_codec
 from repro.search.batched import batched_multi_cta_search
 from repro.telemetry import MetricsRegistry, to_prometheus_text
+from tests.oracles import make_entries
 
 pytestmark = pytest.mark.perf_smoke
 

@@ -24,15 +24,24 @@ Two gates bound that:
   shape (10k x 128, CAGRA-12, ef 64, 1 024 uniform-order arrivals at
   3 000 q/s beside 3 000 + 3 000 q/s insert / delete waves, seed 1) may
   run at most ``MAX_STREAM_ROUNDS`` traced lockstep rounds.  Rounds are
-  exact counts, so the gate has no noise margin: 1 390 with the tuned
-  multi-CTA split (8 CTAs a read, 10 candidates each), 2 155 with single-CTA
-  reads and the beam extend (``BeamConfig.for_capacity`` of the list),
-  4 630 with one expansion a cycle.
+  exact counts, so the gate has no noise margin: 1 254 with the tuned
+  multi-CTA split (8 CTAs a read, 10 candidates each, half of them seeded
+  from hashed entries; 1 390 when each CTA seeded two), 2 155 with
+  single-CTA reads and the beam extend (``BeamConfig.for_capacity`` of
+  the list), 4 630 with one expansion a cycle.
 
-And one gate on the simulated clock, from the same call: its simulated
-p50 service latency may be at most ``MAX_STREAM_P50_US``.  The cost model
-is deterministic, so this is an exact figure too: 19.13 us with the tuned
-split, 45.51 us with single-CTA reads.
+And two gates on the simulated clock.  The cost model is deterministic,
+so both are exact figures with no margin:
+
+* the stream call above: its simulated p50 service latency may be at most
+  ``MAX_STREAM_P50_US`` (19.13 us with the tuned split when each CTA
+  seeded two entries, 17.63 us with half-list seeds; 45.51 us with
+  single-CTA reads);
+* seeding: an ``online_small_batch``-shaped ``ALGASSystem.serve`` (sift
+  10k x 128, CAGRA-16, 1 024 queries, 16 slots, ``l_total`` 128, k 10,
+  seed 1) may read a simulated p50 of at most ``MAX_SEEDED_P50_US``:
+  22.10 us when every CTA seeds half its candidate list
+  (``seeds_per_cta``), 26.63 us with two entries a CTA.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import ALGASSystem
 from repro.data import load_dataset
 from repro.data.workload import QueryEvent
 from repro.graphs import build_cagra
@@ -53,11 +63,13 @@ pytestmark = pytest.mark.perf_smoke
 
 #: 3.3x measured + 1.5x margin
 MAX_PER_ROW_RATIO = 4.8
-#: 1 390 measured at the tuned split; single-CTA reads ran 2 155, one
-#: expansion a cycle 4 630
+#: 1 254 measured at the tuned split with half-list seeds (1 390 with
+#: two seeds a CTA); single-CTA reads ran 2 155, one expansion a cycle 4 630
 MAX_STREAM_ROUNDS = 2_400
-#: 19.13 us measured at the tuned split; single-CTA reads read 45.51 us
+#: 17.63 us measured at the tuned split; single-CTA reads read 45.51 us
 MAX_STREAM_P50_US = 25.0
+#: 22.10 us measured with half-list seeds; two seeds a CTA read 26.63 us
+MAX_SEEDED_P50_US = 24.0
 
 
 def _best_of_3(fn) -> float:
@@ -91,16 +103,23 @@ def test_small_batch_pays_its_rows_not_the_round_floor():
     )
 
 
+def _benchmark_corpus(n_events: int, seed: int):
+    """``benchmarks/e2e``'s corpus (sift 10k x 128, corpus seed 0, a 4x
+    query pool) and its seeded draw of ``n_events`` queries."""
+    ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
+                      gt_k=10, seed=0)
+    pick = np.random.default_rng(seed).choice(
+        ds.queries.shape[0], size=n_events, replace=False)
+    return ds, ds.queries[pick]
+
+
 @pytest.fixture(scope="module")
 def stream_call():
     """The benchmark's seed-1 ``stream_churn`` call (a 4x query pool sampled
     without replacement, arrivals uniform over the horizon n / rate): its
     report and the traced lockstep rounds of each epoch run."""
     seed, n_events, rate = 1, 1024, 3000.0
-    ds = load_dataset("sift1m-mini", n=10_000, n_queries=4 * n_events,
-                      gt_k=10, seed=0)
-    pick = np.random.default_rng(seed).choice(
-        ds.queries.shape[0], size=n_events, replace=False)
+    ds, queries = _benchmark_corpus(n_events, seed)
     times = np.sort(np.random.default_rng(seed).uniform(
         0.0, n_events / rate * 1e6, n_events))
     arrivals = [QueryEvent(i, float(t)) for i, t in enumerate(times)]
@@ -119,7 +138,7 @@ def stream_call():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LockstepEngine, "run", counted)
-        rep = serve_while_update(dyn, ds.queries[pick], stream,
+        rep = serve_while_update(dyn, queries, stream,
                                  workload=arrivals, n_queries=n_events,
                                  k=10, slots=8)
     return rep, rounds
@@ -144,4 +163,18 @@ def test_stream_reads_run_the_multi_cta_split(stream_call):
         f"the stream call's simulated p50 is {p50:.2f} us (ceiling "
         f"{MAX_STREAM_P50_US} us): its reads no longer run the tuned "
         f"multi-CTA split"
+    )
+
+
+def test_every_cta_seeds_half_its_list():
+    ds, queries = _benchmark_corpus(1024, 1)
+    graph = build_cagra(ds.base, graph_degree=16, metric=ds.metric, seed=0)
+    system = ALGASSystem(ds.base, graph, metric=ds.metric, k=10, l_total=128,
+                         batch_size=16, seed=1)
+    p50 = system.serve(queries).serve.percentile_latency_us(50, "service")
+    print(f"\nonline_small_batch shape: simulated p50 {p50:.2f} us")
+    assert p50 <= MAX_SEEDED_P50_US, (
+        f"the closed-loop serve's simulated p50 is {p50:.2f} us (ceiling "
+        f"{MAX_SEEDED_P50_US} us): its CTAs no longer seed half their "
+        f"candidate lists"
     )

@@ -49,17 +49,27 @@
 #                              # serve_while_update call of the stream_churn
 #                              # shape — 10k x 128, CAGRA-12, ef 64, 1024
 #                              # events, seed 1 — may run at most 2400
-#                              # traced lockstep rounds: 1390 at the tuned
-#                              # 8-CTA split, 2155 with single-CTA reads,
-#                              # 4630 with one expansion a cycle; exact
-#                              # counts, no margin — docs/performance.md
-#                              # "Streaming epoch")
+#                              # traced lockstep rounds: 1254 at the tuned
+#                              # 8-CTA split with half-list seeds (1390
+#                              # with two seeds a CTA), 2155 with
+#                              # single-CTA reads, 4630 with one expansion
+#                              # a cycle; exact counts, no margin —
+#                              # docs/performance.md "Streaming epoch")
 #                              # + stream-split gate (same call; its
 #                              # simulated p50 service latency may be at
-#                              # most 25 us: 19.13 us with every read split
+#                              # most 25 us: 17.63 us with every read split
 #                              # over the tuner's 8 CTAs, 45.51 us with
 #                              # single-CTA reads; the cost model is
 #                              # deterministic, so no margin for noise)
+#                              # + seeding gate (~15 s; an
+#                              # online_small_batch-shaped ALGASSystem.serve
+#                              # — 10k x 128, CAGRA-16, 1024 queries, 16
+#                              # slots, l_total 128, seed 1 — may read a
+#                              # simulated p50 of at most 24 us: 22.10 us
+#                              # when every CTA seeds half its candidate
+#                              # list, 26.63 us with two entries a CTA;
+#                              # exact, no margin — docs/performance.md
+#                              # "Seeding")
 #                              # + search-threads gate (~25 s; a 1024-query
 #                              # x 8-CTA search_all on a 10k-point CAGRA-16
 #                              # graph with every core must equal the run

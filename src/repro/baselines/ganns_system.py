@@ -10,6 +10,8 @@ is modified to dispatch small batches rather than the entire query set.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.pipeline import BaseGraphSystem
 from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
 
@@ -22,8 +24,11 @@ class GANNSSystem(BaseGraphSystem):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("beam", None)
         kwargs["n_parallel"] = 1  # single-CTA search only
-        kwargs.setdefault("entries_per_cta", 1)  # medoid entry
         super().__init__(*args, **kwargs)
+
+    def search_entries(self, queries: np.ndarray, seed: int) -> np.ndarray:
+        """GANNS enters every query at the medoid alone."""
+        return np.full((len(queries), 1, 1), self._medoid, dtype=np.int64)
 
     def make_engine(self, telemetry=None, faults=None,
                     resilience=None) -> StaticBatchEngine:

@@ -39,9 +39,7 @@ def default_l() -> int:
 
 def _greedy_traces(dataset: str, l_total: int = 128):
     """Single-CTA greedy traces (the configuration Fig. 1–3 measure)."""
-    system = make_system(
-        "ganns", dataset, "cagra", l_total=l_total, entries_per_cta=1
-    )
+    system = make_system("ganns", dataset, "cagra", l_total=l_total)
     _, _, traces = cached_search(system, dataset, "cagra")
     return system, traces
 
@@ -151,7 +149,7 @@ def precision_frontier_data(
     from ..data.groundtruth import recall
     from ..gpusim.costmodel import CostModel
     from ..gpusim.device import RTX_A6000
-    from ..search.batched import batched_multi_cta_search, make_entries
+    from ..search.batched import batched_multi_cta_search
     from ..search.precision import make_codec
 
     ds = get_dataset(dataset)
@@ -166,16 +164,10 @@ def precision_frontier_data(
     rows = []
     data: dict[str, list[dict]] = {p: [] for p in codecs}
     for l_total in l_values:
-        rng = np.random.default_rng(11)
-        entries = [
-            make_entries(ds.base.shape[0], n_ctas, 2, rng)
-            for _ in range(ds.queries.shape[0])
-        ]
         for prec, codec in codecs.items():
             res = batched_multi_cta_search(
                 ds.base, g, ds.queries, k, l_total, n_ctas,
-                metric=ds.metric, entries=entries,
-                codec=codec, rerank_mult=rerank_mult,
+                metric=ds.metric, codec=codec, rerank_mult=rerank_mult,
             )
             ids = np.stack([r.ids for r in res])
             rec = recall(ids, gt)

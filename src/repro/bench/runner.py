@@ -119,7 +119,6 @@ def _search_key(system: BaseGraphSystem, dataset: str, graph_kind: str) -> tuple
         system.l_total,
         system.n_parallel,
         (b.offset_beam, b.beam_width) if b else None,
-        system.entries_per_cta,
         system.seed,
         system.precision,
         system.rerank_mult,

@@ -33,8 +33,9 @@ from ..search.batched import (
     BeamConfig,
     batched_intra_cta_search,
     batched_multi_cta_search,
-    make_entries,
     per_cta_capacity,
+    query_entries,
+    seeds_per_cta,
 )
 from ..search.precision import PRECISIONS, make_codec
 from .dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine, _admit
@@ -85,7 +86,6 @@ class BaseGraphSystem:
         max_parallel: int = MAX_PARALLEL,
         beam: BeamConfig | None = None,
         cost_params: CostParams | None = None,
-        entries_per_cta: int = 2,
         seed: int = 0,
         build_info: dict | None = None,
         precision: str = "float32",
@@ -123,7 +123,6 @@ class BaseGraphSystem:
         self.l_total = l_total
         self.batch_size = batch_size
         self.beam = beam
-        self.entries_per_cta = entries_per_cta
         self.seed = seed
         self.cost_model = CostModel(device, cost_params)
         self.tuning: TuningResult = tune(
@@ -148,11 +147,15 @@ class BaseGraphSystem:
     def n_parallel(self) -> int:
         return self.tuning.n_parallel
 
-    def _single_cta_entries(self, rng: np.random.Generator) -> np.ndarray:
-        return (
-            make_entries(self.base.shape[0], 1, self.entries_per_cta, rng)[0]
-            if self.entries_per_cta > 1
-            else np.array([self._medoid])
+    def search_entries(self, queries: np.ndarray, seed: int) -> np.ndarray:
+        """``(B, n_parallel, e)`` entry ids: every CTA seeds
+        :func:`~repro.search.batched.seeds_per_cta` of its candidate list
+        from :func:`~repro.search.batched.query_entries` over every base
+        point, keyed by the query's bytes and ``seed`` — so a query's
+        answer does not depend on its batch."""
+        return query_entries(
+            queries, self.n_parallel, seeds_per_cta(self.tuning.per_cta_cand_len),
+            np.arange(self.base.shape[0]), seed=seed,
         )
 
     def traversal_codec(self):
@@ -177,30 +180,23 @@ class BaseGraphSystem:
         :class:`~repro.gpusim.trace.TraceBlock` (``len(traces) == nq``).
 
         The whole query set advances in one lockstep SoA batch (all
-        queries × all CTAs); entry points are drawn from the rng per query
-        in order — the draw order of a query-by-query loop over the scalar
-        reference functions, which therefore return byte-identical results
-        and, through ``TraceBlock.from_traces``, an equal block
-        (``tests/oracles.py``).  ``seed`` overrides the system's seed for
-        this call (:attr:`~repro.core.serving.ServeConfig.seed`).
+        queries × all CTAs) from :meth:`search_entries`; the scalar
+        reference functions, fed the same entries query by query, return
+        byte-identical results and, through ``TraceBlock.from_traces``, an
+        equal block (``tests/oracles.py``).  ``seed`` overrides the
+        system's seed for this call
+        (:attr:`~repro.core.serving.ServeConfig.seed`).
         """
-        rng = np.random.default_rng(self.seed if seed is None else seed)
         codec = self.traversal_codec()
-        nq = queries.shape[0]
+        entries = self.search_entries(queries, self.seed if seed is None else seed)
         if self.n_parallel == 1:
-            entries = [self._single_cta_entries(rng) for _ in range(nq)]
             results = batched_intra_cta_search(
                 self.base, self.graph, queries, self.k,
-                self.tuning.per_cta_cand_len, entries,
+                self.tuning.per_cta_cand_len, entries[:, 0],
                 metric=self.metric, beam=self.beam,
                 codec=codec, rerank_mult=self.rerank_mult,
             )
         else:
-            entries = [
-                make_entries(self.base.shape[0], self.n_parallel,
-                             self.entries_per_cta, rng)
-                for _ in range(nq)
-            ]
             results = batched_multi_cta_search(
                 self.base, self.graph, queries, self.k, self.l_total,
                 self.n_parallel, metric=self.metric, beam=self.beam,
@@ -323,7 +319,6 @@ class ALGASSystem(BaseGraphSystem):
         state_mode: str = "gdrcopy",
         merge_on_cpu: bool = True,
         cost_params: CostParams | None = None,
-        entries_per_cta: int = 2,
         seed: int = 0,
         build_info: dict | None = None,
         precision: str = "float32",
@@ -338,7 +333,7 @@ class ALGASSystem(BaseGraphSystem):
             beam = None
         super().__init__(
             base, graph, device, metric, k, l_total, batch_size,
-            n_parallel, max_parallel, beam, cost_params, entries_per_cta, seed,
+            n_parallel, max_parallel, beam, cost_params, seed,
             build_info, precision=precision, rerank_mult=rerank_mult,
             pq_m=pq_m, pq_ks=pq_ks,
         )

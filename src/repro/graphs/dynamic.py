@@ -56,6 +56,7 @@ from ..search.batched import (
     batched_multi_cta_search,
     per_cta_capacity,
     query_entries,
+    seeds_per_cta,
 )
 from ..search.precision import DEFAULT_RERANK_MULT, PRECISIONS, make_codec
 from .base import GraphIndex
@@ -209,12 +210,13 @@ class DynamicGraph:
         each keeps :func:`~repro.search.batched.per_cta_capacity` of the
         candidate capacity ``max(l or max(ef, k), k)``, all share the
         query's visited bits, and the host merges their lists
-        (:func:`~repro.search.topk.merge_topk_batch`).  CTA 0 enters at the
-        live medoid; CTAs 1.. enter at two live vertices that a hash of the
-        query's bytes names (:func:`~repro.search.batched.query_entries`)
-        among those holding at least half their degree budget, so a row's
-        answer depends on its query and the graph only.  One CTA is the
-        single-CTA search.
+        (:func:`~repro.search.topk.merge_topk_batch`).  Every CTA seeds half
+        its list (:func:`~repro.search.batched.seeds_per_cta`) at live
+        vertices that a hash of the query's bytes names
+        (:func:`~repro.search.batched.query_entries`) among those holding
+        at least half their degree budget, CTA 0's first seed at the live
+        medoid, so a row's answer depends on its query and the graph only.
+        One CTA is the single-CTA search.
 
         ``pending_inserts`` are the points the caller will hand to the next
         :meth:`insert_batch` at the same ``n_ctas`` and ``k``.  When their
@@ -270,18 +272,19 @@ class DynamicGraph:
 
     def _search(self, rows, k, l_total, n_ctas, record_trace, codec, pool=0):
         """``rows`` searched on the live graph at ``n_ctas`` CTAs a row
-        (:func:`~repro.search.batched.batched_multi_cta_search`): CTA 0
-        enters at the live medoid, the others at the row's hashed entries."""
-        n, Q = self._n_total, rows.shape[0]
-        entries = np.full((Q, n_ctas, 1 if n_ctas == 1 else 2), self._live_entry(),
-                          dtype=np.int64)
-        if n_ctas > 1:
-            entries[:, 1:] = query_entries(rows, n_ctas - 1, 2, self._entry_population())
+        (:func:`~repro.search.batched.batched_multi_cta_search`): every
+        CTA seeds :func:`~repro.search.batched.seeds_per_cta` of its list
+        at the row's hashed entries, CTA 0's first at the live medoid."""
+        n = self._n_total
+        l_cta = per_cta_capacity(l_total, n_ctas, k)
+        entries = query_entries(rows, n_ctas, seeds_per_cta(l_cta),
+                                self._entry_population())
+        entries[:, 0, 0] = self._live_entry()
         return batched_multi_cta_search(
             self._pts[:n], (self._adj[:n], self._counts[:n]), rows, k, l_total,
             n_ctas, metric=self.metric,
-            beam=BeamConfig.for_capacity(per_cta_capacity(l_total, n_ctas, k)),
-            entries=entries, record_trace=record_trace, codec=codec,
+            beam=BeamConfig.for_capacity(l_cta), entries=entries,
+            record_trace=record_trace, codec=codec,
             rerank_mult=self.rerank_mult, alive_mask=self._alive[:n],
             point_norms=self._sqnorms[:n], pool=pool,
         )

@@ -104,7 +104,6 @@ class HybridSystem(ALGASSystem):
             host_threads=self.host_threads,
             state_mode=self.state_mode,
             merge_on_cpu=self.merge_on_cpu,
-            entries_per_cta=self.entries_per_cta,
             seed=self.seed,
             precision=self.precision,
             rerank_mult=self.rerank_mult,

@@ -13,8 +13,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "SearchResult",
         "batched_intra_cta_search",
         "batched_multi_cta_search",
-        "make_entries",
         "per_cta_capacity",
+        "query_entries",
+        "seeds_per_cta",
     ),
     ".ivf": ("IVFFlatIndex", "IVFPQIndex", "kmeans"),
     ".precision": (

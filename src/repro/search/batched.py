@@ -71,8 +71,8 @@ __all__ = [
     "BeamConfig",
     "SearchResult",
     "per_cta_capacity",
-    "make_entries",
     "query_entries",
+    "seeds_per_cta",
     "BatchedVisited",
     "BatchResults",
     "LockstepEngine",
@@ -128,25 +128,12 @@ def per_cta_capacity(l_total: int, n_ctas: int, k: int) -> int:
     return max(k, math.ceil(l_total / n_ctas))
 
 
-def make_entries(
-    n_points: int,
-    n_ctas: int,
-    entries_per_cta: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Distinct random entry points for each CTA (CAGRA-style seeding):
-    consecutive slices of one draw, so the last CTA needs ``n_points >
-    (n_ctas - 1) * entries_per_cta``."""
-    if n_points <= (n_ctas - 1) * entries_per_cta:
-        raise ValueError(
-            f"n_points={n_points} leaves a CTA without an entry point "
-            f"(n_ctas={n_ctas}, entries_per_cta={entries_per_cta})")
-    total = min(n_ctas * entries_per_cta, n_points)
-    flat = rng.choice(n_points, size=total, replace=False)
-    return [
-        flat[i * entries_per_cta : (i + 1) * entries_per_cta]
-        for i in range(n_ctas)
-    ]
+def seeds_per_cta(capacity: int) -> int:
+    """Entry points a CTA seeds: half its candidate list of ``capacity``
+    entries, at least two.  Scoring random samples into the list first is
+    CAGRA's start; a CTA that starts in the wrong cluster climbs out
+    sooner, so its query's slowest CTA finishes earlier."""
+    return max(2, capacity // 2)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -158,28 +145,32 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def query_entries(
-    queries: np.ndarray, n_ctas: int, entries_per_cta: int, population: np.ndarray
+    queries: np.ndarray,
+    n_ctas: int,
+    per_cta: int,
+    population: np.ndarray,
+    seed: int = 0,
 ) -> np.ndarray:
     """Entry points that are a function of the query alone: a ``(B,
-    n_ctas, entries_per_cta)`` block of ids from ``population`` (sorted,
+    n_ctas, per_cta)`` block of ids from ``population`` (sorted,
     non-empty).
 
     Each row's ``uint32`` view is folded to one 64-bit key (a dot with
-    splitmix64-keyed column weights, then the finaliser), and entry slot
-    ``j`` of the row names the id ``splitmix64(key + j) mod (max + 1)``,
-    ``max`` the population's largest id; the slot takes the first
-    population id at or after it.  So a row draws the same
+    splitmix64-keyed column weights plus ``seed``, then the finaliser),
+    and entry slot ``j`` of the row names the id ``splitmix64(key + j)
+    mod (max + 1)``, ``max`` the population's largest id; the slot takes
+    the first population id at or after it.  So a row draws the same
     entries alone, permuted or in any batch, and removing an id from the
     population moves only the slots that named it.  Entries may repeat: a
     duplicate of an earlier CTA's entry is already visited when the CTA
     seeds, and adds nothing."""
     words = np.ascontiguousarray(queries, dtype=np.float32).view(np.uint32)
     weights = _splitmix64(np.arange(words.shape[1], dtype=np.uint64))
-    key = _splitmix64(words.astype(np.uint64) @ weights)
-    slots = np.arange(n_ctas * entries_per_cta, dtype=np.uint64)
+    key = _splitmix64(words.astype(np.uint64) @ weights + np.uint64(seed))
+    slots = np.arange(n_ctas * per_cta, dtype=np.uint64)
     named = _splitmix64(key[:, None] + slots[None, :]) % np.uint64(population[-1] + 1)
     pick = population.searchsorted(named.astype(np.int64))
-    return population[pick].reshape(-1, n_ctas, entries_per_cta)
+    return population[pick].reshape(-1, n_ctas, per_cta)
 
 
 class BatchedVisited:
@@ -930,8 +921,6 @@ def batched_multi_cta_search(
     metric: str = "l2",
     beam: BeamConfig | None = None,
     entries: list[list[np.ndarray]] | np.ndarray | None = None,
-    entries_per_cta: int = 2,
-    rng: np.random.Generator | None = None,
     record_trace: bool = True,
     codec=None,
     rerank_mult: int = DEFAULT_RERANK_MULT,
@@ -942,9 +931,9 @@ def batched_multi_cta_search(
     """Multi-CTA search of ``B`` queries, all CTA rows in one lockstep batch.
 
     ``entries[q][c]`` seeds CTA ``c`` of query ``q`` (a ``(B, n_ctas, e)``
-    array, or nested lists); when omitted they are drawn per query in
-    order from ``rng`` — the same stream of :func:`make_entries` calls the
-    scalar driver issues.
+    array, or nested lists); when omitted each CTA seeds
+    :func:`seeds_per_cta` of its list from :func:`query_entries` over
+    every point.
 
     With a ``codec`` the per-CTA lists are merged at ``rerank_mult × k``
     width and the merged pool is re-scored exactly; the re-rank step is
@@ -958,7 +947,7 @@ def batched_multi_cta_search(
     ``alive_mask`` / ``point_norms`` pass to the engine, as a
     :class:`~repro.graphs.dynamic.DynamicGraph` searches its live rows.
 
-    Entries are drawn for the whole batch before it is cut into per-thread
+    Entries are named for the whole batch before it is cut into per-thread
     engines, so the cut moves no result, list or trace bit.
     """
     if n_ctas <= 0:
@@ -968,21 +957,17 @@ def batched_multi_cta_search(
         queries = queries[None, :]
     B = queries.shape[0]
     l_cta = per_cta_capacity(l_total, n_ctas, k)
+    if entries is None:
+        entries = query_entries(queries, n_ctas, seeds_per_cta(l_cta),
+                                np.arange(points.shape[0]))
     if isinstance(entries, np.ndarray):
         if entries.shape[:2] != (B, n_ctas):
             raise ValueError("need one entry array per CTA")
         rows = entries.reshape(B * n_ctas, -1)
     else:
-        rng = rng or np.random.default_rng(0)
-        row_entries: list[np.ndarray] = []
-        for q in range(B):
-            e = entries[q] if entries is not None else make_entries(
-                points.shape[0], n_ctas, entries_per_cta, rng
-            )
-            if len(e) != n_ctas:
-                raise ValueError("need one entry array per CTA")
-            row_entries.extend(e)
-        rows = _entry_rows(row_entries)
+        if len(entries) != B or any(len(e) != n_ctas for e in entries):
+            raise ValueError("need one entry array per CTA")
+        rows = _entry_rows([c for e in entries for c in e])
     engines = [
         LockstepEngine(
             points, graph, queries[lo:hi],

@@ -15,6 +15,14 @@ cases were re-frozen when ``DynamicGraph`` searches began to run the beam
 extend: their result ids and distances did not move, their trace columns
 (half the steps) and priced durations did.
 
+Every search case except the IVF ones was re-frozen when every CTA began
+to seed half its candidate list (``seeds_per_cta``) from entries hashed
+from its query (``query_entries``) instead of two rng-drawn entries, and
+a ``DynamicGraph`` CTA likewise (CTA 0's first seed the live medoid):
+``n_steps`` and the trace digest moved in all fifteen, and the result
+digest in the three PQ cases of eight CTAs or a dynamic graph.  The six
+IVF cases did not move.
+
 This script reads traces only through the row-object surface both layouts
 share (iterate → ``.ctas`` → ``.steps`` → fields; ``cta_duration_us`` on a
 ``CTATrace``), so it reproduces the fixture on either side of a change.

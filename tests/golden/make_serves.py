@@ -36,6 +36,13 @@ the old override".  The ``hybrid-gpu`` scenario of ``6b2560b`` is gone
 with ``HybridSystem``'s ``tier="gpu"``; its digests were those of
 ``algas-closed``.
 
+Every graph scenario was re-frozen when each CTA began to seed half its
+candidate list from entries hashed from its query and the system seed
+(``query_entries``), where it had drawn two from one rng in batch order:
+the report digest moved in all twenty graph scenarios (ids and dists
+where the served rows changed; the hybrid and sharded rows, refined or
+merged, kept theirs in seven), and ``ivf`` / ``ivfpq`` did not move.
+
     PYTHONPATH=src python -m tests.golden.make_serves
 """
 

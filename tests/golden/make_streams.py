@@ -50,6 +50,12 @@ CTAs a query here; entries hashed from the query onto the well-linked
 live vertices, one CPU TopK merge per epoch): ``report``, ``adj`` and
 ``counts`` moved in every scenario, ``alive`` in none (the same waves
 delete the same victims).
+
+And once more when every CTA of a ``DynamicGraph`` search began to seed
+half its candidate list from the hashed entries (CTA 0's first seed the
+live medoid), where CTA 0 had entered at the medoid alone and the others
+at two hashed vertices: ``report``, ``adj`` and ``counts`` moved in all
+eight scenarios, ``alive`` in none.
 """
 
 from __future__ import annotations

@@ -51,21 +51,43 @@ from repro.gpusim.costmodel import (
 from repro.gpusim.trace import QueryTrace, StepRecord, TraceBlock, precision_code
 from repro.graphs import GraphIndex, exact_knn_matrix, occlusion_prune_mask
 from repro.graphs.utils import medoid
-from repro.search.batched import BeamConfig
+from repro.search.batched import BeamConfig, per_cta_capacity, query_entries, seeds_per_cta
 
 from .reference import intra_cta_search, multi_cta_search
+
+
+def make_entries(
+    n_points: int,
+    n_ctas: int,
+    entries_per_cta: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Distinct rng-drawn entry points for each CTA: consecutive slices of
+    one draw, so the last CTA needs ``n_points > (n_ctas - 1) *
+    entries_per_cta``.  The systems name their entries from the query
+    (``query_entries``); tests that feed the engine and the scalar
+    reference the same explicit entries draw them here."""
+    if n_points <= (n_ctas - 1) * entries_per_cta:
+        raise ValueError(
+            f"n_points={n_points} leaves a CTA without an entry point "
+            f"(n_ctas={n_ctas}, entries_per_cta={entries_per_cta})")
+    total = min(n_ctas * entries_per_cta, n_points)
+    flat = rng.choice(n_points, size=total, replace=False)
+    return [
+        flat[i * entries_per_cta : (i + 1) * entries_per_cta]
+        for i in range(n_ctas)
+    ]
 
 
 def scalar_search_all(system, queries, seed=None):
     """``system.search_all`` computed query by query on the scalar oracle.
 
-    Reproduces the engine's per-query rng draw order: single-CTA systems
-    draw ``_single_cta_entries`` then run ``intra_cta_search``; multi-CTA
-    systems hand the rng to ``multi_cta_search``, which draws
-    ``make_entries`` itself.  Returns ``(ids, dists, traces)`` shaped like
+    Each query runs from its rows of ``system.search_entries``: single-CTA
+    systems through ``intra_cta_search``, multi-CTA ones through
+    ``multi_cta_search``.  Returns ``(ids, dists, traces)`` shaped like
     :meth:`BaseGraphSystem.search_all`.
     """
-    rng = np.random.default_rng(system.seed if seed is None else seed)
+    entries = system.search_entries(queries, system.seed if seed is None else seed)
     codec = system.traversal_codec()
     rm = system.rerank_mult
     nq, k = queries.shape[0], system.k
@@ -76,8 +98,7 @@ def scalar_search_all(system, queries, seed=None):
         if system.n_parallel == 1:
             r = intra_cta_search(
                 system.base, system.graph, queries[i], k,
-                system.tuning.per_cta_cand_len,
-                system._single_cta_entries(rng),
+                system.tuning.per_cta_cand_len, entries[i, 0],
                 metric=system.metric, beam=system.beam,
                 codec=codec, rerank_mult=rm,
             )
@@ -86,8 +107,7 @@ def scalar_search_all(system, queries, seed=None):
             r = multi_cta_search(
                 system.base, system.graph, queries[i], k, system.l_total,
                 system.n_parallel, metric=system.metric, beam=system.beam,
-                entries_per_cta=system.entries_per_cta, rng=rng,
-                codec=codec, rerank_mult=rm,
+                entries=list(entries[i]), codec=codec, rerank_mult=rm,
             )
             trace = r.trace
         m = min(k, len(r.ids))
@@ -97,18 +117,30 @@ def scalar_search_all(system, queries, seed=None):
     return ids, dists, traces
 
 
+def dynamic_entries(dyn, rows, k, l_total, n_ctas):
+    """The ``(Q, n_ctas, e)`` entries a ``DynamicGraph`` search of ``rows``
+    seeds: ``seeds_per_cta`` of each CTA's list hashed from the row over
+    the entry population, CTA 0's first at the live medoid."""
+    per = seeds_per_cta(per_cta_capacity(l_total, n_ctas, k))
+    entries = query_entries(rows, n_ctas, per, dyn._entry_population())
+    entries[:, 0, 0] = dyn._live_entry()
+    return entries
+
+
 def scalar_dynamic_search(dyn, query, k, l=None):
     """Alg. 1 over a ``DynamicGraph``'s live arrays with expansion-time
     tombstone masking and the beam extend of ``tests.reference``'s
     ``CTASearcher`` (``BeamConfig.for_capacity`` of the list), one Python
-    step at a time — the reference ``dyn.search`` is tested against.
-    Returns ``(ids, dists)``."""
+    step at a time, from the entries of :func:`dynamic_entries` — the
+    reference ``dyn.search`` is tested against.  Returns ``(ids, dists)``."""
     lcap = l or max(dyn.ef, k)
     beam = BeamConfig.for_capacity(lcap)
-    entry = dyn._live_entry()
-    visited = {entry}
-    d0 = float(query_distances(query, dyn._pts[entry][None, :], dyn.metric)[0])
-    cand: list[list] = [[d0, entry, False]]
+    entries = np.unique(dynamic_entries(dyn, query[None, :], k, lcap, 1))
+    visited = set(entries.tolist())
+    d0 = query_distances(query, dyn._pts[entries], dyn.metric)
+    cand: list[list] = sorted(
+        ([float(d), int(u), False] for d, u in zip(d0, entries)),
+        key=lambda c: (c[0], c[1]))
     while True:
         off = next((i for i, c in enumerate(cand) if not c[2]), None)
         if off is None:

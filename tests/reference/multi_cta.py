@@ -2,7 +2,7 @@
 
 §III-B / §IV-B: to use more threads than one CTA offers, a query is served
 by ``T`` CTAs, each running the intra-CTA algorithm on its own (smaller)
-candidate list from its own random entry points, sharing only the visited
+candidate list from its own hashed entry points, sharing only the visited
 bitmap.  On completion each CTA holds a local TopK; the union's global TopK
 is the answer.  The *merge* of those lists is the operation ALGAS moves to
 the CPU (:func:`repro.search.topk.heap_merge` executed host-side), while
@@ -20,7 +20,13 @@ import numpy as np
 
 from repro.gpusim.trace import QueryTrace
 from repro.graphs.base import GraphIndex
-from repro.search.batched import BeamConfig, SearchResult, make_entries, per_cta_capacity
+from repro.search.batched import (
+    BeamConfig,
+    SearchResult,
+    per_cta_capacity,
+    query_entries,
+    seeds_per_cta,
+)
 from repro.search.precision import DEFAULT_RERANK_MULT
 from repro.search.topk import heap_merge
 from .intra_cta import CTASearcher, rerank_into_trace
@@ -39,8 +45,6 @@ def multi_cta_search(
     metric: str = "l2",
     beam: BeamConfig | None = None,
     entries: list[np.ndarray] | None = None,
-    entries_per_cta: int = 2,
-    rng: np.random.Generator | None = None,
     record_trace: bool = True,
     codec=None,
     rerank_mult: int | None = None,
@@ -60,15 +64,19 @@ def multi_cta_search(
     CTA on compressed distances (one shared per-query dispatch state),
     merges the per-CTA lists at ``rerank_mult × k`` width and re-scores
     the merged pool exactly.
+
+    Without ``entries`` each CTA seeds ``seeds_per_cta`` of its list from
+    ``query_entries`` of the query over every point, as the lockstep
+    search does.
     """
     if n_ctas <= 0:
         raise ValueError("n_ctas must be positive")
     if rerank_mult is None:
         rerank_mult = DEFAULT_RERANK_MULT
-    rng = rng or np.random.default_rng(0)
     l_cta = per_cta_capacity(l_total, n_ctas, k)
     if entries is None:
-        entries = make_entries(points.shape[0], n_ctas, entries_per_cta, rng)
+        entries = query_entries(np.atleast_2d(query), n_ctas, seeds_per_cta(l_cta),
+                                np.arange(points.shape[0]))[0]
     if len(entries) != n_ctas:
         raise ValueError("need one entry array per CTA")
 

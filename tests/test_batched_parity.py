@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import GANNSSystem
 from repro.core.pipeline import ALGASSystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw
@@ -22,10 +23,9 @@ from repro.search import (
     BeamConfig,
     batched_intra_cta_search,
     batched_multi_cta_search,
-    make_entries,
 )
 
-from .oracles import assert_same_search_all, scalar_search_all
+from .oracles import assert_same_search_all, make_entries, scalar_search_all
 from .reference import intra_cta_search, multi_cta_search
 
 DATASETS = ["sift1m-mini", "gist1m-mini", "glove200-mini", "nytimes-mini"]
@@ -126,17 +126,17 @@ def test_system_search_all_parity(pds, pgraph):
     )
 
 
-@pytest.mark.parametrize("entries_per_cta", [1, 3])
-def test_system_search_all_parity_single_cta(pds, pgraph, entries_per_cta):
-    """The single-CTA ``search_all`` path (``n_parallel=1``): medoid entry
-    (``entries_per_cta=1``) and rng-drawn entries (``entries_per_cta=3``)."""
-    system = ALGASSystem(pds.base, pgraph, k=8, l_total=64, batch_size=8,
-                         metric=pds.metric, seed=3, n_parallel=1,
-                         entries_per_cta=entries_per_cta)
-    assert system.n_parallel == 1
-    assert_same_search_all(
-        system.search_all(pds.queries), scalar_search_all(system, pds.queries)
-    )
+@pytest.mark.parametrize("seed", [1, 3])
+def test_system_search_all_parity_single_cta(pds, pgraph, seed):
+    """The single-CTA ``search_all`` path (``n_parallel=1``) at two system
+    seeds: ALGAS's hashed half-list entries and GANNS's medoid entry."""
+    for cls in (ALGASSystem, GANNSSystem):
+        system = cls(pds.base, pgraph, k=8, l_total=64, batch_size=8,
+                     metric=pds.metric, seed=seed, n_parallel=1)
+        assert system.n_parallel == 1
+        assert_same_search_all(
+            system.search_all(pds.queries), scalar_search_all(system, pds.queries)
+        )
 
 
 def test_backend_knob_is_gone():

@@ -73,7 +73,7 @@ def test_searchable_quality(pts):
     q = pts[:10] + rng.normal(0, 0.01, (10, pts.shape[1])).astype(np.float32)
     gt, _ = exact_knn(q, pts, 5)
     found = np.stack(
-        [multi_cta_search(pts, g, qq, 5, 48, 2, rng=rng).ids[:5] for qq in q]
+        [multi_cta_search(pts, g, qq, 5, 48, 2).ids[:5] for qq in q]
     )
     assert recall(found, gt) > 0.8
 

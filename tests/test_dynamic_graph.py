@@ -11,7 +11,8 @@ from repro.core.tuning import MAX_PARALLEL, tune
 from repro.gpusim.device import RTX_A6000
 from repro.gpusim.trace import TraceBlock
 from repro.graphs import DynamicGraph, build_cagra
-from repro.search.batched import query_entries
+
+from .oracles import dynamic_entries
 
 
 PTS = latent_mixture(500, 16, intrinsic_dim=8, seed=21)
@@ -382,12 +383,12 @@ def test_split_reads_are_a_function_of_the_query():
 
 
 def test_split_reads_of_a_tiny_graph_pad_without_duplicates():
-    """k above the live count, and fewer live vertices than 2 entries for
-    every CTA: each row is its live reachable set, -1 padded, no id twice.
-    A CTA whose entries an earlier CTA of its query already holds seeds
-    nothing and adds nothing."""
+    """k above the live count, and fewer live vertices than the 8 CTAs
+    seed (8 each): each row is its live reachable set, -1 padded, no id
+    twice.  A CTA whose entries earlier CTAs of its query already hold
+    seeds nothing and adds nothing."""
     d = DynamicGraph(PTS[:20], build_cagra(PTS[:20], graph_degree=6), max_degree=8)
-    d.delete_batch(np.arange(0, 20, 3))  # 13 live < 8 CTAs x 2 entries
+    d.delete_batch(np.arange(0, 20, 3))  # 13 live < 8 CTAs x 8 entries
     live = set(d.alive_ids().tolist())
     ids, dists, block = d.search_batch(QUERIES, 16, record_trace=True, n_ctas=8)
     assert ids.shape == (QUERIES.shape[0], 16)
@@ -395,11 +396,12 @@ def test_split_reads_of_a_tiny_graph_pad_without_duplicates():
         got = row[row >= 0]
         assert len(set(got.tolist())) == got.size and set(got.tolist()) <= live
         assert (row[got.size:] == -1).all() and np.isinf(drow[got.size:]).all()
-    entries = query_entries(QUERIES, 7, 2, d._entry_population())
+    entries = dynamic_entries(d, QUERIES, 16, d.ef, 8)
+    assert entries.shape == (QUERIES.shape[0], 8, 8)
     empty = 0
-    for q, hashed in enumerate(entries):
-        seen = {d._live_entry()}
-        for c, ent in enumerate(hashed, start=1):
+    for q, per_cta in enumerate(entries):
+        seen = set()
+        for c, ent in enumerate(per_cta):
             if set(ent.tolist()) <= seen:
                 cta = block[q].ctas[c]
                 assert [s.n_new_points for s in cta.steps] == [0]

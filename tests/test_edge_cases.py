@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.baselines import CAGRASystem
 from repro.core import ALGASSystem
 from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from repro.core.serving import QueryJob
@@ -20,7 +21,6 @@ from repro.graphs import (
 )
 from repro.graphs.base import GraphIndex
 from repro.graphs.dynamic import DynamicGraph
-from repro.search import make_entries
 
 from .reference import intra_cta_search, multi_cta_search
 
@@ -56,25 +56,26 @@ def test_pipeline_pads_short_results():
     assert (rep.ids >= -1).all()
 
 
-def test_corpus_too_small_for_every_cta_fails_at_the_entry_draw():
-    """12 points cannot give the 8 CTAs the tuner picks two entries each:
-    the draw refuses, naming the sizes, instead of CTAs 6 and 7 failing
-    empty-handed inside the engine.  15 points still seed all 8, with the
-    draw unchanged."""
-    pts = np.random.default_rng(3).normal(size=(15, 4)).astype(np.float32)
-    kw = dict(k=4, l_total=32, batch_size=4)
-    small = ALGASSystem(pts[:12], build_cagra(pts[:12], graph_degree=4), **kw)
-    assert (small.n_parallel, small.entries_per_cta) == (8, 2)
-    with pytest.raises(ValueError, match=r"n_points=12 .*n_ctas=8, "
-                                         r"entries_per_cta=2"):
-        small.search_all(pts[:2])
-    ok = ALGASSystem(pts, build_cagra(pts, graph_degree=4), **kw)
-    assert ok.n_parallel == 8
-    assert ok.search_all(pts[:2])[0].shape == (2, 4)
-    drawn = make_entries(15, 8, 2, np.random.default_rng(0))
-    assert [e.size for e in drawn] == [2] * 7 + [1]
-    assert np.array_equal(np.concatenate(drawn),
-                          np.random.default_rng(0).choice(15, 15, replace=False))
+def test_corpus_smaller_than_the_seeds_serves_padded_rows():
+    """12 points under 8 CTAs that seed 8 entries each: hashed entries
+    repeat instead of running out, so ALGAS, CAGRA and a DynamicGraph each
+    serve valid, duplicate-free rows, -1 padded past the corpus."""
+    pts = np.random.default_rng(3).normal(size=(12, 4)).astype(np.float32)
+    g = build_cagra(pts, graph_degree=4)
+    served = []
+    for cls in (ALGASSystem, CAGRASystem):
+        system = cls(pts, g, k=16, l_total=32, batch_size=4)
+        assert system.n_parallel == 8
+        assert system.search_entries(pts[:3], 0).shape == (3, 8, 8)
+        served.append(system.search_all(pts[:3])[:2])
+    served.append(DynamicGraph(pts, g).search_batch(pts[:3], 16, n_ctas=8)[:2])
+    for ids, dists in served:
+        assert ids.shape == (3, 16)
+        for row, drow in zip(ids, dists):
+            got = row[row >= 0]
+            assert 0 < got.size <= 12 and np.unique(got).size == got.size
+            assert (row[got.size:] == -1).all() and np.isinf(drow[got.size:]).all()
+            assert np.isfinite(drow[:got.size]).all()
 
 
 def test_single_vertex_graph():
@@ -91,10 +92,10 @@ def test_query_equal_to_base_point(ds, graph, entry):
     assert r.dists[0] == pytest.approx(0.0, abs=1e-5)
 
 
-def test_multi_cta_more_ctas_than_needed(ds, graph, rng):
+def test_multi_cta_more_ctas_than_needed(ds, graph):
     """16 CTAs on a small list: every CTA gets k slots, search stays sane."""
     r = multi_cta_search(ds.base, graph, ds.queries[0], 4, 16, 16,
-                         metric=ds.metric, rng=rng)
+                         metric=ds.metric)
     assert len(r.ids) == 4
     assert r.trace.n_ctas == 16
 

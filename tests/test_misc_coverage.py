@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import GANNSSystem
 from repro.core import ALGASSystem
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
@@ -16,19 +17,26 @@ def test_simulator_after_validates():
 
 
 def test_single_cta_algas_with_random_entries(ds, graph):
-    """n_parallel=1 still uses random entries when entries_per_cta > 1."""
+    """n_parallel=1 seeds half its 32-entry list from entries hashed from
+    the query and the system seed: the seed step checks each distinct one
+    of the 16 (repeats drop), a query alone names the same ones, and
+    another seed names others."""
     sys_ = ALGASSystem(ds.base, graph, metric=ds.metric, k=8, l_total=32,
-                       batch_size=2, n_parallel=1, entries_per_cta=3, seed=4)
+                       batch_size=2, n_parallel=1, seed=4)
     rep = sys_.serve(ds.queries[:6])
     assert rep.ids.shape == (6, 8)
     assert all(t.n_ctas == 1 for t in rep.traces)
-    # the seed step visited 3 entry candidates
-    assert all(t.ctas[0].steps[0].n_visited_checks == 3 for t in rep.traces)
+    entries = sys_.search_entries(ds.queries[:6], 4)
+    assert entries.shape == (6, 1, 16)
+    assert all(t.ctas[0].steps[0].n_visited_checks == np.unique(e).size
+               for t, e in zip(rep.traces, entries))
+    assert np.array_equal(sys_.search_entries(ds.queries[5:6], 4), entries[5:])
+    assert not np.array_equal(sys_.search_entries(ds.queries[:6], 5), entries)
 
 
-def test_single_cta_algas_medoid_entry(ds, graph):
-    sys_ = ALGASSystem(ds.base, graph, metric=ds.metric, k=8, l_total=32,
-                       batch_size=2, n_parallel=1, entries_per_cta=1)
+def test_single_cta_ganns_medoid_entry(ds, graph):
+    sys_ = GANNSSystem(ds.base, graph, metric=ds.metric, k=8, l_total=32,
+                       batch_size=2)
     rep = sys_.serve(ds.queries[:4])
     assert all(t.ctas[0].steps[0].n_visited_checks == 1 for t in rep.traces)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.groundtruth import recall
-from repro.search.batched import make_entries, per_cta_capacity
+from repro.search.batched import per_cta_capacity
 from repro.search.topk import merge_sorted_lists
 
+from .oracles import make_entries
 from .reference.multi_cta import multi_cta_search
 
 
@@ -24,34 +25,34 @@ def test_make_entries_disjoint(rng):
     assert len(set(flat.tolist())) == len(flat)
 
 
-def test_multi_cta_basic(ds, graph, rng):
-    r = multi_cta_search(ds.base, graph, ds.queries[0], 8, 64, 4, metric=ds.metric, rng=rng)
+def test_multi_cta_basic(ds, graph):
+    r = multi_cta_search(ds.base, graph, ds.queries[0], 8, 64, 4, metric=ds.metric)
     assert len(r.ids) <= 8
     assert (np.diff(r.dists) >= -1e-6).all()
     assert r.trace.n_ctas == 4
 
 
-def test_merged_equals_global_topk_of_lists(ds, graph, rng):
-    r = multi_cta_search(ds.base, graph, ds.queries[1], 8, 64, 4, metric=ds.metric, rng=rng)
+def test_merged_equals_global_topk_of_lists(ds, graph):
+    r = multi_cta_search(ds.base, graph, ds.queries[1], 8, 64, 4, metric=ds.metric)
     ref_ids, ref_d = merge_sorted_lists(r.extra["per_cta"], 8)
     assert np.allclose(np.sort(r.dists), np.sort(ref_d), atol=1e-5)
 
 
-def test_visited_sharing_no_duplicate_scoring(ds, graph, rng):
-    r = multi_cta_search(ds.base, graph, ds.queries[2], 8, 64, 4, metric=ds.metric, rng=rng)
+def test_visited_sharing_no_duplicate_scoring(ds, graph):
+    r = multi_cta_search(ds.base, graph, ds.queries[2], 8, 64, 4, metric=ds.metric)
     all_ids = np.concatenate([ids for ids, _ in r.extra["per_cta"]])
     # shared bitmap guarantees a point lands in exactly one CTA's list
     assert len(set(all_ids.tolist())) == len(all_ids)
 
 
-def test_recall_comparable_to_single_cta(ds, graph, entry, rng):
+def test_recall_comparable_to_single_cta(ds, graph, entry):
     from .reference.intra_cta import intra_cta_search
 
     k = 10
     multi, single = [], []
     for q in ds.queries[:24]:
         multi.append(
-            multi_cta_search(ds.base, graph, q, k, 64, 4, metric=ds.metric, rng=rng).ids[:k]
+            multi_cta_search(ds.base, graph, q, k, 64, 4, metric=ds.metric).ids[:k]
         )
         single.append(
             intra_cta_search(ds.base, graph, q, k, 64, entry, metric=ds.metric).ids[:k]

@@ -33,13 +33,13 @@ from repro.search import (
     default_pq_m,
     exact_rerank,
     make_codec,
-    make_entries,
 )
 from repro.search.batched import (
     batched_intra_cta_search,
     batched_multi_cta_search,
 )
 
+from .oracles import make_entries
 from .reference import intra_cta_search, multi_cta_search, rerank_step_record
 
 

@@ -97,7 +97,6 @@ def test_split_keeps_the_per_cta_lists(split, ds, graph):
     def search():
         return batched_multi_cta_search(
             ds.base, graph, ds.queries, 8, 64, 4, metric=ds.metric,
-            rng=np.random.default_rng(5),
         )
 
     split(1)

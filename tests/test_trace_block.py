@@ -44,13 +44,17 @@ from repro.search.batched import (
     LockstepEngine,
     _entry_rows,
     per_cta_capacity,
-    query_entries,
 )
 from repro.search.precision import Int8Codec
 from repro.streaming import UpdateStream, serve_while_update
 
 from .golden import make_priced_traces as golden
-from .oracles import scalar_cta_cost, scalar_dynamic_search, scalar_step_cost
+from .oracles import (
+    dynamic_entries,
+    scalar_cta_cost,
+    scalar_dynamic_search,
+    scalar_step_cost,
+)
 from .reference import intra_cta_search, multi_cta_search
 
 STEP_COLUMNS = (
@@ -336,26 +340,26 @@ def _dynamic_fixture():
 
 def _assert_equals_scalar(dyn, queries, pts, graph, entry, n_ctas=1):
     """``dyn.search_batch`` equals the scalar beam-extend searcher on
-    ``graph``: ids, distance bytes, trace.  One CTA enters at ``entry``;
-    at ``n_ctas`` CTAs CTA 0 enters there and the others at the explicit
-    entries ``query_entries`` hashes from each query (the round-robin
-    ``multi_cta_search`` over per-CTA lists of ``per_cta_capacity``)."""
+    ``graph`` from the entries ``dynamic_entries`` names (CTA 0's first
+    replaced by ``entry``): ids, distance bytes, trace.  One CTA is
+    ``intra_cta_search``; more are the round-robin ``multi_cta_search``
+    over per-CTA lists of ``per_cta_capacity``."""
     ids, dists, block = dyn.search_batch(queries, 8, record_trace=True,
                                          n_ctas=n_ctas)
     assert len(block) == 12 and block.n_ctas == n_ctas
+    entries = dynamic_entries(dyn, queries, 8, 48, n_ctas)
+    entries[:, 0, 0] = entry
+    beam = BeamConfig.for_capacity(per_cta_capacity(48, n_ctas, 8))
     if n_ctas == 1:
         oracle = [
-            intra_cta_search(pts, graph, q, 8, 48, np.array([entry]),
-                             beam=BeamConfig.for_capacity(48))
-            for q in queries
+            intra_cta_search(pts, graph, q, 8, 48, e[0], beam=beam)
+            for q, e in zip(queries, entries)
         ]
     else:
-        hashed = query_entries(queries, n_ctas - 1, 2, dyn._entry_population())
-        beam = BeamConfig.for_capacity(per_cta_capacity(48, n_ctas, 8))
         oracle = [
             multi_cta_search(pts, graph, q, 8, 48, n_ctas, beam=beam,
-                             entries=[np.array([entry]), *h])
-            for q, h in zip(queries, hashed)
+                             entries=list(e))
+            for q, e in zip(queries, entries)
         ]
     for i, r in enumerate(oracle):
         assert np.array_equal(ids[i], r.ids)
