@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Micro-harness: scalar oracle vs vectorized lockstep search backend.
+"""Micro-harness: scalar oracle vs the lockstep search.
 
-Times the raw search stage (no scheduling) for both backends on the four
-mini corpora, verifies the results agree bit-for-bit while it is at it,
+Times the raw search stage (no scheduling) on the four mini corpora: the
+scalar reference searchers query by query against
+``batched_multi_cta_search``, the one lockstep search, at one CTA and at
+``N_CTAS``.  It verifies the results agree bit-for-bit while it is at it,
 and writes the numbers to ``BENCH_search.json`` at the repo root.  The
 headline configuration is batch-64 SIFT-mini at n=20000 / L=128 — the
 acceptance gate is a >= 5x vectorized speedup there.
@@ -25,10 +27,7 @@ import numpy as np
 from repro.bench.profiling import profile_call
 from repro.data import load_dataset
 from repro.graphs import build_cagra
-from repro.search import (
-    batched_intra_cta_search,
-    batched_multi_cta_search,
-)
+from repro.search import batched_multi_cta_search
 from tests.oracles import make_entries
 from tests.reference import intra_cta_search, multi_cta_search
 
@@ -59,7 +58,7 @@ def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
 
 def _assert_equal(scalar_results, batch_results) -> None:
     for a, b in zip(scalar_results, batch_results):
-        assert np.array_equal(a.ids, b.ids), "backend results diverge"
+        assert np.array_equal(a.ids, b.ids), "lockstep results diverge"
         assert np.asarray(a.dists).tobytes() == np.asarray(b.dists).tobytes()
 
 
@@ -71,16 +70,17 @@ def bench_dataset(name: str, n_base: int) -> dict:
         make_entries(ds.n, N_CTAS, 2, np.random.default_rng(1000 + i))
         for i in range(len(queries))
     ]
-    intra_entries = [e[0] for e in rng_entries]
+    intra_entries = [e[:1] for e in rng_entries]
 
     # --- single-CTA: B queries, one CTA each, full-length candidate list
     t_s1, res_s1 = _best_of(lambda: [
-        intra_cta_search(ds.base, graph, q, K, L_TOTAL, intra_entries[i],
+        intra_cta_search(ds.base, graph, q, K, L_TOTAL, intra_entries[i][0],
                          metric=ds.metric)
         for i, q in enumerate(queries)
     ])
-    t_v1, res_v1 = _best_of(lambda: batched_intra_cta_search(
-        ds.base, graph, queries, K, L_TOTAL, intra_entries, metric=ds.metric
+    t_v1, res_v1 = _best_of(lambda: batched_multi_cta_search(
+        ds.base, graph, queries, K, L_TOTAL, 1,
+        metric=ds.metric, entries=intra_entries,
     ))
     _assert_equal(res_s1, res_v1)
 
@@ -133,7 +133,7 @@ def main(argv: list[str]) -> int:
     for i, (name, n_base) in enumerate(CORPORA):
         if args.profile and i == 0:
             row, prof_report = profile_call(bench_dataset, name, n_base)
-            print(f"\n--- cProfile ({name}, both backends) ---")
+            print(f"\n--- cProfile ({name}, scalar and lockstep) ---")
             print(prof_report)
         else:
             row = bench_dataset(name, n_base)

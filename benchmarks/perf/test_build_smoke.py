@@ -46,7 +46,7 @@ import pytest
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw, exact_knn_matrix, occlusion_prune_mask
 from repro.parallel import cores
-from repro.search import batched_intra_cta_search
+from repro.search import batched_multi_cta_search
 from repro.telemetry import MetricsRegistry, to_prometheus_text
 from tests.oracles import full_width_occlusion_prune_mask, scalar_build_nsw
 
@@ -67,9 +67,9 @@ MAX_BUILD_RATIO = 0.8
 
 def _recall(ds, graph) -> float:
     gt = ds.gt_at(K)
-    entries = [np.array([0], dtype=np.int64)] * len(ds.queries)
-    res = batched_intra_cta_search(
-        ds.base, graph, ds.queries, K, SEARCH_L, entries,
+    entries = np.zeros((len(ds.queries), 1, 1), dtype=np.int64)
+    res = batched_multi_cta_search(
+        ds.base, graph, ds.queries, K, SEARCH_L, 1, entries=entries,
         metric=ds.metric, record_trace=False,
     )
     hits = sum(

@@ -1,9 +1,10 @@
-"""Perf smoke gate: the vectorized backend must never lose to the scalar one.
+"""Perf smoke gate: the lockstep search (``batched_multi_cta_search`` at
+one CTA) must never lose to the scalar oracle query by query.
 
 Marker-gated (``-m perf_smoke``) so the tier-1 suite stays timing-free;
 the CI perf step runs ``pytest benchmarks/perf -m perf_smoke``.  Sized to
 finish in a couple of seconds: one small corpus, one timing pass per
-backend.  The margin asserted here (vectorized strictly faster) is far
+side.  The margin asserted here (vectorized strictly faster) is far
 below the ~6x measured in BENCH_search.json, so scheduler noise cannot
 trip it — but a regression that makes the SoA path slower than the
 per-query loop will.
@@ -20,7 +21,7 @@ from repro.data import load_dataset
 from repro.graphs import build_cagra
 from tests.oracles import make_entries
 from tests.reference import intra_cta_search
-from repro.search import batched_intra_cta_search
+from repro.search import batched_multi_cta_search
 from repro.telemetry import MetricsRegistry, to_prometheus_text
 
 pytestmark = pytest.mark.perf_smoke
@@ -43,8 +44,9 @@ def test_vectorized_never_loses_to_scalar():
         ]
 
     def vectorized():
-        return batched_intra_cta_search(
-            ds.base, graph, ds.queries, 8, 64, entries, metric=ds.metric
+        return batched_multi_cta_search(
+            ds.base, graph, ds.queries, 8, 64, 1,
+            metric=ds.metric, entries=[[e] for e in entries],
         )
 
     # Warm both paths once (imports, caches, the padded neighbor matrix),

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.pipeline import BaseGraphSystem
 from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
+from ..data.metrics import query_batch
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.trace import TraceBlock
@@ -70,8 +71,9 @@ class IVFSystem:
     def search_all(self, queries: np.ndarray):
         """Search query by query (the scalar IVF searchers emit 1–3-step
         ``CTATrace`` objects); the traces are converted to one
-        :class:`TraceBlock` per call."""
-        queries = np.asarray(queries, dtype=np.float32)
+        :class:`TraceBlock` per call.  An empty batch or one whose width
+        is not the corpus's raises ``ValueError``."""
+        queries = query_batch(queries, self.index.points.shape[1])
         nq = queries.shape[0]
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..data.metrics import query_batch
 from ..data.workload import resolve_workload
 from ..graphs.base import GraphIndex
 from ..parallel import ArrayRef, SharedArena, make_pool, resolve_ref
@@ -297,7 +298,7 @@ class ReplicatedServer:
         cfg = as_serve_config(config, owner="ReplicatedServer.serve")
         tel = cfg.telemetry or NULL_TELEMETRY
         plan, policy, cstats = _cluster_policy(cfg)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        queries = query_batch(queries, self.system.base.shape[1])
         # Admission control (a TrafficSpec with deadline/queue-depth
         # limits) applies per replica: each replica runs its own
         # admission queue over the round-robin slice it was dealt.
@@ -605,7 +606,7 @@ class ShardedServer:
         cfg = as_serve_config(config, owner="ShardedServer.serve")
         tel = cfg.telemetry or NULL_TELEMETRY
         plan, policy, cstats = _cluster_policy(cfg)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        queries = query_batch(queries, self.shards[0].system.base.shape[1])
         nq = queries.shape[0]
         evs, spec = resolve_workload(cfg.workload, nq)
         if spec is not None and cstats is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.metrics import require_finite
+from ..data.metrics import query_batch, require_finite
 from ..data.workload import QueryEvent, resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
@@ -31,7 +31,6 @@ from ..graphs.base import GraphIndex
 from ..graphs.utils import medoid
 from ..search.batched import (
     BeamConfig,
-    batched_intra_cta_search,
     batched_multi_cta_search,
     per_cta_capacity,
     query_entries,
@@ -185,23 +184,17 @@ class BaseGraphSystem:
         byte-identical results and, through ``TraceBlock.from_traces``, an
         equal block (``tests/oracles.py``).  ``seed`` overrides the
         system's seed for this call
-        (:attr:`~repro.core.serving.ServeConfig.seed`).
+        (:attr:`~repro.core.serving.ServeConfig.seed`).  An empty batch or
+        one whose width is not the corpus's raises ``ValueError``.
         """
-        codec = self.traversal_codec()
+        queries = query_batch(queries, self.base.shape[1])
         entries = self.search_entries(queries, self.seed if seed is None else seed)
-        if self.n_parallel == 1:
-            results = batched_intra_cta_search(
-                self.base, self.graph, queries, self.k,
-                self.tuning.per_cta_cand_len, entries[:, 0],
-                metric=self.metric, beam=self.beam,
-                codec=codec, rerank_mult=self.rerank_mult,
-            )
-        else:
-            results = batched_multi_cta_search(
-                self.base, self.graph, queries, self.k, self.l_total,
-                self.n_parallel, metric=self.metric, beam=self.beam,
-                entries=entries, codec=codec, rerank_mult=self.rerank_mult,
-            )
+        results = batched_multi_cta_search(
+            self.base, self.graph, queries, self.k, self.l_total,
+            self.n_parallel, metric=self.metric, beam=self.beam,
+            entries=entries, codec=self.traversal_codec(),
+            rerank_mult=self.rerank_mult,
+        )
         return results.padded_ids, results.padded_dists, results.traces
 
     # -------------------------------------------------------------- pricing

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "METRICS",
     "normalize",
+    "query_batch",
     "require_finite",
     "require_unit",
     "pairwise_distances",
@@ -76,6 +77,20 @@ def require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(
             f"{what} must be finite: row {int(bad[0])} holds NaN or inf"
         )
+
+
+def query_batch(queries, dim: int) -> np.ndarray:
+    """``queries`` as a float32 ``(B, dim)`` batch with ``B >= 1`` (a 1-D
+    query is a batch of one).  The serve boundary check: raise
+    ``ValueError`` naming the batch shape and the corpus width ``dim``
+    rather than fail inside a reshape or a pair kernel."""
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    if q.ndim != 2 or q.shape[0] == 0 or q.shape[1] != dim:
+        raise ValueError(
+            f"query batch of shape {q.shape} does not fit a corpus of "
+            f"width {dim}: need (B >= 1, {dim})"
+        )
+    return q
 
 
 #: Largest ``| |x|^2 - 1 |`` a row may show under cosine: every cosine

@@ -234,11 +234,14 @@ class DynamicGraph:
         if n_ctas <= 0:
             raise ValueError(f"n_ctas must be positive, got {n_ctas}")
         self._pending = None
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        B = queries.shape[0]
-        dim = int(queries.shape[1])
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        B, dim = queries.shape[0], self._pts.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            # An empty read batch is fine; a wrong width is not.
+            raise ValueError(
+                f"query batch of shape {queries.shape} does not fit a corpus "
+                f"of width {dim}"
+            )
         if self._n_alive == 0 or B == 0:
             out_ids = np.full((B, k), -1, dtype=np.int64)
             out_d = np.full((B, k), np.inf, dtype=np.float32)

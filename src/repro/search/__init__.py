@@ -11,7 +11,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "BeamConfig",
         "LockstepEngine",
         "SearchResult",
-        "batched_intra_cta_search",
         "batched_multi_cta_search",
         "per_cta_capacity",
         "query_entries",

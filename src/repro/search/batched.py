@@ -26,9 +26,10 @@ batched kernels (and any serious GPU traversal) do:
   actually received new candidates, in a merge block allocated once per
   engine;
 * the epilogue is batched too: :meth:`LockstepEngine.topk` hands out the
-  padded ``(R, k)`` pools, and multi-CTA top-k is one
+  padded ``(R, k)`` pools, and the top-k is one
   :func:`~repro.search.topk.merge_topk_batch` over the contiguous per-CTA
-  lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly);
+  lists (the CPU merge of §IV-B, ``heap_merge``'s order exactly; at one
+  CTA a one-list merge, the identity);
 * a batch of at least ``2 × MIN_ROWS_PER_THREAD`` rows is cut into
   contiguous query chunks (:func:`~repro.parallel.pool.thread_chunks`),
   one engine each, stepped concurrently on threads: rows never interact,
@@ -76,7 +77,6 @@ __all__ = [
     "BatchedVisited",
     "BatchResults",
     "LockstepEngine",
-    "batched_intra_cta_search",
     "batched_multi_cta_search",
 ]
 
@@ -710,20 +710,6 @@ class LockstepEngine:
             self._result_len[:] = counts
         return ids, dists, counts
 
-    def row_topk(
-        self, k: int, rerank_mult: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's final top-``k`` — the single-CTA epilogue: the pool
-        as it stands at float32, the exact re-rank of its best
-        ``rerank_mult × k`` under a codec.  Padded ``(R, k)`` ids /
-        distances and per-row counts."""
-        if self.codec is None:
-            return self.topk(k)
-        pools, _, pool_counts = self.topk(max(k, rerank_mult * k))
-        return self.rerank(
-            np.arange(self.R), pools, pool_counts, k, set_result_len=True
-        )
-
     def rerank(
         self,
         rows: np.ndarray,
@@ -739,9 +725,9 @@ class LockstepEngine:
         ``(len(rows), >= k)``, -1 padded; returns padded ``(len(rows), k)``
         ids / distances and the per-row result counts.
 
-        Single-CTA searches also own the row's ``result_len``
-        (``set_result_len``); multi-CTA searches record the step on the
-        query's CTA 0 and leave each CTA's own result length alone.
+        The step is recorded on the query's CTA 0.  A one-CTA search also
+        owns that row's ``result_len`` (``set_result_len``); with more CTAs
+        each CTA keeps its own result length.
         """
         # exact_rerank for every row at once: the float32 pair kernel over
         # the valid pool cells (its cached-norms expansion is the one
@@ -793,11 +779,9 @@ class BatchResults(Sequence):
     :class:`~repro.gpusim.trace.TraceBlock` (``None`` when tracing was
     off) — what the serve path prices.  Indexing gives a
     :class:`SearchResult` whose ``trace`` is the row-object view of that
-    query (a ``CTATrace`` for single-CTA searches, a ``QueryTrace`` for
-    multi-CTA ones), materialized on access, so callers written against
-    the scalar searchers' return shape keep working; multi-CTA results
-    also carry the per-CTA lists the merge consumed
-    (``extra["per_cta"]``), cut from ``cta_lists`` on access.
+    query (a ``QueryTrace`` of one ``CTATrace`` per CTA), materialized on
+    access, and whose ``extra["per_cta"]`` holds the per-CTA lists the
+    merge consumed, cut from ``cta_lists`` on access.
     """
 
     def __init__(
@@ -806,7 +790,7 @@ class BatchResults(Sequence):
         dists: np.ndarray,
         counts: np.ndarray,
         traces: TraceBlock | None,
-        cta_lists: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        cta_lists: tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
         self.padded_ids = ids
         self.padded_dists = dists
@@ -834,8 +818,7 @@ class BatchResults(Sequence):
             np.concatenate([p.padded_dists for p in parts]),
             np.concatenate([p.counts for p in parts]),
             None if traces[0] is None else TraceBlock.concat(traces),
-            None if lists[0] is None
-            else tuple(np.concatenate(a) for a in zip(*lists)),
+            tuple(np.concatenate(a) for a in zip(*lists)),
         )
 
     def __len__(self) -> int:
@@ -847,8 +830,6 @@ class BatchResults(Sequence):
         m = self.counts[i]
         ids, dists = self.padded_ids[i, :m], self.padded_dists[i, :m]
         trace = None if self.traces is None else self.traces[i]
-        if self._cta_lists is None:  # single-CTA search: the CTA's own trace
-            return SearchResult(ids, dists, trace and trace.ctas[0])
         l_ids, l_d, l_counts = (a[i] for a in self._cta_lists)
         per_cta = [(l_ids[c, :n], l_d[c, :n]) for c, n in enumerate(l_counts)]
         return SearchResult(ids, dists, trace, {"per_cta": per_cta})
@@ -862,53 +843,6 @@ def _entry_rows(entries) -> np.ndarray | list[np.ndarray]:
     if rows and rows[0].size and all(e.size == rows[0].size for e in rows):
         return np.stack(rows)
     return rows
-
-
-def batched_intra_cta_search(
-    points: np.ndarray,
-    graph: GraphIndex,
-    queries: np.ndarray,
-    k: int,
-    cand_capacity: int,
-    entries: list[np.ndarray],
-    metric: str = "l2",
-    beam: BeamConfig | None = None,
-    record_trace: bool = True,
-    codec=None,
-    rerank_mult: int = DEFAULT_RERANK_MULT,
-) -> BatchResults:
-    """Single-CTA search of ``B`` queries in lockstep.
-
-    ``entries[i]`` seeds query ``i``.  Per-query results and the trace
-    block are bit-identical to ``intra_cta_search`` run query-by-query,
-    however the batch is cut into per-thread engines.
-
-    With a ``codec`` the traversal runs on compressed distances and the
-    top ``rerank_mult × k`` survivors of each row are re-scored exactly
-    (:func:`~repro.search.precision.exact_rerank`); the re-rank pass is
-    appended to the trace as a float32 step so the cost model prices it.
-    """
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    rows = _entry_rows(entries)
-    if len(rows) != queries.shape[0]:
-        raise ValueError("need one entry array per row")
-    engines = [
-        LockstepEngine(
-            points, graph, queries[lo:hi], np.arange(hi - lo), rows[lo:hi],
-            cand_capacity,
-            metric=metric, beam=beam, record_trace=record_trace, codec=codec,
-        )
-        for lo, hi in thread_chunks(queries.shape[0])
-    ]
-
-    def finish(eng: LockstepEngine) -> BatchResults:
-        eng.run(100 * cand_capacity)
-        return BatchResults(*eng.row_topk(k, rerank_mult),
-                            eng.trace_block(1, eng.dim, k))
-
-    return BatchResults.concat(on_threads(finish, engines))
 
 
 def batched_multi_cta_search(
@@ -928,7 +862,8 @@ def batched_multi_cta_search(
     point_norms: np.ndarray | None = None,
     pool: int = 0,
 ) -> BatchResults:
-    """Multi-CTA search of ``B`` queries, all CTA rows in one lockstep batch.
+    """Search ``B`` queries at ``n_ctas`` CTAs each, all CTA rows in one
+    lockstep batch; one CTA is the single-CTA search.
 
     ``entries[q][c]`` seeds CTA ``c`` of query ``q`` (a ``(B, n_ctas, e)``
     array, or nested lists); when omitted each CTA seeds
@@ -983,7 +918,7 @@ def batched_multi_cta_search(
         raise ValueError("a pool wider than the re-rank pool needs float32")
 
     def finish(eng: LockstepEngine) -> BatchResults:
-        eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
+        eng.run(200 * l_cta * n_ctas + 1000)
         # CPU TopK merge (§IV-B): the per-CTA lists are contiguous in the
         # pools, so an engine's queries are one merge_topk_batch.
         b = eng.queries.shape[0]

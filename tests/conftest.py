@@ -1,12 +1,19 @@
-"""Shared fixtures: a small cached dataset + graphs used across the suite."""
+"""Shared fixtures: a small cached dataset + graphs used across the suite,
+and the hypothesis profile every suite runs under."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw, medoid
+
+# Every hypothesis suite draws the same examples on every run; test
+# modules' ``@settings`` inherit the profile loaded here.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -232,9 +232,11 @@ def intra_cta_search(
 
     ``entries`` may be a single vertex id or an array of ids (multiple
     random entries are how CAGRA-style searches seed the list).  This is
-    the one-step-per-Python-iteration reference; the serving path runs the
-    SoA lockstep engine (:mod:`repro.search.batched`), which is held
-    bit-identical to it (results and traces) by the parity tests.
+    the one-step-per-Python-iteration reference of the SoA lockstep
+    engine's one-CTA case, ``batched_multi_cta_search(n_ctas=1)``
+    (:mod:`repro.search.batched`), which the parity tests hold
+    bit-identical to it (results, and traces once this ``CTATrace`` is
+    wrapped as the engine's one-CTA ``QueryTrace``).
 
     A ``codec`` (:func:`~repro.search.precision.make_codec`) runs the
     traversal on compressed distances and re-scores the ``rerank_mult × k``

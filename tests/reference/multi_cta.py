@@ -56,9 +56,10 @@ def multi_cta_search(
     the per-CTA lists (property-tested), so swapping the merge location
     (CPU vs GPU) cannot change recall — only latency.
 
-    This is the round-robin reference; the serving path steps all CTAs in
-    one lockstep SoA batch (:mod:`repro.search.batched`), held bit-identical
-    to it (results and traces) by the parity tests.
+    This is the round-robin reference of ``batched_multi_cta_search``,
+    which steps all CTAs in one lockstep SoA batch
+    (:mod:`repro.search.batched`), held bit-identical to it (results and
+    traces) by the parity tests.
 
     A ``codec`` (:func:`~repro.search.precision.make_codec`) runs every
     CTA on compressed distances (one shared per-query dispatch state),

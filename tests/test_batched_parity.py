@@ -5,8 +5,9 @@ ids, byte-identical distances, and a trace block column-equal to the
 oracle's traces through ``TraceBlock.from_traces`` (the cost model prices
 blocks, so block equality implies identical serving numbers).
 Covered here: all four mini corpora x both graph families x greedy and
-beam-extend maintenance, plus ragged batch sizes (B=1, B=17, B > slots)
-and the system-level ``search_all`` entry points.
+beam-extend maintenance at one CTA and at four, plus a ragged batch
+(B=17 > slots) and the system-level ``search_all`` entry points.  A batch
+of one is the same row as in any batch (``test_batch_invariance.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from repro.baselines import GANNSSystem
 from repro.core.pipeline import ALGASSystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw
-from repro.gpusim.trace import TraceBlock
-from repro.search import (
-    BeamConfig,
-    batched_intra_cta_search,
-    batched_multi_cta_search,
-)
+from repro.gpusim.trace import QueryTrace, TraceBlock
+from repro.search import BeamConfig, batched_multi_cta_search
 
 from .oracles import assert_same_search_all, make_entries, scalar_search_all
 from .reference import intra_cta_search, multi_cta_search
@@ -55,64 +52,48 @@ def assert_same_batch(scalars, batch, dim, k):
     assert oracle == batch.traces
 
 
-@pytest.mark.parametrize("beam_key", list(BEAMS))
-def test_intra_cta_parity(pds, pgraph, beam_key):
-    beam = BEAMS[beam_key]
-    rng = np.random.default_rng(42)
-    n = pds.base.shape[0]
-    entries = [make_entries(n, 1, 2, rng)[0] for _ in range(len(pds.queries))]
-    batch = batched_intra_cta_search(
-        pds.base, pgraph, pds.queries, 8, 32, entries,
-        metric=pds.metric, beam=beam,
-    )
-    scalars = [
-        intra_cta_search(
-            pds.base, pgraph, q, 8, 32, entries[i],
-            metric=pds.metric, beam=beam,
-        )
-        for i, q in enumerate(pds.queries)
-    ]
-    assert_same_batch(scalars, batch, pds.base.shape[1], 8)
-
-
-@pytest.mark.parametrize("beam_key", list(BEAMS))
-def test_multi_cta_parity(pds, pgraph, beam_key):
+@pytest.mark.parametrize("beam_key,n_ctas", [
+    *(pytest.param(b, 4, id=b) for b in BEAMS),
+    *(pytest.param(b, 1, id=f"{b}-1cta") for b in BEAMS),
+])
+def test_multi_cta_parity(pds, pgraph, beam_key, n_ctas):
+    """One CTA against ``intra_cta_search``, four against the round-robin
+    ``multi_cta_search``: results, trace blocks, each query's row-object
+    trace view and the per-CTA lists the merge consumed (at one CTA, the
+    result itself: a one-list merge is the identity)."""
     beam = BEAMS[beam_key]
     rng = np.random.default_rng(7)
     n = pds.base.shape[0]
-    n_ctas = 4
     entries = [make_entries(n, n_ctas, 2, rng) for _ in range(len(pds.queries))]
     batch = batched_multi_cta_search(
         pds.base, pgraph, pds.queries, 8, 64, n_ctas,
         metric=pds.metric, beam=beam, entries=entries,
     )
-    scalars = [
-        multi_cta_search(
-            pds.base, pgraph, q, 8, 64, n_ctas,
-            metric=pds.metric, beam=beam, entries=entries[i],
-        )
-        for i, q in enumerate(pds.queries)
-    ]
+    if n_ctas == 1:
+        scalars = [
+            intra_cta_search(pds.base, pgraph, q, 8, 64, entries[i][0],
+                             metric=pds.metric, beam=beam)
+            for i, q in enumerate(pds.queries)
+        ]
+    else:
+        scalars = [
+            multi_cta_search(
+                pds.base, pgraph, q, 8, 64, n_ctas,
+                metric=pds.metric, beam=beam, entries=entries[i],
+            )
+            for i, q in enumerate(pds.queries)
+        ]
     assert_same_batch(scalars, batch, pds.base.shape[1], 8)
     for i, scalar in enumerate(scalars):
-        for (ia, da), (ib, db) in zip(
-            scalar.extra["per_cta"], batch[i].extra["per_cta"]
-        ):
+        trace, per_cta = scalar.trace, scalar.extra.get("per_cta")
+        if n_ctas == 1:
+            trace = QueryTrace(ctas=[trace], dim=pds.base.shape[1], k=8)
+            per_cta = [(scalar.ids, scalar.dists)]
+        assert batch[i].trace == trace
+        for (ia, da), (ib, db) in zip(per_cta, batch[i].extra["per_cta"],
+                                      strict=True):
             assert np.array_equal(ia, ib)
             assert np.asarray(da).tobytes() == np.asarray(db).tobytes()
-
-
-def test_batch_of_one_matches_scalar(pds, pgraph):
-    entries = np.array([3, 11])
-    scalar = intra_cta_search(
-        pds.base, pgraph, pds.queries[0], 8, 32, entries, metric=pds.metric
-    )
-    batch = batched_intra_cta_search(
-        pds.base, pgraph, pds.queries[:1], 8, 32, [entries], metric=pds.metric
-    )
-    assert_same_batch([scalar], batch, pds.base.shape[1], 8)
-    # the row-object view of the block is the oracle's trace
-    assert batch[0].trace == scalar.trace
 
 
 def test_system_search_all_parity(pds, pgraph):

@@ -35,7 +35,7 @@ from repro.graphs import (
     occlusion_prune_mask,
 )
 from repro.graphs.utils import medoid
-from repro.search.batched import batched_intra_cta_search
+from repro.search.batched import batched_multi_cta_search
 
 from .golden import make_graphs
 from .oracles import (
@@ -196,9 +196,9 @@ def test_occlusion_prune_mask_equals_full_width_scan(
 
 
 def _recall(points, graph, queries, gt, ef=48):
-    entries = [np.array([0], dtype=np.int64)] * queries.shape[0]
-    res = batched_intra_cta_search(
-        points, graph, queries, 10, ef, entries, record_trace=False
+    entries = np.zeros((queries.shape[0], 1, 1), dtype=np.int64)
+    res = batched_multi_cta_search(
+        points, graph, queries, 10, ef, 1, entries=entries, record_trace=False
     )
     hits = [
         len(set(r.ids.tolist()) & set(gt[i].tolist())) / 10

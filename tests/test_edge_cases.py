@@ -5,8 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.baselines import CAGRASystem
-from repro.core import ALGASSystem
+from repro.baselines import CAGRASystem, IVFSystem
+from repro.core import ALGASSystem, ReplicatedServer, ShardedServer
 from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
 from repro.core.serving import QueryJob
 from repro.core.static_batcher import StaticBatchConfig, StaticBatchEngine
@@ -142,6 +142,32 @@ def test_serve_single_query_1d(ds, graph):
                        batch_size=2, max_parallel=2)
     rep = sys_.serve(ds.queries[0])  # 1-D input
     assert rep.ids.shape == (1, 5)
+
+
+@pytest.mark.parametrize(
+    "name", ["algas", "cagra", "ivf", "sharded", "replicated", "dynamic"])
+def test_query_batch_of_the_wrong_shape_fails_at_the_boundary(ds, graph, name):
+    """An empty batch, or one narrower than the corpus, is refused with
+    its shape and the corpus width (it used to fail inside a reshape or
+    the pair kernel); an empty read batch is a legal stream epoch."""
+    kw = dict(metric=ds.metric, k=5, l_total=32, batch_size=2)
+    call = {
+        "algas": lambda: ALGASSystem(ds.base, graph, **kw).search_all,
+        "cagra": lambda: CAGRASystem(ds.base, graph, **kw).search_all,
+        "ivf": lambda: IVFSystem(ds.base, nlist=8, metric=ds.metric, k=5).search_all,
+        "sharded": lambda: ShardedServer(
+            ds.base, partial(build_cagra, graph_degree=8), **kw).serve,
+        "replicated": lambda: ReplicatedServer(ds.base, graph, **kw).serve,
+        "dynamic": lambda: partial(DynamicGraph(ds.base, graph).search_batch, k=5),
+    }[name]()
+    with pytest.raises(ValueError, match=rf"\(2, 64\).*width {ds.dim}"):
+        call(np.zeros((2, 64), np.float32))
+    empty = np.empty((0, ds.dim), np.float32)
+    if name == "dynamic":
+        assert call(empty)[0].shape == (0, 5)
+        return
+    with pytest.raises(ValueError, match=rf"\(0, {ds.dim}\).*width {ds.dim}"):
+        call(empty)
 
 
 def test_static_huge_batch_size():

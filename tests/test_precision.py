@@ -34,10 +34,7 @@ from repro.search import (
     exact_rerank,
     make_codec,
 )
-from repro.search.batched import (
-    batched_intra_cta_search,
-    batched_multi_cta_search,
-)
+from repro.search.batched import batched_multi_cta_search
 
 from .oracles import make_entries
 from .reference import intra_cta_search, multi_cta_search, rerank_step_record
@@ -128,42 +125,35 @@ def _assert_same_batch(scalars, vec, dim, k=8):
 
 
 @pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
-def test_intra_cta_parity(corpus, precision):
-    ds, g = corpus
-    codec = _codec(precision, ds.base, ds.metric)
-    rng = np.random.default_rng(5)
-    entries = [rng.choice(ds.n, size=4, replace=False) for _ in ds.queries]
-    vec = batched_intra_cta_search(
-        ds.base, g, ds.queries, 8, 48, entries, metric=ds.metric, codec=codec
-    )
-    scalars = [
-        intra_cta_search(
-            ds.base, g, q, 8, 48, entries[i], metric=ds.metric,
-            codec=codec,
-        )
-        for i, q in enumerate(ds.queries)
-    ]
-    _assert_same_batch(scalars, vec, ds.dim)
-
-
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
-@pytest.mark.parametrize("which", ["l2", "cosine"])
-def test_multi_cta_parity(corpus, cos_corpus, precision, which):
+@pytest.mark.parametrize("which,n_ctas", [
+    *(pytest.param(m, 4, id=m) for m in ("l2", "cosine")),
+    *(pytest.param(m, 1, id=f"{m}-1cta") for m in ("l2", "cosine")),
+])
+def test_multi_cta_parity(corpus, cos_corpus, precision, which, n_ctas):
+    """One CTA against ``intra_cta_search``, four against the round-robin
+    ``multi_cta_search``, re-rank epilogue included."""
     ds, g = corpus if which == "l2" else cos_corpus
     codec = _codec(precision, ds.base, ds.metric)
     rng = np.random.default_rng(6)
-    entries = [make_entries(ds.n, 4, 2, rng) for _ in ds.queries]
+    entries = [make_entries(ds.n, n_ctas, 2, rng) for _ in ds.queries]
     vec = batched_multi_cta_search(
-        ds.base, g, ds.queries, 8, 64, 4, metric=ds.metric,
+        ds.base, g, ds.queries, 8, 64, n_ctas, metric=ds.metric,
         entries=entries, codec=codec,
     )
-    scalars = [
-        multi_cta_search(
-            ds.base, g, q, 8, 64, 4, metric=ds.metric, entries=entries[i],
-            codec=codec,
-        )
-        for i, q in enumerate(ds.queries)
-    ]
+    if n_ctas == 1:
+        scalars = [
+            intra_cta_search(ds.base, g, q, 8, 64, entries[i][0],
+                             metric=ds.metric, codec=codec)
+            for i, q in enumerate(ds.queries)
+        ]
+    else:
+        scalars = [
+            multi_cta_search(
+                ds.base, g, q, 8, 64, n_ctas, metric=ds.metric,
+                entries=entries[i], codec=codec,
+            )
+            for i, q in enumerate(ds.queries)
+        ]
     _assert_same_batch(scalars, vec, ds.dim)
 
 
