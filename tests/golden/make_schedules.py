@@ -21,6 +21,13 @@ scheduler was last rewritten, so ``tests/test_soa_tick_parity.py`` makes
   stall; mixed priorities.  These also pin the PCIe link's float sums
   (``busy_us``, ``stall_us``), which the first nine do not.
 
+Where telemetry is on, a scenario also pins two digests of what it
+recorded: the Prometheus text (``telemetry_sha256``) and the telemetry
+JSON document (``telemetry_doc_sha256``: metrics, slot occupancy and
+every span in log order).  The document digests were added at
+``0b93fd6``, the last commit that built a ``Span`` object per lifecycle
+step as a serve ran.
+
 Regenerating on ``c52a86c`` reproduces all eighteen byte for byte
 (``tick_mode`` is passed only while ``DynamicBatchConfig`` still has the
 field, so the script runs on either side of its removal):
@@ -247,6 +254,9 @@ def freeze(report, tel, link_sums: bool = False) -> dict:
     if tel is not None:
         out["telemetry_sha256"] = hashlib.sha256(
             tel.to_prometheus().encode()
+        ).hexdigest()
+        out["telemetry_doc_sha256"] = hashlib.sha256(
+            json.dumps(tel.to_dict(max_spans=None), sort_keys=True).encode()
         ).hexdigest()
     return out
 

@@ -8,8 +8,10 @@ healthy-only fan-in beside its quorum merge — so ``tests/test_serving.py``
 makes "one serve body did not move a number" a tier-1 fact.  Per scenario
 it holds the sha256 of ``ServeReport.to_json()``, of the result ``ids`` and
 ``dists`` bytes and, where the scenario runs with telemetry on, of
-``Telemetry.to_prometheus()``.  No system gets ``build_info``: its
-``build_seconds`` is wall time.
+``Telemetry.to_prometheus()`` and of the telemetry JSON document
+(``json.dumps(tel.to_dict(max_spans=None), sort_keys=True)``: metrics,
+slot occupancy and every span in log order).  No system gets
+``build_info``: its ``build_seconds`` is wall time.
 
 The scenarios cover every entry point and every fan-in branch:
 
@@ -42,6 +44,11 @@ candidate list from entries hashed from its query and the system seed
 the report digest moved in all twenty graph scenarios (ids and dists
 where the served rows changed; the hybrid and sharded rows, refined or
 merged, kept theirs in seven), and ``ivf`` / ``ivfpq`` did not move.
+
+The telemetry-document digests were added at ``0b93fd6``, the last
+commit that built a ``Span`` object per lifecycle step as a serve ran,
+before the span log began to keep one entry a lifecycle hook and to
+build spans only when it is read.
 
     PYTHONPATH=src python -m tests.golden.make_serves
 """
@@ -198,6 +205,9 @@ def digests(rep, tel) -> dict:
     }
     if tel is not None:
         out["prometheus"] = sha(tel.to_prometheus().encode())
+        out["telemetry_doc"] = sha(
+            json.dumps(tel.to_dict(max_spans=None), sort_keys=True).encode()
+        )
     return out
 
 

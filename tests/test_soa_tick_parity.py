@@ -55,6 +55,7 @@ def test_fixture_covers_every_scenario():
 def test_soa_tick_byte_identical(scenario):
     """Records, report scalars, meta and telemetry equal the frozen run."""
     assert "telemetry_sha256" in GOLDEN[scenario]
+    assert "telemetry_doc_sha256" in GOLDEN[scenario]
     _check(scenario)
 
 
