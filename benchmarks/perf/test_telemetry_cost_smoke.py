@@ -15,8 +15,16 @@ and label regexes) and every slot transition called an observer.  Once
 the hooks write to children bound at construction and the slot bank
 counts transitions in a table folded in once per serve, ten runs of the
 gate read 0.96x-1.09x, most near 1.04x, higher when the host is busier.
-The remaining cost is mostly the span log's five spans per query; a
-single pair on that host spreads from 0.8x to 1.3x, hence 30 pairs.
+A single pair on that host spreads from 0.8x to 1.3x, hence 30 pairs;
+the gate prints the quartiles of the 30 per-pair ratios beside the
+gated ratio of medians.
+
+The span log is not what is left.  At ``0b93fd6`` it built five ``Span``
+objects a query as the serve ran; it now keeps one entry a lifecycle
+hook and builds spans only when read.  Three alternating runs of this
+gate a side read 1.063x-1.067x before (per-pair quartiles about 1.02 /
+1.06 / 1.11) and 1.011x-1.055x after (about 1.00 / 1.05 / 1.07): inside
+the spread.  The rest is the metric observations and the hook calls.
 """
 
 from __future__ import annotations
@@ -67,9 +75,12 @@ def test_telemetry_on_costs_at_most_ten_percent():
             t_off.append(serve(None))
             t_on.append(serve(Telemetry()))
     ratio = statistics.median(t_on) / statistics.median(t_off)
+    # the spread the gated ratio is read from: quartiles of the per-pair ratios
+    q1, q2, q3 = statistics.quantiles([a / b for a, b in zip(t_on, t_off)], n=4)
+    spread = f"per-pair on/off quartiles {q1:.3f} / {q2:.3f} / {q3:.3f}"
     print(f"\ntelemetry off {statistics.median(t_off):.3f} s, "
-          f"on {statistics.median(t_on):.3f} s: {ratio:.3f}x")
+          f"on {statistics.median(t_on):.3f} s: {ratio:.3f}x ({spread})")
     assert ratio <= MAX_ON_OFF_RATIO, (
         f"telemetry-on serve costs {ratio:.2f}x telemetry-off "
-        f"(limit {MAX_ON_OFF_RATIO}x)"
+        f"(limit {MAX_ON_OFF_RATIO}x; {spread})"
     )

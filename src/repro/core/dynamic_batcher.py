@@ -331,8 +331,7 @@ class _ServeRun:
         rec.complete_us = t
         self.outstanding -= 1
         if tel.enabled:
-            tel.slot_occupied(s, rec.dispatch_us, t, job.query_id)
-            tel.query_completed(rec)
+            tel.query_completed(rec, s)
         return t
 
     def host_pass(self, tid: int, sim: Simulator) -> None:

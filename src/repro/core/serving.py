@@ -127,7 +127,7 @@ def price_jobs(
             f"one trace per event required: got {len(block)} traces "
             f"for {len(events)} events"
         )
-    durations = cost_model.cta_durations_us(block).reshape(len(block), -1).tolist()
+    durations = cost_model.cta_durations_us(block).reshape(len(block), block.n_ctas).tolist()
     jobs = []
     for ev, durs in zip(events, durations):
         jobs.append(

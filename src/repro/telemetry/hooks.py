@@ -147,12 +147,24 @@ class Telemetry:
         m = self._m
         m["algas_queries_dispatched_total"].inc()
         m["algas_queue_wait_us"].observe(max(0.0, dispatch_us - arrival_us))
-        self.spans.record("queue", arrival_us, dispatch_us, query_id=query_id,
-                          **self.labels)
+        self.spans.record("queue", arrival_us, dispatch_us, query_id, None, self.labels)
 
-    def query_completed(self, record) -> None:
-        """Observe a finished :class:`~repro.core.serving.QueryRecord`."""
-        m, labels = self._m, self.labels
+    def query_completed(self, record, slot: int | None = None) -> None:
+        """Observe a finished :class:`~repro.core.serving.QueryRecord`
+        served in ``slot`` (None: a static batch or a fleet replica)."""
+        m = self._m
+        if slot is not None:
+            pair = self._per_slot.get(slot)
+            if pair is None:
+                sid, reg = str(slot), self.registry
+                pair = self._per_slot[slot] = (
+                    reg.counter("algas_slot_busy_us_total", "per-slot occupied time (us)",
+                                slot=sid, **self.labels),
+                    reg.counter("algas_slot_queries_total", "queries served per slot",
+                                slot=sid, **self.labels),
+                )
+            pair[0].inc(max(0.0, record.complete_us - record.dispatch_us))
+            pair[1].inc()
         m["algas_queries_completed_total"].inc()
         m["algas_search_us"].observe(
             max(0.0, record.gpu_end_us - record.gpu_start_us)
@@ -160,36 +172,17 @@ class Telemetry:
         m["algas_service_latency_us"].observe(record.service_latency_us)
         m["algas_e2e_latency_us"].observe(record.e2e_latency_us)
         m["algas_bubble_us"].observe(record.bubble_us)
-        qid = record.query_id
-        self.spans.record("search", record.gpu_start_us, record.gpu_end_us,
-                          query_id=qid, **labels)
-        self.spans.record("merge", record.detected_us, record.complete_us,
-                          query_id=qid, **labels)
-        self.spans.record("query", record.arrival_us, record.complete_us,
-                          query_id=qid, **labels)
+        self.spans.record_query(record, slot, self.labels)
 
-    def query_dropped(
-        self,
-        query_id: int | None = None,
-        arrival_us: float | None = None,
-        deadline_us: float | None = None,
-    ) -> None:
+    def query_dropped(self, query_id: int, arrival_us: float, deadline_us: float) -> None:
+        """One queued query dropped past its deadline, before dispatch."""
         self._m["algas_queries_dropped_total"].inc()
-        if query_id is not None and arrival_us is not None and deadline_us is not None:
-            self.spans.record("dropped", arrival_us, deadline_us, query_id=query_id,
-                              **self.labels)
+        self.spans.record("dropped", arrival_us, deadline_us, query_id, None, self.labels)
 
-    def query_shed(
-        self,
-        query_id: int | None = None,
-        arrival_us: float | None = None,
-        depth: int | None = None,
-    ) -> None:
+    def query_shed(self, query_id: int, arrival_us: float, depth: int) -> None:
         """One arrival rejected by the queue-depth admission limit."""
         self._m["algas_queries_shed_total"].inc()
-        if query_id is not None and arrival_us is not None:
-            self.spans.record("shed", arrival_us, arrival_us, query_id=query_id,
-                              **self.labels)
+        self.spans.record("shed", arrival_us, arrival_us, query_id, None, self.labels)
 
     # ---------------------------------------------------------------- slots
     def slot_transitions(self, counts: dict[tuple[str, str], int]) -> None:
@@ -202,24 +195,6 @@ class Telemetry:
                 **{"from": old, "to": new, **self.labels},
             ).inc(n)
 
-    def slot_occupied(
-        self, slot_id: int, start_us: float, end_us: float, query_id: int
-    ) -> None:
-        """One completed occupancy interval: dispatch → results collected."""
-        pair = self._per_slot.get(slot_id)
-        if pair is None:
-            slot, reg = str(slot_id), self.registry
-            pair = self._per_slot[slot_id] = (
-                reg.counter("algas_slot_busy_us_total", "per-slot occupied time (us)",
-                            slot=slot, **self.labels),
-                reg.counter("algas_slot_queries_total", "queries served per slot",
-                            slot=slot, **self.labels),
-            )
-        pair[0].inc(max(0.0, end_us - start_us))
-        pair[1].inc()
-        self.spans.record("slot", start_us, end_us, query_id=query_id,
-                          slot_id=slot_id, **self.labels)
-
     # ----------------------------------------------------------- host merge
     def merge_observed(self, n_lists: int, cpu_us: float) -> None:
         self._m["algas_host_merge_us"].observe(cpu_us)
@@ -228,21 +203,19 @@ class Telemetry:
     def watchdog_kill(self, slot_id: int, query_id: int, now_us: float) -> None:
         """The watchdog force-retired ``slot_id`` holding ``query_id``."""
         self._m["algas_watchdog_kills_total"].inc()
-        self.spans.record("watchdog-kill", now_us, now_us, query_id=query_id,
-                          slot_id=slot_id, **self.labels)
+        self.spans.record("watchdog-kill", now_us, now_us, query_id, slot_id, self.labels)
 
     def query_retried(self, query_id: int, attempt: int, now_us: float) -> None:
         self._m["algas_query_retries_total"].inc()
-        self.spans.record("retry", now_us, now_us, query_id=query_id,
-                          attempt=str(attempt), **self.labels)
+        self.spans.record("retry", now_us, now_us, query_id, None,
+                          {"attempt": str(attempt), **self.labels})
 
     def retry_exhausted(self, query_id: int) -> None:
         self._m["algas_retry_exhausted_total"].inc()
 
     def hedge_fired(self, query_id: int, fire_us: float) -> None:
         self._m["algas_hedges_total"].inc()
-        self.spans.record("hedge", fire_us, fire_us, query_id=query_id,
-                          **self.labels)
+        self.spans.record("hedge", fire_us, fire_us, query_id, None, self.labels)
 
     def hedge_won(self, query_id: int) -> None:
         self._m["algas_hedge_wins_total"].inc()
@@ -257,7 +230,7 @@ class Telemetry:
         self._m["algas_degraded_windows_total"].inc()
 
     def degraded_window_exited(self, start_us: float, end_us: float) -> None:
-        self.spans.record("degraded", start_us, end_us, **self.labels)
+        self.spans.record("degraded", start_us, end_us, attrs=self.labels)
 
     # --------------------------------------------------------- autoscaling
     def replicas_active(self, n: int) -> None:
@@ -269,7 +242,7 @@ class Telemetry:
         self._m["algas_replicas_active"].set(new)
         self.spans.record(
             "scale-up" if new > old else "scale-down", now_us, now_us,
-            **{"from": str(old), "to": str(new), **self.labels},
+            attrs={"from": str(old), "to": str(new), **self.labels},
         )
 
     def fault_injected(self, kind: str) -> None:
@@ -286,8 +259,8 @@ class Telemetry:
     def span(self, name: str, start_us: float, end_us: float,
              query_id: int | None = None, slot_id: int | None = None,
              **attrs) -> None:
-        self.spans.record(name, start_us, end_us, query_id=query_id,
-                          slot_id=slot_id, **{**self.labels, **attrs})
+        self.spans.record(name, start_us, end_us, query_id, slot_id,
+                          {**self.labels, **attrs})
 
     # ---------------------------------------------------------- serve level
     def observe_report(self, report, mode: str | None = None) -> None:

@@ -208,3 +208,6 @@ def test_reports_do_not_depend_on_workers_or_telemetry(kind, scenario, precision
         assert np.array_equal(rep.ids, plain.ids)
         assert rep.dists.tobytes() == plain.dists.tobytes()
     assert to_prometheus_text(tel0.registry) == to_prometheus_text(tel2.registry)
+    # the span view reads the same across the worker fan-in, span for span
+    assert len(tel0.spans) > 0
+    assert tel0.to_dict(max_spans=None) == tel2.to_dict(max_spans=None)

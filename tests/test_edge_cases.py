@@ -8,7 +8,7 @@ import pytest
 from repro.baselines import CAGRASystem, IVFSystem
 from repro.core import ALGASSystem, ReplicatedServer, ShardedServer
 from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
-from repro.core.serving import QueryJob
+from repro.core.serving import QueryJob, price_jobs
 from repro.core.static_batcher import StaticBatchConfig, StaticBatchEngine
 from repro.data.metrics import normalize
 from repro.gpusim.costmodel import CostModel
@@ -109,6 +109,10 @@ def test_zero_duration_jobs_complete():
     rep = eng.serve(jobs)
     assert len(rep.records) == 4
     assert all(r.complete_us >= r.dispatch_us for r in rep.records)
+
+
+def test_pricing_no_traces_gives_no_jobs():
+    assert price_jobs(CostModel(RTX_A6000), [], [], 10) == []
 
 
 def test_static_partial_last_batch():

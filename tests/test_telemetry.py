@@ -4,11 +4,13 @@ import inspect
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import ALGASSystem, ReplicatedServer, ServeConfig, ShardedServer
+from repro.core.serving import QueryRecord
 from repro.baselines import CAGRASystem
 from repro.data import load_dataset
 from repro.graphs import build_cagra
@@ -17,6 +19,7 @@ from repro.telemetry import (
     Buckets,
     MetricsRegistry,
     NullTelemetry,
+    Span,
     SpanLog,
     Telemetry,
     registry_to_dict,
@@ -105,6 +108,29 @@ def test_span_log():
     assert log.filter(name="slot")[0].duration_us == 4.0
     d = log.filter(name="slot")[0].to_dict()
     assert d["name"] == "slot" and d["slot_id"] == 3
+
+
+def test_a_finished_query_is_one_entry_read_back_as_spans():
+    """``query_completed`` logs one entry holding the times it saw; an
+    engine that rewrites the record afterwards does not move the spans."""
+    tel = Telemetry(labels={"gpu": "0"})
+    rec = QueryRecord(7, 1.0, dispatch_us=2.0, gpu_start_us=3.0, gpu_end_us=4.0,
+                      detected_us=5.0, complete_us=6.0)
+    tel.query_completed(rec, slot=3)
+    rec.arrival_us = rec.detected_us = rec.complete_us = 0.0
+    tel.query_completed(QueryRecord(8, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0))
+    assert len(tel.spans.entries) == 2 and len(tel.spans) == 7
+    assert [(s.name, s.query_id, s.start_us, s.end_us, s.slot_id) for s in tel.spans] == [
+        ("slot", 7, 2.0, 6.0, 3),
+        ("search", 7, 3.0, 4.0, None),
+        ("merge", 7, 5.0, 6.0, None),
+        ("query", 7, 1.0, 6.0, None),
+        ("search", 8, 1.0, 2.0, None),
+        ("merge", 8, 3.0, 4.0, None),
+        ("query", 8, 0.0, 4.0, None),
+    ]
+    assert all(s.attrs == {"gpu": "0"} for s in tel.spans)
+    assert tel.spans.filter(slot_id=3) == tel.spans.filter(name="slot")
 
 
 # --------------------------------------------------------------- exposition
@@ -327,6 +353,31 @@ def test_registry_lookups_do_not_grow_with_queries(mini, monkeypatch):
     small, large = lookups(32), lookups(128)
     assert small == large
     assert small <= 2 * 8 + 25 + 4  # per-slot pairs, transitions, report gauges
+
+
+def test_a_serve_builds_no_spans_until_they_are_read(mini, monkeypatch):
+    """The span log keeps one entry a lifecycle step and builds ``Span``
+    objects only when read: none while a telemetry-on serve runs, then
+    five a query from the dynamic engine and four a query (no ``slot``)
+    plus a ``batch`` and a ``kernel`` span a batch from the static one."""
+    ds, g = mini
+    real_init, built = Span.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counted)
+    n, kw = 128, dict(metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0)
+    for system, per_query, per_batch in ((ALGASSystem, 5, 0), (CAGRASystem, 4, 2)):
+        tel = Telemetry()
+        built.clear()
+        system(ds.base, g, **kw).serve(ds.base[:n], ServeConfig(telemetry=tel))
+        assert built == [], system.__name__
+        names = Counter(s.name for s in tel.spans)
+        assert len(built) == len(tel.spans) == per_query * n + per_batch * n // 8
+        assert names["queue"] == names["search"] == names["query"] == n
+        assert names["slot"] == (n if per_query == 5 else 0)
 
 
 def test_prometheus_label_values_are_escaped():
