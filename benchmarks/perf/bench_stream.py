@@ -18,7 +18,7 @@ drop vs the frozen-graph oracle, tombstone/duplicate integrity, lost
 queries) plus the merged serve summary — whose latency percentiles are
 **query-only** by construction: update-wave and compaction time is
 accounted separately under ``meta["update"]`` (the
-:func:`~repro.core.serving.merge_serve_reports` rule), so a storm shows up
+:func:`~repro.core.serving.merge_reports` rule), so a storm shows up
 as e2e queueing delay behind the wave barrier, never as inflated service
 percentiles.  Each scenario also records its host seconds in two parts:
 ``serve_s`` (the ``serve_while_update`` call) and ``grade_s``

@@ -119,7 +119,9 @@
 #                              # stretched 6x) and require >=99% answered,
 #                              # recall@16 within 0.02 of the frozen-graph
 #                              # oracle, and zero tombstoned or duplicated
-#                              # answers (docs/robustness.md)
+#                              # answers (docs/robustness.md); (c) the same
+#                              # stream under "slot-hangs" (two hung slots
+#                              # on every epoch engine), same SLOs
 #   scripts/test.sh --e2e      # end-to-end benchmark smoke only (~3 min):
 #                              # benchmarks/e2e/run.py at --scale smoke, all
 #                              # five BENCHMARK.json workloads with their
@@ -243,6 +245,13 @@ if [ "$run_chaos" = 1 ]; then
   # >=99% answered, recall@16 within 0.02 of the frozen-graph oracle,
   # zero tombstoned answers / duplicate rows / lost queries.
   timeout 300 python -m repro stream --plan update-storm \
+    --n 6000 --queries 96 --events 256 --workload poisson:3000 \
+    --insert-qps 3000 --delete-qps 1000 --k 16 --seed 1 \
+    --min-answered 0.99 --max-recall-drop 0.02
+  # The same stream with two slots hung on every epoch engine: the
+  # watchdog retires and retries them, and the stitched report keeps the
+  # epochs' defense ledger (the summary's "watchdog" line).
+  timeout 300 python -m repro stream --plan slot-hangs \
     --n 6000 --queries 96 --events 256 --workload poisson:3000 \
     --insert-qps 3000 --delete-qps 1000 --k 16 --seed 1 \
     --min-answered 0.99 --max-recall-drop 0.02

@@ -66,11 +66,7 @@ from ..data.metrics import query_batch
 from ..data.workload import resolve_workload
 from ..graphs.base import GraphIndex
 from ..parallel import ArrayRef, SharedArena, make_pool, resolve_ref
-from ..resilience.policy import (
-    DEFAULT_POLICY,
-    ResilienceStats,
-    merge_resilience_meta,
-)
+from ..resilience.policy import DEFAULT_POLICY, ResilienceStats
 from ..search.topk import heap_merge
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dynamic_batcher import DynamicBatchEngine, _admit
@@ -82,6 +78,7 @@ from .serving import (
     ServeConfig,
     ServeReport,
     as_serve_config,
+    merge_reports,
 )
 
 __all__ = ["ReplicatedServer", "ShardedServer"]
@@ -127,56 +124,6 @@ def _gpu_faults(plan, g: int, cstats: ResilienceStats | None = None,
     return (None if sub.empty else sub,
             fault.factor if kind == "slow" else None,
             fault.at_us if kind == "kill" else None)
-
-
-def _merged_report(
-    parts: list[ServeReport],
-    n_cta_slots: int,
-    meta: dict,
-    records: list[QueryRecord] | None = None,
-    makespan_us: float | None = None,
-    cluster_stats: ResilienceStats | None = None,
-) -> ServeReport:
-    if records is None:
-        records = [r for p in parts for r in p.records]
-    if makespan_us is None:
-        makespan_us = max((p.makespan_us for p in parts), default=0.0)
-    # Aggregate per-part admission/defense ledgers so a cluster report
-    # exposes the same meta keys as a single engine (dropped counts used
-    # to be silently lost in the fan-in).
-    agg: dict = {
-        "dropped": sum(p.meta.get("dropped", 0) for p in parts),
-        "dropped_ids": sorted(
-            i for p in parts for i in p.meta.get("dropped_ids", [])
-        ),
-    }
-    if any("shed" in p.meta for p in parts):
-        agg["shed"] = sum(p.meta.get("shed", 0) for p in parts)
-        agg["shed_ids"] = sorted(
-            i for p in parts for i in p.meta.get("shed_ids", [])
-        )
-    res = merge_resilience_meta(
-        [p.meta.get("resilience") for p in parts]
-        + ([cluster_stats.to_meta()] if cluster_stats is not None else [])
-    )
-    if res is not None:
-        # A query an engine gave up on but a cluster defense rescued
-        # (hedge win, quorum answer) is answered, not failed.
-        res["failed_ids"] = sorted(
-            set(res["failed_ids"]) - {r.query_id for r in records}
-        )
-        agg["resilience"] = res
-        agg["failed"] = len(res["failed_ids"])
-        agg["failed_ids"] = res["failed_ids"]
-    return ServeReport(
-        records=records,
-        makespan_us=makespan_us,
-        gpu_cta_busy_us=sum(p.gpu_cta_busy_us for p in parts),
-        n_cta_slots=n_cta_slots,
-        pcie=None,  # per-GPU links; see meta["pcie"] for the list
-        host_busy_us=sum(p.host_busy_us for p in parts),
-        meta={**agg, **meta, "pcie": [p.pcie for p in parts]},
-    )
 
 
 def _merge_topk(per_shard, qi: int, k: int, ids, dists) -> None:
@@ -364,19 +311,18 @@ class ReplicatedServer:
         meta = {"mode": "replicated", "n_gpus": self.n_gpus}
         if host is not None:
             meta["host"] = host
-        n_cta_slots = self.n_gpus * self.system.batch_size * self.system.n_parallel
         if cstats is None:
-            serve = _merged_report(parts, n_cta_slots, meta)
+            records = [r for p in parts for r in p.records]
         else:
-            records, hedge_meta = self._hedge_pass(
+            records, meta["hedge_delay_us"] = self._hedge_pass(
                 served, parts, policy, cstats, tel, plan
             )
-            serve = _merged_report(
-                parts, n_cta_slots, {**meta, **hedge_meta},
-                records=records,
-                makespan_us=max((r.complete_us for r in records), default=0.0),
-                cluster_stats=cstats,
-            )
+        meta["pcie"] = [p.pcie for p in parts]  # per-GPU links, hedges included
+        serve = merge_reports(
+            parts, records,
+            self.n_gpus * self.system.batch_size * self.system.n_parallel,
+            meta, ledger=cstats,
+        )
         tel.observe_report(serve, mode="replicated")
         return SystemReport(ids=ids, dists=dists, serve=serve, traces=traces)
 
@@ -384,7 +330,7 @@ class ReplicatedServer:
     def _hedge_pass(self, served, parts, policy, cstats, tel, plan):
         """Re-send slow/lost queries to the next replica; first answer wins.
 
-        Returns the final record list plus meta about the hedge trigger.
+        Returns the final record list plus the hedge trigger delay.
         The backup serve is a separate engine pass (hedges are assumed to
         ride spare capacity, not contend with the backup's primaries); a
         replica's engine-level faults fire only on its primary pass.
@@ -462,7 +408,7 @@ class ReplicatedServer:
                 tel.hedge_won(qid)
             else:
                 cstats.hedge_losses += 1
-        return records, {"hedge_delay_us": delay}
+        return records, delay
 
 
 @dataclass
@@ -702,8 +648,8 @@ class ShardedServer:
         budget = policy.straggler_budget_us if policy is not None else 0.0
         ids = np.full((nq, k), -1, dtype=np.int64)
         dists = np.full((nq, k), np.inf, dtype=np.float32)
+        # A shed query is a drop too (``shed_ids ⊆ dropped_ids``).
         dropped_union = {i for p in parts for i in p.meta.get("dropped_ids", [])}
-        shed_union = {i for p in parts for i in p.meta.get("shed_ids", [])}
         records: list[QueryRecord] = []
         total_merge_us = 0.0
         penalty_sum = 0.0
@@ -718,7 +664,7 @@ class ShardedServer:
                 # Every shard lost it: a deadline drop / admission shed is
                 # already counted by the engines; anything else is a
                 # cluster-level failure.
-                if qid not in dropped_union and qid not in shed_union:
+                if qid not in dropped_union:
                     cstats.failed_ids.append(qid)
                 continue
             included = [cg for cg in comps if cg[0] <= comps[0][0] + budget]
@@ -748,42 +694,11 @@ class ShardedServer:
             # (a per-query running sum rounds differently).
             total_merge_us = nq * cm.cpu_merge_us(n, k)
         else:
-            res = merge_resilience_meta(
-                [p.meta.get("resilience") for p in parts] + [cstats.to_meta()]
-            )
-            # A quorum answer rescues queries an individual shard gave up on.
-            answered_ids = {r.query_id for r in records}
-            res["failed_ids"] = sorted(set(res["failed_ids"]) - answered_ids)
-            # Cluster-level admission census: a query only counts as
-            # dropped / shed when *no* shard answered it (a partial answer
-            # is a quorum rescue, not a drop), and never in both buckets.
-            dropped_final = dropped_union - answered_ids
-            shed_final = shed_union - answered_ids - dropped_final
-            meta.update({
-                "quorum_k": K,
-                "dropped": len(dropped_final),
-                "dropped_ids": sorted(dropped_final),
-                "shed": len(shed_final),
-                "shed_ids": sorted(shed_final),
-                "resilience": res,
-                "failed": len(res["failed_ids"]),
-                "failed_ids": res["failed_ids"],
-                "est_recall_penalty": penalty_sum / max(1, len(records)),
-            })
-            if any("max_queue_depth" in p.meta for p in parts):
-                # Every shard runs the same admission spec; surface the knob.
-                meta["max_queue_depth"] = next(
-                    p.meta["max_queue_depth"] for p in parts
-                    if "max_queue_depth" in p.meta
-                )
-        serve = ServeReport(
-            records=records,
-            makespan_us=max((r.complete_us for r in records), default=0.0),
-            gpu_cta_busy_us=sum(p.gpu_cta_busy_us for p in parts),
-            n_cta_slots=n * sys0.batch_size * sys0.n_parallel,
-            pcie=None,
-            host_busy_us=sum(p.host_busy_us for p in parts) + total_merge_us,
-            meta=meta,
+            meta["quorum_k"] = K
+            meta["est_recall_penalty"] = penalty_sum / max(1, len(records))
+        serve = merge_reports(
+            parts, records, n * sys0.batch_size * sys0.n_parallel, meta,
+            ledger=cstats, host_busy_us=total_merge_us,
         )
         if tel.enabled:
             tel.observe_report(serve, mode="sharded")

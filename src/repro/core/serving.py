@@ -28,9 +28,10 @@ import numpy as np
 from ..data.workload import ArrivalProcess, QueryEvent, TrafficSpec
 from ..gpusim.pcie import PCIeStats
 from ..gpusim.trace import TraceBlock
+from ..resilience.policy import merge_resilience_meta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..resilience import FaultPlan, ResiliencePolicy
+    from ..resilience import FaultPlan, ResiliencePolicy, ResilienceStats
     from ..telemetry import Telemetry
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
     "ServeConfig",
     "ServeReport",
     "as_serve_config",
-    "merge_serve_reports",
+    "merge_reports",
     "price_jobs",
 ]
 
@@ -414,58 +415,67 @@ class ServeReport:
         return cls.from_dict(json.loads(data))
 
 
-def merge_serve_reports(
+def merge_reports(
     parts: list[ServeReport],
-    meta: dict | None = None,
-    update: dict | None = None,
+    records: list[QueryRecord],
+    n_cta_slots: int,
+    meta: dict,
+    ledger: "ResilienceStats | None" = None,
+    host_busy_us: float = 0.0,
+    makespan_us: float = 0.0,
 ) -> ServeReport:
-    """Concatenate sequential (same-clock) reports into one.
+    """The one fan-in: fold part reports into the report over ``records``.
 
-    The serve-while-update runner serves queries in epochs between update
-    waves, each epoch through its own engine pass on the shared simulated
-    clock; this fan-in stitches the epochs back into a single report.
+    A stream stitches its epochs, ``ReplicatedServer`` its replicas (and
+    hedge passes), ``ShardedServer`` its shards; each hands over the
+    records it answered with, its slot count and its mode ``meta``.  The
+    census is one rule for all three:
 
-    Accounting rule (the BENCH_stream fix): **only query work enters the
-    latency stream**.  ``records`` / ``gpu_cta_busy_us`` / ``host_busy_us``
-    aggregate the query epochs alone; insert/delete/compaction work arrives
-    via ``update`` and lands under ``meta["update"]`` — so every latency
-    percentile, ``throughput_qps``, and ``gpu_utilization`` read off this
-    report describe queries, never build waves.  (Queries *blocked behind*
-    a wave still pay for it in e2e latency, because their records keep the
-    true arrival time; that wait is traffic the wave delayed, not build
-    work mislabelled as a query.)
+    * a query with a record is in no id list;
+    * ``dropped_ids`` / ``shed_ids`` are the parts' drops / sheds minus
+      answered queries, so ``shed_ids ⊆ dropped_ids`` as on one engine;
+      ``failed_ids`` are the failures in the parts' ledgers and the
+      caller's ``ledger`` (a cluster defense's own), minus answered ones;
+    * ``dropped`` is always present; ``shed`` / ``shed_ids`` /
+      ``max_queue_depth`` only if some part armed queue-depth admission;
+      ``resilience`` / ``failed`` / ``failed_ids`` only if some part or
+      the caller kept a ledger.
+
+    Busy times are summed over the parts (query work only: a stream's
+    update waves go under ``meta["update"]``, never into the latency
+    stream), plus the caller's own ``host_busy_us`` (the shard merges).
+    The makespan is the latest record completion, or ``makespan_us`` if
+    that is later (a stream's last barrier).
     """
-    if not parts:
-        raise ValueError("need at least one report to merge")
-    records = sorted(
-        (r for p in parts for r in p.records), key=lambda r: r.query_id
+    answered = {r.query_id for r in records}
+
+    def unanswered(key: str) -> list[int]:
+        return sorted({i for p in parts for i in p.meta.get(key, ())} - answered)
+
+    dropped = unanswered("dropped_ids")
+    census: dict = {"dropped": len(dropped), "dropped_ids": dropped}
+    depth = next((p.meta["max_queue_depth"] for p in parts
+                  if "max_queue_depth" in p.meta), None)
+    if depth is not None:
+        shed = unanswered("shed_ids")
+        census.update(max_queue_depth=depth, shed=len(shed), shed_ids=shed)
+    res = merge_resilience_meta(
+        [p.meta.get("resilience") for p in parts]
+        + [None if ledger is None else ledger.to_meta()]
     )
-    agg: dict = {
-        "dropped": sum(p.meta.get("dropped", 0) for p in parts),
-        "dropped_ids": sorted(
-            i for p in parts for i in p.meta.get("dropped_ids", [])
-        ),
-    }
-    if any("shed" in p.meta for p in parts):
-        agg["shed"] = sum(p.meta.get("shed", 0) for p in parts)
-        agg["shed_ids"] = sorted(
-            i for p in parts for i in p.meta.get("shed_ids", [])
-        )
-    if any("failed" in p.meta for p in parts):
-        agg["failed"] = sum(p.meta.get("failed", 0) for p in parts)
-        agg["failed_ids"] = sorted(
-            i for p in parts for i in p.meta.get("failed_ids", [])
-        )
-    if update is not None:
-        agg["update"] = update
-    if meta:
-        agg.update(meta)
+    if res is not None:
+        # A query one part gave up on but another answered (a hedge win,
+        # a quorum answer) is answered, not failed.
+        res["failed_ids"] = sorted(set(res["failed_ids"]) - answered)
+        census.update(resilience=res, failed=len(res["failed_ids"]),
+                      failed_ids=res["failed_ids"])
     return ServeReport(
         records=records,
-        makespan_us=max(p.makespan_us for p in parts),
+        makespan_us=max(max((r.complete_us for r in records), default=0.0),
+                        makespan_us),
         gpu_cta_busy_us=sum(p.gpu_cta_busy_us for p in parts),
-        n_cta_slots=max(p.n_cta_slots for p in parts),
+        n_cta_slots=n_cta_slots,
         pcie=None,
-        host_busy_us=sum(p.host_busy_us for p in parts),
-        meta=agg,
+        host_busy_us=sum(p.host_busy_us for p in parts) + host_busy_us,
+        meta={**census, **meta},
     )

@@ -44,9 +44,9 @@ runs the oracle and the exact ground truths once, on first read.
 
 Accounting (the BENCH_stream rule): update-wave work never enters the
 query latency stream.  Epoch reports are stitched with
-:func:`~repro.core.serving.merge_serve_reports`, which keeps wave/compaction
-time under ``meta["update"]`` — percentiles read off the merged report
-describe queries only.
+:func:`~repro.core.serving.merge_reports`, the fan-in the cluster servers
+use too; wave/compaction time goes under ``meta["update"]`` — percentiles
+read off the merged report describe queries only.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import islice
 import numpy as np
 
 from ..core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine, _admit
-from ..core.serving import ServeReport, merge_serve_reports, price_jobs
+from ..core.serving import ServeReport, merge_reports, price_jobs
 from ..core.tuning import MAX_PARALLEL, tune
 from ..data.groundtruth import exact_knn, recall_per_query
 from ..data.metrics import normalize
@@ -127,9 +127,6 @@ class StreamReport:
     serve: ServeReport
     slo: DegradationSLO
     n_events: int
-    answered: int
-    dropped: int
-    shed: int
     lost: int
     tombstoned_answers: int
     duplicate_rows: int
@@ -157,6 +154,10 @@ class StreamReport:
     @property
     def recall_drop(self) -> float:
         return self.oracle_recall - self.stream_recall
+
+    answered = property(lambda self: len(self.serve.records))
+    dropped = property(lambda self: self.serve.meta["dropped"])
+    shed = property(lambda self: int(self.serve.meta.get("shed", 0)))
 
     @property
     def answered_frac(self) -> float:
@@ -216,6 +217,13 @@ class StreamReport:
             f"stream={self.stream_recall:.4f} drop={self.recall_drop:+.4f}",
             f"p99 e2e       = {self.p99_e2e_us:.1f} us",
         ]
+        r = self.serve.meta.get("resilience")
+        if r is not None:
+            lines.append(
+                f"watchdog      = {r['watchdog_kills']} kills, "
+                f"{r['retries']} retries, {r['retry_failures']} exhausted; "
+                f"injected {r['faults_injected']}"
+            )
         for name, c in v.items():
             mark = "ok " if c["ok"] else "FAIL"
             lines.append(f"  [{mark}] {name}: {c['value']:.4f} "
@@ -507,22 +515,14 @@ def serve_while_update(
         "graph_version": dyn.version,
         "waves": wave_log,
     }
-    if parts:
-        serve = merge_serve_reports(
-            parts, meta={"n_epochs": len(parts)}, update=update_meta
-        )
-        serve.makespan_us = max(serve.makespan_us, barrier)
-    else:
-        serve = ServeReport(
-            records=[], makespan_us=barrier, gpu_cta_busy_us=0.0,
-            n_cta_slots=slots,
-            meta={"dropped": 0, "dropped_ids": [], "n_epochs": 0,
-                  "update": update_meta},
-        )
+    serve = merge_reports(
+        parts, sorted((r for p in parts for r in p.records), key=lambda r: r.query_id),
+        slots * n_ctas, {"n_epochs": len(parts), "update": update_meta},
+        makespan_us=barrier,
+    )
 
     answered_ids = {r.query_id for r in serve.records}
-    excused = set(serve.meta.get("dropped_ids", []))
-    excused |= set(serve.meta.get("shed_ids", []))
+    excused = set(serve.meta["dropped_ids"])  # sheds are drops too
     lost = sorted(
         set(lost_ids)
         | {
@@ -551,9 +551,6 @@ def serve_while_update(
         serve=serve,
         slo=slo,
         n_events=len(events),
-        answered=len(serve.records),
-        dropped=int(serve.meta.get("dropped", 0)),
-        shed=int(serve.meta.get("shed", 0)),
         lost=len(lost),
         tombstoned_answers=tombstoned,
         duplicate_rows=dup_rows,

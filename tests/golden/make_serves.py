@@ -50,6 +50,22 @@ commit that built a ``Span`` object per lifecycle step as a serve ran,
 before the span log began to keep one entry a lifecycle hook and to
 build spans only when it is read.
 
+Nine ``report`` digests were re-frozen after ``8ef5f79``, the last
+commit where the stream, replicated and sharded fan-ins each kept their
+own census, when they became one (``repro.core.serving.merge_reports``);
+every ``ids``, ``dists``, ``prometheus`` and ``telemetry_doc`` digest
+kept its value:
+
+* ``replicated-admission`` gains ``max_queue_depth`` (present whenever a
+  part armed queue-depth admission, as on one engine);
+* ``sharded-admission``: ``shed`` goes 0 → 11, the shards' sheds that no
+  shard answered (the old fan-in counted them under ``dropped`` only,
+  against ``shed_ids ⊆ dropped_ids``);
+* ``sharded-p0``, ``-p2``, ``-telemetry`` and ``-int8-p2`` gain
+  ``dropped: 0`` (``dropped`` is present in every report);
+* ``sharded-kill``, ``-slow`` and ``-quorum4-tight`` lose an empty
+  ``shed`` (no shard armed queue-depth admission).
+
     PYTHONPATH=src python -m tests.golden.make_serves
 """
 

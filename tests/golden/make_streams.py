@@ -56,6 +56,13 @@ half its candidate list from the hashed entries (CTA 0's first seed the
 live medoid), where CTA 0 had entered at the medoid alone and the others
 at two hashed vertices: ``report``, ``adj`` and ``counts`` moved in all
 eight scenarios, ``alive`` in none.
+
+After ``8ef5f79`` the epochs' reports began to merge through the census
+the cluster servers use (``repro.core.serving.merge_reports``), which
+keeps the epochs' defense ledgers: ``report`` moved in ``update-storm``,
+``compaction_stall`` and ``codebook_drift-int8``, whose fault plans arm
+the epoch engines, by a ``resilience`` entry; ``adj``, ``counts`` and
+``alive`` moved in none.
 """
 
 from __future__ import annotations

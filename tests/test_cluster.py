@@ -61,24 +61,51 @@ def test_validation(ds, graph):
 
 
 def test_merged_report_aggregates_dropped_meta():
-    """The fan-in used to lose per-part dropped counts entirely."""
-    from repro.core.cluster import _merged_report
-    from repro.core.serving import ServeReport
+    """Replicas fan in through the one census: drops add up; a query one
+    replica gave up on and a hedge answered is answered, not failed; the
+    fan-in's own ledger is merged with the parts'."""
+    from repro.core.serving import QueryRecord, ServeReport, merge_reports
+    from repro.resilience import ResilienceStats
 
-    def part(dropped, ids):
-        return ServeReport(
-            records=[], makespan_us=10.0, gpu_cta_busy_us=1.0, n_cta_slots=4,
-            pcie=None, host_busy_us=1.0,
-            meta={"dropped": dropped, "dropped_ids": ids},
-        )
+    def rec(qid):
+        return QueryRecord(query_id=qid, arrival_us=0.0, dispatch_us=1.0,
+                           gpu_start_us=2.0, gpu_end_us=5.0, detected_us=6.0,
+                           complete_us=7.0)
 
-    rep = _merged_report(
-        [part(2, [3, 7]), part(1, [5])], n_cta_slots=8,
-        meta={"mode": "replicated"},
-    )
+    def ledger(failed_ids):
+        stats = ResilienceStats(watchdog_kills=len(failed_ids))
+        stats.failed_ids.extend(failed_ids)
+        return stats.to_meta()
+
+    def part(qid, meta):
+        return ServeReport(records=[rec(qid)], makespan_us=10.0,
+                           gpu_cta_busy_us=1.0, n_cta_slots=4, pcie=None,
+                           host_busy_us=1.0, meta=meta)
+
+    # Healthy parts: drops add up and no ledger appears.
+    healthy = [part(0, {"dropped": 2, "dropped_ids": [3, 7]}),
+               part(1, {"dropped": 1, "dropped_ids": [5]})]
+    rep = merge_reports(healthy, [rec(0), rec(1)], 8, {"mode": "replicated"})
     assert rep.meta["dropped"] == 3
     assert rep.meta["dropped_ids"] == [3, 5, 7]
     assert "resilience" not in rep.meta  # healthy runs stay resilience-free
+
+    primary = part(0, {"dropped": 2, "dropped_ids": [3, 7],
+                       "resilience": ledger([1, 2]), "failed": 2,
+                       "failed_ids": [1, 2]})
+    hedge = part(1, {"dropped": 1, "dropped_ids": [5],
+                     "resilience": ledger([])})
+    cluster_ledger = ResilienceStats(hedges=2, hedge_wins=1)
+    cluster_ledger.failed_ids.append(4)
+    rep = merge_reports([primary, hedge], [rec(0), rec(1)], 8,
+                        {"mode": "replicated"}, ledger=cluster_ledger)
+    assert rep.meta["dropped"] == 3 and rep.meta["dropped_ids"] == [3, 5, 7]
+    assert rep.meta["failed_ids"] == [2, 4] and rep.meta["failed"] == 2
+    res = rep.meta["resilience"]
+    assert res["failed_ids"] == [2, 4]
+    assert res["watchdog_kills"] == 2 and res["hedges"] == 2 and res["hedge_wins"] == 1
+    assert rep.meta["mode"] == "replicated"
+    assert not {"shed", "shed_ids", "max_queue_depth"} & rep.meta.keys()
 
 
 def test_cluster_serves_honour_precision_and_reject_hybrid_tier(ds, graph):

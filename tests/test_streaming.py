@@ -8,8 +8,9 @@ Covers the streaming subsystem end to end (docs/robustness.md):
   byte-identical reports for identical seeds, and the invariant tests pin
   the degradation SLOs across a compaction boundary: no tombstoned vertex
   in any answer, no duplicated ids in a top-k row, no lost queries;
-* :func:`~repro.core.serving.merge_serve_reports` — update-wave work must
-  land under ``meta["update"]``, never in the query latency stream;
+* :func:`~repro.core.serving.merge_reports` stitching epochs — update-wave
+  work must land under ``meta["update"]``, never in the query latency
+  stream (the rest of the report fan-in is ``tests/test_census.py``'s);
 * the update-fault plan plumbing and the sharded admission path.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.streaming.runner as runner
 from repro.core import ALGASSystem
-from repro.core.serving import QueryRecord, ServeReport, merge_serve_reports
+from repro.core.serving import QueryRecord, ServeReport, merge_reports
 from repro.data.synthetic import latent_mixture
 from repro.data import load_dataset
 from repro.data.workload import ArrivalProcess, Poisson, QueryEvent, Spike, TrafficSpec
@@ -493,27 +494,35 @@ def _mk_report(qids, arrival, busy, meta=None):
                     detected_us=arrival + 6, complete_us=arrival + 7)
         for q in qids
     ]
-    return ServeReport(records=recs, makespan_us=arrival + 10,
-                       gpu_cta_busy_us=busy, n_cta_slots=4,
+    return ServeReport(records=recs, makespan_us=0.0, gpu_cta_busy_us=busy,
+                       n_cta_slots=4, host_busy_us=1.0,
                        meta={"dropped": 0, "dropped_ids": [], **(meta or {})})
 
 
 def test_merge_serve_reports_accounting():
+    """A stream's epochs stitched on one clock: query work only, the update
+    meta as handed over, the last barrier as the makespan floor."""
     a = _mk_report([2, 0], 100.0, 30.0)
     b = _mk_report([1], 500.0, 20.0, meta={"dropped": 1, "dropped_ids": [9]})
     update = {"update_busy_us": 1e6, "n_waves": 3}
-    merged = merge_serve_reports([a, b], meta={"n_epochs": 2}, update=update)
+    records = sorted((r for p in (a, b) for r in p.records), key=lambda r: r.query_id)
+    merged = merge_reports([a, b], records, 8, {"n_epochs": 2, "update": update},
+                           makespan_us=900.0)
     assert [r.query_id for r in merged.records] == [0, 1, 2]
     assert merged.gpu_cta_busy_us == 50.0  # query work only — never waves
-    assert merged.makespan_us == 510.0
-    assert merged.meta["update"] == update
+    assert merged.host_busy_us == 2.0
+    assert merged.makespan_us == 900.0  # the barrier outlasts every record
+    assert merged.n_cta_slots == 8
+    assert merged.meta["update"] == update and merged.meta["n_epochs"] == 2
     assert merged.meta["dropped"] == 1 and merged.meta["dropped_ids"] == [9]
-    assert merged.meta["n_epochs"] == 2
+    assert not {"shed", "shed_ids", "max_queue_depth", "resilience", "failed",
+                "failed_ids"} & merged.meta.keys()
     # Latency percentiles come from records alone: the 1-second wave under
     # meta["update"] must not move them.
     assert merged.percentile_latency_us(99) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        merge_serve_reports([])
+    assert merge_reports([a, b], records, 8, {}).makespan_us == 507.0
+    empty = merge_reports([], [], 8, {"n_epochs": 0}, makespan_us=42.0)
+    assert empty.makespan_us == 42.0 and empty.meta["dropped_ids"] == []
 
 
 # ------------------------------------- dynamic search vs its scalar oracle
@@ -552,8 +561,11 @@ def test_sharded_server_accepts_admission_spec():
     rep = server.serve(QUERIES, ServeConfig(workload=spec))
     meta = rep.serve.meta
     n = QUERIES.shape[0]
-    assert len(rep.serve.records) + meta["dropped"] + meta.get("shed", 0) <= n
-    assert meta["dropped"] + meta.get("shed", 0) > 0  # the point of the spec
+    # The documented census: every query is answered or dropped, and a
+    # shed query is a drop (docs/load_testing.md).
+    assert len(rep.serve.records) + meta["dropped"] == n
+    assert set(meta["shed_ids"]) <= set(meta["dropped_ids"])
+    assert meta["dropped"] > 0  # the point of the spec
     # Shed/dropped queries are an admission decision, not shard failures.
     assert meta.get("failed", 0) == 0
     # Unconstrained specs keep the fast path.
