@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Quantized traversal benchmark: float32 vs int8 vs PQ distance substrates.
+"""Quantized traversal benchmark: float32 vs int8 distance substrates.
 
-For each mini corpus this runs the vectorized multi-CTA search three times —
+For each mini corpus this runs the vectorized multi-CTA search twice —
 identical graph, entries and candidate budgets, only the distance substrate
 differing — and reports, per precision:
 
 * **simulated-GPU per-query latency** (the cost model pricing each run's
-  own traces: float32 FMAs vs DP4A int8 MACs vs ADC table lookups, plus
-  the quantized paths' exact re-rank step).  This is the serve stack's
+  own traces: float32 FMAs vs DP4A int8 MACs, plus the int8 path's exact
+  re-rank step).  This is the serve stack's
   latency axis and the headline metric: the dim=960 corpus must show
   int8 >= 1.5x over float32 with recall@16 within 0.02.
 * **host wall-clock** of the numpy engine.  This is a first-class gate,
-  not a footnote: the fused codec kernels (``precision.Int8Kernel`` /
-  ``PQKernel``) must make int8 *win* on the dim=960 headline
+  not a footnote: the fused codec kernel (``precision.Int8Kernel``) must
+  make int8 *win* on the dim=960 headline
   (``wall_speedup_vs_float32`` >= 1.0) — smaller codes are only worth
   shipping if the host engine actually banks the bandwidth.
 * **recall@16** against exact ground truth, plus codec fit time and
@@ -62,7 +62,7 @@ N_CTAS = 8
 GRAPH_DEGREE = 16
 RERANK_MULT = 2
 REPEATS = 3  # wall clock gates on best-of, so a few repeats damp scheduler noise
-PRECISIONS = ("float32", "int8", "pq")
+PRECISIONS = ("float32", "int8")
 N_PARITY = 8  # queries checked against the scalar oracle per precision
 
 #: acceptance gates (dim=960 headline corpus)
@@ -139,18 +139,14 @@ def bench_dataset(name: str, n_base: int) -> dict:
             ),
         }
 
-    f32 = by_precision["float32"]
-    for prec in ("int8", "pq"):
-        row = by_precision[prec]
-        row["sim_speedup_vs_float32"] = round(
-            f32["sim_latency_us"] / row["sim_latency_us"], 3
-        )
-        row["wall_speedup_vs_float32"] = round(
-            f32["wall_s"] / row["wall_s"], 3
-        )
-        row["recall_delta_vs_float32"] = round(
-            row["recall_at_16"] - f32["recall_at_16"], 4
-        )
+    f32, row = by_precision["float32"], by_precision["int8"]
+    row["sim_speedup_vs_float32"] = round(
+        f32["sim_latency_us"] / row["sim_latency_us"], 3
+    )
+    row["wall_speedup_vs_float32"] = round(f32["wall_s"] / row["wall_s"], 3)
+    row["recall_delta_vs_float32"] = round(
+        row["recall_at_16"] - f32["recall_at_16"], 4
+    )
     return {
         "dataset": name,
         "n_base": ds.n,
@@ -190,15 +186,13 @@ def main(argv: list[str]) -> int:
             f"{name:>14s} (d={row['dim']:>4d})  "
             f"int8 sim {p['int8']['sim_speedup_vs_float32']:5.2f}x "
             f"wall {p['int8']['wall_speedup_vs_float32']:5.2f}x "
-            f"dR {p['int8']['recall_delta_vs_float32']:+.4f}   "
-            f"pq sim {p['pq']['sim_speedup_vs_float32']:5.2f}x "
-            f"dR {p['pq']['recall_delta_vs_float32']:+.4f}"
+            f"dR {p['int8']['recall_delta_vs_float32']:+.4f}"
         )
 
     headline = next(r for r in rows if r["dataset"] == HEADLINE)
     h_int8 = headline["precisions"]["int8"]
     report = {
-        "benchmark": "quantized traversal: float32 vs int8 vs pq "
+        "benchmark": "quantized traversal: float32 vs int8 "
                      "(vectorized multi-CTA, exact re-rank)",
         "config": {
             "n_queries": N_QUERIES, "k": K, "l_total": L_TOTAL,
@@ -245,12 +239,9 @@ def main(argv: list[str]) -> int:
         )
         ok = False
     for r in rows:
-        for prec in ("int8", "pq"):
-            if r["precisions"][prec]["wall_speedup_vs_float32"] < 0.9:
-                print(
-                    f"WARNING: {r['dataset']} {prec} wall clock loses >10% "
-                    f"to float32"
-                )
+        if r["precisions"]["int8"]["wall_speedup_vs_float32"] < 0.9:
+            print(f"WARNING: {r['dataset']} int8 wall clock loses >10% "
+                  f"to float32")
     return 0 if ok else 1
 
 

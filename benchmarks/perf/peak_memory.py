@@ -110,7 +110,6 @@ def main(argv=None) -> int:
     meter.wrap(datasets, "exact_knn", "load: ground truth")
     meter.wrap(workloads, "build_cagra", "graph build")
     meter.wrap(precision.Int8Codec, "fit", "codec fit")
-    meter.wrap(precision.PQCodec, "fit", "codec fit")
     untraced = Tracer(enabled=False)
     w = workloads.WORKLOADS[args.workload](args.scale, args.seed)
 

@@ -5,5 +5,5 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".cagra_system": ("CAGRASystem",),
     ".ganns_system": ("GANNSSystem",),
-    ".ivf_system": ("IVFPQSystem", "IVFSystem"),
+    ".ivf_system": ("IVFSystem",),
 })

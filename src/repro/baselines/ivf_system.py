@@ -1,9 +1,7 @@
-"""IVF baseline systems (FAISS-GPU style, as used in §VI).
+"""IVF baseline system (FAISS-GPU style, as used in §VI).
 
 Search: IVF-Flat (:class:`repro.search.ivf.IVFFlatIndex`) — coarse
-quantizer scan + exhaustive scan of ``nprobe`` inverted lists — or the
-same index scanning PQ codes (:class:`~repro.search.ivf.IVFPQIndex`,
-:class:`IVFPQSystem`).  Serving:
+quantizer scan + exhaustive scan of ``nprobe`` inverted lists.  Serving:
 static batches, one block per query, results copied to the host (there is
 no cross-CTA merge).  Recall is controlled by ``nprobe`` rather than by a
 candidate-list length.  A serve runs :meth:`BaseGraphSystem.serve`, the
@@ -20,7 +18,7 @@ from ..data.metrics import query_batch
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.trace import TraceBlock
-from ..search.ivf import IVFFlatIndex, IVFPQIndex
+from ..search.ivf import IVFFlatIndex
 
 __all__ = ["IVFSystem"]
 
@@ -49,7 +47,7 @@ class IVFSystem:
     ):
         if k <= 0:
             raise ValueError("k must be positive")
-        self.index = self._make_index(base, nlist, metric, seed)
+        self.index = IVFFlatIndex(base, nlist=nlist, metric=metric, seed=seed)
         self.nprobe = int(nprobe)
         self.device = device
         self.metric = metric
@@ -62,15 +60,9 @@ class IVFSystem:
     def n_parallel(self) -> int:
         return 1
 
-    def _make_index(self, base, nlist: int, metric: str, seed: int):
-        return IVFFlatIndex(base, nlist=nlist, metric=metric, seed=seed)
-
-    def _search_one(self, query: np.ndarray):
-        return self.index.search(query, self.k, self.nprobe)
-
     def search_all(self, queries: np.ndarray):
-        """Search query by query (the scalar IVF searchers emit 1–3-step
-        ``CTATrace`` objects); the traces are converted to one
+        """Search query by query (the scalar IVF searcher emits a 2-step
+        ``CTATrace``); the traces are converted to one
         :class:`TraceBlock` per call.  An empty batch or one whose width
         is not the corpus's raises ``ValueError``."""
         queries = query_batch(queries, self.index.points.shape[1])
@@ -79,7 +71,7 @@ class IVFSystem:
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
         traces = []
         for i in range(nq):
-            r = self._search_one(queries[i])
+            r = self.index.search(queries[i], self.k, self.nprobe)
             m = min(self.k, len(r.ids))
             ids[i, :m] = r.ids[:m]
             dists[i, :m] = r.dists[:m]
@@ -108,38 +100,3 @@ class IVFSystem:
     def _search_step(self, queries: np.ndarray, cfg, events):
         ids, dists, traces = self.search_all(queries)
         return ids, dists, traces, self.jobs_from_traces(traces, events), {}
-
-
-class IVFPQSystem(IVFSystem):
-    """IVF-PQ variant of the IVF baseline (ADC scan + exact re-rank).
-
-    PQ compresses the scan to ``m`` table lookups per point; the traces
-    reflect that, so IVF-PQ trades scan time for a re-rank pass and some
-    recall (see the quantization extension benchmark).
-    """
-
-    name = "ivfpq"
-
-    def __init__(
-        self,
-        base: np.ndarray,
-        nlist: int = 128,
-        nprobe: int = 8,
-        m: int = 8,
-        ks: int = 256,
-        rerank: int = 64,
-        **kwargs,
-    ):
-        """``m`` / ``ks`` size the product quantizer; ``rerank`` is the
-        exact re-rank pool (0: return ADC distances); ``kwargs`` are
-        :class:`IVFSystem`'s."""
-        self.m, self.ks = m, ks
-        self.rerank = int(rerank)
-        super().__init__(base, nlist=nlist, nprobe=nprobe, **kwargs)
-
-    def _make_index(self, base, nlist: int, metric: str, seed: int):
-        return IVFPQIndex(base, nlist=nlist, m=self.m, ks=self.ks,
-                          metric=metric, seed=seed)
-
-    def _search_one(self, query: np.ndarray):
-        return self.index.search(query, self.k, self.nprobe, rerank=self.rerank)

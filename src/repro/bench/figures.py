@@ -136,15 +136,14 @@ def precision_frontier_data(
     n_ctas: int = 4,
     rerank_mult: int = 2,
 ):
-    """Recall-vs-latency frontier: float32 / int8 / pq at matched ``l_total``.
+    """Recall-vs-latency frontier: float32 / int8 at matched ``l_total``.
 
-    All precisions search the same graph from the same entry points at each
+    Both precisions search the same graph from the same entry points at each
     candidate budget, so every frontier point differs only in the distance
-    substrate (plus the quantized paths' exact re-rank).  Latency is the
+    substrate (plus the int8 path's exact re-rank).  Latency is the
     simulated-GPU per-query time from the cost model — the quantity the
     serve stack reports — priced from each run's own traces (quantized
-    steps are priced as DP4A / table-lookup work, the re-rank as a float32
-    pass).
+    steps are priced as DP4A work, the re-rank as a float32 pass).
     """
     from ..data.groundtruth import recall
     from ..gpusim.costmodel import CostModel
@@ -159,7 +158,6 @@ def precision_frontier_data(
     codecs = {
         "float32": None,
         "int8": make_codec("int8", ds.base, metric=ds.metric),
-        "pq": make_codec("pq", ds.base, metric=ds.metric),
     }
     rows = []
     data: dict[str, list[dict]] = {p: [] for p in codecs}

@@ -80,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pilot-l-total", type=int, default=None,
                    help="pilot traversal candidate budget (default: "
                         "min(max(2*n_candidates, 32), l))")
-    s.add_argument("--precision", choices=("float32", "int8", "pq"),
+    s.add_argument("--precision", choices=("float32", "int8"),
                    default="float32",
                    help="traversal distance substrate: 'int8' walks the "
-                        "graph on SQ8 codes, 'pq' on PQ ADC tables — both "
-                        "finish with an exact float32 re-rank "
-                        "(docs/performance.md); graph systems only")
+                        "graph on SQ8 codes and finishes with an exact "
+                        "float32 re-rank (docs/performance.md); graph "
+                        "systems only")
     s.add_argument("--rerank-mult", type=int, default=2,
                    help="exact re-rank pool multiplier: re-score "
                         "rerank_mult*k survivors (quantized precisions)")
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dynamic-graph search/link ef")
     st.add_argument("--k", type=int, default=16)
     st.add_argument("--slots", type=int, default=8)
-    st.add_argument("--precision", choices=("float32", "int8", "pq"),
+    st.add_argument("--precision", choices=("float32", "int8"),
                     default="float32")
     st.add_argument("--workload", default="poisson:2000", metavar="PROC",
                     help="arrival process: closed | uniform:QPS | "

@@ -137,10 +137,15 @@ class DynamicBatchEngine:
         self.cm = cost_model
         self.cfg = config
         self.tel = telemetry or NULL_TELEMETRY
+        # An update-only plan injects nothing here (the stream runner
+        # consumes it): its epochs serve as a healthy serve does.
+        if faults is not None and not (
+                faults.slot_faults or faults.pcie_stalls or faults.shard_faults):
+            faults = None
         self.fault_plan = faults
         # Injected faults without an explicit policy get the default
         # defenses — a chaos run should be survivable out of the box.
-        if resilience is None and faults is not None and not faults.empty:
+        if resilience is None and faults is not None:
             resilience = DEFAULT_POLICY
         self.policy = resilience
 

@@ -89,8 +89,6 @@ class BaseGraphSystem:
         build_info: dict | None = None,
         precision: str = "float32",
         rerank_mult: int = 2,
-        pq_m: int | None = None,
-        pq_ks: int = 256,
     ):
         if k <= 0 or l_total < k:
             raise ValueError("need 0 < k <= l_total")
@@ -106,8 +104,6 @@ class BaseGraphSystem:
         #: (repro.search.precision)
         self.precision = precision
         self.rerank_mult = rerank_mult
-        self.pq_m = pq_m
-        self.pq_ks = pq_ks
         self._codec = None
         #: graph-construction provenance (e.g. ``{"graph": ...,
         #: "build_seconds": ...}``) merged into ``ServeReport.meta["build"]``
@@ -162,16 +158,13 @@ class BaseGraphSystem:
         float32).
 
         The codec is fitted lazily on the base vectors, once — fitting (SQ
-        ranges / PQ codebooks + corpus encode) is a build-time cost, like
+        ranges + corpus encode) is a build-time cost, like
         graph construction.
         """
         if self.precision == "float32":
             return None
         if self._codec is None:
-            self._codec = make_codec(
-                self.precision, self.base, metric=self.metric,
-                pq_m=self.pq_m, pq_ks=self.pq_ks, seed=self.seed,
-            )
+            self._codec = make_codec(self.precision, self.base, metric=self.metric)
         return self._codec
 
     def search_all(self, queries: np.ndarray, seed: int | None = None):
@@ -316,8 +309,6 @@ class ALGASSystem(BaseGraphSystem):
         build_info: dict | None = None,
         precision: str = "float32",
         rerank_mult: int = 2,
-        pq_m: int | None = None,
-        pq_ks: int = 256,
     ):
         if beam is True:
             beam = BeamConfig.for_capacity(
@@ -328,7 +319,6 @@ class ALGASSystem(BaseGraphSystem):
             base, graph, device, metric, k, l_total, batch_size,
             n_parallel, max_parallel, beam, cost_params, seed,
             build_info, precision=precision, rerank_mult=rerank_mult,
-            pq_m=pq_m, pq_ks=pq_ks,
         )
         t = self.tuning
         if not t.feasible:

@@ -46,9 +46,7 @@ def op_count_features(
     time reproduces the part of :meth:`CostModel.cta_cost` those constants
     price.  The counts are :func:`~repro.gpusim.costmodel.step_op_groups`
     — the pricer's own — so int8 steps pack ``params.int8_mac_pack`` MACs
-    per FMA group, and PQ steps add no FMA groups (their table lookups are
-    priced by ``lut_lookup_cycles``, which, like the memory terms, is not
-    a fitted constant).
+    per FMA group.
     """
     single = isinstance(trace, CTATrace)
     block = TraceBlock.from_traces([trace] if single else trace)

@@ -48,7 +48,6 @@ __all__ = [
 
 _FLOAT32 = PRECISION_TAGS.index("float32")
 _INT8 = PRECISION_TAGS.index("int8")
-_PQ = PRECISION_TAGS.index("pq")
 
 
 def _ceil_div(a, b):
@@ -113,9 +112,9 @@ def step_op_groups(
 
     The one copy of the counting formulas: :meth:`CostModel.block_step_costs`
     turns these into time, :func:`~repro.gpusim.calibrate.op_count_features`
-    sums them per row.  ``fma`` / ``lut`` are distance-kernel lane
-    iterations (int8 packs ``int8_mac_pack`` MACs per lane-cycle; PQ does
-    table lookups instead of FMAs), ``shuffle`` the reduction steps,
+    sums them per row.  ``fma`` is the distance kernel's lane
+    iterations (int8 packs ``int8_mac_pack`` MACs per lane-cycle),
+    ``shuffle`` the reduction steps,
     ``cmpex_sort`` / ``cmpex_merge`` the bitonic network's compare-exchange
     groups (0 where the step skipped the sort), ``scan_iters`` the
     selection scan *per expanded candidate*, ``bitmap`` the visited-probe
@@ -127,12 +126,10 @@ def step_op_groups(
     iters = _ceil_div(
         n_new * block.step_dim, np.where(block.precision == _INT8, t * pack, t)
     )
-    is_pq = block.precision == _PQ
     checks = block.n_visited_checks.astype(np.int64)
     expand_n = np.maximum(block.sort_size - block.cand_list_len, 0)
     return {
-        "fma": np.where(is_pq, 0, iters),
-        "lut": np.where(is_pq, iters, 0),
+        "fma": iters,
         "shuffle": n_new * max(1, int(math.log2(t))),
         "cmpex_sort": block.did_sort * _per_distinct(
             lambda n: bitonic_sort_groups(n, t), expand_n),
@@ -172,10 +169,6 @@ class CostParams:
     #: int8 MACs packed per lane-cycle in the quantized distance kernel
     #: (DP4A: one instruction multiply-accumulates 4 int8 pairs)
     int8_mac_pack: float = 4.0
-    #: cycles per warp-wide PQ ADC table-lookup group (shared-memory gather
-    #: — slower than an FMA group because lookups are bank-conflict prone,
-    #: but each covers a whole subspace instead of one dimension)
-    lut_lookup_cycles: float = 12.0
     #: CPU nanoseconds per dimension of a host-side float32 distance
     #: (SIMD FMA throughput on one core; the hybrid tier's refine walk)
     cpu_fma_ns: float = 0.05
@@ -306,8 +299,7 @@ class CostModel:
         fetch = (n_exp * us(dev.global_mem_latency_cycles)
                  + block.n_neighbors_fetched.astype(np.int64) * 4 / bw)
         filter_ = us(g["bitmap"] * p.bitmap_cycles)
-        # One of fma/lut is zero on every step; x + 0.0 == x exactly.
-        lane_cycles = g["fma"] * p.fma_iter_cycles + g["lut"] * p.lut_lookup_cycles
+        lane_cycles = g["fma"] * p.fma_iter_cycles
         vec_bytes = (block.n_new_points.astype(np.int64) * block.step_dim
                      * np.where(block.precision == _FLOAT32, 4, 1))
         distance = us(lane_cycles + g["shuffle"] * p.shuffle_cycles) + vec_bytes / bw

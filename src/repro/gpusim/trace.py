@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: distance substrates a step can be tagged with; a block stores the index
-PRECISION_TAGS = ("float32", "int8", "pq")
+PRECISION_TAGS = ("float32", "int8")
 
 
 def precision_code(tag: str) -> int:
@@ -82,9 +82,8 @@ class StepRecord:
     #: recorded for the Fig. 7 convergence analysis.
     best_dist: float = float("nan")
     #: distance substrate of this step's scoring kernel: ``"float32"``
-    #: (per-dimension FMAs), ``"int8"`` (DP4A packed MACs over SQ8 codes)
-    #: or ``"pq"`` (``dim`` = m table lookups per point).  The cost model
-    #: prices the distance phase per-substrate.
+    #: (per-dimension FMAs) or ``"int8"`` (DP4A packed MACs over SQ8
+    #: codes).  The cost model prices the distance phase per-substrate.
     precision: str = "float32"
 
 

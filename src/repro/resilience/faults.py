@@ -25,8 +25,8 @@ Fault taxonomy
                 ``storm`` (a burst of inserts+deletes at ``at_us``),
                 ``compaction_stall`` (compaction cycles take ``factor`` ×
                 longer), ``codebook_drift`` (inserted points after
-                ``at_us`` are shifted by ``magnitude``, aging int8/PQ
-                codebooks until the re-train policy fires).
+                ``at_us`` are shifted by ``magnitude``, aging the int8
+                codebook until the re-train policy fires).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class UpdateFault:
       time is stretched by ``factor``, holding the serve barrier longer;
     * ``codebook_drift`` — insert vectors arriving after ``at_us`` are
       shifted by ``magnitude`` (in units of per-dimension corpus spread),
-      aging a frozen int8/PQ codebook until the stale-codebook detector
+      aging a frozen int8 codebook until the stale-codebook detector
       triggers a re-train.
     """
 

@@ -16,16 +16,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "query_entries",
         "seeds_per_cta",
     ),
-    ".ivf": ("IVFFlatIndex", "IVFPQIndex", "kmeans"),
+    ".ivf": ("IVFFlatIndex", "kmeans"),
     ".precision": (
         "DEFAULT_RERANK_MULT",
         "PRECISIONS",
         "CodecInfo",
         "Int8Codec",
-        "PQCodec",
-        "ProductQuantizer",
         "ScalarQuantizer",
-        "default_pq_m",
         "exact_rerank",
         "make_codec",
     ),

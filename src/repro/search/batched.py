@@ -15,8 +15,7 @@ batched kernels (and any serious GPU traversal) do:
   (:meth:`~repro.graphs.base.GraphIndex.neighbor_matrix`);
 * all freshly admitted points of a step are scored by **one** cache-blocked
   pair kernel call (:class:`~repro.data.metrics.PairKernel`, or the
-  codec's :class:`~repro.search.precision.Int8Kernel` /
-  :class:`~repro.search.precision.PQKernel`): operands are gathered a
+  codec's :class:`~repro.search.precision.Int8Kernel`): operands are gathered a
   fixed-size block at a time into scratch sized once per kernel, so a
   round's working set is cache-resident however wide the round is;
 * pairs that cannot survive truncation (``dist >= `` the row's worst kept
@@ -332,8 +331,8 @@ class LockstepEngine:
             self._pnorm = self._qnorm = None
         # One pair kernel for every precision.  Quantized traversal
         # (repro.search.precision): per-hop distances come from the codec's
-        # compressed kernel, whose per-query dispatch state (scaled queries
-        # / ADC tables) is built once here, and trace steps record the
+        # compressed kernel, whose per-query dispatch state (scaled queries)
+        # is built once here, and trace steps record the
         # codec's per-point work width and precision tag so the cost model
         # prices them correctly.
         self.codec = codec
@@ -746,8 +745,7 @@ class LockstepEngine:
         dists = np.take_along_axis(exact, order, axis=1)
         counts = np.minimum(pool_counts, k)
         if self._trace is not None:
-            # Same accounting as the IVF-PQ baseline's re-rank scan: full-
-            # width exact distances plus one sort of the pool.
+            # Full-width exact distances plus one sort of the pool.
             self._trace.add(
                 rows,
                 n_new_points=pool_counts,

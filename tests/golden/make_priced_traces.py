@@ -7,11 +7,9 @@ objects).  ``tests/test_trace_block.py`` checks the columnar
 ``TraceBlock`` path against it, which makes "bit-identical to the object
 path" a tier-1 fact.
 
-Each case also digests its result ids and distances, and the IVF-Flat /
-IVF-PQ baselines (l2 and cosine, PQ with and without the exact re-rank)
-are cases too; those were frozen at ``782626c``, the last commit with a
-separate IVF-PQ index and quantizer module.  The three ``*/dynamic-tombstones``
-cases were re-frozen when ``DynamicGraph`` searches began to run the beam
+Each case also digests its result ids and distances, and the IVF-Flat
+baseline (l2 and cosine) is a case too; those were frozen at ``782626c``.
+The two ``*/dynamic-tombstones`` cases were re-frozen when ``DynamicGraph`` searches began to run the beam
 extend: their result ids and distances did not move, their trace columns
 (half the steps) and priced durations did.
 
@@ -19,9 +17,10 @@ Every search case except the IVF ones was re-frozen when every CTA began
 to seed half its candidate list (``seeds_per_cta``) from entries hashed
 from its query (``query_entries``) instead of two rng-drawn entries, and
 a ``DynamicGraph`` CTA likewise (CTA 0's first seed the live medoid):
-``n_steps`` and the trace digest moved in all fifteen, and the result
-digest in the three PQ cases of eight CTAs or a dynamic graph.  The six
-IVF cases did not move.
+``n_steps`` and the trace digest moved in every one of them.  The IVF
+cases did not move.  When the PQ precision and the IVF-PQ baseline were
+deleted, their nine cases left the fixture and the other twelve kept
+their bytes.
 
 This script reads traces only through the row-object surface both layouts
 share (iterate → ``.ctas`` → ``.steps`` → fields; ``cta_duration_us`` on a
@@ -40,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines import IVFPQSystem, IVFSystem
+from repro.baselines import IVFSystem
 from repro.core.pipeline import ALGASSystem
 from repro.data.metrics import normalize
 from repro.data.synthetic import latent_mixture
@@ -50,7 +49,7 @@ from repro.graphs.dynamic import DynamicGraph
 FIXTURE = Path(__file__).with_name("priced_traces.json")
 
 #: trace precision tag -> the code the fixture hashes
-PRECISION_CODE = {"float32": 0, "int8": 1, "pq": 2}
+PRECISION_CODE = {"float32": 0, "int8": 1}
 INT_COLUMNS = (
     "select_offset", "n_expanded", "n_neighbors_fetched", "n_visited_checks",
     "n_new_points", "dim", "sort_size", "cand_list_len",
@@ -75,8 +74,7 @@ def cases():
         def run():
             system = ALGASSystem(
                 base, graph, k=K, l_total=L_TOTAL, batch_size=8,
-                n_parallel=n_ctas, beam=beam, precision=precision, pq_m=8,
-                seed=5,
+                n_parallel=n_ctas, beam=beam, precision=precision, seed=5,
             )
             return system.search_all(queries), system.cost_model
         return run
@@ -92,14 +90,12 @@ def cases():
             return out, ALGASSystem(base, graph, k=K, l_total=L_TOTAL).cost_model
         return run
 
-    def ivf_case(metric, rerank):
+    def ivf_case(metric):
         def run():
             pts, qs = (base, queries) if metric == "l2" else (
                 normalize(base), normalize(queries))
-            kw = dict(nlist=16, nprobe=4, metric=metric, k=K, batch_size=8,
-                      seed=5)
-            system = (IVFSystem(pts, **kw) if rerank is None else
-                      IVFPQSystem(pts, m=8, ks=64, rerank=rerank, **kw))
+            system = IVFSystem(pts, nlist=16, nprobe=4, metric=metric, k=K,
+                               batch_size=8, seed=5)
             return system.search_all(qs), system.cost_model
         return run
 
@@ -110,9 +106,7 @@ def cases():
                 out[name] = system_case(precision, n_ctas, beam)
         out[f"{precision}/dynamic-tombstones"] = dynamic_case(precision)
     for metric in ("l2", "cosine"):
-        out[f"ivf-flat/{metric}"] = ivf_case(metric, None)
-        for rerank in (0, 64):
-            out[f"ivf-pq/{metric}/rerank{rerank}"] = ivf_case(metric, rerank)
+        out[f"ivf-flat/{metric}"] = ivf_case(metric)
     return out
 
 

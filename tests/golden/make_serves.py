@@ -20,7 +20,7 @@ The scenarios cover every entry point and every fan-in branch:
   traversal with ``rerank_mult=3``;
 * ``HybridSystem`` — the hybrid tier at float32 and with an int8 pilot
   traversal;
-* ``CAGRASystem``, ``IVFSystem``, ``IVFPQSystem``;
+* ``CAGRASystem``, ``IVFSystem``;
 * ``ReplicatedServer`` — healthy at ``parallelism`` 0 and 2; admission;
   a replica kill with percentile hedging; a slow replica with a fixed
   ``hedge_delay_us``;
@@ -43,7 +43,8 @@ candidate list from entries hashed from its query and the system seed
 (``query_entries``), where it had drawn two from one rng in batch order:
 the report digest moved in all twenty graph scenarios (ids and dists
 where the served rows changed; the hybrid and sharded rows, refined or
-merged, kept theirs in seven), and ``ivf`` / ``ivfpq`` did not move.
+merged, kept theirs in seven), and ``ivf`` did not move.  The
+``ivfpq`` scenario left with the IVF-PQ baseline.
 
 The telemetry-document digests were added at ``0b93fd6``, the last
 commit that built a ``Span`` object per lifecycle step as a serve ran,
@@ -78,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines import CAGRASystem, IVFPQSystem, IVFSystem
+from repro.baselines import CAGRASystem, IVFSystem
 from repro.core import ALGASSystem, ReplicatedServer, ServeConfig, ShardedServer
 from repro.data import load_dataset
 from repro.data.workload import Poisson, TrafficSpec
@@ -123,7 +124,6 @@ SCENARIOS = {
     "hybrid-int8": ("hybrid", {}, False),
     "cagra": ("cagra", {}, False),
     "ivf": ("ivf", {}, False),
-    "ivfpq": ("ivfpq", {}, False),
     "replicated-p0": ("replicated", dict(parallelism=0), False),
     "replicated-p2": ("replicated", dict(parallelism=2), False),
     "replicated-admission": ("replicated", dict(workload=ADMISSION), False),
@@ -186,9 +186,6 @@ def make_server(kind: str, **system_kw):
     if kind == "ivf":
         return IVFSystem(ds.base, nlist=16, nprobe=4, metric=ds.metric,
                          k=8, batch_size=4)
-    if kind == "ivfpq":
-        return IVFPQSystem(ds.base, nlist=16, nprobe=4, m=8, metric=ds.metric,
-                           k=8, batch_size=4)
     if kind == "replicated":
         return ReplicatedServer(ds.base, graph, n_gpus=2, **kw)
     return ShardedServer(ds.base, n_gpus=N_SHARDS, seed=0,

@@ -63,6 +63,14 @@ keeps the epochs' defense ledgers: ``report`` moved in ``update-storm``,
 ``compaction_stall`` and ``codebook_drift-int8``, whose fault plans arm
 the epoch engines, by a ``resilience`` entry; ``adj``, ``counts`` and
 ``alive`` moved in none.
+
+Those three ``report`` digests moved once more when an update-only plan
+stopped arming the epoch engines' default defenses (the engine injects
+only slot faults, PCIe stalls and shard faults): their reports lost the
+all-zero ``resilience`` entry and the ``failed: 0`` / ``failed_ids: []``
+that ``8ef5f79``'s census had carried over from the armed epochs, and
+every other field kept its value; ``adj``, ``counts`` and ``alive`` moved
+in none.
 """
 
 from __future__ import annotations

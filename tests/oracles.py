@@ -11,8 +11,8 @@ is the same kind of oracle for ``DynamicGraph.search``.
 formulas one ``StepRecord`` at a time — and :func:`scalar_cta_cost` its
 left-to-right accumulation; the block pricer ``CostModel.block_cost``
 must equal both exactly.  :func:`codec_distances` is the allocating form
-of the quantized distance kernels (``Int8Kernel`` / ``PQKernel``), which
-must equal it bit for bit.
+of the quantized distance kernel (``Int8Kernel``), which must equal it
+bit for bit.
 
 :func:`oneshot_latent_mixture` and :func:`pooled_load` are the corpus
 generator and ``load_dataset``'s split as they were before both ran in row
@@ -231,12 +231,6 @@ def scalar_step_cost(cost_model, step: StepRecord) -> StepCost:
             iters = _ceil_div(step.n_new_points * step.dim, t * pack)
             lane_cycles = iters * p.fma_iter_cycles
             vec_bytes = step.n_new_points * step.dim * 1
-        elif precision == "pq":
-            # ADC: step.dim holds m — one shared-memory table lookup
-            # per subspace per point, 1 byte/code streamed.
-            iters = _ceil_div(step.n_new_points * step.dim, t)
-            lane_cycles = iters * p.lut_lookup_cycles
-            vec_bytes = step.n_new_points * step.dim * 1
         else:
             iters = _ceil_div(step.n_new_points * step.dim, t)
             lane_cycles = iters * p.fma_iter_cycles
@@ -283,26 +277,16 @@ def scalar_cta_cost(cost_model, trace) -> CTACost:
 
 def codec_distances(codec, state, qrows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Approximate distances of matched (query-row, point-id) pairs under
-    an ``Int8Codec`` / ``PQCodec``, materialising every gathered operand —
-    the former ``codec.distances``.  ``codec.make_kernel(state)`` (the
-    cache-blocked kernel every search dispatches) must equal it bit for
-    bit."""
-    if codec.precision == "int8":
-        qs, qoff = state
-        c = codec.codes[ids].astype(np.float32)
-        dot = np.einsum("ij,ij->i", np.ascontiguousarray(qs[qrows]), c)
-        if codec.metric == "l2":
-            d = qoff[qrows] + codec._pnorm_hat[ids] - 2.0 * dot
-            return np.maximum(d, 0.0).astype(np.float32)
-        return (qoff[qrows] - dot).astype(np.float32)
-    # PQ-ADC: one flat gather of ``m`` table entries per pair.
-    c = codec.codes[ids].astype(np.int64)
-    width = state.shape[1]
-    idx = qrows[:, None] * width + codec._base[None, :] + c
-    d = np.take(state.reshape(-1), idx).sum(axis=1)
-    if codec.metric == "cosine":
-        d = 1.0 + d
-    return d.astype(np.float32)
+    an ``Int8Codec``, materialising every gathered operand — the former
+    ``codec.distances``.  ``codec.make_kernel(state)`` (the cache-blocked
+    kernel every search dispatches) must equal it bit for bit."""
+    qs, qoff = state
+    c = codec.codes[ids].astype(np.float32)
+    dot = np.einsum("ij,ij->i", np.ascontiguousarray(qs[qrows]), c)
+    if codec.metric == "l2":
+        d = qoff[qrows] + codec._pnorm_hat[ids] - 2.0 * dot
+        return np.maximum(d, 0.0).astype(np.float32)
+    return (qoff[qrows] - dot).astype(np.float32)
 
 
 # ------------------------------------------------------------------ corpora

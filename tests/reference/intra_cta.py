@@ -265,8 +265,7 @@ def intra_cta_search(
 def rerank_step_record(n_scored: int, dim: int, best_dist: float) -> StepRecord:
     """The float32 re-rank pass as a priced trace step.
 
-    ``n_scored`` full-width exact distances plus one sort of the pool —
-    the same accounting the IVF-PQ baseline uses for its re-rank scan.
+    ``n_scored`` full-width exact distances plus one sort of the pool.
     """
     return StepRecord(
         select_offset=0,

@@ -48,25 +48,3 @@ def test_ivf_nprobe_tradeoff(ds):
 def test_ivf_validation(ds):
     with pytest.raises(ValueError):
         IVFSystem(ds.base, k=0)
-
-
-def test_ivfpq_system(ds):
-    from repro.baselines import IVFPQSystem
-
-    sys_ = IVFPQSystem(ds.base, nlist=32, nprobe=8, m=4, ks=64, rerank=64,
-                       metric=ds.metric, k=10, batch_size=8)
-    rep = sys_.serve(ds.queries)
-    assert recall(rep.ids, ds.gt_at(10)) > 0.75
-    # ADC scan step runs at m "dimensions", far below the dataset's
-    assert rep.traces[0].ctas[0].steps[1].dim == 4
-
-
-def test_ivfpq_cheaper_scan_than_flat(ds):
-    from repro.baselines import IVFPQSystem
-
-    flat = IVFSystem(ds.base, nlist=32, nprobe=16, metric=ds.metric, k=10, batch_size=8)
-    pq = IVFPQSystem(ds.base, nlist=32, nprobe=16, m=4, ks=64, rerank=40,
-                     metric=ds.metric, k=10, batch_size=8)
-    rf, rp = flat.serve(ds.queries), pq.serve(ds.queries)
-    # the PQ scan is cheaper per probed point (m lookups vs dim FMAs)
-    assert rp.mean_latency_us < rf.mean_latency_us

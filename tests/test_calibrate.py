@@ -99,13 +99,13 @@ def test_features_positive(ds, graph, entry):
         assert (f > 0).all()
 
 
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 @pytest.mark.parametrize("threads", [32, 64])
 def test_features_times_constants_reproduce_cta_cost(precision, threads):
     """features · fitted constants + the non-fitted remainder == cta_cost:
     the features are the pricer's own group counts, for every precision
-    (int8 packs MACs per FMA group; PQ lookups are not a fitted constant)."""
-    params = replace(TRUTH, int8_mac_pack=2.0, lut_lookup_cycles=9.0)
+    (int8 packs MACs per FMA group)."""
+    params = replace(TRUTH, int8_mac_pack=2.0)
     traces = diverse_traces(n=10, seed=2, precision=precision)
     block = TraceBlock.from_traces(traces)
     feats = op_count_features(block, threads, params)
@@ -120,8 +120,6 @@ def test_features_times_constants_reproduce_cta_cost(precision, threads):
     if precision == "int8":  # int8_mac_pack=2: about half the float32 groups
         f32 = op_count_features(diverse_traces(10, 2), threads, params)
         assert feats[:, 0].sum() < 0.6 * f32[:, 0].sum()
-    if precision == "pq":
-        assert not feats[:, 0].any()
 
 
 def test_validates():

@@ -1,7 +1,7 @@
 """The cache-blocked pair kernels: equal to their definitions bit for bit,
 bounded in scratch, and the bound filter they feed stays on under tracing.
 
-* **Differential** — ``PairKernel`` / ``Int8Kernel`` / ``PQKernel`` against
+* **Differential** — ``PairKernel`` / ``Int8Kernel`` against
   ``pair_distances(a[ia], b[ib], ...)`` / ``oracles.codec_distances(...)``
   at pair counts on both sides of every block boundary and with repeated pairs,
   compared as ``uint32`` bit patterns; returned arrays are owned.
@@ -29,7 +29,7 @@ from repro.data.metrics import PAIR_SCRATCH_BYTES, PairKernel, pair_distances
 from repro.data.synthetic import latent_mixture
 from repro.graphs import GraphIndex, build_cagra
 from repro.search.batched import BatchedVisited, BeamConfig, LockstepEngine
-from repro.search.precision import Int8Codec, PQCodec
+from repro.search.precision import Int8Codec
 
 from .golden import make_priced_traces as golden
 from .oracles import codec_distances
@@ -63,8 +63,7 @@ def _kernel_and_reference(precision, metric, operands):
             def reference(ia, ib):
                 return pair_distances(a[ia], b[ib], "cosine")
         return PairKernel(a, b, metric), reference
-    codec = (Int8Codec(metric) if precision == "int8"
-             else PQCodec(metric, m=6, ks=16, n_iters=2)).fit(b)
+    codec = Int8Codec(metric).fit(b)
     state = codec.query_state(a)
     return codec.make_kernel(state), lambda ia, ib: codec_distances(codec, state, ia, ib)
 
@@ -75,7 +74,7 @@ def _pairs(n: int, seed: int):
 
 
 @pytest.mark.parametrize("metric", ["l2", "cosine"])
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 def test_blocked_kernel_equals_definition_at_block_boundaries(
         precision, metric, operands):
     kernel, reference = _kernel_and_reference(precision, metric, operands)
@@ -95,7 +94,7 @@ def test_blocked_kernel_equals_definition_at_block_boundaries(
     assert len(set(got[block - 3: block + 3].tolist()) | {float(got[0])}) == 1
 
 
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 def test_blocked_kernel_equals_definition_at_960d(precision):
     """The benchmark's width: a 960-element row is wider than one einsum
     buffer chunk's share, and a block is only 68-109 pairs."""
@@ -108,7 +107,7 @@ def test_blocked_kernel_equals_definition_at_960d(precision):
     assert np.array_equal(_bits(kernel(ia, ib)), _bits(reference(ia, ib)))
 
 
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 def test_kernel_results_are_owned(precision, operands):
     """Consecutive calls return arrays that do not alias each other (the
     'view into scratch, valid until the next call' contract is gone)."""

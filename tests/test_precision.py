@@ -1,4 +1,4 @@
-"""Quantized traversal substrates: codecs, parity, re-rank, serve plumbing.
+"""Quantized traversal substrate: codec, parity, re-rank, serve plumbing.
 
 The contract under test (docs/performance.md "Quantized traversal"):
 
@@ -8,7 +8,7 @@ The contract under test (docs/performance.md "Quantized traversal"):
   all — the quantized axis must not perturb the existing path;
 * quantized searches end in an exact float32 re-rank whose output is the
   exact TopK of the approximate pool;
-* the cost model prices int8/pq distance steps below float32 ones;
+* the cost model prices int8 distance steps below float32 ones;
 * the serve stack records codec provenance in ``ServeReport.meta`` and it
   survives JSON round-trips.
 """
@@ -29,8 +29,6 @@ from repro.gpusim.device import RTX_A6000
 from repro.gpusim.trace import CTATrace, StepRecord, TraceBlock
 from repro.search import (
     Int8Codec,
-    PQCodec,
-    default_pq_m,
     exact_rerank,
     make_codec,
 )
@@ -55,7 +53,7 @@ def cos_corpus():
 
 
 def _codec(precision, pts, metric):
-    return make_codec(precision, pts, metric=metric, pq_m=8, pq_ks=32)
+    return make_codec(precision, pts, metric=metric)
 
 
 # ------------------------------------------------------------------- codecs
@@ -71,26 +69,11 @@ def test_int8_codec_matches_decoded_exact_distances(corpus):
     assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
 
 
-def test_pq_codec_matches_adc_reference(corpus):
-    ds, _ = corpus
-    codec = PQCodec("l2", m=8, ks=32).fit(ds.base)
-    state = codec.query_state(ds.queries[:2])
-    ids = np.arange(50, dtype=np.int64)
-    got = codec.make_kernel(state)(np.ones(50, np.int64), ids)
-    table = codec.pq.adc_table(ds.queries[1])
-    ref = codec.pq.adc_distances(table, codec.codes[ids])
-    assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
-
-
 def test_codec_info_provenance(corpus):
     ds, _ = corpus
     i8 = _codec("int8", ds.base, "l2").info()
     assert (i8.precision, i8.dim, i8.bytes_per_vector) == ("int8", ds.dim, ds.dim)
-    pq = _codec("pq", ds.base, "l2").info()
-    assert pq.precision == "pq"
-    assert pq.bytes_per_vector == pq.m == 8
-    assert pq.ks == 32
-    assert pq.train_n is not None
+    assert (i8.m, i8.ks, i8.train_seed, i8.train_n) == (None,) * 4
 
 
 def test_make_codec_validates(corpus):
@@ -98,13 +81,6 @@ def test_make_codec_validates(corpus):
     assert make_codec("float32", ds.base) is None
     with pytest.raises(ValueError, match="unknown precision"):
         make_codec("fp16", ds.base)
-
-
-def test_default_pq_m():
-    assert default_pq_m(128) == 16
-    assert default_pq_m(960) == 120
-    assert default_pq_m(200) == 25
-    assert default_pq_m(13) == 13  # prime dim: one dim per sub-code
 
 
 # ----------------------------------------------------- scalar vs vectorized
@@ -124,7 +100,7 @@ def _assert_same_batch(scalars, vec, dim, k=8):
     assert oracle == vec.traces
 
 
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 @pytest.mark.parametrize("which,n_ctas", [
     *(pytest.param(m, 4, id=m) for m in ("l2", "cosine")),
     *(pytest.param(m, 1, id=f"{m}-1cta") for m in ("l2", "cosine")),
@@ -205,16 +181,16 @@ def test_exact_rerank_returns_exact_topk(corpus):
 
 def test_rerank_trace_step_recorded(corpus):
     ds, g = corpus
-    codec = _codec("pq", ds.base, ds.metric)
+    codec = _codec("int8", ds.base, ds.metric)
     res = multi_cta_search(
         ds.base, g, ds.queries[0], 8, 64, 4, metric=ds.metric,
         entries=make_entries(ds.n, 4, 2, np.random.default_rng(8)),
         codec=codec, rerank_mult=3,
     )
-    # traversal steps are priced as PQ lookups (dim = m) ...
+    # traversal steps are priced as int8 MACs at full width ...
     trav = res.trace.ctas[1].steps
-    assert all(s.precision == "pq" for s in trav)
-    assert all(s.dim == 8 for s in trav if s.n_new_points)
+    assert all(s.precision == "int8" for s in trav)
+    assert all(s.dim == ds.dim for s in trav if s.n_new_points)
     # ... and CTA 0 carries the trailing float32 re-rank pass at full width
     last = res.trace.ctas[0].steps[-1]
     assert last.precision == "float32"
@@ -239,13 +215,11 @@ def test_cost_model_prices_quantized_steps_cheaper():
 
     f32 = step_us(960, 32, "float32")
     i8 = step_us(960, 32, "int8")
-    # pq scores m=120 lookups per point, not 960 FMAs
-    pq = step_us(120, 32, "pq")
     assert i8 < f32
-    assert pq < f32
     # an unknown precision tag fails; it does not price as float32
-    with pytest.raises(ValueError, match="exotic"):
-        step_us(960, 32, "exotic")
+    for tag in ("exotic", "pq"):
+        with pytest.raises(ValueError, match=tag):
+            step_us(960, 32, tag)
 
 
 def test_rerank_step_record_shape():
@@ -269,19 +243,19 @@ def test_system_serve_records_codec_meta(corpus):
     ds, g = corpus
     system = ALGASSystem(
         ds.base, g, metric=ds.metric, k=8, l_total=64, batch_size=8, seed=0,
-        precision="pq", pq_m=8, pq_ks=32,
+        precision="int8",
     )
     report = system.serve(ds.queries).serve
     meta = report.meta["precision"]
-    assert meta["precision"] == "pq"
+    assert meta["precision"] == "int8"
     assert meta["rerank_mult"] == 2
-    assert meta["codec"].m == 8
+    assert meta["codec"].bytes_per_vector == ds.dim
 
     # meta survives a JSON round-trip with the codec as a plain dict
     back = ServeReport.from_json(report.to_json())
     bm = back.meta["precision"]
-    assert bm["codec"]["precision"] == "pq"
-    assert bm["codec"]["m"] == 8
+    assert bm["codec"]["precision"] == "int8"
+    assert bm["codec"]["m"] is None
     assert back.meta == json.loads(report.to_json())["meta"]
 
 
@@ -305,8 +279,8 @@ def test_float32_serve_unchanged_by_precision_kwarg(corpus):
 
 
 def test_ivf_rejects_precision(corpus):
-    """The IVF baselines have no graph traversal, so no traversal
-    precision: IVF-PQ is the compressed IVF scan."""
+    """The IVF baseline has no graph traversal, so no traversal
+    precision."""
     ds, _ = corpus
     with pytest.raises(TypeError, match="precision"):
         IVFSystem(ds.base, nlist=16, nprobe=4, metric=ds.metric,

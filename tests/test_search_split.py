@@ -78,7 +78,7 @@ def test_chunks_follow_the_row_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("n_parallel", [1, 8])
-@pytest.mark.parametrize("precision", ["float32", "int8", "pq"])
+@pytest.mark.parametrize("precision", ["float32", "int8"])
 def test_split_search_all_equals_one_engine(split, ds, graph, precision,
                                             n_parallel):
     system = ALGASSystem(ds.base, graph, metric=ds.metric, k=8, l_total=64,

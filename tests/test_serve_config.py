@@ -1,5 +1,6 @@
 """Unified ServeConfig surface: workload adapter forms + validation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -250,15 +251,38 @@ def test_report_meta_survives_json_roundtrip(mini):
     assert again.meta == back.meta
 
 
-def test_serve_config_precision_validation(mini):
+@pytest.mark.parametrize("precision", ["pq", "bf16"])
+@pytest.mark.parametrize("kind", ["algas", "dynamic", "hybrid", "sharded"])
+def test_serve_config_precision_validation(mini, kind, precision):
+    """A precision outside ``PRECISIONS`` (``"pq"`` was one once) is refused
+    at every constructor that takes one, naming the accepted set."""
+    from repro.graphs import DynamicGraph
+    from repro.hybrid import HybridSystem
+    from repro.search.precision import PRECISIONS
+
     ds, g = mini
     kw = dict(metric=ds.metric, k=8, l_total=64)
-    with pytest.raises(ValueError, match="precision"):
-        ALGASSystem(ds.base, g, precision="bf16", **kw)
+    make = {
+        "algas": lambda **a: ALGASSystem(ds.base, g, **kw, **a),
+        "dynamic": lambda **a: DynamicGraph(ds.base, g, metric=ds.metric, **a),
+        "hybrid": lambda **a: HybridSystem(ds.base, g, **kw, **a),
+        "sharded": lambda **a: ShardedServer(
+            ds.base[:200], lambda pts: build_cagra(pts, graph_degree=8),
+            n_gpus=2, **kw, **a),
+    }[kind]
+    with pytest.raises(ValueError, match=re.escape(str(PRECISIONS))):
+        make(precision=precision)
     with pytest.raises(ValueError, match="rerank_mult"):
-        ALGASSystem(ds.base, g, rerank_mult=-1, **kw)
-    system = ALGASSystem(ds.base, g, precision="pq", rerank_mult=2, **kw)
-    assert system.precision == "pq"
+        make(rerank_mult=-1)
+
+
+def test_cli_refuses_a_deleted_precision(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--precision", "pq"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "invalid choice: 'pq'" in capsys.readouterr().err
 
 
 # ------------------------------------------ one place for every served value

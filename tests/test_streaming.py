@@ -412,6 +412,34 @@ def test_wave_barrier_lands_in_e2e_not_service():
     assert rep.serve.gpu_cta_busy_us < upd["update_busy_us"] + rep.serve.gpu_cta_busy_us
 
 
+@pytest.mark.parametrize("kind", ["storm", "compaction_stall", "codebook_drift"])
+def test_update_only_plans_do_not_arm_the_slot_watchdog(kind):
+    """The engine injects slot faults, PCIe stalls and shard faults; an
+    update-only plan is the runner's, so its epoch engines arm no
+    defenses and the stream report carries no resilience ledger, as a
+    healthy stream's does not."""
+    from repro.core.dynamic_batcher import DynamicBatchConfig, DynamicBatchEngine
+    from repro.gpusim.costmodel import CostModel
+    from repro.gpusim.device import RTX_A6000
+    from repro.resilience import (DEFAULT_POLICY, PCIeStall, ShardFault,
+                                  SlotFault)
+
+    def policy(plan):
+        cfg = DynamicBatchConfig(n_slots=2, n_parallel=1, k=4)
+        return DynamicBatchEngine(RTX_A6000, CostModel(RTX_A6000), cfg,
+                                  faults=plan).policy
+
+    plan = FaultPlan(seed=1, update_faults=(
+        UpdateFault(kind, at_us=2_000.0, n_inserts=400),))
+    assert policy(plan) is None
+    for armed in (dict(slot_faults=(SlotFault(0, "hang"),)),
+                  dict(pcie_stalls=(PCIeStall(10.0, 5.0),)),
+                  dict(shard_faults=(ShardFault(0, "slow"),))):
+        assert policy(FaultPlan(seed=1, **armed)) is DEFAULT_POLICY
+    meta = run_stream(faults=plan).serve.meta
+    assert not {"resilience", "failed", "failed_ids"} & set(meta)
+
+
 def test_runner_admission_spec_dropped_not_lost():
     dyn = fresh_graph()
     stream = UpdateStream(insert_qps=2000.0, wave_us=5_000.0, seed=3)

@@ -131,7 +131,7 @@ cost_params = st.builds(
     CostParams,
     fma_iter_cycles=cycles, shuffle_cycles=cycles, cmpex_cycles=cycles,
     scan_cycles=cycles, bitmap_cycles=cycles, step_fixed_cycles=cycles,
-    lut_lookup_cycles=cycles, int8_mac_pack=st.floats(0.5, 8.0),
+    int8_mac_pack=st.floats(0.5, 8.0),
 )
 COMPONENTS = ("select_us", "fetch_us", "filter_us", "distance_us", "sort_us",
               "result_write_us", "n_steps", "compute_us", "total_us",
